@@ -5,6 +5,10 @@ comparison quantitative so benchmark shape-assertions have a principled
 footing: a two-sample Kolmogorov-Smirnov test says whether two latency
 samples plausibly come from the same distribution, and a shift estimate
 says by how much one curve sits to the right of the other.
+
+The KS test is :func:`scipy.stats.ks_2samp`.  scipy costs about a second
+to import, so it is loaded inside :func:`compare_cdfs` — the one place
+that needs it — and not when the package is imported.
 """
 
 from __future__ import annotations
@@ -12,9 +16,8 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from scipy import stats
-
 from repro.analysis.cdf import percentile
+from repro.errors import AnalysisError
 
 __all__ = ["CdfComparison", "compare_cdfs", "median_shift"]
 
@@ -49,9 +52,19 @@ class CdfComparison:
 def compare_cdfs(
     sample_a: _t.Sequence[float], sample_b: _t.Sequence[float]
 ) -> CdfComparison:
-    """Two-sample KS test plus median shift (b relative to a)."""
+    """Two-sample KS test plus median shift (b relative to a).
+
+    Raises :class:`AnalysisError` when scipy cannot be imported.
+    """
     if not sample_a or not sample_b:
         raise ValueError("both samples must be non-empty")
+    try:
+        from scipy import stats
+    except ImportError as exc:
+        raise AnalysisError(
+            f"comparing latency distributions needs scipy ({exc});"
+            " install the `stats` extra: pip install 'repro[stats]'"
+        ) from None
     result = stats.ks_2samp(list(sample_a), list(sample_b))
     return CdfComparison(
         ks_statistic=float(result.statistic),

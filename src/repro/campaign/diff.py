@@ -16,6 +16,7 @@ import typing as _t
 
 from repro.analysis.compare import CdfComparison, compare_cdfs
 from repro.campaign.results import CONCLUSIVE_FAILURES, CampaignResult
+from repro.errors import AnalysisError
 
 __all__ = ["StatusChange", "CampaignDiff", "diff_campaigns"]
 
@@ -50,8 +51,11 @@ class CampaignDiff:
     #: Recipes newly classified flaky in the candidate.
     newly_flaky: list[str]
     #: KS comparison of pooled load latencies (None when either side
-    #: recorded no samples).
+    #: recorded no samples, or when the comparison failed).
     latency: _t.Optional[CdfComparison]
+    #: Why the latency comparison failed (scipy not installed, NaN
+    #: samples); the status half of the diff is still complete.
+    latency_error: _t.Optional[str] = None
 
     @property
     def has_regressions(self) -> bool:
@@ -93,6 +97,8 @@ class CampaignDiff:
                 f"  latency: {self.latency}"
                 f" ({'indistinguishable' if same else 'distribution shifted'})"
             )
+        if self.latency_error is not None:
+            lines.append(f"  latency: not compared ({self.latency_error})")
         if self.clean:
             lines.append("  no differences")
         return "\n".join(lines)
@@ -112,6 +118,7 @@ class CampaignDiff:
                 if self.latency is None
                 else dataclasses.asdict(self.latency)
             ),
+            "latency_error": self.latency_error,
             "has_regressions": self.has_regressions,
         }
 
@@ -146,11 +153,12 @@ def diff_campaigns(
     cand_latencies = [
         sample for outcome in candidate.outcomes for sample in outcome.latencies
     ]
-    latency = (
-        compare_cdfs(base_latencies, cand_latencies)
-        if base_latencies and cand_latencies
-        else None
-    )
+    latency = latency_error = None
+    if base_latencies and cand_latencies:
+        try:
+            latency = compare_cdfs(base_latencies, cand_latencies)
+        except AnalysisError as exc:
+            latency_error = str(exc)
 
     return CampaignDiff(
         baseline=baseline.name,
@@ -162,4 +170,5 @@ def diff_campaigns(
         removed=sorted(set(base_by_name) - set(cand_by_name)),
         newly_flaky=newly_flaky,
         latency=latency,
+        latency_error=latency_error,
     )

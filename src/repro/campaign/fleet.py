@@ -71,15 +71,28 @@ R = _t.TypeVar("R")
 J = _t.TypeVar("J")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, which an affinity mask or a
+    container's cpuset can make fewer than the machine has."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        count = os.process_cpu_count()
+    elif hasattr(os, "sched_getaffinity"):  # not on macOS / Windows
+        count = len(os.sched_getaffinity(0))
+    else:
+        count = os.cpu_count()
+    return max(1, count or 1)
+
+
 def resolve_workers(workers: _t.Union[int, str]) -> int:
     """Resolve a worker-count knob to a concrete fleet size.
 
-    ``"auto"`` (the CLI default) sizes the fleet to the machine: one
-    worker per CPU core.  Integers (or integer strings, as argparse
-    delivers them) pass through validated.
+    ``"auto"`` (the CLI default) gives one worker per CPU the process
+    may run on — not per CPU of the machine, which would oversubscribe
+    an affinity-limited container.  Integers (or integer strings, as
+    argparse delivers them) pass through validated.
     """
     if workers == "auto":
-        return max(1, os.cpu_count() or 1)
+        return _usable_cpus()
     try:
         value = int(workers)
     except (TypeError, ValueError):

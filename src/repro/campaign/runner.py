@@ -287,8 +287,8 @@ class CampaignRunner:
         recipe from it.  The ``processes`` backend pickles it to the
         workers, so it must be an importable module-level callable.
     workers:
-        Fleet size, or ``"auto"`` for one worker per CPU core.  ``1``
-        executes serially.
+        Fleet size, or ``"auto"`` for one worker per CPU the process may
+        run on (affinity- and cpuset-aware).  ``1`` executes serially.
     backend:
         ``"threads"`` (default; zero serialization, overlaps paced /
         I/O-bound recipes) or ``"processes"`` (spawn-isolated

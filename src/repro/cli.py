@@ -445,6 +445,8 @@ def cmd_campaign_diff(args: argparse.Namespace) -> int:
         print(json.dumps(diff.to_dict(), indent=2))
     else:
         print(diff.text())
+    if diff.latency_error is not None:
+        raise AnalysisError(diff.latency_error)
     return 1 if diff.has_regressions else 0
 
 
@@ -705,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=_workers_arg,
             default=default_workers,
-            help="parallel fleet size, or 'auto' for one worker per CPU core",
+            help="parallel fleet size, or 'auto' for one worker per usable CPU",
         )
         p.add_argument(
             "--backend",
@@ -815,7 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_workers_arg,
         default="auto",
-        help="parallel fleet size, or 'auto' for one worker per CPU core",
+        help="parallel fleet size, or 'auto' for one worker per usable CPU",
     )
     fuzz_run.add_argument(
         "--backend",

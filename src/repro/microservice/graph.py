@@ -7,18 +7,22 @@ walks this graph to decompose high-level scenarios (``dependents`` of a
 crashed service, edges across a partition cut) into per-edge fault
 rules.
 
-Backed by :mod:`networkx` so standard graph algorithms (reachability,
-cuts) come for free, with a thin domain wrapper enforcing the
-invariants recipes rely on.
+Backed by two insertion-ordered adjacency dicts (successors and
+predecessors per service), so every query returns services and edges
+in the order they were first declared and importing the package pulls
+in nothing beyond the standard library.  ``to_networkx()`` exports a
+:mod:`networkx` digraph for ad-hoc analysis (needs the ``graph``
+extra).
 """
 
 from __future__ import annotations
 
 import typing as _t
 
-import networkx as nx
-
 from repro.errors import RecipeError
+
+if _t.TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["ApplicationGraph"]
 
@@ -27,7 +31,10 @@ class ApplicationGraph:
     """Directed caller -> callee graph over logical service names."""
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
+        # service -> {neighbour: None}; dicts double as ordered sets.
+        # Both maps hold every service, so either one is the node list.
+        self._succ: dict[str, dict[str, None]] = {}
+        self._pred: dict[str, dict[str, None]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -48,27 +55,34 @@ class ApplicationGraph:
         """Register a service node (idempotent)."""
         if not name:
             raise RecipeError("service name must be non-empty")
-        self._graph.add_node(name)
+        self._add_node(name)
 
     def add_dependency(self, caller: str, callee: str) -> None:
         """Record that ``caller`` makes API calls to ``callee``."""
         if caller == callee:
             raise RecipeError(f"service {caller!r} cannot depend on itself")
-        self._graph.add_edge(caller, callee)
+        self._add_node(caller)
+        self._add_node(callee)
+        self._succ[caller][callee] = None
+        self._pred[callee][caller] = None
 
     # -- queries (the vocabulary of paper Section 5's recipes) --------------
 
     def services(self) -> list[str]:
         """All service names."""
-        return list(self._graph.nodes)
+        return list(self._succ)
 
     def has_service(self, name: str) -> bool:
         """True if ``name`` is a node of the graph."""
-        return self._graph.has_node(name)
+        return name in self._succ
 
     def edges(self) -> list[tuple[str, str]]:
-        """All ``(caller, callee)`` edges."""
-        return list(self._graph.edges)
+        """All ``(caller, callee)`` edges, grouped by caller."""
+        return [
+            (caller, callee)
+            for caller, callees in self._succ.items()
+            for callee in callees
+        ]
 
     def dependents(self, service: str) -> list[str]:
         """Services that *call* ``service`` (its upstream neighbours).
@@ -77,22 +91,22 @@ class ApplicationGraph:
         Overload recipes iterate over.
         """
         self._require(service)
-        return list(self._graph.predecessors(service))
+        return list(self._pred[service])
 
     def dependencies(self, service: str) -> list[str]:
         """Services that ``service`` calls (its downstream neighbours)."""
         self._require(service)
-        return list(self._graph.successors(service))
+        return list(self._succ[service])
 
     def downstream_closure(self, service: str) -> set[str]:
         """Every service transitively reachable from ``service``."""
         self._require(service)
-        return set(nx.descendants(self._graph, service))
+        return _closure(self._succ, service)
 
     def upstream_closure(self, service: str) -> set[str]:
         """Every service that can transitively reach ``service``."""
         self._require(service)
-        return set(nx.ancestors(self._graph, service))
+        return _closure(self._pred, service)
 
     def edges_across(
         self, group_a: _t.Iterable[str], group_b: _t.Iterable[str]
@@ -107,19 +121,19 @@ class ApplicationGraph:
             raise RecipeError(f"partition groups overlap: {sorted(overlap)}")
         for name in set_a | set_b:
             self._require(name)
-        crossing = []
-        for caller, callee in self._graph.edges:
-            if (caller in set_a and callee in set_b) or (caller in set_b and callee in set_a):
-                crossing.append((caller, callee))
-        return crossing
+        return [
+            (caller, callee)
+            for caller, callee in self.edges()
+            if (caller in set_a and callee in set_b) or (caller in set_b and callee in set_a)
+        ]
 
     def entry_services(self) -> list[str]:
         """Services nothing calls — the user-facing edge (e.g. Web App)."""
-        return [n for n in self._graph.nodes if self._graph.in_degree(n) == 0]
+        return [name for name, callers in self._pred.items() if not callers]
 
     def leaf_services(self) -> list[str]:
         """Services that call nothing — datastores and third parties."""
-        return [n for n in self._graph.nodes if self._graph.out_degree(n) == 0]
+        return [name for name, callees in self._succ.items() if not callees]
 
     def validate_services(self, names: _t.Iterable[str]) -> None:
         """Raise :class:`RecipeError` if any name is not in the graph.
@@ -128,30 +142,54 @@ class ApplicationGraph:
         the data plane, so a typo fails fast instead of silently
         injecting nothing.
         """
-        unknown = [n for n in names if not self._graph.has_node(n)]
+        unknown = [n for n in names if n not in self._succ]
         if unknown:
             raise RecipeError(
-                f"services not in application graph: {unknown}; known: {sorted(self._graph.nodes)}"
+                f"services not in application graph: {unknown}; known: {sorted(self._succ)}"
             )
 
     def to_networkx(self) -> "nx.DiGraph":
-        """A copy of the underlying networkx digraph, for analysis."""
-        return self._graph.copy()
+        """An independent :mod:`networkx` digraph with the same services
+        and edges, for analysis (needs the ``graph`` extra)."""
+        import networkx as nx
+
+        graph = nx.DiGraph()
+        graph.add_nodes_from(self._succ)
+        graph.add_edges_from(self.edges())
+        return graph
 
     # -- internals ------------------------------------------------------------
 
+    def _add_node(self, name: str) -> None:
+        self._succ.setdefault(name, {})
+        self._pred.setdefault(name, {})
+
     def _require(self, name: str) -> None:
-        if not self._graph.has_node(name):
+        if name not in self._succ:
             raise RecipeError(f"unknown service {name!r} (not in application graph)")
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._succ)
 
     def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and self._graph.has_node(name)
+        return isinstance(name, str) and name in self._succ
 
     def __repr__(self) -> str:
         return (
-            f"<ApplicationGraph services={self._graph.number_of_nodes()}"
-            f" edges={self._graph.number_of_edges()}>"
+            f"<ApplicationGraph services={len(self._succ)}"
+            f" edges={sum(map(len, self._succ.values()))}>"
         )
+
+
+def _closure(adjacency: dict[str, dict[str, None]], start: str) -> set[str]:
+    """Every node reachable from ``start`` along ``adjacency``, never
+    ``start`` itself (not even when a cycle leads back to it)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for neighbour in adjacency[stack.pop()]:
+            if neighbour not in seen:
+                seen.add(neighbour)
+                stack.append(neighbour)
+    seen.discard(start)
+    return seen

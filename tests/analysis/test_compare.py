@@ -1,12 +1,20 @@
 """Tests for the KS-based distribution comparison."""
 
 import random
+import sys
 
 import pytest
 
 from repro.analysis import CdfComparison, compare_cdfs, median_shift
+from repro.errors import AnalysisError
 
 
+@pytest.fixture
+def scipy_installed():
+    pytest.importorskip("scipy")
+
+
+@pytest.mark.usefixtures("scipy_installed")
 class TestCompareCdfs:
     def test_identical_samples_same_distribution(self):
         sample = [random.Random(1).random() for _ in range(200)]
@@ -43,6 +51,15 @@ class TestCompareCdfs:
         assert median_shift([1.0, 2.0, 3.0], [2.0, 3.0, 4.0]) == pytest.approx(1.0)
 
 
+class TestWithoutScipy:
+    def test_missing_scipy_names_the_stats_extra(self, monkeypatch):
+        # A None entry makes `import scipy` raise ImportError, installed or not.
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        with pytest.raises(AnalysisError, match=r"repro\[stats\]"):
+            compare_cdfs([1.0, 2.0], [1.0, 2.0])
+
+
+@pytest.mark.usefixtures("scipy_installed")
 class TestOnExperimentData:
     def test_fig5_curves_shift_by_injected_delay(self):
         """The KS machinery applied to real experiment output: the 1s

@@ -1,5 +1,9 @@
 """Tests for campaign-to-campaign regression diffing."""
 
+import sys
+
+import pytest
+
 from repro.campaign import CampaignResult, RecipeOutcome, diff_campaigns
 
 
@@ -74,6 +78,7 @@ class TestStatusChanges:
 
 class TestLatencyComparison:
     def test_pooled_latencies_go_through_ks(self):
+        pytest.importorskip("scipy")
         baseline = result("base", [outcome("r", "pass", latencies=[0.1] * 30)])
         candidate = result("cand", [outcome("r", "pass", latencies=[5.0] * 30)])
         diff = diff_campaigns(baseline, candidate)
@@ -81,12 +86,25 @@ class TestLatencyComparison:
         assert not diff.latency.same_distribution()
         assert "distribution shifted" in diff.text()
 
+    def test_without_scipy_the_status_half_is_still_complete(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)  # import raises
+        diff = diff_campaigns(
+            result("base", [outcome("r", "pass", latencies=[0.1] * 30)]),
+            result("cand", [outcome("r", "fail", latencies=[5.0] * 30)]),
+        )
+        assert [str(c) for c in diff.regressions] == ["r: pass -> fail"]
+        assert diff.latency is None
+        assert "repro[stats]" in diff.latency_error
+        assert "latency: not compared" in diff.text()
+        assert diff.to_dict()["latency_error"] == diff.latency_error
+
     def test_no_samples_no_comparison(self):
         diff = diff_campaigns(
             result("base", [outcome("r", "error")]),
             result("cand", [outcome("r", "error")]),
         )
         assert diff.latency is None
+        assert diff.latency_error is None
 
 
 class TestReporting:

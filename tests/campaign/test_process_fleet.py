@@ -117,7 +117,29 @@ def exit_on_encode_target(worker_id, job, context):
 
 class TestResolveWorkers:
     def test_auto_sizes_to_the_machine(self):
-        assert resolve_workers("auto") == max(1, os.cpu_count() or 1)
+        assert 1 <= resolve_workers("auto") <= (os.cpu_count() or 1)
+
+    def test_auto_prefers_process_cpu_count(self, monkeypatch):
+        # Python 3.13+: honours affinity and -X cpu_count.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(os, "process_cpu_count", lambda: 3, raising=False)
+        assert resolve_workers("auto") == 3
+
+    def test_auto_honours_the_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert resolve_workers("auto") == 2
+
+    def test_auto_falls_back_to_cpu_count(self, monkeypatch):
+        # macOS / Windows have neither call; an unknown count means 1.
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert resolve_workers("auto") == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_workers("auto") == 1
 
     def test_integers_and_integer_strings_pass_through(self):
         assert resolve_workers(3) == 3

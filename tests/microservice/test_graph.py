@@ -93,6 +93,7 @@ class TestCuts:
             diamond.edges_across(["web"], ["ghost"])
 
     def test_to_networkx_is_a_copy(self, diamond):
+        pytest.importorskip("networkx")
         nx_graph = diamond.to_networkx()
         nx_graph.add_node("extra")
         assert "extra" not in diamond

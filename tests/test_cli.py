@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import sys
 
 import pytest
 
@@ -313,6 +314,7 @@ class TestCampaignDiff:
         return path
 
     def test_self_diff_is_clean(self, capsys, tmp_path):
+        pytest.importorskip("scipy")  # the latency half is a KS test
         baseline = self.dump(tmp_path, "baseline", seed=0)
         candidate = self.dump(tmp_path, "candidate", seed=0)
         capsys.readouterr()
@@ -324,6 +326,18 @@ class TestCampaignDiff:
     def test_missing_file_exits(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["campaign", "diff", str(tmp_path / "a"), str(tmp_path / "b")])
+
+    def test_without_scipy_status_half_prints_then_clean_exit(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        baseline = self.dump(tmp_path, "baseline", seed=0)
+        capsys.readouterr()
+        monkeypatch.setitem(sys.modules, "scipy", None)  # import raises
+        with pytest.raises(SystemExit, match=r"analysis error: .*repro\[stats\]"):
+            main(["campaign", "diff", str(baseline), str(baseline)])
+        out = capsys.readouterr().out
+        assert "regressions: 0" in out
+        assert "latency: not compared" in out
 
 
 class TestFuzz:
