@@ -6,7 +6,6 @@ them back.
 """
 
 from repro.logstore.export import dump_jsonl, dumps, load_jsonl, loads
-from repro.logstore.index import PostingList
 from repro.logstore.pipeline import LogPipeline
 from repro.logstore.query import Query, compile_id_pattern
 from repro.logstore.record import ObservationKind, ObservationRecord
@@ -17,7 +16,6 @@ __all__ = [
     "LogPipeline",
     "ObservationKind",
     "ObservationRecord",
-    "PostingList",
     "Query",
     "QueryPlan",
     "STORE_STRATEGIES",

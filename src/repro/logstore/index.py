@@ -1,102 +1,92 @@
-"""Secondary-index structures for the event store.
+"""Secondary-index structure for the event store.
 
 The paper's Assertion Checker answers Table 3 queries against
 Elasticsearch, which keeps an inverted index per field so a scoped
 query never scans the whole trace.  This module provides the
-in-process analogue: :class:`PostingList` — a lazily-sorted list of
-record *positions* (offsets into the store's time-ordered record
-array) — plus the position-space binary searches the query planner
-uses to apply ``since``/``until`` bounds to a posting list without
-touching the records themselves.
+in-process analogue: :class:`RecordSlice` — the records sharing one
+*identity* key, in store order, next to a parallel list of their
+timestamps — so a time window over a slice is two stdlib bisects and
+one list slice, with no per-record work.
 
-Two invariants make the design fast and mutation-tolerant:
-
-* positions in a clean posting list are ascending, and the record
-  array is time-sorted, so the timestamps along a posting list are
-  non-decreasing — time bounds become two bisects;
-* posting lists for *mutable* fields (``status``, ``fault_applied``)
-  are maintained additively: an in-place record update appends the
-  position to the new value's bucket and leaves the old entry behind
-  as a harmless false positive (the store post-filters every candidate
-  with :meth:`~repro.logstore.query.Query.matches`).  Buckets only
-  ever miss nothing; they may over-approximate until the next rebuild.
+Slices are keyed on identity fields only (``kind``, ``src``, ``dst``,
+``request_id``), which never change once a record is stored.  Mutable
+outcome fields (``status``, ``fault_applied``) are not indexed at all:
+the store filters them by reading each candidate's current value, so
+an in-place update needs no notification and can never leave an index
+stale.
 """
 
 from __future__ import annotations
 
+import bisect
 import typing as _t
 
-__all__ = ["PostingList", "bisect_left_by", "bisect_right_by"]
+from repro.logstore.record import ObservationRecord
+
+__all__ = ["RecordSlice", "merge_slices"]
 
 
-def bisect_left_by(
-    positions: _t.Sequence[int], timestamps: _t.Sequence[float], bound: float
-) -> int:
-    """First index into ``positions`` whose timestamp is >= ``bound``.
+class RecordSlice:
+    """Records in store (time, then ingest) order, plus their timestamps.
 
-    ``positions`` must be ascending and ``timestamps`` time-sorted, so
-    ``timestamps[positions[i]]`` is non-decreasing.  (A hand-rolled
-    bisect because :func:`bisect.bisect_left` only grew ``key=`` in
-    Python 3.10 and we support 3.9.)
-    """
-    lo, hi = 0, len(positions)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if timestamps[positions[mid]] < bound:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def bisect_right_by(
-    positions: _t.Sequence[int], timestamps: _t.Sequence[float], bound: float
-) -> int:
-    """First index into ``positions`` whose timestamp is > ``bound``."""
-    lo, hi = 0, len(positions)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if timestamps[positions[mid]] <= bound:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-class PostingList:
-    """Ascending list of record positions with deferred re-sorting.
-
-    Normal ingest appends monotonically increasing positions, which
-    keeps the list sorted for free.  Additive mutation updates and
-    re-sort remaps may insert arbitrary positions; those mark the list
-    dirty, and the next read pays one sort + dedupe (amortized — reads
-    between writes reuse the clean list).
+    ``timestamps[i] == records[i].timestamp``; the parallel list exists
+    so :func:`bisect.bisect_left` needs no ``key=`` (Python 3.9).  The
+    store appends to both lists directly on its ingest path.
     """
 
-    __slots__ = ("_positions", "_dirty")
+    __slots__ = ("records", "timestamps")
 
-    def __init__(self, positions: _t.Optional[list[int]] = None) -> None:
-        self._positions: list[int] = positions if positions is not None else []
-        self._dirty = False
+    def __init__(self) -> None:
+        self.records: list[ObservationRecord] = []
+        self.timestamps: list[float] = []
 
-    def append(self, position: int) -> None:
-        """Add a position known to be >= every existing entry."""
-        self._positions.append(position)
-
-    def add(self, position: int) -> None:
-        """Add an arbitrary position (mutation update); defers the sort."""
-        self._positions.append(position)
-        self._dirty = True
-
-    def get(self) -> list[int]:
-        """The clean, ascending, duplicate-free position list."""
-        if self._dirty:
-            self._positions = sorted(set(self._positions))
-            self._dirty = False
-        return self._positions
+    def window(
+        self, since: _t.Optional[float], until: _t.Optional[float]
+    ) -> tuple[int, int]:
+        """``[lo, hi)`` of the records with ``since <= timestamp <= until``."""
+        lo = 0 if since is None else bisect.bisect_left(self.timestamps, since)
+        hi = (
+            len(self.timestamps)
+            if until is None
+            else bisect.bisect_right(self.timestamps, until)
+        )
+        return lo, hi
 
     def __len__(self) -> int:
-        return len(self.get())
+        return len(self.records)
 
     def __repr__(self) -> str:
-        return f"<PostingList n={len(self._positions)} dirty={self._dirty}>"
+        return f"<RecordSlice n={len(self.records)}>"
+
+
+def merge_slices(a: RecordSlice, b: RecordSlice, primary: RecordSlice) -> RecordSlice:
+    """Union of two disjoint slices of ``primary``, in ``primary``'s order.
+
+    Timestamps order the merge except where both sides hold records at
+    the same instant; there only ``primary`` knows the ingest order, so
+    the tied run is read back from it.
+    """
+    out = RecordSlice()
+    records, timestamps = out.records, out.timestamps
+    ra, ta, rb, tb = a.records, a.timestamps, b.records, b.timestamps
+    i = j = 0
+    while i < len(ra) and j < len(rb):
+        ts = ta[i]
+        if ts < tb[j]:
+            records.append(ra[i])
+            timestamps.append(ts)
+            i += 1
+        elif tb[j] < ts:
+            records.append(rb[j])
+            timestamps.append(tb[j])
+            j += 1
+        else:
+            i_end, j_end = bisect.bisect_right(ta, ts, i), bisect.bisect_right(tb, ts, j)
+            tied = {id(record) for record in ra[i:i_end] + rb[j:j_end]}
+            lo, hi = primary.window(ts, ts)
+            records += [r for r in primary.records[lo:hi] if id(r) in tied]
+            timestamps += [ts] * len(tied)
+            i, j = i_end, j_end
+    records += ra[i:] + rb[j:]
+    timestamps += ta[i:] + tb[j:]
+    return out

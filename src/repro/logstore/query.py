@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import fnmatch
+import functools
 import re
 import typing as _t
 
@@ -82,24 +83,25 @@ class Query:
             )
         if self.since is not None and self.until is not None and self.since > self.until:
             raise AssertionQueryError(f"empty time range: since={self.since} > until={self.until}")
-        # Validate the pattern eagerly so malformed queries fail fast,
-        # and cache the compiled regex: the predicate runs once per
-        # record and must not pay a compile per call.  (object.__setattr__
-        # because the dataclass is frozen.)
-        object.__setattr__(self, "_id_regex", compile_id_pattern(self.id_pattern))
-        object.__setattr__(self, "predicate", self._compile_predicate())
+        # Fail fast on a malformed regex (globs cannot be malformed);
+        # everything else about the predicate is built on first use.
+        if self.id_pattern is not None and self.id_pattern.startswith("re:"):
+            compile_id_pattern(self.id_pattern)
 
-    def _compile_predicate(self) -> _t.Callable[[ObservationRecord], bool]:
-        """Bind the constraints into a closure over locals.
+    @functools.cached_property
+    def predicate(self) -> _t.Callable[[ObservationRecord], bool]:
+        """The constraints bound into a closure over locals.
 
-        The store evaluates the predicate once per candidate record;
-        capturing the bound values here avoids eight ``self`` attribute
-        lookups per call on that hot path.
+        Built on first use — an exactly-planned scope never needs it —
+        and cached in the instance ``__dict__``, which ``==`` and
+        ``hash`` ignore.  The store evaluates it once per candidate
+        record; capturing the bound values here avoids eight ``self``
+        attribute lookups per call on that hot path.
         """
         kind, src, dst = self.kind, self.src, self.dst
         status, since, until = self.status, self.since, self.until
         faults_only = self.with_faults_only
-        regex: _t.Optional[re.Pattern] = self._id_regex  # type: ignore[attr-defined]
+        regex = compile_id_pattern(self.id_pattern)
 
         def predicate(record: ObservationRecord) -> bool:
             if kind is not None and record.kind != kind:

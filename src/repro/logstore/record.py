@@ -15,14 +15,6 @@ import typing as _t
 
 __all__ = ["ObservationKind", "ObservationRecord"]
 
-#: Outcome fields the agent mutates in place after ingestion *and* the
-#: store indexes.  Assignments to these notify the owning store so its
-#: secondary indexes can follow the update (the in-process analogue of
-#: an Elasticsearch document update re-indexing the changed fields).
-#: Identity fields (kind, src, dst, timestamp, request_id) are treated
-#: as immutable once a record is stored.
-_INDEXED_MUTABLE_FIELDS = frozenset({"status", "fault_applied"})
-
 
 class ObservationKind:
     """Enumeration of the two observable message directions."""
@@ -42,7 +34,10 @@ class ObservationRecord:
     in place once the outcome is known — the in-process analogue of an
     Elasticsearch document update.  This is what lets ``CheckStatus``
     operate on request lists ("check that at least NumMatch requests
-    have *returned* status Status", Table 3) without a join.
+    have *returned* status Status", Table 3) without a join.  Only
+    outcome fields change; the identity fields the store indexes
+    (``timestamp``, ``kind``, ``src``, ``dst``, ``request_id``) are
+    fixed once a record is stored.
 
     Fields
     ------
@@ -114,18 +109,6 @@ class ObservationRecord:
     def __post_init__(self) -> None:
         if self.kind not in ObservationKind.ALL:
             raise ValueError(f"kind must be one of {ObservationKind.ALL}, got {self.kind!r}")
-
-    def __setattr__(self, name: str, value: _t.Any) -> None:
-        # Stores install ``_index_hook`` (a plain __dict__ entry, not a
-        # dataclass field) at ingest time; updates to indexed mutable
-        # fields flow through it so posting lists stay a superset of
-        # the truth.  Unhooked records (not yet stored, or owned by a
-        # linear-strategy store) pay only the membership test.
-        if name in _INDEXED_MUTABLE_FIELDS:
-            hook = self.__dict__.get("_index_hook")
-            if hook is not None and value != self.__dict__.get(name):
-                hook(self, name, value)
-        object.__setattr__(self, name, value)
 
     @property
     def is_request(self) -> bool:

@@ -6,66 +6,75 @@ queries them back, filtered and time-sorted, exactly as the paper's
 ``GetRequests``/``GetReplies`` do against Elasticsearch.
 
 Like Elasticsearch, the store answers scoped queries from secondary
-indexes instead of scanning the whole trace: every record position is
-posted to hash indexes on ``kind``, ``src``, ``dst``, the
-``(src, dst)`` pair, ``status`` and fault presence, all layered over
-the primary time-sorted record array.  A small planner picks the most
-selective index bound by the query, applies ``since``/``until`` with
-two binary searches over the chosen posting list, and post-filters the
-surviving candidates with :meth:`Query.matches` — so a pair-scoped
-assertion query touches only that pair's records, not the trace.
+indexes instead of scanning the whole trace.  Next to the primary
+time-sorted record array it keeps one
+:class:`~repro.logstore.index.RecordSlice` per identity key —
+``(kind, src, dst)``, ``(kind, src, *)``, ``(kind, *, dst)`` — and one
+per request ID.  Every scope the checker issues binds ``kind`` and a
+service, so its answer is a contiguous time range of one slice: two
+bisects and a list slice, no per-record work.  Constraints on fields
+that can still change (``status``, ``with_faults_only``) and request-ID
+globs are a *residual* filter over the narrowest slice, reading each
+record's current value.
 
-``strategy="linear"`` keeps the original full-scan evaluation as an
-escape hatch (mirroring ``make_matcher`` in :mod:`repro.agent.matcher`);
+``strategy="linear"`` keeps the full-scan evaluation as the test
+oracle (mirroring ``make_matcher`` in :mod:`repro.agent.matcher`);
 both strategies return byte-identical results.
 
 Records are mutable (the agent updates ``status``/``fault_applied`` in
 place once a call's outcome is known — the in-process analogue of an
-Elasticsearch document update).  The store subscribes to those updates
-via a per-record hook and maintains the affected posting lists
-*additively*: the position is appended to the new value's bucket and
-the stale entry in the old bucket survives as a false positive that the
-post-filter discards.  Buckets therefore always over-approximate, never
-miss — which is the invariant the planner's correctness rests on.
+Elasticsearch document update).  Only identity fields (``kind``,
+``src``, ``dst``, ``timestamp``, ``request_id``), which are fixed once
+a record is stored, are indexed, so such an update needs no hook and
+no index can go stale.
 """
 
 from __future__ import annotations
 
-import bisect
+import collections
 import dataclasses
+import operator
 import typing as _t
 
-from repro.logstore.index import PostingList, bisect_left_by, bisect_right_by
+from repro.logstore.index import RecordSlice, merge_slices
 from repro.logstore.query import Query, exact_id_pattern
-from repro.logstore.record import ObservationRecord
+from repro.logstore.record import ObservationKind, ObservationRecord
 
 __all__ = ["EventStore", "QueryPlan", "STORE_STRATEGIES"]
 
 #: Valid values for ``EventStore(strategy=...)``.
 STORE_STRATEGIES = ("indexed", "linear")
 
+#: Stands in for an identity key or request ID no record carries.
+_EMPTY = RecordSlice()
+
 
 @dataclasses.dataclass(frozen=True)
 class QueryPlan:
     """How the store intends to evaluate one query (introspection aid).
 
-    ``driver`` names the index that supplies candidates: one of
-    ``"pair"``, ``"src"``, ``"dst"``, ``"kind"``, ``"status"``,
-    ``"fault"``, ``"rid"`` (exact request-ID lookup), or ``"time"``
-    when no indexed field is bound and the primary array is
-    range-scanned.  ``candidates`` counts the records that will be
-    post-filtered — the cost of the query.
+    ``driver`` names what supplies candidates: ``"slice"`` (one
+    identity slice: ``kind`` plus ``src`` and/or ``dst``), ``"merge"``
+    (``src``/``dst`` without ``kind``: the request and reply slices
+    interleaved), ``"rid"`` (exact request-ID lookup), ``"time"`` (no
+    service bound: the primary array's time range), or ``"scan"`` (the
+    linear strategy).  ``candidates`` counts the records in the
+    candidate range — the cost of the query.  ``exact`` means the range
+    *is* the answer: no record is examined, so
+    ``candidates == len(result)``.
     """
 
     strategy: str
     driver: str
     candidates: int
     total: int
+    exact: bool = False
 
     def __str__(self) -> str:
+        verb = "returned" if self.exact else "examined"
         return (
             f"{self.strategy}/{self.driver}: {self.candidates} of"
-            f" {self.total} records examined"
+            f" {self.total} records {verb}"
         )
 
 
@@ -78,23 +87,14 @@ class EventStore:
                 f"unknown store strategy {strategy!r}; expected one of {STORE_STRATEGIES}"
             )
         self._strategy = strategy
-        self._records: list[ObservationRecord] = []
-        self._timestamps: list[float] = []
+        self._primary = RecordSlice()
         self._sorted = True
         # Secondary indexes (maintained only under the indexed strategy).
-        self._kind_ix: dict[str, PostingList] = {}
-        self._src_ix: dict[str, PostingList] = {}
-        self._dst_ix: dict[str, PostingList] = {}
-        self._pair_ix: dict[tuple[str, str], PostingList] = {}
-        self._status_ix: dict[int, PostingList] = {}
-        self._fault_ix = PostingList()
+        #: (kind, src, dst) / (kind, src, None) / (kind, None, dst) -> slice.
+        self._slices: _t.DefaultDict[tuple, RecordSlice] = collections.defaultdict(RecordSlice)
         #: Exact request-ID index: trace reconstruction pulls one
-        #: request's records without scanning the run (request_id is an
-        #: identity field, so no mutation hook is needed).
-        self._rid_ix: dict[str, PostingList] = {}
-        #: id(record) -> position, for translating in-place mutations
-        #: into index updates.
-        self._pos_of: dict[int, int] = {}
+        #: request's records without scanning the run.
+        self._rid_ix: _t.DefaultDict[str, RecordSlice] = collections.defaultdict(RecordSlice)
 
     @property
     def strategy(self) -> str:
@@ -105,27 +105,26 @@ class EventStore:
 
     def append(self, record: ObservationRecord) -> None:
         """Ingest one record (agents go through the pipeline instead)."""
-        if self._timestamps and record.timestamp < self._timestamps[-1]:
+        primary = self._primary
+        ts = record.timestamp
+        if primary.timestamps and ts < primary.timestamps[-1]:
             self._sorted = False
-        position = len(self._records)
-        self._records.append(record)
-        self._timestamps.append(record.timestamp)
+        primary.records.append(record)
+        primary.timestamps.append(ts)
         if self._strategy == "indexed":
-            self._index_record(record, position)
+            self._index_record(record, ts)
 
     def extend(self, records: _t.Iterable[ObservationRecord]) -> None:
         """Ingest many records (the pipeline's batched flush path).
 
-        Equivalent to repeated :meth:`append`, but with the attribute
-        lookups hoisted out of the loop so large batches amortize the
-        per-record index maintenance.
+        Equivalent to repeated :meth:`append`, with the attribute
+        lookups hoisted out of the loop.
         """
-        records_append = self._records.append
-        ts_append = self._timestamps.append
-        indexed = self._strategy == "indexed"
-        index_record = self._index_record
-        position = len(self._records)
-        last_ts = self._timestamps[-1] if self._timestamps else float("-inf")
+        primary = self._primary
+        records_append = primary.records.append
+        ts_append = primary.timestamps.append
+        index_record = self._index_record if self._strategy == "indexed" else None
+        last_ts = primary.timestamps[-1] if primary.timestamps else float("-inf")
         for record in records:
             ts = record.timestamp
             if ts < last_ts:
@@ -134,283 +133,127 @@ class EventStore:
                 last_ts = ts
             records_append(record)
             ts_append(ts)
-            if indexed:
-                index_record(record, position)
-            position += 1
+            if index_record is not None:
+                index_record(record, ts)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._primary)
 
     def clear(self) -> None:
         """Drop everything — used between chained recipe steps when the
         operator wants a clean observation window."""
-        self._records.clear()
-        self._timestamps.clear()
+        self._primary = RecordSlice()
         self._sorted = True
-        self._kind_ix.clear()
-        self._src_ix.clear()
-        self._dst_ix.clear()
-        self._pair_ix.clear()
-        self._status_ix.clear()
-        self._fault_ix = PostingList()
+        self._slices.clear()
         self._rid_ix.clear()
-        self._pos_of.clear()
 
     # -- queries -----------------------------------------------------------------
 
     def all_records(self) -> list[ObservationRecord]:
         """Every record, sorted by timestamp."""
         self._ensure_sorted()
-        return list(self._records)
+        return list(self._primary.records)
 
     def search(self, query: Query) -> list[ObservationRecord]:
-        """Records matching ``query``, sorted by timestamp.
-
-        Eager twin of :meth:`search_iter`: a plain loop (no generator
-        resumption per record) because this is the assertion checker's
-        hot path.
-        """
-        positions, lo, hi = self._plan_bounds(query)
-        records = self._records
+        """Records matching ``query``, sorted by timestamp (a fresh list)."""
+        _, records, lo, hi, exact = self._plan(query)
+        candidates = records[lo:hi]
+        if exact:
+            return candidates
         predicate = query.predicate
-        out: list[ObservationRecord] = []
-        append = out.append
-        if positions is None:
-            for record in records[lo:hi]:
-                if predicate(record):
-                    append(record)
-        else:
-            for index in range(lo, hi):
-                record = records[positions[index]]
-                if predicate(record):
-                    append(record)
-        return out
+        return [record for record in candidates if predicate(record)]
 
     def search_iter(self, query: Query) -> _t.Iterator[ObservationRecord]:
         """Lazily yield records matching ``query`` in timestamp order.
 
-        The planner's candidate stream is filtered on the fly; no
-        intermediate list is materialized, so early-exiting consumers
-        pay only for the candidates they pull.
+        The candidate range is filtered on the fly; no intermediate
+        list is materialized, so early-exiting consumers pay only for
+        the candidates they pull.
         """
-        positions, lo, hi = self._plan_bounds(query)
-        records = self._records
-        predicate = query.predicate
-        if positions is None:
-            for position in range(lo, hi):
-                record = records[position]
-                if predicate(record):
-                    yield record
-            return
-        for index in range(lo, hi):
-            record = records[positions[index]]
-            if predicate(record):
+        _, records, lo, hi, exact = self._plan(query)
+        predicate = None if exact else query.predicate
+        for position in range(lo, hi):
+            record = records[position]
+            if predicate is None or predicate(record):
                 yield record
 
     def count(self, query: Query) -> int:
-        """Number of records matching ``query``.
-
-        Streams over the planned candidate range without collecting
-        matches into a list.
-        """
-        positions, lo, hi = self._plan_bounds(query)
-        records = self._records
+        """Number of records matching ``query``."""
+        _, records, lo, hi, exact = self._plan(query)
+        if exact:
+            return hi - lo
         predicate = query.predicate
-        total = 0
-        if positions is None:
-            for record in records[lo:hi]:
-                if predicate(record):
-                    total += 1
-        else:
-            for index in range(lo, hi):
-                if predicate(records[positions[index]]):
-                    total += 1
-        return total
+        return sum(1 for record in records[lo:hi] if predicate(record))
 
     def plan(self, query: Query) -> QueryPlan:
         """Explain how ``query`` would be evaluated (for tests/tuning)."""
-        positions, lo, hi = self._plan_bounds(query)
-        if positions is None:
-            driver = "time" if self._strategy == "indexed" else "scan"
-        else:
-            driver = self._driver_name(query)
-        return QueryPlan(self._strategy, driver, hi - lo, len(self._records))
-
-    def _plan_bounds(
-        self, query: Query
-    ) -> tuple[_t.Optional[list[int]], int, int]:
-        """Plan one query: candidate positions (or ``None`` for a
-        primary range-scan) plus the ``[lo, hi)`` window the time
-        bounds bisect out of them."""
-        self._ensure_sorted()
-        positions = self._plan_positions(query)
-        if positions is None:
-            lo, hi = self._primary_time_bounds(query)
-            return None, lo, hi
-        timestamps = self._timestamps
-        lo, hi = 0, len(positions)
-        if query.since is not None:
-            lo = bisect_left_by(positions, timestamps, query.since)
-        if query.until is not None:
-            hi = bisect_right_by(positions, timestamps, query.until)
-        return positions, lo, hi
+        driver, _, lo, hi, exact = self._plan(query)
+        return QueryPlan(self._strategy, driver, hi - lo, len(self._primary), exact)
 
     # -- planner -----------------------------------------------------------------
 
-    def _plan_positions(self, query: Query) -> _t.Optional[list[int]]:
-        """Candidate positions from the most selective bound index.
+    def _plan(
+        self, query: Query
+    ) -> tuple[str, list[ObservationRecord], int, int, bool]:
+        """The one planner behind search/search_iter/count/plan.
 
-        Returns ``None`` when no indexed field is bound (or under the
-        linear strategy), meaning: range-scan the primary array.
-        Selectivity is judged by posting-list length; every posting
-        list over-approximates its predicate, so the shortest one
-        minimizes post-filter work without risking false negatives.
+        Returns the driver's name, its record list, the ``[lo, hi)``
+        candidate range the time bounds bisect out of it, and whether
+        that range is exactly the answer (else the caller filters it
+        with ``query.predicate``, which re-reads every field).
         """
+        self._ensure_sorted()
+        kind, src, dst = query.kind, query.src, query.dst
+        exact = False
         if self._strategy == "linear":
-            return None
-        best: _t.Optional[list[int]] = None
-        if query.src is not None and query.dst is not None:
-            # The pair composite is never longer than either side alone.
-            best = self._bucket(self._pair_ix, (query.src, query.dst))
-        elif query.src is not None:
-            best = self._bucket(self._src_ix, query.src)
-        elif query.dst is not None:
-            best = self._bucket(self._dst_ix, query.dst)
-        if query.kind is not None:
-            best = self._shorter(best, self._bucket(self._kind_ix, query.kind))
-        if query.status is not None:
-            best = self._shorter(best, self._bucket(self._status_ix, query.status))
-        if query.with_faults_only:
-            best = self._shorter(best, self._fault_ix.get())
-        exact_id = exact_id_pattern(query.id_pattern)
-        if exact_id is not None:
-            best = self._shorter(best, self._bucket(self._rid_ix, exact_id))
-        return best
-
-    def _driver_name(self, query: Query) -> str:
-        """Which index `_plan_positions` chose (mirrors its logic)."""
-        options: list[tuple[int, str]] = []
-        if query.src is not None and query.dst is not None:
-            options.append((len(self._bucket(self._pair_ix, (query.src, query.dst))), "pair"))
-        elif query.src is not None:
-            options.append((len(self._bucket(self._src_ix, query.src)), "src"))
-        elif query.dst is not None:
-            options.append((len(self._bucket(self._dst_ix, query.dst)), "dst"))
-        if query.kind is not None:
-            options.append((len(self._bucket(self._kind_ix, query.kind)), "kind"))
-        if query.status is not None:
-            options.append((len(self._bucket(self._status_ix, query.status)), "status"))
-        if query.with_faults_only:
-            options.append((len(self._fault_ix.get()), "fault"))
-        exact_id = exact_id_pattern(query.id_pattern)
-        if exact_id is not None:
-            options.append((len(self._bucket(self._rid_ix, exact_id)), "rid"))
-        return min(options)[1] if options else "time"
-
-    @staticmethod
-    def _bucket(table: dict, key) -> list[int]:
-        posting = table.get(key)
-        return posting.get() if posting is not None else []
-
-    @staticmethod
-    def _shorter(
-        current: _t.Optional[list[int]], candidate: list[int]
-    ) -> list[int]:
-        if current is None or len(candidate) < len(current):
-            return candidate
-        return current
-
-    def _primary_time_bounds(self, query: Query) -> tuple[int, int]:
-        lo = 0
-        hi = len(self._records)
-        if query.since is not None:
-            lo = bisect.bisect_left(self._timestamps, query.since)
-        if query.until is not None:
-            hi = bisect.bisect_right(self._timestamps, query.until)
-        return lo, hi
+            driver, source = "scan", self._primary
+        else:
+            if src is None and dst is None:
+                driver, source, exact = "time", self._primary, kind is None
+            elif kind is not None:
+                driver, source, exact = "slice", self._slices.get((kind, src, dst), _EMPTY), True
+            else:
+                driver, exact = "merge", True
+                source = merge_slices(
+                    self._slices.get((ObservationKind.REQUEST, src, dst), _EMPTY),
+                    self._slices.get((ObservationKind.REPLY, src, dst), _EMPTY),
+                    self._primary,
+                )
+            if query.status is not None or query.with_faults_only:
+                exact = False
+            if query.id_pattern is not None and query.id_pattern != "*":
+                exact = False
+                exact_id = exact_id_pattern(query.id_pattern)
+                if exact_id is not None:
+                    by_rid = self._rid_ix.get(exact_id, _EMPTY)
+                    if len(by_rid) < len(source):
+                        driver, source = "rid", by_rid
+        lo, hi = source.window(query.since, query.until)
+        return driver, source.records, lo, hi, exact
 
     # -- index maintenance -------------------------------------------------------
 
-    def _index_record(self, record: ObservationRecord, position: int) -> None:
-        kind_posting = self._kind_ix.get(record.kind)
-        if kind_posting is None:
-            kind_posting = self._kind_ix[record.kind] = PostingList()
-        kind_posting.append(position)
-        src_posting = self._src_ix.get(record.src)
-        if src_posting is None:
-            src_posting = self._src_ix[record.src] = PostingList()
-        src_posting.append(position)
-        dst_posting = self._dst_ix.get(record.dst)
-        if dst_posting is None:
-            dst_posting = self._dst_ix[record.dst] = PostingList()
-        dst_posting.append(position)
-        pair = (record.src, record.dst)
-        pair_posting = self._pair_ix.get(pair)
-        if pair_posting is None:
-            pair_posting = self._pair_ix[pair] = PostingList()
-        pair_posting.append(position)
-        if record.status is not None:
-            status_posting = self._status_ix.get(record.status)
-            if status_posting is None:
-                status_posting = self._status_ix[record.status] = PostingList()
-            status_posting.append(position)
-        if record.fault_applied is not None:
-            self._fault_ix.append(position)
+    def _index_record(self, record: ObservationRecord, ts: float) -> None:
+        kind, src, dst = record.kind, record.src, record.dst
+        slices = self._slices
+        for key in ((kind, src, dst), (kind, src, None), (kind, None, dst)):
+            bucket = slices[key]
+            bucket.records.append(record)
+            bucket.timestamps.append(ts)
         if record.request_id is not None:
-            rid_posting = self._rid_ix.get(record.request_id)
-            if rid_posting is None:
-                rid_posting = self._rid_ix[record.request_id] = PostingList()
-            rid_posting.append(position)
-        self._pos_of[id(record)] = position
-        record.__dict__["_index_hook"] = self._record_updated
-
-    def _record_updated(self, record: ObservationRecord, field: str, value) -> None:
-        """React to an in-place record mutation (status / fault update).
-
-        Additive maintenance: post the position under the new value and
-        leave the old entry to be discarded by the post-filter.  A
-        record the store no longer tracks (cleared, or owned by another
-        store) is ignored.
-        """
-        position = self._pos_of.get(id(record))
-        if position is None:
-            return
-        if field == "status":
-            if value is not None:
-                self._status_ix.setdefault(value, PostingList()).add(position)
-        elif field == "fault_applied":
-            if value is not None:
-                self._fault_ix.add(position)
+            bucket = self._rid_ix[record.request_id]
+            bucket.records.append(record)
+            bucket.timestamps.append(ts)
 
     def _ensure_sorted(self) -> None:
         if self._sorted:
             return
-        order = sorted(range(len(self._records)), key=self._timestamps.__getitem__)
-        self._records = [self._records[i] for i in order]
-        self._timestamps = [r.timestamp for r in self._records]
-        self._sorted = True
-        if self._strategy == "indexed":
-            self._rebuild_indexes()
-
-    def _rebuild_indexes(self) -> None:
-        """Re-derive every index from the (re-sorted) record array.
-
-        Also drops any stale false-positive entries the additive
-        mutation path accumulated.
-        """
-        self._kind_ix.clear()
-        self._src_ix.clear()
-        self._dst_ix.clear()
-        self._pair_ix.clear()
-        self._status_ix.clear()
-        self._fault_ix = PostingList()
-        self._rid_ix.clear()
-        self._pos_of.clear()
-        for position, record in enumerate(self._records):
-            self._index_record(record, position)
+        ordered = sorted(self._primary.records, key=operator.attrgetter("timestamp"))
+        self.clear()
+        self.extend(ordered)
 
     def __repr__(self) -> str:
         return (
-            f"<EventStore strategy={self._strategy} records={len(self._records)}"
-            f" pairs={len(self._pair_ix)}>"
+            f"<EventStore strategy={self._strategy} records={len(self._primary)}"
+            f" slices={len(self._slices)}>"
         )

@@ -132,13 +132,14 @@ def attribute_run(
 ) -> _t.List[FaultAttribution]:
     """Attribute every faulted request in a stored run.
 
-    Finds request IDs with at least one fired fault (a fault-index
-    query, not a scan), reconstructs each one's trace, and joins it
-    against ``rules``.  With ``only_failed`` (the default) traces
-    whose entry edge still succeeded — the resilience pattern absorbed
-    the fault — are skipped, leaving exactly the failures an operator
-    must explain.  ``limit`` caps the number of traces attributed, for
-    scorecards that only need examples.
+    Finds request IDs with at least one fired fault (one filtered pass
+    over the run's records), reconstructs each one's trace from the
+    store's request-ID index, and joins it against ``rules``.  With
+    ``only_failed`` (the default) traces whose entry edge still
+    succeeded — the resilience pattern absorbed the fault — are
+    skipped, leaving exactly the failures an operator must explain.
+    ``limit`` caps the number of traces attributed, for scorecards
+    that only need examples.
     """
     faulted_ids: _t.List[str] = []
     seen: _t.Set[str] = set()

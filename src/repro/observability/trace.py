@@ -296,7 +296,7 @@ def reconstruct_from_records(
 def reconstruct(store: "EventStore", request_id: str) -> Trace:
     """Reconstruct the causal tree of ``request_id`` from the store.
 
-    The exact-ID query hits the store's request-ID posting list, so
+    The exact-ID query hits the store's request-ID index, so
     cost is proportional to the one request's records.  Raises
     :class:`TraceError` when the store holds nothing for the ID — an
     unknown ID is an operator typo worth failing loudly on, not an

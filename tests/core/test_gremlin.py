@@ -5,10 +5,14 @@ import pytest
 from repro.apps import build_twotier
 from repro.core import (
     Crash,
+    Degrade,
     Disconnect,
     Gremlin,
+    Hang,
     HasBoundedRetries,
+    HasBulkhead,
     HasCircuitBreaker,
+    HasTimeouts,
     Overload,
     Recipe,
 )
@@ -18,10 +22,10 @@ from repro.loadgen import ClosedLoopLoad
 from repro.microservice import PolicySpec
 
 
-def make(policy=None, seed=3):
+def make(policy=None, seed=3, **deploy_options):
     deployment = build_twotier(
         policy=policy or PolicySpec(timeout=1.0, max_retries=5, retry_backoff_base=0.02)
-    ).deploy(seed=seed)
+    ).deploy(seed=seed, **deploy_options)
     source = deployment.add_traffic_source("ServiceA")
     return deployment, source, Gremlin(deployment)
 
@@ -164,6 +168,47 @@ class TestChainedFailures:
         )
         gremlin.clear()
         assert step2.passed, step2.data.get("trace")
+
+    STAGES = [
+        Overload("ServiceB", abort_fraction=1.0),
+        Degrade("ServiceB", interval="2s"),
+        Disconnect("ServiceA", "ServiceB"),
+        Hang("ServiceB", interval="3s"),
+        Crash("ServiceB"),
+        Overload("ServiceB"),
+    ]
+    CHECKS = [
+        HasBoundedRetries("ServiceA", "ServiceB", 5, window="30s"),
+        HasCircuitBreaker("ServiceA", "ServiceB", threshold=5, tdelta="4s"),
+        HasTimeouts("ServiceB", "1s"),
+        HasBulkhead("ServiceA", "ServiceB", rate=1.0),
+    ]
+
+    def _session(self, store_strategy):
+        """Six inject / check(since=stage) / check() / clear stages on
+        one deployment whose log keeps growing."""
+        deployment, source, gremlin = make(seed=13, store_strategy=store_strategy)
+        verdicts = []
+        for scenario in self.STAGES:
+            since = deployment.sim.now
+            gremlin.inject(scenario)
+            ClosedLoopLoad(num_requests=4, think_time=0.1).run(source)
+            for check in self.CHECKS:
+                for result in (gremlin.check(check, since=since), gremlin.check(check)):
+                    verdicts.append(
+                        (result.name, result.passed, result.inconclusive, result.detail)
+                    )
+            gremlin.clear()
+        assert deployment.store.strategy == store_strategy
+        return verdicts, [record.to_dict() for record in deployment.store.all_records()]
+
+    def test_chained_session_same_verdicts_on_indexed_and_linear_store(self):
+        indexed, indexed_log = self._session("indexed")
+        linear, linear_log = self._session("linear")
+        assert len(indexed) == 2 * len(self.STAGES) * len(self.CHECKS)
+        assert indexed == linear
+        assert indexed_log == linear_log
+        assert {passed for _, passed, _, _ in indexed} == {True, False}  # not vacuous
 
     def test_query_helpers(self):
         deployment, source, gremlin = make()

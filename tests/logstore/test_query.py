@@ -71,6 +71,17 @@ class TestQueryMatching:
         with pytest.raises(AssertionQueryError):
             Query(id_pattern="re:(bad")
 
+    def test_predicate_is_lazy_cached_and_outside_equality(self):
+        query = Query(src="ServiceA", id_pattern="test-*")
+        twin = Query(src="ServiceA", id_pattern="test-*")
+        assert "predicate" not in vars(query)
+        assert query.predicate is query.predicate
+        assert query.predicate(make_record()) and twin.matches(make_record())
+        stale = Query(src="ServiceA", id_pattern="test-*")  # never evaluated
+        assert query == stale and hash(query) == hash(stale)
+        assert {query: "cached"}[stale] == "cached"
+        assert "predicate" not in vars(query.replace(dst="ServiceB"))
+
     def test_with_faults_only(self):
         query = Query(with_faults_only=True)
         assert query.matches(make_record(fault_applied="delay(3)"))
