@@ -26,7 +26,6 @@ BENCH_KERNEL_PATH = pathlib.Path(__file__).parent / "BENCH_kernel.json"
 BENCH_EXPLORE_PATH = pathlib.Path(__file__).parent / "BENCH_explore.json"
 BENCH_REPORT_PATH = pathlib.Path(__file__).parent / "BENCH_report.json"
 BENCH_APPS_PATH = pathlib.Path(__file__).parent / "BENCH_apps.json"
-BENCH_CODEC_PATH = pathlib.Path(__file__).parent / "BENCH_codec.json"
 
 
 class ExperimentReport:
@@ -83,11 +82,6 @@ _BENCH_REPORT: dict = {}
 # app).  Populated by the apps benchmark; flushed to BENCH_apps.json at
 # session end.
 _BENCH_APPS: dict = {}
-
-# Machine-readable outcome-codec numbers (encode/decode latency and
-# message size vs pickle on real outcome documents).  Populated by the
-# codec microbench; flushed to BENCH_codec.json at session end.
-_BENCH_CODEC: dict = {}
 
 
 def pytest_collection_modifyitems(config, items):
@@ -153,12 +147,6 @@ def bench_apps() -> dict:
     return _BENCH_APPS
 
 
-@pytest.fixture(scope="session")
-def bench_codec() -> dict:
-    """Mutable dict the codec microbench records its numbers into."""
-    return _BENCH_CODEC
-
-
 def _provenance() -> dict:
     """Where the numbers came from: every BENCH_*.json carries the same
     machine/interpreter/revision block, so two dumps are comparable (or
@@ -173,14 +161,11 @@ def _provenance() -> dict:
         ).stdout.strip()
     except (OSError, subprocess.SubprocessError):
         rev = ""
-    from repro.campaign.shm import resolve_result_transport
-
     return {
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "git_rev": rev or "unknown",
-        "result_transport": resolve_result_transport(None),
     }
 
 
@@ -194,7 +179,6 @@ def pytest_sessionfinish(session, exitstatus):
         (_BENCH_EXPLORE, BENCH_EXPLORE_PATH, "benchmarks/test_bench_explore.py"),
         (_BENCH_REPORT, BENCH_REPORT_PATH, "benchmarks/test_bench_report.py"),
         (_BENCH_APPS, BENCH_APPS_PATH, "benchmarks/test_bench_apps.py"),
-        (_BENCH_CODEC, BENCH_CODEC_PATH, "benchmarks/test_bench_codec.py"),
     )
     provenance = None
     for data, path, source in flushes:
@@ -225,8 +209,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"report numbers written to {BENCH_REPORT_PATH}")
     if _BENCH_APPS:
         terminalreporter.write_line(f"apps numbers written to {BENCH_APPS_PATH}")
-    if _BENCH_CODEC:
-        terminalreporter.write_line(f"codec numbers written to {BENCH_CODEC_PATH}")
     if not _REPORT.sections:
         return
     terminalreporter.section("reproduced paper tables & figures")

@@ -38,10 +38,9 @@ Numbers land in ``BENCH_campaign.json`` via the session-finish hook in
 """
 
 import os
-import pickle
 import time
 
-from repro.apps import build_socialnetwork_app, build_tree_app
+from repro.apps import build_tree_app
 from repro.campaign import CampaignRunner, ProcessPool, ProcessWorkerSpec, plan_campaign
 from repro.campaign.runner import _crashed_outcome, _process_execute
 from repro.cli import build_tree3_app
@@ -262,109 +261,6 @@ def test_warm_pool_and_batched_dispatch(report, bench_campaign):
             f"a warm pool should beat respawning per wave: warm {warm_s:.2f}s"
             f" vs cold {cold_s:.2f}s"
         )
-
-
-def _result_doc_target(worker_id, job, context):
-    """Result-path probe: no compute, just ship the heavy doc back."""
-    return context["doc"]
-
-
-def _crashed_doc(job, detail):  # pragma: no cover - fleet contract only
-    return {"status": "error", "detail": detail}
-
-
-def test_result_transport_curves(report, bench_campaign):
-    """Result-path throughput: pickle pipe vs shared-memory slabs.
-
-    The probe isolates exactly what the transport knob changes: workers
-    return a real payload-heavy socialnetwork outcome doc (per-request
-    latency lists, metrics snapshot, attributions — the PR 9 regime
-    where result serialization dominates fleet overhead) with zero
-    compute per job.  Rates are best-of-3 per configuration because a
-    1-cpu container schedules the 21 KB-pipe lane very noisily; the
-    cross-core gate (shm >= 1.3x pickle at 4 workers) only runs with
-    real cores, but the single-cpu numbers are recorded regardless.
-    """
-    cpus = os.cpu_count() or 1
-    plan = plan_campaign(build_socialnetwork_app, seed=0, requests=12).limit(1)
-    doc = (
-        CampaignRunner(build_socialnetwork_app, workers=1, timeout=120.0)
-        .run(plan)
-        .outcomes[0]
-        .to_dict()
-    )
-    jobs = [(str(index), index) for index in range(400)]
-    repeats = 3
-    batch_size = 8
-
-    curves: dict = {}
-    for transport in ("pickle", "shm"):
-        for workers in (1, FLEET_WORKERS):
-            spec = ProcessWorkerSpec(
-                target=_result_doc_target,
-                context={"doc": doc},
-                on_crash=_crashed_doc,
-            )
-            with ProcessPool(
-                spec, size=workers, batch_size=batch_size, result_transport=transport
-            ) as pool:
-                warm = pool.run(jobs[:16])
-                # Transport equivalence, end to end: the decoded doc is
-                # the doc, whatever lane carried it.
-                assert all(warm[key] == doc for key in warm), transport
-                best_s = min(
-                    _timed(pool, jobs) for _ in range(repeats)
-                )
-            curves[f"{transport}_w{workers}"] = {
-                "results_per_s": round(len(jobs) / best_s, 1),
-                "us_per_result": round(best_s / len(jobs) * 1e6, 1),
-            }
-
-    speedup_w1 = (
-        curves["shm_w1"]["results_per_s"] / curves["pickle_w1"]["results_per_s"]
-    )
-    speedup_w4 = (
-        curves[f"shm_w{FLEET_WORKERS}"]["results_per_s"]
-        / curves[f"pickle_w{FLEET_WORKERS}"]["results_per_s"]
-    )
-    bench_campaign["result_transport"] = {
-        "app": "socialnetwork",
-        "doc_bytes_pickled": len(pickle.dumps(doc, protocol=-1)),
-        "jobs": len(jobs),
-        "batch_size": batch_size,
-        "repeats_best_of": repeats,
-        "cpus": cpus,
-        "curves": curves,
-        "shm_vs_pickle_w1": round(speedup_w1, 2),
-        f"shm_vs_pickle_w{FLEET_WORKERS}": round(speedup_w4, 2),
-        "gate_at_4_cpus": 1.3,
-    }
-    report.add(
-        "Campaign engine — result transport on socialnetwork-class payloads",
-        f"  w1: pickle {curves['pickle_w1']['results_per_s']:7.0f}/s,"
-        f" shm {curves['shm_w1']['results_per_s']:7.0f}/s -> {speedup_w1:.2f}x\n"
-        f"  w{FLEET_WORKERS}: pickle"
-        f" {curves[f'pickle_w{FLEET_WORKERS}']['results_per_s']:7.0f}/s,"
-        f" shm {curves[f'shm_w{FLEET_WORKERS}']['results_per_s']:7.0f}/s"
-        f" -> {speedup_w4:.2f}x ({cpus} cpu)",
-    )
-
-    # The result-path claim needs real cores: at 1 cpu both lanes
-    # serialize against each other and the numbers above are recorded
-    # for transparency only.
-    if cpus >= 4:
-        assert speedup_w4 >= 1.3, (
-            f"shm transport should beat pickle by >= 1.3x at"
-            f" {FLEET_WORKERS} workers on {cpus} cpus: {speedup_w4:.2f}x"
-        )
-
-
-def _timed(pool, jobs):
-    start = time.perf_counter()
-    results = pool.run(jobs)
-    elapsed = time.perf_counter() - start
-    assert len(results) == len(jobs)
-    return elapsed
 
 
 def test_sharded_campaign_matches_unsharded(report, bench_campaign):

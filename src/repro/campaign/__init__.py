@@ -44,7 +44,6 @@ from repro.campaign.plan import (
 from repro.campaign.results import CampaignResult, CheckOutcome, RecipeOutcome
 from repro.campaign.runner import CampaignRunner, RecipeExecutor
 from repro.campaign.scorecard import PatternScore, Scorecard
-from repro.campaign.shm import RESULT_TRANSPORTS, resolve_result_transport
 
 __all__ = [
     "BACKENDS",
@@ -58,7 +57,6 @@ __all__ = [
     "PlannedRecipe",
     "ProcessPool",
     "ProcessWorkerSpec",
-    "RESULT_TRANSPORTS",
     "RecipeExecutor",
     "RecipeOutcome",
     "Scorecard",
@@ -71,7 +69,6 @@ __all__ = [
     "loads",
     "plan_campaign",
     "recipe_signature",
-    "resolve_result_transport",
     "resolve_workers",
     "run_fleet",
     "scenario_target",

@@ -53,7 +53,6 @@ import threading
 import time
 import typing as _t
 
-from repro.campaign.shm import resolve_result_transport
 from repro.errors import CampaignError
 
 __all__ = [
@@ -66,6 +65,11 @@ __all__ = [
 
 #: The execution backends every fleet-driven harness accepts.
 BACKENDS = ("threads", "processes")
+
+#: multiprocessing start method of every worker: spawn is the only one
+#: that is safe on every platform and never inherits parent state, and
+#: the one the determinism check relies on.
+START_METHOD = "spawn"
 
 R = _t.TypeVar("R")
 J = _t.TypeVar("J")
@@ -121,9 +125,6 @@ class ProcessWorkerSpec:
     target: _t.Callable[[int, _t.Any, _t.Any], _t.Any]
     context: _t.Any = None
     on_crash: _t.Optional[_t.Callable[[_t.Any, str], _t.Any]] = None
-    #: multiprocessing start method; spawn is the only one that is safe
-    #: on every platform and never inherits parent state.
-    start_method: str = "spawn"
 
 
 def run_fleet(
@@ -136,7 +137,6 @@ def run_fleet(
     process_spec: _t.Optional[ProcessWorkerSpec] = None,
     stop_signal: _t.Optional[threading.Event] = None,
     batch_size: int = 1,
-    result_transport: _t.Optional[str] = None,
 ) -> dict[int, R]:
     """Drain ``jobs`` through a fleet of ``workers`` threads or processes.
 
@@ -144,11 +144,7 @@ def run_fleet(
     each job in-process.  With ``backend="processes"``, ``execute`` is
     unused, ``process_spec`` describes the spawn-side entry point, and
     up to ``batch_size`` jobs ship per dispatch (results still stream
-    back one per job).  ``result_transport`` picks how process results
-    come home — ``"pickle"`` over the pipe (the reference lane) or
-    ``"shm"`` through per-worker shared-memory slabs; ``None`` defers
-    to ``REPRO_RESULT_TRANSPORT``.  Thread workers share the parent's
-    heap, so the knob is validated but has no effect there.  Either way
+    back one per job, pickled over the worker's pipe).  Either way
     results come back keyed by the job's position in ``jobs``;
     positions missing from the map were never dispatched (fail-fast
     stopped the fleet first).
@@ -157,17 +153,11 @@ def run_fleet(
         raise CampaignError(
             f"unknown fleet backend {backend!r}; expected one of {BACKENDS}"
         )
-    transport = resolve_result_transport(result_transport)
     fleet_size = resolve_workers(workers)
     if backend == "processes":
         if process_spec is None:
             raise CampaignError("backend='processes' requires a process_spec")
-        pool = ProcessPool(
-            process_spec,
-            size=fleet_size,
-            batch_size=batch_size,
-            result_transport=transport,
-        )
+        pool = ProcessPool(process_spec, size=fleet_size, batch_size=batch_size)
         try:
             return pool.run(jobs, stop_when=stop_when)
         finally:
@@ -234,9 +224,7 @@ def _run_thread_fleet(
 # -- process backend ----------------------------------------------------------
 
 
-def _process_worker_main(
-    conn, target, context, worker_id: int, result_transport: str = "pickle"
-) -> None:
+def _process_worker_main(conn, target, context, worker_id: int) -> None:
     """Loop of one worker process: recv a batch of jobs, run, stream results.
 
     Runs in the child.  Each message from the parent is a list of
@@ -247,55 +235,17 @@ def _process_worker_main(
     dispatch is batched.  A result that cannot be pickled is reported
     as an error message rather than killing the worker, so one odd
     payload cannot eat the rest of the queue.
-
-    With ``result_transport="shm"`` the worker encodes each successful
-    result (:mod:`repro.campaign.codec`) into its shared-memory slab
-    and sends only the tiny ``(key, "shm", SlabRef)`` header; the slab
-    rewinds at each batch boundary, by which point the parent has
-    consumed every earlier record.  Any slab or codec trouble degrades
-    that one result to the ordinary pickle send — the shm lane is an
-    optimization, never a new failure mode.  The codec's shape/string
-    state commits only after the slab write *and* the header send both
-    succeed (``encode_pending``), so a degraded result leaves the
-    parent's paired decoder exactly in sync: it never misses a codec
-    message it was supposed to see.
     """
-    writer = encoder = None
-    if result_transport == "shm":
-        try:
-            from repro.campaign.codec import ResultEncoder
-            from repro.campaign.shm import SlabWriter
-
-            writer = SlabWriter()
-            encoder = ResultEncoder()
-        except Exception:  # noqa: BLE001 - no shm here: use the pipe
-            writer = None
     try:
         while True:
             batch = conn.recv()
             if batch is None:
                 return
-            if writer is not None:
-                writer.new_batch()
             for key, job in batch:
                 try:
                     payload = (key, "ok", target(worker_id, job, context))
                 except BaseException as exc:  # noqa: BLE001 - ship, don't die
                     payload = (key, "error", f"{type(exc).__name__}: {exc}")
-                if writer is not None and payload[1] == "ok":
-                    try:
-                        body, commit = encoder.encode_pending(payload[2])
-                        ref = writer.write(body)
-                        conn.send((key, "shm", ref))
-                        # Only now may the codec state advance: had the
-                        # write or send above raised, the parent's
-                        # decoder would never see this message, and a
-                        # committed-but-undelivered message desyncs the
-                        # FIFO pair for every later result.
-                        commit()
-                        continue
-                    except Exception:  # noqa: BLE001 - degrade to the pipe
-                        pass
                 try:
                     conn.send(payload)
                 except Exception as exc:  # noqa: BLE001 - e.g. unpicklable result
@@ -303,42 +253,20 @@ def _process_worker_main(
     except (EOFError, KeyboardInterrupt):  # parent went away
         pass
     finally:
-        if writer is not None:
-            writer.close()
         conn.close()
 
 
 class _ProcessWorker:
     """Parent-side handle of one spawned worker process."""
 
-    __slots__ = (
-        "worker_id",
-        "process",
-        "conn",
-        "outstanding",
-        "decoder",
-        "slab_names",
-        "current_slab",
-    )
+    __slots__ = ("worker_id", "process", "conn", "outstanding")
 
-    def __init__(
-        self,
-        ctx,
-        spec: ProcessWorkerSpec,
-        worker_id: int,
-        result_transport: str = "pickle",
-    ) -> None:
+    def __init__(self, ctx, spec: ProcessWorkerSpec, worker_id: int) -> None:
         self.worker_id = worker_id
         parent_conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
             target=_process_worker_main,
-            args=(
-                child_conn,
-                spec.target,
-                spec.context,
-                worker_id,
-                result_transport,
-            ),
+            args=(child_conn, spec.target, spec.context, worker_id),
             name=f"fleet-worker-{worker_id}",
             daemon=True,
         )
@@ -350,28 +278,18 @@ class _ProcessWorker:
         #: slice of the last batch — with ``batch_size=1`` that is the
         #: classic exactly-one-job guarantee.
         self.outstanding: dict[int, _t.Any] = {}
-        #: The codec's stateful parent half and every slab name this
-        #: worker has announced — both die with the worker: a
-        #: replacement starts a fresh codec stream on a fresh slab.
-        self.decoder = None
-        self.slab_names: set[str] = set()
-        #: The segment the worker's most recent ref named.  Refs arrive
-        #: in FIFO order, so a ref naming a *different* segment proves
-        #: every record on the previous one has been consumed — the
-        #: parent can drop its mapping of the rotated-away slab.
-        self.current_slab: _t.Optional[str] = None
-        if result_transport == "shm":
-            from repro.campaign.codec import ResultDecoder
-
-            self.decoder = ResultDecoder()
 
     @property
     def busy(self) -> bool:
         return bool(self.outstanding)
 
     def send_batch(self, batch: list[tuple[int, _t.Any]]) -> None:
-        self.outstanding.update(batch)
+        # ``Connection.send`` pickles the whole message before it writes
+        # a byte, so a batch that fails to pickle never reached the
+        # worker: recording it first would leave an idle worker marked
+        # busy, and the next ``run`` waiting on it forever.
         self.conn.send(batch)
+        self.outstanding.update(batch)
 
     def shut_down(self) -> None:
         try:
@@ -423,7 +341,6 @@ class ProcessPool:
         size: int,
         *,
         batch_size: int = 1,
-        result_transport: _t.Optional[str] = None,
     ) -> None:
         import multiprocessing
 
@@ -434,12 +351,10 @@ class ProcessPool:
         self.spec = spec
         self.size = size
         self.batch_size = batch_size
-        self.result_transport = resolve_result_transport(result_transport)
-        self._ctx = multiprocessing.get_context(spec.start_method)
+        self._ctx = multiprocessing.get_context(START_METHOD)
         self._workers: list[_ProcessWorker] = []
         self._next_id = 0
         self._closed = False
-        self._reader = None
 
     def __enter__(self) -> "ProcessPool":
         return self
@@ -453,9 +368,7 @@ class ProcessPool:
         return sum(1 for worker in self._workers if worker.process.is_alive())
 
     def _spawn(self) -> _ProcessWorker:
-        worker = _ProcessWorker(
-            self._ctx, self.spec, self._next_id, self.result_transport
-        )
+        worker = _ProcessWorker(self._ctx, self.spec, self._next_id)
         self._next_id += 1
         self._workers.append(worker)
         return worker
@@ -467,46 +380,6 @@ class ProcessPool:
                 " handler was provided"
             )
         return self.spec.on_crash(job, detail)
-
-    def _resolve_shm(self, worker: _ProcessWorker, ref) -> _t.Any:
-        """Decode one shm-lane result straight out of the worker's slab."""
-        if self._reader is None:
-            from repro.campaign.shm import SlabReader
-
-            self._reader = SlabReader()
-        # Track the name *before* reading: if the very first read from
-        # a fresh segment fails, the retire path must still know to
-        # unlink the segment the reader just attached.
-        worker.slab_names.add(ref.name)
-        if worker.current_slab is not None and worker.current_slab != ref.name:
-            # The worker rotated to a bigger slab.  Refs are FIFO, so
-            # every record on the old segment has been consumed; drop
-            # our mapping now instead of holding the (soon unlinked)
-            # segment's memory until pool close.  The name stays in
-            # ``slab_names`` — the segment itself may outlive this if
-            # the worker dies before its next batch-boundary cleanup.
-            self._reader.forget(worker.current_slab)
-        worker.current_slab = ref.name
-        view = self._reader.read(ref)
-        try:
-            return worker.decoder.decode(view)
-        finally:
-            view.release()
-
-    def _release_slabs(self, worker: _ProcessWorker) -> None:
-        """Drop (and best-effort unlink) a reaped worker's segments.
-
-        A cleanly shut-down worker unlinks its own slabs; this covers
-        crashed workers, whose segments would otherwise survive until
-        the resource tracker's exit sweep.
-        """
-        worker.current_slab = None
-        if self._reader is None or not worker.slab_names:
-            worker.slab_names.clear()
-            return
-        for name in worker.slab_names:
-            self._reader.unlink(name)
-        worker.slab_names.clear()
 
     def run(
         self,
@@ -532,10 +405,12 @@ class ProcessPool:
         queue: collections.deque = collections.deque(enumerate(jobs))
         stopping = False
 
-        # Cull workers that died while idle between runs, then bring
-        # the pool up to strength (never more workers than jobs).
+        # Cull workers that died while idle between runs, and any still
+        # holding jobs of a run that raised (their late answers would
+        # be keyed into this run's positions), then bring the pool up
+        # to strength (never more workers than jobs).
         for worker in list(self._workers):
-            if not worker.busy and not worker.process.is_alive():
+            if worker.busy or not worker.process.is_alive():
                 worker.reap(timeout=0.1)
                 self._workers.remove(worker)
         while len(self._workers) < min(self.size, len(jobs)):
@@ -575,36 +450,12 @@ class ProcessPool:
                     worker.outstanding.clear()
                     worker.reap(timeout=1.0)
                     self._workers.remove(worker)
-                    self._release_slabs(worker)
                     if queue and not stopping:
                         dispatch(self._spawn())
                     continue
                 job = worker.outstanding.pop(key)
                 if kind == "ok":
                     results[key] = payload
-                elif kind == "shm":
-                    try:
-                        results[key] = self._resolve_shm(worker, payload)
-                    except Exception as exc:  # noqa: BLE001 - stale/torn slab
-                        # A record that fails generation/CRC/codec checks
-                        # means the worker's slab or codec stream can no
-                        # longer be trusted; retire it exactly like a
-                        # crash, replacement and all.
-                        detail = (
-                            f"shm result unreadable: {type(exc).__name__}: {exc}"
-                        )
-                        results[key] = self._crash_result(job, detail)
-                        for lost_key, lost_job in worker.outstanding.items():
-                            results[lost_key] = self._crash_result(
-                                lost_job, detail
-                            )
-                        worker.outstanding.clear()
-                        worker.reap(timeout=1.0)
-                        self._workers.remove(worker)
-                        self._release_slabs(worker)
-                        if queue and not stopping:
-                            dispatch(self._spawn())
-                        continue
                 else:
                     results[key] = self._crash_result(job, payload)
                 if (
@@ -634,10 +485,3 @@ class ProcessPool:
         deadline = time.monotonic() + timeout
         for worker in workers:
             worker.reap(timeout=max(0.1, deadline - time.monotonic()))
-        # Workers unlink their slabs on clean shutdown; sweep whatever a
-        # crashed or killed one left behind, then drop our mappings.
-        for worker in workers:
-            self._release_slabs(worker)
-        if self._reader is not None:
-            self._reader.close()
-            self._reader = None

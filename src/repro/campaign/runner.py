@@ -53,7 +53,6 @@ from repro.campaign.fleet import (
     run_fleet,
 )
 from repro.campaign.plan import CampaignPlan, DeploymentFactory, PlannedRecipe, derive_seed
-from repro.campaign.shm import resolve_result_transport
 from repro.campaign.results import (
     CONCLUSIVE_FAILURES,
     CampaignResult,
@@ -313,13 +312,6 @@ class CampaignRunner:
         dispatch.  Batching amortizes the pickle/pipe round-trip when
         recipes are cheap; results still stream back per recipe, so
         crash attribution and fail-fast keep per-recipe precision.
-    result_transport:
-        Process backend only: ``"pickle"`` (reference lane) ships each
-        outcome dict back over the worker pipe; ``"shm"`` encodes it
-        into a per-worker shared-memory slab and pipes only a tiny
-        header (see :mod:`repro.campaign.shm`).  ``None`` consults
-        ``REPRO_RESULT_TRANSPORT``, then defaults to pickle.  Outcomes
-        are byte-identical either way.
     """
 
     def __init__(
@@ -334,7 +326,6 @@ class CampaignRunner:
         rerun_failures: int = 0,
         slice_virtual: float = 60.0,
         batch_size: int = 1,
-        result_transport: _t.Optional[str] = None,
     ) -> None:
         if backend not in BACKENDS:
             raise CampaignError(
@@ -353,7 +344,6 @@ class CampaignRunner:
         self.rerun_failures = rerun_failures
         self.slice_virtual = slice_virtual
         self.batch_size = batch_size
-        self.result_transport = resolve_result_transport(result_transport)
         #: Warm worker pool (processes backend): built lazily on the
         #: first fleet wave of a run and reused by the flake-rerun
         #: wave, so reruns skip the interpreter-spawn tax.  Closed at
@@ -543,10 +533,7 @@ class CampaignRunner:
                 on_crash=_crashed_outcome,
             )
             self._pool = ProcessPool(
-                spec,
-                size=self.workers,
-                batch_size=self.batch_size,
-                result_transport=self.result_transport,
+                spec, size=self.workers, batch_size=self.batch_size
             )
         try:
             raw = self._pool.run(

@@ -372,7 +372,6 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         fail_fast=args.fail_fast,
         rerun_failures=args.rerun,
         batch_size=args.batch_size,
-        result_transport=args.result_transport,
     )
     if not args.json:
         print(plan.summary())
@@ -415,7 +414,6 @@ def cmd_campaign_smoke(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         rerun_failures=1,
         batch_size=args.batch_size,
-        result_transport=args.result_transport,
     )
     result = runner.run(plan)
     broken_wiring = [
@@ -465,7 +463,6 @@ def cmd_fuzz_run(args: argparse.Namespace) -> int:
         artifacts_dir=args.artifacts,
         shrink_failures=not args.no_shrink,
         batch_size=args.batch_size,
-        result_transport=args.result_transport,
     )
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -557,7 +554,6 @@ def cmd_fuzz_explore(args: argparse.Namespace) -> int:
             workers=args.workers,
             backend=args.backend,
             batch_size=args.batch_size,
-            result_transport=args.result_transport,
         )
         reports.append(result.report)
         if args.report_out:
@@ -724,15 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="processes backend: recipes shipped per worker dispatch"
             " (amortizes pickle/pipe round-trips for cheap recipes)",
         )
-        p.add_argument(
-            "--result-transport",
-            choices=("pickle", "shm"),
-            default=None,
-            help="processes backend: result lane — pickle (reference) or"
-            " shm (shared-memory slabs + compact codec; identical"
-            " outcomes, lower result-path overhead); default consults"
-            " REPRO_RESULT_TRANSPORT",
-        )
 
     run_parser = campaign_sub.add_parser(
         "run", help="execute a full campaign and print the scorecard"
@@ -832,12 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="processes backend: cases shipped per worker dispatch",
     )
     fuzz_run.add_argument(
-        "--result-transport",
-        choices=("pickle", "shm"),
-        default=None,
-        help="processes backend: result lane (pickle reference or shm slabs)",
-    )
-    fuzz_run.add_argument(
         "--artifacts",
         default=None,
         help="directory for minimized repro artifacts of failing cases",
@@ -915,12 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="tasks per process-backend dispatch",
-    )
-    fuzz_explore.add_argument(
-        "--result-transport",
-        choices=("pickle", "shm"),
-        default=None,
-        help="processes backend: result lane (pickle reference or shm slabs)",
     )
     fuzz_explore.add_argument(
         "--json", action="store_true", help="machine-readable output"

@@ -181,16 +181,13 @@ def run_wave(
     workers: _t.Union[int, str] = 1,
     backend: str = "threads",
     batch_size: int = 1,
-    result_transport: _t.Optional[str] = None,
 ) -> _t.List[ExploreOutcome]:
     """Execute one wave of tasks on the fleet, results in task order.
 
     The wave is the exploration loop's unit of parallelism: its size is
     fixed by the caller (never derived from ``workers``), and results
     are consumed in dispatch order, so frontier decisions are identical
-    at any parallelism level on either backend.  ``result_transport``
-    selects the processes-backend result lane (pickle vs shm slabs);
-    digests are byte-identical either way.
+    at any parallelism level on either backend.
     """
     if backend not in BACKENDS:
         raise GremlinError(
@@ -208,7 +205,6 @@ def run_wave(
                 target=_process_task, context=None, on_crash=_crashed_task
             ),
             batch_size=batch_size,
-            result_transport=result_transport,
         )
     else:
         results = run_fleet(

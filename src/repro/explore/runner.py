@@ -189,7 +189,6 @@ def run_explore(
     workers: _t.Union[int, str] = 1,
     backend: str = "threads",
     batch_size: int = 1,
-    result_transport: _t.Optional[str] = None,
     matcher_strategy: str = "table",
     scheduler: _t.Optional[str] = None,
     stop_when_found: bool = False,
@@ -258,7 +257,6 @@ def run_explore(
             workers=workers,
             backend=backend,
             batch_size=batch_size,
-            result_transport=result_transport,
         )
         for coordinate, outcome in zip(wave, outcomes):
             executed.append((outcome.key, outcome.digest))

@@ -130,7 +130,6 @@ def run_fuzz(
     artifacts_dir: _t.Optional[str] = None,
     shrink_failures: bool = True,
     batch_size: int = 1,
-    result_transport: _t.Optional[str] = None,
 ) -> FuzzReport:
     """Run the first ``cases`` cases of ``seed``'s corpus.
 
@@ -161,7 +160,6 @@ def run_fuzz(
                 target=_process_case, context=registry, on_crash=_crashed_case
             ),
             batch_size=batch_size,
-            result_transport=result_transport,
         )
     else:
         results = run_fleet(corpus, execute, workers=workers)

@@ -1,10 +1,10 @@
-"""Byte-equality across result transports: shm is invisible in output.
+"""Byte-equality across fleet backends and worker counts.
 
-The shm lane re-encodes every outcome through the compact codec and a
-shared-memory slab, so this suite pins the strongest possible claim:
-campaign scorecards, campaign dumps, and explore digests are
-*byte-identical* across ``pickle`` vs ``shm`` transports, at 1 and 4
-workers, on both fleet backends.  Dump JSON is compared after
+The processes backend pickles every outcome through a worker pipe and
+rebuilds it in the parent, so this suite pins the strongest possible
+claim: campaign scorecards, campaign dumps, and explore digests are
+*byte-identical* to the serial reference at 1 and 4 workers on both
+fleet backends, with batched dispatch.  Dump JSON is compared after
 stripping only the fields that legitimately vary between any two runs
 (wall-clock timings, worker attribution) — everything else, float
 bits included, must match exactly.
@@ -18,10 +18,9 @@ from repro.apps import build_twotier
 from repro.campaign import CampaignRunner, dumps, plan_campaign
 
 LANES = [
-    (backend, workers, transport)
+    (backend, workers)
     for backend in ("threads", "processes")
     for workers in (1, 4)
-    for transport in ("pickle", "shm")
 ]
 
 #: Fields that legitimately differ between lanes: wall-clock timings,
@@ -54,20 +53,15 @@ def reference(plan):
 
 class TestCampaignByteEquality:
     @pytest.mark.parametrize(
-        "backend, workers, transport",
-        LANES,
-        ids=[f"{b}-w{w}-{t}" for b, w, t in LANES],
+        "backend, workers", LANES, ids=[f"{b}-w{w}" for b, w in LANES]
     )
-    def test_scorecard_and_dump_identical(
-        self, plan, reference, backend, workers, transport
-    ):
+    def test_scorecard_and_dump_identical(self, plan, reference, backend, workers):
         result = CampaignRunner(
             build_twotier,
             workers=workers,
             timeout=None,
             backend=backend,
             batch_size=2,
-            result_transport=transport,
         ).run(plan)
         scorecard_bytes, dump_bytes = reference
         assert result.scorecard().text().encode("utf-8") == scorecard_bytes
@@ -80,13 +74,7 @@ class TestExploreByteEquality:
         from repro.explore import run_explore
 
         executed = {}
-        for backend, workers, transport in (
-            ("threads", 1, "pickle"),
-            ("threads", 4, "shm"),
-            ("processes", 1, "shm"),
-            ("processes", 4, "pickle"),
-            ("processes", 4, "shm"),
-        ):
+        for backend, workers in LANES:
             result = run_explore(
                 "stuckbreaker",
                 budget=12,
@@ -94,7 +82,6 @@ class TestExploreByteEquality:
                 workers=workers,
                 backend=backend,
                 batch_size=2,
-                result_transport=transport,
             )
-            executed[(backend, workers, transport)] = result.executed
+            executed[(backend, workers)] = result.executed
         assert len({tuple(v) for v in executed.values()}) == 1, executed.keys()

@@ -23,10 +23,12 @@ qualified name, which is the one structural requirement the backend
 puts on callers (lambdas and closures are rejected by pickle).
 """
 
+import multiprocessing
 import os
+import pickle
 import signal
+import threading
 import time
-import types
 
 import pytest
 
@@ -34,11 +36,9 @@ from repro.campaign.fleet import (
     BACKENDS,
     ProcessPool,
     ProcessWorkerSpec,
-    _process_worker_main,
     resolve_workers,
     run_fleet,
 )
-from repro.campaign.shm import SlabError, SlabRef
 from repro.errors import CampaignError
 
 
@@ -82,28 +82,10 @@ def on_crash(job, detail):
     return ("crashed", job, detail)
 
 
-def heavy_doc_target(worker_id, job, context):
-    """Outcome-dict-shaped payload: exercises the shm codec lane."""
-    return {
-        "index": job,
-        "name": f"job-{job}",
-        "status": "pass",
-        "latencies": [float(job) + i * 0.5 for i in range(32)],
-        "checks": {"latency_p99": {"ok": True, "detail": f"p99 for {job}"}},
-    }
-
-
-def rotating_doc_target(worker_id, job, context):
-    """One payload big enough to outgrow the initial 1 MiB slab."""
-    if job == "big":
-        return {"latencies": [0.5] * 170_000}
-    return {"latencies": [float(job)]}
-
-
 class _ExitOnPickle:
     """Pickling this object kills the interpreter: the worker dies
-    *inside* result encoding (codec pickle-fallback and plain pickle
-    lane alike), after the target already returned successfully."""
+    *inside* result encoding, after the target already returned
+    successfully."""
 
     def __reduce__(self):
         os._exit(17)
@@ -341,41 +323,15 @@ class TestBatchedDispatch:
 
 
 class TestResultTransport:
-    """The shm result lane is an optimization, never a new behavior:
-    identical results, identical crash attribution (including a worker
-    dying *mid-encode*), identical degradation for unpicklable results,
-    and no leaked ``/dev/shm`` segments."""
+    """Results come home pickled over the worker's pipe: a worker dying
+    *mid-encode* is attributed like any other crash, and a result that
+    cannot be pickled degrades to ``on_crash`` without costing the
+    worker."""
 
-    @staticmethod
-    def _shm_segments():
-        try:
-            return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
-        except FileNotFoundError:  # pragma: no cover - non-Linux
-            return set()
-
-    def test_results_identical_across_transports(self):
-        jobs = list(range(12))
-        by_transport = {
-            transport: run_fleet(
-                jobs,
-                None,
-                workers=2,
-                backend="processes",
-                process_spec=ProcessWorkerSpec(
-                    target=heavy_doc_target, on_crash=on_crash
-                ),
-                batch_size=3,
-                result_transport=transport,
-            )
-            for transport in ("pickle", "shm")
-        }
-        assert by_transport["shm"] == by_transport["pickle"]
-
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_worker_death_mid_encode_degrades_to_on_crash(self, transport):
+    def test_worker_death_mid_encode_degrades_to_on_crash(self):
         # The target *returns* fine; the worker dies while serializing
-        # the result.  Both lanes must surface the same on_crash result
-        # and spawn a replacement that finishes the remaining jobs.
+        # the result.  That must surface as an on_crash result and a
+        # replacement worker that finishes the remaining jobs.
         results = run_fleet(
             ["a", "die", "b", "c"],
             None,
@@ -384,7 +340,6 @@ class TestResultTransport:
             process_spec=ProcessWorkerSpec(
                 target=exit_on_encode_target, on_crash=on_crash
             ),
-            result_transport=transport,
         )
         assert sorted(results) == [0, 1, 2, 3]
         assert results[1][0] == "crashed"
@@ -393,8 +348,7 @@ class TestResultTransport:
         assert results[2] == "b"
         assert results[3] == "c"
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_worker_crash_parity(self, transport):
+    def test_worker_crash_parity(self):
         results = run_fleet(
             list(range(6)),
             None,
@@ -403,17 +357,12 @@ class TestResultTransport:
             process_spec=ProcessWorkerSpec(
                 target=poison_target, context={"poison": 2}, on_crash=on_crash
             ),
-            result_transport=transport,
         )
         assert sorted(results) == list(range(6))
         assert results[2][0] == "crashed"
         assert "exited with code" in results[2][2]
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_unpicklable_result_parity(self, transport):
-        # shm lane: the codec's pickle fallback raises mid-encode, the
-        # worker degrades to the pipe, and the pipe raises the same
-        # "not serializable" it always did.
+    def test_unpicklable_result_parity(self):
         results = run_fleet(
             ["fine", "weird"],
             None,
@@ -422,195 +371,10 @@ class TestResultTransport:
             process_spec=ProcessWorkerSpec(
                 target=unpicklable_target, on_crash=on_crash
             ),
-            result_transport=transport,
         )
         assert results[0] == "fine"
         assert results[1][0] == "crashed"
         assert "not serializable" in results[1][2]
-
-    def test_no_slab_leak_after_clean_run_and_after_crash(self):
-        before = self._shm_segments()
-        run_fleet(
-            list(range(8)),
-            None,
-            workers=2,
-            backend="processes",
-            process_spec=ProcessWorkerSpec(target=heavy_doc_target, on_crash=on_crash),
-            batch_size=2,
-            result_transport="shm",
-        )
-        run_fleet(
-            list(range(4)),
-            None,
-            workers=1,
-            backend="processes",
-            process_spec=ProcessWorkerSpec(
-                target=poison_target, context={"poison": 1}, on_crash=on_crash
-            ),
-            result_transport="shm",
-        )
-        assert self._shm_segments() <= before
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(CampaignError, match="result transport"):
-            run_fleet(
-                [1],
-                None,
-                backend="processes",
-                process_spec=ProcessWorkerSpec(target=double_target, on_crash=on_crash),
-                result_transport="carrier-pigeon",
-            )
-
-
-class _ScriptedConn:
-    """In-process stand-in for a worker's pipe end: scripted batches in,
-    sent messages captured out.  shm refs are copied out of the slab at
-    send time (the worker unlinks its segments on the way out), decode
-    happens later in the test body — outside the worker's exception
-    handling, so a codec desync fails the test instead of being
-    swallowed by the worker's own degrade path."""
-
-    def __init__(self, batches, reader):
-        self._incoming = [list(batch) for batch in batches] + [None]
-        self._reader = reader
-        self.sent = []
-
-    def recv(self):
-        return self._incoming.pop(0)
-
-    def send(self, message):
-        key, kind, payload = message
-        if kind == "shm":
-            view = self._reader.read(payload)
-            try:
-                payload = bytes(view)
-            finally:
-                view.release()
-        self.sent.append((key, kind, payload))
-
-    def close(self):
-        pass
-
-
-class TestShmDegradeStaysInSync:
-    """A slab-write failure degrades exactly one result to the pipe and
-    must not desync the codec FIFO pair: the encoder commits its
-    shape/string state only after the slab write and header send both
-    succeed, so the parent's decoder never misses a message."""
-
-    def test_failed_slab_write_degrades_one_result_only(self, monkeypatch):
-        from repro.campaign import shm as shm_module
-        from repro.campaign.codec import ResultDecoder
-
-        real_writer = shm_module.SlabWriter
-
-        class FlakyWriter(real_writer):
-            failures = [1]  # fail the very first write, then recover
-
-            def write(self, payload):
-                if FlakyWriter.failures and FlakyWriter.failures[0]:
-                    FlakyWriter.failures[0] -= 1
-                    raise OSError("no space left on /dev/shm")
-                return super().write(payload)
-
-        monkeypatch.setattr(shm_module, "SlabWriter", FlakyWriter)
-        reader = shm_module.SlabReader()
-        jobs = [(key, key) for key in range(4)]
-        conn = _ScriptedConn([jobs], reader)
-        _process_worker_main(conn, heavy_doc_target, None, 0, "shm")
-
-        kinds = {key: kind for key, kind, _ in conn.sent}
-        # Job 0's slab write failed: that one result rode the pipe.
-        assert kinds == {0: "ok", 1: "shm", 2: "shm", 3: "shm"}
-        # Every later shm message decodes exactly — the dropped codec
-        # message was never committed, so the stream never skewed.
-        decoder = ResultDecoder()
-        for key, kind, payload in conn.sent:
-            value = decoder.decode(payload) if kind == "shm" else payload
-            assert value == heavy_doc_target(0, key, None)
-        reader.close()
-
-    def test_failed_header_send_degrades_without_desync(self, monkeypatch):
-        from repro.campaign import shm as shm_module
-        from repro.campaign.codec import ResultDecoder
-
-        reader = shm_module.SlabReader()
-        jobs = [(key, key) for key in range(3)]
-        conn = _ScriptedConn([jobs], reader)
-        real_send = conn.send
-        state = {"failed": False}
-
-        def flaky_send(message):
-            # Refuse the first shm header: the worker must fall back to
-            # the pipe for that result and keep its codec uncommitted.
-            if message[1] == "shm" and not state["failed"]:
-                state["failed"] = True
-                raise OSError("pipe hiccup")
-            real_send(message)
-
-        monkeypatch.setattr(conn, "send", flaky_send)
-        _process_worker_main(conn, heavy_doc_target, None, 0, "shm")
-
-        kinds = {key: kind for key, kind, _ in conn.sent}
-        assert kinds == {0: "ok", 1: "shm", 2: "shm"}
-        decoder = ResultDecoder()
-        for key, kind, payload in conn.sent:
-            value = decoder.decode(payload) if kind == "shm" else payload
-            assert value == heavy_doc_target(0, key, None)
-        reader.close()
-
-
-class TestSlabHousekeeping:
-    """Parent-side slab bookkeeping: rotated-away segments are dropped
-    from the reader cache mid-run, and a segment is tracked for the
-    retire-path unlink even when its very first read fails."""
-
-    def test_rotated_away_segment_dropped_from_parent_cache(self):
-        spec = ProcessWorkerSpec(target=rotating_doc_target, on_crash=on_crash)
-        with ProcessPool(
-            spec, size=1, batch_size=4, result_transport="shm"
-        ) as pool:
-            results = pool.run([1, "big", 2])
-            assert results[0] == {"latencies": [1.0]}
-            assert results[1] == {"latencies": [0.5] * 170_000}
-            assert results[2] == {"latencies": [2.0]}
-            worker = pool._workers[0]
-            # The oversized payload rotated the worker onto a bigger
-            # slab; once a ref named the successor, the parent forgot
-            # its mapping of the original instead of holding the
-            # unlinked segment's memory until close().
-            assert len(worker.slab_names) == 2
-            assert set(pool._reader._segments) == {worker.current_slab}
-
-    def test_first_read_failure_still_tracks_segment_for_cleanup(self):
-        pool = ProcessPool(
-            ProcessWorkerSpec(target=double_target, on_crash=on_crash),
-            size=1,
-            result_transport="shm",
-        )
-
-        class _TornReader:
-            def read(self, ref):
-                raise SlabError("torn record")
-
-            def forget(self, name):
-                pass
-
-            def close(self):
-                pass
-
-        pool._reader = _TornReader()
-        worker = types.SimpleNamespace(
-            slab_names=set(), current_slab=None, decoder=None
-        )
-        ref = SlabRef("psm_fleet_test_gone", 1, 0, 8, 0)
-        with pytest.raises(SlabError):
-            pool._resolve_shm(worker, ref)
-        # The attach happened before the read raised: the retire path
-        # must know to unlink this segment even though no record from
-        # it ever decoded.
-        assert ref.name in worker.slab_names
-        pool.close()
 
 
 class TestProcessPool:
@@ -640,6 +404,40 @@ class TestProcessPool:
             assert results[2] == 4
             # The replacement worker survives into the next wave.
             assert pool.run([5]) == {0: 10}
+
+    def test_failed_send_leaves_the_pool_usable(self):
+        """A job that cannot be pickled fails ``run`` before anything
+        reaches its worker.  The pool must stay usable: that worker is
+        not left marked busy (the next run would wait forever on an
+        idle child), and a sibling that did get its batch is retired
+        rather than answering into the next run's positions."""
+        spec = ProcessWorkerSpec(target=double_target, on_crash=on_crash)
+        pool = ProcessPool(spec, size=2, batch_size=2)
+        try:
+            with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+                pool.run([5, 6, lambda: 1, 7])
+            answer = {}
+            second = threading.Thread(
+                target=lambda: answer.update(pool.run([3])), daemon=True
+            )
+            second.start()
+            second.join(timeout=30.0)
+            hung = second.is_alive()
+            if hung:
+                # Fail the stuck run through the crash path so its
+                # thread does not outlive the test.
+                for worker in pool._workers:
+                    worker.process.kill()
+                second.join(timeout=10.0)
+            assert not hung, "second run() blocked on an idle worker"
+            assert answer == {0: 6}
+        finally:
+            pool.close()
+        assert not [
+            child
+            for child in multiprocessing.active_children()
+            if child.name.startswith("fleet-worker-")
+        ]
 
     def test_run_after_close_rejected(self):
         pool = ProcessPool(

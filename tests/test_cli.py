@@ -294,6 +294,14 @@ class TestCampaignRun:
         with pytest.raises(SystemExit, match="unknown app"):
             main(["campaign", "run", "nope"])
 
+    def test_removed_result_transport_flag_is_rejected(self, capsys):
+        # The shm lane and its selector are gone; a stale invocation must
+        # fail loudly, not be silently accepted.
+        with pytest.raises(SystemExit) as err:
+            main(["campaign", "run", "twotier", "--result-transport", "shm"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --result-transport" in capsys.readouterr().err
+
 
 class TestCampaignDiff:
     def dump(self, tmp_path, name, seed):
