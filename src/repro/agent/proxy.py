@@ -11,7 +11,9 @@ messages according to the installed fault rules.
 
 Per proxied call the agent:
 
-1. decodes the request, extracts the propagated request ID;
+1. takes the request off the wire (:mod:`repro.http.wire`: a parsed
+   snapshot, or bytes from a raw peer) and extracts the propagated
+   request ID;
 2. consults the matcher for a request-direction rule and applies it
    (Delay: hold the message; Abort: synthesize the error response or
    reset the caller's connection without ever contacting the callee;
@@ -46,9 +48,9 @@ from repro.errors import (
     ServiceNotFoundError,
 )
 from repro.http import status as http_status
-from repro.http.codec import decode_request, decode_response, encode_request, encode_response
 from repro.http.headers import SPAN_ID_HEADER
 from repro.http.message import HttpRequest, HttpResponse
+from repro.http.wire import received_request, received_response, send_message
 from repro.logstore.pipeline import LogPipeline
 from repro.logstore.query import compile_id_pattern
 from repro.logstore.record import ObservationKind, ObservationRecord
@@ -278,10 +280,10 @@ class GremlinAgent:
         target = targets[index % len(targets)]
         try:
             upstream: ConnectionEnd = yield self.host.connect(target)
-            upstream.send(encode_request(request))
+            send_message(upstream, request)
             reply_payload = yield upstream.recv()
             upstream.close()
-            response = decode_response(reply_payload)
+            response = received_response(reply_payload)
         except Exception as exc:  # noqa: BLE001 - shadow failures never propagate
             self._emit_reply_error(record, start, injected_delay, "shadow-error", False)
             return
@@ -367,15 +369,20 @@ class GremlinAgent:
                 break
 
     def _proxy_one(
-        self, conn: ConnectionEnd, dst_service: str, payload: bytes
+        self, conn: ConnectionEnd, dst_service: str, payload: object
     ) -> _t.Generator[_t.Any, _t.Any, bool]:
         """Proxy one request/response exchange; True if conn was closed."""
         self.proxied += 1
         start = self.sim.now
+        # The caller is answered in the form it addressed us: a raw
+        # peer that sent bytes reads bytes back.
+        as_bytes = isinstance(payload, bytes)
         try:
-            request = decode_request(payload)
+            request = received_request(payload)
         except CodecError as exc:
-            self._safe_send(conn, HttpResponse.error(http_status.BAD_REQUEST, str(exc)))
+            self._safe_send(
+                conn, HttpResponse.error(http_status.BAD_REQUEST, str(exc)), as_bytes
+            )
             return False
         request_id = request.request_id
         # Shadow mirroring happens before fault matching (and before
@@ -441,7 +448,7 @@ class GremlinAgent:
                 self._emit_reply(
                     record, start, injected_delay, response.status, gremlin_generated=True
                 )
-                self._safe_send(conn, response)
+                self._safe_send(conn, response, as_bytes)
                 return False
             elif rule.fault_type == FaultType.MODIFY:
                 request = modify_request(rule, request)
@@ -462,7 +469,7 @@ class GremlinAgent:
             )
             record.status = response.status
             self._emit_reply_error(record, start, injected_delay, "refused", False)
-            self._safe_send(conn, response)
+            self._safe_send(conn, response, as_bytes)
             return False
         except ConnectionTimeoutError:
             record.error = "timeout"
@@ -506,7 +513,7 @@ class GremlinAgent:
         record.status = response.status
         record.injected_delay = injected_delay
         self._emit_reply(record, start, injected_delay, response.status, gremlin_generated)
-        self._safe_send(conn, response)
+        self._safe_send(conn, response, as_bytes)
         return False
 
     def _forward(
@@ -528,12 +535,12 @@ class GremlinAgent:
         target = addresses[index % len(addresses)]
         upstream: ConnectionEnd = yield self.host.connect(target)
         try:
-            upstream.send(encode_request(request))
+            send_message(upstream, request)
             reply_payload = yield upstream.recv()
         finally:
             if not upstream.closed:
                 upstream.close()
-        return decode_response(reply_payload)
+        return received_response(reply_payload)
 
     # -- observation emission --------------------------------------------------------
 
@@ -600,12 +607,12 @@ class GremlinAgent:
             )
         )
 
-    def _safe_send(self, conn: ConnectionEnd, response: HttpResponse) -> None:
+    def _safe_send(self, conn: ConnectionEnd, response: HttpResponse, as_bytes: bool) -> None:
         """Send a response unless the caller already went away."""
         if conn.closed:
             return
         try:
-            conn.send(encode_response(response))
+            send_message(conn, response, as_bytes)
         except ConnectionResetError_:
             pass
 

@@ -2,9 +2,10 @@
 
 :meth:`HttpClient.call` is a *generator subroutine*: service handler
 code running inside a simulation process invokes it with
-``yield from``.  It opens a connection, sends the encoded request,
-awaits the response, and surfaces every fault-model observable as an
-exception (network errors, per-call timeout, unparseable response).
+``yield from``.  It opens a connection, sends the request in its wire
+form (:mod:`repro.http.wire`), awaits the response, and surfaces every
+fault-model observable as an exception (network errors, per-call
+timeout, unparseable response).
 
 This client is deliberately *naive* — no retries, no breaker, no
 default timeout.  The resilience patterns live one layer up, in
@@ -18,8 +19,8 @@ from __future__ import annotations
 import typing as _t
 
 from repro.errors import RequestTimeoutError
-from repro.http.codec import decode_response, encode_request
 from repro.http.message import HttpRequest, HttpResponse
+from repro.http.wire import received_response, send_message
 from repro.network.address import Address
 from repro.network.transport import ConnectionEnd, Host
 from repro.simulation.events import AnyOf, SimEvent
@@ -84,7 +85,7 @@ class HttpClient:
         NetworkError subclasses
             Connection refused / reset / partitioned, per the transport.
         CodecError
-            The response bytes could not be parsed (Modify-corrupted).
+            What came back is not a parseable response.
         """
         sim = self.sim
         budget = self.default_timeout if timeout is None else timeout
@@ -94,14 +95,14 @@ class HttpClient:
         try:
             conn_ev = self.host.connect(dst)
             conn = yield from await_with_deadline(sim, conn_ev, deadline)
-            conn.send(encode_request(request))
+            send_message(conn, request)
             payload = yield from await_with_deadline(sim, conn.recv(), deadline)
         finally:
             # Abandon the connection whether we succeeded, timed out or
             # hit a transport error; late server responses are dropped.
             if conn is not None and not conn.closed:
                 conn.close()
-        return decode_response(payload)
+        return received_response(payload)
 
     def get(
         self, dst: Address, uri: str, timeout: float | None = None, **header_kwargs: str

@@ -1,11 +1,15 @@
 """Wire-format codec: HTTP messages <-> bytes.
 
-The transport carries opaque ``bytes``; this codec gives those bytes an
-HTTP/1.1-like shape.  Having a real wire format matters for fidelity:
-the ``Modify`` fault primitive rewrites *bytes* on the wire (paper
-Table 2), and a sufficiently destructive rewrite must be able to
-produce an *unparseable* message — the "invalid responses" entry of the
-fault model — which the receiving side surfaces as ``CodecError``.
+The HTTP/1.1-like shape a message takes when it really is bytes.  On the
+drive path it usually is not: faults rewrite ``message.body`` only and
+the serialised head is read by nothing but the next hop's parser, so
+senders hand the transport a parsed snapshot (:mod:`repro.http.wire`)
+that is field for field what ``decode(encode(message))`` returns.  This
+codec is the definition of that equality — the oracle the snapshot is
+tested against — and the path of everything the snapshot does not cover:
+a raw ``ConnectionEnd`` peer that speaks bytes, and any message the
+short cut cannot prove round-trips unchanged.  Bytes that do not parse
+surface as ``CodecError`` — the fault model's "invalid responses".
 
 Format (one message per transport payload, body length from
 ``Content-Length``)::
@@ -64,6 +68,8 @@ def decode(payload: bytes) -> Message:
     Raises :class:`~repro.errors.CodecError` for malformed payloads —
     e.g. after a Modify fault corrupted the start line.
     """
+    if not isinstance(payload, (bytes, bytearray)):
+        raise CodecError(f"payload must be bytes, got {type(payload).__name__}")
     start_line = payload.split(_CRLF, 1)[0]
     if start_line.startswith(b"HTTP/"):
         return decode_response(payload)

@@ -71,8 +71,14 @@ class Headers:
         return iter(list(self._entries.values()))
 
     def copy(self) -> "Headers":
-        """An independent copy."""
-        return Headers(list(self.items()))
+        """An independent copy (same key casing, same order).
+
+        Entries were normalised when they were set, so the copy is one
+        dict copy rather than a re-validation of every entry.
+        """
+        clone = Headers()
+        clone._entries = self._entries.copy()
+        return clone
 
     def to_dict(self) -> dict[str, str]:
         """Plain dict snapshot (original-case keys)."""

@@ -8,7 +8,7 @@ concurrent connections are served in parallel.
 Handlers are generator functions ``handler(request) -> HttpResponse``
 that may ``yield`` events (e.g. make downstream calls via
 :class:`~repro.http.client.HttpClient`).  Handler exceptions become
-``500`` responses; unparseable request bytes become ``400``.
+``500`` responses; an unparseable request becomes ``400``.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import typing as _t
 
 from repro.errors import CodecError
 from repro.http import status as http_status
-from repro.http.codec import decode_request, encode_response
 from repro.http.headers import REQUEST_ID_HEADER
 from repro.http.message import HttpRequest, HttpResponse
+from repro.http.wire import received_request, send_message
 from repro.network.transport import ConnectionEnd, Host, Listener
 from repro.simulation.kernel import Simulator
 from repro.simulation.resources import ChannelClosed
@@ -80,14 +80,16 @@ class HttpServer:
             if conn.closed:
                 break
             try:
-                conn.send(encode_response(response))
+                # Answered in the form it was addressed: a raw peer that
+                # sent bytes reads bytes back.
+                send_message(conn, response, as_bytes=isinstance(payload, bytes))
             except Exception:  # noqa: BLE001 - peer vanished mid-response
                 break
             self.requests_served += 1
 
-    def _dispatch(self, payload: bytes) -> _t.Generator[_t.Any, _t.Any, HttpResponse]:
+    def _dispatch(self, payload: object) -> _t.Generator[_t.Any, _t.Any, HttpResponse]:
         try:
-            request = decode_request(payload)
+            request = received_request(payload)
         except CodecError as exc:
             return HttpResponse.error(http_status.BAD_REQUEST, str(exc))
         try:

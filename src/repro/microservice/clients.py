@@ -193,8 +193,10 @@ class DependencyClient:
                     yield self.sim.timeout(backoff)
             self.stats.attempts += 1
             try:
+                # One object serves every attempt: what goes on the wire
+                # is a snapshot, so no hop can touch ``request``.
                 response = yield from self.http.call(
-                    self._resolve_target(), request.copy(), timeout=policy.attempt_timeout
+                    self._resolve_target(), request, timeout=policy.attempt_timeout
                 )
             except FAILURE_EXCEPTIONS as exc:
                 last_error, last_response = exc, None

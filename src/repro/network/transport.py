@@ -16,9 +16,14 @@ observables:
 * Messages in flight across a newly-partitioned link are silently
   dropped, so the caller's only signal is its own timeout.
 
-Data units are opaque ``bytes`` payloads; the HTTP layer above encodes
-and decodes them, which is what gives the ``Modify`` fault primitive
-real bytes to rewrite.
+A data unit is opaque to the transport and comes in two forms.
+:meth:`ConnectionEnd.send` carries ``bytes`` (``bytes`` in, ``bytes``
+out, anything else is a ``TypeError``).  :meth:`ConnectionEnd.send_parsed`
+carries an object the layer above has already parsed — the HTTP layer's
+wire snapshot of a message — and delivers that same object, so a hop
+whose bytes nobody would read costs no serialisation.  Timing, drops,
+closes and resets are identical for both; this module knows nothing of
+what a parsed unit is.
 """
 
 from __future__ import annotations
@@ -292,7 +297,7 @@ class Listener:
 
 
 class Connection:
-    """A bidirectional byte-message pipe between two hosts.
+    """A bidirectional message pipe between two hosts.
 
     Holds the two :class:`ConnectionEnd` halves.  Application code only
     ever touches the ends; the Connection exists so resets and closes
@@ -335,7 +340,7 @@ class ConnectionEnd:
         return self.conn.network.sim
 
     def send(self, payload: bytes) -> None:
-        """Transmit ``payload`` to the peer after one link latency.
+        """Transmit the bytes ``payload`` to the peer after one link latency.
 
         Sends on a closed end raise ``ConnectionResetError_``; messages
         crossing a link that is partitioned *at delivery time* are
@@ -346,6 +351,18 @@ class ConnectionEnd:
             raise ConnectionResetError_(f"{self.label}: send on closed connection")
         if not isinstance(payload, (bytes, bytearray)):
             raise TypeError(f"payload must be bytes, got {type(payload).__name__}")
+        self.send_parsed(bytes(payload))
+
+    def send_parsed(self, unit: object) -> None:
+        """Transmit an already-parsed data unit; same timing as :meth:`send`.
+
+        ``unit`` is whatever the layer above would have parsed out of
+        the bytes it did not serialise.  The peer's :meth:`recv` yields
+        the very same object, so the sender must hand over a snapshot it
+        will not touch again; the transport never looks inside it.
+        """
+        if self.closed:
+            raise ConnectionResetError_(f"{self.label}: send on closed connection")
         network = self.conn.network
         delay = network.latency_between(self.local.name, self.remote.name)
         peer = self.peer
@@ -358,12 +375,14 @@ class ConnectionEnd:
                 self.local.name, self.remote.name
             ):
                 return  # dropped on the floor by the partition
-            peer._inbox.put(bytes(payload))
+            peer._inbox.put(unit)
 
         self.sim.timeout(delay).add_callback(_deliver)
 
     def recv(self) -> SimEvent:
-        """Event yielding the next payload from the peer.
+        """Event yielding the next data unit from the peer: ``bytes`` if
+        it was sent with :meth:`send`, the sender's object if with
+        :meth:`send_parsed`.
 
         Fails with ``ConnectionResetError_`` if the peer resets, or
         :class:`~repro.simulation.resources.ChannelClosed` on orderly

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.errors import (
+    CodecError,
     ConnectionRefusedError_,
     RequestTimeoutError,
 )
-from repro.http import HttpClient, HttpRequest, HttpResponse, HttpServer
+from repro.http import HttpClient, HttpRequest, HttpResponse, HttpServer, encode_request
 from repro.network import Address, Network
 
 from tests.conftest import run_to_completion
@@ -204,6 +205,55 @@ class TestErrorPaths:
             return payload.split(b" ")[1]
 
         assert run_to_completion(sim, scenario(sim)) == b"400"
+
+    def test_request_the_codec_would_mangle_still_becomes_400(self, sim, net):
+        """A URI with a space is not provably round-trip clean, so it
+        travels as bytes and fails in the server's parser, as ever."""
+        make_server(sim, net)
+        client = HttpClient(net.add_host("client"))
+        request = HttpRequest("GET", "/x")
+        request.uri = "/two words"
+
+        def scenario(sim):
+            response = yield from client.call(Address("server", 80), request)
+            return (response.status, b"malformed request line" in response.body)
+
+        assert run_to_completion(sim, scenario(sim)) == (400, True)
+
+    def test_request_that_cannot_be_serialised_fails_at_the_sender(self, sim, net):
+        make_server(sim, net)
+        client = HttpClient(net.add_host("client"))
+
+        def scenario(sim):
+            try:
+                yield from client.get(Address("server", 80), "/caf\xe9")
+            except UnicodeEncodeError:
+                return "sender"
+
+        assert run_to_completion(sim, scenario(sim)) == "sender"
+
+    @pytest.mark.parametrize("form", ["parsed", "bytes"])
+    def test_request_where_a_response_is_expected_is_a_codec_error(self, sim, net, form):
+        listener = net.add_host("confused").listen(80)
+
+        def answers_with_a_request(sim):
+            end = yield listener.accept()
+            yield end.recv()
+            if form == "parsed":
+                end.send_parsed(HttpRequest("GET", "/not-a-response"))
+            else:
+                end.send(encode_request(HttpRequest("GET", "/not-a-response")))
+
+        sim.process(answers_with_a_request(sim))
+        client = HttpClient(net.add_host("client"))
+
+        def scenario(sim):
+            try:
+                yield from client.get(Address("confused", 80), "/x")
+            except CodecError as exc:
+                return str(exc)
+
+        assert "malformed status line" in run_to_completion(sim, scenario(sim))
 
     def test_server_stop_refuses_new_connections(self, sim, net):
         _host, server = make_server(sim, net)

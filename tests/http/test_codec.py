@@ -91,6 +91,12 @@ class TestMalformedInput:
         with pytest.raises(CodecError):
             decode_request("a string")
 
+    @pytest.mark.parametrize("payload", ["GET / HTTP/1.1\r\n\r\n", 12, None])
+    def test_generic_decode_rejects_non_bytes_like_the_typed_decoders(self, payload):
+        for decoder in (decode, decode_request, decode_response):
+            with pytest.raises(CodecError, match="payload must be bytes"):
+                decoder(payload)
+
     def test_corrupted_status_code_out_of_range(self):
         # A Modify fault can turn "200" into garbage; parsing must fail
         # loudly (the paper's "invalid responses" failure mode).

@@ -53,6 +53,18 @@ class TestHeaders:
         duplicate["A"] = "2"
         assert original["A"] == "1"
 
+    def test_copy_is_independent_both_ways_and_keeps_casing_and_order(self):
+        original = Headers([("X-B", "2"), ("x-a", "1"), ("Content-Length", 3)])
+        duplicate = original.copy()
+        assert duplicate == original
+        assert list(duplicate.items()) == [("X-B", "2"), ("x-a", "1"), ("Content-Length", "3")]
+        duplicate["X-B"] = "changed"
+        del duplicate["x-a"]
+        original["X-New"] = "n"
+        del original["content-length"]
+        assert list(original.items()) == [("X-B", "2"), ("x-a", "1"), ("X-New", "n")]
+        assert list(duplicate.items()) == [("X-B", "changed"), ("Content-Length", "3")]
+
     def test_equality_ignores_case(self):
         assert Headers({"A": "1"}) == Headers({"a": "1"})
         assert Headers({"A": "1"}) != Headers({"A": "2"})

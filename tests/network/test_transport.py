@@ -257,6 +257,56 @@ class TestCloseAndReset:
 
         assert run_to_completion(sim, client(sim)) == "typeerror"
 
+    def test_parsed_unit_arrives_as_the_same_object_when_bytes_would(self, sim, net, two_hosts):
+        """``send_parsed`` is ``send`` without the bytes: the peer gets the
+        very object, at the instant it would have got the payload."""
+        alpha, beta = two_hosts
+        listener = beta.listen(80)
+        unit = {"parsed": ["by", "the", "layer", "above"]}
+
+        def server(sim):
+            conn = yield listener.accept()
+            first = yield conn.recv()
+            first_at = sim.now
+            second = yield conn.recv()
+            return (first, first_at, second, sim.now)
+
+        def client(sim):
+            conn = yield alpha.connect(Address("beta", 80))
+            conn.send(b"bytes")
+            yield sim.timeout(0.5)
+            conn.send_parsed(unit)
+            conn.close()
+            try:
+                conn.send_parsed(unit)
+            except ConnectionResetError_:
+                return "rejected"
+
+        sending = sim.process(client(sim))
+        first, first_at, second, second_at = run_to_completion(sim, server(sim))
+        assert first == b"bytes" and second is unit
+        assert second_at - first_at == pytest.approx(0.5)
+        assert sending.value == "rejected"
+
+    def test_parsed_unit_is_dropped_by_a_partition_like_bytes(self, sim, net, two_hosts):
+        alpha, beta = two_hosts
+        listener = beta.listen(80)
+
+        def server(sim):
+            conn = yield listener.accept()
+            return (yield conn.recv())
+
+        def client(sim):
+            conn = yield alpha.connect(Address("beta", 80))
+            net.partition("alpha", "beta")
+            conn.send_parsed(object())
+            yield sim.timeout(1.0)
+            net.heal("alpha", "beta")
+            conn.send_parsed("after the heal")
+
+        sim.process(client(sim))
+        assert run_to_completion(sim, server(sim)) == "after the heal"
+
     def test_send_after_peer_departed_raises_epipe_style(self, sim, net, two_hosts):
         """Writing after the peer closed surfaces as a reset (EPIPE)."""
         alpha, beta = two_hosts

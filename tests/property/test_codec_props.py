@@ -2,16 +2,20 @@
 
 import string
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import CodecError
 from repro.http import (
+    Headers,
     HttpRequest,
     HttpResponse,
+    decode,
     decode_request,
     decode_response,
+    encode,
     encode_request,
     encode_response,
+    wire,
 )
 
 _token = st.text(
@@ -103,3 +107,147 @@ class TestDecodeRobustness:
         rewritten = modify_response(rule, response)
         decoded = decode_response(encode_response(rewritten))
         assert decoded.body == body.replace(search, replace)
+
+
+# -- the wire snapshot is the codec's round trip, without the bytes ---------------
+
+# Harmless text with, at either edge or in the middle, a character the
+# codec strips, splits on or rejects.
+_hazard = st.sampled_from(
+    ["", "", " ", "\t", "\r", "\n", "\r\n", ":", "|", "\xa0", "\xe9", "\u2003", "\ud800"]
+)
+_core = st.text(alphabet=string.ascii_letters + string.digits + "-_/", max_size=6)
+_hostile_text = st.tuples(_hazard, _core, _hazard, _core, _hazard).map("".join)
+_hostile_uri = st.one_of(_hostile_text, _hostile_text.map(lambda s: "/" + s), st.none())
+_hostile_method = st.sampled_from(["get", "BREW", "GET /x", "", None])
+_hostile_status = st.one_of(
+    st.integers(-10, 99), st.integers(600, 1200), st.sampled_from([True, 200.0, "200", None])
+)
+_hostile_body = st.one_of(_body.map(bytearray), st.text(max_size=8), st.none())
+
+
+@st.composite
+def _spoiled(draw, kind):
+    """A valid message with up to two fields assigned, after construction,
+    something the codec may reject, strip, re-split or re-order — so each
+    rule of the short cut is reached from an otherwise clean message."""
+    if kind is HttpRequest:
+        message = HttpRequest(draw(_method), draw(_uri), draw(_headers), draw(_body))
+        spoils = ["method", "uri"]
+    else:
+        message = HttpResponse(draw(_status), draw(_headers), draw(_body))
+        spoils = ["status"]
+    spoils += ["key", "value", "number", "length", "body", "dict"]
+    for spoil in draw(st.lists(st.sampled_from(spoils), max_size=2)):
+        if spoil == "method":
+            message.method = draw(_hostile_method)
+        elif spoil == "uri":
+            message.uri = draw(_hostile_uri)
+        elif spoil == "status":
+            message.status = draw(_hostile_status)
+        elif spoil == "body":
+            message.body = draw(_hostile_body)
+        elif spoil == "dict":
+            message.headers = dict(message.headers.items())
+        elif isinstance(message.headers, Headers):
+            if spoil == "key":
+                message.headers[draw(_hostile_text)] = draw(_header_value)
+            elif spoil == "value":
+                message.headers[draw(_token)] = draw(_hostile_text)
+            elif spoil == "number":
+                message.headers[draw(_token)] = draw(st.integers(-5, 5000))
+            else:
+                message.headers[draw(st.sampled_from(["content-length", "CONTENT-LENGTH"]))] = "999"
+                message.headers[draw(_token)] = draw(_header_value)
+    return message
+
+
+def _through_codec(message):
+    return decode(encode(message))
+
+
+def _through_wire(message):
+    """What the peer ends up holding: the snapshot, or the parsed bytes."""
+    unit = wire.wire_form(message)
+    return decode(unit) if isinstance(unit, bytes) else unit
+
+
+def _outcome(passage, message):
+    try:
+        arrived = passage(message)
+    except Exception as exc:  # noqa: BLE001 - the exception type *is* the outcome
+        return type(exc)
+    start = (
+        (arrived.method, arrived.uri)
+        if isinstance(arrived, HttpRequest)
+        else (arrived.status,)
+    )
+    return (type(arrived), start, list(arrived.headers.items()), type(arrived.body), arrived.body)
+
+
+def _witnesses():
+    """One message per rule of the short cut, each otherwise clean, so a
+    dropped rule fails here whatever the random sweep happens to draw."""
+    for key in ["a:b", "a b", " a", "a ", "a\r\nb", "\xe9", "\ud800", ""]:
+        yield HttpRequest("GET", "/x", Headers([("X-Ok", "1"), (key, "v")]))
+    for value in [" v", "v ", " ", "\tv", "v\n", "a\r\nb", "a\nb", "\xe9", "\xa0v", "\ud800", ""]:
+        yield HttpResponse(200, Headers([("X-Ok", "1"), ("X-Value", value)]), b"body")
+    for uri in ["/a b", "/a\tb", "/\xe9", "/a\r\nb", "x", "", None, 7]:
+        request = HttpRequest("GET", "/x", {"X-Ok": "1"})
+        request.uri = uri
+        yield request
+    for method in ["get", "BREW", "GET /x", "", None]:
+        request = HttpRequest("GET", "/x")
+        request.method = method
+        yield request
+    for status in [99, 600, True, 200.0, "200", None]:
+        response = HttpResponse(200, body=b"ok")
+        response.status = status
+        yield response
+    for body in [bytearray(b"ab"), "text", None, memoryview(b"ab")]:
+        response = HttpResponse(200, {"X-Ok": "1"})
+        response.body = body
+        yield response
+    request = HttpRequest("POST", "/x", body=b"ab")
+    request.headers = {"X-Plain": "dict"}
+    yield request
+    # Content-Length is re-derived, re-cased and moved last.
+    yield HttpRequest("POST", "/x", Headers([("content-LENGTH", "999"), ("X-After", "1")]), b"ab")
+
+
+def _with_witnesses(test):
+    for message in _witnesses():
+        test = example(message=message)(test)
+    return test
+
+
+class TestWireSnapshotIsTheRoundTrip:
+    @_with_witnesses
+    @given(message=st.one_of(_spoiled(HttpRequest), _spoiled(HttpResponse)))
+    @settings(max_examples=400)
+    def test_any_message_arrives_as_the_codec_would_deliver_it(self, message):
+        assert _outcome(_through_wire, message) == _outcome(_through_codec, message)
+
+    @given(method=_method, uri=_uri, headers=_headers, body=_body, status=_status)
+    @settings(max_examples=100)
+    def test_clean_messages_are_never_serialised(self, method, uri, headers, body, status):
+        for message in (HttpRequest(method, uri, headers, body), HttpResponse(status, headers, body)):
+            snapshot = wire.wire_form(message)
+            assert type(snapshot) is type(message) and snapshot is not message
+            assert _outcome(lambda m: snapshot, message) == _outcome(_through_codec, message)
+
+    @given(headers=_headers, body=_body, key=_token, value=_header_value)
+    @settings(max_examples=100)
+    def test_snapshot_and_source_are_independent(self, headers, body, key, value):
+        request = HttpRequest("POST", "/x", headers, body)
+        before = list(request.headers.items())
+        snapshot = wire.wire_form(request)
+        arrived = list(snapshot.headers.items())
+        snapshot.headers[key] = value
+        snapshot.headers["X-Gremlin-Span-Id"] = "stamped-by-the-sidecar"
+        snapshot.body = b"rewritten"
+        assert list(request.headers.items()) == before and request.body == body
+        fresh = wire.wire_form(request)
+        request.headers[key] = value + "!"
+        request.body = b"resent"
+        assert list(fresh.headers.items()) == arrived and fresh.body == body
