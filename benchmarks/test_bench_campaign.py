@@ -22,16 +22,15 @@ is the whole point of the backend.  The cross-core assertion is gated
 on the machine actually having cores (``cpus >= 4``); on smaller
 containers the curves are recorded but only equivalence is asserted.
 
-The third and fourth experiments pin the dispatch optimizations: a
-warm :class:`ProcessPool` amortizes the interpreter-spawn tax across
-waves of jobs, batched dispatch cuts pickle/pipe round-trips, and
-campaign sharding splits a plan into independent concurrently-run
-partitions whose merged result is indistinguishable from an unsharded
-run.
+The third experiment pins the reason the fleet is reusable: a warm
+:class:`ProcessPool` amortizes the interpreter-spawn tax across waves
+of jobs.  (Dispatch batching and campaign sharding were measured here
+until PR 17 and never won; docs/INTERNALS.md "Lanes" keeps the
+numbers.)
 
 All experiments re-assert the determinism contract where it matters
-most: every backend/worker/batch/shard combination must produce
-identical per-recipe statuses.
+most: every backend/worker combination must produce identical
+per-recipe statuses.
 
 Numbers land in ``BENCH_campaign.json`` via the session-finish hook in
 ``conftest.py``.
@@ -42,7 +41,7 @@ import time
 
 from repro.apps import build_tree_app
 from repro.campaign import CampaignRunner, ProcessPool, ProcessWorkerSpec, plan_campaign
-from repro.campaign.runner import _crashed_outcome, _process_execute
+from repro.campaign.runner import RecipeExecutor, _crashed_outcome, _execute_job
 from repro.cli import build_tree3_app
 
 FLEET_WORKERS = 4
@@ -190,20 +189,15 @@ def _executor_spec():
     """Process-worker spec running real planned recipes, exactly as the
     campaign runner builds it (module-level factory -> picklable)."""
     return ProcessWorkerSpec(
-        target=_process_execute,
-        context={
-            "factory": build_tree3_app,
-            "timeout": 120.0,
-            "pacing": 0.0,
-            "slice_virtual": 60.0,
-        },
+        target=_execute_job,
+        context=RecipeExecutor(build_tree3_app, timeout=120.0),
         on_crash=_crashed_outcome,
     )
 
 
-def test_warm_pool_and_batched_dispatch(report, bench_campaign):
-    """Warm workers amortize the spawn tax across job waves; batching
-    amortizes pickle/pipe round-trips — neither may change a result."""
+def test_warm_pool_amortizes_the_spawn_tax(report, bench_campaign):
+    """Warm workers amortize the spawn tax across job waves without
+    changing a result."""
     cpus = os.cpu_count() or 1
     plan = plan_campaign(tree3, seed=20, requests=REQUESTS).limit(8)
     jobs = [(entry, None) for entry in plan.entries]
@@ -225,16 +219,11 @@ def test_warm_pool_and_batched_dispatch(report, bench_campaign):
             warm_waves.append(pool.run(jobs))
     warm_s = time.perf_counter() - start
 
-    # Batched: the same jobs, four recipes per dispatch.
-    start = time.perf_counter()
-    with ProcessPool(_executor_spec(), size=2, batch_size=4) as pool:
-        batched = pool.run(jobs)
-    batched_s = time.perf_counter() - start
+    statuses = [cold_waves[0][position].status for position in range(len(jobs))]
+    for wave in cold_waves + warm_waves:
+        assert [wave[position].status for position in range(len(jobs))] == statuses
 
-    statuses = [cold_waves[0][position]["status"] for position in range(len(jobs))]
-    for docs in cold_waves + warm_waves + [batched]:
-        assert [docs[position]["status"] for position in range(len(jobs))] == statuses
-
+    # (The JSON key keeps its historical name: bench/README.md cites it.)
     bench_campaign["warm_and_batched"] = {
         "recipes_per_wave": len(jobs),
         "waves": waves,
@@ -243,14 +232,11 @@ def test_warm_pool_and_batched_dispatch(report, bench_campaign):
         "cold_pools_s": round(cold_s, 3),
         "warm_pool_s": round(warm_s, 3),
         "warm_speedup": round(cold_s / warm_s, 2),
-        "batched_wave_s": round(batched_s, 3),
-        "batch_size": 4,
     }
     report.add(
-        "Campaign engine — warm workers and batched dispatch",
+        "Campaign engine — warm workers",
         f"  {waves} waves x {len(jobs)} recipes: cold pools {cold_s:6.2f}s,"
-        f" one warm pool {warm_s:6.2f}s -> {cold_s / warm_s:.2f}x\n"
-        f"  one wave, batch_size=4: {batched_s:6.2f}s",
+        f" one warm pool {warm_s:6.2f}s -> {cold_s / warm_s:.2f}x",
     )
 
     # The spawn tax the warm pool saves is real CPU on any machine, but
@@ -261,36 +247,3 @@ def test_warm_pool_and_batched_dispatch(report, bench_campaign):
             f"a warm pool should beat respawning per wave: warm {warm_s:.2f}s"
             f" vs cold {cold_s:.2f}s"
         )
-
-
-def test_sharded_campaign_matches_unsharded(report, bench_campaign):
-    """Sharding splits the plan into independent concurrent partitions;
-    the merged result must be indistinguishable from the plain run."""
-    cpus = os.cpu_count() or 1
-    plan = plan_campaign(tree3, seed=20, requests=REQUESTS)
-
-    baseline, baseline_s = run_campaign(plan, workers=2, pacing=0.0)
-    statuses = [o.status for o in baseline.outcomes]
-
-    curve = {}
-    for shards in (2, 4):
-        runner = CampaignRunner(build_tree3_app, workers=2, timeout=120.0)
-        start = time.perf_counter()
-        sharded = runner.run_sharded(plan, shards=shards)
-        elapsed = time.perf_counter() - start
-        assert [o.status for o in sharded.outcomes] == statuses
-        assert sharded.scorecard().text() == baseline.scorecard().text()
-        curve[str(shards)] = round(elapsed, 3)
-
-    bench_campaign["sharding"] = {
-        "recipes": len(plan),
-        "workers": 2,
-        "cpus": cpus,
-        "unsharded_s": round(baseline_s, 3),
-        "sharded_s": curve,
-    }
-    report.add(
-        "Campaign engine — sharded execution on the tree3 suite",
-        f"  unsharded (2 workers): {baseline_s:6.2f}s; "
-        + ", ".join(f"{n} shards: {s:6.2f}s" for n, s in curve.items()),
-    )

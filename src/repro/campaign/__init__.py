@@ -3,11 +3,13 @@
 The layer above the single-recipe control plane: a **planner** expands
 :func:`~repro.core.autogen.generate_recipes` (plus operator recipes)
 into a deduplicated, prioritized, per-recipe-seeded
-:class:`CampaignPlan`; a **runner** executes the plan across N parallel
-workers — threads or spawn-isolated processes
-(``backend="processes"``, the multi-core path) — each recipe on its
-own freshly-built deployment so outcomes are deterministic,
-worker-count-independent, and backend-independent; the **results layer**
+:class:`CampaignPlan`; a **runner** executes the plan on a
+:class:`Fleet` of N parallel workers — threads or spawn-isolated
+processes (``backend="processes"``, the multi-core path); the same
+fleet, with the same calling convention, runs exploration waves and
+fuzz corpora — each recipe on its own freshly-built deployment so
+outcomes are deterministic, worker-count-independent, and
+backend-independent; the **results layer**
 folds outcomes into a per-service/per-pattern :class:`Scorecard`,
 reruns failures with perturbed seeds to separate broken from flaky
 behaviour, and :func:`diff_campaigns` compares two runs for regression
@@ -26,10 +28,10 @@ Quick start::
 from repro.campaign.diff import CampaignDiff, StatusChange, diff_campaigns
 from repro.campaign.fleet import (
     BACKENDS,
+    Fleet,
     ProcessPool,
     ProcessWorkerSpec,
     resolve_workers,
-    run_fleet,
 )
 from repro.campaign.io import dump_jsonl, dumps, load_jsonl, loads
 from repro.campaign.plan import (
@@ -52,6 +54,7 @@ __all__ = [
     "CampaignResult",
     "CampaignRunner",
     "CheckOutcome",
+    "Fleet",
     "LoadSpec",
     "PatternScore",
     "PlannedRecipe",
@@ -70,6 +73,5 @@ __all__ = [
     "plan_campaign",
     "recipe_signature",
     "resolve_workers",
-    "run_fleet",
     "scenario_target",
 ]

@@ -1,47 +1,55 @@
-"""Generic worker-fleet: drain a job queue through N threads or processes.
+"""The one worker fleet: drain independent jobs through N threads or processes.
 
-Extracted from :class:`~repro.campaign.runner.CampaignRunner` so every
-parallel harness in the codebase (campaigns, the differential fuzzer)
-shares one fleet implementation with one contract:
+Everything above a single verdict — a campaign, an exploration, a fuzz
+corpus — is "run these independent jobs, get ordered outcomes, crashed
+ones marked".  :class:`Fleet` is that job, written once, with one
+calling convention on both backends:
 
+* A :class:`ProcessWorkerSpec` says how a job runs:
+  ``target(worker_id, job, context)`` produces its result,
+  ``on_crash(job, detail)`` builds the failed-result shape for a job
+  that could not produce one.
 * Jobs are independent: a result depends only on the job payload,
   never on which worker ran it, how many workers there were, which
   backend executed it, or the drain order.  The fleet preserves this
-  by keying results by job *position* — callers get back exactly one
-  slot per submitted job.
-* Two interchangeable backends:
-
-  - ``"threads"`` — workers are threads pulling from a shared queue.
-    The simulated control/data plane is pure CPU, so under the GIL
-    thread workers canNOT speed up compute-bound suites; they exist to
-    overlap anything that genuinely waits on the wall clock (pacing
-    floors, operator I/O) at zero serialization cost.
-  - ``"processes"`` — workers are spawn-started interpreter processes
-    (:class:`ProcessWorkerSpec`) managed by a :class:`ProcessPool`.
-    Job payloads are serialized to the worker — up to ``batch_size``
-    jobs per pipe message, amortizing the dispatch round-trip for
-    cheap jobs — executed in an isolated interpreter, and each compact
-    serialized result streams back to the parent as it finishes.  This
-    is the backend that parallelizes CPU-bound work across cores; it
-    additionally contains worker *crashes*: jobs whose process dies
-    are converted to failed results via ``on_crash`` and the dead
-    worker is replaced, so a crash can neither hang the fleet nor
-    silently shrink it.  Callers with several waves of jobs can hold a
-    :class:`ProcessPool` open across waves and reuse warm workers
-    instead of paying the interpreter-spawn tax per wave.
-
+  by keying results by job *position* — :meth:`Fleet.run` returns
+  exactly one slot per dispatched job.
+* A job that yields no result is an ``on_crash`` result on either
+  backend, and the worker keeps draining: a target that raises
+  (``detail`` is ``"ValueError: …"``), and on the process lane also a
+  worker process that dies holding the job or a result that cannot be
+  pickled home.  Without an ``on_crash`` handler :meth:`Fleet.run`
+  raises :class:`~repro.errors.CampaignError` instead.  Wrapping
+  failures into the result type inside the target, as
+  :class:`~repro.campaign.runner.RecipeExecutor` does, still carries
+  more detail than a crash-converted result.
 * ``stop_when`` implements fail-fast: once any completed job's result
   satisfies it, no further jobs are dispatched.  Jobs already running
-  finish normally; undispatched jobs are simply absent from the result
-  map.  With the thread backend, an optional ``stop_signal`` event is
-  set at the same moment so paced executors can cut their sleep short.
+  finish normally; undispatched positions are simply absent from the
+  result map.  At that moment the fleet sets its ``stop_event``, which
+  in-process jobs that wait on the wall clock (a paced recipe sleeping
+  out its floor) wait on instead, so they wake with it; every
+  :meth:`Fleet.run` starts by clearing it.
+* A fleet is reusable: callers with several waves of jobs (a
+  campaign's main pass and its flake reruns, an exploration's waves)
+  hold one open and :meth:`~Fleet.close` it — or leave its ``with``
+  block — when done.
 
-``execute`` / ``ProcessWorkerSpec.target`` must never raise — wrap
-failures into the result type, as
-:class:`~repro.campaign.runner.RecipeExecutor` does — because a raised
-exception would otherwise take a worker down with it.  (The process
-backend survives even that, via the crash path, but a crash-converted
-result carries less detail than a properly wrapped one.)
+Two interchangeable backends:
+
+- ``"threads"`` — workers are threads pulling from a shared queue.
+  The simulated control/data plane is pure CPU, so under the GIL
+  thread workers canNOT speed up compute-bound suites; they exist to
+  overlap anything that genuinely waits on the wall clock (pacing
+  floors, operator I/O) at zero serialization cost.
+- ``"processes"`` — workers are spawn-started interpreter processes
+  held warm by a :class:`ProcessPool`.  Each job is pickled to a
+  worker, one job per pipe message, executed in an isolated
+  interpreter, and its pickled result streams back to the parent.
+  This is the backend that parallelizes CPU-bound work across cores;
+  a dead worker is replaced, so a crash can neither hang the fleet
+  nor silently shrink it.  ``target`` must be importable and
+  ``context`` picklable.
 """
 
 from __future__ import annotations
@@ -57,10 +65,10 @@ from repro.errors import CampaignError
 
 __all__ = [
     "BACKENDS",
+    "Fleet",
     "ProcessPool",
     "ProcessWorkerSpec",
     "resolve_workers",
-    "run_fleet",
 ]
 
 #: The execution backends every fleet-driven harness accepts.
@@ -110,107 +118,148 @@ def resolve_workers(workers: _t.Union[int, str]) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class ProcessWorkerSpec:
-    """How the ``processes`` backend runs one job in a worker process.
+    """How a fleet runs one job, on either backend.
 
-    ``target(worker_id, job, context)`` must be an *importable*
-    (module-level) callable: spawn-started workers re-import it by
-    qualified name, so lambdas and closures are rejected by pickle.
-    ``context`` is pickled once per worker and handed to every call —
-    the place for the deployment factory, executor knobs, or an app
-    registry.  ``on_crash(job, detail)`` runs in the *parent* when a
-    worker process dies (or its result cannot be shipped back) while
-    holding ``job``; it must build the backend's failed-result shape.
+    ``target(worker_id, job, context)`` produces the job's result.  On
+    the ``processes`` backend it must be an *importable* (module-level)
+    callable: spawn-started workers re-import it by qualified name, so
+    lambdas and closures are rejected by pickle.  ``context`` is handed
+    to every call — the place for the recipe executor or an app
+    registry; the thread lane passes the object itself, the process
+    lane pickles it once per worker.  ``on_crash(job, detail)`` runs in
+    the dispatching process when ``job`` produced no result (its target
+    raised, its worker process died, its result could not be shipped
+    back); it must build the caller's failed-result shape.
     """
 
     target: _t.Callable[[int, _t.Any, _t.Any], _t.Any]
     context: _t.Any = None
     on_crash: _t.Optional[_t.Callable[[_t.Any, str], _t.Any]] = None
 
+    def crash_result(self, job: _t.Any, detail: str) -> _t.Any:
+        """The result of a ``job`` that produced none, or — with no
+        ``on_crash`` handler — a :class:`CampaignError`."""
+        if self.on_crash is None:
+            raise CampaignError(
+                f"fleet job produced no result ({detail}) and no on_crash"
+                " handler was provided"
+            )
+        return self.on_crash(job, detail)
 
-def run_fleet(
-    jobs: _t.Sequence[J],
-    execute: _t.Optional[_t.Callable[[int, J], R]],
-    *,
-    workers: _t.Union[int, str] = 1,
-    stop_when: _t.Optional[_t.Callable[[R], bool]] = None,
-    backend: str = "threads",
-    process_spec: _t.Optional[ProcessWorkerSpec] = None,
-    stop_signal: _t.Optional[threading.Event] = None,
-    batch_size: int = 1,
-) -> dict[int, R]:
-    """Drain ``jobs`` through a fleet of ``workers`` threads or processes.
 
-    With the (default) thread backend, ``execute(worker_id, job)`` runs
-    each job in-process.  With ``backend="processes"``, ``execute`` is
-    unused, ``process_spec`` describes the spawn-side entry point, and
-    up to ``batch_size`` jobs ship per dispatch (results still stream
-    back one per job, pickled over the worker's pipe).  Either way
-    results come back keyed by the job's position in ``jobs``;
-    positions missing from the map were never dispatched (fail-fast
-    stopped the fleet first).
+class Fleet:
+    """``workers`` threads or processes draining jobs for one ``spec``.
+
+    The fleet validates ``backend`` and ``workers`` (an int or
+    ``"auto"``) once, for every harness built on it.  Workers start on
+    the first :meth:`run` and, on the process lane, stay warm until
+    :meth:`close`.  ``stop_event`` is the event the fleet sets when
+    ``stop_when`` trips; a caller whose in-process jobs wait on it
+    passes in the one their ``spec.context`` already holds.
     """
-    if backend not in BACKENDS:
-        raise CampaignError(
-            f"unknown fleet backend {backend!r}; expected one of {BACKENDS}"
+
+    def __init__(
+        self,
+        spec: ProcessWorkerSpec,
+        *,
+        workers: _t.Union[int, str] = 1,
+        backend: str = "threads",
+        stop_event: _t.Optional[threading.Event] = None,
+    ) -> None:
+        if backend not in BACKENDS:
+            raise CampaignError(
+                f"unknown fleet backend {backend!r}; expected one of {BACKENDS}"
+            )
+        self.spec = spec
+        self.workers = resolve_workers(workers)
+        self.stop_event = stop_event if stop_event is not None else threading.Event()
+        self._pool = (
+            ProcessPool(spec, size=self.workers) if backend == "processes" else None
         )
-    fleet_size = resolve_workers(workers)
-    if backend == "processes":
-        if process_spec is None:
-            raise CampaignError("backend='processes' requires a process_spec")
-        pool = ProcessPool(process_spec, size=fleet_size, batch_size=batch_size)
-        try:
-            return pool.run(jobs, stop_when=stop_when)
-        finally:
-            pool.close()
-    if execute is None:
-        raise CampaignError("backend='threads' requires an execute callable")
-    return _run_thread_fleet(
-        jobs,
-        execute,
-        workers=fleet_size,
-        stop_when=stop_when,
-        stop_signal=stop_signal,
-    )
+        self._closed = False
 
+    def __enter__(self) -> "Fleet":
+        return self
 
-# -- thread backend -----------------------------------------------------------
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
+    def run(
+        self,
+        jobs: _t.Sequence[J],
+        stop_when: _t.Optional[_t.Callable[[R], bool]] = None,
+    ) -> dict[int, R]:
+        """Drain ``jobs``; results come back keyed by the job's position
+        in ``jobs``.  Positions missing from the map were never
+        dispatched (``stop_when`` stopped the fleet first)."""
+        if self._closed:
+            raise CampaignError("cannot run jobs on a closed Fleet")
+        self.stop_event.clear()
 
-def _run_thread_fleet(
-    jobs: _t.Sequence[J],
-    execute: _t.Callable[[int, J], R],
-    *,
-    workers: int,
-    stop_when: _t.Optional[_t.Callable[[R], bool]],
-    stop_signal: _t.Optional[threading.Event],
-) -> dict[int, R]:
-    queue: collections.deque = collections.deque(enumerate(jobs))
-    lock = threading.Lock()
-    # The caller may supply the stop event so in-flight executors (e.g.
-    # a paced recipe sleeping out its wall-clock floor) observe
-    # fail-fast the moment it trips instead of at their next dispatch.
-    stop = stop_signal if stop_signal is not None else threading.Event()
-    results: dict[int, R] = {}
+        def stop_and_signal(result: R) -> bool:
+            stop = stop_when(result)
+            if stop:
+                self.stop_event.set()
+            return stop
 
-    def worker(worker_id: int) -> None:
-        while True:
-            with lock:
-                if stop.is_set() or not queue:
-                    return
-                key, job = queue.popleft()
-            result = execute(worker_id, job)
-            with lock:
-                results[key] = result
-            if stop_when is not None and stop_when(result):
+        tripped = stop_and_signal if stop_when is not None else None
+        if self._pool is not None:
+            return self._pool.run(jobs, stop_when=tripped)
+        return self._run_threads(jobs, tripped)
+
+    def close(self) -> None:
+        """Release the workers (bounded, see :meth:`ProcessPool.close`).
+        Idempotent; a closed fleet rejects further runs."""
+        self._closed = True
+        if self._pool is not None:
+            self._pool.close()
+
+    def _run_threads(
+        self,
+        jobs: _t.Sequence[J],
+        tripped: _t.Optional[_t.Callable[[R], bool]],
+    ) -> dict[int, R]:
+        queue: collections.deque = collections.deque(enumerate(jobs))
+        lock = threading.Lock()
+        spec, stop = self.spec, self.stop_event
+        results: dict[int, R] = {}
+        errors: list[BaseException] = []
+
+        def drain(worker_id: int) -> None:
+            while True:
+                with lock:
+                    if stop.is_set() or not queue:
+                        return
+                    key, job = queue.popleft()
+                try:
+                    result = spec.target(worker_id, job, spec.context)
+                except Exception as exc:  # noqa: BLE001 - a result, as on the process lane
+                    result = spec.crash_result(job, f"{type(exc).__name__}: {exc}")
+                with lock:
+                    results[key] = result
+                if tripped is not None:
+                    tripped(result)
+
+        def drain_in_thread(worker_id: int) -> None:
+            # What the drain loop itself raises (no on_crash handler, a
+            # raising stop_when) must reach the caller, not die with
+            # the thread: stop the siblings and re-raise after the join.
+            try:
+                drain(worker_id)
+            except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
+                errors.append(exc)
                 stop.set()
 
-    fleet_size = max(1, min(workers, len(jobs)))
-    if fleet_size == 1:
-        worker(0)
-    else:
+        fleet_size = min(self.workers, len(jobs))
+        if fleet_size <= 1:
+            drain(0)
+            return results
         threads = [
             threading.Thread(
-                target=worker, args=(i,), name=f"fleet-worker-{i}", daemon=True
+                target=drain_in_thread,
+                args=(i,),
+                name=f"fleet-worker-{i}",
+                daemon=True,
             )
             for i in range(fleet_size)
         ]
@@ -218,38 +267,37 @@ def _run_thread_fleet(
             thread.start()
         for thread in threads:
             thread.join()
-    return results
+        if errors:
+            raise errors[0]
+        return results
 
 
 # -- process backend ----------------------------------------------------------
 
 
 def _process_worker_main(conn, target, context, worker_id: int) -> None:
-    """Loop of one worker process: recv a batch of jobs, run, stream results.
+    """Loop of one worker process: recv a job, run it, send its result.
 
-    Runs in the child.  Each message from the parent is a list of
-    ``(key, job)`` pairs — batching amortizes the per-dispatch pickle
-    and pipe round-trip — and ``None`` is the shutdown signal.  Results
-    stream back one ``(key, kind, payload)`` tuple per job as each
-    finishes, so crash attribution and fail-fast stay per-job even when
-    dispatch is batched.  A result that cannot be pickled is reported
-    as an error message rather than killing the worker, so one odd
-    payload cannot eat the rest of the queue.
+    Runs in the child.  Each message from the parent is one ``(job,)``
+    tuple and ``None`` is the shutdown signal; each answer is one
+    ``(kind, payload)`` tuple.  A raising target or a result that
+    cannot be pickled is reported as an error message rather than
+    killing the worker, so one odd payload cannot eat the rest of the
+    queue.
     """
     try:
         while True:
-            batch = conn.recv()
-            if batch is None:
+            message = conn.recv()
+            if message is None:
                 return
-            for key, job in batch:
-                try:
-                    payload = (key, "ok", target(worker_id, job, context))
-                except BaseException as exc:  # noqa: BLE001 - ship, don't die
-                    payload = (key, "error", f"{type(exc).__name__}: {exc}")
-                try:
-                    conn.send(payload)
-                except Exception as exc:  # noqa: BLE001 - e.g. unpicklable result
-                    conn.send((key, "error", f"result not serializable: {exc}"))
+            try:
+                answer = ("ok", target(worker_id, message[0], context))
+            except BaseException as exc:  # noqa: BLE001 - ship, don't die
+                answer = ("error", f"{type(exc).__name__}: {exc}")
+            try:
+                conn.send(answer)
+            except Exception as exc:  # noqa: BLE001 - e.g. unpicklable result
+                conn.send(("error", f"result not serializable: {exc}"))
     except (EOFError, KeyboardInterrupt):  # parent went away
         pass
     finally:
@@ -259,7 +307,7 @@ def _process_worker_main(conn, target, context, worker_id: int) -> None:
 class _ProcessWorker:
     """Parent-side handle of one spawned worker process."""
 
-    __slots__ = ("worker_id", "process", "conn", "outstanding")
+    __slots__ = ("worker_id", "process", "conn", "held")
 
     def __init__(self, ctx, spec: ProcessWorkerSpec, worker_id: int) -> None:
         self.worker_id = worker_id
@@ -273,23 +321,17 @@ class _ProcessWorker:
         self.process.start()
         child_conn.close()
         self.conn = parent_conn
-        #: key -> job for every dispatched-but-unanswered job.  Results
-        #: stream back per job, so a crash costs exactly the unanswered
-        #: slice of the last batch — with ``batch_size=1`` that is the
-        #: classic exactly-one-job guarantee.
-        self.outstanding: dict[int, _t.Any] = {}
+        #: ``(key, job)`` of the dispatched-but-unanswered job, or None
+        #: when idle: one job per message, so a crash costs exactly it.
+        self.held: _t.Optional[tuple[int, _t.Any]] = None
 
-    @property
-    def busy(self) -> bool:
-        return bool(self.outstanding)
-
-    def send_batch(self, batch: list[tuple[int, _t.Any]]) -> None:
+    def send(self, key: int, job: _t.Any) -> None:
         # ``Connection.send`` pickles the whole message before it writes
-        # a byte, so a batch that fails to pickle never reached the
+        # a byte, so a job that fails to pickle never reached the
         # worker: recording it first would leave an idle worker marked
         # busy, and the next ``run`` waiting on it forever.
-        self.conn.send(batch)
-        self.outstanding.update(batch)
+        self.conn.send((job,))
+        self.held = (key, job)
 
     def shut_down(self) -> None:
         try:
@@ -317,17 +359,17 @@ class _ProcessWorker:
 
 
 class ProcessPool:
-    """A warm, reusable fleet of spawn-started worker processes.
+    """A warm, reusable fleet of spawn-started worker processes — the
+    ``processes`` lane of :class:`Fleet`.
 
     Spawning an interpreter and re-importing the target costs far more
     than most individual jobs, so the pool keeps its workers alive
     between :meth:`run` calls: callers issuing several waves of jobs
     (a campaign's main pass followed by its flake-detection reruns,
-    successive fuzz generations) reuse the same warm interpreters
-    instead of paying the spawn tax per wave.  Dispatch is batched —
-    up to ``batch_size`` jobs per pipe message — amortizing
-    pickle/pipe round-trips for cheap jobs, while results still stream
-    back one per job so crash attribution and fail-fast stay precise.
+    an exploration's waves) reuse the same warm interpreters instead
+    of paying the spawn tax per wave.  One job travels per pipe
+    message and one result streams back per job, so crash attribution
+    and fail-fast are exact.
 
     The pool is also the shutdown-hardening point: :meth:`close` asks
     every worker to exit, joins within a bounded timeout, and escalates
@@ -335,22 +377,13 @@ class ProcessPool:
     the parent on exit.
     """
 
-    def __init__(
-        self,
-        spec: ProcessWorkerSpec,
-        size: int,
-        *,
-        batch_size: int = 1,
-    ) -> None:
+    def __init__(self, spec: ProcessWorkerSpec, size: int) -> None:
         import multiprocessing
 
         if size < 1:
             raise CampaignError(f"pool size must be >= 1, got {size}")
-        if batch_size < 1:
-            raise CampaignError(f"batch_size must be >= 1, got {batch_size}")
         self.spec = spec
         self.size = size
-        self.batch_size = batch_size
         self._ctx = multiprocessing.get_context(START_METHOD)
         self._workers: list[_ProcessWorker] = []
         self._next_id = 0
@@ -373,14 +406,6 @@ class ProcessPool:
         self._workers.append(worker)
         return worker
 
-    def _crash_result(self, job: _t.Any, detail: str) -> _t.Any:
-        if self.spec.on_crash is None:
-            raise CampaignError(
-                f"fleet worker process died ({detail}) and no on_crash"
-                " handler was provided"
-            )
-        return self.spec.on_crash(job, detail)
-
     def run(
         self,
         jobs: _t.Sequence[J],
@@ -390,10 +415,10 @@ class ProcessPool:
         """Drain ``jobs`` through the pool; results keyed by position.
 
         Workers survive the call: a subsequent :meth:`run` reuses them
-        warm.  A worker whose pipe hits EOF mid-batch died holding
-        exactly its unanswered jobs; those become ``on_crash`` results
-        and — while undispatched work remains — a replacement worker is
-        spawned, keeping the pool at full strength.
+        warm.  A worker whose pipe hits EOF died holding exactly its
+        unanswered job; that becomes an ``on_crash`` result and — while
+        undispatched work remains — a replacement worker is spawned,
+        keeping the pool at full strength.
         """
         from multiprocessing.connection import wait as _wait_connections
 
@@ -406,67 +431,59 @@ class ProcessPool:
         stopping = False
 
         # Cull workers that died while idle between runs, and any still
-        # holding jobs of a run that raised (their late answers would
-        # be keyed into this run's positions), then bring the pool up
-        # to strength (never more workers than jobs).
+        # holding a job of a run that raised (its late answer would be
+        # keyed into this run's positions), then bring the pool up to
+        # strength (never more workers than jobs).
         for worker in list(self._workers):
-            if worker.busy or not worker.process.is_alive():
+            if worker.held is not None or not worker.process.is_alive():
                 worker.reap(timeout=0.1)
                 self._workers.remove(worker)
         while len(self._workers) < min(self.size, len(jobs)):
             self._spawn()
 
-        def dispatch(worker: _ProcessWorker) -> None:
-            batch = []
-            while queue and len(batch) < self.batch_size:
-                batch.append(queue.popleft())
-            if batch:
-                worker.send_batch(batch)
-
         for worker in self._workers:
-            if queue and not worker.busy:
-                dispatch(worker)
+            if queue:
+                worker.send(*queue.popleft())
 
-        while any(worker.busy for worker in self._workers):
-            ready = _wait_connections(
-                [worker.conn for worker in self._workers if worker.busy]
-            )
-            for worker in list(self._workers):
-                if worker.conn not in ready or not worker.busy:
+        while True:
+            busy = [worker for worker in self._workers if worker.held is not None]
+            if not busy:
+                return results
+            ready = _wait_connections([worker.conn for worker in busy])
+            for worker in busy:
+                if worker.conn not in ready:
                     continue
+                key, job = worker.held
+                worker.held = None
                 try:
-                    key, kind, payload = worker.conn.recv()
+                    kind, payload = worker.conn.recv()
                 except (EOFError, OSError):
-                    # The child died holding the unanswered slice of its
-                    # batch: fail those jobs, replace the worker while
-                    # there is still work left to do.  EOF can precede
-                    # the child becoming reapable, so give it a moment
-                    # or the exit code reads as None.
+                    # The child died holding this job: fail it, replace
+                    # the worker while there is still work left to do.
+                    # EOF can precede the child becoming reapable, so
+                    # give it a moment or the exit code reads as None.
                     worker.process.join(timeout=1.0)
                     exitcode = worker.process.exitcode
-                    detail = f"worker process exited with code {exitcode}"
-                    for lost_key, lost_job in worker.outstanding.items():
-                        results[lost_key] = self._crash_result(lost_job, detail)
-                    worker.outstanding.clear()
+                    results[key] = self.spec.crash_result(
+                        job, f"worker process exited with code {exitcode}"
+                    )
                     worker.reap(timeout=1.0)
                     self._workers.remove(worker)
                     if queue and not stopping:
-                        dispatch(self._spawn())
+                        self._spawn().send(*queue.popleft())
                     continue
-                job = worker.outstanding.pop(key)
                 if kind == "ok":
                     results[key] = payload
                 else:
-                    results[key] = self._crash_result(job, payload)
+                    results[key] = self.spec.crash_result(job, payload)
                 if (
                     not stopping
                     and stop_when is not None
                     and stop_when(results[key])
                 ):
                     stopping = True
-                if not worker.busy and queue and not stopping:
-                    dispatch(worker)
-        return results
+                if queue and not stopping:
+                    worker.send(*queue.popleft())
 
     def close(self, timeout: float = 5.0) -> None:
         """Shut the pool down, hard-bounded in wall-clock time.

@@ -11,21 +11,22 @@ store, no agent state — so an outcome depends only on
 how many workers ran, or in what order the queue drained.  That is the
 determinism contract the campaign tests pin.
 
-Workers come from the shared fleet (:mod:`repro.campaign.fleet`) and
-run on one of two backends.  ``threads`` (the default) pays no
-serialization cost and overlaps everything that waits on the wall
-clock — the per-recipe ``pacing`` floor (modeling campaigns against
-live deployments, where an experiment occupies a test slot for real
-time — fault windows, log settling) and, in real-world embeddings,
-operator-supplied I/O — but the simulated control/data plane is pure
-CPU, so under the GIL threads cannot speed up compute-bound suites.
-``processes`` runs each recipe in an isolated spawn-started
-interpreter: the planned entry (+ seed) is pickled to the worker and
-the outcome ships back as its compact dict form, which is what lets a
-CPU-bound campaign scale across cores and lets a crashed worker be
-replaced without losing more than the one job it held.  Outcomes are
-bit-for-bit identical across backends and worker counts — the
-determinism contract the campaign tests pin.
+Workers come from the shared :class:`~repro.campaign.fleet.Fleet`,
+held open for the whole run (main pass, then flake reruns), on one of
+two backends.  ``threads`` (the default) pays no serialization cost
+and overlaps everything that waits on the wall clock — the per-recipe
+``pacing`` floor (modeling campaigns against live deployments, where
+an experiment occupies a test slot for real time — fault windows, log
+settling) and, in real-world embeddings, operator-supplied I/O — but
+the simulated control/data plane is pure CPU, so under the GIL threads
+cannot speed up compute-bound suites.  ``processes`` runs each recipe
+in an isolated spawn-started interpreter: the executor is pickled to
+each worker once, each planned entry (+ seed) is pickled out and its
+outcome pickled back, which is what lets a CPU-bound campaign scale
+across cores and lets a crashed worker be replaced without losing more
+than the one job it held.  Both lanes run the same job function on the
+same executor; outcomes are bit-for-bit identical across backends and
+worker counts — the determinism contract the campaign tests pin.
 
 Guard rails: a per-recipe wall-clock ``timeout`` is enforced
 cooperatively by slicing the virtual-time run loop (the kernel's
@@ -37,28 +38,15 @@ seeds to separate *broken* behaviour (fails under every seed) from
 
 from __future__ import annotations
 
-import copy
-import dataclasses
 import pickle
 import threading
 import time
 import typing as _t
 
 from repro.agent.rules import fresh_rule_ids
-from repro.campaign.fleet import (
-    BACKENDS,
-    ProcessPool,
-    ProcessWorkerSpec,
-    resolve_workers,
-    run_fleet,
-)
+from repro.campaign.fleet import Fleet, ProcessWorkerSpec, resolve_workers
 from repro.campaign.plan import CampaignPlan, DeploymentFactory, PlannedRecipe, derive_seed
-from repro.campaign.results import (
-    CONCLUSIVE_FAILURES,
-    CampaignResult,
-    CheckOutcome,
-    RecipeOutcome,
-)
+from repro.campaign.results import CampaignResult, CheckOutcome, RecipeOutcome
 from repro.core.gremlin import Gremlin
 from repro.core.queries import QueryCache
 from repro.errors import CampaignError, CampaignTimeoutError
@@ -117,6 +105,11 @@ class RecipeExecutor:
         #: sleeping blind, so a conclusive failure elsewhere releases
         #: the worker immediately rather than after the pacing interval.
         self.stop_event = stop_event
+
+    def __getstate__(self) -> dict:
+        # The fail-fast event lives in the dispatching process; a copy
+        # pickled to a worker process pads its pacing floor blind.
+        return {**self.__dict__, "stop_event": None}
 
     def execute(
         self, planned: PlannedRecipe, seed: _t.Optional[int] = None
@@ -234,36 +227,25 @@ class RecipeExecutor:
             sim.run(until=sim.now + self.slice_virtual)
 
 
-def _process_execute(
+def _execute_job(
     worker_id: int,
     job: tuple[PlannedRecipe, _t.Optional[int]],
-    context: dict,
-) -> dict:
-    """Process-backend entry point: runs inside a worker interpreter.
-
-    Rebuilds an executor from the pickled context, runs one planned
-    recipe, and ships the outcome back in its compact serialized form
-    (checks, metrics snapshot, fault attributions — everything
-    :meth:`RecipeOutcome.to_dict` carries) for the parent to merge.
-    """
-    executor = RecipeExecutor(
-        context["factory"],
-        timeout=context["timeout"],
-        pacing=context["pacing"],
-        slice_virtual=context["slice_virtual"],
-    )
+    executor: RecipeExecutor,
+) -> RecipeOutcome:
+    """Fleet entry point, on either backend: run one planned recipe
+    (module-level, so it pickles to spawn-started workers)."""
     entry, seed = job
     outcome = executor.execute(entry, seed=seed)
     outcome.worker = worker_id
-    return outcome.to_dict()
+    return outcome
 
 
 def _crashed_outcome(
     job: tuple[PlannedRecipe, _t.Optional[int]], detail: str
-) -> dict:
-    """Parent-side conversion of a dead worker's job into a failed
-    outcome, so a crash is a reported result — never a hang and never a
-    silently missing plan entry."""
+) -> RecipeOutcome:
+    """Conversion of a job whose worker died (or whose execution
+    raised) into a failed outcome, so a crash is a reported result —
+    never a hang and never a silently missing plan entry."""
     entry, seed = job
     return RecipeOutcome(
         index=entry.index,
@@ -272,8 +254,8 @@ def _crashed_outcome(
         service=entry.service,
         seed=entry.seed if seed is None else seed,
         status="error",
-        error=f"worker process died: {detail}",
-    ).to_dict()
+        error=f"fleet job crashed: {detail}",
+    )
 
 
 class CampaignRunner:
@@ -307,11 +289,6 @@ class CampaignRunner:
         Flake detection: re-run each ``fail`` outcome this many times
         with perturbed seeds, classifying it ``flaky`` (passed at least
         once) or ``broken`` (failed every attempt).
-    batch_size:
-        Process backend only: how many recipes ship per worker
-        dispatch.  Batching amortizes the pickle/pipe round-trip when
-        recipes are cheap; results still stream back per recipe, so
-        crash attribution and fail-fast keep per-recipe precision.
     """
 
     def __init__(
@@ -325,16 +302,9 @@ class CampaignRunner:
         fail_fast: bool = False,
         rerun_failures: int = 0,
         slice_virtual: float = 60.0,
-        batch_size: int = 1,
     ) -> None:
-        if backend not in BACKENDS:
-            raise CampaignError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
         if rerun_failures < 0:
             raise CampaignError(f"rerun_failures must be >= 0, got {rerun_failures}")
-        if batch_size < 1:
-            raise CampaignError(f"batch_size must be >= 1, got {batch_size}")
         self.factory = factory
         self.workers = resolve_workers(workers)
         self.backend = backend
@@ -343,12 +313,6 @@ class CampaignRunner:
         self.fail_fast = fail_fast
         self.rerun_failures = rerun_failures
         self.slice_virtual = slice_virtual
-        self.batch_size = batch_size
-        #: Warm worker pool (processes backend): built lazily on the
-        #: first fleet wave of a run and reused by the flake-rerun
-        #: wave, so reruns skip the interpreter-spawn tax.  Closed at
-        #: the end of every :meth:`run`.
-        self._pool: _t.Optional[ProcessPool] = None
 
     def _executor(
         self, stop_event: _t.Optional[threading.Event] = None
@@ -361,12 +325,30 @@ class CampaignRunner:
             stop_event=stop_event,
         )
 
+    def _open_fleet(self) -> Fleet:
+        """The run's one fleet: every worker executes on the executor
+        :meth:`_executor` hands out, which under ``fail_fast`` pads its
+        pacing floor on the event the fleet sets when it stops."""
+        stop_event = threading.Event() if self.fail_fast else None
+        spec = ProcessWorkerSpec(
+            target=_execute_job,
+            context=self._executor(stop_event=stop_event),
+            on_crash=_crashed_outcome,
+        )
+        return Fleet(
+            spec, workers=self.workers, backend=self.backend, stop_event=stop_event
+        )
+
     def run(self, plan: CampaignPlan) -> CampaignResult:
         """Execute the whole plan; returns outcomes in plan order."""
         started = time.perf_counter()
-        try:
+        # One fleet for the run: the flake wave reuses the main wave's
+        # warm workers.
+        with self._open_fleet() as fleet:
             executed = self._run_fleet(
-                [(entry, None) for entry in plan.entries], fail_fast=self.fail_fast
+                fleet,
+                [(entry, None) for entry in plan.entries],
+                fail_fast=self.fail_fast,
             )
 
             outcomes: list[RecipeOutcome] = []
@@ -385,10 +367,7 @@ class CampaignRunner:
                 outcomes.append(outcome)
 
             if self.rerun_failures > 0:
-                # The flake wave reuses the main wave's warm workers.
-                self._detect_flakes(plan, outcomes)
-        finally:
-            self._close_pool()
+                self._detect_flakes(fleet, plan, outcomes)
 
         return CampaignResult(
             name=plan.name,
@@ -400,171 +379,31 @@ class CampaignRunner:
             rerun_failures=self.rerun_failures,
         )
 
-    def run_sharded(self, plan: CampaignPlan, shards: int) -> CampaignResult:
-        """Execute the plan as ``shards`` independent partitions run
-        concurrently, merging outcomes back into plan order.
-
-        Entries are dealt round-robin so every shard sees the same
-        priority mix, and each shard runs as its own sub-campaign —
-        own fleet (``workers // shards`` each, minimum one), own warm
-        pool, own flake reruns.  Outcomes are merged by plan index into
-        a single :class:`CampaignResult`, so scorecards and reports
-        aggregate across shards exactly as for an unsharded run.
-        Determinism holds: per-recipe seeds derive from the campaign
-        seed and recipe name alone, so sharding changes which fleet ran
-        a recipe, never its outcome.  ``fail_fast`` applies within each
-        shard independently (a failure stops that shard's dispatching;
-        sibling shards run to completion).
-        """
-        if shards < 1:
-            raise CampaignError(f"shards must be >= 1, got {shards}")
-        shards = min(shards, len(plan.entries)) if plan.entries else 1
-        if shards <= 1:
-            return self.run(plan)
-        started = time.perf_counter()
-        partitions = [plan.entries[offset::shards] for offset in range(shards)]
-        shard_workers = max(1, self.workers // shards)
-        results: list[_t.Optional[CampaignResult]] = [None] * shards
-        errors: list[BaseException] = []
-
-        def run_shard(position: int) -> None:
-            sub_plan = dataclasses.replace(
-                plan,
-                name=f"{plan.name}[shard {position + 1}/{shards}]",
-                entries=partitions[position],
-            )
-            # A shallow copy inherits the full configuration (and any
-            # subclass behaviour); each shard just gets its slice of
-            # the worker budget and its own warm pool.
-            runner = copy.copy(self)
-            runner.workers = shard_workers
-            runner._pool = None
-            try:
-                results[position] = runner.run(sub_plan)
-            except BaseException as exc:  # noqa: BLE001 - reraised in parent
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(
-                target=run_shard, args=(position,),
-                name=f"campaign-shard-{position}", daemon=True,
-            )
-            for position in range(shards)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        outcomes = [
-            outcome for result in results for outcome in result.outcomes
-        ]
-        outcomes.sort(key=lambda outcome: outcome.index)
-        return CampaignResult(
-            name=plan.name,
-            app=plan.app,
-            seed=plan.seed,
-            workers=self.workers,
-            outcomes=outcomes,
-            wall_time=time.perf_counter() - started,
-            rerun_failures=self.rerun_failures,
-        )
-
-    # -- fleet mechanics ---------------------------------------------------------
-
+    @staticmethod
     def _run_fleet(
-        self,
+        fleet: Fleet,
         jobs: _t.Sequence[tuple[PlannedRecipe, _t.Optional[int]]],
         fail_fast: bool = False,
     ) -> dict[int, RecipeOutcome]:
-        """Drain ``(entry, seed_override)`` jobs through the worker
-        fleet; returns outcomes keyed by job *position* (not plan
-        index — flake reruns submit the same entry several times)."""
-        if self.backend == "processes":
-            return self._run_process_fleet(jobs, fail_fast)
-        executors: dict[int, RecipeExecutor] = {}
-        stop_signal = threading.Event()
-
-        def execute(worker_id: int, job: tuple[PlannedRecipe, _t.Optional[int]]) -> RecipeOutcome:
-            # One executor per worker thread (run_fleet calls a given
-            # worker_id from one thread only, so no lock is needed).
-            executor = executors.get(worker_id)
-            if executor is None:
-                executor = executors[worker_id] = self._executor(
-                    stop_event=stop_signal if fail_fast else None
-                )
-            entry, seed = job
-            outcome = executor.execute(entry, seed=seed)
-            outcome.worker = worker_id
-            return outcome
-
-        return run_fleet(
-            jobs,
-            execute,
-            workers=self.workers,
-            stop_when=(lambda outcome: outcome.conclusive_failure) if fail_fast else None,
-            stop_signal=stop_signal,
-        )
-
-    def _run_process_fleet(
-        self,
-        jobs: _t.Sequence[tuple[PlannedRecipe, _t.Optional[int]]],
-        fail_fast: bool,
-    ) -> dict[int, RecipeOutcome]:
-        """Drain the same jobs through spawn-isolated worker processes.
-
-        Each job pickles ``(PlannedRecipe, seed_override)`` out to a
-        worker and gets back the outcome's compact dict form; the merge
-        back into :class:`RecipeOutcome` happens here, so callers see
-        identical objects whichever backend ran the campaign.  The
-        worker pool is kept warm between waves of the same run (main
-        pass, then flake reruns) and closed when the run finishes.
-        """
-        if self._pool is None:
-            spec = ProcessWorkerSpec(
-                target=_process_execute,
-                context={
-                    "factory": self.factory,
-                    "timeout": self.timeout,
-                    "pacing": self.pacing,
-                    "slice_virtual": self.slice_virtual,
-                },
-                on_crash=_crashed_outcome,
-            )
-            self._pool = ProcessPool(
-                spec, size=self.workers, batch_size=self.batch_size
-            )
+        """Drain ``(entry, seed_override)`` jobs through the fleet;
+        returns outcomes keyed by job *position* (not plan index — flake
+        reruns submit the same entry several times)."""
         try:
-            raw = self._pool.run(
+            return fleet.run(
                 jobs,
                 stop_when=(
-                    (lambda doc: doc["status"] in CONCLUSIVE_FAILURES)
-                    if fail_fast
-                    else None
+                    (lambda outcome: outcome.conclusive_failure) if fail_fast else None
                 ),
             )
         except (TypeError, AttributeError, pickle.PicklingError) as exc:
-            self._close_pool()
             raise CampaignError(
                 "the processes backend pickles the deployment factory and"
                 " plan entries to its workers; use a module-level factory"
                 f" (not a lambda/closure): {exc}"
             ) from exc
-        return {
-            position: RecipeOutcome.from_dict(doc) for position, doc in raw.items()
-        }
-
-    def _close_pool(self) -> None:
-        """Tear down the warm worker pool (hardened: join with timeout,
-        then terminate/kill stragglers).  Safe to call when no pool was
-        ever built."""
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
-            pool.close()
 
     def _detect_flakes(
-        self, plan: CampaignPlan, outcomes: list[RecipeOutcome]
+        self, fleet: Fleet, plan: CampaignPlan, outcomes: list[RecipeOutcome]
     ) -> None:
         """Re-run every ``fail`` outcome ``rerun_failures`` times with
         perturbed seeds and classify it broken vs flaky in place."""
@@ -579,7 +418,7 @@ class CampaignRunner:
             for attempt in range(1, self.rerun_failures + 1):
                 jobs.append((entry, derive_seed(plan.seed, entry.name, attempt)))
                 owners.append(outcome)
-        rerun = self._run_fleet(jobs)
+        rerun = self._run_fleet(fleet, jobs)
         for position, owner in enumerate(owners):
             attempt_outcome = rerun.get(position)
             owner.attempts.append(

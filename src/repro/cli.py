@@ -56,11 +56,13 @@ from repro.apps import (
     build_wordpress_app,
 )
 from repro.campaign import (
+    BACKENDS,
     CampaignRunner,
     diff_campaigns,
     dump_jsonl,
     load_jsonl,
     plan_campaign,
+    resolve_workers,
 )
 from repro.core import (
     Crash,
@@ -345,20 +347,14 @@ def _plan_from_args(args: argparse.Namespace):
     return factory, plan
 
 
-def _workers_arg(value: str) -> _t.Union[int, str]:
-    """argparse type for ``--workers``: a positive int or ``auto``
-    (one worker per CPU core, resolved by the fleet)."""
-    if value == "auto":
-        return value
+def _workers_arg(value: str) -> int:
+    """argparse type for ``--workers``: a positive int, or ``auto`` for
+    one worker per usable CPU — the fleet's own validation, surfaced as
+    a usage error."""
     try:
-        workers = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {value!r}"
-        ) from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {workers}")
-    return workers
+        return resolve_workers(value)
+    except CampaignError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def cmd_campaign_run(args: argparse.Namespace) -> int:
@@ -371,14 +367,10 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         pacing=args.pacing,
         fail_fast=args.fail_fast,
         rerun_failures=args.rerun,
-        batch_size=args.batch_size,
     )
     if not args.json:
         print(plan.summary())
-    if args.shards > 1:
-        result = runner.run_sharded(plan, shards=args.shards)
-    else:
-        result = runner.run(plan)
+    result = runner.run(plan)
     if args.out:
         dump_jsonl(result, args.out)
     if args.metrics_out:
@@ -413,7 +405,6 @@ def cmd_campaign_smoke(args: argparse.Namespace) -> int:
         backend=args.backend,
         timeout=args.timeout,
         rerun_failures=1,
-        batch_size=args.batch_size,
     )
     result = runner.run(plan)
     broken_wiring = [
@@ -462,7 +453,6 @@ def cmd_fuzz_run(args: argparse.Namespace) -> int:
         app_registry=APPS,
         artifacts_dir=args.artifacts,
         shrink_failures=not args.no_shrink,
-        batch_size=args.batch_size,
     )
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -553,7 +543,6 @@ def cmd_fuzz_explore(args: argparse.Namespace) -> int:
             strategy=args.strategy,
             workers=args.workers,
             backend=args.backend,
-            batch_size=args.batch_size,
         )
         reports.append(result.report)
         if args.report_out:
@@ -707,18 +696,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--backend",
-            choices=("threads", "processes"),
+            choices=BACKENDS,
             default="threads",
             help="worker backend: threads (no serialization, overlaps paced"
-            " recipes) or processes (spawn-isolated interpreters;"
+            " jobs) or processes (spawn-isolated interpreters;"
             " parallelizes CPU-bound suites across cores)",
-        )
-        p.add_argument(
-            "--batch-size",
-            type=int,
-            default=1,
-            help="processes backend: recipes shipped per worker dispatch"
-            " (amortizes pickle/pipe round-trips for cheap recipes)",
         )
 
     run_parser = campaign_sub.add_parser(
@@ -740,13 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="reseeded reruns per failed recipe (flake detection; 0 disables)",
-    )
-    run_parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="split the plan into N independent round-robin shards run"
-        " concurrently; outcomes merge back into one scorecard",
     )
     run_parser.add_argument("--fail-fast", action="store_true")
     run_parser.add_argument("--out", default=None, help="dump result JSON-lines here")
@@ -800,24 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_run.add_argument("--seed", type=int, default=0, help="corpus master seed")
     fuzz_run.add_argument("--cases", type=int, default=100, help="corpus size")
-    fuzz_run.add_argument(
-        "--workers",
-        type=_workers_arg,
-        default="auto",
-        help="parallel fleet size, or 'auto' for one worker per usable CPU",
-    )
-    fuzz_run.add_argument(
-        "--backend",
-        choices=("threads", "processes"),
-        default="threads",
-        help="worker backend: threads or spawn-isolated processes",
-    )
-    fuzz_run.add_argument(
-        "--batch-size",
-        type=int,
-        default=1,
-        help="processes backend: cases shipped per worker dispatch",
-    )
+    add_fleet_args(fuzz_run, default_workers="auto")
     fuzz_run.add_argument(
         "--artifacts",
         default=None,
@@ -882,21 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="export bug-finding coordinates as a campaign-loadable"
         ' recipe suite JSON (with app "all", one file per app)',
     )
-    fuzz_explore.add_argument(
-        "--workers", default="1", help='fleet size (int or "auto")'
-    )
-    fuzz_explore.add_argument(
-        "--backend",
-        choices=("threads", "processes"),
-        default="threads",
-        help="fleet backend executing fault waves",
-    )
-    fuzz_explore.add_argument(
-        "--batch-size",
-        type=int,
-        default=1,
-        help="tasks per process-backend dispatch",
-    )
+    add_fleet_args(fuzz_explore, default_workers=1)
     fuzz_explore.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )

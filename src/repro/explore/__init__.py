@@ -31,7 +31,13 @@ from repro.explore.coords import (
     enumerate_space,
     fault_primitives,
 )
-from repro.explore.executor import ExploreOutcome, ExploreTask, execute_task, run_wave
+from repro.explore.executor import (
+    ExploreOutcome,
+    ExploreTask,
+    execute_task,
+    run_wave,
+    task_fleet,
+)
 from repro.explore.frontier import Frontier
 from repro.explore.report import BugFinding, CoverageReport
 from repro.explore.runner import (
@@ -71,4 +77,5 @@ __all__ = [
     "run_explore",
     "run_wave",
     "scenario_specs",
+    "task_fleet",
 ]

@@ -26,9 +26,9 @@ import typing as _t
 
 from repro.agent.rules import fresh_rule_ids
 from repro.apps.outages import SEEDED_BUG_SUITE, SeededBugManifest
-from repro.campaign.fleet import BACKENDS, ProcessWorkerSpec, run_fleet
+from repro.campaign.fleet import Fleet, ProcessWorkerSpec
 from repro.core.gremlin import Gremlin
-from repro.errors import ExploreError, GremlinError
+from repro.errors import ExploreError
 from repro.fuzz.differential import shape_digests_of
 from repro.fuzz.spec import SOURCE_NAME, build_scenario
 from repro.loadgen import ClosedLoopLoad
@@ -38,6 +38,7 @@ __all__ = [
     "ExploreTask",
     "execute_task",
     "run_wave",
+    "task_fleet",
 ]
 
 
@@ -155,61 +156,38 @@ def execute_task(task: ExploreTask) -> ExploreOutcome:
     )
 
 
-def _error_outcome(key: str, detail: str) -> ExploreOutcome:
+def _run_task(worker_id: int, task: ExploreTask, context: None) -> ExploreOutcome:
+    """Fleet entry point (module-level: pickles to spawn workers)."""
+    return execute_task(task)
+
+
+def _failed_task(task: ExploreTask, detail: str) -> ExploreOutcome:
+    """The fleet's ``on_crash``: a task that raised, or whose worker
+    died, is an error outcome — the exploration loop never sees a raise."""
     return ExploreOutcome(
-        key=key, verdicts=[], shapes=[], digest="", records=0, error=detail
+        key=task.key, verdicts=[], shapes=[], digest="", records=0, error=detail
     )
 
 
-def _process_task(
-    worker_id: int, task: ExploreTask, context: _t.Optional[_t.Mapping]
-) -> ExploreOutcome:
-    """Fleet entry point (module-level: pickles to spawn workers)."""
-    try:
-        return execute_task(task)
-    except Exception as exc:  # noqa: BLE001 - fleet contract: never raise
-        return _error_outcome(task.key, f"{type(exc).__name__}: {exc}")
+def task_fleet(
+    *, workers: _t.Union[int, str] = 1, backend: str = "threads"
+) -> Fleet:
+    """The fleet that executes exploration tasks; hold it open across
+    waves so process workers stay warm."""
+    return Fleet(
+        ProcessWorkerSpec(target=_run_task, on_crash=_failed_task),
+        workers=workers,
+        backend=backend,
+    )
 
 
-def _crashed_task(task: ExploreTask, detail: str) -> ExploreOutcome:
-    return _error_outcome(task.key, f"worker process died: {detail}")
-
-
-def run_wave(
-    tasks: _t.Sequence[ExploreTask],
-    *,
-    workers: _t.Union[int, str] = 1,
-    backend: str = "threads",
-    batch_size: int = 1,
-) -> _t.List[ExploreOutcome]:
-    """Execute one wave of tasks on the fleet, results in task order.
+def run_wave(tasks: _t.Sequence[ExploreTask], fleet: Fleet) -> _t.List[ExploreOutcome]:
+    """Execute one wave of tasks on ``fleet``, results in task order.
 
     The wave is the exploration loop's unit of parallelism: its size is
-    fixed by the caller (never derived from ``workers``), and results
-    are consumed in dispatch order, so frontier decisions are identical
-    at any parallelism level on either backend.
+    fixed by the caller (never derived from the fleet's size), and
+    results are consumed in dispatch order, so frontier decisions are
+    identical at any parallelism level on either backend.
     """
-    if backend not in BACKENDS:
-        raise GremlinError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if not tasks:
-        return []
-    if backend == "processes":
-        results = run_fleet(
-            list(tasks),
-            None,
-            workers=workers,
-            backend="processes",
-            process_spec=ProcessWorkerSpec(
-                target=_process_task, context=None, on_crash=_crashed_task
-            ),
-            batch_size=batch_size,
-        )
-    else:
-        results = run_fleet(
-            list(tasks),
-            lambda worker_id, task: _process_task(worker_id, task, None),
-            workers=workers,
-        )
+    results = fleet.run(tasks)
     return [results[position] for position in range(len(tasks))]

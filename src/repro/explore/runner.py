@@ -11,8 +11,9 @@
    single-invocation coordinates, ordered by the
    :class:`~repro.explore.frontier.Frontier` heuristic (or by a seeded
    shuffle for the ``random`` baseline strategy).
-3. **Execute in waves** — fixed-size waves go through the campaign
-   fleet (threads or spawn-isolated processes); outcomes are consumed
+3. **Execute in waves** — fixed-size waves go through one campaign
+   fleet held open for the whole run (threads, or spawn-isolated
+   processes that stay warm from wave to wave); outcomes are consumed
    in dispatch order, so the loop's decisions are identical at any
    worker count on either backend.
 4. **Learn** — new trace shapes boost their neighborhood, no-effect
@@ -39,7 +40,7 @@ from repro.explore.coords import (
     enumerate_space,
     fault_primitives,
 )
-from repro.explore.executor import ExploreTask, run_wave
+from repro.explore.executor import ExploreTask, run_wave, task_fleet
 from repro.explore.frontier import Frontier
 from repro.explore.report import BugFinding, CoverageReport
 from repro.fuzz.differential import shape_digests_of
@@ -188,7 +189,6 @@ def run_explore(
     strategy: str = "prioritized",
     workers: _t.Union[int, str] = 1,
     backend: str = "threads",
-    batch_size: int = 1,
     matcher_strategy: str = "table",
     scheduler: _t.Optional[str] = None,
     stop_when_found: bool = False,
@@ -208,6 +208,9 @@ def run_explore(
     if budget < 1:
         raise ExploreError(f"budget must be >= 1, got {budget}")
     manifest = _manifest(app)
+    # Rejects a bad workers/backend before the discovery run is paid
+    # for; no worker starts until the first wave.
+    fleet = task_fleet(workers=workers, backend=backend)
     space = discover_space(
         app, seed=seed, matcher_strategy=matcher_strategy, scheduler=scheduler
     )
@@ -235,65 +238,61 @@ def run_explore(
         del schedule[:size]
         return wave
 
-    while len(executed) < budget:
-        if stop_when_found and planted and found >= planted:
-            break
-        wave = next_wave(min(WAVE_SIZE, budget - len(executed)))
-        if not wave:
-            break
-        tasks = [
-            ExploreTask(
-                app=app,
-                seed=seed,
-                key=coordinate.key(),
-                scenarios=tuple(scenario_specs(coordinate, manifest)),
-                matcher_strategy=matcher_strategy,
-                scheduler=scheduler,
-            )
-            for coordinate in wave
-        ]
-        outcomes = run_wave(
-            tasks,
-            workers=workers,
-            backend=backend,
-            batch_size=batch_size,
-        )
-        for coordinate, outcome in zip(wave, outcomes):
-            executed.append((outcome.key, outcome.digest))
-            if not outcome.ok:
-                errors.append((outcome.key, outcome.error or "unknown"))
-                continue
-            new_bugs = sorted(manifest.bugs_found(outcome.verdicts) - found)
-            if new_bugs:
-                failed = tuple(
-                    name
-                    for name, passed, inconclusive in outcome.verdicts
-                    if not passed and not inconclusive
+    with fleet:
+        while len(executed) < budget:
+            if stop_when_found and planted and found >= planted:
+                break
+            wave = next_wave(min(WAVE_SIZE, budget - len(executed)))
+            if not wave:
+                break
+            tasks = [
+                ExploreTask(
+                    app=app,
+                    seed=seed,
+                    key=coordinate.key(),
+                    scenarios=tuple(scenario_specs(coordinate, manifest)),
+                    matcher_strategy=matcher_strategy,
+                    scheduler=scheduler,
                 )
-                for bug_id in new_bugs:
-                    found.add(bug_id)
-                    findings.append(
-                        BugFinding(
-                            bug_id=bug_id,
-                            coordinate=outcome.key,
-                            execution_index=len(executed),
-                            failed_checks=failed,
-                        )
+                for coordinate in wave
+            ]
+            outcomes = run_wave(tasks, fleet)
+            for coordinate, outcome in zip(wave, outcomes):
+                executed.append((outcome.key, outcome.digest))
+                if not outcome.ok:
+                    errors.append((outcome.key, outcome.error or "unknown"))
+                    continue
+                new_bugs = sorted(manifest.bugs_found(outcome.verdicts) - found)
+                if new_bugs:
+                    failed = tuple(
+                        name
+                        for name, passed, inconclusive in outcome.verdicts
+                        if not passed and not inconclusive
                     )
-                if planted and found >= planted and executions_to_all is None:
-                    executions_to_all = len(executed)
+                    for bug_id in new_bugs:
+                        found.add(bug_id)
+                        findings.append(
+                            BugFinding(
+                                bug_id=bug_id,
+                                coordinate=outcome.key,
+                                execution_index=len(executed),
+                                failed_checks=failed,
+                            )
+                        )
+                    if planted and found >= planted and executions_to_all is None:
+                        executions_to_all = len(executed)
+                    if frontier is not None:
+                        # Masking: a confirmed failure here already
+                        # surfaces anything a deeper fault on this path
+                        # could show — drop those candidates.
+                        frontier.prune_masked(coordinate)
+                fresh = set(outcome.shapes) - known_shapes
                 if frontier is not None:
-                    # Masking: a confirmed failure here already
-                    # surfaces anything a deeper fault on this path
-                    # could show — drop those candidates.
-                    frontier.prune_masked(coordinate)
-            fresh = set(outcome.shapes) - known_shapes
-            if frontier is not None:
-                if fresh:
-                    frontier.boost_neighborhood(coordinate)
-                elif not new_bugs:
-                    frontier.defer_edge(coordinate)
-            known_shapes.update(fresh)
+                    if fresh:
+                        frontier.boost_neighborhood(coordinate)
+                    elif not new_bugs:
+                        frontier.defer_edge(coordinate)
+                known_shapes.update(fresh)
 
     pruned = list(frontier.pruned) if frontier is not None else []
     report = CoverageReport(

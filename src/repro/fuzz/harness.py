@@ -2,14 +2,15 @@
 
 :func:`run_fuzz` drives a whole corpus — ``FuzzGenerator(seed)`` case
 by case — through the differential battery on the shared campaign
-worker fleet (:func:`~repro.campaign.fleet.run_fleet`), shrinks every
+worker fleet (:class:`~repro.campaign.fleet.Fleet`), shrinks every
 failing case to its minimal form, and writes one JSON repro artifact
 per failure.  Both fleet backends are supported: ``threads`` (default)
 runs cases in-process; ``processes`` pickles each
 :class:`~repro.fuzz.spec.FuzzCase` to a spawn-isolated worker
 interpreter and ships the :class:`~repro.fuzz.differential.CaseReport`
 back, which parallelizes the CPU-bound battery across cores.  The
-report is identical across backends and worker counts.  An artifact is self-contained: it embeds the full case
+report is identical across backends and worker counts.  An artifact is
+self-contained: it embeds the full case
 spec (topology, scenarios, checks, workload, deployment seed) plus the
 expected mismatch kinds and trace digest, so
 :func:`replay_artifact` can re-execute it bit-for-bit on any machine
@@ -24,7 +25,7 @@ import os
 import time
 import typing as _t
 
-from repro.campaign.fleet import BACKENDS, ProcessWorkerSpec, run_fleet
+from repro.campaign.fleet import Fleet, ProcessWorkerSpec
 from repro.errors import GremlinError
 from repro.fuzz.differential import CaseReport, run_case
 from repro.fuzz.generator import FuzzGenerator
@@ -94,11 +95,11 @@ class FuzzReport:
 def _process_case(
     worker_id: int, case: FuzzCase, context: _t.Optional[_t.Mapping]
 ) -> CaseReport:
-    """Process-backend entry point: run one case in a worker interpreter.
+    """Fleet entry point, on either backend: run one case.
 
-    ``context`` is the (pickled) app registry; the returned
-    :class:`CaseReport` is plain data, so it ships back to the parent
-    unchanged — the fuzz verdict cannot depend on the backend.
+    ``context`` is the app registry (pickled, on the process lane); the
+    returned :class:`CaseReport` is plain data, so it ships back to the
+    parent unchanged — the fuzz verdict cannot depend on the backend.
     """
     try:
         return run_case(case, app_registry=context)
@@ -111,11 +112,11 @@ def _process_case(
 
 
 def _crashed_case(case: FuzzCase, detail: str) -> CaseReport:
-    """Parent-side conversion of a dead worker's case into a failing
-    report, keeping the corpus fully accounted for."""
+    """Conversion of a case whose worker died into a failing report,
+    keeping the corpus fully accounted for."""
     report = CaseReport(case=case, digest="")
     report.mismatches.append(
-        {"kind": "harness/crash", "detail": f"worker process died: {detail}"}
+        {"kind": "harness/crash", "detail": f"fleet job crashed: {detail}"}
     )
     return report
 
@@ -129,40 +130,22 @@ def run_fuzz(
     app_registry: _t.Optional[_t.Mapping] = None,
     artifacts_dir: _t.Optional[str] = None,
     shrink_failures: bool = True,
-    batch_size: int = 1,
 ) -> FuzzReport:
     """Run the first ``cases`` cases of ``seed``'s corpus.
 
     Case generation, execution, and shrinking are all derived from
     ``seed`` alone, so the report is identical across machines, worker
-    counts, fleet backends, and dispatch batch sizes.
-    ``backend="processes"`` requires a picklable ``app_registry``
-    (module-level builders, not lambdas); ``batch_size`` ships that
-    many cases per worker dispatch to amortize pickle/pipe round-trips.
+    counts, and fleet backends.  ``backend="processes"`` requires a
+    picklable ``app_registry`` (module-level builders, not lambdas).
     """
-    if backend not in BACKENDS:
-        raise GremlinError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     started = time.perf_counter()
-    generator = FuzzGenerator(seed, app_registry=app_registry)
-    corpus = generator.generate(cases)
-
-    def execute(worker_id: int, case: FuzzCase) -> CaseReport:
-        return _process_case(worker_id, case, app_registry)
-
-    if backend == "processes":
-        registry = dict(app_registry) if app_registry is not None else None
-        results = run_fleet(
-            corpus,
-            None,
-            workers=workers,
-            backend="processes",
-            process_spec=ProcessWorkerSpec(
-                target=_process_case, context=registry, on_crash=_crashed_case
-            ),
-            batch_size=batch_size,
-        )
-    else:
-        results = run_fleet(corpus, execute, workers=workers)
+    registry = dict(app_registry) if app_registry is not None else None
+    spec = ProcessWorkerSpec(
+        target=_process_case, context=registry, on_crash=_crashed_case
+    )
+    corpus = FuzzGenerator(seed, app_registry=app_registry).generate(cases)
+    with Fleet(spec, workers=workers, backend=backend) as fleet:
+        results = fleet.run(corpus)
     report = FuzzReport(seed=seed, cases=cases)
     for position in range(len(corpus)):
         case_report = results[position]

@@ -4,7 +4,7 @@ The processes backend pickles every outcome through a worker pipe and
 rebuilds it in the parent, so this suite pins the strongest possible
 claim: campaign scorecards, campaign dumps, and explore digests are
 *byte-identical* to the serial reference at 1 and 4 workers on both
-fleet backends, with batched dispatch.  Dump JSON is compared after
+fleet backends.  Dump JSON is compared after
 stripping only the fields that legitimately vary between any two runs
 (wall-clock timings, worker attribution) — everything else, float
 bits included, must match exactly.
@@ -61,7 +61,6 @@ class TestCampaignByteEquality:
             workers=workers,
             timeout=None,
             backend=backend,
-            batch_size=2,
         ).run(plan)
         scorecard_bytes, dump_bytes = reference
         assert result.scorecard().text().encode("utf-8") == scorecard_bytes
@@ -81,7 +80,6 @@ class TestExploreByteEquality:
                 seed=0,
                 workers=workers,
                 backend=backend,
-                batch_size=2,
             )
             executed[(backend, workers)] = result.executed
         assert len({tuple(v) for v in executed.values()}) == 1, executed.keys()

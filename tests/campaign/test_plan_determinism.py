@@ -123,21 +123,6 @@ class TestBackendEquivalence:
                 workers,
             )
 
-    def test_batched_and_sharded_execution_identical_too(self):
-        """Dispatch batching and campaign sharding are wire/topology
-        details; the reported outcome docs cannot move."""
-        plan = plan_campaign(build_twotier, seed=9, requests=5, max_recipes=6)
-        baseline = CampaignRunner(build_twotier, workers=1, timeout=None).run(plan)
-        docs = [outcome_doc(o) for o in baseline.outcomes]
-        batched = CampaignRunner(
-            build_twotier, workers=2, timeout=None, backend="processes", batch_size=3
-        ).run(plan)
-        assert [outcome_doc(o) for o in batched.outcomes] == docs
-        sharded = CampaignRunner(
-            build_twotier, workers=2, timeout=None, backend="processes", batch_size=2
-        ).run_sharded(plan, shards=2)
-        assert [outcome_doc(o) for o in sharded.outcomes] == docs
-
     def test_scorecard_and_diff_verdicts_agree_across_backends(self):
         plan = plan_campaign(build_twotier, seed=9, requests=5, max_recipes=6)
         threads = CampaignRunner(build_twotier, workers=2, timeout=None).run(plan)

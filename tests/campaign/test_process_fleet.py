@@ -1,19 +1,18 @@
-"""The process fleet backend: isolation, crash containment, fail-fast.
+"""The fleet: one contract on both lanes, and what processes add.
 
-The thread backend's contract (results keyed by job position, stop_when
-fail-fast, execute-never-raises) is pinned by the campaign runner
-tests; this module pins what the ``processes`` backend adds on top:
+``TestFleetContract`` pins the calling convention every harness relies
+on — results keyed by job position, a raising job converted via
+``on_crash``, ``stop_when`` fail-fast, reuse across runs — with the
+same targets and assertions on ``threads`` and ``processes``.  The
+rest pins what the ``processes`` backend adds on top:
 
 * job payloads and contexts round-trip through spawn workers,
-* a worker process that *dies* mid-job costs exactly the jobs it held
-  unanswered (one job at the default ``batch_size=1``) — those jobs
-  are converted via ``on_crash``, a replacement worker is spawned,
-  every other job completes, and the fleet exits (no hang, no silently
-  shrunken fleet),
-* a target that raises, or a result that cannot be pickled, degrades
-  to the same ``on_crash`` path instead of killing the worker,
-* fail-fast stops dispatching but lets in-flight jobs finish,
-* batched dispatch changes only the wire traffic, never the results,
+* a worker process that *dies* mid-job costs exactly the one job it
+  held — that job is converted via ``on_crash``, a replacement worker
+  is spawned, every other job completes, and the fleet exits (no hang,
+  no silently shrunken fleet),
+* a result that cannot be pickled degrades to the same ``on_crash``
+  path instead of killing the worker,
 * a :class:`ProcessPool` keeps its workers warm across runs and its
   ``close()`` force-terminates even a wedged worker within a bounded
   wall-clock budget.
@@ -23,7 +22,6 @@ qualified name, which is the one structural requirement the backend
 puts on callers (lambdas and closures are rejected by pickle).
 """
 
-import multiprocessing
 import os
 import pickle
 import signal
@@ -34,12 +32,13 @@ import pytest
 
 from repro.campaign.fleet import (
     BACKENDS,
+    Fleet,
     ProcessPool,
     ProcessWorkerSpec,
     resolve_workers,
-    run_fleet,
 )
 from repro.errors import CampaignError
+from tests.conftest import live_fleet_workers
 
 
 def echo_target(worker_id, job, context):
@@ -60,6 +59,12 @@ def raising_target(worker_id, job, context):
     if job == "boom":
         raise ValueError("bad job")
     return job
+
+
+def raise_on_two_target(worker_id, job, context):
+    if job == 2:
+        raise ValueError("bad job")
+    return job * 2
 
 
 def unpicklable_target(worker_id, job, context):
@@ -139,28 +144,134 @@ class TestRunFleetValidation:
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(CampaignError, match="unknown fleet backend"):
-            run_fleet([1], lambda w, j: j, backend="greenlets")
+            Fleet(ProcessWorkerSpec(target=double_target), backend="greenlets")
 
-    def test_processes_requires_spec(self):
-        with pytest.raises(CampaignError, match="process_spec"):
-            run_fleet([1], None, backend="processes")
 
-    def test_threads_requires_execute(self):
-        with pytest.raises(CampaignError, match="execute"):
-            run_fleet([1], None, backend="threads")
+def run_on(backend, jobs, spec, *, workers=1, stop_when=None):
+    """One-shot fleet run: open, drain ``jobs``, close."""
+    with Fleet(spec, workers=workers, backend=backend) as fleet:
+        return fleet.run(jobs, stop_when=stop_when)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestFleetContract:
+    """One calling convention, both lanes: the same module-level
+    targets and the same assertions on ``threads`` and ``processes``."""
+
+    def test_results_keyed_by_position_with_context(self, backend):
+        jobs = ["a", "b", "c"]
+        spec = ProcessWorkerSpec(target=echo_target, context={"k": 1})
+        results = run_on(backend, jobs, spec, workers=2)
+        assert sorted(results) == [0, 1, 2]
+        for position, job in enumerate(jobs):
+            assert results[position]["job"] == job
+            assert results[position]["context"] == {"k": 1}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_job_is_an_on_crash_result(self, backend, workers):
+        # At the parent the thread lane let the ValueError escape at
+        # workers=1 and silently lost position 2 at workers=2.
+        spec = ProcessWorkerSpec(target=raise_on_two_target, on_crash=on_crash)
+        results = run_on(backend, list(range(5)), spec, workers=workers)
+        assert results == {
+            0: 0,
+            1: 2,
+            2: ("crashed", 2, "ValueError: bad job"),
+            3: 6,
+            4: 8,
+        }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_job_without_handler_is_an_error(self, backend, workers):
+        spec = ProcessWorkerSpec(target=raise_on_two_target)
+        with pytest.raises(CampaignError, match="on_crash"):
+            run_on(backend, list(range(5)), spec, workers=workers)
+
+    def test_stop_when_leaves_undispatched_positions_absent(self, backend):
+        spec = ProcessWorkerSpec(target=double_target, on_crash=on_crash)
+        with Fleet(spec, workers=1, backend=backend) as fleet:
+            results = fleet.run(
+                list(range(8)),
+                stop_when=lambda result: result == 4,  # job 2's doubled value
+            )
+            # One worker drains in order: jobs 0..2 ran, 3..7 never
+            # dispatched once stop_when tripped.
+            assert sorted(results) == [0, 1, 2]
+            assert results[2] == 4
+            assert fleet.stop_event.is_set()
+            # The next run starts from a clear event.
+            assert fleet.run([5]) == {0: 10}
+            assert not fleet.stop_event.is_set()
+
+    def test_fleet_is_reusable_across_runs(self, backend):
+        spec = ProcessWorkerSpec(target=echo_target, context={"k": 1})
+        with Fleet(spec, workers=2, backend=backend) as fleet:
+            first = fleet.run(["a", "b", "c", "d"])
+            second = fleet.run(["e", "f", "g", "h"])
+            assert fleet.run([]) == {}
+        assert [first[i]["job"] for i in range(4)] == ["a", "b", "c", "d"]
+        assert [second[i]["job"] for i in range(4)] == ["e", "f", "g", "h"]
+        # Warm: the same interpreters served both runs (on the thread
+        # lane that is trivially this one).
+        assert {r["pid"] for r in first.values()} == {
+            r["pid"] for r in second.values()
+        }
+        assert not live_fleet_workers()
+
+    def test_run_after_close_rejected(self, backend):
+        fleet = Fleet(ProcessWorkerSpec(target=double_target), backend=backend)
+        fleet.close()
+        fleet.close()  # idempotent
+        with pytest.raises(CampaignError, match="closed"):
+            fleet.run([1])
+
+    @pytest.mark.parametrize("workers", [0, "many"])
+    def test_bad_worker_count_rejected_up_front(self, backend, workers):
+        with pytest.raises(CampaignError, match="workers"):
+            Fleet(ProcessWorkerSpec(target=double_target), workers=workers, backend=backend)
+
+
+class TestStopEvent:
+    """Fail-fast must reach a job that is already running: the fleet
+    sets ``stop_event`` the moment ``stop_when`` trips, and an
+    in-process job waiting on it wakes then, not at its timeout."""
+
+    def test_tripping_stop_when_releases_a_blocked_sibling(self):
+        started = threading.Event()
+
+        def target(worker_id, job, context):
+            if job == "wait":
+                started.set()
+                return fleet.stop_event.wait(30.0)
+            started.wait(30.0)  # trip only once the sibling is blocked
+            return "tripped"
+
+        fleet = Fleet(ProcessWorkerSpec(target=target), workers=2)
+        begun = time.monotonic()
+        results = fleet.run(
+            ["wait", "trip", "never"], stop_when=lambda result: result == "tripped"
+        )
+        assert time.monotonic() - begun < 10.0
+        # The waiter was woken by the event (wait() returned True), and
+        # nothing was dispatched after the trip.
+        assert results == {0: True, 1: "tripped"}
+
+    def test_a_supplied_event_is_the_one_the_fleet_sets(self):
+        event = threading.Event()
+        fleet = Fleet(ProcessWorkerSpec(target=double_target), stop_event=event)
+        assert fleet.stop_event is event
+        fleet.run([1, 2], stop_when=lambda result: True)
+        assert event.is_set()
 
 
 class TestProcessFleet:
     def test_results_keyed_by_position_with_context(self):
         jobs = ["a", "b", "c"]
-        results = run_fleet(
+        results = run_on(
+            "processes",
             jobs,
-            None,
+            ProcessWorkerSpec(target=echo_target, context={"k": 1}, on_crash=on_crash),
             workers=2,
-            backend="processes",
-            process_spec=ProcessWorkerSpec(
-                target=echo_target, context={"k": 1}, on_crash=on_crash
-            ),
         )
         assert sorted(results) == [0, 1, 2]
         for position, job in enumerate(jobs):
@@ -171,26 +282,20 @@ class TestProcessFleet:
 
     def test_matches_thread_backend_results(self):
         jobs = list(range(7))
-        threads = run_fleet(jobs, lambda w, j: j * 2, workers=3)
-        procs = run_fleet(
-            jobs,
-            None,
-            workers=3,
-            backend="processes",
-            process_spec=ProcessWorkerSpec(target=double_target, on_crash=on_crash),
-        )
+        spec = ProcessWorkerSpec(target=double_target, on_crash=on_crash)
+        threads = run_on("threads", jobs, spec, workers=3)
+        procs = run_on("processes", jobs, spec, workers=3)
         assert procs == threads
 
     def test_worker_crash_fails_only_its_job_and_fleet_recovers(self):
         jobs = list(range(6))
-        results = run_fleet(
+        results = run_on(
+            "processes",
             jobs,
-            None,
-            workers=2,
-            backend="processes",
-            process_spec=ProcessWorkerSpec(
+            ProcessWorkerSpec(
                 target=poison_target, context={"poison": 2}, on_crash=on_crash
             ),
+            workers=2,
         )
         # Every job is accounted for: the fleet neither hung nor lost
         # queued work when the worker holding job 2 died.
@@ -202,144 +307,33 @@ class TestProcessFleet:
             assert results[position] == position * 2
 
     def test_raising_target_degrades_to_on_crash(self):
-        results = run_fleet(
+        results = run_on(
+            "processes",
             ["ok", "boom"],
-            None,
-            workers=1,
-            backend="processes",
-            process_spec=ProcessWorkerSpec(target=raising_target, on_crash=on_crash),
+            ProcessWorkerSpec(target=raising_target, on_crash=on_crash),
         )
         assert results[0] == "ok"
         assert results[1][0] == "crashed"
         assert "ValueError: bad job" in results[1][2]
 
     def test_unpicklable_result_degrades_to_on_crash(self):
-        results = run_fleet(
+        results = run_on(
+            "processes",
             ["fine", "weird"],
-            None,
-            workers=1,
-            backend="processes",
-            process_spec=ProcessWorkerSpec(
-                target=unpicklable_target, on_crash=on_crash
-            ),
+            ProcessWorkerSpec(target=unpicklable_target, on_crash=on_crash),
         )
         assert results[0] == "fine"
         assert results[1][0] == "crashed"
         assert "not serializable" in results[1][2]
 
-    def test_crash_without_handler_is_an_error(self):
-        with pytest.raises(CampaignError, match="on_crash"):
-            run_fleet(
-                [0, 1, 2],
-                None,
-                workers=1,
-                backend="processes",
-                process_spec=ProcessWorkerSpec(
-                    target=poison_target, context={"poison": 1}
-                ),
-            )
-
-    def test_fail_fast_stops_dispatching(self):
-        jobs = list(range(8))
-        results = run_fleet(
-            jobs,
-            None,
-            workers=1,
-            backend="processes",
-            process_spec=ProcessWorkerSpec(target=double_target, on_crash=on_crash),
-            stop_when=lambda result: result == 4,  # job 2's doubled value
-        )
-        # One worker drains in order: jobs 0..2 ran, 3..7 never
-        # dispatched once stop_when tripped.
-        assert sorted(results) == [0, 1, 2]
-        assert results[2] == 4
-
-
-class TestBatchedDispatch:
-    """``batch_size`` amortizes dispatch round-trips without changing
-    any observable result: same result map at every batch size, crash
-    attribution still per job (only the unanswered slice of a dead
-    worker's batch is lost)."""
-
-    @pytest.mark.parametrize("batch_size", [1, 3, 10, 100])
-    def test_results_identical_at_every_batch_size(self, batch_size):
-        jobs = list(range(10))
-        results = run_fleet(
-            jobs,
-            None,
-            workers=2,
-            backend="processes",
-            process_spec=ProcessWorkerSpec(target=double_target, on_crash=on_crash),
-            batch_size=batch_size,
-        )
-        assert results == {position: job * 2 for position, job in enumerate(jobs)}
-
-    def test_invalid_batch_size_rejected(self):
-        with pytest.raises(CampaignError, match="batch_size"):
-            run_fleet(
-                [1],
-                None,
-                backend="processes",
-                process_spec=ProcessWorkerSpec(target=double_target, on_crash=on_crash),
-                batch_size=0,
-            )
-
-    def test_crash_mid_batch_loses_only_unanswered_jobs(self):
-        # One worker gets all six jobs in a single batch and dies on
-        # job 2.  Jobs 0 and 1 already streamed their results back, so
-        # only the unanswered slice (2..5) degrades to on_crash.
-        results = run_fleet(
-            list(range(6)),
-            None,
-            workers=1,
-            backend="processes",
-            process_spec=ProcessWorkerSpec(
-                target=poison_target, context={"poison": 2}, on_crash=on_crash
-            ),
-            batch_size=10,
-        )
-        assert sorted(results) == [0, 1, 2, 3, 4, 5]
-        assert results[0] == 0
-        assert results[1] == 2
-        for position in (2, 3, 4, 5):
-            assert results[position][0] == "crashed"
-            assert "exited with code" in results[position][2]
-
-    def test_fail_fast_with_batches_skips_undispatched_batches(self):
-        jobs = list(range(9))
-        results = run_fleet(
-            jobs,
-            None,
-            workers=1,
-            backend="processes",
-            process_spec=ProcessWorkerSpec(target=double_target, on_crash=on_crash),
-            stop_when=lambda result: result == 2,  # job 1's doubled value
-            batch_size=3,
-        )
-        # The first batch (0..2) was already shipped when stop_when
-        # tripped, so it completes; batches two and three never leave
-        # the parent.
-        assert sorted(results) == [0, 1, 2]
-
-
-class TestResultTransport:
-    """Results come home pickled over the worker's pipe: a worker dying
-    *mid-encode* is attributed like any other crash, and a result that
-    cannot be pickled degrades to ``on_crash`` without costing the
-    worker."""
-
     def test_worker_death_mid_encode_degrades_to_on_crash(self):
         # The target *returns* fine; the worker dies while serializing
         # the result.  That must surface as an on_crash result and a
         # replacement worker that finishes the remaining jobs.
-        results = run_fleet(
+        results = run_on(
+            "processes",
             ["a", "die", "b", "c"],
-            None,
-            workers=1,
-            backend="processes",
-            process_spec=ProcessWorkerSpec(
-                target=exit_on_encode_target, on_crash=on_crash
-            ),
+            ProcessWorkerSpec(target=exit_on_encode_target, on_crash=on_crash),
         )
         assert sorted(results) == [0, 1, 2, 3]
         assert results[1][0] == "crashed"
@@ -348,33 +342,26 @@ class TestResultTransport:
         assert results[2] == "b"
         assert results[3] == "c"
 
-    def test_worker_crash_parity(self):
-        results = run_fleet(
-            list(range(6)),
-            None,
-            workers=2,
-            backend="processes",
-            process_spec=ProcessWorkerSpec(
-                target=poison_target, context={"poison": 2}, on_crash=on_crash
-            ),
-        )
-        assert sorted(results) == list(range(6))
-        assert results[2][0] == "crashed"
-        assert "exited with code" in results[2][2]
+    def test_crash_without_handler_is_an_error(self):
+        with pytest.raises(CampaignError, match="on_crash"):
+            run_on(
+                "processes",
+                [0, 1, 2],
+                ProcessWorkerSpec(target=poison_target, context={"poison": 1}),
+            )
 
-    def test_unpicklable_result_parity(self):
-        results = run_fleet(
-            ["fine", "weird"],
-            None,
-            workers=1,
-            backend="processes",
-            process_spec=ProcessWorkerSpec(
-                target=unpicklable_target, on_crash=on_crash
-            ),
+    def test_fail_fast_stops_dispatching(self):
+        jobs = list(range(8))
+        results = run_on(
+            "processes",
+            jobs,
+            ProcessWorkerSpec(target=double_target, on_crash=on_crash),
+            stop_when=lambda result: result == 4,  # job 2's doubled value
         )
-        assert results[0] == "fine"
-        assert results[1][0] == "crashed"
-        assert "not serializable" in results[1][2]
+        # One worker drains in order: jobs 0..2 ran, 3..7 never
+        # dispatched once stop_when tripped.
+        assert sorted(results) == [0, 1, 2]
+        assert results[2] == 4
 
 
 class TestProcessPool:
@@ -409,13 +396,13 @@ class TestProcessPool:
         """A job that cannot be pickled fails ``run`` before anything
         reaches its worker.  The pool must stay usable: that worker is
         not left marked busy (the next run would wait forever on an
-        idle child), and a sibling that did get its batch is retired
+        idle child), and a sibling that did get its job is retired
         rather than answering into the next run's positions."""
         spec = ProcessWorkerSpec(target=double_target, on_crash=on_crash)
-        pool = ProcessPool(spec, size=2, batch_size=2)
+        pool = ProcessPool(spec, size=2)
         try:
             with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
-                pool.run([5, 6, lambda: 1, 7])
+                pool.run([5, lambda: 1, 7])
             answer = {}
             second = threading.Thread(
                 target=lambda: answer.update(pool.run([3])), daemon=True
@@ -433,11 +420,7 @@ class TestProcessPool:
             assert answer == {0: 6}
         finally:
             pool.close()
-        assert not [
-            child
-            for child in multiprocessing.active_children()
-            if child.name.startswith("fleet-worker-")
-        ]
+        assert not live_fleet_workers()
 
     def test_run_after_close_rejected(self):
         pool = ProcessPool(
@@ -448,14 +431,9 @@ class TestProcessPool:
         with pytest.raises(CampaignError, match="closed"):
             pool.run([1])
 
-    @pytest.mark.parametrize("bad_size, bad_batch", [(0, 1), (1, 0)])
-    def test_invalid_knobs_rejected(self, bad_size, bad_batch):
+    def test_invalid_size_rejected(self):
         with pytest.raises(CampaignError):
-            ProcessPool(
-                ProcessWorkerSpec(target=echo_target, on_crash=on_crash),
-                size=bad_size,
-                batch_size=bad_batch,
-            )
+            ProcessPool(ProcessWorkerSpec(target=echo_target, on_crash=on_crash), size=0)
 
     def test_close_force_kills_a_wedged_worker(self):
         """Shutdown hardening: a worker that never reads the shutdown
@@ -466,7 +444,7 @@ class TestProcessPool:
         assert pool.run(["warm"]) == {0: "warm"}
         worker = pool._workers[0]
         # Wedge the worker mid-job so the polite shutdown goes unread.
-        worker.send_batch([(0, "wedge")])
+        worker.send(0, "wedge")
         time.sleep(0.5)  # let the child install its SIGTERM ignore
         started = time.monotonic()
         pool.close(timeout=1.0)

@@ -1,12 +1,14 @@
 """Tests for fleet execution: isolation, determinism, flake detection."""
 
 import threading
+import time
 
 import pytest
 
 from repro.apps import build_twotier, build_wordpress_app
 from repro.campaign import CampaignRunner, RecipeExecutor, derive_seed, plan_campaign
 from repro.campaign.results import CheckOutcome, RecipeOutcome
+from repro.campaign import runner as runner_module
 from repro.campaign.runner import _classify
 from repro.errors import CampaignError
 
@@ -211,64 +213,90 @@ class TestFailFast:
         )
 
 
-class TestSharding:
-    """``run_sharded``: N independent round-robin partitions, one merged
-    result.  Sharding is an execution detail — outcomes, order, and
-    scorecards must match the unsharded run exactly."""
+class TestFailFastStopEvent:
+    """Fail-fast reaches recipes already running: the executor the
+    ``_executor(stop_event=...)`` seam hands out pads its pacing floor
+    on the very event the run's fleet sets when it stops."""
 
-    def test_sharded_matches_unsharded(self):
-        factory = build_wordpress_app
-        plan = plan_campaign(factory, seed=31, requests=5)
-        baseline = CampaignRunner(factory, workers=1).run(plan)
-        sharded = CampaignRunner(factory, workers=3).run_sharded(plan, shards=3)
-        assert [outcome_key(o) for o in sharded.outcomes] == [
-            outcome_key(o) for o in baseline.outcomes
-        ]
-        assert sharded.name == plan.name
-        assert sharded.workers == 3
+    def run_recording(self, monkeypatch, **kwargs):
+        seen = {"fleets": [], "events": [], "executors": []}
 
-    def test_sharded_outcomes_in_plan_order(self):
-        factory = build_wordpress_app
-        plan = plan_campaign(factory, seed=31, requests=5)
-        result = CampaignRunner(factory, workers=2).run_sharded(plan, shards=2)
-        assert [o.index for o in result.outcomes] == [e.index for e in plan.entries]
+        class RecordingFleet(runner_module.Fleet):
+            def __init__(self, *args, **fleet_kwargs):
+                super().__init__(*args, **fleet_kwargs)
+                seen["fleets"].append(self)
 
-    def test_sharded_scorecard_merges_across_shards(self):
-        factory = build_wordpress_app
-        plan = plan_campaign(factory, seed=31, requests=5)
-        baseline = CampaignRunner(factory, workers=1).run(plan)
-        sharded = CampaignRunner(factory, workers=2).run_sharded(plan, shards=4)
-        assert sharded.scorecard().text() == baseline.scorecard().text()
-        assert sharded.counts() == baseline.counts()
+        class SeamRunner(CampaignRunner):
+            def _executor(self, stop_event=None):
+                executor = super()._executor(stop_event=stop_event)
+                seen["events"].append(stop_event)
+                seen["executors"].append(executor)
+                return executor
 
-    def test_one_shard_degenerates_to_plain_run(self):
-        plan = twotier_plan(requests=3)
-        result = CampaignRunner(build_twotier, workers=1).run_sharded(plan, shards=1)
-        assert len(result.outcomes) == len(plan)
-        assert result.name == plan.name
+        monkeypatch.setattr(runner_module, "Fleet", RecordingFleet)
+        SeamRunner(build_twotier, **kwargs).run(twotier_plan(requests=2, max_recipes=2))
+        return seen
 
-    def test_more_shards_than_entries_is_clamped(self):
-        plan = twotier_plan(requests=3)
-        result = CampaignRunner(build_twotier, workers=1).run_sharded(
-            plan, shards=len(plan.entries) + 50
+    def test_fail_fast_executor_waits_on_the_fleets_event(self, monkeypatch):
+        seen = self.run_recording(monkeypatch, fail_fast=True, rerun_failures=1)
+        # One fleet and one executor serve the main pass and the reruns.
+        (fleet,), (event,), (executor,) = seen["fleets"], seen["events"], seen["executors"]
+        assert isinstance(event, threading.Event)
+        assert executor.stop_event is event
+        assert fleet.stop_event is event
+        assert fleet.spec.context is executor
+
+    def test_without_fail_fast_the_executor_gets_no_event(self, monkeypatch):
+        seen = self.run_recording(monkeypatch, fail_fast=False)
+        assert seen["events"] == [None]
+        assert seen["executors"][0].stop_event is None
+
+    def test_conclusive_failure_wakes_a_paced_sibling(self):
+        plan = plan_campaign(build_wordpress_app, seed=1)
+        assert len(plan) > 2
+        first = plan.entries[0].name
+
+        pacing = threading.Event()
+
+        class PacedStub(_StubExecutor):
+            stop_event = None
+
+            def execute(self, planned, seed=None):
+                outcome = super().execute(planned, seed=seed)
+                if planned.name == first:
+                    # Fail only once a sibling is mid-floor.
+                    assert pacing.wait(30.0)
+                else:
+                    # A paced recipe sleeping out its floor.
+                    pacing.set()
+                    assert self.stop_event.wait(30.0)
+                return outcome
+
+        stub = PacedStub(
+            {e.name: ["fail"] if e.name == first else ["pass"] for e in plan}
         )
-        assert [o.index for o in result.outcomes] == [e.index for e in plan.entries]
 
-    def test_invalid_shard_count_rejected(self):
+        class Runner(_StubRunner):
+            def _executor(self, stop_event=None):
+                stub.stop_event = stop_event
+                return stub
+
+        started = time.monotonic()
+        result = Runner(stub, workers=2, fail_fast=True).run(plan)
+        assert time.monotonic() - started < 10.0
+        statuses = [o.status for o in result.outcomes]
+        assert statuses[:2] == ["fail", "pass"]
+        assert set(statuses[2:]) == {"skipped"}
+
+    def test_fail_fast_on_the_process_lane_ships_the_executor_without_it(self):
+        # threading.Event cannot be pickled; the worker's copy of the
+        # executor pads blind, the campaign still stops dispatching.
         plan = twotier_plan(requests=2)
-        with pytest.raises(CampaignError, match="shards"):
-            CampaignRunner(build_twotier).run_sharded(plan, shards=0)
-
-    def test_sharded_flake_detection_runs_per_shard(self):
-        plan = twotier_plan()
-        # Every recipe fails once then passes on rerun => flaky, in
-        # whichever shard it landed.
-        stub = _StubExecutor({entry.name: ["fail", "pass"] for entry in plan})
-        result = _StubRunner(stub, workers=1, rerun_failures=1).run_sharded(
-            plan, shards=2
-        )
+        result = CampaignRunner(
+            build_twotier, workers=1, backend="processes", fail_fast=True
+        ).run(plan)
         assert len(result.outcomes) == len(plan)
-        assert all(o.classification == "flaky" for o in result.outcomes)
+        assert not any(o.status == "error" for o in result.outcomes)
 
 
 class TestValidation:
@@ -280,9 +308,14 @@ class TestValidation:
         with pytest.raises(CampaignError):
             CampaignRunner(build_twotier, rerun_failures=-1)
 
-    def test_batch_size(self):
-        with pytest.raises(CampaignError):
-            CampaignRunner(build_twotier, batch_size=0)
+    def test_unknown_backend(self):
+        with pytest.raises(CampaignError, match="unknown fleet backend"):
+            CampaignRunner(build_twotier, backend="greenlets").run(twotier_plan())
+
+    def test_unpicklable_factory_on_the_process_lane(self):
+        runner = CampaignRunner(lambda: build_twotier(), backend="processes")
+        with pytest.raises(CampaignError, match="module-level factory"):
+            runner.run(twotier_plan(requests=2))
 
 
 class TestErrorIsolation:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import typing as _t
 
 import pytest
@@ -32,3 +33,18 @@ def run_to_completion(sim: Simulator, generator: _t.Generator, until: float | No
     if not process.ok:
         raise process.value
     return process.value
+
+
+def live_fleet_workers() -> list:
+    """Fleet worker processes still alive (none may outlive its fleet)."""
+    return [
+        child
+        for child in multiprocessing.active_children()
+        if child.name.startswith("fleet-worker-")
+    ]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_fleet_worker_outlives_the_session():
+    yield
+    assert not live_fleet_workers()

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from repro.apps.outages import SEEDED_BUG_SUITE
-from repro.errors import ExploreError
+from repro.campaign.fleet import ProcessPool
+from repro.errors import CampaignError, ExploreError
 from repro.explore import (
     ExploreTask,
     discover_space,
@@ -14,7 +15,15 @@ from repro.explore import (
     run_explore,
     run_wave,
     scenario_specs,
+    task_fleet,
 )
+from tests.conftest import live_fleet_workers
+
+
+def wave(tasks, **fleet_kwargs):
+    """One standalone wave on a fleet of its own."""
+    with task_fleet(**fleet_kwargs) as fleet:
+        return run_wave(tasks, fleet)
 
 
 def task_for(app, coordinate, **overrides):
@@ -36,7 +45,7 @@ class TestReplayFidelity:
         task = task_for("deepfanout", space.sweeps[0])
         baseline = execute_task(task)
         for workers in (1, 3):
-            outcomes = run_wave([task, task], workers=workers, backend="threads")
+            outcomes = wave([task, task], workers=workers, backend="threads")
             assert [o.digest for o in outcomes] == [baseline.digest] * 2
 
     @pytest.mark.slow
@@ -44,7 +53,7 @@ class TestReplayFidelity:
         space = discover_space("deepfanout", seed=0)
         task = task_for("deepfanout", space.sweeps[0])
         baseline = execute_task(task)
-        outcomes = run_wave([task, task], workers=2, backend="processes")
+        outcomes = wave([task, task], workers=2, backend="processes")
         assert all(o.ok for o in outcomes)
         assert [o.digest for o in outcomes] == [baseline.digest] * 2
 
@@ -92,7 +101,7 @@ class TestReplayFidelity:
         space = discover_space("socialnetwork", seed=0)
         task = task_for("socialnetwork", space.sweeps[0])
         baseline = execute_task(task)
-        outcomes = run_wave([task, task], workers=2, backend="processes")
+        outcomes = wave([task, task], workers=2, backend="processes")
         assert all(o.ok for o in outcomes)
         assert [o.digest for o in outcomes] == [baseline.digest] * 2
 
@@ -108,11 +117,57 @@ class TestReplayFidelity:
         )
 
     def test_error_outcome_instead_of_raise(self):
-        outcome = run_wave(
+        outcome = wave(
             [ExploreTask(app="no-such-app", seed=0, key="x")], workers=1
         )[0]
         assert not outcome.ok
         assert "no-such-app" in outcome.error
+
+
+class TestWarmFleet:
+    """One fleet serves every wave of a run: process workers are
+    spawned once, not once per 8-task wave, and never outlive it."""
+
+    @pytest.fixture
+    def spawned(self, monkeypatch):
+        spawns = []
+        spawn = ProcessPool._spawn
+
+        def counting_spawn(pool):
+            spawns.append(pool)
+            return spawn(pool)
+
+        monkeypatch.setattr(ProcessPool, "_spawn", counting_spawn)
+        return spawns
+
+    @pytest.mark.slow
+    def test_process_run_spawns_one_fleet_for_all_waves(self, spawned):
+        serial = run_explore("deepfanout", budget=150, seed=11, workers=1)
+        assert not spawned
+        fleet = run_explore(
+            "deepfanout", budget=150, seed=11, workers=2, backend="processes"
+        )
+        assert len(fleet.executed) > 8  # several waves
+        assert 1 <= len(spawned) <= 2  # 8 at the parent: a cold pool per wave
+        assert fleet.executed == serial.executed
+        assert fleet.findings == serial.findings
+        assert not live_fleet_workers()
+
+    def test_no_worker_outlives_a_run_that_raises_mid_wave(self, monkeypatch, spawned):
+        from repro.explore import runner as explore_runner
+
+        def wave_then_fail(tasks, fleet):
+            run_wave(tasks, fleet)
+            assert live_fleet_workers()
+            raise RuntimeError("loop broke")
+
+        monkeypatch.setattr(explore_runner, "run_wave", wave_then_fail)
+        with pytest.raises(RuntimeError, match="loop broke"):
+            run_explore(
+                "stuckbreaker", budget=8, seed=0, workers=2, backend="processes"
+            )
+        assert spawned
+        assert not live_fleet_workers()
 
 
 class TestRunExplore:
@@ -213,6 +268,8 @@ class TestRunExplore:
                 assert passed or inconclusive, (app, name)
 
     def test_bad_arguments_raise(self):
+        with pytest.raises(CampaignError, match="workers"):
+            run_explore("deepfanout", workers=0)
         with pytest.raises(ExploreError):
             run_explore("deepfanout", budget=0)
         with pytest.raises(ExploreError):

@@ -437,6 +437,56 @@ class TestFuzzExplore:
         assert "socialnetwork" in message and "hotelreservation" in message
 
 
+#: Every subcommand that drives a fleet, as an argv prefix.
+FLEET_COMMANDS = [
+    ["campaign", "run", "twotier"],
+    ["campaign", "smoke", "twotier"],
+    ["fuzz", "run"],
+    ["fuzz", "explore", "deepfanout", "--budget", "1"],
+]
+
+
+class TestFleetFlags:
+    """``--workers`` / ``--backend`` are one definition shared by every
+    fleet-driving subcommand, validated by argparse before anything
+    runs; the knobs removed with batching and sharding fail loudly."""
+
+    @pytest.mark.parametrize("command", FLEET_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("workers", ["0", "abc"])
+    def test_bad_workers_is_a_usage_error(self, command, workers, capsys, monkeypatch):
+        import repro.explore
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a simulation ran before the flags were checked")
+
+        # `fuzz explore` used to pay for the discovery run first and
+        # then die with a CampaignError traceback.
+        monkeypatch.setattr(repro.explore, "run_explore", no_run)
+        with pytest.raises(SystemExit) as err:
+            main(command + ["--workers", workers])
+        assert err.value.code == 2
+        assert "argument --workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", FLEET_COMMANDS, ids=" ".join)
+    def test_unknown_backend_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(command + ["--backend", "greenlets"])
+        assert err.value.code == 2
+        assert "argument --backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, stale",
+        [(command, ["--batch-size", "4"]) for command in FLEET_COMMANDS]
+        + [(FLEET_COMMANDS[0], ["--shards", "2"])],
+        ids=lambda value: " ".join(value),
+    )
+    def test_removed_batch_and_shard_flags_are_rejected(self, command, stale, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(command + stale)
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {stale[0]}" in capsys.readouterr().err
+
+
 class TestCleanCliErrors:
     def test_trace_unknown_entry_exits_cleanly(self):
         with pytest.raises(SystemExit, match="unknown entry"):
