@@ -9,6 +9,13 @@ physical instances through the service registry, round-robins across
 them, and forwards traffic — intercepting, logging, and manipulating
 messages according to the installed fault rules.
 
+A route's listener arms each accepted connection with
+:meth:`~repro.network.transport.ConnectionEnd.on_receive`; a proxy
+process exists per exchange in progress — started by the request's
+arrival, gone with the answer — so a connection whose caller gave up or
+hung up holds no process, and a caller that pipelines requests on one
+connection has them proxied strictly one after the other.
+
 Per proxied call the agent:
 
 1. takes the request off the wire (:mod:`repro.http.wire`: a parsed
@@ -175,11 +182,15 @@ class GremlinAgent:
 
     def _bind(self, port: int, dst_service: str) -> None:
         listener = self.host.listen(port)
-        listener.on_connect(
-            lambda conn, dst=dst_service: self.sim.process(
-                self._serve(conn, dst), name=f"{self.owner_instance}/proxy->{dst}"
-            )
-        )
+        name = f"{self.owner_instance}/proxy->{dst_service}"
+
+        def spawn(conn: ConnectionEnd, payload: object) -> None:
+            # A proxy process lives for one exchange: it starts when the
+            # caller's request arrives, and an open connection nobody
+            # speaks on (or whose caller gave up) has none.
+            self.sim.process(self._serve(conn, dst_service, payload, spawn), name=name)
+
+        listener.on_connect(lambda conn: conn.on_receive(spawn))
         self._listeners[port] = listener
 
     # -- shadow-traffic mirroring (paper Section 1: shadow deployments) ----------
@@ -358,15 +369,18 @@ class GremlinAgent:
 
     # -- proxy data path ------------------------------------------------------------
 
-    def _serve(self, conn: ConnectionEnd, dst_service: str) -> _t.Generator:
-        while True:
-            try:
-                payload = yield conn.recv()
-            except (ChannelClosed, ConnectionResetError_):
-                break
-            closed = yield from self._proxy_one(conn, dst_service, payload)
-            if closed or conn.closed:
-                break
+    def _serve(
+        self,
+        conn: ConnectionEnd,
+        dst_service: str,
+        payload: object,
+        spawn: _t.Callable[[ConnectionEnd, object], None],
+    ) -> _t.Generator:
+        closed = yield from self._proxy_one(conn, dst_service, payload)
+        if not (closed or conn.closed):
+            # Keep-alive: the caller's next request, if any, gets the
+            # next process — after this exchange, never beside it.
+            conn.on_receive(spawn)
 
     def _proxy_one(
         self, conn: ConnectionEnd, dst_service: str, payload: object

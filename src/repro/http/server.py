@@ -1,9 +1,13 @@
 """HTTP server over the simulated transport.
 
-A server binds a port and spawns one simulation process per inbound
-connection; each process loops request -> handler -> response, so a
-single connection can carry sequential requests (keep-alive) while
-concurrent connections are served in parallel.
+A server binds a port and spawns one simulation process per *exchange in
+progress*: a connection that is only open costs nothing, the process
+starts when a request arrives (request -> handler -> response) and ends
+with the response, and only then is the connection's next request taken.
+So a single connection carries sequential requests (keep-alive,
+pipelined ones answered strictly in order) while concurrent connections
+are served in parallel — and a connection whose peer went away, or never
+spoke, leaves no process behind.
 
 Handlers are generator functions ``handler(request) -> HttpResponse``
 that may ``yield`` events (e.g. make downstream calls via
@@ -22,7 +26,6 @@ from repro.http.message import HttpRequest, HttpResponse
 from repro.http.wire import received_request, send_message
 from repro.network.transport import ConnectionEnd, Host, Listener
 from repro.simulation.kernel import Simulator
-from repro.simulation.resources import ChannelClosed
 
 __all__ = ["HttpServer", "Handler"]
 
@@ -55,7 +58,7 @@ class HttpServer:
     def start(self) -> "HttpServer":
         """Bind the port and begin accepting connections."""
         listener = self.host.listen(self.port)
-        listener.on_connect(self._spawn)
+        listener.on_connect(lambda conn: conn.on_receive(self._spawn))
         self._listener = listener
         return self
 
@@ -67,25 +70,22 @@ class HttpServer:
 
     # -- internals --------------------------------------------------------------
 
-    def _spawn(self, conn: ConnectionEnd) -> None:
-        self.sim.process(self._serve(conn), name=f"{self.name}/serve")
+    def _spawn(self, conn: ConnectionEnd, payload: object) -> None:
+        self.sim.process(self._serve(conn, payload), name=f"{self.name}/serve")
 
-    def _serve(self, conn: ConnectionEnd) -> _t.Generator:
-        while True:
-            try:
-                payload = yield conn.recv()
-            except (ChannelClosed, Exception):  # noqa: BLE001 - reset/close both end the loop
-                break
-            response = yield from self._dispatch(payload)
-            if conn.closed:
-                break
-            try:
-                # Answered in the form it was addressed: a raw peer that
-                # sent bytes reads bytes back.
-                send_message(conn, response, as_bytes=isinstance(payload, bytes))
-            except Exception:  # noqa: BLE001 - peer vanished mid-response
-                break
-            self.requests_served += 1
+    def _serve(self, conn: ConnectionEnd, payload: object) -> _t.Generator:
+        """One exchange; the connection's next request is taken after it."""
+        response = yield from self._dispatch(payload)
+        if conn.closed:
+            return
+        try:
+            # Answered in the form it was addressed: a raw peer that
+            # sent bytes reads bytes back.
+            send_message(conn, response, as_bytes=isinstance(payload, bytes))
+        except Exception:  # noqa: BLE001 - peer vanished mid-response
+            return
+        self.requests_served += 1
+        conn.on_receive(self._spawn)
 
     def _dispatch(self, payload: object) -> _t.Generator[_t.Any, _t.Any, HttpResponse]:
         try:

@@ -24,6 +24,14 @@ wire snapshot of a message — and delivers that same object, so a hop
 whose bytes nobody would read costs no serialisation.  Timing, drops,
 closes and resets are identical for both; this module knows nothing of
 what a parsed unit is.
+
+Arrivals are taken by pull or by push.  A process pulls: ``yield
+listener.accept()`` for the next connection, ``yield end.recv()`` for
+the next data unit — one event each.  A server is pushed to:
+:meth:`Listener.on_connect` and :meth:`ConnectionEnd.on_receive` call
+back from inside the handshake or the delivery, schedule nothing and
+park nothing, so an open connection nobody speaks on costs its server
+no process and no event.
 """
 
 from __future__ import annotations
@@ -155,7 +163,6 @@ class Network:
         Refusal is signalled after one RTT; partition/blackhole after
         ``timeout`` (default: the network's connect timeout).
         """
-        ev = self.sim.event()
         budget = self.connect_timeout if timeout is None else timeout
 
         if dst.is_loopback:
@@ -166,35 +173,32 @@ class Network:
         if dst_host is None:
             # Unknown host: fail after the connect budget, like a DNS
             # blackhole / unroutable address.
-            self.sim._schedule_at(
-                self.sim.now + budget,
-                _failer(ev, HostUnreachableError(f"no route to host {dst.host!r}")),
+            return self._fails_after(
+                budget, HostUnreachableError(f"no route to host {dst.host!r}")
             )
-            return ev
 
         if src.name != dst_host.name and self.is_partitioned(src.name, dst_host.name):
-            self.sim._schedule_at(
-                self.sim.now + budget,
-                _failer(
-                    ev,
-                    ConnectionTimeoutError(
-                        f"connect {src.name} -> {dst}: network partition"
-                    ),
-                ),
+            return self._fails_after(
+                budget,
+                ConnectionTimeoutError(f"connect {src.name} -> {dst}: network partition"),
             )
-            return ev
 
         rtt = self.latency_between(src.name, dst_host.name) * 2
         listener = dst_host._listeners.get(dst.port)
         if listener is None or listener.closed:
-            self.sim._schedule_at(
-                self.sim.now + rtt,
-                _failer(ev, ConnectionRefusedError_(f"connection refused: {dst}")),
+            return self._fails_after(
+                rtt, ConnectionRefusedError_(f"connection refused: {dst}")
             )
-            return ev
 
+        ev = self.sim.event()
         conn = Connection(self, next(self._conn_ids), src, dst_host, dst.port)
         # Handshake completes after one RTT; then both sides learn of it.
+        # The caller is told by an event of its own, queued behind what
+        # is already due at that instant: answering on the handshake
+        # timeout itself would save an event per connect but moves the
+        # caller ahead of other flows tied on the same timestamp
+        # (tests/integration/test_tie_order.py; docs/INTERNALS.md
+        # "Per-hop ledger").
         done = self.sim.timeout(rtt)
 
         def _complete(_: SimEvent) -> None:
@@ -207,18 +211,11 @@ class Network:
         done.add_callback(_complete)
         return ev
 
-
-def _failer(ev: SimEvent, exc: Exception) -> SimEvent:
-    """Build a pseudo-event whose processing fails ``ev`` with ``exc``.
-
-    Internal helper: the kernel heap stores events, so delayed failure
-    is expressed as a tiny already-succeeded event with one callback.
-    """
-    trigger = SimEvent(ev.sim)
-    trigger._ok = True  # noqa: SLF001 - kernel-internal construction
-    trigger._value = None
-    trigger.add_callback(lambda _e: ev.fail(exc))
-    return trigger
+    def _fails_after(self, delay: float, exc: Exception) -> SimEvent:
+        """A connect attempt that fails with ``exc`` once ``delay`` has passed."""
+        ev = self.sim.event()
+        self.sim.timeout(delay).add_callback(lambda _: ev.fail(exc))
+        return ev
 
 
 class Host:
@@ -271,8 +268,8 @@ class Listener:
 
     def on_connect(self, callback: _t.Callable[["ConnectionEnd"], None]) -> None:
         """Deliver every new connection to ``callback`` instead of the
-        accept queue — the idiom servers use to spawn a handler process
-        per connection."""
+        accept queue — the idiom servers use to arm each connection
+        with :meth:`ConnectionEnd.on_receive`."""
         self._on_connect = callback
         # Drain anything already queued.
         while len(self._accept_queue):
@@ -312,9 +309,8 @@ class Connection:
         self.client_host = client_host
         self.server_host = server_host
         self.port = port
-        label = f"conn{conn_id}:{client_host.name}->{server_host.name}:{port}"
-        self.client_end = ConnectionEnd(self, client_host, server_host, f"{label}/client")
-        self.server_end = ConnectionEnd(self, server_host, client_host, f"{label}/server")
+        self.client_end = ConnectionEnd(self, client_host, server_host)
+        self.server_end = ConnectionEnd(self, server_host, client_host)
         self.client_end.peer = self.server_end
         self.server_end.peer = self.client_end
 
@@ -323,21 +319,50 @@ class Connection:
 
 
 class ConnectionEnd:
-    """One endpoint of a connection: send to the peer, recv from it."""
+    """One endpoint of a connection: send to the peer, recv from it.
 
-    def __init__(self, conn: Connection, local: Host, remote: Host, label: str) -> None:
+    An end allocates what it uses.  Most ends are the serving side of a
+    one-exchange connection and are only ever pushed to
+    (:meth:`on_receive`), so the inbox :class:`Channel` is built by the
+    first :meth:`recv` or the first unit nobody was ready for, ``closed``
+    is the end's own flag for both directions, and the label is formatted
+    when somebody asks (an error message, a ``repr``).
+    """
+
+    def __init__(self, conn: Connection, local: Host, remote: Host) -> None:
         self.conn = conn
         self.local = local
         self.remote = remote
-        self.label = label
         self.peer: "ConnectionEnd" | None = None  # set by Connection
-        self._inbox: Channel = Channel(conn.network.sim, name=f"{label}/inbox")
         self.closed = False
+        #: What a ``recv()`` with nothing buffered fails with once closed:
+        #: a reset's error, or None for an orderly close.
+        self._close_reason: Exception | None = None
+        self._inbox: Channel | None = None
+        self._on_receive: _t.Callable[["ConnectionEnd", object], None] | None = None
 
     @property
     def sim(self) -> Simulator:
         """The simulator this connection runs on."""
         return self.conn.network.sim
+
+    @property
+    def label(self) -> str:
+        """``conn<id>:<client>-><server>:<port>/<side>``, for messages."""
+        conn = self.conn
+        side = "client" if self is conn.client_end else "server"
+        return (
+            f"conn{conn.id}:{conn.client_host.name}->{conn.server_host.name}"
+            f":{conn.port}/{side}"
+        )
+
+    def _buffer(self) -> Channel:
+        inbox = self._inbox
+        if inbox is None:
+            inbox = self._inbox = Channel(self.sim, name=f"{self.label}/inbox")
+            if self.closed:
+                inbox.close(self._close_reason)
+        return inbox
 
     def send(self, payload: bytes) -> None:
         """Transmit the bytes ``payload`` to the peer after one link latency.
@@ -369,13 +394,18 @@ class ConnectionEnd:
         assert peer is not None
 
         def _deliver(_: SimEvent) -> None:
-            if peer._inbox.closed:
+            if peer.closed:
                 return  # peer already gone; drop like a RST race
             if self.local.name != self.remote.name and network.is_partitioned(
                 self.local.name, self.remote.name
             ):
                 return  # dropped on the floor by the partition
-            peer._inbox.put(unit)
+            receiver = peer._on_receive
+            if receiver is None:
+                peer._buffer().put(unit)
+            else:
+                peer._on_receive = None
+                receiver(peer, unit)
 
         self.sim.timeout(delay).add_callback(_deliver)
 
@@ -388,7 +418,26 @@ class ConnectionEnd:
         :class:`~repro.simulation.resources.ChannelClosed` on orderly
         close with nothing buffered.
         """
-        return self._inbox.get()
+        return self._buffer().get()
+
+    def on_receive(self, callback: _t.Callable[["ConnectionEnd", object], None]) -> None:
+        """Hand the next data unit to ``callback(end, unit)`` — the push
+        form of :meth:`recv`, as :meth:`Listener.on_connect` is the push
+        form of ``accept()``.
+
+        One registration takes one unit: a unit already buffered is
+        handed over now, otherwise the delivery that brings the next one
+        calls back.  Nothing is scheduled and no process waits, so an end
+        whose peer closes (or never speaks) costs its owner no event; a
+        server registers again when it is ready for the next unit, and
+        units arriving in between wait their turn in the buffer, in
+        order.  Once the end is closed or reset no delivery calls back.
+        """
+        inbox = self._inbox
+        if inbox is not None and len(inbox):
+            callback(self, inbox.get().value)
+        else:
+            self._on_receive = callback
 
     def close(self) -> None:
         """Orderly close of both directions (delivered after latency)."""
@@ -409,20 +458,25 @@ class ConnectionEnd:
         delay = self.conn.network.latency_between(self.local.name, self.remote.name)
 
         def _notify(_: SimEvent) -> None:
-            if peer._inbox.closed:
+            if peer.closed:
                 return
-            if reset:
-                peer._inbox.close(ConnectionResetError_(f"{peer.label}: connection reset by peer"))
-            else:
-                peer._inbox.close()
             peer.closed = True
+            peer._close_inbox(
+                ConnectionResetError_(f"{peer.label}: connection reset by peer")
+                if reset
+                else None
+            )
 
         self.sim.timeout(delay).add_callback(_notify)
-        if reset:
-            # Local pending receives also fail immediately on reset.
-            self._inbox.close(ConnectionResetError_(f"{self.label}: connection reset"))
-        else:
-            self._inbox.close()
+        # Local pending receives also fail immediately on reset.
+        self._close_inbox(
+            ConnectionResetError_(f"{self.label}: connection reset") if reset else None
+        )
+
+    def _close_inbox(self, reason: Exception | None) -> None:
+        self._close_reason = reason
+        if self._inbox is not None:
+            self._inbox.close(reason)
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"

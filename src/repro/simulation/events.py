@@ -79,7 +79,10 @@ class SimEvent:
 
     @property
     def processed(self) -> bool:
-        """True once the kernel has run this event's callbacks."""
+        """True once this event's callbacks have run: a later
+        ``add_callback`` or ``yield`` continues at once.  The kernel sets
+        it when the event comes off the queue; a process that returns
+        with nobody waiting sets it itself and is never queued."""
         return self.callbacks is None
 
     @property

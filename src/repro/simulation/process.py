@@ -9,6 +9,13 @@ implements failure handling exactly as it would in real service code.
 Processes are themselves events: they trigger when the generator
 returns (success, carrying the return value) or raises (failure).  This
 lets one process wait for another, and lets tests join on completion.
+
+A process that returns while nobody waits on it — the common case: a
+serve process answering one exchange, a fire-and-forget flow — is marked
+processed on the spot.  Queueing it would schedule an event that runs
+zero callbacks; anyone who joins later finds it already processed and
+continues at once.  A *failure* is always queued: the kernel's
+unhandled-failure report reads it off the queue.
 """
 
 from __future__ import annotations
@@ -144,7 +151,15 @@ class Process(SimEvent):
                 ev.defused = True
                 target = self.generator.throw(ev._value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            if self.callbacks:
+                self.succeed(stop.value)
+            else:
+                # Nobody is waiting: processed here and now, without an
+                # event whose callbacks list is empty.  (Same on both
+                # scheduler lanes; failures below always queue.)
+                self._ok = True
+                self._value = stop.value
+                self.callbacks = None
             return
         except Interrupt as exc:
             # Interrupt escaped the generator: treat as failure.

@@ -35,6 +35,25 @@ def run_to_completion(sim: Simulator, generator: _t.Generator, until: float | No
     return process.value
 
 
+class EventCount:
+    """Events a heap-lane simulator has queued so far.
+
+    The heap lane numbers every queue entry (``next(sim._counter)``: one
+    increment per scheduled event, the method of docs/INTERNALS.md
+    "Per-hop ledger"); reading the counter consumes a number too, which
+    this corrects for, so readings can be subtracted from one another.
+    """
+
+    def __init__(self, sim: Simulator) -> None:
+        assert sim.scheduler == "heap", "only the heap lane numbers every event"
+        self._counter = sim._counter
+        self._reads = 0
+
+    def __call__(self) -> int:
+        self._reads += 1
+        return next(self._counter) - (self._reads - 1)
+
+
 def live_fleet_workers() -> list:
     """Fleet worker processes still alive (none may outlive its fleet)."""
     return [

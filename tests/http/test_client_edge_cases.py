@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.apps import build_twotier
 from repro.errors import RequestTimeoutError
-from repro.http import HttpClient, HttpResponse, HttpServer
+from repro.http import HttpClient, HttpRequest, HttpResponse, HttpServer
 from repro.http.client import await_with_deadline
 from repro.network import Address, Network
 
@@ -13,6 +14,19 @@ from tests.conftest import run_to_completion
 @pytest.fixture
 def net(sim):
     return Network(sim, default_latency=0.001)
+
+
+def record_processes(sim):
+    """Every process started on ``sim`` from now on, in start order."""
+    started = []
+    start = sim.process
+
+    def process(generator, name=None):
+        started.append(start(generator, name=name))
+        return started[-1]
+
+    sim.process = process
+    return started
 
 
 class TestAwaitWithDeadline:
@@ -97,3 +111,46 @@ class TestClientConnectionHygiene:
 
         # A 0-second budget expires during the connect phase.
         assert run_to_completion(sim, scenario(sim)) == "rejected fast"
+
+    def test_connect_abandoned_by_its_deadline_parks_no_process(self, sim, net):
+        """The deadline fires mid-handshake, the handshake still completes,
+        and the client never gets an end it could close.  A server that
+        started a process per connection left that process blocked in
+        ``recv()`` for the rest of the simulation."""
+        host = net.add_host("server")
+        server = HttpServer(host, 80, lambda request: iter(())).start()
+        client = HttpClient(net.add_host("client"))
+        started = record_processes(sim)
+
+        def scenario(sim):
+            request = HttpRequest("GET", "/x")
+            try:
+                yield from client.call(Address("server", 80), request, timeout=0.0005)
+            except RequestTimeoutError:
+                return sim.now
+
+        assert run_to_completion(sim, scenario(sim)) == pytest.approx(0.0005)
+        assert sim.now == pytest.approx(0.002)  # the orphaned handshake did complete
+        assert [process.name for process in started if process.is_alive] == []
+        assert server.requests_served == 0
+
+    def test_connect_to_a_sidecar_abandoned_by_its_deadline_parks_no_process(self):
+        deployment = build_twotier().deploy(seed=3)
+        sim = deployment.sim
+        front = deployment.instances_of("ServiceA")[0]
+        agent = deployment.agents_of("ServiceA")[0]
+        client = HttpClient(front.host)
+        started = record_processes(sim)
+
+        def scenario(sim):
+            request = HttpRequest("GET", "/x")
+            try:
+                # Half of the 20 µs loopback handshake.
+                yield from client.call(agent.route_address("ServiceB"), request, timeout=0.00001)
+            except RequestTimeoutError:
+                return "abandoned"
+
+        assert run_to_completion(sim, scenario(sim)) == "abandoned"
+        assert sim.now == pytest.approx(0.00002)
+        assert [process.name for process in started if process.is_alive] == []
+        assert agent.proxied == 0

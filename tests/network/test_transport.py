@@ -10,9 +10,9 @@ from repro.errors import (
     NetworkError,
 )
 from repro.network import Address, Network
-from repro.simulation import ChannelClosed
+from repro.simulation import ChannelClosed, Simulator
 
-from tests.conftest import run_to_completion
+from tests.conftest import EventCount, run_to_completion
 
 
 @pytest.fixture
@@ -331,6 +331,108 @@ class TestCloseAndReset:
         sim.process(client(sim))
         sim.run()
         assert server_proc.value == "epipe"
+
+
+class TestOnReceive:
+    """``ConnectionEnd.on_receive``: the push form of ``recv()``."""
+
+    @pytest.fixture
+    def ends(self, sim, two_hosts):
+        """A connected (client end, server end) pair; nobody parked on either."""
+        alpha, beta = two_hosts
+        accepted = []
+        beta.listen(80).on_connect(accepted.append)
+        client_end = run_to_completion(sim, _connect(alpha))
+        return client_end, accepted[0]
+
+    def test_one_registration_takes_one_unit(self, sim, ends):
+        client_end, server_end = ends
+        got = []
+        server_end.on_receive(lambda end, unit: got.append((end, unit, sim.now)))
+        sent_at = sim.now
+        client_end.send(b"one")
+        client_end.send(b"two")
+        sim.run()
+        # The second unit waits in the buffer until somebody asks for it.
+        assert got == [(server_end, b"one", pytest.approx(sent_at + 0.001))]
+        server_end.on_receive(lambda end, unit: got.append(unit))
+        assert got[1:] == [b"two"]
+
+    def test_buffered_units_are_handed_over_in_order(self, sim, ends):
+        client_end, server_end = ends
+        for unit in (b"a", b"b", b"c"):
+            client_end.send(unit)
+        sim.run()
+        got = []
+
+        def take(end, unit):
+            got.append(unit)
+            end.on_receive(take)
+
+        server_end.on_receive(take)
+        assert got == [b"a", b"b", b"c"]
+        # Registered and waiting again: the next delivery calls straight back.
+        client_end.send(b"d")
+        sim.run()
+        assert got == [b"a", b"b", b"c", b"d"]
+
+    def test_waiting_and_closing_schedule_nothing(self):
+        """An armed end costs no event, and neither does the close that
+        finds it armed: nobody is parked in ``recv()`` to be failed."""
+        sim = Simulator(seed=1, scheduler="heap")
+        net = Network(sim, default_latency=0.001)
+        alpha, beta = net.add_host("alpha"), net.add_host("beta")
+        accepted = []
+        beta.listen(80).on_connect(accepted.append)
+        client_end = run_to_completion(sim, _connect(alpha))
+        scheduled = EventCount(sim)
+        before = scheduled()
+        accepted[0].on_receive(lambda end, unit: None)
+        assert scheduled() == before
+        client_end.close()
+        sim.run()
+        assert accepted[0].closed
+        assert scheduled() == before + 1  # the close's own link latency
+
+    @pytest.mark.parametrize("shutdown", ["close", "reset"])
+    def test_unit_arriving_after_the_end_shut_down_is_dropped(self, sim, ends, shutdown):
+        client_end, server_end = ends
+        got = []
+        server_end.on_receive(lambda end, unit: got.append(unit))
+        getattr(server_end, shutdown)()
+        client_end.send(b"crossed the shutdown on the wire")
+        sim.run()
+        assert got == []
+        with pytest.raises(ChannelClosed if shutdown == "close" else ConnectionResetError_):
+            run_to_completion(sim, _recv(server_end))  # nothing was buffered either
+
+    @pytest.mark.parametrize(
+        "shutdown, error", [("close", ChannelClosed), ("reset", ConnectionResetError_)]
+    )
+    def test_first_recv_after_the_peer_shut_down_fails_like_a_parked_one(
+        self, sim, ends, shutdown, error
+    ):
+        """The inbox is built on first use; built late, it is born closed
+        for the reason the peer gave."""
+        client_end, server_end = ends
+        getattr(client_end, shutdown)()
+        sim.run()
+        with pytest.raises(error) as caught:
+            run_to_completion(sim, _recv(server_end))
+        assert "conn1:alpha->beta:80/server" in str(caught.value)
+
+    def test_label_names_connection_and_side(self, ends):
+        client_end, server_end = ends
+        assert client_end.label == "conn1:alpha->beta:80/client"
+        assert server_end.label == "conn1:alpha->beta:80/server"
+
+
+def _connect(host):
+    return (yield host.connect(Address("beta", 80)))
+
+
+def _recv(end):
+    return (yield end.recv())
 
 
 class TestLatencyOverrides:
