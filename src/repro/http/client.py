@@ -38,17 +38,23 @@ def await_with_deadline(
     value; raises :class:`RequestTimeoutError` if the deadline passes
     first; propagates the event's failure exception otherwise.
     """
-    if deadline is None:
-        result = yield event
-        return result
-    remaining = deadline - sim.now
-    if remaining <= 0:
-        raise RequestTimeoutError(elapsed=0.0)
-    timer = sim.timeout(remaining)
-    winner = yield AnyOf(sim, [event, timer])
-    if event in winner:
-        return winner[event]
-    raise RequestTimeoutError(elapsed=remaining)
+    try:
+        if deadline is None:
+            result = yield event
+            return result
+        remaining = deadline - sim.now
+        if remaining <= 0:
+            raise RequestTimeoutError(elapsed=0.0)
+        timer = sim.timeout(remaining)
+        winner = yield AnyOf(sim, [event, timer])
+        if event in winner:
+            return winner[event]
+        raise RequestTimeoutError(elapsed=remaining)
+    finally:
+        # A failed event holds its exception, whose traceback holds this
+        # frame: keeping the event would leave the whole failed exchange
+        # (frames, connection, request) to the cycle collector.
+        event = None
 
 
 class HttpClient:
@@ -93,8 +99,7 @@ class HttpClient:
 
         conn: ConnectionEnd | None = None
         try:
-            conn_ev = self.host.connect(dst)
-            conn = yield from await_with_deadline(sim, conn_ev, deadline)
+            conn = yield from await_with_deadline(sim, self.host.connect(dst), deadline)
             send_message(conn, request)
             payload = yield from await_with_deadline(sim, conn.recv(), deadline)
         finally:

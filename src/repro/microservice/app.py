@@ -17,9 +17,10 @@ injected via a Gremlin agent").
 from __future__ import annotations
 
 import typing as _t
+import weakref
 
 from repro.agent.proxy import GremlinAgent
-from repro.errors import RecipeError
+from repro.errors import RecipeError, SimulationError
 from repro.http.client import HttpClient
 from repro.logstore.pipeline import LogPipeline
 from repro.logstore.store import EventStore
@@ -138,8 +139,43 @@ class Application:
         return f"<Application {self.name!r} services={list(self._definitions)}>"
 
 
+class _DiscardedStore:
+    """What the sidecars of a discarded deployment ship their records to.
+
+    A deployment's hosts, listeners, servers and agents reference each
+    other, so they wait for the cycle collector; the record store they
+    reach through the pipeline is the one part that grows with traffic
+    and must not wait with them.  When the last reference to the
+    :class:`Deployment` goes, this takes the store's place in the
+    pipeline: the store is freed with its last real holder, and traffic
+    driven afterwards through a handle that outlived the deployment
+    fails instead of logging into a store nobody can read.
+    """
+
+    def __init__(self, deployment: str) -> None:
+        self.deployment = deployment
+
+    def append(self, record: object) -> None:
+        raise SimulationError(
+            f"deployment {self.deployment!r} was discarded and its record store"
+            " released; keep the Deployment for as long as traffic is driven"
+        )
+
+    extend = append
+
+
+def _unplug(pipeline: LogPipeline, deployment: str) -> None:
+    pipeline.store = _DiscardedStore(deployment)  # type: ignore[assignment]
+
+
 class Deployment:
-    """A running simulated deployment of an :class:`Application`."""
+    """A running simulated deployment of an :class:`Application`.
+
+    Nothing the deployment builds refers back to it, so it is freed by
+    reference count when its last holder lets go, and its record store
+    with it unless somebody kept ``deployment.store`` (see
+    :class:`_DiscardedStore`).
+    """
 
     def __init__(
         self,
@@ -177,6 +213,7 @@ class Deployment:
         self.instances: dict[str, list[ServiceInstance]] = {}
         self.agents: list[GremlinAgent] = []
         self._traffic_sources: dict[str, TrafficSource] = {}
+        weakref.finalize(self, _unplug, self.pipeline, application.name).atexit = False
         self._build()
 
     # -- construction -----------------------------------------------------------
@@ -263,8 +300,8 @@ class Deployment:
         for dependency in definition.dependency_names():
             counters = {"next": 0}
 
-            def resolver(dep=dependency, counters=counters):
-                addresses = self.registry.addresses(dep)
+            def resolver(dep=dependency, counters=counters, registry=self.registry):
+                addresses = registry.addresses(dep)
                 index = counters["next"]
                 counters["next"] = index + 1
                 return addresses[index % len(addresses)]
@@ -374,10 +411,12 @@ class TrafficSource:
         target_service: str,
         policy_spec: PolicySpec,
     ) -> None:
-        self.deployment = deployment
+        #: The simulator this source runs on.  (Not the deployment: it
+        #: holds its sources, and a source holding it back would make
+        #: every deployment a reference cycle.)
+        self.sim = sim = deployment.sim
         self.name = name
         self.target_service = target_service
-        sim = deployment.sim
         self.host = deployment.network.add_host(f"{name.lower()}-src")
         self.agent: GremlinAgent | None = None
         if deployment.sidecars:
@@ -399,8 +438,8 @@ class TrafficSource:
         else:
             counters = {"next": 0}
 
-            def target(dep=target_service, counters=counters):
-                addresses = deployment.registry.addresses(dep)
+            def target(dep=target_service, counters=counters, registry=deployment.registry):
+                addresses = registry.addresses(dep)
                 index = counters["next"]
                 counters["next"] = index + 1
                 return addresses[index % len(addresses)]
@@ -414,11 +453,6 @@ class TrafficSource:
             policy=policy_spec.build(sim, name=f"{name}->{target_service}"),
             metrics=deployment.metrics,
         )
-
-    @property
-    def sim(self) -> Simulator:
-        """The simulator this source runs on."""
-        return self.deployment.sim
 
     def __repr__(self) -> str:
         return f"<TrafficSource {self.name!r} -> {self.target_service!r}>"

@@ -174,54 +174,61 @@ class DependencyClient:
         last_error: Exception | None = None
         last_response: HttpResponse | None = None
 
-        for attempt in range(policy.max_attempts):
-            if attempt > 0:
-                # The breaker gates *every* attempt: if the failures of
-                # this very call tripped it, remaining retries must not
-                # reach the wire (Hystrix semantics — and what the
-                # HasCircuitBreaker check observes as silence).
-                if policy.breaker is not None and not policy.breaker.allow_request():
-                    self.stats.breaker_rejections += 1
-                    self._count_breaker_rejection()
-                    break
-                self.stats.retries += 1
-                if self._retries_total is not None:
-                    self._retries_total.inc()
-                assert policy.retry is not None
-                backoff = policy.retry.backoff(attempt - 1, rng=self._rng)
-                if backoff > 0:
-                    yield self.sim.timeout(backoff)
-            self.stats.attempts += 1
-            try:
-                # One object serves every attempt: what goes on the wire
-                # is a snapshot, so no hop can touch ``request``.
-                response = yield from self.http.call(
-                    self._resolve_target(), request, timeout=policy.attempt_timeout
-                )
-            except FAILURE_EXCEPTIONS as exc:
-                last_error, last_response = exc, None
-                self._record_failure()
-                continue
-            if response.status >= 500:
-                last_error, last_response = None, response
-                self._record_failure()
-                continue
-            # 2xx/3xx/4xx: the call reached the service and came back;
-            # 4xx is the caller's problem, not an availability failure.
-            self.stats.successes += 1
-            if policy.breaker is not None:
-                policy.breaker.record_success()
-                self._update_breaker_gauge()
-            return response
+        try:
+            for attempt in range(policy.max_attempts):
+                if attempt > 0:
+                    # The breaker gates *every* attempt: if the failures of
+                    # this very call tripped it, remaining retries must not
+                    # reach the wire (Hystrix semantics — and what the
+                    # HasCircuitBreaker check observes as silence).
+                    if policy.breaker is not None and not policy.breaker.allow_request():
+                        self.stats.breaker_rejections += 1
+                        self._count_breaker_rejection()
+                        break
+                    self.stats.retries += 1
+                    if self._retries_total is not None:
+                        self._retries_total.inc()
+                    assert policy.retry is not None
+                    backoff = policy.retry.backoff(attempt - 1, rng=self._rng)
+                    if backoff > 0:
+                        yield self.sim.timeout(backoff)
+                self.stats.attempts += 1
+                try:
+                    # One object serves every attempt: what goes on the wire
+                    # is a snapshot, so no hop can touch ``request``.
+                    response = yield from self.http.call(
+                        self._resolve_target(), request, timeout=policy.attempt_timeout
+                    )
+                except FAILURE_EXCEPTIONS as exc:
+                    last_error, last_response = exc, None
+                    self._record_failure()
+                    continue
+                if response.status >= 500:
+                    last_error, last_response = None, response
+                    self._record_failure()
+                    continue
+                # 2xx/3xx/4xx: the call reached the service and came back;
+                # 4xx is the caller's problem, not an availability failure.
+                self.stats.successes += 1
+                if policy.breaker is not None:
+                    policy.breaker.record_success()
+                    self._update_breaker_gauge()
+                return response
 
-        # All attempts failed.
-        fallback = self._try_fallback(request)
-        if fallback is not None:
-            return fallback
-        if last_response is not None:
-            return last_response
-        assert last_error is not None
-        raise last_error
+            # All attempts failed.
+            fallback = self._try_fallback(request)
+            if fallback is not None:
+                return fallback
+            if last_response is not None:
+                return last_response
+            assert last_error is not None
+            raise last_error
+        finally:
+            # The error travelled through this frame, so its traceback
+            # holds the frame: holding the error back would leave every
+            # failed call (frames, connection, request) to the cycle
+            # collector.
+            last_error = None
 
     def _record_failure(self) -> None:
         self.stats.failures += 1

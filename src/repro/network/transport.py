@@ -299,6 +299,12 @@ class Connection:
     Holds the two :class:`ConnectionEnd` halves.  Application code only
     ever touches the ends; the Connection exists so resets and closes
     can coordinate both directions.
+
+    While either direction is up the connection is a ring (it holds its
+    ends, each end holds it and its peer).  Once both are down the ring
+    is cut — ``client_end``, ``server_end`` and both ``peer`` links go to
+    ``None`` — so a finished connection is freed by reference count the
+    moment the last exchange drops its end.
     """
 
     def __init__(
@@ -309,10 +315,12 @@ class Connection:
         self.client_host = client_host
         self.server_host = server_host
         self.port = port
-        self.client_end = ConnectionEnd(self, client_host, server_host)
-        self.server_end = ConnectionEnd(self, server_host, client_host)
-        self.client_end.peer = self.server_end
-        self.server_end.peer = self.client_end
+        client_end = ConnectionEnd(self, client_host, server_host, "client")
+        server_end = ConnectionEnd(self, server_host, client_host, "server")
+        client_end.peer = server_end
+        server_end.peer = client_end
+        self.client_end: ConnectionEnd | None = client_end
+        self.server_end: ConnectionEnd | None = server_end
 
     def __repr__(self) -> str:
         return f"<Connection #{self.id} {self.client_host.name}->{self.server_host.name}:{self.port}>"
@@ -321,23 +329,39 @@ class Connection:
 class ConnectionEnd:
     """One endpoint of a connection: send to the peer, recv from it.
 
-    An end allocates what it uses.  Most ends are the serving side of a
-    one-exchange connection and are only ever pushed to
-    (:meth:`on_receive`), so the inbox :class:`Channel` is built by the
-    first :meth:`recv` or the first unit nobody was ready for, ``closed``
-    is the end's own flag for both directions, and the label is formatted
-    when somebody asks (an error message, a ``repr``).
+    An end allocates what it uses.  A serving end is only ever pushed to
+    (:meth:`on_receive`) and a calling end waits for one response, so a
+    lone :meth:`recv` parks one event and the inbox :class:`Channel` is
+    built only by a unit nobody was ready for or a second ``recv()``
+    parked beside the first; ``closed`` is the end's own flag for both
+    directions, and the label is formatted when somebody asks (an error
+    message, a ``repr``).
+
+    A closed end holds nothing live: its parked ``recv()`` has failed,
+    its ``on_receive`` callback (a path to a running server) is dropped,
+    and once the peer is closed too the ``peer`` links are cut (see
+    :class:`Connection`).  The one ring that still waits for the cycle
+    collector is an end whose close notification never fires: the run
+    stopped first, or nobody ever held the client end (a connect
+    abandoned by its deadline).
     """
 
-    def __init__(self, conn: Connection, local: Host, remote: Host) -> None:
+    def __init__(self, conn: Connection, local: Host, remote: Host, side: str) -> None:
         self.conn = conn
         self.local = local
         self.remote = remote
+        #: ``"client"`` or ``"server"``; the end cannot ask the connection
+        #: which one it is once the ring is cut.
+        self.side = side
         self.peer: "ConnectionEnd" | None = None  # set by Connection
         self.closed = False
-        #: What a ``recv()`` with nothing buffered fails with once closed:
-        #: a reset's error, or None for an orderly close.
-        self._close_reason: Exception | None = None
+        #: Text of the ``ConnectionResetError_`` a ``recv()`` with nothing
+        #: buffered fails with once closed, or None for an orderly close.
+        #: The text, not the exception: one that was thrown into a caller
+        #: carries that caller's frames, and those hold this end.
+        self._reset_error: str | None = None
+        #: The lone parked ``recv()``; older than anything in ``_inbox``.
+        self._waiter: SimEvent | None = None
         self._inbox: Channel | None = None
         self._on_receive: _t.Callable[["ConnectionEnd", object], None] | None = None
 
@@ -350,19 +374,24 @@ class ConnectionEnd:
     def label(self) -> str:
         """``conn<id>:<client>-><server>:<port>/<side>``, for messages."""
         conn = self.conn
-        side = "client" if self is conn.client_end else "server"
         return (
             f"conn{conn.id}:{conn.client_host.name}->{conn.server_host.name}"
-            f":{conn.port}/{side}"
+            f":{conn.port}/{self.side}"
         )
 
     def _buffer(self) -> Channel:
+        """The mailbox of an open end, built on first need."""
         inbox = self._inbox
         if inbox is None:
             inbox = self._inbox = Channel(self.sim, name=f"{self.label}/inbox")
-            if self.closed:
-                inbox.close(self._close_reason)
         return inbox
+
+    def _closed_error(self) -> Exception:
+        """What a ``recv()`` finds on a closed end with nothing buffered,
+        in the words the mailbox would have used."""
+        if self._reset_error is not None:
+            return ConnectionResetError_(self._reset_error)
+        return ChannelClosed(f"channel {self.label + '/inbox'!r} closed")
 
     def send(self, payload: bytes) -> None:
         """Transmit the bytes ``payload`` to the peer after one link latency.
@@ -401,11 +430,16 @@ class ConnectionEnd:
             ):
                 return  # dropped on the floor by the partition
             receiver = peer._on_receive
-            if receiver is None:
-                peer._buffer().put(unit)
-            else:
+            if receiver is not None:
                 peer._on_receive = None
                 receiver(peer, unit)
+                return
+            waiter = peer._waiter
+            if waiter is not None:
+                peer._waiter = None
+                waiter.succeed(unit)
+            else:
+                peer._buffer().put(unit)
 
         self.sim.timeout(delay).add_callback(_deliver)
 
@@ -418,6 +452,18 @@ class ConnectionEnd:
         :class:`~repro.simulation.resources.ChannelClosed` on orderly
         close with nothing buffered.
         """
+        inbox = self._inbox
+        if inbox is not None:
+            return inbox.get()
+        sim = self.conn.network.sim
+        if self.closed:
+            return sim.event().fail(self._closed_error())
+        if self._waiter is None:
+            # The common case, one response awaited: one event, no mailbox.
+            waiter = self._waiter = sim.event()
+            return waiter
+        # Parked beside an earlier recv(): the mailbox queues this one,
+        # and a delivery serves the lone waiter before the mailbox.
         return self._buffer().get()
 
     def on_receive(self, callback: _t.Callable[["ConnectionEnd", object], None]) -> None:
@@ -431,12 +477,13 @@ class ConnectionEnd:
         whose peer closes (or never speaks) costs its owner no event; a
         server registers again when it is ready for the next unit, and
         units arriving in between wait their turn in the buffer, in
-        order.  Once the end is closed or reset no delivery calls back.
+        order.  Once the end is closed or reset no delivery calls back,
+        and the callback is not kept.
         """
         inbox = self._inbox
         if inbox is not None and len(inbox):
             callback(self, inbox.get().value)
-        else:
+        elif not self.closed:
             self._on_receive = callback
 
     def close(self) -> None:
@@ -458,25 +505,32 @@ class ConnectionEnd:
         delay = self.conn.network.latency_between(self.local.name, self.remote.name)
 
         def _notify(_: SimEvent) -> None:
-            if peer.closed:
-                return
-            peer.closed = True
-            peer._close_inbox(
-                ConnectionResetError_(f"{peer.label}: connection reset by peer")
-                if reset
-                else None
-            )
+            if not peer.closed:
+                peer.closed = True
+                peer._close_inbox(
+                    f"{peer.label}: connection reset by peer" if reset else None
+                )
+            # Both directions are down: cut the ring.
+            conn = self.conn
+            conn.client_end = conn.server_end = self.peer = peer.peer = None
 
         self.sim.timeout(delay).add_callback(_notify)
         # Local pending receives also fail immediately on reset.
-        self._close_inbox(
-            ConnectionResetError_(f"{self.label}: connection reset") if reset else None
-        )
+        self._close_inbox(f"{self.label}: connection reset" if reset else None)
 
-    def _close_inbox(self, reason: Exception | None) -> None:
-        self._close_reason = reason
+    def _close_inbox(self, reset_error: str | None) -> None:
+        """Fail every parked ``recv()`` and drop the push callback (a
+        path from a dead connection to a live server)."""
+        self._reset_error = reset_error
+        self._on_receive = None
+        waiter = self._waiter
+        if waiter is not None:
+            self._waiter = None
+            waiter.fail(self._closed_error())
         if self._inbox is not None:
-            self._inbox.close(reason)
+            self._inbox.close(
+                None if reset_error is None else ConnectionResetError_(reset_error)
+            )
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"

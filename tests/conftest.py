@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import multiprocessing
 import typing as _t
 
@@ -52,6 +54,21 @@ class EventCount:
     def __call__(self) -> int:
         self._reads += 1
         return next(self._counter) - (self._reads - 1)
+
+
+@contextlib.contextmanager
+def collector_off():
+    """The cycle collector switched off (after one full collection) and
+    restored on exit: inside, whatever a ``gc.collect()`` finds is exactly
+    what reference counting did not free, on any interpreter's schedule."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def live_fleet_workers() -> list:
