@@ -473,7 +473,7 @@ class GremlinAgent:
 
         # --- forward to a physical instance of the destination ---
         try:
-            response = yield from self._forward(dst_service, request)
+            response = yield from self._forward(dst_service, request, request_id)
         except (ConnectionRefusedError_, HostUnreachableError, ServiceNotFoundError) as exc:
             record.error = "refused"
             response = HttpResponse.error(
@@ -531,18 +531,20 @@ class GremlinAgent:
         return False
 
     def _forward(
-        self, dst_service: str, request: HttpRequest
+        self, dst_service: str, request: HttpRequest, request_id: _t.Optional[str]
     ) -> _t.Generator[_t.Any, _t.Any, HttpResponse]:
         pool = "main"
-        addresses: list = []
-        if self._canary_regex is not None:
-            request_id = request.request_id
-            if request_id is not None and self._canary_regex.match(request_id):
-                addresses = self.registry.canary_addresses(dst_service)
-                pool = "canary"
+        addresses: _t.Sequence = ()
+        if (
+            self._canary_regex is not None
+            and request_id is not None
+            and self._canary_regex.match(request_id)
+        ):
+            addresses = self.registry.canary_addresses(dst_service)
+            pool = "canary"
         if not addresses:
             pool = "main"
-            addresses = self.registry.addresses(dst_service)
+            addresses = self.registry.production_addresses(dst_service)
         key = (dst_service, pool)
         index = self._round_robin.get(key, 0)
         self._round_robin[key] = index + 1

@@ -62,12 +62,9 @@ class HttpClient:
 
     def __init__(self, host: Host, default_timeout: float | None = None) -> None:
         self.host = host
+        #: The simulator the owning host runs on.
+        self.sim: Simulator = host.sim
         self.default_timeout = default_timeout
-
-    @property
-    def sim(self) -> Simulator:
-        """The simulator the owning host runs on."""
-        return self.host.sim
 
     def call(
         self,

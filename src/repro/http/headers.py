@@ -27,7 +27,21 @@ class Headers:
 
     Keys preserve their first-seen casing for serialization but compare
     case-insensitively, as HTTP requires.  Values are strings.
+
+    A map also carries its *proof*: :meth:`__setitem__`, the one writer,
+    tests each pair it stores with the predicate the codec's
+    ``encode -> split -> strip`` round trip preserves (key without colon
+    or space, value without edge space, both printable ASCII), so
+    :func:`repro.http.wire.wire_form` re-walks the entries only of a map
+    that ever stored a pair failing it.  ``Content-Length`` is exempt:
+    the wire form re-derives it from the body, so the stored value never
+    reaches the peer.
     """
+
+    #: True once a stored pair failed the predicate; ``wire_form`` clears
+    #: it when a full walk passes again (the offender was deleted or
+    #: overwritten).  A class-level default, so ``Headers.__new__`` works.
+    _unproven = False
 
     def __init__(self, items: _t.Union[dict, _t.Iterable[tuple[str, str]], None] = None) -> None:
         self._entries: dict[str, tuple[str, str]] = {}
@@ -37,7 +51,18 @@ class Headers:
                 self[key] = value
 
     def __setitem__(self, key: str, value: str) -> None:
-        self._entries[key.lower()] = (key, str(value))
+        lowered = key.lower()
+        value = str(value)
+        self._entries[lowered] = (key, value)
+        text = key + value
+        if (
+            ":" in key
+            or " " in key
+            or value[:1] == " "
+            or value[-1:] == " "
+            or not (text.isascii() and text.isprintable())
+        ) and lowered != "content-length":
+            self._unproven = True
 
     def __getitem__(self, key: str) -> str:
         return self._entries[key.lower()][1]
@@ -73,11 +98,13 @@ class Headers:
     def copy(self) -> "Headers":
         """An independent copy (same key casing, same order).
 
-        Entries were normalised when they were set, so the copy is one
-        dict copy rather than a re-validation of every entry.
+        Entries were normalised and tested when they were set, so the
+        copy is one dict copy and carries the proof mark along.
         """
         clone = Headers()
         clone._entries = self._entries.copy()
+        if self._unproven:
+            clone._unproven = True
         return clone
 
     def to_dict(self) -> dict[str, str]:

@@ -38,17 +38,14 @@ class HttpServer:
 
     def __init__(self, host: Host, port: int, handler: Handler, name: str | None = None) -> None:
         self.host = host
+        #: The simulator the owning host runs on.
+        self.sim: Simulator = host.sim
         self.port = port
         self.handler = handler
         self.name = name or f"{host.name}:{port}"
         self._listener: Listener | None = None
         #: Count of requests served, for tests and capacity checks.
         self.requests_served = 0
-
-    @property
-    def sim(self) -> Simulator:
-        """The simulator the owning host runs on."""
-        return self.host.sim
 
     @property
     def running(self) -> bool:
@@ -74,8 +71,32 @@ class HttpServer:
         self.sim.process(self._serve(conn, payload), name=f"{self.name}/serve")
 
     def _serve(self, conn: ConnectionEnd, payload: object) -> _t.Generator:
-        """One exchange; the connection's next request is taken after it."""
-        response = yield from self._dispatch(payload)
+        """One exchange; the connection's next request is taken after it.
+
+        Parse, handler and reply share this one generator frame: every
+        resume of a handler passes through each frame above it.
+        """
+        try:
+            request = received_request(payload)
+        except CodecError as exc:
+            response = HttpResponse.error(http_status.BAD_REQUEST, str(exc))
+        else:
+            problem = None
+            try:
+                response = yield from self.handler(request)
+            except Exception as exc:  # noqa: BLE001 - handler crash => 500
+                problem = f"handler error: {type(exc).__name__}: {exc}"
+            else:
+                if not isinstance(response, HttpResponse):
+                    problem = f"handler returned {type(response).__name__}, expected HttpResponse"
+            rid = request.request_id
+            if problem is not None:
+                response = HttpResponse.error(
+                    http_status.INTERNAL_SERVER_ERROR, problem, request_id=rid
+                )
+            # Echo the request ID so flows stay traceable end to end.
+            if rid is not None and REQUEST_ID_HEADER not in response.headers:
+                response.headers[REQUEST_ID_HEADER] = rid
         if conn.closed:
             return
         try:
@@ -86,31 +107,6 @@ class HttpServer:
             return
         self.requests_served += 1
         conn.on_receive(self._spawn)
-
-    def _dispatch(self, payload: object) -> _t.Generator[_t.Any, _t.Any, HttpResponse]:
-        try:
-            request = received_request(payload)
-        except CodecError as exc:
-            return HttpResponse.error(http_status.BAD_REQUEST, str(exc))
-        try:
-            response = yield from self.handler(request)
-        except Exception as exc:  # noqa: BLE001 - handler crash => 500
-            response = HttpResponse.error(
-                http_status.INTERNAL_SERVER_ERROR,
-                f"handler error: {type(exc).__name__}: {exc}",
-                request_id=request.request_id,
-            )
-        if not isinstance(response, HttpResponse):
-            response = HttpResponse.error(
-                http_status.INTERNAL_SERVER_ERROR,
-                f"handler returned {type(response).__name__}, expected HttpResponse",
-                request_id=request.request_id,
-            )
-        # Echo the request ID so flows stay traceable end to end.
-        rid = request.request_id
-        if rid is not None and REQUEST_ID_HEADER not in response.headers:
-            response.headers[REQUEST_ID_HEADER] = rid
-        return response
 
     def __repr__(self) -> str:
         state = "running" if self.running else "stopped"

@@ -9,7 +9,11 @@ re-derived and placed last, body shared as immutable ``bytes``).  The
 receiver uses it as it is.
 
 :func:`wire_form` only takes that short cut for a message it can
-*prove* round-trips unchanged.  Anything else — a header key or value,
+*prove* round-trips unchanged.  The header pairs are proven where they
+are stored (:class:`~repro.http.headers.Headers` tests each one it is
+given and remembers a failure), so a hop checks method/URI/status/body
+and walks the pairs only of a map that ever held a bad one — the
+snapshot it forwards starts proven.  Anything else — a header key or value,
 URI, method, status or body the codec would reject, strip or re-split —
 is serialised by :func:`~repro.http.codec.encode` exactly as before and
 travels as ``bytes``, so the sender and the receiver raise what they
@@ -66,16 +70,22 @@ def wire_form(message: Message) -> Message | bytes:
         return encode(message)
     entries = headers._entries.copy()  # noqa: SLF001 - same package
     entries.pop("content-length", None)
-    for key, value in entries.values():
-        # encode -> split -> strip keeps a key with no colon or space and
-        # a value with no edge space ...
-        if ":" in key or " " in key or value[:1] == " " or value[-1:] == " ":
-            return encode(message)
-        head += key
-        head += value
+    unproven = headers._unproven  # noqa: SLF001
+    if unproven:
+        # Some pair failed the test ``Headers.__setitem__`` applies; it
+        # may be gone again, so walk what is stored now: encode -> split
+        # -> strip keeps a key with no colon or space and a value with no
+        # edge space ...
+        for key, value in entries.values():
+            if ":" in key or " " in key or value[:1] == " " or value[-1:] == " ":
+                return encode(message)
+            head += key
+            head += value
     # ... as long as all of it is printable ASCII.
     if not (head.isascii() and head.isprintable()):
         return encode(message)
+    if unproven:
+        headers._unproven = False  # noqa: SLF001 - every stored pair passed
     entries["content-length"] = ("Content-Length", str(len(body)))
     # Built field by field: the constructors would re-check what was just
     # proven, once per hop.

@@ -124,7 +124,7 @@ class LogPipeline:
                 for waiter in waiters:
                     waiter.succeed()
 
-        self.sim.timeout(self.shipping_delay).add_callback(_land)
+        self.sim.timeout(self.shipping_delay).callbacks.append(_land)
 
     def flush(self) -> int:
         """Write any buffered batch to the store; returns records landed."""

@@ -92,6 +92,9 @@ class EventStore:
         # Secondary indexes (maintained only under the indexed strategy).
         #: (kind, src, dst) / (kind, src, None) / (kind, None, dst) -> slice.
         self._slices: _t.DefaultDict[tuple, RecordSlice] = collections.defaultdict(RecordSlice)
+        #: Ingest memo: (kind, src, dst) -> the three slices of
+        #: ``_slices`` a record with that identity lands in.
+        self._slices_of: dict[tuple, tuple[RecordSlice, RecordSlice, RecordSlice]] = {}
         #: Exact request-ID index: trace reconstruction pulls one
         #: request's records without scanning the run.
         self._rid_ix: _t.DefaultDict[str, RecordSlice] = collections.defaultdict(RecordSlice)
@@ -145,6 +148,7 @@ class EventStore:
         self._primary = RecordSlice()
         self._sorted = True
         self._slices.clear()
+        self._slices_of.clear()
         self._rid_ix.clear()
 
     # -- queries -----------------------------------------------------------------
@@ -234,10 +238,17 @@ class EventStore:
     # -- index maintenance -------------------------------------------------------
 
     def _index_record(self, record: ObservationRecord, ts: float) -> None:
-        kind, src, dst = record.kind, record.src, record.dst
-        slices = self._slices
-        for key in ((kind, src, dst), (kind, src, None), (kind, None, dst)):
-            bucket = slices[key]
+        # An identity repeats thousands of times in a run: its three
+        # slices are looked up in ``_slices`` once and remembered.
+        key = (record.kind, record.src, record.dst)
+        landing = self._slices_of.get(key)
+        if landing is None:
+            kind, src, dst = key
+            slices = self._slices
+            landing = self._slices_of[key] = (
+                slices[key], slices[kind, src, None], slices[kind, None, dst]
+            )
+        for bucket in landing:
             bucket.records.append(record)
             bucket.timestamps.append(ts)
         if record.request_id is not None:

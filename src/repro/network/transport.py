@@ -120,15 +120,28 @@ class Network:
     def set_latency(
         self, host_a: str, host_b: str, latency: _t.Union[float, LatencyModel]
     ) -> None:
-        """Override the latency model for one host pair (symmetric)."""
+        """Override the latency model for one pair of distinct hosts
+        (symmetric); a host's traffic with itself is governed by
+        ``loopback_latency``."""
+        if host_a == host_b:
+            raise NetworkError(
+                f"set_latency({host_a!r}, {host_b!r}): a host's traffic with"
+                " itself takes loopback_latency, not a per-pair model"
+            )
         self._pair_latency[frozenset((host_a, host_b))] = as_latency(latency)
 
     def latency_between(self, host_a: str, host_b: str) -> float:
         """Sample a one-way delay for a message between two hosts."""
         if host_a == host_b:
             return self.loopback_latency.sample(self.sim)
-        model = self._pair_latency.get(frozenset((host_a, host_b)), self.default_latency)
-        return model.sample(self.sim)
+        # The per-pair table is empty unless somebody installed a model:
+        # no key is built to look into nothing.
+        pairs = self._pair_latency
+        if pairs:
+            model = pairs.get(frozenset((host_a, host_b)))
+            if model is not None:
+                return model.sample(self.sim)
+        return self.default_latency.sample(self.sim)
 
     # -- partitions -------------------------------------------------------------
 
@@ -146,7 +159,8 @@ class Network:
 
     def is_partitioned(self, host_a: str, host_b: str) -> bool:
         """True if traffic between the two hosts is currently blocked."""
-        return frozenset((host_a, host_b)) in self._partitions
+        partitions = self._partitions
+        return bool(partitions) and frozenset((host_a, host_b)) in partitions
 
     # -- connections ---------------------------------------------------------------
 
@@ -177,7 +191,11 @@ class Network:
                 budget, HostUnreachableError(f"no route to host {dst.host!r}")
             )
 
-        if src.name != dst_host.name and self.is_partitioned(src.name, dst_host.name):
+        if (
+            self._partitions
+            and src.name != dst_host.name
+            and self.is_partitioned(src.name, dst_host.name)
+        ):
             return self._fails_after(
                 budget,
                 ConnectionTimeoutError(f"connect {src.name} -> {dst}: network partition"),
@@ -208,13 +226,15 @@ class Network:
             listener._deliver(conn.server_end)
             ev.succeed(conn.client_end)
 
-        done.add_callback(_complete)
+        # A fresh timeout's callback list is empty and unprocessed by
+        # construction: append to it, as the kernel's own waiters do.
+        done.callbacks.append(_complete)
         return ev
 
     def _fails_after(self, delay: float, exc: Exception) -> SimEvent:
         """A connect attempt that fails with ``exc`` once ``delay`` has passed."""
         ev = self.sim.event()
-        self.sim.timeout(delay).add_callback(lambda _: ev.fail(exc))
+        self.sim.timeout(delay).callbacks.append(lambda _: ev.fail(exc))
         return ev
 
 
@@ -223,13 +243,10 @@ class Host:
 
     def __init__(self, network: Network, name: str) -> None:
         self.network = network
+        #: The simulator this host's network runs on.
+        self.sim: Simulator = network.sim
         self.name = name
         self._listeners: dict[int, Listener] = {}
-
-    @property
-    def sim(self) -> Simulator:
-        """The simulator this host's network runs on."""
-        return self.network.sim
 
     def listen(self, port: int) -> "Listener":
         """Bind a listener on ``port``; returns the Listener."""
@@ -425,8 +442,10 @@ class ConnectionEnd:
         def _deliver(_: SimEvent) -> None:
             if peer.closed:
                 return  # peer already gone; drop like a RST race
-            if self.local.name != self.remote.name and network.is_partitioned(
-                self.local.name, self.remote.name
+            if (
+                network._partitions
+                and self.local.name != self.remote.name
+                and network.is_partitioned(self.local.name, self.remote.name)
             ):
                 return  # dropped on the floor by the partition
             receiver = peer._on_receive
@@ -441,7 +460,7 @@ class ConnectionEnd:
             else:
                 peer._buffer().put(unit)
 
-        self.sim.timeout(delay).add_callback(_deliver)
+        network.sim.timeout(delay).callbacks.append(_deliver)
 
     def recv(self) -> SimEvent:
         """Event yielding the next data unit from the peer: ``bytes`` if
@@ -502,7 +521,8 @@ class ConnectionEnd:
         self.closed = True
         peer = self.peer
         assert peer is not None
-        delay = self.conn.network.latency_between(self.local.name, self.remote.name)
+        network = self.conn.network
+        delay = network.latency_between(self.local.name, self.remote.name)
 
         def _notify(_: SimEvent) -> None:
             if not peer.closed:
@@ -514,7 +534,7 @@ class ConnectionEnd:
             conn = self.conn
             conn.client_end = conn.server_end = self.peer = peer.peer = None
 
-        self.sim.timeout(delay).add_callback(_notify)
+        network.sim.timeout(delay).callbacks.append(_notify)
         # Local pending receives also fail immediately on reset.
         self._close_inbox(f"{self.label}: connection reset" if reset else None)
 

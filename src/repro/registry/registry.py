@@ -48,6 +48,10 @@ class ServiceRegistry:
 
     def __init__(self) -> None:
         self._instances: dict[str, dict[str, InstanceRecord]] = {}
+        #: service -> its production addresses, as :meth:`addresses`
+        #: derives them; dropped per service by the two mutators
+        #: (records themselves are frozen).
+        self._production: dict[str, tuple[Address, ...]] = {}
 
     def register(self, record: InstanceRecord) -> None:
         """Add an instance; duplicate IDs within a service are rejected."""
@@ -57,12 +61,14 @@ class ServiceRegistry:
                 f"instance {record.instance_id!r} of {record.service!r} already registered"
             )
         by_id[record.instance_id] = record
+        self._production.pop(record.service, None)
 
     def deregister(self, service: str, instance_id: str) -> None:
         """Remove an instance (no-op if absent)."""
         by_id = self._instances.get(service)
         if by_id is not None:
             by_id.pop(instance_id, None)
+            self._production.pop(service, None)
             if not by_id:
                 del self._instances[service]
 
@@ -84,9 +90,19 @@ class ServiceRegistry:
         on them.  If a service consists solely of canaries (a test-only
         deployment), those are returned rather than failing lookups.
         """
-        records = self.instances(service)
-        production = [record.address for record in records if not record.canary]
-        return production or [record.address for record in records]
+        return list(self.production_addresses(service))
+
+    def production_addresses(self, service: str) -> tuple[Address, ...]:
+        """What :meth:`addresses` answers, as the registry's own
+        immutable memo — for the per-message path, which only indexes it."""
+        known = self._production.get(service)
+        if known is None:
+            records = self.instances(service)
+            production = [record.address for record in records if not record.canary]
+            known = self._production[service] = tuple(
+                production or [record.address for record in records]
+            )
+        return known
 
     def canary_addresses(self, service: str) -> list[Address]:
         """Serving addresses of the canary instances of ``service``

@@ -383,8 +383,10 @@ class Simulator:
         buckets = self._buckets
         times = self._times
         overflow = self._overflow
+        span = self._span
         unhandled = self.unhandled_failures
         pop = heapq.heappop
+        push = heapq.heappush
         refcount = _getrefcount
         pooling = self._pooling
         timeout_pool = self._timeout_pool
@@ -415,8 +417,19 @@ class Simulator:
                 break
             if when > limit:
                 break
-            self._advance(when)
-            pop(times)  # == when: _advance migrated any earlier overflow
+            # ``_advance(when)``, inlined: one call per distinct timestamp
+            # is a sixth of this loop's calls on request traffic.
+            self._now = when
+            horizon = self._horizon = when + span
+            while overflow and overflow[0][0] <= horizon:
+                owhen, _seq, event = pop(overflow)
+                bucket = buckets.get(owhen)
+                if bucket is not None:
+                    bucket.append(event)
+                else:
+                    buckets[owhen] = [event]
+                    push(times, owhen)
+            pop(times)  # == when: any earlier overflow has just migrated
             batch = buckets[when]
             self._now_batch = batch
             for event in batch:

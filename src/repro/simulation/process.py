@@ -82,7 +82,7 @@ class Process(SimEvent):
         # its callback has run nothing references it, so the kernel's
         # free list can recycle it.
         bootstrap = sim.event()
-        bootstrap.add_callback(resume)
+        bootstrap.callbacks.append(resume)  # fresh: nothing to check
         bootstrap.succeed()
 
     # -- public API -------------------------------------------------------

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import gc
 import multiprocessing
+import os
+import sys
 import typing as _t
 
 import pytest
 
+import repro
 from repro.simulation import Simulator
 
 
@@ -54,6 +58,62 @@ class EventCount:
     def __call__(self) -> int:
         self._reads += 1
         return next(self._counter) - (self._reads - 1)
+
+
+class CallCount:
+    """Python calls into the program while the block runs, by package.
+
+    The benchmark ledger's definition of ``<layer>.calls`` (bench/layers.py),
+    taken with a ``sys.setprofile`` hook instead of ``cProfile``: every
+    ``call`` event whose code object lives under ``src/repro`` counts for
+    the package directory it is in — so a generator resume counts like a
+    call, and a C builtin does not count at all.  The numbers repeat
+    exactly from run to run.
+    """
+
+    _ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+
+    def __init__(self) -> None:
+        self.by_package: _t.Counter[str] = collections.Counter()
+        self._package_of: dict = {}
+
+    @property
+    def total(self) -> int:
+        return sum(self.by_package.values())
+
+    def _hook(self, frame, event, _arg) -> None:
+        if event != "call":
+            return
+        code = frame.f_code
+        try:
+            package = self._package_of[code]
+        except KeyError:
+            filename = os.path.abspath(code.co_filename)
+            package = None
+            if filename.startswith(self._ROOT):
+                package = filename[len(self._ROOT):].split(os.sep, 1)[0]
+            self._package_of[code] = package
+        if package is not None:
+            self.by_package[package] += 1
+
+    def __enter__(self) -> "CallCount":
+        sys.setprofile(self._hook)
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        sys.setprofile(None)
+
+
+class SpiedKey(str):
+    """A header key that counts how often the header proof's predicate
+    reads it (``":" in key``): once when the pair is stored, and once
+    for every walk ``wire_form`` makes over the map holding it."""
+
+    tested = 0
+
+    def __contains__(self, item: object) -> bool:
+        self.tested += item == ":"
+        return super().__contains__(item)
 
 
 @contextlib.contextmanager

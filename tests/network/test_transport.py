@@ -458,3 +458,71 @@ class TestLatencyOverrides:
         sim.process(client(sim))
         sim.run()
         assert times == [pytest.approx(2.0)]  # 4 one-way hops x 0.5s
+
+    def test_a_host_with_itself_is_refused_and_names_the_setting(self, net):
+        net.add_host("alpha")
+        with pytest.raises(NetworkError, match="loopback_latency"):
+            net.set_latency("alpha", "alpha", 0.5)
+        # Nothing was installed: the loopback model still governs.
+        assert net.latency_between("alpha", "alpha") == net.loopback_latency.sample(net.sim)
+
+    def test_override_installed_after_traffic_started_applies_to_the_next_message(
+        self, sim, net, two_hosts
+    ):
+        """The empty-table guard looks at the table as it is now: having
+        found it empty once is not remembered."""
+        alpha, beta = two_hosts
+        listener = beta.listen(80)
+        sent, arrived = [], []
+
+        def server(sim):
+            conn = yield listener.accept()
+            for _ in range(2):
+                yield conn.recv()
+                arrived.append(sim.now)
+
+        def client(sim):
+            conn = yield alpha.connect(Address("beta", 80))
+            sent.append(sim.now)
+            conn.send(b"default link")
+            yield sim.timeout(1.0)
+            net.set_latency("beta", "alpha", 0.25)  # symmetric: either order
+            sent.append(sim.now)
+            conn.send(b"per-pair link")
+
+        sim.process(server(sim))
+        sim.process(client(sim))
+        sim.run()
+        assert arrived == [pytest.approx(sent[0] + 0.001), pytest.approx(sent[1] + 0.25)]
+
+    def test_partition_installed_after_traffic_started_drops_the_next_message(
+        self, sim, net, two_hosts
+    ):
+        alpha, beta = two_hosts
+        listener = beta.listen(80)
+        got = []
+
+        def take(end, unit):
+            got.append(unit)
+            end.on_receive(take)  # one registration takes one unit
+
+        def server(sim):
+            conn = yield listener.accept()
+            conn.on_receive(take)
+
+        def client(sim):
+            conn = yield alpha.connect(Address("beta", 80))
+            assert not net.is_partitioned("alpha", "beta")
+            conn.send(b"lands")
+            yield sim.timeout(1.0)
+            net.partition("alpha", "beta")
+            conn.send(b"dropped")
+            yield sim.timeout(1.0)
+            net.heal_all()
+            assert not net.is_partitioned("beta", "alpha")
+            conn.send(b"lands again")
+
+        sim.process(server(sim))
+        sim.process(client(sim))
+        sim.run()
+        assert got == [b"lands", b"lands again"]

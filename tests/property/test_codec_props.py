@@ -18,6 +18,8 @@ from repro.http import (
     wire,
 )
 
+from tests.conftest import SpiedKey
+
 _token = st.text(
     alphabet=string.ascii_letters + string.digits + "-_",
     min_size=1,
@@ -251,3 +253,112 @@ class TestWireSnapshotIsTheRoundTrip:
         request.headers[key] = value + "!"
         request.body = b"resent"
         assert list(fresh.headers.items()) == arrived and fresh.body == body
+
+
+# -- the header proof is the old walk, whatever order the map was written in ------
+
+_proof_key = st.one_of(
+    st.sampled_from(["X-A", "x-a", "X-B", "Content-Length", "content-length", "X-Gremlin-Span-Id"]),
+    st.sampled_from(["a:b", "a b", " a", "a ", "a\tb", "\xe9", "a\x7f", "a\r\nb", ""]),
+    _hostile_text,
+)
+_proof_value = st.one_of(
+    _header_value,
+    st.sampled_from([" v", "v ", " ", "in ner", "\tv", "v\n", "\xe9", "\xa0v", "a\x00b", "999"]),
+    _hostile_text,
+    st.integers(-5, 5000),
+)
+_proof_op = st.one_of(
+    st.tuples(st.just("set"), _proof_key, _proof_value),
+    st.tuples(st.just("setdefault"), _proof_key, _proof_value),
+    st.tuples(st.just("del"), _proof_key),
+    st.tuples(st.sampled_from(["copy", "from-dict", "send"])),
+)
+
+
+def _old_walk_passes(message):
+    """The walk ``wire_form`` made over every map on every hop before
+    headers carried their proof, kept here as the oracle."""
+    head = message.uri if isinstance(message, HttpRequest) else ""
+    for key, value in message.headers.items():
+        if key.lower() == "content-length":
+            continue
+        if ":" in key or " " in key or value[:1] == " " or value[-1:] == " ":
+            return False
+        head += key
+        head += value
+    return head.isascii() and head.isprintable()
+
+
+def _sent(message):
+    """``wire_form(message)`` checked against the oracle; returns the unit."""
+    expected_snapshot = _old_walk_passes(message)
+    try:
+        unit = wire.wire_form(message)
+    except Exception as exc:  # noqa: BLE001 - must be what encode raises
+        assert not expected_snapshot
+        assert _outcome(encode, message) == type(exc)
+        return None
+    if expected_snapshot:
+        assert type(unit) is type(message) and unit is not message
+        assert _outcome(lambda m: unit, message) == _outcome(_through_codec, message)
+    else:
+        assert type(unit) is bytes and unit == encode(message)
+    return unit
+
+
+class TestHeaderProofIsTheOldWalk:
+    @given(
+        start=st.one_of(_headers, st.dictionaries(_proof_key, _proof_value, max_size=3)),
+        ops=st.lists(_proof_op, max_size=8),
+        as_request=st.booleans(),
+    )
+    @example(start={}, ops=[("set", "X-A", " v"), ("send",), ("del", "x-a")], as_request=True)
+    @example(start={"a:b": "v"}, ops=[("copy",), ("del", "a:b")], as_request=False)
+    @example(start={}, ops=[("set", "X-A", "\xe9"), ("set", "x-a", "ok")], as_request=True)
+    @example(start={}, ops=[("set", "CONTENT-LENGTH", " 9 "), ("from-dict",)], as_request=False)
+    @settings(max_examples=400)
+    def test_any_mutation_order_travels_as_the_walk_says(self, start, ops, as_request):
+        message = (
+            HttpRequest("POST", "/x", start, b"ab") if as_request else HttpResponse(200, start, b"ab")
+        )
+        for op, *args in ops:
+            headers = message.headers
+            if op == "set":
+                headers[args[0]] = args[1]
+            elif op == "setdefault":
+                headers.setdefault(*args)
+            elif op == "del":
+                if args[0] in headers:
+                    del headers[args[0]]
+            elif op == "copy":
+                message.headers = headers.copy()
+            elif op == "from-dict":
+                message.headers = Headers(headers.to_dict())
+            else:
+                _sent(message)  # a send in between may clear the mark, never set it wrong
+        _sent(message)
+
+    @given(key=_proof_key, value=_proof_value, clean=_headers)
+    @settings(max_examples=100)
+    def test_deleting_the_offender_restores_the_snapshot(self, key, value, clean):
+        request = HttpRequest("GET", "/x", clean)
+        if key in request.headers or key.lower() == "content-length":
+            return
+        request.headers[key] = value
+        _sent(request)
+        del request.headers[key]
+        assert type(_sent(request)) is HttpRequest
+
+    @given(headers=_headers, body=_body, hops=st.integers(1, 4))
+    @settings(max_examples=50)
+    def test_a_forwarded_snapshot_is_not_walked_again(self, headers, body, hops):
+        spied = SpiedKey("X-Spied")
+        request = HttpRequest("POST", "/x", Headers([(spied, "1"), *headers.items()]), body)
+        assert spied.tested == 1  # tested where it was stored
+        for hop in range(hops):
+            request = wire.wire_form(request)  # (the oracle would read the key too)
+            assert type(request) is HttpRequest
+            # The sidecar stamps its span ID on what it received.
+            request.headers["X-Gremlin-Span-Id"] = f"svc-1-0#{hop}"
+        assert spied.tested == 1
