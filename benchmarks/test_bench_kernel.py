@@ -4,9 +4,9 @@ Every campaign recipe and fuzz case bottoms out in the same loop —
 ``Simulator.run`` draining the scheduler and resuming generator
 processes — so serial events/second is the one number every other
 wall-clock figure in this suite scales with.  This benchmark pins the
-hot-path work (the calendar-queue scheduler, event pooling, slotted
-events, the inlined run loop, collapsed process resume) with two
-workloads:
+hot-path work (the heap-plus-due-FIFO scheduler, one-frame event,
+timeout and process construction, slotted events, the inlined run loop,
+collapsed process resume) with two workloads:
 
 * **timer storm** — hundreds of processes sleeping in staggered loops:
   pure scheduler churn plus generator resume, no conditions;
@@ -14,17 +14,19 @@ workloads:
   ``AnyOf``: exercises condition callbacks and defusal, the shape every
   client-timeout pattern in the service layer reduces to.
 
-Both scheduler lanes are measured: the calendar queue (default) gates
-against the baseline; the heap lane is recorded alongside so the
-committed JSON shows what the calendar queue buys on this workload.
+Both scheduler lanes are measured: the default lane gates against the
+baseline; the heap lane is recorded alongside (``default_vs_heap``).
+This storm is not the drive path's shape: 200 sleepers on 7 delays put
+≈28 events on every timestamp, the batching case a bucketed scheduler
+wins, where request traffic has ≈1.7 per timestamp.  Read it as a floor
+on the kernel, not as a forecast for a verdict.
 
 ``BASELINE_EVENTS_PER_S`` is the best-of-three rate measured on this
-same workload immediately before the optimization pass, on the same
-container that produced the committed ``BENCH_kernel.json``; the
-optimized kernel must clear it by >= 50%.  Set
-``KERNEL_BENCH_STRICT=0`` to record numbers without gating on timing
-(CI smoke on shared runners, laptops under load) — completion still
-gates.
+same workload immediately before the first optimization pass, on the
+container that produced the first committed ``BENCH_kernel.json``; the
+kernel must clear it by >= 50%.  Set ``KERNEL_BENCH_STRICT=0`` to record
+numbers without gating on timing (CI smoke on shared runners, laptops
+under load) — completion still gates.
 
 Numbers land in ``BENCH_kernel.json`` via the session-finish hook in
 ``conftest.py``.
@@ -103,11 +105,11 @@ def test_kernel_event_throughput(report, bench_kernel):
                 "events": events,
             },
             "cpus": os.cpu_count(),
-            "scheduler": "calendar",
+            "scheduler": "default",
             "rounds_events_per_s": rounds,
             "best_events_per_s": round(best),
             "heap_best_events_per_s": round(heap_best),
-            "calendar_vs_heap": round(best / heap_best, 2),
+            "default_vs_heap": round(best / heap_best, 2),
             "baseline_events_per_s": BASELINE_EVENTS_PER_S,
             "improvement": round(improvement, 2),
             "strict": strict,
@@ -116,7 +118,7 @@ def test_kernel_event_throughput(report, bench_kernel):
     report.add(
         "simulation kernel — serial event throughput",
         f"  {events} events/round, best of {ROUNDS}: {best:,.0f} ev/s"
-        f" (calendar) / {heap_best:,.0f} ev/s (heap lane)\n"
+        f" (default) / {heap_best:,.0f} ev/s (heap lane)\n"
         f"  pre-optimization baseline: {BASELINE_EVENTS_PER_S:,} ev/s"
         f" -> {improvement:.2f}x",
     )

@@ -15,8 +15,9 @@ One :func:`run_case` call runs a battery against a single
     — every strategy consumes probability draws identically given the
     same seeded RNG.
   - *scheduler*: re-running on the reference heap scheduler must
-    produce a byte-identical digest — the calendar queue implements
-    the same (timestamp, sequence) total order.
+    produce a byte-identical digest — the default lane (a heap for the
+    future, a FIFO for the present) implements the same (timestamp,
+    sequence) total order.
   - *zero-probability*: appending a ``probability=0`` abort rule on
     the entry edge must not change the digest (deterministic cases
     only: elsewhere the extra draw legitimately shifts the stream).
@@ -300,8 +301,8 @@ def run_case(
             )
 
     # -- metamorphic: kernel scheduler ---------------------------------------
-    # The calendar-queue and heap schedulers implement the same total
-    # order (timestamp, schedule sequence), so every case must produce a
+    # The default (heap + due FIFO) and heap schedulers implement the
+    # same total order (timestamp, schedule sequence), so every case must produce a
     # byte-identical digest on both — timestamps, record order, RNG
     # draws, verdicts, everything.
     report.metamorphic_run.append("scheduler")

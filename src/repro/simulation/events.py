@@ -112,16 +112,12 @@ class SimEvent:
         self._ok = True
         self._value = value
         # Triggering is a per-event cost on the request hot path, so both
-        # scheduler lanes are inlined.  Calendar lane: an event triggered
-        # while its timestamp's batch is draining joins that live batch
-        # directly — no heap traffic at all.
+        # scheduler lanes are inlined: the default lane's present is a
+        # FIFO, the heap lane (``_due`` is None) stamps the entry ``now``.
         sim = self.sim
-        if sim._calendar:
-            batch = sim._now_batch
-            if batch is not None:
-                batch.append(self)
-            else:
-                sim._queue_triggered(self)
+        due = sim._due
+        if due is not None:
+            due.append(self)
         else:
             _heappush(sim._heap, (sim._now, next(sim._counter), self))
         return self
@@ -135,12 +131,9 @@ class SimEvent:
         self._ok = False
         self._value = exception
         sim = self.sim
-        if sim._calendar:
-            batch = sim._now_batch
-            if batch is not None:
-                batch.append(self)
-            else:
-                sim._queue_triggered(self)
+        due = sim._due
+        if due is not None:
+            due.append(self)
         else:
             _heappush(sim._heap, (sim._now, next(sim._counter), self))
         return self
@@ -166,37 +159,23 @@ class Timeout(SimEvent):
     """An event that succeeds automatically after ``delay`` virtual time.
 
     ``yield sim.timeout(3.0)`` suspends the current process for three
-    units of virtual time.  A negative delay is rejected.
+    units of virtual time.  A negative (or NaN) delay is rejected.
+    ``Simulator.timeout`` builds one without calling this constructor;
+    either way the simulator's lane decides where it is queued.
     """
 
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: _t.Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN
             raise ValueError(f"timeout delay must be >= 0, got {delay}")
-        # Inlined SimEvent.__init__ and Simulator._schedule_at: timeouts
-        # are the most-allocated event type (every injected delay, retry
-        # backoff, and client budget makes one), and a non-negative delay
-        # can never land in the past, so the scheduling guard is skipped.
         self.sim = sim
         self.callbacks = []
         self._ok = True
         self._value = value
         self.defused = False
         self.delay = delay
-        if sim._calendar:
-            when = sim._now + delay
-            buckets = sim._buckets
-            bucket = buckets.get(when)
-            if bucket is not None:
-                bucket.append(self)
-            elif when <= sim._horizon:
-                buckets[when] = [self]
-                _heappush(sim._times, when)
-            else:
-                _heappush(sim._overflow, (when, next(sim._counter), self))
-        else:
-            _heappush(sim._heap, (sim._now + delay, next(sim._counter), self))
+        sim._schedule_at(sim._now + delay, self)
 
     def succeed(self, value: _t.Any = None) -> "SimEvent":  # pragma: no cover
         raise StaleEventError("Timeout events trigger themselves")

@@ -14,29 +14,29 @@ Scheduler
 Two interchangeable schedulers implement the same total order
 ``(timestamp, schedule sequence)``:
 
-* ``"calendar"`` (default) — a bucketed calendar queue specialized for
-  the timeout-dominated regime.  Events scheduled at the same virtual
-  timestamp share one *bucket* (a plain list, appended in schedule
-  order) and drain as a batch, so the heap pays one push/pop per
-  **distinct timestamp** instead of one per event; events triggered at
-  the current instant (``succeed``/``fail`` during a batch) append to
-  the live batch and never touch a heap at all.  Timestamps beyond a
-  sliding horizon land in an **overflow lane** — the classic binary
-  heap, keyed ``(when, seq)`` — and migrate into buckets as the clock
-  approaches, so far-future work (an hour-long ``Hang``) cannot bloat
-  the bucket table.  The calendar scheduler also pools processed
-  ``Timeout``/``SimEvent`` objects on free lists (see ``timeout()``).
+* ``"default"`` — a binary heap of ``(when, seq, event)`` for the
+  future plus a FIFO (``_due``) for the present.  The heap holds only
+  timestamps strictly after ``now``; ``_due`` holds only events at
+  ``now``, in schedule order.  Advancing the clock pops the earliest
+  heap entry and moves every entry with that same timestamp into
+  ``_due`` before any callback runs, so anything scheduled at ``now``
+  afterwards — ``succeed``/``fail``, a timeout whose delay vanishes in
+  ``now + delay``, ``_schedule_at(now)`` — appends behind it without
+  touching the heap.  Request traffic has ≈1.7 events per distinct
+  timestamp, so this is one heap push per future event and nothing
+  else.
 
-* ``"heap"`` — the single binary heap the kernel used before the
-  calendar queue, kept verbatim as the reference lane.  The
-  scheduler-equivalence suite (tests/simulation/
+* ``"heap"`` — the single binary heap the kernel started with, kept as
+  the reference lane: everything, present included, goes through it.
+  The scheduler-equivalence suite (tests/simulation/
   test_scheduler_equivalence.py) pins both to bit-for-bit identical
   event order, RNG draws, and outcomes.
 
-Both break same-timestamp ties by a monotonic sequence: the heap lane
-stores an explicit counter, the calendar lane relies on buckets being
-appended in schedule order (which is the same total order, since the
-counter increments exactly once per schedule).
+Both break same-timestamp ties by schedule order: the heap lane stores
+an explicit counter; the default lane numbers heap entries the same way
+and keeps the present in a FIFO, whose entries all follow the heap
+entries that were moved into it (they were scheduled after the clock
+reached their timestamp).
 
 The two wall-clock benchmarks of the paper (orchestration time, Fig 7;
 rule-matching overhead, Fig 8) do *not* use virtual time: they measure
@@ -49,8 +49,8 @@ import heapq
 import itertools
 import os
 import random as _random
-import sys
 import typing as _t
+from collections import deque
 
 from repro.errors import SimulationError
 from repro.simulation.events import PENDING as _PENDING
@@ -60,23 +60,20 @@ from repro.simulation.process import Process
 __all__ = ["SCHEDULERS", "DEFAULT_SCHEDULER", "Simulator"]
 
 #: The interchangeable scheduler implementations.
-SCHEDULERS = ("calendar", "heap")
+SCHEDULERS = ("default", "heap")
 
 #: Process-wide default, overridable for CI equivalence smokes without
 #: threading a parameter through every deployment factory.
-DEFAULT_SCHEDULER = os.environ.get("REPRO_SCHEDULER", "calendar")
+DEFAULT_SCHEDULER = os.environ.get("REPRO_SCHEDULER", "default")
 
-#: How far past ``now`` (virtual seconds) the bucket table reaches;
-#: later timestamps wait in the overflow heap until the clock nears.
-CALENDAR_HORIZON = 256.0
+_new = object.__new__
 
-#: Free lists are capped so a pathological burst cannot pin memory.
-_POOL_MAX = 4096
 
-# Free-list recycling is guarded by an exact reference count: an event
-# is recycled only when the kernel provably holds the last references.
-# Only CPython exposes refcounts; elsewhere the pools simply stay empty.
-_getrefcount = getattr(sys, "getrefcount", None)
+def _refuse(when: float, now: float) -> _t.NoReturn:
+    """The error for a schedule time that is not ``>= now``."""
+    if when != when:
+        raise ValueError(f"cannot schedule an event at {when} (now={now})")
+    raise SimulationError(f"cannot schedule event in the past ({when} < now={now})")
 
 
 class Simulator:
@@ -93,11 +90,8 @@ class Simulator:
         failed and nobody consumed the failure — the simulation
         equivalent of "errors should never pass silently".
     scheduler:
-        ``"calendar"`` (default) or ``"heap"``; see the module
-        docstring.  Outcomes are bit-for-bit identical either way.
-    horizon:
-        Calendar-lane reach in virtual seconds; timestamps further out
-        wait in the overflow heap.  Ignored by the heap scheduler.
+        ``"default"`` or ``"heap"``; see the module docstring.  Outcomes
+        are bit-for-bit identical either way.
 
     Example
     -------
@@ -114,16 +108,13 @@ class Simulator:
         assert proc.value == "done at 3.0"
     """
 
-    #: Events check this to pick the scheduling fast path without a
-    #: method call; the heap subclass flips it.
-    _calendar = True
+    _lane = "default"
 
     def __new__(
         cls,
         seed: int = 0,
         strict: bool = True,
         scheduler: _t.Optional[str] = None,
-        horizon: float = CALENDAR_HORIZON,
     ) -> "Simulator":
         chosen = DEFAULT_SCHEDULER if scheduler is None else scheduler
         if chosen not in SCHEDULERS:
@@ -139,13 +130,7 @@ class Simulator:
         seed: int = 0,
         strict: bool = True,
         scheduler: _t.Optional[str] = None,
-        horizon: float = CALENDAR_HORIZON,
     ) -> None:
-        if horizon <= 0:
-            raise SimulationError(f"horizon must be > 0, got {horizon}")
-        # Shadow the class attribute so the per-trigger branch in
-        # events.py is a single instance-dict hit.
-        self._calendar = type(self)._calendar
         self._now = 0.0
         self._seed = seed
         self._strict = strict
@@ -153,25 +138,11 @@ class Simulator:
         self._rngs: dict[str, _random.Random] = {}
         #: Failures that no process consumed; populated as they are seen.
         self.unhandled_failures: list[SimEvent] = []
-        # -- calendar lanes --------------------------------------------------
-        #: timestamp -> events at that instant, in schedule order.
-        self._buckets: dict[float, list[SimEvent]] = {}
-        #: Min-heap of live bucket timestamps (one entry per bucket).
-        self._times: list[float] = []
-        #: Far-future lane: classic ``(when, seq, event)`` heap.
-        self._overflow: list[tuple[float, int, SimEvent]] = []
-        self._span = horizon
-        self._horizon = self._now + horizon
-        #: The bucket currently draining (events triggered *now* append
-        #: straight to it); None between batches.
-        self._now_batch: list[SimEvent] | None = None
-        #: Events of ``_now_batch`` already processed (only maintained
-        #: by :meth:`step`; :meth:`run` drains whole batches).
-        self._batch_pos = 0
-        # -- free lists ------------------------------------------------------
-        self._pooling = _getrefcount is not None
-        self._timeout_pool: list[Timeout] = []
-        self._event_pool: list[SimEvent] = []
+        #: The future: ``(when, seq, event)`` with ``when > now``.
+        self._heap: list[tuple[float, int, SimEvent]] = []
+        #: The present: events at ``now`` in schedule order.  Events test
+        #: it for None to pick their lane, so the heap lane sets None.
+        self._due: _t.Optional[deque[SimEvent]] = deque()
 
     # -- clock ---------------------------------------------------------------
 
@@ -188,7 +159,7 @@ class Simulator:
     @property
     def scheduler(self) -> str:
         """Which scheduler implementation this simulator runs on."""
-        return "calendar" if self._calendar else "heap"
+        return self._lane
 
     # -- randomness ------------------------------------------------------------
 
@@ -204,51 +175,39 @@ class Simulator:
         return self._rngs[stream]
 
     # -- event construction ----------------------------------------------------
+    #
+    # A proxied call builds ≈17 kernel objects, so ``event()`` and
+    # ``timeout()`` set the slots themselves: one frame each instead of a
+    # constructor frame under the method frame.
 
     def event(self) -> SimEvent:
-        """Create a fresh, untriggered event bound to this simulator.
-
-        Recycles a pooled instance when one is free: the run loop
-        returns processed events to a free list once it proves (by
-        exact reference count) that nothing else can still see them.
-        """
-        pool = self._event_pool
-        if pool:
-            ev = pool.pop()
-            ev._ok = None
-            ev._value = _PENDING
-            ev.defused = False
-            return ev
-        return SimEvent(self)
+        """Create a fresh, untriggered event bound to this simulator."""
+        ev = _new(SimEvent)
+        ev.sim = self
+        ev.callbacks = []
+        ev._value = _PENDING
+        ev._ok = None
+        ev.defused = False
+        return ev
 
     def timeout(self, delay: float, value: _t.Any = None) -> Timeout:
-        """Create an event that succeeds ``delay`` time units from now.
-
-        Timeouts are the kernel's unit of allocation churn (every
-        injected delay, retry backoff, and client budget makes one), so
-        this is the pooled fast path; see :meth:`event`.
-        """
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"timeout delay must be >= 0, got {delay}")
-            ev = pool.pop()
-            ev._ok = True
-            ev._value = value
-            ev.defused = False
-            ev.delay = delay
-            when = self._now + delay
-            buckets = self._buckets
-            bucket = buckets.get(when)
-            if bucket is not None:
-                bucket.append(ev)
-            elif when <= self._horizon:
-                buckets[when] = [ev]
-                heapq.heappush(self._times, when)
-            else:
-                heapq.heappush(self._overflow, (when, next(self._counter), ev))
-            return ev
-        return Timeout(self, delay, value)
+        """Create an event that succeeds ``delay`` time units from now."""
+        if not delay >= 0:  # also refuses NaN
+            raise ValueError(f"timeout delay must be >= 0, got {delay}")
+        ev = _new(Timeout)
+        ev.sim = self
+        ev.callbacks = []
+        ev._ok = True
+        ev._value = value
+        ev.defused = False
+        ev.delay = delay
+        now = self._now
+        when = now + delay
+        if when > now:
+            heapq.heappush(self._heap, (when, next(self._counter), ev))
+        else:
+            self._due.append(ev)
+        return ev
 
     def process(self, generator: _t.Generator, name: str | None = None) -> Process:
         """Start a new process from ``generator``; returns the Process."""
@@ -265,61 +224,13 @@ class Simulator:
     # -- scheduling (kernel internal, used by events) -------------------------
 
     def _schedule_at(self, when: float, event: SimEvent) -> None:
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule event in the past ({when} < now={self._now})"
-            )
-        buckets = self._buckets
-        bucket = buckets.get(when)
-        if bucket is not None:
-            bucket.append(event)
-        elif when <= self._horizon:
-            buckets[when] = [event]
-            heapq.heappush(self._times, when)
+        now = self._now
+        if not when >= now:
+            _refuse(when, now)
+        if when > now:
+            heapq.heappush(self._heap, (when, next(self._counter), event))
         else:
-            heapq.heappush(self._overflow, (when, next(self._counter), event))
-
-    def _queue_triggered(self, event: SimEvent) -> None:
-        """Queue an already-triggered event for callback processing now."""
-        batch = self._now_batch
-        if batch is not None:
-            batch.append(event)
-        else:
-            self._schedule_at(self._now, event)
-
-    def _advance(self, when: float) -> None:
-        """Move the clock to ``when`` and pull newly-due overflow events
-        into buckets.  Migration happens *before* any callback at
-        ``when`` runs, so later same-timestamp appends always land
-        after already-scheduled (lower-sequence) overflow events."""
-        self._now = when
-        horizon = when + self._span
-        self._horizon = horizon
-        overflow = self._overflow
-        if overflow and overflow[0][0] <= horizon:
-            buckets = self._buckets
-            times = self._times
-            while overflow and overflow[0][0] <= horizon:
-                owhen, _seq, event = heapq.heappop(overflow)
-                bucket = buckets.get(owhen)
-                if bucket is not None:
-                    bucket.append(event)
-                else:
-                    buckets[owhen] = [event]
-                    heapq.heappush(times, owhen)
-
-    def _next_time(self) -> float:
-        """Earliest pending *batch* timestamp (ignores a live batch).
-
-        The bucket invariant makes this one comparison: every bucket
-        timestamp is <= the horizon and every overflow timestamp is
-        beyond it, so the times-heap minimum wins whenever it exists.
-        """
-        if self._times:
-            return self._times[0]
-        if self._overflow:
-            return self._overflow[0][0]
-        return float("inf")
+            self._due.append(event)
 
     # -- run loop -----------------------------------------------------------------
 
@@ -328,27 +239,19 @@ class Simulator:
 
         Semantically identical to one iteration of :meth:`run`'s loop
         (the cross-check suite in tests/simulation/test_step_run_parity
-        pins this); pooling is skipped so single-stepped debugging never
-        recycles objects under the debugger's feet.
+        pins this).
         """
-        batch = self._now_batch
-        if batch is not None and self._batch_pos < len(batch):
-            event = batch[self._batch_pos]
-            self._batch_pos += 1
+        due = self._due
+        if due:
+            event = due.popleft()
         else:
-            if batch is not None:
-                del self._buckets[self._now]
-                self._now_batch = None
-                self._batch_pos = 0
-            when = self._next_time()
-            if when == float("inf"):
+            heap = self._heap
+            if not heap:
                 raise IndexError("step() from an empty schedule")
-            self._advance(when)
-            heapq.heappop(self._times)
-            batch = self._buckets[when]
-            self._now_batch = batch
-            self._batch_pos = 1
-            event = batch[0]
+            when, _seq, event = heapq.heappop(heap)
+            self._now = when
+            while heap and heap[0][0] == when:
+                due.append(heapq.heappop(heap)[2])
         callbacks = event.callbacks
         event.callbacks = None
         assert callbacks is not None, "event processed twice"
@@ -359,10 +262,9 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        batch = self._now_batch
-        if batch is not None and self._batch_pos < len(batch):
+        if self._due:
             return self._now
-        return self._next_time()
+        return self._heap[0][0] if self._heap else float("inf")
 
     def run(self, until: float | None = None) -> None:
         """Run until the event queue drains or virtual time ``until``.
@@ -374,107 +276,39 @@ class Simulator:
         if until is not None and until < self._now:
             raise SimulationError(f"until={until} is in the past (now={self._now})")
         limit = float("inf") if until is None else until
-        # This loop dominates every simulation's profile: lanes, pools,
-        # and the failure list are bound to locals, batches drain with
-        # the C-level list iterator (which by definition picks up
-        # same-timestamp appends made by callbacks mid-drain), and any
-        # semantic change here must land in ``step`` too — the two are
-        # one algorithm in two shapes.
-        buckets = self._buckets
-        times = self._times
-        overflow = self._overflow
-        span = self._span
-        unhandled = self.unhandled_failures
+        # This loop dominates every simulation's profile, so its state is
+        # bound to locals; any semantic change here must land in ``step``
+        # too — the two are one algorithm in two shapes.  Nothing in
+        # ``_due`` can be past ``limit``: it holds ``now``.
+        heap = self._heap
+        due = self._due
+        popleft = due.popleft
+        append = due.append
         pop = heapq.heappop
-        push = heapq.heappush
-        refcount = _getrefcount
-        pooling = self._pooling
-        timeout_pool = self._timeout_pool
-        event_pool = self._event_pool
-        batch = self._now_batch
-        if batch is not None:
-            # Resume a batch left half-drained by step().
-            pos = self._batch_pos
-            while pos < len(batch):
-                event = batch[pos]
-                pos += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                assert callbacks is not None, "event processed twice"
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event.defused:
-                    unhandled.append(event)
-            del buckets[self._now]
-            self._now_batch = None
-            self._batch_pos = 0
+        unhandled = self.unhandled_failures
         while True:
-            if times:
-                when = times[0]
-            elif overflow:
-                when = overflow[0][0]
+            if due:
+                event = popleft()
+            elif heap and heap[0][0] <= limit:
+                when, _seq, event = pop(heap)
+                self._now = when
+                while heap and heap[0][0] == when:
+                    append(pop(heap)[2])
             else:
                 break
-            if when > limit:
-                break
-            # ``_advance(when)``, inlined: one call per distinct timestamp
-            # is a sixth of this loop's calls on request traffic.
-            self._now = when
-            horizon = self._horizon = when + span
-            while overflow and overflow[0][0] <= horizon:
-                owhen, _seq, event = pop(overflow)
-                bucket = buckets.get(owhen)
-                if bucket is not None:
-                    bucket.append(event)
-                else:
-                    buckets[owhen] = [event]
-                    push(times, owhen)
-            pop(times)  # == when: any earlier overflow has just migrated
-            batch = buckets[when]
-            self._now_batch = batch
-            for event in batch:
-                callbacks = event.callbacks
-                event.callbacks = None
-                assert callbacks is not None, "event processed twice"
-                # The detached list cannot grow mid-iteration (add_callback
-                # on a processed event invokes immediately), so the
-                # overwhelmingly common single-waiter case skips the
-                # iterator.
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-                if event._ok:
-                    # Free-list recycling: an exact refcount of 3 means
-                    # the only references left are the batch slot, the
-                    # loop variable, and refcount()'s own argument —
-                    # nothing outside this frame can ever see the event
-                    # again, so it (and its emptied callbacks list) is
-                    # safe to reuse.  Subclasses (Process, conditions)
-                    # never match the exact type checks.
-                    if pooling:
-                        cls = event.__class__
-                        if cls is Timeout:
-                            if (
-                                len(timeout_pool) < _POOL_MAX
-                                and refcount(event) == 3
-                            ):
-                                callbacks.clear()
-                                event.callbacks = callbacks
-                                timeout_pool.append(event)
-                        elif (
-                            cls is SimEvent
-                            and len(event_pool) < _POOL_MAX
-                            and refcount(event) == 3
-                        ):
-                            callbacks.clear()
-                            event.callbacks = callbacks
-                            event_pool.append(event)
-                elif not event.defused:
-                    unhandled.append(event)
-            del buckets[when]
-            self._now_batch = None
+            callbacks = event.callbacks
+            event.callbacks = None
+            assert callbacks is not None, "event processed twice"
+            # The detached list cannot grow mid-iteration (add_callback on
+            # a processed event invokes immediately), so the common
+            # single-waiter case skips the iterator.
+            if len(callbacks) == 1:
+                callbacks[0](event)
+            else:
+                for callback in callbacks:
+                    callback(event)
+            if not event._ok and not event.defused:
+                unhandled.append(event)
         if until is not None:
             self._now = max(self._now, until)
         if self._strict and self.unhandled_failures:
@@ -484,48 +318,41 @@ class Simulator:
             )
 
     def _pending(self) -> int:
-        pending = sum(len(bucket) for bucket in self._buckets.values())
-        pending += len(self._overflow)
-        if self._now_batch is not None:
-            pending -= self._batch_pos
-        return pending
+        return len(self._due) + len(self._heap)
 
     def __repr__(self) -> str:
         return f"<Simulator now={self._now:.6f} pending={self._pending()}>"
 
 
 class _HeapSimulator(Simulator):
-    """The pre-calendar scheduler, verbatim: one binary heap ordered by
-    ``(timestamp, sequence)``.
+    """The original scheduler: one binary heap ordered by ``(timestamp,
+    sequence)``, the present included.
 
     Kept as the reference implementation the equivalence suite compares
-    the calendar queue against; request it with
-    ``Simulator(scheduler="heap")`` or ``REPRO_SCHEDULER=heap``.  No
-    free-list pooling — this lane optimizes for being obviously correct.
+    the default lane against; request it with
+    ``Simulator(scheduler="heap")`` or ``REPRO_SCHEDULER=heap``.  It
+    builds every timeout through its constructor — this lane optimizes
+    for being obviously correct.
     """
 
-    _calendar = False
+    _lane = "heap"
 
     def __init__(
         self,
         seed: int = 0,
         strict: bool = True,
         scheduler: _t.Optional[str] = None,
-        horizon: float = CALENDAR_HORIZON,
     ) -> None:
-        super().__init__(seed, strict, scheduler="heap", horizon=horizon)
-        self._heap: list[tuple[float, int, SimEvent]] = []
-        self._pooling = False
+        super().__init__(seed, strict, scheduler="heap")
+        self._due = None
+
+    def timeout(self, delay: float, value: _t.Any = None) -> Timeout:
+        return Timeout(self, delay, value)
 
     def _schedule_at(self, when: float, event: SimEvent) -> None:
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule event in the past ({when} < now={self._now})"
-            )
+        if not when >= self._now:
+            _refuse(when, self._now)
         heapq.heappush(self._heap, (when, next(self._counter), event))
-
-    def _queue_triggered(self, event: SimEvent) -> None:
-        heapq.heappush(self._heap, (self._now, next(self._counter), event))
 
     def step(self) -> None:
         when, _seq, event = heapq.heappop(self._heap)

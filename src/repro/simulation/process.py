@@ -28,6 +28,7 @@ collector some thousands of allocations later.
 from __future__ import annotations
 
 import typing as _t
+from types import GeneratorType as _GeneratorType
 
 from repro.errors import ProcessKilled, SimulationError
 from repro.simulation.events import PENDING, SimEvent
@@ -36,6 +37,8 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.kernel import Simulator
 
 __all__ = ["Interrupt", "Process"]
+
+_new = object.__new__
 
 
 class Interrupt(Exception):
@@ -66,9 +69,17 @@ class Process(SimEvent):
     __slots__ = ("generator", "name", "_waiting_on", "_resume_cb")
 
     def __init__(self, sim: "Simulator", generator: _t.Generator, name: str | None = None) -> None:
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        if type(generator) is not _GeneratorType and (
+            not hasattr(generator, "send") or not hasattr(generator, "throw")
+        ):
             raise TypeError(f"Process requires a generator, got {generator!r}")
-        super().__init__(sim)
+        # Built in this one frame, bootstrap included: a proxied call
+        # starts two processes.
+        self.sim = sim
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self.defused = False
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         #: The event this process is currently waiting on (None if ready).
@@ -77,13 +88,21 @@ class Process(SimEvent):
         # after every yield would otherwise allocate a fresh method
         # object per resume, and resumes are the hottest path there is.
         resume = self._resume_cb = self._resume
-        # Kick off the process at the current simulation time.  The
-        # bootstrap event is deliberately not stored on the process: once
-        # its callback has run nothing references it, so the kernel's
-        # free list can recycle it.
-        bootstrap = sim.event()
-        bootstrap.callbacks.append(resume)  # fresh: nothing to check
-        bootstrap.succeed()
+        # Kick off the process at the current simulation time: an event
+        # already succeeded, with the resume as its one callback.  It is
+        # deliberately not stored on the process, so once its callback has
+        # run nothing references it.
+        bootstrap = _new(SimEvent)
+        bootstrap.sim = sim
+        bootstrap.callbacks = [resume]
+        bootstrap._value = None
+        bootstrap._ok = True
+        bootstrap.defused = False
+        due = sim._due
+        if due is not None:
+            due.append(bootstrap)
+        else:
+            sim._schedule_at(sim._now, bootstrap)
 
     # -- public API -------------------------------------------------------
 

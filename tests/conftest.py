@@ -118,10 +118,16 @@ class SpiedKey(str):
 
 @contextlib.contextmanager
 def collector_off():
-    """The cycle collector switched off (after one full collection) and
-    restored on exit: inside, whatever a ``gc.collect()`` finds is exactly
-    what reference counting did not free, on any interpreter's schedule."""
-    gc.collect()
+    """The cycle collector switched off (after full collections until one
+    finds nothing) and restored on exit: inside, whatever a
+    ``gc.collect()`` finds is exactly what reference counting did not
+    free, on any interpreter's schedule.  One pass is not enough: a
+    deployment held only by garbage (a class defined in an earlier test
+    closes over it) dies inside that pass, and its ``weakref.finalize``
+    lets go of the pipeline — and the skeleton behind it — only then, to
+    be counted as this block's garbage."""
+    while gc.collect():
+        pass
     was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -18,12 +18,12 @@ class TestEnumerationDeterminism:
         assert first.edges == second.edges
 
     def test_deterministic_across_scheduler_lanes(self):
-        calendar = discover_space("retrystorm", seed=0, scheduler="calendar")
+        default = discover_space("retrystorm", seed=0, scheduler="default")
         heap = discover_space("retrystorm", seed=0, scheduler="heap")
-        assert [c.to_dict() for c in calendar.coordinates] == [
+        assert [c.to_dict() for c in default.coordinates] == [
             c.to_dict() for c in heap.coordinates
         ]
-        assert calendar.baseline_shapes == heap.baseline_shapes
+        assert default.baseline_shapes == heap.baseline_shapes
 
 
 class TestSpaceStructure:

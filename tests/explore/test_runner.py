@@ -62,7 +62,7 @@ class TestReplayFidelity:
         coordinate = space.sweeps[0]
         digests = {
             execute_task(task_for("stuckbreaker", coordinate, scheduler=lane)).digest
-            for lane in ("calendar", "heap")
+            for lane in ("default", "heap")
         }
         assert len(digests) == 1
 
@@ -78,7 +78,7 @@ class TestReplayFidelity:
                 execute_task(
                     task_for("socialnetwork", coordinate, scheduler=lane)
                 ).digest
-                for lane in ("calendar", "heap")
+                for lane in ("default", "heap")
             }
             assert len(digests) == 1, fault
 

@@ -28,11 +28,24 @@ from repro.core import Crash, Recipe
 from tests.conftest import collector_off
 
 #: Nothing the drive path allocates per call may wait for the collector.
-PER_CALL_TYPES = ("Process", "generator", "Connection", "ConnectionEnd", "ObservationRecord")
+PER_CALL_TYPES = (
+    "Process",
+    "generator",
+    "Connection",
+    "ConnectionEnd",
+    "ObservationRecord",
+    "Timeout",
+    "SimEvent",
+)
+
+#: Bar what is still queued when the deployment dies, which goes with it:
+#: the runner reads ``pipeline.drained().triggered`` and never runs the
+#: simulator again, so that one event is still due.
+STILL_QUEUED = {"SimEvent": 1}
 
 #: The deployment's skeleton — network, hosts, listeners, servers, agents
 #: referencing one another — is fixed in size and deliberately left to
-#: the collector: 2 763 objects for the 28-service app.
+#: the collector: 2 757 objects for the 28-service app.
 SKELETON_BUDGET = 3500
 
 
@@ -76,7 +89,10 @@ def test_a_verdict_leaves_only_the_deployment_skeleton(first_planned, crashed):
 
     assert outcome.status not in ("error", "timeout"), outcome.error
     assert len(outcome.latencies) == planned.load.requests  # it really drove the app
-    assert {name: unreachable[name] for name in PER_CALL_TYPES} == dict.fromkeys(PER_CALL_TYPES, 0)
+    assert {name: unreachable[name] for name in PER_CALL_TYPES} == {
+        **dict.fromkeys(PER_CALL_TYPES, 0),
+        **STILL_QUEUED,
+    }
     # One accept queue per listener, no mailbox of any connection.
     assert unreachable["Channel"] == unreachable["Listener"] > 0
     assert sum(unreachable.values()) <= SKELETON_BUDGET

@@ -1,8 +1,8 @@
 """``step()``+``peek()`` must replay exactly what ``run()`` does.
 
 ``Simulator.run`` is a hand-tuned inline of the ``step`` algorithm
-(batch draining, pooling, bound locals); this suite is the drift guard
-the two copies are maintained under: a nontrivial scenario driven
+(moving an instant into the due queue, bound locals); this suite is the
+drift guard the two copies are maintained under: a nontrivial scenario driven
 entirely one ``step()`` at a time must finish with the identical trace,
 clock, and unhandled-failure list as the same scenario under ``run()``
 — on both schedulers, and with ``step`` and ``run`` interleaved.
@@ -12,7 +12,7 @@ import pytest
 
 from repro.simulation import Simulator
 
-SCHEDULERS = ("calendar", "heap")
+SCHEDULERS = ("default", "heap")
 
 
 def _start_scenario(sim):
