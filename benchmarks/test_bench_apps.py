@@ -27,6 +27,7 @@ from repro.apps.hotelreservation import build_hotelreservation_app
 from repro.apps.socialnetwork import build_socialnetwork_app
 from repro.campaign import CampaignRunner, plan_campaign
 from repro.loadgen import ClosedLoopLoad
+from repro.simulation import Simulator
 
 ROUNDS = 3
 REQUESTS = 50
@@ -38,13 +39,12 @@ CAMPAIGN_SLICE = 24
 def drive(builder, entry, requests=REQUESTS):
     """Deploy the fragile build, push ``requests`` through the entry,
     and return (scheduled events, log records, elapsed seconds)."""
-    deployment = builder().deploy(seed=0, scheduler="heap")
+    deployment = builder().deploy(sim=Simulator(seed=0, scheduler="heap"))
     source = deployment.add_traffic_source(entry, name="user")
     load = ClosedLoopLoad(num_requests=requests, think_time=0.005)
     deployment.sim.process(load.driver(source), name="bench")
     start = time.perf_counter()
     deployment.sim.run()
-    deployment.pipeline.flush()
     elapsed = time.perf_counter() - start
     # The heap lane's sequence counter ticks once per scheduled event.
     events = next(deployment.sim._counter)

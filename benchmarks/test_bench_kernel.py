@@ -63,7 +63,7 @@ def race_loop(sim, n):
         yield sim.any_of([response, timeout])
 
 
-def run_workload(procs=PROCS, iters=ITERS, scheduler=None):
+def run_workload(procs=PROCS, iters=ITERS, scheduler="default"):
     """One cold simulator, ~(procs * iters * 1.75) events; returns
     (event count, elapsed seconds)."""
     sim = Simulator(seed=7, scheduler=scheduler)

@@ -252,7 +252,7 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 def _faulted_run(args: argparse.Namespace):
     """Deploy an app, optionally stage a scenario, drive load; returns
-    (deployment, gremlin, installed rules) with the pipeline flushed."""
+    (deployment, gremlin, installed rules)."""
     app = _build(args.app)
     deployment = app.deploy(seed=args.seed)
     graph = deployment.graph
@@ -273,7 +273,6 @@ def _faulted_run(args: argparse.Namespace):
         rules = gremlin.inject(scenario).rules
     ClosedLoopLoad(num_requests=args.requests, think_time=args.think).run(source)
     deployment.sim.run()
-    deployment.pipeline.flush()
     return deployment, gremlin, rules
 
 

@@ -67,17 +67,14 @@ class Gremlin:
         until: _t.Optional[float] = None,
     ) -> CheckResult:
         """Evaluate one pattern check against the current logs."""
-        self.deployment.pipeline.flush()
         return pattern_check.run(self.store, since=since, until=until)
 
     def get_requests(self, src: str, dst: str, id_pattern: str = "*", **kwargs) -> RList:
         """Table 3's ``GetRequests`` bound to this deployment's store."""
-        self.deployment.pipeline.flush()
         return get_requests(self.store, src, dst, id_pattern, **kwargs)
 
     def get_replies(self, src: str, dst: str, id_pattern: str = "*", **kwargs) -> RList:
         """Table 3's ``GetReplies`` bound to this deployment's store."""
-        self.deployment.pipeline.flush()
         return get_replies(self.store, src, dst, id_pattern, **kwargs)
 
     # -- declarative API ------------------------------------------------------------

@@ -53,8 +53,6 @@ class ExploreTask:
     #: Scenario-spec dicts (:mod:`repro.fuzz.spec` codec); empty for
     #: the fault-free baseline.
     scenarios: _t.Tuple[dict, ...] = ()
-    matcher_strategy: str = "table"
-    scheduler: _t.Optional[str] = None
 
 
 @dataclasses.dataclass
@@ -93,11 +91,7 @@ def execute_task(task: ExploreTask) -> ExploreOutcome:
     """Run one task in-process and distill its outcome."""
     manifest = _manifest(task.app)
     application = manifest.builder()
-    deployment = application.deploy(
-        seed=task.seed,
-        matcher_strategy=task.matcher_strategy,
-        scheduler=task.scheduler,
-    )
+    deployment = application.deploy(seed=task.seed)
     source = deployment.add_traffic_source(manifest.entry, name=SOURCE_NAME)
     gremlin = Gremlin(deployment)
     sim = deployment.sim
@@ -115,7 +109,6 @@ def execute_task(task: ExploreTask) -> ExploreOutcome:
     )
     sim.process(load.driver(source), name=f"explore/{task.key}")
     sim.run()
-    deployment.pipeline.flush()
 
     store = deployment.store
     verdicts = []

@@ -103,8 +103,6 @@ def discover_space(
     app: str,
     *,
     seed: int = 0,
-    matcher_strategy: str = "table",
-    scheduler: _t.Optional[str] = None,
 ) -> ExplorationSpace:
     """Run the app fault-free once and enumerate its coordinate space.
 
@@ -114,16 +112,13 @@ def discover_space(
     """
     manifest = _manifest(app)
     application = manifest.builder()
-    deployment = application.deploy(
-        seed=seed, matcher_strategy=matcher_strategy, scheduler=scheduler
-    )
+    deployment = application.deploy(seed=seed)
     source = deployment.add_traffic_source(manifest.entry, name=SOURCE_NAME)
     load = ClosedLoopLoad(
         num_requests=manifest.requests, think_time=manifest.think_time
     )
     deployment.sim.process(load.driver(source), name="explore/discovery")
     deployment.sim.run()
-    deployment.pipeline.flush()
 
     store = deployment.store
     trace = reconstruct(store, f"{TEST_ID_PREFIX}1")
@@ -189,8 +184,6 @@ def run_explore(
     strategy: str = "prioritized",
     workers: _t.Union[int, str] = 1,
     backend: str = "threads",
-    matcher_strategy: str = "table",
-    scheduler: _t.Optional[str] = None,
     stop_when_found: bool = False,
 ) -> ExploreResult:
     """Explore one seeded app's fault space within an execution budget.
@@ -211,9 +204,7 @@ def run_explore(
     # Rejects a bad workers/backend before the discovery run is paid
     # for; no worker starts until the first wave.
     fleet = task_fleet(workers=workers, backend=backend)
-    space = discover_space(
-        app, seed=seed, matcher_strategy=matcher_strategy, scheduler=scheduler
-    )
+    space = discover_space(app, seed=seed)
 
     frontier = Frontier(space) if strategy == "prioritized" else None
     if frontier is not None:
@@ -251,8 +242,6 @@ def run_explore(
                     seed=seed,
                     key=coordinate.key(),
                     scenarios=tuple(scenario_specs(coordinate, manifest)),
-                    matcher_strategy=matcher_strategy,
-                    scheduler=scheduler,
                 )
                 for coordinate in wave
             ]

@@ -56,6 +56,7 @@ from repro.fuzz.spec import (
 from repro.loadgen import ClosedLoopLoad
 from repro.logstore.store import EventStore
 from repro.observability.trace import reconstruct_from_records, trace_shape_digest
+from repro.simulation.kernel import Simulator
 
 __all__ = ["CaseReport", "Execution", "execute_case", "run_case", "shape_digests_of"]
 
@@ -90,7 +91,7 @@ def execute_case(
     case: FuzzCase,
     *,
     matcher_strategy: str = "linear",
-    scheduler: _t.Optional[str] = None,
+    scheduler: str = "default",
     rule_transform: _t.Optional[_t.Callable[[list], list]] = None,
     extra_scenarios: _t.Sequence = (),
     app_registry: _t.Optional[_t.Mapping] = None,
@@ -105,7 +106,8 @@ def execute_case(
     """
     application = build_application(case.topology, app_registry=app_registry)
     deployment = application.deploy(
-        seed=case.seed, matcher_strategy=matcher_strategy, scheduler=scheduler
+        sim=Simulator(seed=case.seed, scheduler=scheduler),
+        matcher_strategy=matcher_strategy,
     )
     source = deployment.add_traffic_source(case.topology.entry, name=SOURCE_NAME)
     gremlin = Gremlin(deployment)
@@ -126,7 +128,6 @@ def execute_case(
     )
     sim.process(load.driver(source), name=f"load/{case.case_id}")
     sim.run()
-    deployment.pipeline.flush()
 
     store = deployment.store
     verdicts = []

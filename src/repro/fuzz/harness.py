@@ -100,20 +100,14 @@ def _process_case(
     ``context`` is the app registry (pickled, on the process lane); the
     returned :class:`CaseReport` is plain data, so it ships back to the
     parent unchanged — the fuzz verdict cannot depend on the backend.
+    A case that raises reaches :func:`_crashed_case` through the fleet.
     """
-    try:
-        return run_case(case, app_registry=context)
-    except Exception as exc:  # noqa: BLE001 - fleet contract: never raise
-        report = CaseReport(case=case, digest="")
-        report.mismatches.append(
-            {"kind": "harness/error", "detail": f"{type(exc).__name__}: {exc}"}
-        )
-        return report
+    return run_case(case, app_registry=context)
 
 
 def _crashed_case(case: FuzzCase, detail: str) -> CaseReport:
-    """Conversion of a case whose worker died into a failing report,
-    keeping the corpus fully accounted for."""
+    """Conversion of a case that raised, or whose worker died, into a
+    failing report, keeping the corpus fully accounted for."""
     report = CaseReport(case=case, digest="")
     report.mismatches.append(
         {"kind": "harness/crash", "detail": f"fleet job crashed: {detail}"}
@@ -178,10 +172,13 @@ def _handle_failure(
     """Shrink one failing case and persist its repro artifact."""
     final_report = case_report
     steps: _t.List[str] = []
-    harness_error = any(
-        m["kind"] == "harness/error" for m in case_report.mismatches
+    # A case the harness could not run is not shrunk: shrinking would
+    # re-run it here, in the parent, where a worker-killing case takes
+    # the whole campaign down with it.
+    harness_failure = any(
+        m["kind"].startswith("harness/") for m in case_report.mismatches
     )
-    if shrink_failures and not harness_error:
+    if shrink_failures and not harness_failure:
         try:
             result = shrink(case_report.case, app_registry=app_registry)
         except Exception:  # noqa: BLE001 - keep the unshrunk repro on any hiccup

@@ -118,7 +118,7 @@ class EventStore:
             self._index_record(record, ts)
 
     def extend(self, records: _t.Iterable[ObservationRecord]) -> None:
-        """Ingest many records (the pipeline's batched flush path).
+        """Ingest many records (a re-sort, a replayed or shuffled log).
 
         Equivalent to repeated :meth:`append`, with the attribute
         lookups hoisted out of the loop.

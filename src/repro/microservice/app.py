@@ -95,10 +95,8 @@ class Application:
         sim: _t.Optional[Simulator] = None,
         seed: int = 0,
         matcher_strategy: str = "table",
-        scheduler: _t.Optional[str] = None,
         log_shipping_delay: float = 0.0,
         log_loss_probability: float = 0.0,
-        log_flush_size: int = 1,
         store_strategy: str = "indexed",
         default_link_latency: _t.Union[float, LatencyModel, None] = 0.0005,
         sidecars: bool = True,
@@ -116,19 +114,17 @@ class Application:
         request/reply observation working but removes the causal-tree
         fields — the tracing-overhead ablation baseline.
 
-        ``scheduler`` picks the kernel scheduler implementation for a
-        freshly created simulator (``None`` = process default); ignored
-        when an existing ``sim`` is passed in.  Outcomes are identical
-        either way — the knob exists for equivalence testing.
+        Without ``sim`` the deployment runs on a fresh
+        ``Simulator(seed=seed)``.  To run it on the heap reference
+        scheduler, pass ``sim=Simulator(seed=..., scheduler="heap")``.
         """
         self.validate()
         return Deployment(
             self,
-            sim=sim if sim is not None else Simulator(seed=seed, scheduler=scheduler),
+            sim=sim if sim is not None else Simulator(seed=seed),
             matcher_strategy=matcher_strategy,
             log_shipping_delay=log_shipping_delay,
             log_loss_probability=log_loss_probability,
-            log_flush_size=log_flush_size,
             store_strategy=store_strategy,
             default_link_latency=default_link_latency,
             sidecars=sidecars,
@@ -161,8 +157,6 @@ class _DiscardedStore:
             " released; keep the Deployment for as long as traffic is driven"
         )
 
-    extend = append
-
 
 def _unplug(pipeline: LogPipeline, deployment: str) -> None:
     pipeline.store = _DiscardedStore(deployment)  # type: ignore[assignment]
@@ -184,7 +178,6 @@ class Deployment:
         matcher_strategy: str = "table",
         log_shipping_delay: float = 0.0,
         log_loss_probability: float = 0.0,
-        log_flush_size: int = 1,
         store_strategy: str = "indexed",
         default_link_latency: _t.Union[float, LatencyModel, None] = 0.0005,
         sidecars: bool = True,
@@ -205,7 +198,6 @@ class Deployment:
             self.store,
             shipping_delay=log_shipping_delay,
             loss_probability=log_loss_probability,
-            flush_size=log_flush_size,
         )
         self.graph = application.logical_graph()
         self.matcher_strategy = matcher_strategy

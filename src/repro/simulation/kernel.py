@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import random as _random
 import typing as _t
 from collections import deque
@@ -57,14 +56,10 @@ from repro.simulation.events import PENDING as _PENDING
 from repro.simulation.events import AllOf, AnyOf, SimEvent, Timeout
 from repro.simulation.process import Process
 
-__all__ = ["SCHEDULERS", "DEFAULT_SCHEDULER", "Simulator"]
+__all__ = ["SCHEDULERS", "Simulator"]
 
 #: The interchangeable scheduler implementations.
 SCHEDULERS = ("default", "heap")
-
-#: Process-wide default, overridable for CI equivalence smokes without
-#: threading a parameter through every deployment factory.
-DEFAULT_SCHEDULER = os.environ.get("REPRO_SCHEDULER", "default")
 
 _new = object.__new__
 
@@ -114,14 +109,13 @@ class Simulator:
         cls,
         seed: int = 0,
         strict: bool = True,
-        scheduler: _t.Optional[str] = None,
+        scheduler: str = "default",
     ) -> "Simulator":
-        chosen = DEFAULT_SCHEDULER if scheduler is None else scheduler
-        if chosen not in SCHEDULERS:
+        if scheduler not in SCHEDULERS:
             raise SimulationError(
-                f"unknown scheduler {chosen!r}; expected one of {SCHEDULERS}"
+                f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"
             )
-        if cls is Simulator and chosen == "heap":
+        if cls is Simulator and scheduler == "heap":
             return super().__new__(_HeapSimulator)
         return super().__new__(cls)
 
@@ -129,7 +123,7 @@ class Simulator:
         self,
         seed: int = 0,
         strict: bool = True,
-        scheduler: _t.Optional[str] = None,
+        scheduler: str = "default",
     ) -> None:
         self._now = 0.0
         self._seed = seed
@@ -330,7 +324,7 @@ class _HeapSimulator(Simulator):
 
     Kept as the reference implementation the equivalence suite compares
     the default lane against; request it with
-    ``Simulator(scheduler="heap")`` or ``REPRO_SCHEDULER=heap``.  It
+    ``Simulator(scheduler="heap")``, the only way to reach it.  It
     builds every timeout through its constructor — this lane optimizes
     for being obviously correct.
     """
@@ -341,7 +335,7 @@ class _HeapSimulator(Simulator):
         self,
         seed: int = 0,
         strict: bool = True,
-        scheduler: _t.Optional[str] = None,
+        scheduler: str = "heap",
     ) -> None:
         super().__init__(seed, strict, scheduler="heap")
         self._due = None

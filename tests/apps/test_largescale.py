@@ -146,7 +146,6 @@ def run_scenario(builder, resilient, entry, scenario, checks):
     load = ClosedLoopLoad(num_requests=REQUESTS, think_time=THINK)
     deployment.sim.process(load.driver(source), name="largescale")
     deployment.sim.run()
-    deployment.pipeline.flush()
     verdicts = [
         (result.name, result.passed, result.inconclusive)
         for result in (check.run(deployment.store) for check in checks)

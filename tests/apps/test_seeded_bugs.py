@@ -43,7 +43,6 @@ def run_checks(manifest, application, scenario=None, seed=0):
     )
     deployment.sim.process(load.driver(source), name="seeded")
     deployment.sim.run()
-    deployment.pipeline.flush()
     return [
         (result.name, result.passed, result.inconclusive)
         for result in (check.run(deployment.store) for check in manifest.checks())

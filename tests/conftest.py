@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import gc
 import multiprocessing
 import os
@@ -13,6 +14,7 @@ import typing as _t
 import pytest
 
 import repro
+import repro.microservice.app as app_module
 from repro.simulation import Simulator
 
 
@@ -20,6 +22,64 @@ from repro.simulation import Simulator
 def sim() -> Simulator:
     """A fresh deterministic simulator."""
     return Simulator(seed=1234)
+
+
+@pytest.fixture
+def lane(request) -> str:
+    """The scheduler lane a test runs on.  A test that asks for it, or
+    for :func:`sim_on_lane`, runs twice: under its own name on the
+    default lane and with a ``heap`` suffix on the heap reference lane
+    (see :func:`pytest_collection_modifyitems`)."""
+    return getattr(request.node, "lane", "default")
+
+
+@pytest.fixture
+def sim_on_lane(lane: str) -> Simulator:
+    """:func:`sim` on the test's lane; a module that imports it as
+    ``sim`` runs every test taking ``sim`` on both lanes."""
+    return Simulator(seed=1234, scheduler=lane)
+
+
+@contextlib.contextmanager
+def deploying_on(lane: str):
+    """Inside, ``Application.deploy()`` without a ``sim`` builds its
+    simulator on ``lane`` — for drivers that deploy out of reach."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(app_module, "Simulator", functools.partial(Simulator, scheduler=lane))
+        yield
+
+
+@pytest.fixture
+def deploys_on_lane(lane: str):
+    """:func:`deploying_on` the test's lane, for the whole test."""
+    with deploying_on(lane):
+        yield lane
+
+
+def pytest_collection_modifyitems(items) -> None:
+    """Add a heap-lane twin right after every test that asks for ``lane``.
+
+    The default-lane item keeps its name, so parametrising a test over
+    lanes adds a test instead of renaming one."""
+    collected = []
+    for item in items:
+        collected.append(item)
+        callspec = getattr(item, "callspec", None)
+        if "lane" not in getattr(item, "fixturenames", ()) or (
+            callspec is not None and "lane" in callspec.params
+        ):
+            continue
+        name = item.name[:-1] + "-heap]" if callspec else item.name + "[heap]"
+        twin = pytest.Function.from_parent(
+            item.parent,
+            name=name,
+            callspec=callspec,
+            fixtureinfo=item._fixtureinfo,
+            originalname=item.originalname,
+        )
+        twin.lane = "heap"
+        collected.append(twin)
+    items[:] = collected
 
 
 def run_to_completion(sim: Simulator, generator: _t.Generator, until: float | None = None):

@@ -32,7 +32,6 @@ def run_with_coordinate(coordinate, manifest):
     )
     deployment.sim.process(load.driver(source), name="test")
     deployment.sim.run()
-    deployment.pipeline.flush()
     return deployment
 
 

@@ -6,6 +6,8 @@ from repro.apps.outages import SEEDED_BUG_SUITE
 from repro.errors import ExploreError
 from repro.explore import Coordinate, FAULT_PRIMITIVES, discover_space, fault_primitives
 
+from tests.conftest import deploying_on
+
 
 class TestEnumerationDeterminism:
     def test_same_seed_identical_coordinate_list(self):
@@ -18,8 +20,9 @@ class TestEnumerationDeterminism:
         assert first.edges == second.edges
 
     def test_deterministic_across_scheduler_lanes(self):
-        default = discover_space("retrystorm", seed=0, scheduler="default")
-        heap = discover_space("retrystorm", seed=0, scheduler="heap")
+        default = discover_space("retrystorm", seed=0)
+        with deploying_on("heap"):
+            heap = discover_space("retrystorm", seed=0)
         assert [c.to_dict() for c in default.coordinates] == [
             c.to_dict() for c in heap.coordinates
         ]

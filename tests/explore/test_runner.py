@@ -17,7 +17,9 @@ from repro.explore import (
     scenario_specs,
     task_fleet,
 )
-from tests.conftest import live_fleet_workers
+from repro.simulation.kernel import SCHEDULERS
+
+from tests.conftest import deploying_on, live_fleet_workers
 
 
 def wave(tasks, **fleet_kwargs):
@@ -26,14 +28,13 @@ def wave(tasks, **fleet_kwargs):
         return run_wave(tasks, fleet)
 
 
-def task_for(app, coordinate, **overrides):
+def task_for(app, coordinate):
     manifest = SEEDED_BUG_SUITE[app]
     return ExploreTask(
         app=app,
         seed=0,
         key=coordinate.key(),
         scenarios=tuple(scenario_specs(coordinate, manifest)),
-        **overrides,
     )
 
 
@@ -60,10 +61,11 @@ class TestReplayFidelity:
     def test_digest_identical_across_scheduler_lanes(self):
         space = discover_space("stuckbreaker", seed=0)
         coordinate = space.sweeps[0]
-        digests = {
-            execute_task(task_for("stuckbreaker", coordinate, scheduler=lane)).digest
-            for lane in ("default", "heap")
-        }
+        task = task_for("stuckbreaker", coordinate)
+        digests = set()
+        for lane in SCHEDULERS:
+            with deploying_on(lane):
+                digests.add(execute_task(task).digest)
         assert len(digests) == 1
 
     def test_socialnetwork_digests_identical_across_scheduler_lanes(self):
@@ -74,12 +76,11 @@ class TestReplayFidelity:
         for coordinate in space.sweeps:
             by_fault.setdefault(coordinate.fault, coordinate)
         for fault, coordinate in sorted(by_fault.items()):
-            digests = {
-                execute_task(
-                    task_for("socialnetwork", coordinate, scheduler=lane)
-                ).digest
-                for lane in ("default", "heap")
-            }
+            task = task_for("socialnetwork", coordinate)
+            digests = set()
+            for lane in SCHEDULERS:
+                with deploying_on(lane):
+                    digests.add(execute_task(task).digest)
             assert len(digests) == 1, fault
 
     def test_socialnetwork_explore_identical_across_thread_counts(self):

@@ -37,6 +37,7 @@ class TestRunFuzz:
         assert serial.metamorphic_counts == fleet.metamorphic_counts
 
     def test_crashing_case_becomes_harness_error(self, monkeypatch, tmp_path):
+        # A raise reaches the fleet's on_crash, like a dead worker.
         real_run = harness_mod.run_case
 
         def exploding(case, app_registry=None):
@@ -48,9 +49,13 @@ class TestRunFuzz:
         report = run_fuzz(31, 4, app_registry=APPS, artifacts_dir=str(tmp_path))
         assert not report.passed
         (failure,) = report.failures
-        assert failure["mismatch_kinds"] == ["harness/error"]
-        # Harness errors are not shrunk but still produce an artifact.
-        assert failure["artifact"] is not None
+        assert failure["mismatch_kinds"] == ["harness/crash"]
+        # Harness failures are not shrunk but still produce an artifact.
+        assert failure["shrink_steps"] == []
+        data = load_artifact(failure["artifact"])
+        assert data["verdict"]["mismatches"][0]["detail"] == (
+            "fleet job crashed: RuntimeError: boom"
+        )
 
     def test_failures_are_shrunk_and_archived(self, monkeypatch, tmp_path):
         real_run = harness_mod.run_case

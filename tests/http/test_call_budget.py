@@ -34,32 +34,34 @@ from tests.conftest import CallCount, SpiedKey
 #: The default lane's ``simulation`` and ``total`` were re-pinned when
 #: its scheduler became a heap plus a due FIFO and ``event()``,
 #: ``timeout()`` and ``Process`` were built in one frame each (middle
-#: figure: the call ledger's).
+#: figure: the call ledger's).  ``logstore`` and ``total`` were re-pinned
+#: when a record stopped passing through ``LogPipeline._deliver`` on its
+#: way to ``EventStore.append`` (two records per call; last figure).
 CEILINGS = {
     ("fault-free", "default"): {
-        "total": 199.7,  # 195.78, 202.13, was 242.79
+        "total": 197.7,  # 195.78, 202.13, was 242.79; 193.78
         "network": 57.5,  # 56.41, was 67.50
         "http": 42.2,  # 41.34, was 49.88
         "simulation": 33.2,  # 32.57, 38.93, was 58.04
-        "logstore": 10.5,  # 10.26
+        "logstore": 8.4,  # 10.26, 8.26
         "registry": 4.2,  # 4.11, was 6.04
     },
     ("reset", "default"): {
-        "total": 198.2,  # 194.36, 200.30, was 239.17
+        "total": 196.2,  # 194.36, 200.30, was 239.17; 192.35
         "network": 56.2,  # 55.14, was 65.85
         "http": 40.9,  # 40.14, was 48.14
         "simulation": 31.5,  # 30.84, 36.79, was 55.14
-        "logstore": 10.6,  # 10.36
+        "logstore": 8.5,  # 10.36, 8.36
         "registry": 4.0,  # 3.93, was 5.73
     },
     # The reference lane builds every timeout through its constructor and
     # queues the present on its one heap; the other layers read the same.
     ("fault-free", "heap"): {
-        "total": 221.3,  # 216.98, was 248.53
+        "total": 218.4,  # 216.98, was 248.53; 214.16
         "simulation": 54.8,  # 53.77, was 63.77
     },
     ("reset", "heap"): {
-        "total": 219.0,  # 214.73, was 244.89
+        "total": 215.9,  # 214.73, was 244.89; 211.71
         "simulation": 52.2,  # 51.21, was 60.86
     },
 }
@@ -117,7 +119,8 @@ def drive(template, name, scheduler):
 
     class Instrumented:
         def deploy(self, seed):
-            deployment = build_socialnetwork_app().deploy(seed=seed, scheduler=scheduler)
+            sim = Simulator(seed=seed, scheduler=scheduler)
+            deployment = build_socialnetwork_app().deploy(sim=sim)
             network, store = deployment.network, deployment.store
             assert not network._pair_latency and not network._partitions
             assert not store._slices

@@ -8,7 +8,7 @@ from repro.http import HttpClient, HttpRequest, HttpResponse, HttpServer
 from repro.http.client import await_with_deadline
 from repro.network import Address, Network
 
-from tests.conftest import run_to_completion
+from tests.conftest import run_to_completion, sim_on_lane as sim
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from repro.errors import (
 from repro.http import HttpClient, HttpRequest, HttpResponse, HttpServer, encode_request
 from repro.network import Address, Network
 
-from tests.conftest import run_to_completion
+from tests.conftest import run_to_completion, sim_on_lane as sim
 
 
 @pytest.fixture

@@ -107,6 +107,5 @@ def test_raw_bytes_peer_pays_for_its_own_exchange_only(codec_calls, through):
 
     response = run_to_completion(deployment.sim, raw_client(deployment.sim))
     assert response.status == 200
-    deployment.pipeline.flush()
     assert len(deployment.store) > 20  # one request, a whole fan-out behind it
     assert codec_calls == dict.fromkeys(ENTRY_POINTS, 1)

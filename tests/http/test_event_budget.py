@@ -68,7 +68,8 @@ def test_fault_free_verdict_stays_inside_its_per_call_budget():
 
     class OnHeapLane:
         def deploy(self, seed):
-            deployments.append(build_socialnetwork_app().deploy(seed=seed, scheduler="heap"))
+            sim = Simulator(seed=seed, scheduler="heap")
+            deployments.append(build_socialnetwork_app().deploy(sim=sim))
             return deployments[-1]
 
     outcome = RecipeExecutor(OnHeapLane, timeout=None).execute(planned)

@@ -76,7 +76,9 @@ def first_planned():
 
 
 @pytest.mark.parametrize("crashed", [None, "post-storage"], ids=["planned", "reset"])
-def test_a_verdict_leaves_only_the_deployment_skeleton(first_planned, crashed):
+def test_a_verdict_leaves_only_the_deployment_skeleton(
+    first_planned, crashed, deploys_on_lane
+):
     planned = first_planned
     if crashed is not None:
         # The same load against a crashed callee: every call to it is

@@ -7,8 +7,9 @@ from repro.errors import ConnectionResetError_
 from repro.http import HttpResponse, HttpServer, decode_response, encode_request, HttpRequest
 from repro.microservice import Application, PolicySpec, ServiceDefinition
 from repro.network import Address, Network
+from repro.simulation import Simulator
 
-from tests.conftest import run_to_completion
+from tests.conftest import run_to_completion, sim_on_lane as sim
 
 
 @pytest.fixture
@@ -166,7 +167,7 @@ class TestKeepAliveThroughSidecar:
     """A raw peer pipelining on one connection to a sidecar route."""
 
     @pytest.fixture
-    def deployed(self):
+    def deployed(self, lane):
         """The deployment, and the trace back's handler writes."""
         trace = []
 
@@ -179,7 +180,7 @@ class TestKeepAliveThroughSidecar:
         app = Application("pipelined")
         app.add_service(ServiceDefinition("front", dependencies={"back": PolicySpec.naive()}))
         app.add_service(ServiceDefinition("back", handler=back))
-        return app.deploy(seed=7), trace
+        return app.deploy(sim=Simulator(seed=7, scheduler=lane)), trace
 
     @staticmethod
     def pipeline(deployment, uris, gap=0.0):

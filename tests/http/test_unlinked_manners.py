@@ -23,7 +23,7 @@ from repro.http.wire import received_response, send_message
 from repro.network import Address, Network
 from repro.network.transport import ChannelClosed
 
-from tests.conftest import collector_off, run_to_completion
+from tests.conftest import collector_off, run_to_completion, sim_on_lane as sim
 from tests.http.test_client_edge_cases import record_processes
 
 

@@ -37,6 +37,9 @@ ORACLES = {
     "bytes": encode,
 }
 
+#: Every recipe here runs on both scheduler lanes.
+pytestmark = pytest.mark.usefixtures("deploys_on_lane")
+
 #: Wall-clock fields of an outcome; everything else is simulated.
 WALL_CLOCK = ("orchestration_time", "assertion_time", "wall_time")
 

@@ -29,7 +29,7 @@ from repro.core import DelayCalls, Gremlin
 from repro.http import HttpRequest
 from repro.loadgen import ApacheBench, Sample
 from repro.network.latency import as_latency
-from repro.simulation.kernel import SCHEDULERS
+from repro.simulation.kernel import SCHEDULERS, Simulator
 from repro.tracing import RequestIdGenerator
 
 #: One-way latency of every link *and* of the loopback hop to a sidecar.
@@ -37,13 +37,13 @@ LINK = 2.0**-11
 
 
 def deploy(app, scheduler):
-    deployment = app.deploy(seed=3, scheduler=scheduler, default_link_latency=LINK)
+    sim = Simulator(seed=3, scheduler=scheduler)
+    deployment = app.deploy(sim=sim, default_link_latency=LINK)
     deployment.network.loopback_latency = as_latency(LINK)
     return deployment
 
 
 def digest(deployment, samples):
-    deployment.pipeline.flush()
     records = deployment.store.all_records()
     payload = {
         "records": [record.to_dict() for record in records],
@@ -132,8 +132,7 @@ def test_tie_order_digest_is_pinned(scenario, scheduler):
 def test_the_scenarios_really_tie():
     """Guard against the scenarios drifting into tie-free schedules:
     most records share their timestamp with a record of another flow."""
-    deployment, _ = tree_under_concurrent_workers(None)
-    deployment.pipeline.flush()
+    deployment, _ = tree_under_concurrent_workers("default")
     flows_at = {}
     for record in deployment.store.all_records():
         flows_at.setdefault(record.timestamp, set()).add(record.request_id)

@@ -12,6 +12,7 @@ from repro.microservice import (
     fanout_handler,
     static_handler,
 )
+from repro.simulation import Simulator
 
 from tests.conftest import run_to_completion
 
@@ -93,6 +94,13 @@ class TestDeployment:
             deployment.instances_of("ghost")
         with pytest.raises(RecipeError):
             deployment.agents_of("ghost")
+
+    def test_heap_lane_is_a_simulator_not_a_deploy_knob(self):
+        app = build_chain_app()
+        with pytest.raises(TypeError):
+            app.deploy(seed=3, scheduler="heap")
+        heap = Simulator(seed=3, scheduler="heap")
+        assert app.deploy(sim=heap).sim.scheduler == "heap"
 
     def test_end_to_end_chain_call(self):
         deployment = build_chain_app().deploy(seed=1)

@@ -16,7 +16,7 @@ from repro.microservice import PolicySpec
 from repro.microservice.clients import DependencyClient
 from repro.network import Address, Network
 
-from tests.conftest import run_to_completion
+from tests.conftest import run_to_completion, sim_on_lane as sim
 
 
 @pytest.fixture

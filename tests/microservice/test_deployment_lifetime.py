@@ -23,7 +23,8 @@ from tests.conftest import collector_off
 
 
 @pytest.fixture(autouse=True)
-def no_collector():
+def no_collector(deploys_on_lane):
+    """Every test runs with the collector off, on both scheduler lanes."""
     with collector_off():
         yield
 

@@ -12,7 +12,7 @@ from repro.errors import (
 from repro.network import Address, Network
 from repro.simulation import ChannelClosed, Simulator
 
-from tests.conftest import EventCount, run_to_completion
+from tests.conftest import EventCount, run_to_completion, sim_on_lane as sim
 
 
 @pytest.fixture

@@ -22,7 +22,6 @@ def run_tree(depth=2, requests=4, rules=None, tracing=None, seed=11):
     if rules:
         gremlin.orchestrator.apply(rules)
     ClosedLoopLoad(num_requests=requests, think_time=0.01).run(source)
-    deployment.pipeline.flush()
     return deployment
 
 
@@ -100,5 +99,4 @@ class TestMetricsHooks:
         deployment = app.deploy(seed=3)
         source = deployment.add_traffic_source("svc-0")
         ClosedLoopLoad(num_requests=1).run(source)
-        deployment.pipeline.flush()
         assert all(r.span_id is None for r in deployment.store.search(Query()))

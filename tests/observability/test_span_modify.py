@@ -26,7 +26,6 @@ def run_modified(rules, requests=3, depth=1, seed=23):
     gremlin = Gremlin(deployment)
     gremlin.orchestrator.apply(rules)
     ClosedLoopLoad(num_requests=requests, think_time=0.01).run(source)
-    deployment.pipeline.flush()
     return deployment
 
 

@@ -39,13 +39,11 @@ class TestSimulatorSurface:
     def test_seed_property(self):
         assert Simulator(seed=99).seed == 99
 
-    def test_repr_mentions_time(self):
-        sim = Simulator()
+    def test_repr_mentions_time(self, sim):
         sim.run(until=4)
         assert "4" in repr(sim)
 
-    def test_step_processes_single_event(self):
-        sim = Simulator()
+    def test_step_processes_single_event(self, sim):
         fired = []
         sim.timeout(1).add_callback(lambda _e: fired.append(1))
         sim.timeout(2).add_callback(lambda _e: fired.append(2))

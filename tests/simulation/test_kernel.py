@@ -7,22 +7,19 @@ from repro.simulation import Simulator
 
 
 class TestClock:
-    def test_starts_at_zero(self):
-        assert Simulator().now == 0.0
+    def test_starts_at_zero(self, sim):
+        assert sim.now == 0.0
 
-    def test_run_until_advances_clock_even_when_idle(self):
-        sim = Simulator()
+    def test_run_until_advances_clock_even_when_idle(self, sim):
         sim.run(until=10)
         assert sim.now == 10
 
-    def test_run_until_past_raises(self):
-        sim = Simulator()
+    def test_run_until_past_raises(self, sim):
         sim.run(until=5)
         with pytest.raises(SimulationError):
             sim.run(until=3)
 
-    def test_run_until_stops_before_later_events(self):
-        sim = Simulator()
+    def test_run_until_stops_before_later_events(self, sim):
         fired = []
         sim.timeout(10).add_callback(lambda _e: fired.append(True))
         sim.run(until=5)
@@ -31,16 +28,14 @@ class TestClock:
         sim.run()
         assert fired == [True]
 
-    def test_peek_reports_next_event_time(self):
-        sim = Simulator()
+    def test_peek_reports_next_event_time(self, sim):
         sim.timeout(4)
         assert sim.peek() == 4
 
-    def test_peek_empty_queue_is_inf(self):
-        assert Simulator().peek() == float("inf")
+    def test_peek_empty_queue_is_inf(self, sim):
+        assert sim.peek() == float("inf")
 
-    def test_scheduling_in_the_past_raises(self):
-        sim = Simulator()
+    def test_scheduling_in_the_past_raises(self, sim):
         sim.run(until=10)
         with pytest.raises(SimulationError):
             sim._schedule_at(5, sim.event())
@@ -61,12 +56,10 @@ class TestDeterminism:
         a2 = sim2.rng("a").random()
         assert a1 == a2
 
-    def test_rng_stream_is_cached(self):
-        sim = Simulator()
+    def test_rng_stream_is_cached(self, sim):
         assert sim.rng("s") is sim.rng("s")
 
-    def test_fifo_order_for_simultaneous_events(self):
-        sim = Simulator()
+    def test_fifo_order_for_simultaneous_events(self, sim):
         order = []
         for tag in ("first", "second", "third"):
             ev = sim.event()
@@ -77,21 +70,19 @@ class TestDeterminism:
 
 
 class TestStrictMode:
-    def test_unhandled_failure_raises_at_run_end(self):
-        sim = Simulator(strict=True)
+    def test_unhandled_failure_raises_at_run_end(self, sim):
         sim.event().fail(RuntimeError("nobody listening"))
         with pytest.raises(SimulationError, match="unhandled"):
             sim.run()
 
-    def test_defused_failure_is_silent(self):
-        sim = Simulator(strict=True)
+    def test_defused_failure_is_silent(self, sim):
         ev = sim.event()
         ev.defused = True
         ev.fail(RuntimeError("expected"))
         sim.run()
 
-    def test_non_strict_mode_collects_failures(self):
-        sim = Simulator(strict=False)
+    def test_non_strict_mode_collects_failures(self, lane):
+        sim = Simulator(strict=False, scheduler=lane)
         sim.event().fail(RuntimeError("collected"))
         sim.run()
         assert len(sim.unhandled_failures) == 1

@@ -170,16 +170,12 @@ class TestKernelTraceEquivalence:
             sim._order = order
         assert default._order == heap._order
 
-    def test_scheduler_dispatch_and_env_default(self, monkeypatch):
+    def test_scheduler_dispatch_and_default(self):
         assert SCHEDULERS == ("default", "heap")
-        assert Simulator(scheduler="default").scheduler == "default"
+        assert Simulator().scheduler == "default"
         heap = Simulator(scheduler="heap")
         assert heap.scheduler == "heap"
         assert isinstance(heap, _HeapSimulator)
-        import repro.simulation.kernel as kernel
-
-        monkeypatch.setattr(kernel, "DEFAULT_SCHEDULER", "heap")
-        assert Simulator().scheduler == "heap"
         with pytest.raises(Exception):
             Simulator(scheduler="wheel-of-fortune")
 

@@ -11,8 +11,7 @@ clock, and unhandled-failure list as the same scenario under ``run()``
 import pytest
 
 from repro.simulation import Simulator
-
-SCHEDULERS = ("default", "heap")
+from repro.simulation.kernel import SCHEDULERS
 
 
 def _start_scenario(sim):

@@ -48,7 +48,6 @@ def build_retry_app(max_retries=2, timeout=None):
 
 def edge_requests(deployment, request_id):
     """The front->backend request records for one request ID, in order."""
-    deployment.pipeline.flush()
     records = deployment.store.search(
         Query(src="front", dst="backend", kind=ObservationKind.REQUEST)
     )
@@ -83,7 +82,6 @@ class TestRetryPropagation:
         parents = {r.parent_span for r in attempts}
         assert len(parents) == 1, "all attempts share the caller's span as parent"
         # The shared parent is the user->front span for the same request.
-        deployment.pipeline.flush()
         entry = [
             r
             for r in deployment.store.search(
