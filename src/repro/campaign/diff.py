@@ -17,6 +17,7 @@ import typing as _t
 from repro.analysis.compare import CdfComparison, compare_cdfs
 from repro.campaign.results import CONCLUSIVE_FAILURES, CampaignResult
 from repro.errors import AnalysisError
+from repro.util import plain
 
 __all__ = ["StatusChange", "CampaignDiff", "diff_campaigns"]
 
@@ -31,6 +32,9 @@ class StatusChange:
 
     def __str__(self) -> str:
         return f"{self.name}: {self.baseline} -> {self.candidate}"
+
+    def to_dict(self) -> dict:
+        return plain(self)
 
 
 @dataclasses.dataclass
@@ -107,17 +111,13 @@ class CampaignDiff:
         return {
             "baseline": self.baseline,
             "candidate": self.candidate,
-            "regressions": [dataclasses.asdict(c) for c in self.regressions],
-            "fixes": [dataclasses.asdict(c) for c in self.fixes],
-            "other_changes": [dataclasses.asdict(c) for c in self.other_changes],
+            "regressions": [c.to_dict() for c in self.regressions],
+            "fixes": [c.to_dict() for c in self.fixes],
+            "other_changes": [c.to_dict() for c in self.other_changes],
             "added": self.added,
             "removed": self.removed,
             "newly_flaky": self.newly_flaky,
-            "latency": (
-                None
-                if self.latency is None
-                else dataclasses.asdict(self.latency)
-            ),
+            "latency": plain(self.latency),
             "latency_error": self.latency_error,
             "has_regressions": self.has_regressions,
         }

@@ -6,9 +6,11 @@ fails loudly with the offending line number — a corrupt campaign dump
 must not silently produce a wrong diff.
 
 Line 1 is a ``{"record": "campaign", ...}`` header carrying the
-aggregate fields; every following line is a ``{"record": "outcome",
-...}`` document.  The format is append-friendly and greppable, like
-the observation-log dumps.
+aggregate fields and :data:`FORMAT_VERSION`; every following line is a
+``{"record": "outcome", ...}`` document.  A header whose version is
+missing or different is refused rather than read as today's format.
+The format is append-friendly and greppable, like the observation-log
+dumps.
 """
 
 from __future__ import annotations
@@ -74,7 +76,12 @@ def loads(text: str) -> CampaignResult:
                     f"malformed campaign dump at line {line_number}:"
                     " first record must be the campaign header"
                 )
-            doc.pop("version", None)
+            version = doc.pop("version", None)
+            if version != FORMAT_VERSION:
+                raise CampaignError(
+                    f"unsupported campaign dump at line {line_number}:"
+                    f" format version {version!r}, expected {FORMAT_VERSION}"
+                )
             header = doc
         elif kind == "outcome":
             try:

@@ -13,6 +13,7 @@ import dataclasses
 import typing as _t
 
 from repro.core.patterns import CheckResult
+from repro.util import plain
 
 __all__ = [
     "CheckOutcome",
@@ -48,7 +49,7 @@ class CheckOutcome:
         )
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return plain(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CheckOutcome":
@@ -107,9 +108,8 @@ class RecipeOutcome:
         return self.status in CONCLUSIVE_FAILURES
 
     def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["window"] = list(self.window)
-        doc["checks"] = [check.to_dict() for check in self.checks]
+        doc = plain(self)
+        doc["window"] = list(doc["window"])
         return doc
 
     @classmethod

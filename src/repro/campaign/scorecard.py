@@ -16,6 +16,7 @@ import typing as _t
 from repro.analysis.report import text_table
 from repro.campaign.plan import PATTERN_RANK
 from repro.campaign.results import RecipeOutcome
+from repro.util import plain
 
 __all__ = ["PatternScore", "Scorecard"]
 
@@ -76,7 +77,7 @@ class PatternScore:
         return f"{self.passed}/{self.total}{marks}"
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return plain(self)
 
 
 class Scorecard:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
+from repro.util import plain
+
 __all__ = ["ObservationKind", "ObservationRecord"]
 
 
@@ -133,4 +135,4 @@ class ObservationRecord:
 
     def to_dict(self) -> dict:
         """Plain-dict form, e.g. for JSON-lines export."""
-        return dataclasses.asdict(self)
+        return plain(self)

@@ -24,6 +24,7 @@ from repro.agent.rules import FaultRule
 from repro.logstore.query import Query
 from repro.observability.spans import Span
 from repro.observability.trace import Trace, reconstruct_from_records
+from repro.util import plain
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.logstore.store import EventStore
@@ -57,7 +58,7 @@ class FaultAttribution:
 
     def to_dict(self) -> dict:
         """Plain-dict form for campaign dumps and scorecards."""
-        return dataclasses.asdict(self)
+        return plain(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FaultAttribution":

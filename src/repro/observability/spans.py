@@ -20,6 +20,7 @@ import dataclasses
 import typing as _t
 
 from repro.logstore.record import ObservationRecord
+from repro.util import plain
 
 __all__ = ["Span", "assemble_spans"]
 
@@ -80,7 +81,7 @@ class Span:
 
     def to_dict(self) -> dict:
         """Plain-dict form for JSON serialization."""
-        return dataclasses.asdict(self)
+        return plain(self)
 
     def describe(self) -> str:
         """One-line human summary, the unit of trace rendering."""

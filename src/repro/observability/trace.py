@@ -241,29 +241,26 @@ class Trace:
             )
 
 
-def _shape_form(node: TraceNode) -> _t.List[_t.Any]:
-    """Canonical nested form of one subtree, independent of span IDs.
+def _shape_text(node: TraceNode) -> str:
+    """Canonical JSON text of one subtree, independent of span IDs.
 
     Each node contributes what the call *was* and how it *ended* —
-    (src, dst, status, error?, fault applied) — never the identifiers
-    minted along the way (span IDs, timestamps, instance names), so two
-    runs of the same behaviour canonicalize identically even when IDs
-    are renumbered.  Children are ordered by their own canonical form,
-    making the result insensitive to sibling enumeration order too.
+    ``[src, dst, status, error?, fault applied, [children...]]`` — never
+    the identifiers minted along the way (span IDs, timestamps, instance
+    names), so two runs of the same behaviour canonicalize identically
+    even when IDs are renumbered.  Children are ordered by their own
+    text, making the result insensitive to sibling enumeration order
+    too.  Each subtree is encoded once: a parent splices its children's
+    texts instead of re-encoding them.
     """
     span = node.span
-    children = sorted(
-        (_shape_form(child) for child in node.children),
-        key=lambda form: json.dumps(form, separators=(",", ":")),
+    head = json.dumps(
+        [span.src, span.dst, span.status, bool(span.error), span.fault_applied],
+        separators=(",", ":"),
     )
-    return [
-        span.src,
-        span.dst,
-        span.status,
-        bool(span.error),
-        span.fault_applied,
-        children,
-    ]
+    children = sorted([_shape_text(child) for child in node.children])
+    # The head list reopened: its closing bracket becomes ",[children]]".
+    return head[:-1] + ",[" + ",".join(children) + "]]"
 
 
 def trace_shape_digest(trace: Trace) -> str:
@@ -277,11 +274,8 @@ def trace_shape_digest(trace: Trace) -> str:
     metamorphic battery uses it to compare executions whose absolute
     digests legitimately differ (e.g. after rule-ID reassignment).
     """
-    forms = sorted(
-        (_shape_form(root) for root in trace.roots),
-        key=lambda form: json.dumps(form, separators=(",", ":")),
-    )
-    payload = json.dumps(forms, separators=(",", ":")).encode("utf-8")
+    texts = sorted([_shape_text(root) for root in trace.roots])
+    payload = ("[" + ",".join(texts) + "]").encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
 
 

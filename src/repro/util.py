@@ -1,17 +1,22 @@
 """Small shared utilities.
 
-Currently: human-friendly duration parsing.  The paper's recipes write
-intervals as strings — ``Delay(..., Interval='100ms')``,
-``AtMostRequests(RList, '1min', ...)``, ``Delay(..., Interval='1h')`` —
-so both the rule layer and the assertion layer accept the same syntax.
+Human-friendly duration parsing: the paper's recipes write intervals as
+strings — ``Delay(..., Interval='100ms')``, ``AtMostRequests(RList,
+'1min', ...)``, ``Delay(..., Interval='1h')`` — so both the rule layer
+and the assertion layer accept the same syntax.
+
+And :func:`plain`, the one copier behind every result document's
+``to_dict``.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import re
 import typing as _t
 
-__all__ = ["parse_duration", "format_duration"]
+__all__ = ["parse_duration", "format_duration", "plain"]
 
 _DURATION_RE = re.compile(r"^\s*(?P<value>\d+(?:\.\d+)?)\s*(?P<unit>us|ms|s|sec|min|m|h|hr)?\s*$")
 
@@ -61,3 +66,57 @@ def format_duration(seconds: float) -> str:
     if seconds >= 1e-3:
         return f"{seconds * 1e3:g}ms"
     return f"{seconds * 1e6:g}us"
+
+
+#: Leaf types returned as-is (``copy.deepcopy`` returns them as-is too).
+_ATOMS = frozenset({type(None), bool, int, float, str, bytes, complex})
+
+#: type -> its dataclass field names in order, or None for a non-dataclass.
+_FIELD_NAMES: dict = {}
+
+
+def plain(value: _t.Any) -> _t.Any:
+    """An independent plain-data copy of ``value``: dataclasses become dicts.
+
+    The contract of the standard library's dataclass-to-dict conversion
+    (keys in field order, equal values, every mutable leaf
+    deep-copied), applied to any value rather than only a dataclass
+    instance, at a fraction of the cost: immutable leaves and exact
+    ``dict``/``list``/``tuple`` take a fast path, and a dataclass is
+    walked by a field-name tuple cached per type.  Everything else —
+    container subclasses, named tuples, sets, arbitrary objects — is
+    copied the way that conversion copies it, except that a
+    ``defaultdict`` keeps its factory (as it does from Python 3.12 on;
+    3.11's conversion raises on one).
+    """
+    cls = type(value)
+    if cls in _ATOMS:
+        return value
+    if cls is dict:
+        return {plain(k): plain(v) for k, v in value.items()}
+    if cls is list:
+        return [plain(item) for item in value]
+    if cls is tuple:
+        return tuple([plain(item) for item in value])
+    try:
+        names = _FIELD_NAMES[cls]
+    except KeyError:
+        names = _FIELD_NAMES[cls] = (
+            tuple(field.name for field in dataclasses.fields(cls))
+            if dataclasses.is_dataclass(cls)
+            else None
+        )
+    if names is not None:
+        return {name: plain(getattr(value, name)) for name in names}
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return cls(*[plain(item) for item in value])
+    if isinstance(value, (list, tuple)):
+        return cls(plain(item) for item in value)
+    if isinstance(value, dict):
+        if hasattr(cls, "default_factory"):
+            result = cls(value.default_factory)
+            for k, v in value.items():
+                result[plain(k)] = plain(v)
+            return result
+        return cls((plain(k), plain(v)) for k, v in value.items())
+    return copy.deepcopy(value)

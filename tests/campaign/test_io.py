@@ -1,5 +1,7 @@
 """Tests for campaign JSON-lines export/import."""
 
+import json
+
 import pytest
 
 from repro.campaign import CampaignResult, CheckOutcome, RecipeOutcome, dumps, loads
@@ -115,3 +117,36 @@ class TestMalformedInput:
             loads("")
         with pytest.raises(CampaignError, match="no header record"):
             loads("\n\n")
+
+
+def with_header(text, **changes):
+    """``text`` with its header line rewritten; a None value drops the key."""
+    lines = text.splitlines()
+    header = json.loads(lines[0])
+    for key, value in changes.items():
+        if value is None:
+            header.pop(key, None)
+        else:
+            header[key] = value
+    return "\n".join([json.dumps(header)] + lines[1:])
+
+
+class TestFormatVersion:
+    """A dump in a format this revision does not write is refused: read
+    as today's format it would render a wrong report or diff."""
+
+    def test_header_carries_the_version(self):
+        from repro.campaign.io import FORMAT_VERSION
+
+        assert json.loads(dumps(sample_result()).splitlines()[0])["version"] == FORMAT_VERSION
+
+    @pytest.mark.parametrize("version", [99, None], ids=["bumped", "missing"])
+    def test_other_version_is_refused(self, version):
+        text = with_header(dumps(sample_result()), version=version)
+        with pytest.raises(CampaignError, match=rf"line 1: format version {version!r}, expected 1"):
+            loads(text)
+
+    def test_version_after_blank_lines_names_its_line(self):
+        text = "\n\n" + with_header(dumps(sample_result()), version="1")
+        with pytest.raises(CampaignError, match=r"line 3: format version '1'"):
+            loads(text)

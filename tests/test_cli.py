@@ -498,6 +498,28 @@ class TestCleanCliErrors:
         # A one-line operator message, not a traceback.
         assert "missing.jsonl" in str(err.value)
 
+    @pytest.mark.parametrize("version", [99, None], ids=["bumped", "missing"])
+    @pytest.mark.parametrize(
+        "command", [["report"], ["campaign", "diff"]], ids=" ".join
+    )
+    def test_dump_in_another_format_exits_cleanly(self, tmp_path, command, version):
+        from repro.campaign import CampaignResult, dump_jsonl
+
+        dump = tmp_path / "future.jsonl"
+        dump_jsonl(CampaignResult("c", "twotier", 0, 1, outcomes=[]), dump)
+        header, *rest = dump.read_text().splitlines()
+        doc = json.loads(header)
+        doc.pop("version")
+        if version is not None:
+            doc["version"] = version
+        dump.write_text("\n".join([json.dumps(doc)] + rest) + "\n")
+        paths = [str(dump)] * (2 if command[0] == "campaign" else 1)
+        with pytest.raises(SystemExit) as err:
+            main(command + paths)
+        assert str(err.value) == (
+            f"unsupported campaign dump at line 1: format version {version!r}, expected 1"
+        )
+
     def test_campaign_recipes_missing_suite_exits_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read recipe suite"):
             main(
