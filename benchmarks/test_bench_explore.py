@@ -12,25 +12,26 @@ executions-to-all-bugs, summed across the three seeded apps.
 
 Also recorded per app: coordinates enumerated/executed/pruned, trace
 shapes seen beyond the fault-free baseline, and which coordinate
-surfaced each bug.  Numbers land in ``BENCH_explore.json`` via the
+surfaced each bug.  Every number is a count, deterministic for the
+seed and budget.  Numbers land in ``BENCH_explore.json`` via the
 session-finish hook in ``conftest.py``.
 """
 
-import time
-
-from repro.apps.outages import SEEDED_BUG_SUITE
 from repro.explore import run_explore
 
 SEED = 0
+#: The three small seeded-bug apps, as in ``bench/``'s ``explore_seeded``;
+#: the production-scale entries of ``SEEDED_BUG_SUITE`` are not part of
+#: this comparison.
+SEEDED_APPS = ("deepfanout", "retrystorm", "stuckbreaker")
 BUDGET = 150
 MAX_RATIO = 0.5
 
 
-def test_prioritized_halves_executions_to_all_bugs(report, bench_explore):
+def test_prioritized_halves_executions_to_all_bugs(report, bench_file):
     per_app: dict = {}
     totals = {"prioritized": 0, "random": 0}
-    start = time.perf_counter()
-    for app in sorted(SEEDED_BUG_SUITE):
+    for app in SEEDED_APPS:
         per_app[app] = {}
         for strategy in ("prioritized", "random"):
             result = run_explore(
@@ -51,7 +52,6 @@ def test_prioritized_halves_executions_to_all_bugs(report, bench_explore):
                 "shapes_seen": doc["shapes_seen"],
                 "findings": doc["findings"],
             }
-    elapsed = time.perf_counter() - start
 
     ratio = totals["prioritized"] / totals["random"]
     assert ratio <= MAX_RATIO, (
@@ -59,7 +59,7 @@ def test_prioritized_halves_executions_to_all_bugs(report, bench_explore):
         f" random's {totals['random']} (ratio {ratio:.2f} > {MAX_RATIO})"
     )
 
-    bench_explore.update(
+    bench_file("BENCH_explore.json").update(
         {
             "seed": SEED,
             "budget": BUDGET,
@@ -68,7 +68,6 @@ def test_prioritized_halves_executions_to_all_bugs(report, bench_explore):
             "random_total": totals["random"],
             "ratio": round(ratio, 4),
             "max_ratio": MAX_RATIO,
-            "wall_clock_s": round(elapsed, 2),
         }
     )
     lines = [

@@ -1,90 +1,42 @@
-"""Differential fuzzer: case throughput and battery coverage.
+"""Differential fuzzer: battery coverage.
 
-The fuzzer's operational claim is that differential coverage is cheap
-enough to run continuously: every case pays for a full deploy + inject
-+ load + check cycle *several times over* (baseline execution, oracle
-walk, and one re-execution per applicable metamorphic check), yet a
-CI-sized corpus should still clear in seconds.  This benchmark pins:
-
-* **throughput** — cases/second through the full battery: serial, the
-  4-worker thread fleet (under the GIL this documents rather than
-  promises a speedup), and the 4-worker process fleet (spawn-isolated
-  interpreters, the backend that can actually use multiple cores —
-  ``cpus`` in the JSON says how many this container had);
-* **coverage** — what fraction of the corpus the exact oracle diffed,
-  and how many cases each metamorphic check ran on, so a generator
-  regression that silently shrinks the deterministic domain shows up
-  as a number, not a hunch;
-* **determinism** — the serial and fleet runs must agree failure-for-
-  failure, re-asserting the campaign contract under fuzz load.
+Pins what fraction of a fixed corpus the exact oracle diffed, and how
+many cases each metamorphic check ran on, so a generator regression
+that silently shrinks the deterministic domain shows up as a number,
+not a hunch.  The counts are deterministic for the seed, so the file
+is regenerated byte-for-byte on any machine.  (Serial-vs-fleet
+equivalence on both backends is pinned in tier-1,
+``tests/fuzz/test_harness.py``.)
 
 Numbers land in ``BENCH_fuzz.json`` via the session-finish hook in
 ``conftest.py``.
 """
-
-import os
-import time
 
 from repro.cli import APPS
 from repro.fuzz import run_fuzz
 
 SEED = 2026
 CASES = 60
-FLEET_WORKERS = 4
 
 
-def test_fuzz_throughput_and_coverage(report, bench_fuzz):
-    start = time.perf_counter()
-    serial = run_fuzz(SEED, CASES, workers=1, app_registry=APPS)
-    serial_s = time.perf_counter() - start
+def test_fuzz_battery_coverage(report, bench_file):
+    result = run_fuzz(SEED, CASES, workers=1, app_registry=APPS)
+    assert result.passed, result.summary()
 
-    start = time.perf_counter()
-    fleet = run_fuzz(SEED, CASES, workers=FLEET_WORKERS, app_registry=APPS)
-    fleet_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    procs = run_fuzz(
-        SEED, CASES, workers=FLEET_WORKERS, backend="processes", app_registry=APPS
-    )
-    procs_s = time.perf_counter() - start
-
-    # Determinism contract: worker count and backend change wall clock,
-    # nothing else.
-    assert serial.to_dict()["failures"] == fleet.to_dict()["failures"]
-    assert serial.to_dict()["failures"] == procs.to_dict()["failures"]
-    assert serial.metamorphic_counts == fleet.metamorphic_counts
-    assert serial.metamorphic_counts == procs.metamorphic_counts
-    assert serial.oracle_checked == procs.oracle_checked
-    assert serial.passed, serial.summary()
-
-    # The battery must stay fast enough for per-PR CI smoke runs.
-    assert serial_s < 60.0, f"{CASES} cases took {serial_s:.1f}s serially"
-
-    bench_fuzz.update(
+    bench_file("BENCH_fuzz.json").update(
         {
             "seed": SEED,
             "cases": CASES,
-            "cpus": os.cpu_count(),
-            "serial_s": round(serial_s, 3),
-            "fleet_workers": FLEET_WORKERS,
-            "fleet_s": round(fleet_s, 3),
-            "processes_s": round(procs_s, 3),
-            "cases_per_s_serial": round(CASES / serial_s, 1),
-            "cases_per_s_fleet": round(CASES / fleet_s, 1),
-            "cases_per_s_processes": round(CASES / procs_s, 1),
-            "oracle_checked": serial.oracle_checked,
-            "oracle_fraction": round(serial.oracle_checked / CASES, 3),
-            "metamorphic_counts": dict(serial.metamorphic_counts),
+            "oracle_checked": result.oracle_checked,
+            "oracle_fraction": round(result.oracle_checked / CASES, 3),
+            "metamorphic_counts": dict(result.metamorphic_counts),
         }
     )
 
     lines = [
         f"corpus: seed={SEED}, {CASES} cases",
-        f"serial:  {serial_s:.2f}s  ({CASES / serial_s:.1f} cases/s)",
-        f"threads({FLEET_WORKERS}): {fleet_s:.2f}s  ({CASES / fleet_s:.1f} cases/s)",
-        f"processes({FLEET_WORKERS}): {procs_s:.2f}s  ({CASES / procs_s:.1f} cases/s)",
-        f"oracle-diffed: {serial.oracle_checked}/{CASES}",
+        f"oracle-diffed: {result.oracle_checked}/{CASES}",
     ]
-    for name, count in sorted(serial.metamorphic_counts.items()):
+    for name, count in sorted(result.metamorphic_counts.items()):
         lines.append(f"metamorphic {name}: {count}/{CASES}")
-    report.add("differential fuzzing throughput", "\n".join(lines))
+    report.add("differential fuzzing coverage", "\n".join(lines))

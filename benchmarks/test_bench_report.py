@@ -1,13 +1,11 @@
-"""Cascade-analytics efficacy: report overhead and what-if triage.
+"""Cascade-analytics efficacy: report size and what-if triage.
 
-Two claims, two experiments:
+Two numbers, both deterministic for the seed:
 
-1. **Report overhead** — folding a campaign into the full resilience
-   report (dependency graph, blast radii, root-cause ranking, what-if
-   predictions, JSON + HTML rendering) must cost **under 5%** of the
-   campaign's own wall clock, measured on the 42-recipe ``tree3``
-   campaign.  Observability that competes with execution for time
-   doesn't get turned on.
+1. **Report size** — the resilience report (dependency graph, blast
+   radii, root-cause ranking, what-if predictions) folded from the
+   42-recipe ``tree3`` campaign, rendered as JSON and as HTML.  What
+   building it costs is ``observability.report_ms`` in ``bench/``.
 
 2. **What-if triage** — ordering exploration candidates by graph
    simulation alone (static schedule, no online feedback) must reach
@@ -21,65 +19,45 @@ Numbers land in ``BENCH_report.json`` via the session-finish hook in
 ``conftest.py``.
 """
 
-import time
-
 from repro.apps import build_tree_app
-from repro.apps.outages import SEEDED_BUG_SUITE
 from repro.campaign import CampaignRunner, plan_campaign
 from repro.explore import run_explore
 
 SEED = 0
+#: The three small seeded-bug apps, as in ``bench/``'s ``explore_seeded``;
+#: the production-scale entries of ``SEEDED_BUG_SUITE`` are not part of
+#: this comparison.
+SEEDED_APPS = ("deepfanout", "retrystorm", "stuckbreaker")
 BUDGET = 150
-MAX_OVERHEAD = 0.05
 MAX_TRIAGE_RATIO = 0.6
 
 
-def test_report_build_overhead_under_5_percent(report, bench_report):
+def test_report_size_on_the_42_recipe_campaign(report, bench_file):
     factory = lambda: build_tree_app(3)  # noqa: E731 - matches campaign idiom
     plan = plan_campaign(factory, seed=SEED, requests=6)
     assert len(plan.entries) == 42, "tree3 is the 42-recipe campaign"
 
-    start = time.perf_counter()
-    result = CampaignRunner(factory, workers=1).run(plan)
-    campaign_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    resilience = result.resilience_report()
+    resilience = CampaignRunner(factory, workers=1).run(plan).resilience_report()
     json_text = resilience.to_json()
     html_text = resilience.to_html()
-    report_s = time.perf_counter() - start
-
     assert json_text and html_text
-    overhead = report_s / campaign_s
-    assert overhead < MAX_OVERHEAD, (
-        f"report build took {report_s:.3f}s against a {campaign_s:.3f}s"
-        f" campaign ({overhead:.1%} > {MAX_OVERHEAD:.0%})"
-    )
 
-    bench_report.update(
-        {
-            "overhead": {
-                "recipes": len(plan.entries),
-                "campaign_wall_s": round(campaign_s, 4),
-                "report_build_s": round(report_s, 4),
-                "overhead_fraction": round(overhead, 5),
-                "max_overhead": MAX_OVERHEAD,
-                "report_json_bytes": len(json_text),
-                "report_html_bytes": len(html_text),
-            }
-        }
-    )
+    # (The key keeps its historical name: bench/README.md cites it.)
+    bench_file("BENCH_report.json")["overhead"] = {
+        "recipes": len(plan.entries),
+        "report_json_bytes": len(json_text),
+        "report_html_bytes": len(html_text),
+    }
     report.add(
-        "resilience report: build overhead on the 42-recipe campaign",
-        f"campaign {campaign_s:.2f}s, report {report_s*1000:.0f}ms"
-        f" ({overhead:.1%}, required < {MAX_OVERHEAD:.0%})",
+        "resilience report: size on the 42-recipe campaign",
+        f"JSON {len(json_text)} bytes, HTML {len(html_text)} bytes",
     )
 
 
-def test_whatif_triage_beats_prioritized_frontier(report, bench_report):
+def test_whatif_triage_beats_prioritized_frontier(report, bench_file):
     per_app: dict = {}
     totals = {"whatif": 0, "prioritized": 0}
-    for app in sorted(SEEDED_BUG_SUITE):
+    for app in SEEDED_APPS:
         per_app[app] = {}
         for strategy in ("whatif", "prioritized"):
             result = run_explore(
@@ -98,19 +76,15 @@ def test_whatif_triage_beats_prioritized_frontier(report, bench_report):
         f" {totals['prioritized']} (ratio {ratio:.2f} > {MAX_TRIAGE_RATIO})"
     )
 
-    bench_report.update(
-        {
-            "whatif_triage": {
-                "seed": SEED,
-                "budget": BUDGET,
-                "apps": per_app,
-                "whatif_total": totals["whatif"],
-                "prioritized_total": totals["prioritized"],
-                "ratio": round(ratio, 4),
-                "max_ratio": MAX_TRIAGE_RATIO,
-            }
-        }
-    )
+    bench_file("BENCH_report.json")["whatif_triage"] = {
+        "seed": SEED,
+        "budget": BUDGET,
+        "apps": per_app,
+        "whatif_total": totals["whatif"],
+        "prioritized_total": totals["prioritized"],
+        "ratio": round(ratio, 4),
+        "max_ratio": MAX_TRIAGE_RATIO,
+    }
     lines = [
         f"{'app':14s} {'whatif':>7s} {'prioritized':>11s}",
         *(

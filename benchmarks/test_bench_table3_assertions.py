@@ -186,7 +186,7 @@ def _time_suite(store):
 
 
 @pytest.mark.parametrize("scale", SCALES)
-def test_indexed_vs_linear_assertion_scaling(report, bench_logstore, scale):
+def test_indexed_vs_linear_assertion_scaling(report, bench_file, scale):
     records = _topology_records(scale)
     numbers = {}
     outcomes = {}
@@ -219,7 +219,7 @@ def test_indexed_vs_linear_assertion_scaling(report, bench_logstore, scale):
     )
     entry = dict(numbers)
     entry["assertion_suite_speedup"] = round(speedup, 2)
-    bench_logstore[str(scale)] = entry
+    bench_file("BENCH_logstore.json")[str(scale)] = entry
 
     report.add(
         f"Log-store scaling — assertion suite over {scale} records",

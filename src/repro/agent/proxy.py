@@ -88,7 +88,6 @@ class GremlinAgent:
         matcher_strategy: str = "table",
         canary_pattern: str = "test-*",
         metrics: "_t.Optional[MetricsRegistry]" = None,
-        trace_spans: bool = True,
     ) -> None:
         self.sim = sim
         self.host = host
@@ -98,11 +97,8 @@ class GremlinAgent:
         self.pipeline = pipeline
         #: Span minting: every proxied exchange gets a span ID unique to
         #: this sidecar, and the forwarded request carries it so the
-        #: next hop records it as the parent.  ``trace_spans=False``
-        #: disables minting entirely (the overhead-ablation baseline).
-        self._span_ids: _t.Optional[SpanIdGenerator] = (
-            SpanIdGenerator(owner_instance) if trace_spans else None
-        )
+        #: next hop records it as the parent.
+        self._span_ids = SpanIdGenerator(owner_instance)
         self.metrics = metrics
         # Per-destination metric handles, cached so the proxy hot path
         # pays one dict hit instead of a registry lookup per message.
@@ -406,16 +402,13 @@ class GremlinAgent:
         # a method call per proxied message.
         if self._mirrors:
             self._maybe_mirror(dst_service, request)
-        span_id: _t.Optional[str] = None
-        parent_span: _t.Optional[str] = None
-        if self._span_ids is not None:
-            # The inbound span header names the *enclosing* call (set by
-            # the previous hop's sidecar, propagated by the owner);
-            # overwrite it with this span's ID so the callee parents its
-            # own downstream calls here.
-            parent_span = request.headers.get(SPAN_ID_HEADER)
-            span_id = self._span_ids.next_id()
-            request.headers[SPAN_ID_HEADER] = span_id
+        # The inbound span header names the *enclosing* call (set by the
+        # previous hop's sidecar, propagated by the owner); overwrite it
+        # with this span's ID so the callee parents its own downstream
+        # calls here.
+        parent_span = request.headers.get(SPAN_ID_HEADER)
+        span_id = self._span_ids.next_id()
+        request.headers[SPAN_ID_HEADER] = span_id
         if self.metrics is not None:
             self._count_request(dst_service)
         record = ObservationRecord(

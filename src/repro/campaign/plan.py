@@ -196,6 +196,10 @@ def plan_campaign(
     stability.  Per-recipe seeds derive from ``seed`` and the recipe
     name via :func:`derive_seed`.
     """
+    if requests < 1:
+        raise CampaignError(f"requests must be >= 1, got {requests}")
+    if not think_time >= 0:
+        raise CampaignError(f"think_time must be >= 0, got {think_time}")
     application = factory()
     graph = application.logical_graph()
     services = set(graph.services())

@@ -356,6 +356,26 @@ def _workers_arg(value: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _at_least(minimum: float, kind: type = int, *, strict: bool = False):
+    """argparse type for a number ``>= minimum`` (``> minimum`` when
+    ``strict``): out-of-range operator input is a usage error before
+    anything is planned or run."""
+
+    def parse(value: str):
+        try:
+            number = kind(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {value!r}"
+            ) from None
+        if not (number > minimum if strict else number >= minimum):
+            bound = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(f"must be {bound} {minimum}, got {value}")
+        return number
+
+    return parse
+
+
 def cmd_campaign_run(args: argparse.Namespace) -> int:
     factory, plan = _plan_from_args(args)
     runner = CampaignRunner(
@@ -674,8 +694,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("app")
         p.add_argument("--seed", type=int, default=0, help="campaign master seed")
         p.add_argument("--entry", default=None, help="service to inject load into")
-        p.add_argument("--requests", type=int, default=20, help="test requests per recipe")
-        p.add_argument("--think", type=float, default=0.05)
+        p.add_argument(
+            "--requests", type=_at_least(1), default=20, help="test requests per recipe"
+        )
+        p.add_argument("--think", type=_at_least(0.0, float), default=0.05)
         p.add_argument(
             "--max-recipes", type=int, default=max_recipes, help="cap the plan size"
         )
@@ -708,17 +730,20 @@ def build_parser() -> argparse.ArgumentParser:
     add_plan_args(run_parser, max_recipes=None)
     add_fleet_args(run_parser, default_workers="auto")
     run_parser.add_argument(
-        "--timeout", type=float, default=60.0, help="per-recipe wall-clock budget (s)"
+        "--timeout",
+        type=_at_least(0.0, float, strict=True),
+        default=60.0,
+        help="per-recipe wall-clock budget (s)",
     )
     run_parser.add_argument(
         "--pacing",
-        type=float,
+        type=_at_least(0.0, float),
         default=0.0,
         help="minimum wall-clock seconds each recipe occupies its worker",
     )
     run_parser.add_argument(
         "--rerun",
-        type=int,
+        type=_at_least(0),
         default=2,
         help="reseeded reruns per failed recipe (flake detection; 0 disables)",
     )
@@ -748,7 +773,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_plan_args(smoke_parser, max_recipes=6)
     add_fleet_args(smoke_parser, default_workers=2)
-    smoke_parser.add_argument("--timeout", type=float, default=30.0)
+    smoke_parser.add_argument(
+        "--timeout", type=_at_least(0.0, float, strict=True), default=30.0
+    )
     smoke_parser.add_argument(
         "--report-out",
         default=None,
@@ -773,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="generate and differentially execute a case corpus"
     )
     fuzz_run.add_argument("--seed", type=int, default=0, help="corpus master seed")
-    fuzz_run.add_argument("--cases", type=int, default=100, help="corpus size")
+    fuzz_run.add_argument("--cases", type=_at_least(1), default=100, help="corpus size")
     add_fleet_args(fuzz_run, default_workers="auto")
     fuzz_run.add_argument(
         "--artifacts",
@@ -813,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
         help='seeded-bug app name (repro apps | "all" for the whole suite)',
     )
     fuzz_explore.add_argument(
-        "--budget", type=int, default=150, help="fault-execution budget per app"
+        "--budget", type=_at_least(1), default=150, help="fault-execution budget per app"
     )
     fuzz_explore.add_argument("--seed", type=int, default=0, help="deployment seed")
     fuzz_explore.add_argument(

@@ -29,7 +29,7 @@ from repro.apps.outages import SEEDED_BUG_SUITE, SeededBugManifest
 from repro.campaign.fleet import Fleet, ProcessWorkerSpec
 from repro.core.gremlin import Gremlin
 from repro.errors import ExploreError
-from repro.fuzz.differential import shape_digests_of
+from repro.fuzz.differential import shape_digests_of, strict_records
 from repro.fuzz.spec import SOURCE_NAME, build_scenario
 from repro.loadgen import ClosedLoopLoad
 
@@ -117,22 +117,7 @@ def execute_task(task: ExploreTask) -> ExploreOutcome:
         verdicts.append((result.name, result.passed, result.inconclusive))
     shapes = sorted(set(shape_digests_of(store).values()))
 
-    strict = [
-        (
-            record.kind,
-            record.src,
-            record.dst,
-            record.request_id,
-            record.status,
-            record.error,
-            record.fault_applied,
-            record.gremlin_generated,
-            round(record.injected_delay, 9),
-            round(record.timestamp, 9),
-            None if record.latency is None else round(record.latency, 9),
-        )
-        for record in store.all_records()
-    ]
+    strict = strict_records(store)
     digest = hashlib.sha256(
         json.dumps(
             {"records": strict, "verdicts": verdicts, "shapes": shapes},

@@ -31,7 +31,7 @@ import dataclasses
 import random as _random
 import typing as _t
 
-from repro.apps.outages import SEEDED_BUG_SUITE, SeededBugManifest
+from repro.apps.outages import SeededBugManifest
 from repro.errors import ExploreError
 from repro.explore.compiler import scenario_specs
 from repro.explore.coords import (
@@ -40,7 +40,7 @@ from repro.explore.coords import (
     enumerate_space,
     fault_primitives,
 )
-from repro.explore.executor import ExploreTask, run_wave, task_fleet
+from repro.explore.executor import ExploreTask, _manifest, run_wave, task_fleet
 from repro.explore.frontier import Frontier
 from repro.explore.report import BugFinding, CoverageReport
 from repro.fuzz.differential import shape_digests_of
@@ -87,16 +87,6 @@ class ExploreResult:
     @property
     def executions_to_all_bugs(self) -> _t.Optional[int]:
         return self.report.executions_to_all_bugs
-
-
-def _manifest(app: str) -> SeededBugManifest:
-    try:
-        return SEEDED_BUG_SUITE[app]
-    except KeyError:
-        raise ExploreError(
-            f"unknown seeded-bug app {app!r};"
-            f" available: {', '.join(sorted(SEEDED_BUG_SUITE))}"
-        ) from None
 
 
 def discover_space(

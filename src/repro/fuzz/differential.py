@@ -58,7 +58,14 @@ from repro.logstore.store import EventStore
 from repro.observability.trace import reconstruct_from_records, trace_shape_digest
 from repro.simulation.kernel import Simulator
 
-__all__ = ["CaseReport", "Execution", "execute_case", "run_case", "shape_digests_of"]
+__all__ = [
+    "CaseReport",
+    "Execution",
+    "execute_case",
+    "run_case",
+    "shape_digests_of",
+    "strict_records",
+]
 
 
 @dataclasses.dataclass
@@ -136,27 +143,11 @@ def execute_case(
         result = check.run(store)
         verdicts.append((check.label(), result.passed, result.inconclusive))
 
-    records = [
-        (
-            record.kind,
-            record.src,
-            record.dst,
-            record.request_id,
-            record.status,
-            record.error,
-            record.fault_applied,
-            record.gremlin_generated,
-            round(record.injected_delay, 9),
-        )
-        for record in store.all_records()
-    ]
+    strict = strict_records(store)
+    records = [row[:ORACLE_FIELDS] for row in strict]
     samples = [
         (sample.request_id, sample.status, sample.error)
         for sample in load.result.samples
-    ]
-    strict = [
-        tuple(core) + (round(record.timestamp, 9), _round(record.latency))
-        for core, record in zip(records, store.all_records())
     ]
     digest = hashlib.sha256(
         json.dumps(
@@ -190,8 +181,32 @@ def shape_digests_of(store: EventStore) -> _t.Dict[str, str]:
     }
 
 
-def _round(value: _t.Optional[float]) -> _t.Optional[float]:
-    return None if value is None else round(value, 9)
+#: Leading fields of a :func:`strict_records` row that the oracle can
+#: predict (everything but the timestamp and the latency).
+ORACLE_FIELDS = 9
+
+
+def strict_records(store: EventStore) -> _t.List[tuple]:
+    """Every record of ``store``, in store order, as the tuple the strict
+    digests hash: (kind, src, dst, request_id, status, error,
+    fault_applied, gremlin_generated, round(injected_delay, 9),
+    round(timestamp, 9), round(latency, 9) or None)."""
+    return [
+        (
+            record.kind,
+            record.src,
+            record.dst,
+            record.request_id,
+            record.status,
+            record.error,
+            record.fault_applied,
+            record.gremlin_generated,
+            round(record.injected_delay, 9),
+            round(record.timestamp, 9),
+            None if record.latency is None else round(record.latency, 9),
+        )
+        for record in store.all_records()
+    ]
 
 
 @dataclasses.dataclass

@@ -47,12 +47,6 @@ class Application:
     def __init__(self, name: str) -> None:
         self.name = name
         self._definitions: dict[str, ServiceDefinition] = {}
-        #: Whether deployments of this application mint span records by
-        #: default.  :meth:`deploy` honours it when its ``tracing``
-        #: parameter is left ``None``, so callers that deploy through a
-        #: fixed-signature factory (the campaign runner, benchmarks)
-        #: can still toggle tracing per application.
-        self.default_tracing = True
 
     def add_service(self, definition: ServiceDefinition) -> "Application":
         """Register one service definition (chainable)."""
@@ -97,10 +91,8 @@ class Application:
         matcher_strategy: str = "table",
         log_shipping_delay: float = 0.0,
         log_loss_probability: float = 0.0,
-        store_strategy: str = "indexed",
         default_link_latency: _t.Union[float, LatencyModel, None] = 0.0005,
         sidecars: bool = True,
-        tracing: _t.Optional[bool] = None,
     ) -> "Deployment":
         """Materialize the application into a running deployment.
 
@@ -108,11 +100,6 @@ class Application:
         destination instances directly (round-robin at the client).
         Such a deployment cannot be fault-injected or observed — it
         exists as the baseline for proxy-overhead ablations.
-
-        ``tracing`` controls span minting at the sidecars (``None``
-        defers to :attr:`default_tracing`); disabling it keeps plain
-        request/reply observation working but removes the causal-tree
-        fields — the tracing-overhead ablation baseline.
 
         Without ``sim`` the deployment runs on a fresh
         ``Simulator(seed=seed)``.  To run it on the heap reference
@@ -125,10 +112,8 @@ class Application:
             matcher_strategy=matcher_strategy,
             log_shipping_delay=log_shipping_delay,
             log_loss_probability=log_loss_probability,
-            store_strategy=store_strategy,
             default_link_latency=default_link_latency,
             sidecars=sidecars,
-            tracing=self.default_tracing if tracing is None else tracing,
         )
 
     def __repr__(self) -> str:
@@ -178,17 +163,14 @@ class Deployment:
         matcher_strategy: str = "table",
         log_shipping_delay: float = 0.0,
         log_loss_probability: float = 0.0,
-        store_strategy: str = "indexed",
         default_link_latency: _t.Union[float, LatencyModel, None] = 0.0005,
         sidecars: bool = True,
-        tracing: bool = True,
     ) -> None:
         self.application = application
         self.sim = sim
         self.network = Network(sim, default_latency=default_link_latency)
         self.registry = ServiceRegistry()
-        self.store = EventStore(strategy=store_strategy)
-        self.tracing = tracing
+        self.store = EventStore()
         #: Deployment-wide metrics registry: sidecars, instances and
         #: dependency clients all record into it; campaign workers merge
         #: per-deployment snapshots afterwards.
@@ -258,7 +240,6 @@ class Deployment:
             pipeline=self.pipeline,
             matcher_strategy=self.matcher_strategy,
             metrics=self.metrics,
-            trace_spans=self.tracing,
         )
         http = HttpClient(instance.host)
         for offset, dependency in enumerate(dependencies):
@@ -421,7 +402,6 @@ class TrafficSource:
                 pipeline=deployment.pipeline,
                 matcher_strategy=deployment.matcher_strategy,
                 metrics=deployment.metrics,
-                trace_spans=deployment.tracing,
             )
             self.agent.add_route(SIDECAR_BASE_PORT, target_service)
             self.agent.start()

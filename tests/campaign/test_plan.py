@@ -104,6 +104,14 @@ class TestPlanCampaign:
         with pytest.raises(CampaignError):
             plan.limit(0)
 
+    @pytest.mark.parametrize(
+        "load, message",
+        [({"requests": 0}, "requests must be >= 1"), ({"think_time": -0.1}, "think_time")],
+    )
+    def test_bad_load_rejected_at_plan_time(self, load, message):
+        with pytest.raises(CampaignError, match=message):
+            plan_campaign(lambda: build_wordpress_app(), **load)
+
     def test_summary_mentions_counts(self):
         plan = plan_campaign(lambda: build_tree_app(2), seed=3)
         text = plan.summary()

@@ -36,6 +36,13 @@ class TestRunFuzz:
         assert serial.oracle_checked == fleet.oracle_checked
         assert serial.metamorphic_counts == fleet.metamorphic_counts
 
+    def test_process_backend_matches_serial(self):
+        serial = run_fuzz(31, 6, workers=1, app_registry=APPS)
+        procs = run_fuzz(31, 6, workers=2, backend="processes", app_registry=APPS)
+        assert serial.to_dict()["failures"] == procs.to_dict()["failures"]
+        assert serial.oracle_checked == procs.oracle_checked
+        assert serial.metamorphic_counts == procs.metamorphic_counts
+
     def test_crashing_case_becomes_harness_error(self, monkeypatch, tmp_path):
         # A raise reaches the fleet's on_crash, like a dead worker.
         real_run = harness_mod.run_case

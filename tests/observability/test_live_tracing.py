@@ -3,20 +3,19 @@
 These tests drive the bundled tree app through a full run and assert
 on what the observability stack recovers: complete causal trees, the
 metrics the runtime hooks emit, fault attribution joined to the
-installed rules, and the tracing on/off switch campaign benchmarks use.
+installed rules.
 """
 
 from repro.agent.rules import abort
 from repro.apps import build_tree_app
 from repro.core import Gremlin
 from repro.loadgen import ClosedLoopLoad
-from repro.logstore import Query
 from repro.observability import attribute_run, reconstruct
 
 
-def run_tree(depth=2, requests=4, rules=None, tracing=None, seed=11):
+def run_tree(depth=2, requests=4, rules=None, seed=11):
     app = build_tree_app(depth=depth)
-    deployment = app.deploy(seed=seed, tracing=tracing)
+    deployment = app.deploy(seed=seed)
     source = deployment.add_traffic_source("svc-0")
     gremlin = Gremlin(deployment)
     if rules:
@@ -83,20 +82,3 @@ class TestMetricsHooks:
         series = 'gremlin_request_latency_seconds{dst="svc-0",src="user"}'
         assert snap["histograms"][series]["count"] == 4
         assert counters['service_requests_total{service="svc-0"}'] == 4
-
-    def test_tracing_toggle_stops_span_emission_not_metrics(self):
-        deployment = run_tree(depth=2, requests=2, tracing=False)
-        assert all(
-            r.span_id is None for r in deployment.store.search(Query())
-        )
-        # Metrics still flow with tracing off.
-        snap = deployment.metrics_snapshot()
-        assert snap["counters"]['gremlin_requests_total{dst="svc-0",src="user"}'] == 2
-
-    def test_default_tracing_attribute_drives_deploy(self):
-        app = build_tree_app(depth=1)
-        app.default_tracing = False
-        deployment = app.deploy(seed=3)
-        source = deployment.add_traffic_source("svc-0")
-        ClosedLoopLoad(num_requests=1).run(source)
-        assert all(r.span_id is None for r in deployment.store.search(Query()))

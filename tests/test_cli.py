@@ -167,7 +167,7 @@ class TestTrace:
         assert ("user", "svc-0") in edges
         assert doc["attributions"]
 
-    def test_unfaulted_trace_spans_full_tree(self, capsys):
+    def test_unfaulted_trace_covers_full_tree(self, capsys):
         # No --target: every request fans out over all 7 services of
         # the depth-3 tree, so one trace holds all 6 internal edges.
         code = main(["trace", "tree3", "test-1", "--requests", "2", "--json"])
@@ -485,6 +485,38 @@ class TestFleetFlags:
             main(command + stale)
         assert err.value.code == 2
         assert f"unrecognized arguments: {stale[0]}" in capsys.readouterr().err
+
+
+#: Out-of-range operator input, one case per flag.
+BAD_FLAGS = [
+    (["campaign", "run", "twotier"], "--rerun", "-1"),
+    (["campaign", "run", "twotier"], "--timeout", "0"),
+    (["campaign", "smoke", "twotier"], "--timeout", "0"),
+    (["campaign", "run", "twotier"], "--pacing", "-1"),
+    (["campaign", "run", "twotier"], "--requests", "0"),
+    (["campaign", "smoke", "twotier"], "--requests", "0"),
+    (["campaign", "run", "twotier"], "--think", "-0.5"),
+    (["fuzz", "explore", "deepfanout"], "--budget", "0"),
+    (["fuzz", "run"], "--cases", "-3"),
+    (["fuzz", "run"], "--cases", "0"),
+]
+
+
+class TestBadOperatorInput:
+    """Out-of-range numbers are refused by argparse (exit 2) before
+    anything is planned or run: no traceback, no campaign of ``error``
+    outcomes, no passing run of zero cases."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        BAD_FLAGS,
+        ids=[" ".join(command[:2] + [flag, value]) for command, flag, value in BAD_FLAGS],
+    )
+    def test_is_a_usage_error(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(command + [flag, value])
+        assert err.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
 
 
 class TestCleanCliErrors:
