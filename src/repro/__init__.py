@@ -28,117 +28,69 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every reproduced table and figure.
 """
 
-from repro.agent import (
-    FaultRule,
-    FaultType,
-    GremlinAgent,
-    MessageDirection,
-    TCP_RESET,
-    abort,
-    delay,
-    modify,
+from repro.util import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "agent": [
+            "FaultRule",
+            "FaultType",
+            "GremlinAgent",
+            "MessageDirection",
+            "TCP_RESET",
+            "abort",
+            "delay",
+            "modify",
+        ],
+        "apps": [
+            "build_billing_app",
+            "build_coreservice_app",
+            "build_database_app",
+            "build_enterprise_app",
+            "build_messagebus_app",
+            "build_tree_app",
+            "build_twotier",
+            "build_wordpress_app",
+        ],
+        "bus": ["BrokerConfig", "broker_definition", "publish"],
+        "core": [
+            "AbortCalls",
+            "ChaosMonkey",
+            "CheckResult",
+            "CheckStatus",
+            "Combine",
+            "Crash",
+            "Degrade",
+            "DelayCalls",
+            "Disconnect",
+            "FakeSuccess",
+            "Gremlin",
+            "Hang",
+            "HasBoundedRetries",
+            "HasBulkhead",
+            "HasCircuitBreaker",
+            "HasTimeouts",
+            "ModifyReplies",
+            "NetworkPartition",
+            "Overload",
+            "Recipe",
+            "RecipeResult",
+            "generate_recipes",
+            "get_replies",
+            "get_requests",
+        ],
+        "loadgen": ["ApacheBench", "ClosedLoopLoad", "OpenLoopLoad"],
+        "microservice": [
+            "Application",
+            "ApplicationGraph",
+            "Deployment",
+            "PolicySpec",
+            "ServiceDefinition",
+        ],
+        "simulation": ["Simulator"],
+    },
 )
-from repro.apps import (
-    build_billing_app,
-    build_coreservice_app,
-    build_database_app,
-    build_enterprise_app,
-    build_messagebus_app,
-    build_tree_app,
-    build_twotier,
-    build_wordpress_app,
-)
-from repro.bus import BrokerConfig, broker_definition, publish
-from repro.core import (
-    AbortCalls,
-    ChaosMonkey,
-    CheckResult,
-    CheckStatus,
-    Combine,
-    Crash,
-    Degrade,
-    DelayCalls,
-    Disconnect,
-    FakeSuccess,
-    Gremlin,
-    Hang,
-    HasBoundedRetries,
-    HasBulkhead,
-    HasCircuitBreaker,
-    HasTimeouts,
-    ModifyReplies,
-    NetworkPartition,
-    Overload,
-    Recipe,
-    RecipeResult,
-    generate_recipes,
-    get_replies,
-    get_requests,
-)
-from repro.loadgen import ApacheBench, ClosedLoopLoad, OpenLoopLoad
-from repro.microservice import (
-    Application,
-    ApplicationGraph,
-    Deployment,
-    PolicySpec,
-    ServiceDefinition,
-)
-from repro.simulation import Simulator
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "AbortCalls",
-    "ApacheBench",
-    "Application",
-    "ApplicationGraph",
-    "BrokerConfig",
-    "ChaosMonkey",
-    "CheckResult",
-    "CheckStatus",
-    "ClosedLoopLoad",
-    "Combine",
-    "Crash",
-    "Degrade",
-    "DelayCalls",
-    "Deployment",
-    "Disconnect",
-    "FakeSuccess",
-    "FaultRule",
-    "FaultType",
-    "Gremlin",
-    "GremlinAgent",
-    "Hang",
-    "HasBoundedRetries",
-    "HasBulkhead",
-    "HasCircuitBreaker",
-    "HasTimeouts",
-    "MessageDirection",
-    "ModifyReplies",
-    "NetworkPartition",
-    "OpenLoopLoad",
-    "Overload",
-    "PolicySpec",
-    "Recipe",
-    "RecipeResult",
-    "ServiceDefinition",
-    "Simulator",
-    "TCP_RESET",
-    "abort",
-    "broker_definition",
-    "build_billing_app",
-    "build_coreservice_app",
-    "build_database_app",
-    "build_enterprise_app",
-    "build_messagebus_app",
-    "build_tree_app",
-    "build_twotier",
-    "build_wordpress_app",
-    "delay",
-    "generate_recipes",
-    "get_replies",
-    "get_requests",
-    "modify",
-    "publish",
-    "__version__",
-]
+__all__.append("__version__")

@@ -6,46 +6,30 @@ microservices, exposing the Abort/Delay/Modify interface of Table 2 to
 the control plane.
 """
 
-from repro.agent.control_api import AgentControlChannel, rule_from_wire, rule_to_wire
-from repro.agent.faults import modify_request, modify_response, synthesize_abort_response
-from repro.agent.matcher import (
-    InstalledRule,
-    LinearMatcher,
-    PrefixIndexMatcher,
-    RuleMatcher,
-    TableMatcher,
-    make_matcher,
-)
-from repro.agent.proxy import GremlinAgent
-from repro.agent.rules import (
-    TCP_RESET,
-    FaultRule,
-    FaultType,
-    MessageDirection,
-    abort,
-    delay,
-    modify,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "AgentControlChannel",
-    "FaultRule",
-    "FaultType",
-    "GremlinAgent",
-    "InstalledRule",
-    "LinearMatcher",
-    "MessageDirection",
-    "PrefixIndexMatcher",
-    "RuleMatcher",
-    "TCP_RESET",
-    "TableMatcher",
-    "abort",
-    "delay",
-    "make_matcher",
-    "modify",
-    "modify_request",
-    "modify_response",
-    "rule_from_wire",
-    "rule_to_wire",
-    "synthesize_abort_response",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "control_api": ["AgentControlChannel", "rule_from_wire", "rule_to_wire"],
+        "faults": ["modify_request", "modify_response", "synthesize_abort_response"],
+        "matcher": [
+            "InstalledRule",
+            "LinearMatcher",
+            "PrefixIndexMatcher",
+            "RuleMatcher",
+            "TableMatcher",
+            "make_matcher",
+        ],
+        "proxy": ["GremlinAgent"],
+        "rules": [
+            "FaultRule",
+            "FaultType",
+            "MessageDirection",
+            "TCP_RESET",
+            "abort",
+            "delay",
+            "modify",
+        ],
+    },
+)

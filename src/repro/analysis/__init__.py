@@ -1,15 +1,12 @@
 """Analysis helpers: CDFs, percentiles, distribution comparison, reports."""
 
-from repro.analysis.cdf import Cdf, percentile, summarize
-from repro.analysis.compare import CdfComparison, compare_cdfs, median_shift
-from repro.analysis.report import text_table
+from repro.util import lazy_exports
 
-__all__ = [
-    "Cdf",
-    "CdfComparison",
-    "compare_cdfs",
-    "median_shift",
-    "percentile",
-    "summarize",
-    "text_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "cdf": ["Cdf", "percentile", "summarize"],
+        "compare": ["CdfComparison", "compare_cdfs", "median_shift"],
+        "report": ["text_table"],
+    },
+)

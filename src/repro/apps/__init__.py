@@ -12,57 +12,33 @@
   hotel reservation app (production-scale benchmark app)
 """
 
-from repro.apps.enterprise import build_enterprise_app
-from repro.apps.hotelreservation import HOTELRESERVATION_SERVICES, build_hotelreservation_app
-from repro.apps.outages import (
-    OUTAGE_SUITE,
-    SEEDED_BUG_SUITE,
-    SeededBug,
-    SeededBugManifest,
-    billing_recipe,
-    build_billing_app,
-    build_coreservice_app,
-    build_database_app,
-    build_deepfanout_app,
-    build_messagebus_app,
-    build_retrystorm_app,
-    build_stuckbreaker_app,
-    coreservice_recipe,
-    database_overload_recipe,
-    messagebus_recipe,
-)
-from repro.apps.socialnetwork import SOCIALNETWORK_SERVICES, build_socialnetwork_app
-from repro.apps.trees import TREE_ROOT, build_tree_app, tree_service_names
-from repro.apps.twotier import build_twotier
-from repro.apps.wordpress import ELASTICSEARCH, MYSQL, WORDPRESS, build_wordpress_app
+from repro.util import lazy_exports
 
-__all__ = [
-    "ELASTICSEARCH",
-    "HOTELRESERVATION_SERVICES",
-    "MYSQL",
-    "OUTAGE_SUITE",
-    "SEEDED_BUG_SUITE",
-    "SOCIALNETWORK_SERVICES",
-    "SeededBug",
-    "SeededBugManifest",
-    "TREE_ROOT",
-    "WORDPRESS",
-    "billing_recipe",
-    "build_billing_app",
-    "build_coreservice_app",
-    "build_database_app",
-    "build_deepfanout_app",
-    "build_enterprise_app",
-    "build_hotelreservation_app",
-    "build_messagebus_app",
-    "build_retrystorm_app",
-    "build_socialnetwork_app",
-    "build_stuckbreaker_app",
-    "build_tree_app",
-    "build_twotier",
-    "build_wordpress_app",
-    "coreservice_recipe",
-    "database_overload_recipe",
-    "messagebus_recipe",
-    "tree_service_names",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "enterprise": ["build_enterprise_app"],
+        "hotelreservation": ["HOTELRESERVATION_SERVICES", "build_hotelreservation_app"],
+        "outages": [
+            "OUTAGE_SUITE",
+            "SEEDED_BUG_SUITE",
+            "SeededBug",
+            "SeededBugManifest",
+            "billing_recipe",
+            "build_billing_app",
+            "build_coreservice_app",
+            "build_database_app",
+            "build_deepfanout_app",
+            "build_messagebus_app",
+            "build_retrystorm_app",
+            "build_stuckbreaker_app",
+            "coreservice_recipe",
+            "database_overload_recipe",
+            "messagebus_recipe",
+        ],
+        "socialnetwork": ["SOCIALNETWORK_SERVICES", "build_socialnetwork_app"],
+        "trees": ["TREE_ROOT", "build_tree_app", "build_tree3_app", "tree_service_names"],
+        "twotier": ["build_twotier"],
+        "wordpress": ["ELASTICSEARCH", "MYSQL", "WORDPRESS", "build_wordpress_app"],
+    },
+)

@@ -18,7 +18,7 @@ from repro.microservice.handlers import fanout_handler
 from repro.microservice.resilience.policy import PolicySpec
 from repro.microservice.service import ServiceDefinition
 
-__all__ = ["build_tree_app", "tree_service_names", "TREE_ROOT"]
+__all__ = ["build_tree_app", "build_tree3_app", "tree_service_names", "TREE_ROOT"]
 
 #: Name of the root service in every tree app.
 TREE_ROOT = "svc-0"
@@ -64,3 +64,10 @@ def build_tree_app(
         else:
             app.add_service(ServiceDefinition(name, service_time=service_time))
     return app
+
+
+def build_tree3_app() -> Application:
+    """Depth-3 service tree, as a zero-argument builder: the CLI's
+    ``tree3`` app, module-level so the ``processes`` fleet backend can
+    pickle it by reference to its workers."""
+    return build_tree_app(3)

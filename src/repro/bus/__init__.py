@@ -6,18 +6,17 @@ fault-injectable and observable with the same primitives as
 request-response — observation O2 of the paper made concrete.
 """
 
-from repro.bus.broker import (
-    BrokerConfig,
-    DELIVER_PREFIX,
-    PUBLISH_PREFIX,
-    broker_definition,
-    publish,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "BrokerConfig",
-    "DELIVER_PREFIX",
-    "PUBLISH_PREFIX",
-    "broker_definition",
-    "publish",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "broker": [
+            "BrokerConfig",
+            "DELIVER_PREFIX",
+            "PUBLISH_PREFIX",
+            "broker_definition",
+            "publish",
+        ],
+    },
+)

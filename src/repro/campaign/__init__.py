@@ -25,53 +25,31 @@ Quick start::
     print(result.scorecard().text())
 """
 
-from repro.campaign.diff import CampaignDiff, StatusChange, diff_campaigns
-from repro.campaign.fleet import (
-    BACKENDS,
-    Fleet,
-    ProcessPool,
-    ProcessWorkerSpec,
-    resolve_workers,
-)
-from repro.campaign.io import dump_jsonl, dumps, load_jsonl, loads
-from repro.campaign.plan import (
-    CampaignPlan,
-    LoadSpec,
-    PlannedRecipe,
-    derive_seed,
-    plan_campaign,
-    recipe_signature,
-    scenario_target,
-)
-from repro.campaign.results import CampaignResult, CheckOutcome, RecipeOutcome
-from repro.campaign.runner import CampaignRunner, RecipeExecutor
-from repro.campaign.scorecard import PatternScore, Scorecard
+from repro.util import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "CampaignDiff",
-    "CampaignPlan",
-    "CampaignResult",
-    "CampaignRunner",
-    "CheckOutcome",
-    "Fleet",
-    "LoadSpec",
-    "PatternScore",
-    "PlannedRecipe",
-    "ProcessPool",
-    "ProcessWorkerSpec",
-    "RecipeExecutor",
-    "RecipeOutcome",
-    "Scorecard",
-    "StatusChange",
-    "derive_seed",
-    "diff_campaigns",
-    "dump_jsonl",
-    "dumps",
-    "load_jsonl",
-    "loads",
-    "plan_campaign",
-    "recipe_signature",
-    "resolve_workers",
-    "scenario_target",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "diff": ["CampaignDiff", "StatusChange", "diff_campaigns"],
+        "fleet": [
+            "BACKENDS",
+            "Fleet",
+            "ProcessPool",
+            "ProcessWorkerSpec",
+            "resolve_workers",
+        ],
+        "io": ["dump_jsonl", "dumps", "load_jsonl", "loads"],
+        "plan": [
+            "CampaignPlan",
+            "LoadSpec",
+            "PlannedRecipe",
+            "derive_seed",
+            "plan_campaign",
+            "recipe_signature",
+            "scenario_target",
+        ],
+        "results": ["CampaignResult", "CheckOutcome", "RecipeOutcome"],
+        "runner": ["CampaignRunner", "RecipeExecutor"],
+        "scorecard": ["PatternScore", "Scorecard"],
+    },
+)

@@ -42,21 +42,27 @@ Two interchangeable backends:
   thread workers canNOT speed up compute-bound suites; they exist to
   overlap anything that genuinely waits on the wall clock (pacing
   floors, operator I/O) at zero serialization cost.
-- ``"processes"`` — workers are spawn-started interpreter processes
-  held warm by a :class:`ProcessPool`.  Each job is pickled to a
-  worker, one job per pipe message, executed in an isolated
-  interpreter, and its pickled result streams back to the parent.
-  This is the backend that parallelizes CPU-bound work across cores;
-  a dead worker is replaced, so a crash can neither hang the fleet
-  nor silently shrink it.  ``target`` must be importable and
-  ``context`` picklable.
+- ``"processes"`` — workers are fresh interpreter processes, launched
+  by the fleet itself and held warm by a :class:`ProcessPool`.  Each
+  job is pickled to a worker, one job per message, executed in an
+  isolated interpreter, and its pickled result streams back to the
+  parent.  This is the backend that parallelizes CPU-bound work across
+  cores; a dead worker is replaced, so a crash can neither hang the
+  fleet nor silently shrink it.  ``target`` must be importable and
+  ``context`` picklable.  A worker imports what its pickles name and
+  nothing else: the parent's ``__main__`` only when a pickle refers to
+  it.  POSIX only (the child inherits its end of the connection by
+  ``pass_fds``).
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
+import io
 import os
+import pickle
+import sys
 import threading
 import time
 import typing as _t
@@ -73,11 +79,6 @@ __all__ = [
 
 #: The execution backends every fleet-driven harness accepts.
 BACKENDS = ("threads", "processes")
-
-#: multiprocessing start method of every worker: spawn is the only one
-#: that is safe on every platform and never inherits parent state, and
-#: the one the determinism check relies on.
-START_METHOD = "spawn"
 
 R = _t.TypeVar("R")
 J = _t.TypeVar("J")
@@ -122,7 +123,7 @@ class ProcessWorkerSpec:
 
     ``target(worker_id, job, context)`` produces the job's result.  On
     the ``processes`` backend it must be an *importable* (module-level)
-    callable: spawn-started workers re-import it by qualified name, so
+    callable: worker processes re-import it by qualified name, so
     lambdas and closures are rejected by pickle.  ``context`` is handed
     to every call — the place for the recipe executor or an app
     registry; the thread lane passes the object itself, the process
@@ -275,52 +276,150 @@ class Fleet:
 # -- process backend ----------------------------------------------------------
 
 
-def _process_worker_main(conn, target, context, worker_id: int) -> None:
+#: What a worker interpreter runs (``python -c``).  The connection's file
+#: descriptor is its first argument; the first message on it carries the
+#: parent's ``sys.path``, a reference to the parent's main module and the
+#: pickled ``(target, context, worker_id)``.  Nothing outside the standard
+#: library is imported before that ``sys.path`` is in place.
+_BOOTSTRAP = (
+    "import sys\n"
+    "from multiprocessing.connection import Connection\n"
+    "conn = Connection(int(sys.argv[1]))\n"
+    "sys.path[:], main, spec = conn.recv()\n"
+    "from repro.campaign.fleet import _serve\n"
+    "_serve(conn, main, spec)\n"
+)
+
+
+def _main_reference() -> _t.Optional[tuple[str, str]]:
+    """How a worker can import the parent's ``__main__``, found the way
+    ``multiprocessing``'s spawn finds it: by module name (``python -m
+    pkg.mod``) or by file path.  None for an interactive session and for
+    a package's ``__main__.py``, whose main-only code runs unguarded."""
+    main = sys.modules.get("__main__")
+    name = getattr(getattr(main, "__spec__", None), "name", None)
+    if name is not None:
+        if name == "__main__" or name.endswith(".__main__"):
+            return None
+        return ("name", name)
+    path = getattr(main, "__file__", None)
+    return None if path is None else ("path", os.path.abspath(path))
+
+
+def _import_parent_main(main: _t.Optional[tuple[str, str]]) -> None:
+    """Run the parent's main module, once, as ``__mp_main__`` and make it
+    this worker's ``__main__``, as spawn does: its ``if __name__ ==
+    "__main__":`` block stays unrun."""
+    import runpy
+    import types
+
+    if main is None or sys.modules["__main__"].__name__ == "__mp_main__":
+        return
+    kind, ref = main
+    if kind == "name":
+        content = runpy.run_module(ref, run_name="__mp_main__", alter_sys=True)
+    else:
+        content = runpy.run_path(ref, run_name="__mp_main__")
+    module = types.ModuleType("__mp_main__")
+    module.__dict__.update(content)
+    sys.modules["__main__"] = sys.modules["__mp_main__"] = module
+
+
+class _WorkerUnpickler(pickle.Unpickler):
+    """Unpickles in a worker: the parent's main module is imported only
+    when the pickle names ``__main__``."""
+
+    def __init__(self, data: bytes, main: _t.Optional[tuple[str, str]]) -> None:
+        super().__init__(io.BytesIO(data))
+        self.main = main
+
+    def find_class(self, module: str, name: str) -> _t.Any:
+        if module == "__main__":
+            _import_parent_main(self.main)
+        return super().find_class(module, name)
+
+
+def _serve(conn, main: _t.Optional[tuple[str, str]], spec: bytes) -> None:
     """Loop of one worker process: recv a job, run it, send its result.
 
     Runs in the child.  Each message from the parent is one ``(job,)``
     tuple and ``None`` is the shutdown signal; each answer is one
-    ``(kind, payload)`` tuple.  A raising target or a result that
-    cannot be pickled is reported as an error message rather than
-    killing the worker, so one odd payload cannot eat the rest of the
-    queue.
+    ``(kind, payload)`` tuple.  A raising target, a job that cannot be
+    unpickled or a result that cannot be pickled is reported as an error
+    message rather than killing the worker, so one odd payload cannot
+    eat the rest of the queue.  So is a spec that cannot be loaded: every
+    job is answered with that reason, and the pool keeps this worker
+    instead of replacing it after every job.  On the shutdown signal the
+    worker flushes its output and leaves without interpreter teardown.
     """
     try:
+        target, context, worker_id = _WorkerUnpickler(spec, main).load()
+        unloadable = None
+    except Exception as exc:  # noqa: BLE001 - the answer to every job
+        unloadable = f"cannot load worker spec: {type(exc).__name__}: {exc}"
+    try:
         while True:
-            message = conn.recv()
-            if message is None:
-                return
+            data = conn.recv_bytes()
             try:
-                answer = ("ok", target(worker_id, message[0], context))
+                message = _WorkerUnpickler(data, main).load()
+                if message is None:
+                    break
+                if unloadable is not None:
+                    answer = ("error", unloadable)
+                else:
+                    answer = ("ok", target(worker_id, message[0], context))
             except BaseException as exc:  # noqa: BLE001 - ship, don't die
                 answer = ("error", f"{type(exc).__name__}: {exc}")
             try:
                 conn.send(answer)
             except Exception as exc:  # noqa: BLE001 - e.g. unpicklable result
                 conn.send(("error", f"result not serializable: {exc}"))
-    except (EOFError, KeyboardInterrupt):  # parent went away
-        pass
-    finally:
+    except (EOFError, OSError, KeyboardInterrupt):  # parent went away
         conn.close()
+        return
+    conn.close()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(0)
 
 
 class _ProcessWorker:
-    """Parent-side handle of one spawned worker process."""
+    """Parent-side handle of one worker interpreter, a ``Popen`` child
+    speaking over one end of a socket pair."""
 
     __slots__ = ("worker_id", "process", "conn", "held")
 
-    def __init__(self, ctx, spec: ProcessWorkerSpec, worker_id: int) -> None:
+    def __init__(self, spec: ProcessWorkerSpec, worker_id: int) -> None:
+        import subprocess
+        from multiprocessing.connection import Pipe
+
         self.worker_id = worker_id
-        parent_conn, child_conn = ctx.Pipe()
-        self.process = ctx.Process(
-            target=_process_worker_main,
-            args=(child_conn, spec.target, spec.context, worker_id),
-            name=f"fleet-worker-{worker_id}",
-            daemon=True,
+        payload = pickle.dumps(
+            (spec.target, spec.context, worker_id), pickle.HIGHEST_PROTOCOL
         )
-        self.process.start()
-        child_conn.close()
+        path = [entry or os.getcwd() for entry in sys.path]
+        parent_conn, child_conn = Pipe()
+        fd = child_conn.fileno()
+        try:
+            self.process = subprocess.Popen(
+                [
+                    sys.executable,
+                    *subprocess._args_from_interpreter_flags(),
+                    "-c",
+                    _BOOTSTRAP,
+                    str(fd),
+                ],
+                pass_fds=(fd,),
+                stdin=subprocess.DEVNULL,
+            )
+        except BaseException:
+            parent_conn.close()
+            raise
+        finally:
+            child_conn.close()
         self.conn = parent_conn
+        self.conn.send((path, _main_reference(), payload))
         #: ``(key, job)`` of the dispatched-but-unanswered job, or None
         #: when idle: one job per message, so a crash costs exactly it.
         self.held: _t.Optional[tuple[int, _t.Any]] = None
@@ -339,28 +438,36 @@ class _ProcessWorker:
         except (OSError, BrokenPipeError, ValueError):
             pass
 
+    def exit_code(self, timeout: float) -> _t.Optional[int]:
+        """The worker's exit code, after waiting up to ``timeout`` seconds
+        for it to end; None if it is still running."""
+        import subprocess
+
+        try:
+            return self.process.wait(timeout)
+        except subprocess.TimeoutExpired:
+            return None
+
     def reap(self, timeout: float = 5.0) -> None:
-        """Escalating teardown: join politely, then ``terminate()``,
+        """Escalating teardown: wait politely, then ``terminate()``,
         then — the last resort a hung or signal-blocking child cannot
         dodge — ``kill()``.  A straggler can therefore never stall
-        interpreter exit for more than ``timeout`` + two grace joins.
+        interpreter exit for more than ``timeout`` + two grace waits.
         """
         try:
             self.conn.close()
         except OSError:  # pragma: no cover - already torn down
             pass
-        self.process.join(timeout)
-        if self.process.is_alive():  # pragma: no cover - stuck worker
+        if self.exit_code(timeout) is None:  # pragma: no cover - stuck worker
             self.process.terminate()
-            self.process.join(1.0)
-        if self.process.is_alive():  # pragma: no cover - SIGTERM ignored
-            self.process.kill()
-            self.process.join(1.0)
+            if self.exit_code(1.0) is None:  # pragma: no cover - SIGTERM ignored
+                self.process.kill()
+                self.exit_code(1.0)
 
 
 class ProcessPool:
-    """A warm, reusable fleet of spawn-started worker processes — the
-    ``processes`` lane of :class:`Fleet`.
+    """A warm, reusable fleet of worker interpreters — the ``processes``
+    lane of :class:`Fleet`.
 
     Spawning an interpreter and re-importing the target costs far more
     than most individual jobs, so the pool keeps its workers alive
@@ -378,13 +485,10 @@ class ProcessPool:
     """
 
     def __init__(self, spec: ProcessWorkerSpec, size: int) -> None:
-        import multiprocessing
-
         if size < 1:
             raise CampaignError(f"pool size must be >= 1, got {size}")
         self.spec = spec
         self.size = size
-        self._ctx = multiprocessing.get_context(START_METHOD)
         self._workers: list[_ProcessWorker] = []
         self._next_id = 0
         self._closed = False
@@ -398,10 +502,10 @@ class ProcessPool:
     @property
     def workers_alive(self) -> int:
         """Live worker processes currently held warm by the pool."""
-        return sum(1 for worker in self._workers if worker.process.is_alive())
+        return sum(1 for worker in self._workers if worker.process.poll() is None)
 
     def _spawn(self) -> _ProcessWorker:
-        worker = _ProcessWorker(self._ctx, self.spec, self._next_id)
+        worker = _ProcessWorker(self.spec, self._next_id)
         self._next_id += 1
         self._workers.append(worker)
         return worker
@@ -435,7 +539,7 @@ class ProcessPool:
         # keyed into this run's positions), then bring the pool up to
         # strength (never more workers than jobs).
         for worker in list(self._workers):
-            if worker.held is not None or not worker.process.is_alive():
+            if worker.held is not None or worker.process.poll() is not None:
                 worker.reap(timeout=0.1)
                 self._workers.remove(worker)
         while len(self._workers) < min(self.size, len(jobs)):
@@ -462,10 +566,9 @@ class ProcessPool:
                     # the worker while there is still work left to do.
                     # EOF can precede the child becoming reapable, so
                     # give it a moment or the exit code reads as None.
-                    worker.process.join(timeout=1.0)
-                    exitcode = worker.process.exitcode
                     results[key] = self.spec.crash_result(
-                        job, f"worker process exited with code {exitcode}"
+                        job,
+                        f"worker process exited with code {worker.exit_code(1.0)}",
                     )
                     worker.reap(timeout=1.0)
                     self._workers.remove(worker)

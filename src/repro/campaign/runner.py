@@ -20,7 +20,7 @@ an experiment occupies a test slot for real time — fault windows, log
 settling) and, in real-world embeddings, operator-supplied I/O — but
 the simulated control/data plane is pure CPU, so under the GIL threads
 cannot speed up compute-bound suites.  ``processes`` runs each recipe
-in an isolated spawn-started interpreter: the executor is pickled to
+in an isolated fresh interpreter: the executor is pickled to
 each worker once, each planned entry (+ seed) is pickled out and its
 outcome pickled back, which is what lets a CPU-bound campaign scale
 across cores and lets a crashed worker be replaced without losing more
@@ -233,7 +233,7 @@ def _execute_job(
     executor: RecipeExecutor,
 ) -> RecipeOutcome:
     """Fleet entry point, on either backend: run one planned recipe
-    (module-level, so it pickles to spawn-started workers)."""
+    (module-level, so it pickles to worker processes by reference)."""
     entry, seed = job
     outcome = executor.execute(entry, seed=seed)
     outcome.worker = worker_id

@@ -40,86 +40,94 @@ import json
 import sys
 import typing as _t
 
-from repro.apps import (
-    build_billing_app,
-    build_coreservice_app,
-    build_database_app,
-    build_deepfanout_app,
-    build_enterprise_app,
-    build_hotelreservation_app,
-    build_messagebus_app,
-    build_retrystorm_app,
-    build_socialnetwork_app,
-    build_stuckbreaker_app,
-    build_tree_app,
-    build_twotier,
-    build_wordpress_app,
-)
-from repro.campaign import (
-    BACKENDS,
-    CampaignRunner,
-    diff_campaigns,
-    dump_jsonl,
-    load_jsonl,
-    plan_campaign,
-    resolve_workers,
-)
-from repro.core import (
-    Crash,
-    Degrade,
-    EdgeAnnotation,
-    Gremlin,
-    Hang,
-    HasBoundedRetries,
-    HasTimeouts,
-    Overload,
-    generate_recipes,
-)
+from repro.campaign.fleet import BACKENDS, resolve_workers
 from repro.errors import AnalysisError, CampaignError, ExploreError, TraceError
-from repro.loadgen import ClosedLoopLoad
-from repro.microservice import Application
-from repro.observability import attribute_trace, reconstruct, to_json, to_prometheus
+
+if _t.TYPE_CHECKING:
+    from repro.microservice import Application
 
 __all__ = ["main", "APPS", "build_tree3_app"]
 
 
-def build_tree3_app() -> Application:
-    """Depth-3 service tree (module-level so the ``processes`` fleet
-    backend can pickle the factory to its spawn-started workers)."""
-    return build_tree_app(3)
+class _AppRegistry(_t.Mapping[str, _t.Callable[[], "Application"]]):
+    """Name -> zero-argument builder, resolved on lookup: a builder's
+    module is imported when its name is first read, so a command pays
+    only for the apps it builds.  The registry pickles by reference (as
+    ``repro.cli.APPS``); each builder pickles by its own module."""
+
+    def __init__(self, builders: dict[str, str]) -> None:
+        self._builders = builders  # app name -> builder name in repro.apps
+
+    def __getitem__(self, name: str) -> _t.Callable[[], "Application"]:
+        import repro.apps
+
+        return getattr(repro.apps, self._builders[name])
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._builders
+
+    def __iter__(self) -> _t.Iterator[str]:
+        return iter(self._builders)
+
+    def __len__(self) -> int:
+        return len(self._builders)
+
+    def __reduce__(self) -> str:
+        return "APPS"
 
 
 #: Name -> zero-argument builder for every prebuilt application.  All
 #: builders are importable module-level callables, which is what lets
 #: ``--backend processes`` ship any of them to worker interpreters.
-APPS: dict[str, _t.Callable[[], Application]] = {
-    "twotier": build_twotier,
-    "wordpress": build_wordpress_app,
-    "enterprise": build_enterprise_app,
-    "tree3": build_tree3_app,
-    "messagebus": build_messagebus_app,
-    "database": build_database_app,
-    "coreservice": build_coreservice_app,
-    "billing": build_billing_app,
-    # Seeded-resilience-bug fixtures (ground truth for `fuzz explore`).
-    "deepfanout": build_deepfanout_app,
-    "retrystorm": build_retrystorm_app,
-    "stuckbreaker": build_stuckbreaker_app,
-    # Production-scale benchmark apps (DeathStarBench-class; naive
-    # builds — pass resilient=True in code for the hardened variants).
-    "socialnetwork": build_socialnetwork_app,
-    "hotelreservation": build_hotelreservation_app,
+APPS = _AppRegistry(
+    {
+        "twotier": "build_twotier",
+        "wordpress": "build_wordpress_app",
+        "enterprise": "build_enterprise_app",
+        "tree3": "build_tree3_app",
+        "messagebus": "build_messagebus_app",
+        "database": "build_database_app",
+        "coreservice": "build_coreservice_app",
+        "billing": "build_billing_app",
+        # Seeded-resilience-bug fixtures (ground truth for `fuzz explore`).
+        "deepfanout": "build_deepfanout_app",
+        "retrystorm": "build_retrystorm_app",
+        "stuckbreaker": "build_stuckbreaker_app",
+        # Production-scale benchmark apps (DeathStarBench-class; naive
+        # builds — pass resilient=True in code for the hardened variants).
+        "socialnetwork": "build_socialnetwork_app",
+        "hotelreservation": "build_hotelreservation_app",
+    }
+)
+
+
+def __getattr__(name: str) -> _t.Any:
+    # Re-exported for callers that import it from here, without loading
+    # the tree app on every CLI launch.
+    if name == "build_tree3_app":
+        from repro.apps.trees import build_tree3_app
+
+        return build_tree3_app
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+#: ``--scenario`` choice -> (scenario class in repro.core, keyword arguments).
+_SCENARIOS: dict[str, tuple[str, dict]] = {
+    "overload": ("Overload", {}),
+    "crash": ("Crash", {}),
+    "hang": ("Hang", {}),
+    "degrade": ("Degrade", {"interval": "2s"}),
 }
 
-_SCENARIOS = {
-    "overload": lambda target: Overload(target),
-    "crash": lambda target: Crash(target),
-    "hang": lambda target: Hang(target),
-    "degrade": lambda target: Degrade(target, interval="2s"),
-}
+
+def _scenario(name: str, target: str):
+    import repro.core
+
+    cls, kwargs = _SCENARIOS[name]
+    return getattr(repro.core, cls)(target, **kwargs)
 
 
-def _build(name: str) -> Application:
+def _build(name: str) -> "Application":
     try:
         return APPS[name]()
     except KeyError:
@@ -161,6 +169,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_recipes(args: argparse.Namespace) -> int:
+    from repro.core import generate_recipes
+
     graph = _build(args.app).logical_graph()
     recipes = generate_recipes(graph)
     if args.json:
@@ -189,6 +199,9 @@ def cmd_recipes(args: argparse.Namespace) -> int:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
+    from repro.core import Gremlin, HasBoundedRetries, HasTimeouts
+    from repro.loadgen import ClosedLoopLoad
+
     app = _build(args.app)
     deployment = app.deploy(seed=args.seed)
     graph = deployment.graph
@@ -200,7 +213,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     source = deployment.add_traffic_source(entry)
     gremlin = Gremlin(deployment)
 
-    scenario = _SCENARIOS[args.scenario](args.target)
+    scenario = _scenario(args.scenario, args.target)
     if not args.json:
         print(f"staging {scenario.describe()} on {args.app!r}; load via {entry!r}")
     gremlin.inject(scenario)
@@ -253,6 +266,9 @@ def cmd_test(args: argparse.Namespace) -> int:
 def _faulted_run(args: argparse.Namespace):
     """Deploy an app, optionally stage a scenario, drive load; returns
     (deployment, gremlin, installed rules)."""
+    from repro.core import Gremlin
+    from repro.loadgen import ClosedLoopLoad
+
     app = _build(args.app)
     deployment = app.deploy(seed=args.seed)
     graph = deployment.graph
@@ -269,7 +285,7 @@ def _faulted_run(args: argparse.Namespace):
             raise SystemExit(
                 f"unknown target {args.target!r}; services: {', '.join(graph.services())}"
             )
-        scenario = _SCENARIOS[args.scenario](args.target)
+        scenario = _scenario(args.scenario, args.target)
         rules = gremlin.inject(scenario).rules
     ClosedLoopLoad(num_requests=args.requests, think_time=args.think).run(source)
     deployment.sim.run()
@@ -277,6 +293,8 @@ def _faulted_run(args: argparse.Namespace):
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from repro.observability import attribute_trace, reconstruct
+
     deployment, _gremlin, rules = _faulted_run(args)
     try:
         trace = reconstruct(deployment.store, args.request_id)
@@ -297,6 +315,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    from repro.observability import to_json, to_prometheus
+
     deployment, _gremlin, _rules = _faulted_run(args)
     snapshot = deployment.metrics_snapshot()
     if args.format == "json":
@@ -310,6 +330,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _plan_from_args(args: argparse.Namespace):
+    from repro.campaign import plan_campaign
+    from repro.core import EdgeAnnotation
+
     factory = APPS[args.app] if args.app in APPS else None
     if factory is None:
         raise SystemExit(f"unknown app {args.app!r}; available: {', '.join(APPS)}")
@@ -377,6 +400,9 @@ def _at_least(minimum: float, kind: type = int, *, strict: bool = False):
 
 
 def cmd_campaign_run(args: argparse.Namespace) -> int:
+    from repro.campaign import CampaignRunner, dump_jsonl
+    from repro.observability import to_json
+
     factory, plan = _plan_from_args(args)
     runner = CampaignRunner(
         factory,
@@ -417,6 +443,8 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
 
 def cmd_campaign_smoke(args: argparse.Namespace) -> int:
     """Capped fast campaign proving the fleet wiring end to end."""
+    from repro.campaign import CampaignRunner
+
     factory, plan = _plan_from_args(args)
     runner = CampaignRunner(
         factory,
@@ -443,6 +471,8 @@ def cmd_campaign_smoke(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign_diff(args: argparse.Namespace) -> int:
+    from repro.campaign import diff_campaigns, load_jsonl
+
     try:
         baseline = load_jsonl(args.baseline)
         candidate = load_jsonl(args.candidate)
@@ -600,6 +630,8 @@ def cmd_fuzz_explore(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Render the resilience report from a dumped campaign."""
+    from repro.campaign import load_jsonl
+
     try:
         result = load_jsonl(args.dump)
     except (OSError, CampaignError) as exc:

@@ -7,112 +7,65 @@ a deployment.  :mod:`repro.core.autogen` implements the paper's
 future-work sketch of automatic recipe generation.
 """
 
-from repro.core.assertions import (
-    AtLeastRequests,
-    AtMostRequests,
-    BaseAssertion,
-    CheckStatus,
-    Combine,
-    CombineResult,
-    NoRequestsFor,
-    StepOutcome,
-    combine,
-    num_requests,
-    reply_latency,
-    request_rate,
-)
-from repro.core.autogen import EdgeAnnotation, generate_recipes
-from repro.core.chaos import ChaosEvent, ChaosMonkey
-from repro.core.gremlin import Gremlin
-from repro.core.orchestrator import FailureOrchestrator, InstallationReport
-from repro.core.patterns import (
-    CheckFailures,
-    CheckResult,
-    HasBoundedRetries,
-    HasBulkhead,
-    HasCircuitBreaker,
-    HasTimeouts,
-    PatternCheck,
-)
-from repro.core.queries import (
-    QueryCache,
-    StoreLike,
-    get_replies,
-    get_requests,
-    observed_latency,
-    observed_status,
-)
-from repro.core.recipe import Recipe, RecipeResult
-from repro.core.scenarios import (
-    AbortCalls,
-    Crash,
-    Degrade,
-    DelayCalls,
-    Disconnect,
-    FailureScenario,
-    FakeSuccess,
-    GrayFailure,
-    Hang,
-    Misconfiguration,
-    ModifyReplies,
-    NetworkPartition,
-    NoOpControl,
-    Overload,
-    ResourceExhaustion,
-    RetryStorm,
-)
-from repro.core.translator import RecipeTranslator
+from repro.util import lazy_exports
 
-__all__ = [
-    "AbortCalls",
-    "AtLeastRequests",
-    "AtMostRequests",
-    "BaseAssertion",
-    "ChaosEvent",
-    "ChaosMonkey",
-    "CheckFailures",
-    "CheckResult",
-    "CheckStatus",
-    "Combine",
-    "CombineResult",
-    "Crash",
-    "Degrade",
-    "DelayCalls",
-    "Disconnect",
-    "EdgeAnnotation",
-    "FailureOrchestrator",
-    "FailureScenario",
-    "FakeSuccess",
-    "GrayFailure",
-    "Gremlin",
-    "Hang",
-    "HasBoundedRetries",
-    "HasBulkhead",
-    "HasCircuitBreaker",
-    "HasTimeouts",
-    "InstallationReport",
-    "Misconfiguration",
-    "ModifyReplies",
-    "NetworkPartition",
-    "NoOpControl",
-    "NoRequestsFor",
-    "Overload",
-    "PatternCheck",
-    "QueryCache",
-    "Recipe",
-    "RecipeResult",
-    "RecipeTranslator",
-    "ResourceExhaustion",
-    "RetryStorm",
-    "StepOutcome",
-    "StoreLike",
-    "combine",
-    "generate_recipes",
-    "get_replies",
-    "get_requests",
-    "num_requests",
-    "observed_latency",
-    "observed_status",
-    "reply_latency",
-    "request_rate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "assertions": [
+            "AtLeastRequests",
+            "AtMostRequests",
+            "BaseAssertion",
+            "CheckStatus",
+            "Combine",
+            "CombineResult",
+            "NoRequestsFor",
+            "StepOutcome",
+            "combine",
+            "num_requests",
+            "reply_latency",
+            "request_rate",
+        ],
+        "autogen": ["EdgeAnnotation", "generate_recipes"],
+        "chaos": ["ChaosEvent", "ChaosMonkey"],
+        "gremlin": ["Gremlin"],
+        "orchestrator": ["FailureOrchestrator", "InstallationReport"],
+        "patterns": [
+            "CheckFailures",
+            "CheckResult",
+            "HasBoundedRetries",
+            "HasBulkhead",
+            "HasCircuitBreaker",
+            "HasTimeouts",
+            "PatternCheck",
+        ],
+        "queries": [
+            "QueryCache",
+            "StoreLike",
+            "get_replies",
+            "get_requests",
+            "observed_latency",
+            "observed_status",
+        ],
+        "recipe": ["Recipe", "RecipeResult"],
+        "scenarios": [
+            "AbortCalls",
+            "Crash",
+            "Degrade",
+            "DelayCalls",
+            "Disconnect",
+            "FailureScenario",
+            "FakeSuccess",
+            "GrayFailure",
+            "Hang",
+            "Misconfiguration",
+            "ModifyReplies",
+            "NetworkPartition",
+            "NoOpControl",
+            "Overload",
+            "ResourceExhaustion",
+            "RetryStorm",
+        ],
+        "translator": ["RecipeTranslator"],
+    },
+)

@@ -23,59 +23,34 @@ Entry point: :func:`~repro.explore.runner.run_explore` (CLI verb
 ``fuzz explore``).
 """
 
-from repro.explore.compiler import compile_scenarios, coordinate_recipe, scenario_specs
-from repro.explore.coords import (
-    FAULT_PRIMITIVES,
-    Coordinate,
-    ExplorationSpace,
-    enumerate_space,
-    fault_primitives,
-)
-from repro.explore.executor import (
-    ExploreOutcome,
-    ExploreTask,
-    execute_task,
-    run_wave,
-    task_fleet,
-)
-from repro.explore.frontier import Frontier
-from repro.explore.report import BugFinding, CoverageReport
-from repro.explore.runner import (
-    STRATEGIES,
-    ExploreResult,
-    discover_space,
-    run_explore,
-)
-from repro.explore.suite import (
-    dump_recipe_suite,
-    export_recipe_suite,
-    load_recipe_suite,
-    read_recipe_suite,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "FAULT_PRIMITIVES",
-    "STRATEGIES",
-    "BugFinding",
-    "Coordinate",
-    "CoverageReport",
-    "ExplorationSpace",
-    "ExploreOutcome",
-    "ExploreResult",
-    "ExploreTask",
-    "Frontier",
-    "compile_scenarios",
-    "coordinate_recipe",
-    "discover_space",
-    "dump_recipe_suite",
-    "enumerate_space",
-    "execute_task",
-    "export_recipe_suite",
-    "fault_primitives",
-    "load_recipe_suite",
-    "read_recipe_suite",
-    "run_explore",
-    "run_wave",
-    "scenario_specs",
-    "task_fleet",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "compiler": ["compile_scenarios", "coordinate_recipe", "scenario_specs"],
+        "coords": [
+            "FAULT_PRIMITIVES",
+            "Coordinate",
+            "ExplorationSpace",
+            "enumerate_space",
+            "fault_primitives",
+        ],
+        "executor": [
+            "ExploreOutcome",
+            "ExploreTask",
+            "execute_task",
+            "run_wave",
+            "task_fleet",
+        ],
+        "frontier": ["Frontier"],
+        "report": ["BugFinding", "CoverageReport"],
+        "runner": ["STRATEGIES", "ExploreResult", "discover_space", "run_explore"],
+        "suite": [
+            "dump_recipe_suite",
+            "export_recipe_suite",
+            "load_recipe_suite",
+            "read_recipe_suite",
+        ],
+    },
+)

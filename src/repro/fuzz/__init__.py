@@ -11,61 +11,36 @@ artifacts (:mod:`~repro.fuzz.shrink`, :mod:`~repro.fuzz.harness`) that
 replay bit-for-bit from their embedded seed.
 """
 
-from repro.fuzz.differential import CaseReport, Execution, execute_case, run_case
-from repro.fuzz.generator import FuzzGenerator
-from repro.fuzz.harness import (
-    ARTIFACT_VERSION,
-    FuzzReport,
-    ReplayResult,
-    load_artifact,
-    replay_artifact,
-    run_fuzz,
-    write_artifact,
-)
-from repro.fuzz.oracle import OracleError, PredictedRecord, Prediction, predict
-from repro.fuzz.shrink import ShrinkResult, shrink
-from repro.fuzz.spec import (
-    SOURCE_NAME,
-    EdgeCountCheck,
-    EdgeStatusCheck,
-    FuzzCase,
-    TopologySpec,
-    WorkloadSpec,
-    build_application,
-    build_check,
-    build_scenario,
-    check_to_spec,
-    scenario_to_spec,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "ARTIFACT_VERSION",
-    "CaseReport",
-    "EdgeCountCheck",
-    "EdgeStatusCheck",
-    "Execution",
-    "FuzzCase",
-    "FuzzGenerator",
-    "FuzzReport",
-    "OracleError",
-    "PredictedRecord",
-    "Prediction",
-    "ReplayResult",
-    "SOURCE_NAME",
-    "ShrinkResult",
-    "TopologySpec",
-    "WorkloadSpec",
-    "build_application",
-    "build_check",
-    "build_scenario",
-    "check_to_spec",
-    "execute_case",
-    "load_artifact",
-    "predict",
-    "replay_artifact",
-    "run_case",
-    "run_fuzz",
-    "scenario_to_spec",
-    "shrink",
-    "write_artifact",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "differential": ["CaseReport", "Execution", "execute_case", "run_case"],
+        "generator": ["FuzzGenerator"],
+        "harness": [
+            "ARTIFACT_VERSION",
+            "FuzzReport",
+            "ReplayResult",
+            "load_artifact",
+            "replay_artifact",
+            "run_fuzz",
+            "write_artifact",
+        ],
+        "oracle": ["OracleError", "PredictedRecord", "Prediction", "predict"],
+        "shrink": ["ShrinkResult", "shrink"],
+        "spec": [
+            "EdgeCountCheck",
+            "EdgeStatusCheck",
+            "FuzzCase",
+            "SOURCE_NAME",
+            "TopologySpec",
+            "WorkloadSpec",
+            "build_application",
+            "build_check",
+            "build_scenario",
+            "check_to_spec",
+            "scenario_to_spec",
+        ],
+    },
+)

@@ -6,53 +6,33 @@ match, log, and manipulate it (observation O1 of the paper: "Touch the
 network, not the app").
 """
 
-from repro.http.client import HttpClient, await_with_deadline
-from repro.http.codec import (
-    decode,
-    decode_request,
-    decode_response,
-    encode,
-    encode_request,
-    encode_response,
-)
-from repro.http.headers import REQUEST_ID_HEADER, SPAN_ID_HEADER, Headers
-from repro.http.message import HttpRequest, HttpResponse
-from repro.http.server import Handler, HttpServer
-from repro.http.status import (
-    BAD_GATEWAY,
-    GATEWAY_TIMEOUT,
-    INTERNAL_SERVER_ERROR,
-    NOT_FOUND,
-    OK,
-    SERVICE_UNAVAILABLE,
-    is_error,
-    is_success,
-    reason_phrase,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "BAD_GATEWAY",
-    "GATEWAY_TIMEOUT",
-    "Handler",
-    "Headers",
-    "HttpClient",
-    "HttpRequest",
-    "HttpResponse",
-    "HttpServer",
-    "INTERNAL_SERVER_ERROR",
-    "NOT_FOUND",
-    "OK",
-    "REQUEST_ID_HEADER",
-    "SERVICE_UNAVAILABLE",
-    "SPAN_ID_HEADER",
-    "await_with_deadline",
-    "decode",
-    "decode_request",
-    "decode_response",
-    "encode",
-    "encode_request",
-    "encode_response",
-    "is_error",
-    "is_success",
-    "reason_phrase",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "client": ["HttpClient", "await_with_deadline"],
+        "codec": [
+            "decode",
+            "decode_request",
+            "decode_response",
+            "encode",
+            "encode_request",
+            "encode_response",
+        ],
+        "headers": ["Headers", "REQUEST_ID_HEADER", "SPAN_ID_HEADER"],
+        "message": ["HttpRequest", "HttpResponse"],
+        "server": ["Handler", "HttpServer"],
+        "status": [
+            "BAD_GATEWAY",
+            "GATEWAY_TIMEOUT",
+            "INTERNAL_SERVER_ERROR",
+            "NOT_FOUND",
+            "OK",
+            "SERVICE_UNAVAILABLE",
+            "is_error",
+            "is_success",
+            "reason_phrase",
+        ],
+    },
+)

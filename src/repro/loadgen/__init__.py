@@ -1,6 +1,11 @@
 """Load generation: closed-loop, open-loop (Poisson), and an ab-like tool."""
 
-from repro.loadgen.bench_tool import ApacheBench
-from repro.loadgen.workload import ClosedLoopLoad, LoadResult, OpenLoopLoad, Sample
+from repro.util import lazy_exports
 
-__all__ = ["ApacheBench", "ClosedLoopLoad", "LoadResult", "OpenLoopLoad", "Sample"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "bench_tool": ["ApacheBench"],
+        "workload": ["ClosedLoopLoad", "LoadResult", "OpenLoopLoad", "Sample"],
+    },
+)

@@ -5,23 +5,15 @@ agents ship observation records here and the Assertion Checker queries
 them back.
 """
 
-from repro.logstore.export import dump_jsonl, dumps, load_jsonl, loads
-from repro.logstore.pipeline import LogPipeline
-from repro.logstore.query import Query, compile_id_pattern
-from repro.logstore.record import ObservationKind, ObservationRecord
-from repro.logstore.store import STORE_STRATEGIES, EventStore, QueryPlan
+from repro.util import lazy_exports
 
-__all__ = [
-    "EventStore",
-    "LogPipeline",
-    "ObservationKind",
-    "ObservationRecord",
-    "Query",
-    "QueryPlan",
-    "STORE_STRATEGIES",
-    "compile_id_pattern",
-    "dump_jsonl",
-    "dumps",
-    "load_jsonl",
-    "loads",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "export": ["dump_jsonl", "dumps", "load_jsonl", "loads"],
+        "pipeline": ["LogPipeline"],
+        "query": ["Query", "compile_id_pattern"],
+        "record": ["ObservationKind", "ObservationRecord"],
+        "store": ["EventStore", "QueryPlan", "STORE_STRATEGIES"],
+    },
+)

@@ -6,53 +6,35 @@ that wires everything (including Gremlin agent sidecars) onto a
 simulated network.
 """
 
-from repro.microservice.app import Application, Deployment, TrafficSource
-from repro.microservice.clients import CallStats, DependencyClient
-from repro.microservice.graph import ApplicationGraph
-from repro.microservice.handlers import (
-    chain_handler,
-    fanout_handler,
-    proxy_handler,
-    static_handler,
-)
-from repro.microservice.instance import ServiceInstance
-from repro.microservice.resilience import (
-    BreakerState,
-    Bulkhead,
-    CircuitBreaker,
-    PolicySpec,
-    ResiliencePolicy,
-    RetryPolicy,
-    TimeoutPolicy,
-)
-from repro.microservice.service import (
-    DEFAULT_SERVICE_PORT,
-    ServiceContext,
-    ServiceDefinition,
-    ServiceHandler,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "Application",
-    "ApplicationGraph",
-    "BreakerState",
-    "Bulkhead",
-    "CallStats",
-    "CircuitBreaker",
-    "DEFAULT_SERVICE_PORT",
-    "DependencyClient",
-    "Deployment",
-    "PolicySpec",
-    "ResiliencePolicy",
-    "RetryPolicy",
-    "ServiceContext",
-    "ServiceDefinition",
-    "ServiceHandler",
-    "ServiceInstance",
-    "TimeoutPolicy",
-    "TrafficSource",
-    "chain_handler",
-    "fanout_handler",
-    "proxy_handler",
-    "static_handler",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "app": ["Application", "Deployment", "TrafficSource"],
+        "clients": ["CallStats", "DependencyClient"],
+        "graph": ["ApplicationGraph"],
+        "handlers": [
+            "chain_handler",
+            "fanout_handler",
+            "proxy_handler",
+            "static_handler",
+        ],
+        "instance": ["ServiceInstance"],
+        "resilience": [
+            "BreakerState",
+            "Bulkhead",
+            "CircuitBreaker",
+            "PolicySpec",
+            "ResiliencePolicy",
+            "RetryPolicy",
+            "TimeoutPolicy",
+        ],
+        "service": [
+            "DEFAULT_SERVICE_PORT",
+            "ServiceContext",
+            "ServiceDefinition",
+            "ServiceHandler",
+        ],
+    },
+)

@@ -5,18 +5,15 @@ best-practice patterns whose presence (or absence) Gremlin's assertion
 checker validates from network observations alone.
 """
 
-from repro.microservice.resilience.bulkhead import Bulkhead
-from repro.microservice.resilience.circuit_breaker import BreakerState, CircuitBreaker
-from repro.microservice.resilience.policy import PolicySpec, ResiliencePolicy
-from repro.microservice.resilience.retry import RetryPolicy
-from repro.microservice.resilience.timeout import TimeoutPolicy
+from repro.util import lazy_exports
 
-__all__ = [
-    "BreakerState",
-    "Bulkhead",
-    "CircuitBreaker",
-    "PolicySpec",
-    "ResiliencePolicy",
-    "RetryPolicy",
-    "TimeoutPolicy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "bulkhead": ["Bulkhead"],
+        "circuit_breaker": ["BreakerState", "CircuitBreaker"],
+        "policy": ["PolicySpec", "ResiliencePolicy"],
+        "retry": ["RetryPolicy"],
+        "timeout": ["TimeoutPolicy"],
+    },
+)

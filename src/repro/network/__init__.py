@@ -5,35 +5,20 @@ fault model: refused connections, connect timeouts under partition,
 resets, and silently-dropped in-flight messages.
 """
 
-from repro.network.address import LOOPBACK, Address
-from repro.network.latency import (
-    FixedLatency,
-    LatencyModel,
-    LognormalLatency,
-    NoLatency,
-    UniformLatency,
-    as_latency,
-)
-from repro.network.transport import (
-    Connection,
-    ConnectionEnd,
-    Host,
-    Listener,
-    Network,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "Address",
-    "Connection",
-    "ConnectionEnd",
-    "FixedLatency",
-    "Host",
-    "LatencyModel",
-    "Listener",
-    "LognormalLatency",
-    "LOOPBACK",
-    "Network",
-    "NoLatency",
-    "UniformLatency",
-    "as_latency",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "address": ["Address", "LOOPBACK"],
+        "latency": [
+            "FixedLatency",
+            "LatencyModel",
+            "LognormalLatency",
+            "NoLatency",
+            "UniformLatency",
+            "as_latency",
+        ],
+        "transport": ["Connection", "ConnectionEnd", "Host", "Listener", "Network"],
+    },
+)

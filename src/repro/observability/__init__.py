@@ -20,72 +20,42 @@ package provides in-process, on top of the agents' observation logs:
   operator resilience report.
 """
 
-from repro.observability.attribution import (
-    FaultAttribution,
-    attribute_run,
-    attribute_trace,
-)
-from repro.observability.cascade import (
-    BlastRadius,
-    DependencyGraph,
-    ResilienceReport,
-    blast_radius,
-    build_explore_report,
-    build_report,
-    discover_graph,
-    graph_from_campaign,
-    rank_root_causes,
-    simulate_fault,
-)
-from repro.observability.exporters import to_json, to_prometheus
-from repro.observability.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    format_series,
-    merge_histogram_data,
-    merge_snapshots,
-)
-from repro.observability.spans import Span, assemble_spans
-from repro.observability.trace import (
-    Trace,
-    TraceNode,
-    reconstruct,
-    reconstruct_from_records,
-    trace_shape_digest,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
-    "BlastRadius",
-    "Counter",
-    "DependencyGraph",
-    "FaultAttribution",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "ResilienceReport",
-    "Span",
-    "Trace",
-    "TraceNode",
-    "assemble_spans",
-    "attribute_run",
-    "attribute_trace",
-    "blast_radius",
-    "build_explore_report",
-    "build_report",
-    "discover_graph",
-    "format_series",
-    "graph_from_campaign",
-    "merge_histogram_data",
-    "merge_snapshots",
-    "rank_root_causes",
-    "reconstruct",
-    "reconstruct_from_records",
-    "simulate_fault",
-    "to_json",
-    "trace_shape_digest",
-    "to_prometheus",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "attribution": ["FaultAttribution", "attribute_run", "attribute_trace"],
+        "cascade": [
+            "BlastRadius",
+            "DependencyGraph",
+            "ResilienceReport",
+            "blast_radius",
+            "build_explore_report",
+            "build_report",
+            "discover_graph",
+            "graph_from_campaign",
+            "rank_root_causes",
+            "simulate_fault",
+        ],
+        "exporters": ["to_json", "to_prometheus"],
+        "metrics": [
+            "DEFAULT_LATENCY_BUCKETS",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "format_series",
+            "merge_histogram_data",
+            "merge_snapshots",
+        ],
+        "spans": ["Span", "assemble_spans"],
+        "trace": [
+            "Trace",
+            "TraceNode",
+            "reconstruct",
+            "reconstruct_from_records",
+            "trace_shape_digest",
+        ],
+    },
+)

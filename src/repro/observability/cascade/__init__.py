@@ -16,50 +16,26 @@ metrics snapshots, fault attributions); this package *interprets* it:
   ResilienceReport artifact (deterministic JSON + standalone HTML).
 """
 
-from repro.observability.cascade.blast import (
-    BlastRadius,
-    blast_from_attributions,
-    blast_radius,
-)
-from repro.observability.cascade.graph import (
-    DependencyGraph,
-    EdgeStats,
-    discover_graph,
-    graph_from_campaign,
-)
-from repro.observability.cascade.report import (
-    ResilienceReport,
-    build_explore_report,
-    build_report,
-)
-from repro.observability.cascade.rootcause import (
-    RootCauseCandidate,
-    rank_root_causes,
-)
-from repro.observability.cascade.whatif import (
-    CascadePrediction,
-    order_candidates,
-    order_plan,
-    predict_service_blast,
-    simulate_fault,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "BlastRadius",
-    "CascadePrediction",
-    "DependencyGraph",
-    "EdgeStats",
-    "ResilienceReport",
-    "RootCauseCandidate",
-    "blast_from_attributions",
-    "blast_radius",
-    "build_explore_report",
-    "build_report",
-    "discover_graph",
-    "graph_from_campaign",
-    "order_candidates",
-    "order_plan",
-    "predict_service_blast",
-    "rank_root_causes",
-    "simulate_fault",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "blast": ["BlastRadius", "blast_from_attributions", "blast_radius"],
+        "graph": [
+            "DependencyGraph",
+            "EdgeStats",
+            "discover_graph",
+            "graph_from_campaign",
+        ],
+        "report": ["ResilienceReport", "build_explore_report", "build_report"],
+        "rootcause": ["RootCauseCandidate", "rank_root_causes"],
+        "whatif": [
+            "CascadePrediction",
+            "order_candidates",
+            "order_plan",
+            "predict_service_blast",
+            "simulate_fault",
+        ],
+    },
+)

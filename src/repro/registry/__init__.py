@@ -6,6 +6,11 @@ instance of the Gremlin agents fronting a given service (paper Section
 configure the agents of all ServiceA instances).
 """
 
-from repro.registry.registry import InstanceRecord, ServiceRegistry
+from repro.util import lazy_exports
 
-__all__ = ["InstanceRecord", "ServiceRegistry"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "registry": ["InstanceRecord", "ServiceRegistry"],
+    },
+)

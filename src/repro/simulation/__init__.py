@@ -8,21 +8,14 @@ network transport and the resilience patterns.
 See :class:`repro.simulation.Simulator` for the entry point.
 """
 
-from repro.simulation.events import AllOf, AnyOf, Condition, SimEvent, Timeout
-from repro.simulation.kernel import Simulator
-from repro.simulation.process import Interrupt, Process
-from repro.simulation.resources import Channel, ChannelClosed, Semaphore
+from repro.util import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Channel",
-    "ChannelClosed",
-    "Condition",
-    "Interrupt",
-    "Process",
-    "Semaphore",
-    "SimEvent",
-    "Simulator",
-    "Timeout",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "events": ["AllOf", "AnyOf", "Condition", "SimEvent", "Timeout"],
+        "kernel": ["Simulator"],
+        "process": ["Interrupt", "Process"],
+        "resources": ["Channel", "ChannelClosed", "Semaphore"],
+    },
+)

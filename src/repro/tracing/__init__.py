@@ -7,20 +7,18 @@ injection can be confined to test traffic (e.g. IDs of the form
 ``test-*``) while production flows pass untouched.
 """
 
-from repro.tracing.context import (
-    RequestIdGenerator,
-    SpanIdGenerator,
-    TEST_ID_PREFIX,
-    TRACE_HEADERS,
-    is_test_request_id,
-    propagate,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "RequestIdGenerator",
-    "SpanIdGenerator",
-    "TEST_ID_PREFIX",
-    "TRACE_HEADERS",
-    "is_test_request_id",
-    "propagate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "context": [
+            "RequestIdGenerator",
+            "SpanIdGenerator",
+            "TEST_ID_PREFIX",
+            "TRACE_HEADERS",
+            "is_test_request_id",
+            "propagate",
+        ],
+    },
+)

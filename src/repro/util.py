@@ -6,17 +6,21 @@ strings — ``Delay(..., Interval='100ms')``, ``AtMostRequests(RList,
 and the assertion layer accept the same syntax.
 
 And :func:`plain`, the one copier behind every result document's
-``to_dict``.
+``to_dict``; and :func:`lazy_exports`, the one helper behind every
+package facade.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import importlib
 import re
+import sys
+import types
 import typing as _t
 
-__all__ = ["parse_duration", "format_duration", "plain"]
+__all__ = ["parse_duration", "format_duration", "plain", "lazy_exports"]
 
 _DURATION_RE = re.compile(r"^\s*(?P<value>\d+(?:\.\d+)?)\s*(?P<unit>us|ms|s|sec|min|m|h|hr)?\s*$")
 
@@ -120,3 +124,56 @@ def plain(value: _t.Any) -> _t.Any:
             return result
         return cls((plain(k), plain(v)) for k, v in value.items())
     return copy.deepcopy(value)
+
+
+#: package name -> {exported name: defining module}, for every facade.
+_FACADES: dict[str, dict[str, str]] = {}
+
+
+class _Facade(types.ModuleType):
+    """A package whose exports resolve on first use.
+
+    The import system binds a freshly loaded submodule onto its package
+    as an attribute.  Where an export has the submodule's own name
+    (``repro.fuzz.shrink``, the function, in ``repro/fuzz/shrink.py``)
+    that binding is refused, so the name keeps meaning the export, as
+    it did when the facade ran ``from repro.fuzz.shrink import shrink``.
+    """
+
+    def __setattr__(self, name: str, value: _t.Any) -> None:
+        if isinstance(value, types.ModuleType) and name in _FACADES[self.__name__]:
+            return
+        super().__setattr__(name, value)
+
+
+def lazy_exports(
+    package: str, exports: _t.Mapping[str, _t.Sequence[str]]
+) -> tuple[_t.Callable[[str], _t.Any], _t.Callable[[], list[str]], list[str]]:
+    """PEP 562 ``__getattr__``, ``__dir__`` and ``__all__`` for a facade.
+
+    ``exports`` maps a submodule of ``package`` (relative name) to the
+    names it defines and the package re-exports.  Nothing is imported
+    until a name is first read; then its module is imported, and the
+    value is cached on the package, so the hook runs once per name.
+    The pattern is Scientific Python SPEC 1's ``lazy_loader.attach``.
+    """
+    table = {
+        name: f"{package}.{module}" for module, names in exports.items() for name in names
+    }
+    _FACADES[package] = table
+    facade = sys.modules[package]
+    facade.__class__ = _Facade
+
+    def __getattr__(name: str) -> _t.Any:
+        try:
+            module = table[name]
+        except KeyError:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}") from None
+        value = getattr(importlib.import_module(module), name)
+        setattr(facade, name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(vars(facade)) | set(table))
+
+    return __getattr__, __dir__, list(table)

@@ -102,6 +102,25 @@ def exit_on_encode_target(worker_id, job, context):
     return job
 
 
+def print_target(worker_id, job, context):
+    # No newline and no flush: with stdout redirected to a file the text
+    # sits in the worker's buffer until something flushes it.
+    print(f"worker {worker_id} says {job}", end="")
+    return job
+
+
+def _unloadable():
+    raise AttributeError("module '__main__' has no attribute 'target'")
+
+
+class _UnloadableContext:
+    """Pickles fine and cannot be unpickled, as a target defined under a
+    script's ``if __name__ == "__main__":`` cannot be found by a worker."""
+
+    def __reduce__(self):
+        return (_unloadable, ())
+
+
 class TestResolveWorkers:
     def test_auto_sizes_to_the_machine(self):
         assert 1 <= resolve_workers("auto") <= (os.cpu_count() or 1)
@@ -449,5 +468,35 @@ class TestProcessPool:
         started = time.monotonic()
         pool.close(timeout=1.0)
         elapsed = time.monotonic() - started
-        assert not worker.process.is_alive()
+        assert worker.process.poll() is not None
         assert elapsed < 10.0
+
+    def test_unloadable_spec_answers_every_job_without_respawning(self):
+        """A worker that cannot load its spec stays up and answers every
+        job with the reason, instead of dying on each one and taking a
+        fresh interpreter per job with it."""
+        spec = ProcessWorkerSpec(
+            target=double_target, context=_UnloadableContext(), on_crash=on_crash
+        )
+        with ProcessPool(spec, size=2) as pool:
+            results = pool.run(list(range(8)))
+            started = pool._next_id
+        assert started <= 2
+        assert sorted(results) == list(range(8))
+        for key, (kind, job, detail) in results.items():
+            assert (kind, job) == ("crashed", key)
+            assert detail == (
+                "cannot load worker spec: AttributeError:"
+                " module '__main__' has no attribute 'target'"
+            )
+
+    def test_clean_shutdown_exits_zero_with_output_flushed(self, capfd, monkeypatch):
+        # A worker inherits the environment: keep its stdout buffered.
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        spec = ProcessWorkerSpec(target=print_target, on_crash=on_crash)
+        pool = ProcessPool(spec, size=1)
+        assert pool.run(["hello"]) == {0: "hello"}
+        worker = pool._workers[0]
+        pool.close()
+        assert worker.process.returncode == 0
+        assert "worker 0 says hello" in capfd.readouterr().out

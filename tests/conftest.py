@@ -6,7 +6,7 @@ import collections
 import contextlib
 import functools
 import gc
-import multiprocessing
+import glob
 import os
 import sys
 import typing as _t
@@ -15,6 +15,7 @@ import pytest
 
 import repro
 import repro.microservice.app as app_module
+from repro.campaign.fleet import _BOOTSTRAP
 from repro.simulation import Simulator
 
 
@@ -197,13 +198,34 @@ def collector_off():
             gc.enable()
 
 
-def live_fleet_workers() -> list:
-    """Fleet worker processes still alive (none may outlive its fleet)."""
-    return [
-        child
-        for child in multiprocessing.active_children()
-        if child.name.startswith("fleet-worker-")
-    ]
+def live_fleet_workers() -> list[int]:
+    """Fleet worker processes not yet reaped (none may outlive its fleet).
+
+    Children of this process as the kernel lists them, as
+    ``bench/run.py``'s ``child_pids`` reads them, that either run the
+    fleet's bootstrap or have exited without being waited for: a
+    zombie's command line reads empty, and nothing else in the suite
+    leaves a child unwaited.
+    """
+    children = []
+    for listing in glob.glob("/proc/self/task/*/children"):
+        try:
+            with open(listing) as handle:
+                children += [int(pid) for pid in handle.read().split()]
+        except OSError:  # a thread that ended meanwhile
+            pass
+    workers = []
+    for pid in children:
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as handle:
+                argv = handle.read().split(b"\0")
+            with open(f"/proc/{pid}/stat") as handle:
+                state = handle.read().rpartition(")")[2].split()[0]
+        except (OSError, IndexError):  # reaped meanwhile
+            continue
+        if _BOOTSTRAP.encode() in argv or state == "Z":
+            workers.append(pid)
+    return workers
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,10 +1,11 @@
 """Script half of ``test_import_budget.py``; run in a fresh interpreter.
 
-Starts a one-worker spawn-started process pool, has the worker execute
-one real tree-app recipe, and prints as JSON the recipe's status and
-the worker's ``sys.modules`` afterwards.  pytest must never import this
-file: the worker re-imports it as its main module, so whatever it
-imports is charged to the worker's budget.
+Starts a one-worker process pool, has the worker execute one real
+tree-app recipe, and prints as JSON the recipe's status and the
+worker's ``sys.modules`` afterwards.  pytest must never import this
+file: its target lives in ``__main__``, so the worker imports this
+script as ``__mp_main__``, and whatever it imports is charged to the
+worker's budget.
 """
 
 import functools

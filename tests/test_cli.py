@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import pickle
 import sys
 
 import pytest
@@ -28,6 +29,13 @@ class TestApps:
             assert entry["num_services"] == len(entry["services"])
             assert entry["num_edges"] >= 1
             assert entry["entry_services"]
+
+    def test_registry_pickles_by_reference_and_resolves_builders(self):
+        assert pickle.loads(pickle.dumps(APPS)) is APPS
+        from repro.apps.trees import build_tree3_app
+
+        assert APPS["tree3"] is build_tree3_app
+        assert "tree3" in APPS and "nope" not in APPS
 
 
 class TestGraph:
