@@ -22,6 +22,7 @@ import hashlib
 import typing as _t
 
 from repro.core.autogen import EdgeAnnotation, generate_recipes
+from repro.core.gremlin import LoadSpec
 from repro.core.recipe import Recipe
 from repro.errors import CampaignError
 from repro.microservice.app import Application
@@ -90,18 +91,6 @@ def scenario_target(scenario: _t.Any) -> str:
         if isinstance(value, str):
             return value
     return "*"
-
-
-@dataclasses.dataclass(frozen=True)
-class LoadSpec:
-    """How a worker drives test load while a recipe's faults are live."""
-
-    #: Service the campaign's traffic source fronts (the user-facing entry).
-    entry: str
-    requests: int = 20
-    think_time: float = 0.05
-    uri: str = "/"
-    source_name: str = "user"
 
 
 @dataclasses.dataclass

@@ -38,19 +38,17 @@ seeds to separate *broken* behaviour (fails under every seed) from
 
 from __future__ import annotations
 
+import math
 import pickle
 import threading
 import time
 import typing as _t
 
-from repro.agent.rules import fresh_rule_ids
 from repro.campaign.fleet import Fleet, ProcessWorkerSpec, resolve_workers
 from repro.campaign.plan import CampaignPlan, DeploymentFactory, PlannedRecipe, derive_seed
 from repro.campaign.results import CampaignResult, CheckOutcome, RecipeOutcome
-from repro.core.gremlin import Gremlin
-from repro.core.queries import QueryCache
+from repro.core.gremlin import run_faulted
 from repro.errors import CampaignError, CampaignTimeoutError
-from repro.loadgen import ClosedLoopLoad
 from repro.observability.attribution import attribute_run
 
 __all__ = ["RecipeExecutor", "CampaignRunner"]
@@ -74,11 +72,11 @@ def _classify(checks: _t.Sequence[CheckOutcome]) -> str:
 class RecipeExecutor:
     """Executes one planned recipe on a fresh, isolated deployment.
 
-    Mirrors :meth:`Gremlin.run_recipe` (inject -> load -> settle ->
-    drain -> check -> clear) but drives the simulator in bounded
-    virtual-time slices so a wall-clock deadline can interrupt a
-    runaway recipe between slices, and optionally pads each recipe to a
-    ``pacing`` wall-clock floor.
+    The run itself is :func:`~repro.core.gremlin.run_faulted` in its
+    deadline-checked mode: the simulator advances in bounded
+    virtual-time slices so the wall-clock ``timeout`` can interrupt a
+    runaway recipe between slices.  The executor adds the outcome, the
+    failure attributions, and an optional ``pacing`` wall-clock floor.
     """
 
     def __init__(
@@ -87,19 +85,15 @@ class RecipeExecutor:
         *,
         timeout: _t.Optional[float] = 60.0,
         pacing: float = 0.0,
-        slice_virtual: float = 60.0,
         stop_event: _t.Optional[threading.Event] = None,
     ) -> None:
         if timeout is not None and timeout <= 0:
             raise CampaignError(f"timeout must be > 0 or None, got {timeout}")
         if pacing < 0:
             raise CampaignError(f"pacing must be >= 0, got {pacing}")
-        if slice_virtual <= 0:
-            raise CampaignError(f"slice_virtual must be > 0, got {slice_virtual}")
         self.factory = factory
         self.timeout = timeout
         self.pacing = pacing
-        self.slice_virtual = slice_virtual
         #: Fleet-wide fail-fast signal: while padding a recipe to its
         #: pacing floor the executor waits on this event instead of
         #: sleeping blind, so a conclusive failure elsewhere releases
@@ -118,74 +112,34 @@ class RecipeExecutor:
         ``error``/``timeout`` outcomes so one bad recipe cannot take
         down the fleet."""
         started = time.monotonic()
-        deadline = started + self.timeout if self.timeout is not None else None
-        seed = planned.seed if seed is None else seed
-        outcome = RecipeOutcome(
-            index=planned.index,
-            name=planned.name,
-            pattern=planned.pattern,
-            service=planned.service,
-            seed=seed,
-            status="error",
-        )
-        gremlin = None
+        deadline = started + (self.timeout if self.timeout is not None else math.inf)
+        outcome = _outcome(planned, seed, "error")
         try:
             recipe = planned.recipe
-            spec = planned.load
-            deployment = self.factory().deploy(seed=seed)
-            source = deployment.add_traffic_source(spec.entry, name=spec.source_name)
-            gremlin = Gremlin(deployment)
-            sim = deployment.sim
-
-            window_start = sim.now
-            orch_start = time.perf_counter()
-            # Scoped rule numbering: ids (and the Rule#N strings baked
-            # into attributions) restart at 1 for every recipe, so the
-            # outcome is bit-for-bit identical across fleet backends,
-            # worker counts, and whatever ran earlier in the process.
-            with fresh_rule_ids():
-                installation = gremlin.inject(*recipe.scenarios)
-            outcome.orchestration_time = time.perf_counter() - orch_start
-
-            load = ClosedLoopLoad(
-                num_requests=spec.requests, think_time=spec.think_time, uri=spec.uri
+            run = run_faulted(
+                self.factory().deploy(seed=outcome.seed),
+                recipe.scenarios,
+                recipe.checks,
+                load=planned.load,
+                extra_load=recipe.load,
+                settle=max(planned.settle, recipe.settle),
+                deadline=deadline,
             )
-            sim.process(load.driver(source), name=f"load/{recipe.name}")
-            if recipe.load is not None:
-                sim.process(recipe.load(deployment), name=f"extra-load/{recipe.name}")
-            self._run_drained(sim, deadline)
-            settle = max(planned.settle, recipe.settle)
-            if settle > 0:
-                sim.run(until=sim.now + settle)
-            drained = deployment.pipeline.drained()
-            if not drained.triggered:
-                self._run_drained(sim, deadline)
-            window_end = sim.now
-            outcome.window = (window_start, window_end)
-            outcome.latencies = load.result.latencies
-
-            assert_start = time.perf_counter()
-            cache = QueryCache(deployment.store)
-            for check in recipe.checks:
-                for scope in check.scopes(since=window_start, until=window_end):
-                    cache.search(scope)
-            outcome.checks = [
-                CheckOutcome.from_result(
-                    check.run(cache, since=window_start, until=window_end)
-                )
-                for check in recipe.checks
-            ]
-            outcome.assertion_time = time.perf_counter() - assert_start
+            outcome.orchestration_time = run.orchestration_time
+            outcome.window = run.window
+            outcome.latencies = run.load.latencies
+            outcome.checks = [CheckOutcome.from_result(result) for result in run.checks]
+            outcome.assertion_time = run.assertion_time
             outcome.status = _classify(outcome.checks)
-            outcome.metrics = deployment.metrics_snapshot()
+            outcome.metrics = run.deployment.metrics_snapshot()
             if outcome.status == "fail":
                 # Explain the failure: join the traces of faulted
                 # requests against the rules this recipe installed.
                 outcome.attributions = [
                     attribution.to_dict()
                     for attribution in attribute_run(
-                        deployment.store,
-                        installation.rules,
+                        run.deployment.store,
+                        run.installation.rules,
                         limit=MAX_ATTRIBUTIONS,
                     )
                 ]
@@ -197,12 +151,6 @@ class RecipeExecutor:
         except Exception as exc:  # noqa: BLE001 - isolate fleet from one bad recipe
             outcome.status = "error"
             outcome.error = f"{type(exc).__name__}: {exc}"
-        finally:
-            if gremlin is not None:
-                try:
-                    gremlin.clear()
-                except Exception:  # noqa: BLE001 - teardown best effort
-                    pass
         outcome.wall_time = time.monotonic() - started
         if self.pacing > 0:
             remaining = self.pacing - outcome.wall_time
@@ -216,15 +164,6 @@ class RecipeExecutor:
                     time.sleep(remaining)
             outcome.wall_time = time.monotonic() - started
         return outcome
-
-    def _run_drained(self, sim, deadline: _t.Optional[float]) -> None:
-        """Run the simulator until its event queue drains, in
-        ``slice_virtual``-sized steps, checking the wall clock between
-        slices."""
-        while sim.peek() != float("inf"):
-            if deadline is not None and time.monotonic() > deadline:
-                raise CampaignTimeoutError()
-            sim.run(until=sim.now + self.slice_virtual)
 
 
 def _execute_job(
@@ -247,14 +186,21 @@ def _crashed_outcome(
     raised) into a failed outcome, so a crash is a reported result —
     never a hang and never a silently missing plan entry."""
     entry, seed = job
+    return _outcome(entry, seed, "error", error=f"fleet job crashed: {detail}")
+
+
+def _outcome(
+    entry: PlannedRecipe, seed: _t.Optional[int], status: str, **fields
+) -> RecipeOutcome:
+    """An outcome for ``entry`` (run with ``seed``, else the planned one)."""
     return RecipeOutcome(
         index=entry.index,
         name=entry.name,
         pattern=entry.pattern,
         service=entry.service,
         seed=entry.seed if seed is None else seed,
-        status="error",
-        error=f"fleet job crashed: {detail}",
+        status=status,
+        **fields,
     )
 
 
@@ -301,7 +247,6 @@ class CampaignRunner:
         pacing: float = 0.0,
         fail_fast: bool = False,
         rerun_failures: int = 0,
-        slice_virtual: float = 60.0,
     ) -> None:
         if rerun_failures < 0:
             raise CampaignError(f"rerun_failures must be >= 0, got {rerun_failures}")
@@ -312,7 +257,6 @@ class CampaignRunner:
         self.pacing = pacing
         self.fail_fast = fail_fast
         self.rerun_failures = rerun_failures
-        self.slice_virtual = slice_virtual
 
     def _executor(
         self, stop_event: _t.Optional[threading.Event] = None
@@ -321,7 +265,6 @@ class CampaignRunner:
             self.factory,
             timeout=self.timeout,
             pacing=self.pacing,
-            slice_virtual=self.slice_virtual,
             stop_event=stop_event,
         )
 
@@ -355,14 +298,7 @@ class CampaignRunner:
             for position, entry in enumerate(plan.entries):
                 outcome = executed.get(position)
                 if outcome is None:
-                    outcome = RecipeOutcome(
-                        index=entry.index,
-                        name=entry.name,
-                        pattern=entry.pattern,
-                        service=entry.service,
-                        seed=entry.seed,
-                        status="skipped",
-                    )
+                    outcome = _outcome(entry, None, "skipped")
                 outcome.attempts = [outcome.status]
                 outcomes.append(outcome)
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import typing as _t
 
@@ -198,41 +199,53 @@ def cmd_recipes(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_test(args: argparse.Namespace) -> int:
-    from repro.core import Gremlin, HasBoundedRetries, HasTimeouts
-    from repro.loadgen import ClosedLoopLoad
+def _faulted_run(args: argparse.Namespace, checks=None):
+    """Deploy ``args.app``, stage ``--scenario`` on ``--target`` (when
+    given), drive ``--requests`` through ``--entry`` and evaluate the
+    checks ``checks(graph, load)`` builds; returns (run, load, scenarios)."""
+    from repro.core import LoadSpec, run_faulted
 
-    app = _build(args.app)
-    deployment = app.deploy(seed=args.seed)
+    deployment = _build(args.app).deploy(seed=args.seed)
     graph = deployment.graph
-    if args.target not in graph.services():
-        raise SystemExit(
-            f"unknown target {args.target!r}; services: {', '.join(graph.services())}"
-        )
-    entry = args.entry or graph.entry_services()[0]
-    source = deployment.add_traffic_source(entry)
-    gremlin = Gremlin(deployment)
+    services = graph.services()
+    load = LoadSpec(
+        args.entry or graph.entry_services()[0],
+        requests=args.requests,
+        think_time=args.think,
+    )
+    for flag, name in (("entry", load.entry), ("target", args.target)):
+        if name is not None and name not in services:
+            raise SystemExit(f"unknown {flag} {name!r}; services: {', '.join(services)}")
+    scenarios = [] if args.target is None else [_scenario(args.scenario, args.target)]
+    run = run_faulted(
+        deployment,
+        scenarios,
+        checks(graph, load) if checks is not None else (),
+        load=load,
+    )
+    return run, load, scenarios
 
-    scenario = _scenario(args.scenario, args.target)
-    if not args.json:
-        print(f"staging {scenario.describe()} on {args.app!r}; load via {entry!r}")
-    gremlin.inject(scenario)
-    ClosedLoopLoad(num_requests=args.requests, think_time=args.think).run(source)
 
-    failed = 0
-    results = []
-    for caller in graph.dependents(args.target):
-        for check in (
-            HasTimeouts(caller, "1s"),
-            HasBoundedRetries(caller, args.target, max_tries=5, window="10s"),
-        ):
-            result = check.run(deployment.store)
-            results.append(result)
-            if not args.json:
-                print(f"  {result}")
-            if not result.passed and not result.inconclusive:
-                failed += 1
-    gremlin.clear()
+def cmd_test(args: argparse.Namespace) -> int:
+    from repro.core import HasBoundedRetries, HasTimeouts
+
+    def checks(graph, load):
+        callers = graph.dependents(args.target)
+        if args.target == load.entry:
+            # The load's traffic source, attached by the run, calls it too.
+            callers.append(load.source_name)
+        return [
+            check
+            for caller in callers
+            for check in (
+                HasTimeouts(caller, "1s"),
+                HasBoundedRetries(caller, args.target, max_tries=5, window="10s"),
+            )
+        ]
+
+    run, load, (scenario,) = _faulted_run(args, checks)
+    results = run.checks
+    failed = sum(1 for result in results if not result.passed and not result.inconclusive)
     if args.json:
         print(
             json.dumps(
@@ -240,7 +253,7 @@ def cmd_test(args: argparse.Namespace) -> int:
                     "app": args.app,
                     "target": args.target,
                     "scenario": scenario.describe(),
-                    "entry": entry,
+                    "entry": load.entry,
                     "checks": [
                         {
                             "name": result.name,
@@ -256,6 +269,9 @@ def cmd_test(args: argparse.Namespace) -> int:
             )
         )
     else:
+        print(f"staging {scenario.describe()} on {args.app!r}; load via {load.entry!r}")
+        for result in results:
+            print(f"  {result}")
         print("verdict:", "ISSUES FOUND" if failed else "no conclusive failures")
     return 1 if failed else 0
 
@@ -263,41 +279,13 @@ def cmd_test(args: argparse.Namespace) -> int:
 # -- observability subcommands -------------------------------------------------
 
 
-def _faulted_run(args: argparse.Namespace):
-    """Deploy an app, optionally stage a scenario, drive load; returns
-    (deployment, gremlin, installed rules)."""
-    from repro.core import Gremlin
-    from repro.loadgen import ClosedLoopLoad
-
-    app = _build(args.app)
-    deployment = app.deploy(seed=args.seed)
-    graph = deployment.graph
-    entry = args.entry or graph.entry_services()[0]
-    if entry not in graph.services():
-        raise SystemExit(
-            f"unknown entry {entry!r}; services: {', '.join(graph.services())}"
-        )
-    source = deployment.add_traffic_source(entry)
-    gremlin = Gremlin(deployment)
-    rules = []
-    if args.target is not None:
-        if args.target not in graph.services():
-            raise SystemExit(
-                f"unknown target {args.target!r}; services: {', '.join(graph.services())}"
-            )
-        scenario = _scenario(args.scenario, args.target)
-        rules = gremlin.inject(scenario).rules
-    ClosedLoopLoad(num_requests=args.requests, think_time=args.think).run(source)
-    deployment.sim.run()
-    return deployment, gremlin, rules
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.observability import attribute_trace, reconstruct
 
-    deployment, _gremlin, rules = _faulted_run(args)
+    run, _load, _scenarios = _faulted_run(args)
+    rules = run.installation.rules
     try:
-        trace = reconstruct(deployment.store, args.request_id)
+        trace = reconstruct(run.deployment.store, args.request_id)
     except TraceError as exc:
         raise SystemExit(str(exc)) from None
     if args.json:
@@ -317,8 +305,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     from repro.observability import to_json, to_prometheus
 
-    deployment, _gremlin, _rules = _faulted_run(args)
-    snapshot = deployment.metrics_snapshot()
+    snapshot = _faulted_run(args)[0].deployment.metrics_snapshot()
     if args.format == "json":
         print(to_json(snapshot), end="")
     else:
@@ -400,10 +387,12 @@ def _at_least(minimum: float, kind: type = int, *, strict: bool = False):
 
 
 def cmd_campaign_run(args: argparse.Namespace) -> int:
+    """Plan, execute, print the scorecard; exit 1 on any finding."""
     from repro.campaign import CampaignRunner, dump_jsonl
     from repro.observability import to_json
 
     factory, plan = _plan_from_args(args)
+    smoke = args.campaign_command == "smoke"
     runner = CampaignRunner(
         factory,
         workers=args.workers,
@@ -413,61 +402,41 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         fail_fast=args.fail_fast,
         rerun_failures=args.rerun,
     )
-    if not args.json:
+    if not args.json and not smoke:
         print(plan.summary())
     result = runner.run(plan)
+    written = []
     if args.out:
         dump_jsonl(result, args.out)
+        written.append(f"result written to {args.out}")
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
             fh.write(to_json(result.merged_metrics()))
+        written.append(f"merged metrics written to {args.metrics_out}")
     if args.report_out:
         result.resilience_report().save(args.report_out)
+        written.append(f"resilience report written to {args.report_out}")
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
     else:
-        print(result.scorecard().text())
-        for outcome in result.flaky:
-            print(f"  FLAKY  {outcome.name}: attempts {outcome.attempts}")
-        for outcome in result.broken:
-            print(f"  BROKEN {outcome.name}: attempts {outcome.attempts}")
+        if smoke:
+            for outcome in result.outcomes:
+                print(f"  [{outcome.status.upper():^12}] {outcome.name}")
+        else:
+            print(result.scorecard().text())
+            for outcome in result.flaky:
+                print(f"  FLAKY  {outcome.name}: attempts {outcome.attempts}")
+            for outcome in result.broken:
+                print(f"  BROKEN {outcome.name}: attempts {outcome.attempts}")
         print(result.summary())
-        if args.out:
-            print(f"result written to {args.out}")
-        if args.metrics_out:
-            print(f"merged metrics written to {args.metrics_out}")
-        if args.report_out:
-            print(f"resilience report written to {args.report_out}")
+        for line in written:
+            print(line)
+    if smoke:
+        # The smoke proves the fleet wiring: only a recipe the harness
+        # could not run (error, timeout) fails it, never a finding.
+        broken = ("error", "timeout")
+        return 1 if any(outcome.status in broken for outcome in result.outcomes) else 0
     return 0 if result.passed else 1
-
-
-def cmd_campaign_smoke(args: argparse.Namespace) -> int:
-    """Capped fast campaign proving the fleet wiring end to end."""
-    from repro.campaign import CampaignRunner
-
-    factory, plan = _plan_from_args(args)
-    runner = CampaignRunner(
-        factory,
-        workers=args.workers,
-        backend=args.backend,
-        timeout=args.timeout,
-        rerun_failures=1,
-    )
-    result = runner.run(plan)
-    broken_wiring = [
-        outcome for outcome in result.outcomes if outcome.status in ("error", "timeout")
-    ]
-    if args.report_out:
-        result.resilience_report().save(args.report_out)
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2))
-    else:
-        for outcome in result.outcomes:
-            print(f"  [{outcome.status.upper():^12}] {outcome.name}")
-        print(result.summary())
-        if args.report_out:
-            print(f"resilience report written to {args.report_out}")
-    return 1 if broken_wiring else 0
 
 
 def cmd_campaign_diff(args: argparse.Namespace) -> int:
@@ -566,8 +535,8 @@ def _per_app_path(path: str, app: str, multi: bool) -> str:
     several apps into one ``--*-out`` flag (one artifact per app)."""
     if not multi:
         return path
-    stem, dot, ext = path.rpartition(".")
-    return f"{stem}.{app}.{ext}" if dot else f"{path}.{app}"
+    stem, ext = os.path.splitext(path)
+    return f"{stem}.{app}{ext}"
 
 
 def cmd_fuzz_explore(args: argparse.Namespace) -> int:
@@ -674,8 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
     test_parser.add_argument("--target", required=True, help="service to fault")
     test_parser.add_argument("--scenario", choices=sorted(_SCENARIOS), default="overload")
     test_parser.add_argument("--entry", default=None, help="service to inject load into")
-    test_parser.add_argument("--requests", type=int, default=20)
-    test_parser.add_argument("--think", type=float, default=0.05)
+    test_parser.add_argument("--requests", type=_at_least(1), default=20)
+    test_parser.add_argument("--think", type=_at_least(0.0, float), default=0.05)
     test_parser.add_argument("--seed", type=int, default=0)
     test_parser.add_argument(
         "--json", action="store_true", help="machine-readable output"
@@ -686,8 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--target", default=None, help="service to fault (optional)")
         p.add_argument("--scenario", choices=sorted(_SCENARIOS), default="crash")
         p.add_argument("--entry", default=None, help="service to inject load into")
-        p.add_argument("--requests", type=int, default=20)
-        p.add_argument("--think", type=float, default=0.05)
+        p.add_argument("--requests", type=_at_least(1), default=20)
+        p.add_argument("--think", type=_at_least(0.0, float), default=0.05)
         p.add_argument("--seed", type=int, default=0)
 
     trace_parser = sub.add_parser(
@@ -756,17 +725,29 @@ def build_parser() -> argparse.ArgumentParser:
             " parallelizes CPU-bound suites across cores)",
         )
 
+    def add_campaign_args(
+        p: argparse.ArgumentParser, max_recipes, default_workers, timeout: float
+    ) -> None:
+        add_plan_args(p, max_recipes=max_recipes)
+        add_fleet_args(p, default_workers=default_workers)
+        p.add_argument(
+            "--timeout",
+            type=_at_least(0.0, float, strict=True),
+            default=timeout,
+            help="per-recipe wall-clock budget (s)",
+        )
+        p.add_argument(
+            "--report-out",
+            default=None,
+            help="write the resilience report here (.json = deterministic"
+            " JSON, anything else = standalone HTML)",
+        )
+        p.set_defaults(func=cmd_campaign_run)
+
     run_parser = campaign_sub.add_parser(
         "run", help="execute a full campaign and print the scorecard"
     )
-    add_plan_args(run_parser, max_recipes=None)
-    add_fleet_args(run_parser, default_workers="auto")
-    run_parser.add_argument(
-        "--timeout",
-        type=_at_least(0.0, float, strict=True),
-        default=60.0,
-        help="per-recipe wall-clock budget (s)",
-    )
+    add_campaign_args(run_parser, max_recipes=None, default_workers="auto", timeout=60.0)
     run_parser.add_argument(
         "--pacing",
         type=_at_least(0.0, float),
@@ -787,33 +768,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the merged campaign metrics snapshot (JSON) here",
     )
     run_parser.add_argument(
-        "--report-out",
-        default=None,
-        help="write the resilience report here (.json = deterministic"
-        " JSON, anything else = standalone HTML)",
-    )
-    run_parser.add_argument(
         "--recipes",
         default=None,
         help="recipe suite JSON (from `fuzz explore --recipes-out`)"
         " added to the plan as extra recipes",
     )
-    run_parser.set_defaults(func=cmd_campaign_run)
 
     smoke_parser = campaign_sub.add_parser(
         "smoke", help="capped fast campaign proving the fleet wiring"
     )
-    add_plan_args(smoke_parser, max_recipes=6)
-    add_fleet_args(smoke_parser, default_workers=2)
-    smoke_parser.add_argument(
-        "--timeout", type=_at_least(0.0, float, strict=True), default=30.0
+    add_campaign_args(smoke_parser, max_recipes=6, default_workers=2, timeout=30.0)
+    smoke_parser.set_defaults(
+        requests=5,
+        pacing=0.0,
+        rerun=1,
+        fail_fast=False,
+        out=None,
+        metrics_out=None,
     )
-    smoke_parser.add_argument(
-        "--report-out",
-        default=None,
-        help="write the resilience report here (.json = JSON, else HTML)",
-    )
-    smoke_parser.set_defaults(func=cmd_campaign_smoke, requests=5)
 
     diff_parser = campaign_sub.add_parser(
         "diff", help="compare two dumped campaign results"

@@ -2,8 +2,9 @@
 
 Recipe Translator, Failure Orchestrator, Assertion Checker (queries,
 base assertions, Combine, pattern checks), the scenario library, the
-declarative Recipe object, and the :class:`Gremlin` facade tying it to
-a deployment.  :mod:`repro.core.autogen` implements the paper's
+declarative Recipe object, the :class:`Gremlin` facade tying it to a
+deployment, and :func:`run_faulted`, the one faulted run every driver
+executes.  :mod:`repro.core.autogen` implements the paper's
 future-work sketch of automatic recipe generation.
 """
 
@@ -28,7 +29,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ],
         "autogen": ["EdgeAnnotation", "generate_recipes"],
         "chaos": ["ChaosEvent", "ChaosMonkey"],
-        "gremlin": ["Gremlin"],
+        "gremlin": ["FaultedRun", "Gremlin", "LoadSpec", "run_faulted"],
         "orchestrator": ["FailureOrchestrator", "InstallationReport"],
         "patterns": [
             "CheckFailures",

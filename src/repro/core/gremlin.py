@@ -11,22 +11,71 @@ styles:
   the operator write the paper's *chained failures* (Section 4.2):
   inject an Overload, test for bounded retries, and only then escalate
   to a Crash and test the circuit breaker.
+
+The campaign executor, exploration, the fuzzer and the CLI run the same
+pipeline through :func:`run_faulted` and keep only their bookkeeping.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import time
 import typing as _t
 
+from repro.agent.rules import FaultRule, fresh_rule_ids
 from repro.core.orchestrator import FailureOrchestrator, InstallationReport
 from repro.core.patterns import CheckResult, PatternCheck
 from repro.core.queries import QueryCache, RList, get_replies, get_requests
-from repro.core.recipe import Recipe, RecipeResult
+from repro.core.recipe import LoadFactory, Recipe, RecipeResult
 from repro.core.scenarios import FailureScenario
 from repro.core.translator import RecipeTranslator
+from repro.errors import CampaignTimeoutError
+from repro.loadgen.workload import ClosedLoopLoad, LoadResult
+from repro.logstore.store import EventStore
 from repro.microservice.app import Deployment
+from repro.observability.trace import reconstruct_from_records, trace_shape_digest
 
-__all__ = ["Gremlin"]
+__all__ = [
+    "FaultedRun", "Gremlin", "LoadSpec", "SLICE_VIRTUAL",
+    "run_faulted", "shape_digests_of", "strict_digest", "strict_records",
+]
+
+#: Virtual seconds a deadline-checked drain advances between two looks
+#: at the wall clock.
+SLICE_VIRTUAL = 60.0
+
+
+@dataclasses.dataclass(frozen=True)
+class LoadSpec:
+    """The closed-loop test load of a run: a traffic source named
+    ``source_name`` fronting ``entry``, issuing ``requests`` requests."""
+
+    entry: str
+    requests: int = 20
+    think_time: float = 0.05
+    uri: str = "/"
+    source_name: str = "user"
+
+
+@dataclasses.dataclass
+class FaultedRun:
+    """Everything one :func:`run_faulted` call produced."""
+
+    deployment: Deployment
+    installation: InstallationReport
+    #: The closed-loop load's samples; None without a :class:`LoadSpec`.
+    load: _t.Optional[LoadResult]
+    #: Virtual time span [start, end] the checks were scoped to.
+    window: tuple[float, float]
+    checks: list[CheckResult]
+    #: Wall-clock seconds: translate + install, and check evaluation.
+    orchestration_time: float
+    assertion_time: float
+    #: The shared QueryCache's misses (distinct scopes) and hits.
+    distinct_scopes: int
+    shared_fetches: int
 
 
 class Gremlin:
@@ -89,50 +138,23 @@ class Gremlin:
         has run, and checks are scoped to that window so repeated
         recipes against one deployment do not see each other's traffic.
         """
-        sim = self.sim
-        window_start = sim.now
-
-        orch_start = time.perf_counter()
-        rules = self.translator.translate(list(recipe.scenarios))
-        report = self.orchestrator.apply(rules)
-        orchestration_time = time.perf_counter() - orch_start
-
-        if recipe.load is not None:
-            sim.process(recipe.load(self.deployment), name=f"load/{recipe.name}")
-            sim.run()
-        if recipe.settle > 0:
-            sim.run(until=sim.now + recipe.settle)
-        # Let shipped logs land before querying (logstash drain).
-        drained = self.deployment.pipeline.drained()
-        if not drained.triggered:
-            sim.run()
-        window_end = sim.now
-
-        assert_start = time.perf_counter()
-        # One scan per distinct scope: the suite's checks are grouped by
-        # the (src, dst, kind) slices they declare, each slice is
-        # fetched once through a shared cache, and every assertion step
-        # evaluates against the shared RList.
-        cache = QueryCache(self.store)
-        for check in recipe.checks:
-            for scope in check.scopes(since=window_start, until=window_end):
-                cache.search(scope)
-        outcomes = [
-            check.run(cache, since=window_start, until=window_end)
-            for check in recipe.checks
-        ]
-        assertion_time = time.perf_counter() - assert_start
-
-        self.orchestrator.clear_all()
+        run = run_faulted(
+            self.deployment,
+            recipe.scenarios,
+            recipe.checks,
+            extra_load=recipe.load,
+            settle=recipe.settle,
+            gremlin=self,
+        )
         return RecipeResult(
             recipe=recipe,
-            checks=outcomes,
-            installed=report.installed,
-            orchestration_time=orchestration_time,
-            assertion_time=assertion_time,
-            window=(window_start, window_end),
-            distinct_scopes=cache.misses,
-            shared_fetches=cache.hits,
+            checks=run.checks,
+            installed=run.installation.installed,
+            orchestration_time=run.orchestration_time,
+            assertion_time=run.assertion_time,
+            window=run.window,
+            distinct_scopes=run.distinct_scopes,
+            shared_fetches=run.shared_fetches,
         )
 
     def run_recipes(
@@ -171,3 +193,144 @@ class Gremlin:
 
     def __repr__(self) -> str:
         return f"<Gremlin deployment={self.deployment.application.name!r}>"
+
+
+def run_faulted(
+    deployment: Deployment,
+    scenarios: _t.Sequence[FailureScenario] = (),
+    checks: _t.Sequence[PatternCheck] = (),
+    *,
+    load: _t.Optional[LoadSpec] = None,
+    extra_load: _t.Optional[LoadFactory] = None,
+    settle: float = 0.0,
+    deadline: _t.Optional[float] = None,
+    gremlin: _t.Optional[Gremlin] = None,
+    rule_transform: _t.Optional[_t.Callable[[list[FaultRule]], list[FaultRule]]] = None,
+) -> FaultedRun:
+    """One faulted run on ``deployment``, start to verdict.
+
+    Attach the ``load`` traffic source; install the scenarios' rules
+    under scoped rule numbering (``rule_transform`` may edit them
+    first); start the closed-loop driver and ``extra_load``; drain;
+    idle ``settle``; drain until the log pipeline has landed; evaluate
+    ``checks`` through one shared QueryCache scoped to the window; clear.
+
+    ``deadline=None`` drains to idle.  A ``time.monotonic()`` deadline
+    (``inf`` for none) drains in :data:`SLICE_VIRTUAL` virtual slices
+    and raises :class:`~repro.errors.CampaignTimeoutError` at the first
+    boundary past it; a slice leaves the clock on its boundary, so the
+    window closes there.  ``gremlin`` reuses the facade's control plane;
+    otherwise one is built once the source's agent exists.
+    """
+    source = None
+    if load is not None:
+        source = deployment.add_traffic_source(load.entry, name=load.source_name)
+    if gremlin is None:
+        gremlin = Gremlin(deployment)
+    sim = deployment.sim
+
+    window_start = sim.now
+    orch_start = time.perf_counter()
+    # Scoped rule numbering: ids (and the Rule#N strings in synthesized
+    # replies and attributions) depend only on this run's inputs.
+    with fresh_rule_ids():
+        rules = gremlin.translator.translate(list(scenarios)) if scenarios else []
+        if rule_transform is not None:
+            rules = rule_transform(list(rules))
+        installation = gremlin.orchestrator.apply(rules)
+    orchestration_time = time.perf_counter() - orch_start
+
+    driver = None
+    if load is not None:
+        driver = ClosedLoopLoad(
+            num_requests=load.requests, think_time=load.think_time, uri=load.uri
+        )
+        sim.process(driver.driver(source), name="load")
+    if extra_load is not None:
+        sim.process(extra_load(deployment), name="extra-load")
+    if driver is not None or extra_load is not None:
+        _drain(sim, deadline)
+    if settle > 0:
+        sim.run(until=sim.now + settle)
+    # Let shipped logs land before querying (logstash drain).
+    if not deployment.pipeline.drained().triggered:
+        _drain(sim, deadline)
+    window_end = sim.now
+
+    assert_start = time.perf_counter()
+    # One fetch per distinct (src, dst, kind) scope the checks declare.
+    cache = QueryCache(deployment.store)
+    for check in checks:
+        for scope in check.scopes(since=window_start, until=window_end):
+            cache.search(scope)
+    results = [
+        check.run(cache, since=window_start, until=window_end) for check in checks
+    ]
+    assertion_time = time.perf_counter() - assert_start
+
+    gremlin.clear()
+    return FaultedRun(
+        deployment=deployment,
+        installation=installation,
+        load=driver.result if driver is not None else None,
+        window=(window_start, window_end),
+        checks=results,
+        orchestration_time=orchestration_time,
+        assertion_time=assertion_time,
+        distinct_scopes=cache.misses,
+        shared_fetches=cache.hits,
+    )
+
+
+def _drain(sim, deadline: _t.Optional[float]) -> None:
+    """Run until the event queue drains: straight to idle, or in
+    :data:`SLICE_VIRTUAL` slices checking ``deadline`` between them."""
+    if deadline is None:
+        sim.run()
+        return
+    while sim.peek() != float("inf"):
+        if time.monotonic() > deadline:
+            raise CampaignTimeoutError()
+        sim.run(until=sim.now + SLICE_VIRTUAL)
+
+
+def strict_records(store: EventStore) -> list[tuple]:
+    """Every record of ``store``, in store order, as the tuple the strict
+    digests hash: (kind, src, dst, request_id, status, error,
+    fault_applied, gremlin_generated, injected_delay, timestamp,
+    latency), floats rounded to 9 places."""
+    return [
+        (
+            record.kind,
+            record.src,
+            record.dst,
+            record.request_id,
+            record.status,
+            record.error,
+            record.fault_applied,
+            record.gremlin_generated,
+            round(record.injected_delay, 9),
+            round(record.timestamp, 9),
+            None if record.latency is None else round(record.latency, 9),
+        )
+        for record in store.all_records()
+    ]
+
+
+def shape_digests_of(store: EventStore) -> dict[str, str]:
+    """Per-request causal-tree shape digests for a whole store."""
+    by_request: dict[str, list] = {}
+    for record in store.all_records():
+        if record.request_id is not None:
+            by_request.setdefault(record.request_id, []).append(record)
+    return {
+        request_id: trace_shape_digest(reconstruct_from_records(request_id, group))
+        for request_id, group in by_request.items()
+    }
+
+
+def strict_digest(**parts: _t.Any) -> str:
+    """sha256 over the compact JSON of ``parts``, in keyword order."""
+    return hashlib.sha256(
+        json.dumps(parts, separators=(",", ":"), default=str).encode("utf-8")
+    ).hexdigest()

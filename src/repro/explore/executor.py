@@ -1,9 +1,10 @@
 """Fleet execution of exploration tasks.
 
-Each task is one full simulated run: deploy the seeded app, install
-the coordinate's compiled rules, drive the manifest workload, evaluate
-the manifest's pattern checks, and distill the outcome into plain
-data.  Tasks are plain-data too (app *name* plus scenario-spec dicts),
+Each task is one full simulated run
+(:func:`~repro.core.gremlin.run_faulted`): deploy the seeded app,
+install the coordinate's compiled rules, drive the manifest workload,
+evaluate the manifest's pattern checks — then distill the outcome into
+plain data.  Tasks are plain-data too (app *name* plus scenario-spec dicts),
 so the same task object runs on the thread fleet or pickles to a
 spawn-isolated process worker — the outcome, including the strict
 store digest, is identical on either backend, on either scheduler
@@ -20,18 +21,19 @@ never cross a process boundary.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import typing as _t
 
-from repro.agent.rules import fresh_rule_ids
 from repro.apps.outages import SEEDED_BUG_SUITE, SeededBugManifest
 from repro.campaign.fleet import Fleet, ProcessWorkerSpec
-from repro.core.gremlin import Gremlin
+from repro.core.gremlin import (
+    LoadSpec,
+    run_faulted,
+    shape_digests_of,
+    strict_digest,
+    strict_records,
+)
 from repro.errors import ExploreError
-from repro.fuzz.differential import shape_digests_of, strict_records
 from repro.fuzz.spec import SOURCE_NAME, build_scenario
-from repro.loadgen import ClosedLoopLoad
 
 __all__ = [
     "ExploreOutcome",
@@ -87,49 +89,34 @@ def _manifest(app: str) -> SeededBugManifest:
         ) from None
 
 
+def _manifest_load(manifest: SeededBugManifest) -> LoadSpec:
+    """The closed-loop test load every run of a seeded app drives."""
+    return LoadSpec(
+        entry=manifest.entry,
+        requests=manifest.requests,
+        think_time=manifest.think_time,
+        source_name=SOURCE_NAME,
+    )
+
+
 def execute_task(task: ExploreTask) -> ExploreOutcome:
     """Run one task in-process and distill its outcome."""
     manifest = _manifest(task.app)
-    application = manifest.builder()
-    deployment = application.deploy(seed=task.seed)
-    source = deployment.add_traffic_source(manifest.entry, name=SOURCE_NAME)
-    gremlin = Gremlin(deployment)
-    sim = deployment.sim
-
-    scenarios = [build_scenario(spec) for spec in task.scenarios]
-    if scenarios:
-        # Scoped rule numbering: rules are 1..N per execution, so the
-        # digest depends only on the task (see fuzz.differential).
-        with fresh_rule_ids():
-            rules = gremlin.translator.translate(scenarios)
-        gremlin.orchestrator.apply(rules)
-
-    load = ClosedLoopLoad(
-        num_requests=manifest.requests, think_time=manifest.think_time
+    run = run_faulted(
+        manifest.builder().deploy(seed=task.seed),
+        [build_scenario(spec) for spec in task.scenarios],
+        manifest.checks(),
+        load=_manifest_load(manifest),
     )
-    sim.process(load.driver(source), name=f"explore/{task.key}")
-    sim.run()
-
-    store = deployment.store
-    verdicts = []
-    for check in manifest.checks():
-        result = check.run(store)
-        verdicts.append((result.name, result.passed, result.inconclusive))
+    store = run.deployment.store
+    verdicts = [(result.name, result.passed, result.inconclusive) for result in run.checks]
     shapes = sorted(set(shape_digests_of(store).values()))
-
     strict = strict_records(store)
-    digest = hashlib.sha256(
-        json.dumps(
-            {"records": strict, "verdicts": verdicts, "shapes": shapes},
-            separators=(",", ":"),
-            default=str,
-        ).encode("utf-8")
-    ).hexdigest()
     return ExploreOutcome(
         key=task.key,
         verdicts=verdicts,
         shapes=shapes,
-        digest=digest,
+        digest=strict_digest(records=strict, verdicts=verdicts, shapes=shapes),
         records=len(strict),
     )
 

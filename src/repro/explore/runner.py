@@ -32,6 +32,7 @@ import random as _random
 import typing as _t
 
 from repro.apps.outages import SeededBugManifest
+from repro.core.gremlin import run_faulted, shape_digests_of
 from repro.errors import ExploreError
 from repro.explore.compiler import scenario_specs
 from repro.explore.coords import (
@@ -40,12 +41,15 @@ from repro.explore.coords import (
     enumerate_space,
     fault_primitives,
 )
-from repro.explore.executor import ExploreTask, _manifest, run_wave, task_fleet
+from repro.explore.executor import (
+    ExploreTask,
+    _manifest,
+    _manifest_load,
+    run_wave,
+    task_fleet,
+)
 from repro.explore.frontier import Frontier
 from repro.explore.report import BugFinding, CoverageReport
-from repro.fuzz.differential import shape_digests_of
-from repro.fuzz.spec import SOURCE_NAME
-from repro.loadgen import ClosedLoopLoad
 from repro.observability.cascade.graph import discover_graph
 from repro.observability.cascade.whatif import order_candidates
 from repro.observability.trace import reconstruct
@@ -101,15 +105,9 @@ def discover_space(
     reconstruct the representative causal tree.
     """
     manifest = _manifest(app)
-    application = manifest.builder()
-    deployment = application.deploy(seed=seed)
-    source = deployment.add_traffic_source(manifest.entry, name=SOURCE_NAME)
-    load = ClosedLoopLoad(
-        num_requests=manifest.requests, think_time=manifest.think_time
-    )
-    deployment.sim.process(load.driver(source), name="explore/discovery")
-    deployment.sim.run()
-
+    deployment = run_faulted(
+        manifest.builder().deploy(seed=seed), load=_manifest_load(manifest)
+    ).deployment
     store = deployment.store
     trace = reconstruct(store, f"{TEST_ID_PREFIX}1")
     multi_instance = {

@@ -36,14 +36,17 @@ the shrinker minimizes cases while preserving at least one mismatch.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import random
 import time
 import typing as _t
 
-from repro.agent.rules import fresh_rule_ids
-from repro.core.gremlin import Gremlin
+from repro.core.gremlin import (
+    LoadSpec,
+    run_faulted,
+    shape_digests_of,
+    strict_digest,
+    strict_records,
+)
 from repro.core.scenarios import AbortCalls
 from repro.fuzz.oracle import OracleError, Prediction, predict
 from repro.fuzz.spec import (
@@ -53,19 +56,10 @@ from repro.fuzz.spec import (
     build_check,
     build_scenario,
 )
-from repro.loadgen import ClosedLoopLoad
 from repro.logstore.store import EventStore
-from repro.observability.trace import reconstruct_from_records, trace_shape_digest
 from repro.simulation.kernel import Simulator
 
-__all__ = [
-    "CaseReport",
-    "Execution",
-    "execute_case",
-    "run_case",
-    "shape_digests_of",
-    "strict_records",
-]
+__all__ = ["CaseReport", "Execution", "execute_case", "run_case"]
 
 
 @dataclasses.dataclass
@@ -111,102 +105,44 @@ def execute_case(
     (metamorphic zero-probability check); ``scheduler`` picks the kernel
     scheduler implementation (metamorphic scheduler check).
     """
-    application = build_application(case.topology, app_registry=app_registry)
-    deployment = application.deploy(
-        sim=Simulator(seed=case.seed, scheduler=scheduler),
-        matcher_strategy=matcher_strategy,
-    )
-    source = deployment.add_traffic_source(case.topology.entry, name=SOURCE_NAME)
-    gremlin = Gremlin(deployment)
-    sim = deployment.sim
-
     scenarios = [build_scenario(spec) for spec in case.scenarios]
     scenarios.extend(extra_scenarios)
-    # Scoped numbering: every execution's rules are 1..N, so artifacts
-    # and digests cannot depend on fleet backend or interpreter history.
-    with fresh_rule_ids():
-        rules = gremlin.translator.translate(scenarios)
-    if rule_transform is not None:
-        rules = rule_transform(list(rules))
-    gremlin.orchestrator.apply(rules)
-
-    load = ClosedLoopLoad(
-        num_requests=case.workload.requests, think_time=case.workload.think_time
+    run = run_faulted(
+        build_application(case.topology, app_registry=app_registry).deploy(
+            sim=Simulator(seed=case.seed, scheduler=scheduler),
+            matcher_strategy=matcher_strategy,
+        ),
+        scenarios,
+        [build_check(spec) for spec in case.checks],
+        load=LoadSpec(
+            entry=case.topology.entry,
+            requests=case.workload.requests,
+            think_time=case.workload.think_time,
+            source_name=SOURCE_NAME,
+        ),
+        rule_transform=rule_transform,
     )
-    sim.process(load.driver(source), name=f"load/{case.case_id}")
-    sim.run()
-
-    store = deployment.store
-    verdicts = []
-    for spec in case.checks:
-        check = build_check(spec)
-        result = check.run(store)
-        verdicts.append((check.label(), result.passed, result.inconclusive))
-
+    store = run.deployment.store
+    verdicts = [(result.name, result.passed, result.inconclusive) for result in run.checks]
     strict = strict_records(store)
-    records = [row[:ORACLE_FIELDS] for row in strict]
     samples = [
-        (sample.request_id, sample.status, sample.error)
-        for sample in load.result.samples
+        (sample.request_id, sample.status, sample.error) for sample in run.load.samples
     ]
-    digest = hashlib.sha256(
-        json.dumps(
-            {"records": strict, "samples": samples, "verdicts": verdicts},
-            separators=(",", ":"),
-            default=str,
-        ).encode("utf-8")
-    ).hexdigest()
     return Execution(
-        records=records,
+        records=[row[:ORACLE_FIELDS] for row in strict],
         samples=samples,
         verdicts=verdicts,
-        digest=digest,
+        digest=strict_digest(records=strict, samples=samples, verdicts=verdicts),
         store=store,
-        rule_edges=[(rule.src, rule.dst, rule.on) for rule in rules],
+        rule_edges=[(rule.src, rule.dst, rule.on) for rule in run.installation.rules],
         shape_digests=shape_digests_of(store),
     )
 
 
-def shape_digests_of(store: EventStore) -> _t.Dict[str, str]:
-    """Per-request causal-tree shape digests for a whole store."""
-    by_request: _t.Dict[str, list] = {}
-    for record in store.all_records():
-        if record.request_id is not None:
-            by_request.setdefault(record.request_id, []).append(record)
-    return {
-        request_id: trace_shape_digest(
-            reconstruct_from_records(request_id, group)
-        )
-        for request_id, group in by_request.items()
-    }
-
-
-#: Leading fields of a :func:`strict_records` row that the oracle can
-#: predict (everything but the timestamp and the latency).
+#: Leading fields of a :func:`~repro.core.gremlin.strict_records` row
+#: that the oracle can predict (everything but the timestamp and the
+#: latency).
 ORACLE_FIELDS = 9
-
-
-def strict_records(store: EventStore) -> _t.List[tuple]:
-    """Every record of ``store``, in store order, as the tuple the strict
-    digests hash: (kind, src, dst, request_id, status, error,
-    fault_applied, gremlin_generated, round(injected_delay, 9),
-    round(timestamp, 9), round(latency, 9) or None)."""
-    return [
-        (
-            record.kind,
-            record.src,
-            record.dst,
-            record.request_id,
-            record.status,
-            record.error,
-            record.fault_applied,
-            record.gremlin_generated,
-            round(record.injected_delay, 9),
-            round(record.timestamp, 9),
-            None if record.latency is None else round(record.latency, 9),
-        )
-        for record in store.all_records()
-    ]
 
 
 @dataclasses.dataclass

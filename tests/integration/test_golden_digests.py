@@ -1,0 +1,142 @@
+"""Golden digests: literal values every driver must keep producing.
+
+Each driver (campaign, explore, fuzz, the declarative facade) runs the
+same deploy -> inject -> drive -> drain -> check sequence; these tests
+pin the bytes each one distills from it, so a refactor of that
+sequence that changes any record, timestamp, rule numbering, window or
+verdict fails here rather than only in the benchmark's cross-checks.
+The values were recorded before the drivers shared one run function
+and must never be re-pinned to make a change pass.
+"""
+
+import hashlib
+import json
+
+from repro.agent.rules import fresh_rule_ids
+from repro.apps import build_twotier
+from repro.campaign import CampaignRunner, plan_campaign
+from repro.core import (
+    Gremlin,
+    HasBoundedRetries,
+    HasTimeouts,
+    Overload,
+    Recipe,
+)
+from repro.core.autogen import EdgeAnnotation
+from repro.explore import run_explore
+from repro.fuzz import FuzzGenerator, run_case
+from repro.loadgen import ClosedLoopLoad
+
+
+def sha(value) -> str:
+    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:16]
+
+
+def verdict_fields(outcome):
+    """The fields of a campaign verdict, and no wall-clock field."""
+    return (
+        outcome.name,
+        outcome.seed,
+        outcome.status,
+        [(c.name, c.passed, c.inconclusive) for c in outcome.checks],
+        tuple(outcome.window),
+        list(outcome.latencies),
+        list(outcome.attempts),
+        outcome.classification,
+    )
+
+
+def test_twotier_campaign_verdicts():
+    annotations = {
+        service: EdgeAnnotation(criticality="high")
+        for service in build_twotier().logical_graph().services()
+    }
+    plan = plan_campaign(
+        build_twotier, seed=5, annotations=annotations, requests=5, max_recipes=6
+    )
+    result = CampaignRunner(build_twotier, workers=1, rerun_failures=1).run(plan)
+    assert [outcome.status for outcome in result.outcomes] == GOLDEN_CAMPAIGN_STATUSES
+    assert sha([verdict_fields(outcome) for outcome in result.outcomes]) == (
+        GOLDEN_CAMPAIGN_DIGEST
+    )
+
+
+def test_explore_executed_digests():
+    executed = run_explore("deepfanout", budget=16, seed=0).executed
+    assert len(executed) == 16
+    assert executed[0] == GOLDEN_EXPLORE_FIRST
+    assert sha(executed) == GOLDEN_EXPLORE_DIGEST
+
+
+def test_fuzz_case_digests():
+    generator = FuzzGenerator(0)
+    assert [run_case(generator.case(index)).digest for index in range(5)] == (
+        GOLDEN_FUZZ_DIGESTS
+    )
+
+
+def test_run_recipe_window_and_verdicts():
+    deployment = build_twotier().deploy(seed=3)
+    source = deployment.add_traffic_source("ServiceA")
+    gremlin = Gremlin(deployment)
+    recipe = Recipe(
+        name="overload-b",
+        scenarios=[Overload("ServiceB", abort_fraction=1.0)],
+        checks=[
+            HasBoundedRetries("ServiceA", "ServiceB", max_tries=5, window="10s"),
+            HasTimeouts("ServiceA", "1s"),
+        ],
+        load=lambda _deployment: ClosedLoopLoad(
+            num_requests=6, think_time=0.05
+        ).driver(source),
+        settle=2.0,
+    )
+    seen = []
+    # Twice on one deployment: the second window starts where the first
+    # ended, so only its own traffic is judged.
+    for _ in range(2):
+        with fresh_rule_ids():
+            result = gremlin.run_recipe(recipe)
+        seen.append(
+            (
+                result.window,
+                [(c.name, c.passed, c.inconclusive, c.detail) for c in result.checks],
+                result.distinct_scopes,
+                result.shared_fetches,
+            )
+        )
+    assert json.loads(json.dumps(seen)) == json.loads(json.dumps(GOLDEN_RUN_RECIPE))
+
+
+GOLDEN_CAMPAIGN_STATUSES = ["fail", "inconclusive", "fail", "fail", "fail"]
+GOLDEN_CAMPAIGN_DIGEST = "802c156f3c6c8bc9"
+GOLDEN_EXPLORE_FIRST = (
+    "sweep:user->gateway:abort",
+    "e0c740fc4774614bb393464872fff8954907762e112e20e2159c774e3f2ec9eb",
+)
+GOLDEN_EXPLORE_DIGEST = "eb4eac5135647ad9"
+GOLDEN_FUZZ_DIGESTS = [
+    "13e732a13edf33fcc4973cbe26b3cdbf26ee303f2ee03e35fa7f8ae0bcf32b24",
+    "5f952c0866a80bfe5e9661e6449057f2d8d8312e25dcaa3bd8bf89763cd4ced2",
+    "3e7c7781a83d349704f2c6807fccc219796c37f823abef9dda79fbdccca60754",
+    "625e4b5818a28ed8f85348608fdac9ffbe8e7cf8cfe02706fc1579425a965fb1",
+    "4625570580e125bb00fe73f11dfc6882cf6bd63a94c34833965598e0d42fd04d",
+]
+_RECIPE_CHECKS = [
+    (
+        "HasBoundedRetries(ServiceA, ServiceB, 5)",
+        False,
+        False,
+        "31 requests within 10s window (limit 5, withRule=False)",
+    ),
+    (
+        "HasTimeouts(ServiceA, 1s)",
+        False,
+        False,
+        "6 replies from 'ServiceA': 6 exceeded 1s, 0 calls never completed",
+    ),
+]
+GOLDEN_RUN_RECIPE = [
+    ((0.0, 12.569129999999983), _RECIPE_CHECKS, 3, 3),
+    ((12.569129999999983, 25.138259999999928), _RECIPE_CHECKS, 3, 3),
+]

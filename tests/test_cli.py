@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repro.campaign import load_jsonl
-from repro.cli import APPS, main
+from repro.cli import APPS, _per_app_path, main
 
 
 class TestApps:
@@ -507,6 +507,10 @@ BAD_FLAGS = [
     (["fuzz", "explore", "deepfanout"], "--budget", "0"),
     (["fuzz", "run"], "--cases", "-3"),
     (["fuzz", "run"], "--cases", "0"),
+    (["test", "twotier", "--target", "ServiceB"], "--requests", "-3"),
+    (["test", "twotier", "--target", "ServiceB"], "--think", "-1"),
+    (["trace", "twotier", "test-1"], "--requests", "0"),
+    (["metrics", "twotier"], "--think", "-1"),
 ]
 
 
@@ -531,6 +535,14 @@ class TestCleanCliErrors:
     def test_trace_unknown_entry_exits_cleanly(self):
         with pytest.raises(SystemExit, match="unknown entry"):
             main(["trace", "tree3", "test-1", "--entry", "ghost", "--requests", "2"])
+
+    def test_test_unknown_entry_exits_cleanly(self):
+        with pytest.raises(SystemExit, match="unknown entry 'bogus'"):
+            main(["test", "twotier", "--target", "ServiceB", "--entry", "bogus"])
+
+    def test_test_unknown_target_exits_cleanly(self):
+        with pytest.raises(SystemExit, match="unknown target 'ghost'"):
+            main(["test", "twotier", "--target", "ghost"])
 
     def test_report_missing_dump_exits_cleanly(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -610,7 +622,35 @@ class TestReportCommand:
         assert "<svg" in text
 
 
+@pytest.mark.parametrize(
+    "path, written",
+    [
+        ("report.html", "report.deepfanout.html"),
+        ("./report", "./report.deepfanout"),
+        ("out.d/report", "out.d/report.deepfanout"),
+    ],
+)
+def test_per_app_path_splits_the_file_name_not_the_path(path, written):
+    assert _per_app_path(path, "deepfanout", multi=True) == written
+    assert _per_app_path(path, "deepfanout", multi=False) == path
+
+
 class TestExploreArtifacts:
+    def test_explore_all_writes_one_artifact_per_app(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out.d").mkdir()
+        main(
+            [
+                "fuzz", "explore", "all", "--budget", "1",
+                "--report-out", "./report", "--recipes-out", "out.d/suite",
+            ]
+        )
+        out = capsys.readouterr().out
+        for app in ("deepfanout", "retrystorm", "stuckbreaker"):
+            assert f"written: ./report.{app}" in out
+            assert (tmp_path / f"report.{app}").read_text().startswith("<!DOCTYPE html>")
+            assert json.loads((tmp_path / "out.d" / f"suite.{app}").read_text())["app"] == app
+
     def test_whatif_recipes_round_trip_through_campaign_run(self, capsys, tmp_path):
         recipes = tmp_path / "recipes.json"
         report = tmp_path / "explore.html"
