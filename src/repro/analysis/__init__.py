@@ -1,4 +1,4 @@
-"""Analysis helpers: CDFs, percentiles, distribution comparison, reports."""
+"""Analysis helpers: CDFs, percentiles, distribution comparison."""
 
 from repro.util import lazy_exports
 
@@ -7,6 +7,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "cdf": ["Cdf", "percentile", "summarize"],
         "compare": ["CdfComparison", "compare_cdfs", "median_shift"],
-        "report": ["text_table"],
     },
 )

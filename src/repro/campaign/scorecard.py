@@ -3,9 +3,8 @@
 A campaign answers 40 small questions ("does the webapp bound its
 retries against the database?"); the scorecard folds them into the one
 table an operator actually reads: for each service, which resiliency
-patterns held under fault and which did not.  Rendering goes through
-:func:`repro.analysis.report.text_table` so campaign reports look like
-every other report in the repo.
+patterns held under fault and which did not, rendered as an aligned
+plain-text table (:func:`text_table`).
 """
 
 from __future__ import annotations
@@ -13,12 +12,40 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.analysis.report import text_table
 from repro.campaign.plan import PATTERN_RANK
 from repro.campaign.results import RecipeOutcome
 from repro.util import plain
 
-__all__ = ["PatternScore", "Scorecard"]
+__all__ = ["PatternScore", "Scorecard", "text_table"]
+
+
+def text_table(
+    headers: _t.Sequence[str],
+    rows: _t.Sequence[_t.Sequence[_t.Any]],
+    title: str | None = None,
+) -> str:
+    """Render an aligned monospace table.
+
+    >>> print(text_table(["a", "b"], [[1, 2]]))
+    a | b
+    --+--
+    1 | 2
+    """
+    cells = [[str(value) for value in row] for row in rows]
+    widths = [len(header) for header in headers]
+    for row in cells:
+        if len(row) != len(headers):
+            raise ValueError(f"row {row!r} has {len(row)} cells, expected {len(headers)}")
+        for index, cell in enumerate(row):
+            widths[index] = max(widths[index], len(cell))
+    lines = []
+    if title:
+        lines.append(title)
+    lines.append(" | ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
+    lines.append("-+-".join("-" * w for w in widths))
+    for row in cells:
+        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    return "\n".join(lines)
 
 
 @dataclasses.dataclass

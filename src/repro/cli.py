@@ -42,7 +42,7 @@ import sys
 import typing as _t
 
 from repro.campaign.fleet import BACKENDS, resolve_workers
-from repro.errors import AnalysisError, CampaignError, ExploreError, TraceError
+from repro.errors import AnalysisError, ArtifactError, CampaignError, TraceError
 
 if _t.TYPE_CHECKING:
     from repro.microservice import Application
@@ -331,10 +331,7 @@ def _plan_from_args(args: argparse.Namespace):
     if getattr(args, "recipes", None):
         from repro.explore import read_recipe_suite
 
-        try:
-            suite_app, extra_recipes = read_recipe_suite(args.recipes)
-        except ExploreError as exc:
-            raise SystemExit(str(exc)) from None
+        suite_app, extra_recipes = read_recipe_suite(args.recipes)
         if suite_app != args.app:
             raise SystemExit(
                 f"recipe suite {args.recipes!r} targets app {suite_app!r},"
@@ -388,6 +385,7 @@ def _at_least(minimum: float, kind: type = int, *, strict: bool = False):
 
 def cmd_campaign_run(args: argparse.Namespace) -> int:
     """Plan, execute, print the scorecard; exit 1 on any finding."""
+    from repro.artifact import write_atomic
     from repro.campaign import CampaignRunner, dump_jsonl
     from repro.observability import to_json
 
@@ -410,8 +408,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         dump_jsonl(result, args.out)
         written.append(f"result written to {args.out}")
     if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            fh.write(to_json(result.merged_metrics()))
+        write_atomic(args.metrics_out, to_json(result.merged_metrics()))
         written.append(f"merged metrics written to {args.metrics_out}")
     if args.report_out:
         result.resilience_report().save(args.report_out)
@@ -442,12 +439,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
 def cmd_campaign_diff(args: argparse.Namespace) -> int:
     from repro.campaign import diff_campaigns, load_jsonl
 
-    try:
-        baseline = load_jsonl(args.baseline)
-        candidate = load_jsonl(args.candidate)
-    except (OSError, CampaignError) as exc:
-        raise SystemExit(str(exc)) from None
-    diff = diff_campaigns(baseline, candidate)
+    diff = diff_campaigns(load_jsonl(args.baseline), load_jsonl(args.candidate))
     if args.json:
         print(json.dumps(diff.to_dict(), indent=2))
     else:
@@ -480,13 +472,9 @@ def cmd_fuzz_run(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz_replay(args: argparse.Namespace) -> int:
-    from repro.errors import GremlinError
     from repro.fuzz import replay_artifact
 
-    try:
-        result = replay_artifact(args.artifact, app_registry=APPS)
-    except (OSError, GremlinError, KeyError, ValueError) as exc:
-        raise SystemExit(f"cannot replay {args.artifact}: {exc}") from None
+    result = replay_artifact(args.artifact, app_registry=APPS)
     doc = {
         "case_id": result.report.case.case_id,
         "reproduced": result.reproduced,
@@ -507,15 +495,10 @@ def cmd_fuzz_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz_shrink(args: argparse.Namespace) -> int:
-    from repro.errors import GremlinError
     from repro.fuzz import load_artifact, run_case, shrink, write_artifact
     from repro.fuzz.spec import FuzzCase
 
-    try:
-        data = load_artifact(args.artifact)
-        case = FuzzCase.from_dict(data["case"])
-    except (OSError, GremlinError, KeyError, ValueError) as exc:
-        raise SystemExit(f"cannot load {args.artifact}: {exc}") from None
+    case = FuzzCase.from_dict(load_artifact(args.artifact)["case"])
     report = run_case(case, app_registry=APPS)
     if not report.failed:
         print(f"{case.case_id}: passes the battery; nothing to shrink")
@@ -541,6 +524,7 @@ def _per_app_path(path: str, app: str, multi: bool) -> str:
 
 def cmd_fuzz_explore(args: argparse.Namespace) -> int:
     from repro.apps.outages import SEEDED_BUG_SUITE
+    from repro.artifact import write_atomic
     from repro.explore import dump_recipe_suite, run_explore
     from repro.observability.cascade import build_explore_report
 
@@ -579,9 +563,7 @@ def cmd_fuzz_explore(args: argparse.Namespace) -> int:
         "apps": [report.to_dict() for report in reports],
     }
     if args.coverage_out:
-        with open(args.coverage_out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2)
-            handle.write("\n")
+        write_atomic(args.coverage_out, json.dumps(doc, indent=2) + "\n")
     if args.json:
         print(json.dumps(doc, indent=2))
     else:
@@ -601,11 +583,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     """Render the resilience report from a dumped campaign."""
     from repro.campaign import load_jsonl
 
-    try:
-        result = load_jsonl(args.dump)
-    except (OSError, CampaignError) as exc:
-        raise SystemExit(str(exc)) from None
-    report = result.resilience_report()
+    report = load_jsonl(args.dump).resilience_report()
     if args.out:
         report.save(args.out)
         print(f"resilience report written to {args.out}")
@@ -896,15 +874,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: _t.Optional[list[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    Analysis-layer failures (malformed dumps, impossible graph or
-    report inputs) exit with a one-line message instead of a
-    traceback — they describe operator input, not repro bugs.
+    Exit code 0 is ok, 1 a finding, 2 a usage error or a refused file
+    (:class:`ArtifactError`).  Refused files and analysis-layer failures
+    exit with one line, not a traceback: they describe operator input.
     """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except AnalysisError as exc:
         raise SystemExit(f"analysis error: {exc}") from None
+    except ArtifactError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests calling main()

@@ -18,6 +18,15 @@ class ReproError(Exception):
     """Base class for all errors raised by the :mod:`repro` framework."""
 
 
+class ArtifactError(ReproError):
+    """A file the harness reads back was refused (:mod:`repro.artifact`).
+    ``args`` are the file, the 1-based line (``None``: not opened), why."""
+
+    def __str__(self) -> str:
+        source, line, message = self.args
+        return f"{source}: {message}" if line is None else f"{source}: line {line}: {message}"
+
+
 class SimulationError(ReproError):
     """Base class for errors raised by the discrete-event kernel."""
 
@@ -121,9 +130,9 @@ class AssertionQueryError(GremlinError):
 
 
 class CampaignError(GremlinError):
-    """A test campaign could not be planned, executed, loaded or
-    diffed (duplicate recipe names, unknown entry service, corrupt
-    campaign dump, mismatched diff inputs, ...)."""
+    """A test campaign could not be planned, executed or diffed
+    (duplicate recipe names, unknown entry service, mismatched diff
+    inputs, ...)."""
 
 
 class CampaignTimeoutError(CampaignError):

@@ -16,7 +16,7 @@ Modules:
 * :mod:`~repro.explore.frontier` — prioritized search with pruning
 * :mod:`~repro.explore.executor` — fleet execution of coordinates
 * :mod:`~repro.explore.runner` — the exploration loop
-* :mod:`~repro.explore.report` — coverage accounting
+* :mod:`~repro.explore.coverage` — coverage accounting
 * :mod:`~repro.explore.suite` — findings exported as campaign recipes
 
 Entry point: :func:`~repro.explore.runner.run_explore` (CLI verb
@@ -36,6 +36,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "enumerate_space",
             "fault_primitives",
         ],
+        "coverage": ["BugFinding", "CoverageReport"],
         "executor": [
             "ExploreOutcome",
             "ExploreTask",
@@ -44,7 +45,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "task_fleet",
         ],
         "frontier": ["Frontier"],
-        "report": ["BugFinding", "CoverageReport"],
         "runner": ["STRATEGIES", "ExploreResult", "discover_space", "run_explore"],
         "suite": [
             "dump_recipe_suite",

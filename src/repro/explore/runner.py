@@ -49,7 +49,7 @@ from repro.explore.executor import (
     task_fleet,
 )
 from repro.explore.frontier import Frontier
-from repro.explore.report import BugFinding, CoverageReport
+from repro.explore.coverage import BugFinding, CoverageReport
 from repro.observability.cascade.graph import discover_graph
 from repro.observability.cascade.whatif import order_candidates
 from repro.observability.trace import reconstruct

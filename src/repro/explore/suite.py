@@ -1,21 +1,20 @@
 """Recipe suites: exploration findings exported as campaign input.
 
 Exploration is how bugs are *found*; campaigns are how they are *kept
-fixed*.  This module bridges the two: the coordinates whose executions
-surfaced a planted bug export to a JSON suite
-(:func:`export_recipe_suite`, CLI ``fuzz explore --recipes-out``), and
-a campaign loads that suite back as extra recipes
-(:func:`load_recipe_suite`, CLI ``campaign run --recipes``) — the
-exploration's discoveries become the regression suite's teeth, with
-the same bit-for-bit replay guarantee coordinates always carry.
+fixed*.  The coordinates whose executions surfaced a planted bug export
+to a ``recipe-suite`` artifact (:mod:`repro.artifact`; CLI ``fuzz
+explore --recipes-out``) and a campaign loads it back as extra recipes
+(CLI ``campaign run --recipes``), with the same bit-for-bit replay
+guarantee coordinates always carry.  Body record 1 is ``{app,
+strategy, seed}``; every later one is ``{key, bug_ids, coordinate}``.
 """
 
 from __future__ import annotations
 
-import json
 import typing as _t
 
-from repro.errors import ExploreError
+from repro import artifact
+from repro.errors import ArtifactError, ExploreError
 from repro.explore.compiler import coordinate_recipe
 from repro.explore.coords import Coordinate
 
@@ -23,60 +22,35 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.recipes import Recipe
     from repro.explore.runner import ExploreResult
 
-__all__ = ["SUITE_VERSION", "export_recipe_suite", "load_recipe_suite"]
-
-#: Suite document format version (bumped on schema changes).
-SUITE_VERSION = 1
+__all__ = ["dump_recipe_suite", "export_recipe_suite", "load_recipe_suite", "read_recipe_suite"]
 
 
-def export_recipe_suite(result: "ExploreResult") -> dict:
-    """Serialize an exploration's bug-finding coordinates as a suite.
+def export_recipe_suite(result: "ExploreResult") -> _t.List[dict]:
+    """An exploration's bug-finding coordinates as suite records.
 
     One entry per finding, in discovery order, deduplicated on the
     coordinate (two bugs surfacing on one execution share it).  The
     full coordinate dict rides along, so loading needs no re-discovery.
     """
     by_key = {coordinate.key(): coordinate for coordinate in result.space.coordinates}
-    entries: _t.List[dict] = []
-    seen: _t.Set[str] = set()
+    bug_ids: _t.Dict[str, _t.List[str]] = {}
     for finding in result.findings:
-        if finding.coordinate in seen:
-            continue
-        seen.add(finding.coordinate)
-        coordinate = by_key.get(finding.coordinate)
-        if coordinate is None:  # pragma: no cover - space/finding mismatch
-            raise ExploreError(
-                f"finding references unknown coordinate {finding.coordinate!r}"
-            )
-        entries.append(
-            {
-                "key": finding.coordinate,
-                "bug_ids": sorted(
-                    f.bug_id for f in result.findings
-                    if f.coordinate == finding.coordinate
-                ),
-                "coordinate": coordinate.to_dict(),
-            }
-        )
-    return {
-        "suite": "explore-recipes",
-        "version": SUITE_VERSION,
-        "app": result.app,
-        "strategy": result.strategy,
-        "seed": result.seed,
-        "coordinates": entries,
-    }
+        bug_ids.setdefault(finding.coordinate, []).append(finding.bug_id)
+    return [{"app": result.app, "strategy": result.strategy, "seed": result.seed}] + [
+        {"key": key, "bug_ids": sorted(ids), "coordinate": by_key[key].to_dict()}
+        for key, ids in bug_ids.items()
+    ]
 
 
 def dump_recipe_suite(result: "ExploreResult", path: str) -> None:
-    """Write :func:`export_recipe_suite` output as pretty JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(export_recipe_suite(result), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    """Write :func:`export_recipe_suite` records to ``path`` atomically."""
+    artifact.write(path, "recipe-suite", export_recipe_suite(result))
 
 
-def load_recipe_suite(doc: _t.Mapping) -> _t.Tuple[str, _t.List["Recipe"]]:
-    """Compile a suite document back into ``(app name, recipes)``.
+def load_recipe_suite(
+    records: _t.Sequence[dict], source: str = "<records>"
+) -> _t.Tuple[str, _t.List["Recipe"]]:
+    """Compile suite records back into ``(app name, recipes)``.
 
     Each coordinate compiles through the same
     :func:`~repro.explore.compiler.coordinate_recipe` path exploration
@@ -86,37 +60,26 @@ def load_recipe_suite(doc: _t.Mapping) -> _t.Tuple[str, _t.List["Recipe"]]:
     """
     from repro.apps.outages import SEEDED_BUG_SUITE
 
-    if doc.get("suite") != "explore-recipes":
-        raise ExploreError(
-            f"not a recipe suite document (suite={doc.get('suite')!r})"
-        )
-    version = doc.get("version")
-    if version != SUITE_VERSION:
-        raise ExploreError(
-            f"unsupported recipe suite version {version!r}"
-            f" (this build reads {SUITE_VERSION})"
-        )
-    app = doc.get("app")
-    if app not in SEEDED_BUG_SUITE:
-        raise ExploreError(f"recipe suite targets unknown app {app!r}")
-    manifest = SEEDED_BUG_SUITE[app]
-    recipes = []
-    for entry in doc.get("coordinates", ()):
+    def suite_app(fields: dict) -> str:
+        if fields["app"] not in SEEDED_BUG_SUITE:
+            raise ExploreError(f"recipe suite targets unknown app {fields['app']!r}")
+        return fields["app"]
+
+    def recipe(entry: dict) -> "Recipe":
         coordinate = Coordinate.from_dict(entry["coordinate"])
         if coordinate.app != app:
             raise ExploreError(
                 f"coordinate {entry.get('key')!r} targets app"
                 f" {coordinate.app!r}, suite says {app!r}"
             )
-        recipes.append(coordinate_recipe(coordinate, manifest))
-    return app, recipes
+        return coordinate_recipe(coordinate, SEEDED_BUG_SUITE[app])
+
+    if not records:
+        raise ArtifactError(source, 2, "no suite record")
+    (app,) = artifact.decode(source, records[:1], suite_app)
+    return app, artifact.decode(source, records, recipe, first=1)
 
 
 def read_recipe_suite(path: str) -> _t.Tuple[str, _t.List["Recipe"]]:
     """:func:`load_recipe_suite` from a file path."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ExploreError(f"cannot read recipe suite {path!r}: {exc}") from exc
-    return load_recipe_suite(doc)
+    return load_recipe_suite(artifact.read(path, "recipe-suite"), str(path))

@@ -19,7 +19,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "differential": ["CaseReport", "Execution", "execute_case", "run_case"],
         "generator": ["FuzzGenerator"],
         "harness": [
-            "ARTIFACT_VERSION",
             "FuzzReport",
             "ReplayResult",
             "load_artifact",

@@ -3,16 +3,16 @@
 :func:`run_fuzz` drives a whole corpus — ``FuzzGenerator(seed)`` case
 by case — through the differential battery on the shared campaign
 worker fleet (:class:`~repro.campaign.fleet.Fleet`), shrinks every
-failing case to its minimal form, and writes one JSON repro artifact
-per failure.  Both fleet backends are supported: ``threads`` (default)
-runs cases in-process; ``processes`` pickles each
-:class:`~repro.fuzz.spec.FuzzCase` to a spawn-isolated worker
-interpreter and ships the :class:`~repro.fuzz.differential.CaseReport`
-back, which parallelizes the CPU-bound battery across cores.  The
-report is identical across backends and worker counts.  An artifact is
-self-contained: it embeds the full case
-spec (topology, scenarios, checks, workload, deployment seed) plus the
-expected mismatch kinds and trace digest, so
+failing case to its minimal form, and writes one repro artifact (a
+``fuzz-artifact`` file, :mod:`repro.artifact`) per failure.  Both fleet
+backends are supported: ``threads`` (default) runs cases in-process;
+``processes`` pickles each :class:`~repro.fuzz.spec.FuzzCase` to a
+spawn-isolated worker interpreter and ships the
+:class:`~repro.fuzz.differential.CaseReport` back, which parallelizes
+the CPU-bound battery across cores.  The report is identical across
+backends and worker counts.  An artifact is self-contained: it embeds
+the full case spec (topology, scenarios, checks, workload, deployment
+seed) plus the expected mismatch kinds and trace digest, so
 :func:`replay_artifact` can re-execute it bit-for-bit on any machine
 and confirm the failure still reproduces.
 """
@@ -20,20 +20,19 @@ and confirm the failure still reproduces.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import time
 import typing as _t
 
+from repro import artifact
 from repro.campaign.fleet import Fleet, ProcessWorkerSpec
-from repro.errors import GremlinError
+from repro.errors import ArtifactError
 from repro.fuzz.differential import CaseReport, run_case
 from repro.fuzz.generator import FuzzGenerator
 from repro.fuzz.shrink import shrink
 from repro.fuzz.spec import FuzzCase
 
 __all__ = [
-    "ARTIFACT_VERSION",
     "FuzzReport",
     "ReplayResult",
     "load_artifact",
@@ -41,8 +40,6 @@ __all__ = [
     "run_fuzz",
     "write_artifact",
 ]
-
-ARTIFACT_VERSION = 1
 
 
 @dataclasses.dataclass
@@ -206,9 +203,8 @@ def _handle_failure(
 
 
 def artifact_dict(report: CaseReport, shrink_steps: _t.Sequence[str] = ()) -> dict:
-    """The self-contained JSON form of one (usually minimal) failure."""
+    """The self-contained record of one (usually minimal) failure."""
     return {
-        "version": ARTIFACT_VERSION,
         "case": report.case.to_dict(),
         "verdict": {
             "mismatch_kinds": report.mismatch_kinds(),
@@ -222,21 +218,24 @@ def artifact_dict(report: CaseReport, shrink_steps: _t.Sequence[str] = ()) -> di
 def write_artifact(
     path: str, report: CaseReport, shrink_steps: _t.Sequence[str] = ()
 ) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(artifact_dict(report, shrink_steps), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    """Write the ``fuzz-artifact`` file of one failure, atomically."""
+    artifact.write(path, "fuzz-artifact", [artifact_dict(report, shrink_steps)])
+
+
+def _check_artifact(data: dict) -> dict:
+    verdict, _case = data["verdict"], FuzzCase.from_dict(data["case"])
+    if type(verdict["mismatch_kinds"]) is not list or type(verdict["digest"]) is not str:
+        raise ValueError("verdict needs a mismatch_kinds list and a digest string")
+    return data
 
 
 def load_artifact(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    version = data.get("version")
-    if version != ARTIFACT_VERSION:
-        raise GremlinError(
-            f"unsupported artifact version {version!r} in {path}"
-            f" (expected {ARTIFACT_VERSION})"
-        )
-    return data
+    """Read a repro artifact's one record back; a record whose case does
+    not rebuild or that lacks a verdict is refused naming its line."""
+    records = artifact.read(path, "fuzz-artifact")
+    if len(records) != 1:
+        raise ArtifactError(path, 2, f"expected one record, the file holds {len(records)}")
+    return artifact.decode(path, records, _check_artifact)[0]
 
 
 @dataclasses.dataclass
@@ -257,17 +256,13 @@ class ReplayResult:
         )
 
 
-def replay_artifact(
-    data: _t.Union[str, dict], *, app_registry: _t.Optional[_t.Mapping] = None
-) -> ReplayResult:
+def replay_artifact(path: str, *, app_registry: _t.Optional[_t.Mapping] = None) -> ReplayResult:
     """Re-run an artifact's case and compare against its recorded verdict."""
-    if isinstance(data, str):
-        data = load_artifact(data)
-    case = FuzzCase.from_dict(data["case"])
-    report = run_case(case, app_registry=app_registry)
-    verdict = data.get("verdict", {})
+    data = load_artifact(path)
+    report = run_case(FuzzCase.from_dict(data["case"]), app_registry=app_registry)
+    verdict = data["verdict"]
     return ReplayResult(
         report=report,
-        expected_kinds=list(verdict.get("mismatch_kinds", [])),
-        expected_digest=verdict.get("digest", ""),
+        expected_kinds=list(verdict["mismatch_kinds"]),
+        expected_digest=verdict["digest"],
     )

@@ -1,61 +1,46 @@
-"""JSON-lines export/import for observation logs.
+"""Observation logs as ``log-export`` artifacts (:mod:`repro.artifact`).
 
 Real Gremlin deployments keep their observation logs in Elasticsearch,
 where they outlive the test run and feed later analysis.  This module
 gives the in-process store the same durability: dump an
-:class:`~repro.logstore.store.EventStore` to a JSON-lines file and load
-it back (e.g. to re-run assertions offline, or to diff two runs).
+:class:`~repro.logstore.store.EventStore`, one record per line, and
+load it back to re-run assertions offline or diff two runs.
 """
 
 from __future__ import annotations
 
-import json
 import typing as _t
 
-from repro.errors import AssertionQueryError
+from repro import artifact
 from repro.logstore.record import ObservationRecord
 from repro.logstore.store import EventStore
 
 __all__ = ["dump_jsonl", "load_jsonl", "dumps", "loads"]
 
 
-def dumps(store: EventStore) -> str:
-    """Serialize every record to JSON-lines text (one record per line)."""
-    return "\n".join(json.dumps(record.to_dict()) for record in store.all_records())
-
-
-def loads(text: str) -> EventStore:
-    """Rebuild a store from JSON-lines text.
-
-    Raises :class:`AssertionQueryError` on malformed lines — a corrupt
-    log dump should fail loudly, not produce silently-wrong assertion
-    results.
-    """
+def _decode(records: _t.List[dict], source: str) -> EventStore:
     store = EventStore()
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-            store.append(ObservationRecord(**doc))
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            raise AssertionQueryError(
-                f"malformed observation log at line {line_number}: {exc}"
-            ) from exc
+    for record in artifact.decode(source, records, lambda doc: ObservationRecord(**doc)):
+        store.append(record)
     return store
 
 
+def dumps(store: EventStore) -> str:
+    """Serialize every record to artifact text (one record per line)."""
+    return artifact.dumps("log-export", (record.to_dict() for record in store.all_records()))
+
+
+def loads(text: str) -> EventStore:
+    """Rebuild a store from artifact text."""
+    return _decode(artifact.loads(text, "log-export"), "<text>")
+
+
 def dump_jsonl(store: EventStore, path: _t.Union[str, "_t.Any"]) -> int:
-    """Write the store to ``path``; returns the number of records."""
-    text = dumps(store)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        if text:
-            handle.write("\n")
+    """Write the store to ``path`` atomically; returns the number of records."""
+    artifact.write_atomic(path, dumps(store))
     return len(store)
 
 
 def load_jsonl(path: _t.Union[str, "_t.Any"]) -> EventStore:
     """Read a store back from ``path``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads(handle.read())
+    return _decode(artifact.read(path, "log-export"), str(path))

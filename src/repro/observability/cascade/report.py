@@ -17,7 +17,7 @@ predictions — plus the scorecard verdicts, folded into a single
 :func:`build_report` builds one from a live or reloaded
 :class:`~repro.campaign.results.CampaignResult`;
 :func:`build_explore_report` from an exploration's
-:class:`~repro.explore.report.CoverageReport`.  The CLI wires both
+:class:`~repro.explore.coverage.CoverageReport`.  The CLI wires both
 through ``--report-out`` and the ``repro report`` subcommand.
 """
 
@@ -29,6 +29,7 @@ import json
 import math
 import typing as _t
 
+from repro.artifact import write_atomic
 from repro.observability.cascade.blast import BlastRadius, blast_radius
 from repro.observability.cascade.graph import DependencyGraph, graph_from_campaign
 from repro.observability.cascade.rootcause import RootCauseCandidate, rank_root_causes
@@ -36,7 +37,7 @@ from repro.observability.cascade.whatif import predict_service_blast
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.campaign.results import CampaignResult
-    from repro.explore.report import CoverageReport
+    from repro.explore.coverage import CoverageReport
 
 __all__ = [
     "ResilienceReport",
@@ -117,9 +118,7 @@ class ResilienceReport:
 
     def save(self, path: str) -> None:
         """Write JSON for ``*.json`` paths, standalone HTML otherwise."""
-        text = self.to_json() if path.endswith(".json") else self.to_html()
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        write_atomic(path, self.to_json() if path.endswith(".json") else self.to_html())
 
     # ------------------------------------------------------------- HTML
 

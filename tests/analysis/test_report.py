@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import text_table
+from repro.campaign.scorecard import text_table
 
 
 class TestTextTable:

@@ -24,8 +24,11 @@ LANES = [
 ]
 
 #: Fields that legitimately differ between lanes: wall-clock timings,
-#: worker attribution, and the configured fleet size itself.
-VOLATILE = ("wall_time", "orchestration_time", "assertion_time", "worker", "workers")
+#: worker attribution, the configured fleet size itself, and the dump
+#: trailer's digest (it covers the timings; its record count stays).
+VOLATILE = (
+    "wall_time", "orchestration_time", "assertion_time", "worker", "workers", "sha256"
+)
 
 
 def normalized_dump_bytes(result):

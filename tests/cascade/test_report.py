@@ -5,7 +5,7 @@ import json
 from repro.apps import build_twotier
 from repro.campaign import CampaignRunner, plan_campaign
 from repro.campaign.results import CampaignResult, CheckOutcome, RecipeOutcome
-from repro.explore.report import BugFinding, CoverageReport
+from repro.explore.coverage import BugFinding, CoverageReport
 from repro.observability.cascade.graph import DependencyGraph
 from repro.observability.cascade.report import (
     VERDICT_COLORS,

@@ -7,6 +7,8 @@ import contextlib
 import functools
 import gc
 import glob
+import hashlib
+import json
 import os
 import sys
 import typing as _t
@@ -232,3 +234,13 @@ def live_fleet_workers() -> list[int]:
 def no_fleet_worker_outlives_the_session():
     yield
     assert not live_fleet_workers()
+
+
+def sealed(header: dict, lines: _t.Sequence[str]) -> str:
+    """Artifact file text of raw body ``lines`` under ``header``, with a
+    matching trailer: what a writer that got the envelope right but a
+    record wrong would leave, so the reader's record checks are reached."""
+    compact = functools.partial(json.dumps, separators=(",", ":"))
+    text = "".join(line + "\n" for line in [compact(header), *lines])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    return text + compact({"count": len(lines), "sha256": digest}) + "\n"

@@ -5,9 +5,10 @@ import json
 
 import pytest
 
+from repro import artifact
 from repro.apps.outages import SEEDED_BUG_SUITE
 from repro.campaign import RecipeExecutor, plan_campaign
-from repro.errors import ExploreError
+from repro.errors import ArtifactError
 from repro.explore import (
     dump_recipe_suite,
     export_recipe_suite,
@@ -34,14 +35,12 @@ def suite_doc(explore_result):
 
 class TestExport:
     def test_one_entry_per_finding_coordinate(self, explore_result, suite_doc):
-        assert suite_doc["suite"] == "explore-recipes"
-        assert suite_doc["version"] == 1
-        assert suite_doc["app"] == APP
-        assert suite_doc["strategy"] == "whatif"
-        keys = [entry["key"] for entry in suite_doc["coordinates"]]
+        suite, *entries = suite_doc
+        assert suite == {"app": APP, "strategy": "whatif", "seed": 0}
+        keys = [entry["key"] for entry in entries]
         assert keys == sorted({f.coordinate for f in explore_result.findings},
                               key=keys.index)
-        entry = suite_doc["coordinates"][0]
+        entry = entries[0]
         assert entry["bug_ids"] == ["stuckbreaker/never-closes"]
         assert entry["coordinate"]["app"] == APP
 
@@ -53,9 +52,10 @@ class TestRoundTrip:
     def test_dump_and_read(self, explore_result, suite_doc, tmp_path):
         path = tmp_path / "recipes.json"
         dump_recipe_suite(explore_result, str(path))
+        assert path.read_text().startswith('{"kind":"recipe-suite","version":2}\n')
         app, recipes = read_recipe_suite(str(path))
         assert app == APP
-        assert len(recipes) == len(suite_doc["coordinates"])
+        assert len(recipes) == len(suite_doc) - 1
         assert all(r.name.startswith("explore/") for r in recipes)
 
     def test_campaign_replays_the_finding(self, suite_doc):
@@ -82,32 +82,49 @@ class TestRoundTrip:
 
 
 class TestLoadValidation:
-    def test_rejects_non_suite_documents(self):
-        with pytest.raises(ExploreError, match="not a recipe suite"):
-            load_recipe_suite({"suite": "something-else"})
+    def test_rejects_non_suite_documents(self, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        artifact.write(path, "campaign", [{"app": APP}])
+        with pytest.raises(ArtifactError, match="line 1: 'campaign' version 2, expected 'recipe-suite'"):
+            read_recipe_suite(str(path))
 
-    def test_rejects_unknown_versions(self, suite_doc):
-        doc = dict(suite_doc, version=99)
-        with pytest.raises(ExploreError, match="version"):
-            load_recipe_suite(doc)
+    def test_rejects_unknown_versions(self, suite_doc, tmp_path):
+        path = tmp_path / "recipes.json"
+        artifact.write(path, "recipe-suite", suite_doc)
+        path.write_text(path.read_text().replace('"version":2', '"version":99', 1))
+        with pytest.raises(ArtifactError, match="line 1: 'recipe-suite' version 99, expected 'recipe-suite' version 2"):
+            read_recipe_suite(str(path))
 
     def test_rejects_unknown_apps(self, suite_doc):
-        doc = dict(suite_doc, app="no-such-app")
-        with pytest.raises(ExploreError, match="unknown app"):
-            load_recipe_suite(doc)
+        records = [dict(suite_doc[0], app="no-such-app"), *suite_doc[1:]]
+        with pytest.raises(ArtifactError, match="line 2: recipe suite targets unknown app"):
+            load_recipe_suite(records)
 
     def test_rejects_cross_app_coordinates(self, suite_doc):
-        doc = copy.deepcopy(suite_doc)
-        doc["app"] = "deepfanout"
-        with pytest.raises(ExploreError, match="targets app"):
-            load_recipe_suite(doc)
+        records = copy.deepcopy(suite_doc)
+        records[0]["app"] = "deepfanout"
+        with pytest.raises(ArtifactError, match="line 3: .*targets app"):
+            load_recipe_suite(records)
 
     def test_read_missing_file_is_loud(self, tmp_path):
-        with pytest.raises(ExploreError, match="cannot read"):
+        with pytest.raises(ArtifactError, match="missing.json: cannot read"):
             read_recipe_suite(str(tmp_path / "missing.json"))
 
     def test_read_malformed_json_is_loud(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        with pytest.raises(ExploreError, match="cannot read"):
+        with pytest.raises(ArtifactError, match="broken.json: line 1: no final newline"):
             read_recipe_suite(str(path))
+
+    @pytest.mark.parametrize(
+        "entry, problem",
+        [
+            ({"key": "k"}, "missing field 'coordinate'"),
+            ({"coordinate": {"app": APP}}, "coordinate dict missing field"),
+            ({"coordinate": "not-a-dict"}, "string indices"),
+        ],
+        ids=["no-coordinate", "coordinate-fields", "coordinate-type"],
+    )
+    def test_rejects_undecodable_entries(self, suite_doc, entry, problem):
+        with pytest.raises(ArtifactError, match=f"line 3: .*{problem}"):
+            load_recipe_suite([suite_doc[0], entry], "suite.json")

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from repro import artifact
 from repro.cli import APPS
-from repro.errors import GremlinError
+from repro.errors import ArtifactError
 from repro.fuzz import (
     FuzzGenerator,
     load_artifact,
@@ -100,8 +101,10 @@ class TestArtifacts:
 
     def test_artifact_is_valid_json(self, tmp_path):
         path, report = self.artifact_for(tmp_path)
-        data = json.loads(path.read_text())
-        assert data["version"] == 1
+        header, data, trailer = map(json.loads, path.read_text().splitlines())
+        assert header == {"kind": "fuzz-artifact", "version": 2}
+        assert trailer["count"] == 1
+        assert data == load_artifact(str(path))
         assert data["verdict"]["digest"] == report.digest
         assert data["shrink_steps"] == ["none"]
 
@@ -113,14 +116,33 @@ class TestArtifacts:
 
     def test_replay_detects_digest_drift(self, tmp_path):
         path, _report = self.artifact_for(tmp_path)
-        data = json.loads(path.read_text())
+        (data,) = artifact.read(path, "fuzz-artifact")
         data["verdict"]["digest"] = "0" * 64
-        path.write_text(json.dumps(data))
+        artifact.write(path, "fuzz-artifact", [data])
         result = replay_artifact(str(path), app_registry=APPS)
         assert not result.reproduced
 
     def test_version_gate(self, tmp_path):
+        path, _report = self.artifact_for(tmp_path)
+        path.write_text(path.read_text().replace('"version":2', '"version":99', 1))
+        with pytest.raises(ArtifactError, match="line 1: 'fuzz-artifact' version 99, expected 'fuzz-artifact' version 2"):
+            load_artifact(str(path))
+        # The version-1 format (one pretty-printed document) is refused too.
+        path.write_text(json.dumps({"version": 1, "case": {}}, indent=2) + "\n")
+        with pytest.raises(ArtifactError, match="line 1: not JSON"):
+            load_artifact(str(path))
+
+    @pytest.mark.parametrize(
+        "record, problem",
+        [
+            ({"verdict": {}}, "missing field 'case'"),
+            ({"case": {"case_id": "c"}, "verdict": {}}, "missing field 'seed'"),
+            ({"case": None, "verdict": {}}, "not subscriptable"),
+        ],
+        ids=["no-case", "case-fields", "case-type"],
+    )
+    def test_undecodable_record_is_refused(self, tmp_path, record, problem):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 99, "case": {}}))
-        with pytest.raises(GremlinError):
+        artifact.write(path, "fuzz-artifact", [record])
+        with pytest.raises(ArtifactError, match=f"bad.json: line 2: .*{problem}"):
             load_artifact(str(path))

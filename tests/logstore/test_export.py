@@ -1,13 +1,16 @@
-"""Tests for JSON-lines export/import of observation logs."""
+"""Tests for observation-log exports: ``log-export`` artifacts."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import AssertionQueryError
+from repro.errors import ArtifactError
 from repro.logstore import EventStore, ObservationRecord, Query, dump_jsonl, dumps, load_jsonl, loads
 
+from tests.conftest import sealed
 from tests.logstore.test_record import make_record
+
+HEADER = {"kind": "log-export", "version": 1}
 
 
 def populated_store():
@@ -34,20 +37,27 @@ class TestTextRoundTrip:
         assert restored.all_records() == original.all_records()
 
     def test_empty_store(self):
-        assert dumps(EventStore()) == ""
-        assert len(loads("")) == 0
+        assert dumps(EventStore()) == sealed(HEADER, [])
+        assert len(loads(dumps(EventStore()))) == 0
+        with pytest.raises(ArtifactError, match="line 1: no final newline"):
+            loads("")
 
-    def test_blank_lines_skipped(self):
-        text = dumps(populated_store()) + "\n\n"
-        assert len(loads(text)) == 2
+    def test_blank_lines_are_refused(self):
+        with pytest.raises(ArtifactError, match="line 6: no trailer"):
+            loads(dumps(populated_store()) + "\n\n")
+        first, second = dumps(populated_store()).splitlines()[1:-1]
+        with pytest.raises(ArtifactError, match="line 3: blank line"):
+            loads(sealed(HEADER, [first, "", second]))
 
     def test_malformed_line_fails_loudly(self):
-        with pytest.raises(AssertionQueryError, match="line 1"):
+        with pytest.raises(ArtifactError, match="line 1: no final newline"):
             loads("{not json")
+        with pytest.raises(ArtifactError, match="line 2: not JSON"):
+            loads(sealed(HEADER, ["{not json"]))
 
     def test_wrong_schema_fails_loudly(self):
-        with pytest.raises(AssertionQueryError):
-            loads('{"unexpected": "fields"}')
+        with pytest.raises(ArtifactError, match="line 2: .*unexpected"):
+            loads(sealed(HEADER, ['{"unexpected": "fields"}']))
 
     def test_queries_work_on_restored_store(self):
         restored = loads(dumps(populated_store()))
@@ -122,17 +132,17 @@ class TestRoundTripProperty:
 
 class TestMalformedLines:
     def test_error_names_line_number_and_payload(self):
-        good = dumps(populated_store())
-        with pytest.raises(AssertionQueryError) as excinfo:
-            loads(good + "\n{broken json\n")
+        good = dumps(populated_store()).splitlines()[1:-1]
+        with pytest.raises(ArtifactError) as excinfo:
+            loads(sealed(HEADER, good + ["{broken json"]))
         message = str(excinfo.value)
-        assert "malformed observation log at line 3" in message
+        assert "<text>: line 4: not JSON" in message
         # The underlying JSON decoder's complaint is preserved.
         assert "Expecting" in message
 
     def test_unknown_field_error_is_loud(self):
-        with pytest.raises(AssertionQueryError, match="line 1"):
-            loads('{"timestamp": 1.0, "kind": "request", "nope": 1}')
+        with pytest.raises(ArtifactError, match="line 2: .*nope"):
+            loads(sealed(HEADER, ['{"timestamp": 1.0, "kind": "request", "nope": 1}']))
 
 
 class TestFileRoundTrip:

@@ -6,8 +6,19 @@ import sys
 
 import pytest
 
+from repro import artifact
 from repro.campaign import load_jsonl
 from repro.cli import APPS, _per_app_path, main
+
+
+def refused(capsys, argv):
+    """Run ``argv``, which must be refused with exit 2; its stderr line."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("repro: error: "), lines
+    return lines[0]
 
 
 class TestApps:
@@ -387,9 +398,9 @@ class TestFuzz:
         assert doc["reproduced"] is True
         assert doc["expected_digest"] == doc["observed_digest"]
 
-    def test_replay_missing_artifact_exits(self, tmp_path):
-        with pytest.raises(SystemExit, match="cannot replay"):
-            main(["fuzz", "replay", str(tmp_path / "missing.json")])
+    def test_replay_missing_artifact_exits(self, capsys, tmp_path):
+        line = refused(capsys, ["fuzz", "replay", str(tmp_path / "missing.json")])
+        assert "missing.json: cannot read" in line
 
     def test_shrink_passing_artifact_reports_nothing_to_do(self, capsys, tmp_path):
         from repro.fuzz import FuzzGenerator, run_case, write_artifact
@@ -544,17 +555,16 @@ class TestCleanCliErrors:
         with pytest.raises(SystemExit, match="unknown target 'ghost'"):
             main(["test", "twotier", "--target", "ghost"])
 
-    def test_report_missing_dump_exits_cleanly(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main(["report", str(tmp_path / "missing.jsonl")])
+    def test_report_missing_dump_exits_cleanly(self, capsys, tmp_path):
         # A one-line operator message, not a traceback.
-        assert "missing.jsonl" in str(err.value)
+        line = refused(capsys, ["report", str(tmp_path / "missing.jsonl")])
+        assert "missing.jsonl: cannot read" in line
 
     @pytest.mark.parametrize("version", [99, None], ids=["bumped", "missing"])
     @pytest.mark.parametrize(
         "command", [["report"], ["campaign", "diff"]], ids=" ".join
     )
-    def test_dump_in_another_format_exits_cleanly(self, tmp_path, command, version):
+    def test_dump_in_another_format_exits_cleanly(self, capsys, tmp_path, command, version):
         from repro.campaign import CampaignResult, dump_jsonl
 
         dump = tmp_path / "future.jsonl"
@@ -566,20 +576,17 @@ class TestCleanCliErrors:
             doc["version"] = version
         dump.write_text("\n".join([json.dumps(doc)] + rest) + "\n")
         paths = [str(dump)] * (2 if command[0] == "campaign" else 1)
-        with pytest.raises(SystemExit) as err:
-            main(command + paths)
-        assert str(err.value) == (
-            f"unsupported campaign dump at line 1: format version {version!r}, expected 1"
+        assert refused(capsys, command + paths) == (
+            f"repro: error: {dump}: line 1: 'campaign' version {version!r},"
+            " expected 'campaign' version 2"
         )
 
-    def test_campaign_recipes_missing_suite_exits_cleanly(self, tmp_path):
-        with pytest.raises(SystemExit, match="cannot read recipe suite"):
-            main(
-                [
-                    "campaign", "run", "twotier",
-                    "--recipes", str(tmp_path / "missing.json"),
-                ]
-            )
+    def test_campaign_recipes_missing_suite_exits_cleanly(self, capsys, tmp_path):
+        line = refused(
+            capsys,
+            ["campaign", "run", "twotier", "--recipes", str(tmp_path / "missing.json")],
+        )
+        assert "missing.json: cannot read" in line
 
 
 class TestReportCommand:
@@ -649,7 +656,8 @@ class TestExploreArtifacts:
         for app in ("deepfanout", "retrystorm", "stuckbreaker"):
             assert f"written: ./report.{app}" in out
             assert (tmp_path / f"report.{app}").read_text().startswith("<!DOCTYPE html>")
-            assert json.loads((tmp_path / "out.d" / f"suite.{app}").read_text())["app"] == app
+            suite = artifact.read(tmp_path / "out.d" / f"suite.{app}", "recipe-suite")
+            assert suite[0]["app"] == app
 
     def test_whatif_recipes_round_trip_through_campaign_run(self, capsys, tmp_path):
         recipes = tmp_path / "recipes.json"
@@ -667,10 +675,10 @@ class TestExploreArtifacts:
         assert f"written: {recipes}" in out
         assert f"written: {report}" in out
         assert report.read_text().startswith("<!DOCTYPE html>")
-        suite = json.loads(recipes.read_text())
+        suite, *coordinates = artifact.read(recipes, "recipe-suite")
         assert suite["app"] == "stuckbreaker"
         assert suite["strategy"] == "whatif"
-        assert suite["coordinates"]
+        assert coordinates
 
         # The exported suite replays as extra campaign recipes and
         # reproduces the conclusive failure it recorded.
@@ -700,3 +708,53 @@ class TestExploreArtifacts:
         capsys.readouterr()
         with pytest.raises(SystemExit, match="targets app"):
             main(["campaign", "run", "twotier", "--recipes", str(recipes)])
+
+
+class TestRefusedFiles:
+    """A file the harness reads back and refuses exits 2 with one
+    stderr line naming it — never a traceback, never exit 1 (a finding)
+    and never 0 on a partial read."""
+
+    @pytest.fixture(scope="class")
+    def torn_dump(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("torn")
+        dump = tmp / "c.jsonl"
+        main(["campaign", "run", "twotier", "--requests", "5", "--out", str(dump)])
+        lines = dump.read_text().splitlines(keepends=True)
+        assert len(lines) == 5  # header, campaign record, 2 outcomes, trailer
+        torn = tmp / "torn.jsonl"
+        torn.write_text("".join(lines[:3]))
+        return torn
+
+    @pytest.mark.parametrize("command", [["report"], ["campaign", "diff"]], ids=" ".join)
+    def test_torn_dump_is_refused(self, capsys, torn_dump, command):
+        paths = [str(torn_dump)] * (2 if command[0] == "campaign" else 1)
+        line = refused(capsys, command + paths)
+        assert f"{torn_dump}: line 3: no trailer" in line
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("verb", ["replay", "shrink"])
+    def test_fuzz_artifact_that_is_a_list_is_refused(self, capsys, tmp_path, verb):
+        path = tmp_path / "case.json"
+        path.write_text("[1,2]\n")
+        line = refused(capsys, ["fuzz", verb, str(path)])
+        assert f"{path}: line 1: expected a JSON object, got list" in line
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"key": "k"}, {"key": "k", "coordinate": {"app": "deepfanout"}}],
+        ids=["no-coordinate", "coordinate-fields"],
+    )
+    def test_undecodable_suite_entry_is_refused(self, capsys, tmp_path, entry):
+        path = tmp_path / "suite.json"
+        suite = {"app": "deepfanout", "strategy": "whatif", "seed": 0}
+        artifact.write(path, "recipe-suite", [suite, entry])
+        line = refused(capsys, ["campaign", "run", "deepfanout", "--recipes", str(path)])
+        assert f"{path}: line 3: " in line
+        assert "missing field" in line
+
+    def test_suite_that_is_not_an_object_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "suite.json"
+        path.write_text("[]\n")
+        line = refused(capsys, ["campaign", "run", "deepfanout", "--recipes", str(path)])
+        assert f"{path}: line 1: expected a JSON object, got list" in line

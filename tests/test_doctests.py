@@ -9,14 +9,16 @@ import doctest
 import pytest
 
 import repro.analysis.cdf
-import repro.analysis.report
+import repro.artifact
+import repro.campaign.scorecard
 import repro.microservice.graph
 import repro.network.address
 import repro.util
 
 MODULES = [
     repro.analysis.cdf,
-    repro.analysis.report,
+    repro.artifact,
+    repro.campaign.scorecard,
     repro.microservice.graph,
     repro.network.address,
     repro.util,

@@ -14,6 +14,8 @@ from __future__ import annotations
 import collections
 import copy
 import dataclasses
+import functools
+import hashlib
 import json
 import math
 import sys
@@ -26,7 +28,6 @@ from repro.analysis.compare import CdfComparison
 from repro.apps import build_socialnetwork_app
 from repro.campaign import CampaignRunner, CheckOutcome, RecipeOutcome, dumps, loads, plan_campaign
 from repro.campaign.diff import CampaignDiff, StatusChange
-from repro.campaign.io import FORMAT_VERSION
 from repro.campaign.scorecard import PatternScore
 from repro.core.gremlin import Gremlin
 from repro.loadgen import ClosedLoopLoad
@@ -223,11 +224,18 @@ def test_to_dict_keys_are_the_fields_in_order(cls):
 # -- documents built on it, against the asdict oracle -------------------------
 
 
+def oracle_envelope(kind, version, docs):
+    """The artifact file text of ``docs``, sealed by hand."""
+    compact = functools.partial(json.dumps, separators=(",", ":"))
+    lines = [compact({"kind": kind, "version": version})] + [compact(doc) for doc in docs]
+    sealed = "".join(line + "\n" for line in lines)
+    digest = hashlib.sha256(sealed.encode()).hexdigest()
+    return sealed + compact({"count": len(docs), "sha256": digest}) + "\n"
+
+
 def oracle_dumps(result):
     """:func:`repro.campaign.io.dumps` as written on ``dataclasses.asdict``."""
     header = {
-        "record": "campaign",
-        "version": FORMAT_VERSION,
         "name": result.name,
         "app": result.app,
         "seed": result.seed,
@@ -235,14 +243,13 @@ def oracle_dumps(result):
         "wall_time": result.wall_time,
         "rerun_failures": result.rerun_failures,
     }
-    lines = [json.dumps(header)]
+    docs = [header]
     for outcome in result.outcomes:
         doc = dataclasses.asdict(outcome)
         doc["window"] = list(outcome.window)
         doc["checks"] = [dataclasses.asdict(check) for check in outcome.checks]
-        doc["record"] = "outcome"
-        lines.append(json.dumps(doc))
-    return "\n".join(lines)
+        docs.append(doc)
+    return oracle_envelope("campaign", 2, docs)
 
 
 @pytest.fixture(scope="module")
@@ -303,8 +310,8 @@ def test_log_export_equals_the_oracle():
         gremlin.clear()
     store = deployment.store
     assert len(store) > 20_000
-    expected = "\n".join(
-        json.dumps(dataclasses.asdict(record)) for record in store.all_records()
+    expected = oracle_envelope(
+        "log-export", 1, [dataclasses.asdict(record) for record in store.all_records()]
     )
     assert export.dumps(store) == expected
 
