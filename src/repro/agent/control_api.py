@@ -86,10 +86,6 @@ class AgentControlChannel:
         installed = self.agent.install_rule(parsed)
         return installed.rule.rule_id
 
-    def push_rules(self, rules: _t.Sequence[FaultRule]) -> list[int]:
-        """Install a batch of rules; returns their IDs."""
-        return [self.push_rule(rule) for rule in rules]
-
     def clear(self) -> None:
         """Remove all rules from the agent."""
         self.calls += 1

@@ -128,11 +128,16 @@ def _scenario(name: str, target: str):
     return getattr(repro.core, cls)(target, **kwargs)
 
 
+class _Refused(Exception):
+    """Operator input the CLI refuses — an unknown app, service or
+    request ID, a suite for another app: exit 2 from :func:`main`."""
+
+
 def _build(name: str) -> "Application":
     try:
         return APPS[name]()
     except KeyError:
-        raise SystemExit(f"unknown app {name!r}; available: {', '.join(APPS)}") from None
+        raise _Refused(f"unknown app {name!r}; available: {', '.join(APPS)}") from None
 
 
 def cmd_apps(args: argparse.Namespace) -> int:
@@ -215,7 +220,7 @@ def _faulted_run(args: argparse.Namespace, checks=None):
     )
     for flag, name in (("entry", load.entry), ("target", args.target)):
         if name is not None and name not in services:
-            raise SystemExit(f"unknown {flag} {name!r}; services: {', '.join(services)}")
+            raise _Refused(f"unknown {flag} {name!r}; services: {', '.join(services)}")
     scenarios = [] if args.target is None else [_scenario(args.scenario, args.target)]
     run = run_faulted(
         deployment,
@@ -287,7 +292,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     try:
         trace = reconstruct(run.deployment.store, args.request_id)
     except TraceError as exc:
-        raise SystemExit(str(exc)) from None
+        raise _Refused(str(exc)) from None
     if args.json:
         doc = trace.to_dict()
         doc["attributions"] = [a.to_dict() for a in attribute_trace(trace, rules)]
@@ -322,7 +327,7 @@ def _plan_from_args(args: argparse.Namespace):
 
     factory = APPS[args.app] if args.app in APPS else None
     if factory is None:
-        raise SystemExit(f"unknown app {args.app!r}; available: {', '.join(APPS)}")
+        raise _Refused(f"unknown app {args.app!r}; available: {', '.join(APPS)}")
     annotations = None
     if getattr(args, "criticality_high", False):
         services = factory().logical_graph().services()
@@ -333,7 +338,7 @@ def _plan_from_args(args: argparse.Namespace):
 
         suite_app, extra_recipes = read_recipe_suite(args.recipes)
         if suite_app != args.app:
-            raise SystemExit(
+            raise _Refused(
                 f"recipe suite {args.recipes!r} targets app {suite_app!r},"
                 f" not {args.app!r}"
             )
@@ -349,7 +354,7 @@ def _plan_from_args(args: argparse.Namespace):
             max_recipes=args.max_recipes,
         )
     except CampaignError as exc:
-        raise SystemExit(str(exc)) from None
+        raise _Refused(str(exc)) from None
     return factory, plan
 
 
@@ -529,7 +534,7 @@ def cmd_fuzz_explore(args: argparse.Namespace) -> int:
     from repro.observability.cascade import build_explore_report
 
     if args.app != "all" and args.app not in SEEDED_BUG_SUITE:
-        raise SystemExit(
+        raise _Refused(
             f"unknown seeded-bug app {args.app!r}; available:"
             f" {', '.join(sorted(SEEDED_BUG_SUITE))} (or 'all')"
         )
@@ -678,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--think", type=_at_least(0.0, float), default=0.05)
         p.add_argument(
-            "--max-recipes", type=int, default=max_recipes, help="cap the plan size"
+            "--max-recipes", type=_at_least(1), default=max_recipes, help="cap the plan size"
         )
         p.add_argument(
             "--criticality-high",
@@ -874,18 +879,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: _t.Optional[list[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    Exit code 0 is ok, 1 a finding, 2 a usage error or a refused file
-    (:class:`ArtifactError`).  Refused files and analysis-layer failures
-    exit with one line, not a traceback: they describe operator input.
+    Exit code 0 is ok, 1 a finding, 2 a usage error: a bad flag, a
+    refused file (:class:`ArtifactError`), refused operator input or an
+    analysis-layer failure.  Each of these is one stderr line, not a
+    traceback.
     """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (ArtifactError, _Refused) as exc:
+        why = str(exc)
     except AnalysisError as exc:
-        raise SystemExit(f"analysis error: {exc}") from None
-    except ArtifactError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        why = f"analysis error: {exc}"
+    print(f"repro: error: {why}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests calling main()

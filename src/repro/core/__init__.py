@@ -66,6 +66,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "Overload",
             "ResourceExhaustion",
             "RetryStorm",
+            "SCENARIO_KINDS",
         ],
         "translator": ["RecipeTranslator"],
     },

@@ -60,11 +60,6 @@ class FailureOrchestrator:
                 AgentControlChannel(agent)
             )
 
-    @classmethod
-    def for_deployment(cls, deployment) -> "FailureOrchestrator":
-        """Build from a :class:`~repro.microservice.app.Deployment`."""
-        return cls(deployment.agents)
-
     def channels_for(self, service: str) -> list[AgentControlChannel]:
         """Control channels of every agent instance owned by ``service``."""
         return list(self._channels.get(service, []))

@@ -9,10 +9,17 @@ paper's Recipe Translator.
 Every scenario takes a ``pattern`` confining injection to matching
 request IDs (default ``'test-*'``), so production flows in the same
 deployment pass untouched.
+
+Each kind is a dataclass whose fields are its parameters, in
+constructor order; :data:`SCENARIO_KINDS` maps every kind name to its
+class.  The fuzz spec codec and the fuzzer's draw test
+(:attr:`FailureScenario.draws`) read a scenario's parameters from those
+fields, so adding a kind is one dataclass plus one table entry.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import typing as _t
 
 from repro.agent.rules import FaultRule, TCP_RESET, abort, delay, modify
@@ -37,6 +44,7 @@ __all__ = [
     "Misconfiguration",
     "ResourceExhaustion",
     "NoOpControl",
+    "SCENARIO_KINDS",
 ]
 
 
@@ -46,9 +54,22 @@ class FailureScenario:
     #: Human-readable scenario kind, set by subclasses.
     kind = "scenario"
 
+    #: Fields holding a per-message draw probability, named by each
+    #: kind next to its ``decompose``.
+    draw_fields: _t.ClassVar[tuple[str, ...]] = ()
+
     def decompose(self, graph: ApplicationGraph) -> list[FaultRule]:
         """Translate into primitive rules using the application graph."""
         raise NotImplementedError
+
+    @property
+    def draws(self) -> bool:
+        """True when a rule can take a fractional probability draw.
+
+        Probability 0 and 1 keep execution deterministic (p=1 draws
+        nothing; p=0 draws but never applies).
+        """
+        return any(0.0 < getattr(self, name) < 1.0 for name in self.draw_fields)
 
     def describe(self) -> str:
         """One-line description for recipe reports."""
@@ -73,30 +94,25 @@ class FailureScenario:
         ))))
 
 
+_scenario = dataclasses.dataclass(eq=False, repr=False)
+
+
+@_scenario
 class AbortCalls(FailureScenario):
     """Primitive passthrough: Abort on one caller/callee edge."""
 
     kind = "abort"
 
-    def __init__(
-        self,
-        src: str,
-        dst: str,
-        error: int = 503,
-        pattern: str = "test-*",
-        on: str = "request",
-        probability: float = 1.0,
-        max_matches: _t.Optional[int] = None,
-        skip_matches: int = 0,
-    ) -> None:
-        self.src = src
-        self.dst = dst
-        self.error = error
-        self.pattern = pattern
-        self.on = on
-        self.probability = probability
-        self.max_matches = max_matches
-        self.skip_matches = skip_matches
+    src: str
+    dst: str
+    error: int = 503
+    pattern: str = "test-*"
+    on: str = "request"
+    probability: float = 1.0
+    max_matches: _t.Optional[int] = None
+    skip_matches: int = 0
+
+    draw_fields = ("probability",)
 
     def decompose(self, graph: ApplicationGraph) -> list[FaultRule]:
         graph.validate_services([self.src, self.dst])
@@ -117,30 +133,25 @@ class AbortCalls(FailureScenario):
         return f"abort({self.src}->{self.dst}, error={self.error})"
 
 
+@_scenario
 class DelayCalls(FailureScenario):
     """Primitive passthrough: Delay on one caller/callee edge."""
 
     kind = "delay"
 
-    def __init__(
-        self,
-        src: str,
-        dst: str,
-        interval: _t.Union[str, float],
-        pattern: str = "test-*",
-        on: str = "request",
-        probability: float = 1.0,
-        max_matches: _t.Optional[int] = None,
-        skip_matches: int = 0,
-    ) -> None:
-        self.src = src
-        self.dst = dst
-        self.interval = parse_duration(interval)
-        self.pattern = pattern
-        self.on = on
-        self.probability = probability
-        self.max_matches = max_matches
-        self.skip_matches = skip_matches
+    src: str
+    dst: str
+    interval: _t.Union[str, float]
+    pattern: str = "test-*"
+    on: str = "request"
+    probability: float = 1.0
+    max_matches: _t.Optional[int] = None
+    skip_matches: int = 0
+
+    def __post_init__(self) -> None:
+        self.interval = parse_duration(self.interval)
+
+    draw_fields = ("probability",)
 
     def decompose(self, graph: ApplicationGraph) -> list[FaultRule]:
         graph.validate_services([self.src, self.dst])
@@ -161,24 +172,17 @@ class DelayCalls(FailureScenario):
         return f"delay({self.src}->{self.dst}, {self.interval:g}s)"
 
 
+@_scenario
 class ModifyReplies(FailureScenario):
     """Primitive passthrough: Modify on responses of one edge."""
 
     kind = "modify"
 
-    def __init__(
-        self,
-        src: str,
-        dst: str,
-        pattern: _t.Union[str, bytes],
-        replace_bytes: _t.Union[str, bytes],
-        id_pattern: _t.Optional[str] = None,
-    ) -> None:
-        self.src = src
-        self.dst = dst
-        self.pattern = pattern
-        self.replace_bytes = replace_bytes
-        self.id_pattern = id_pattern
+    src: str
+    dst: str
+    pattern: _t.Union[str, bytes]
+    replace_bytes: _t.Union[str, bytes]
+    id_pattern: _t.Optional[str] = None
 
     def decompose(self, graph: ApplicationGraph) -> list[FaultRule]:
         graph.validate_services([self.src, self.dst])
@@ -196,6 +200,7 @@ class ModifyReplies(FailureScenario):
         return f"modify({self.src}->{self.dst})"
 
 
+@_scenario
 class Disconnect(FailureScenario):
     """Paper Section 5's ``Disconnect``: one edge answers an error.
 
@@ -205,13 +210,10 @@ class Disconnect(FailureScenario):
 
     kind = "disconnect"
 
-    def __init__(
-        self, service1: str, service2: str, error: int = 503, pattern: str = "test-*"
-    ) -> None:
-        self.service1 = service1
-        self.service2 = service2
-        self.error = error
-        self.pattern = pattern
+    service1: str
+    service2: str
+    error: int = 503
+    pattern: str = "test-*"
 
     def decompose(self, graph: ApplicationGraph) -> list[FaultRule]:
         graph.validate_services([self.service1, self.service2])
@@ -223,7 +225,35 @@ class Disconnect(FailureScenario):
         return f"disconnect({self.service1} -x-> {self.service2})"
 
 
-class Crash(FailureScenario):
+@_scenario
+class _ServiceScenario(FailureScenario):
+    """A fault on one service, installed on every dependent's edge to it.
+
+    Subclasses give the rules for one dependent; :meth:`decompose`
+    emits them for each dependent in graph order.
+    """
+
+    service: str
+
+    #: The :class:`RecipeError` text when the service has no dependents.
+    no_dependents = "service has no dependents"
+
+    def decompose(self, graph: ApplicationGraph) -> list[FaultRule]:
+        graph.validate_services([self.service])
+        dependents = graph.dependents(self.service)
+        if not dependents:
+            raise RecipeError(
+                f"{type(self).__name__}({self.service!r}): {self.no_dependents}"
+            )
+        return [rule for dependent in dependents for rule in self.rules_from(dependent)]
+
+    def rules_from(self, dependent: str) -> list[FaultRule]:
+        """The rules on one ``dependent -> service`` edge."""
+        raise NotImplementedError
+
+
+@_scenario
+class Crash(_ServiceScenario):
     """Paper Section 5's ``Crash``: abrupt fail-stop of a service.
 
     Aborts requests from *all dependents* with ``Error=-1``: "terminate
@@ -234,18 +264,13 @@ class Crash(FailureScenario):
 
     kind = "crash"
 
-    def __init__(self, service: str, pattern: str = "test-*", probability: float = 1.0) -> None:
-        self.service = service
-        self.pattern = pattern
-        self.probability = probability
+    pattern: str = "test-*"
+    probability: float = 1.0
 
-    def decompose(self, graph: ApplicationGraph) -> list[FaultRule]:
-        graph.validate_services([self.service])
-        dependents = graph.dependents(self.service)
-        if not dependents:
-            raise RecipeError(
-                f"Crash({self.service!r}): service has no dependents to observe the crash"
-            )
+    no_dependents = "service has no dependents to observe the crash"
+    draw_fields = ("probability",)
+
+    def rules_from(self, dependent: str) -> list[FaultRule]:
         return [
             abort(
                 dependent,
@@ -254,14 +279,14 @@ class Crash(FailureScenario):
                 pattern=self.pattern,
                 probability=self.probability,
             )
-            for dependent in dependents
         ]
 
     def describe(self) -> str:
         return f"crash({self.service})"
 
 
-class Hang(FailureScenario):
+@_scenario
+class Hang(_ServiceScenario):
     """Paper Section 5's ``Hang``: the service stops answering.
 
     "Software hangs are simulated using long delays (e.g., 1 hour)" on
@@ -270,26 +295,21 @@ class Hang(FailureScenario):
 
     kind = "hang"
 
-    def __init__(self, service: str, interval: _t.Union[str, float] = "1h", pattern: str = "test-*") -> None:
-        self.service = service
-        self.interval = parse_duration(interval)
-        self.pattern = pattern
+    interval: _t.Union[str, float] = "1h"
+    pattern: str = "test-*"
 
-    def decompose(self, graph: ApplicationGraph) -> list[FaultRule]:
-        graph.validate_services([self.service])
-        dependents = graph.dependents(self.service)
-        if not dependents:
-            raise RecipeError(f"Hang({self.service!r}): service has no dependents")
-        return [
-            delay(dependent, self.service, interval=self.interval, pattern=self.pattern)
-            for dependent in dependents
-        ]
+    def __post_init__(self) -> None:
+        self.interval = parse_duration(self.interval)
+
+    def rules_from(self, dependent: str) -> list[FaultRule]:
+        return [delay(dependent, self.service, interval=self.interval, pattern=self.pattern)]
 
     def describe(self) -> str:
         return f"hang({self.service}, {self.interval:g}s)"
 
 
-class Overload(FailureScenario):
+@_scenario
+class Overload(_ServiceScenario):
     """Paper Section 5's ``Overload``: mixed aborts and delays.
 
     "Gremlin delays 75% of requests between Service1 and its
@@ -305,49 +325,40 @@ class Overload(FailureScenario):
 
     kind = "overload"
 
-    def __init__(
-        self,
-        service: str,
-        abort_fraction: float = 0.25,
-        interval: _t.Union[str, float] = "100ms",
-        error: int = 503,
-        pattern: str = "test-*",
-    ) -> None:
-        if not 0.0 <= abort_fraction <= 1.0:
-            raise RecipeError(f"abort_fraction must be in [0, 1], got {abort_fraction}")
-        self.service = service
-        self.abort_fraction = abort_fraction
-        self.interval = parse_duration(interval)
-        self.error = error
-        self.pattern = pattern
+    abort_fraction: float = 0.25
+    interval: _t.Union[str, float] = "100ms"
+    error: int = 503
+    pattern: str = "test-*"
 
-    def decompose(self, graph: ApplicationGraph) -> list[FaultRule]:
-        graph.validate_services([self.service])
-        dependents = graph.dependents(self.service)
-        if not dependents:
-            raise RecipeError(f"Overload({self.service!r}): service has no dependents")
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.abort_fraction <= 1.0:
+            raise RecipeError(f"abort_fraction must be in [0, 1], got {self.abort_fraction}")
+        self.interval = parse_duration(self.interval)
+
+    draw_fields = ("abort_fraction",)
+
+    def rules_from(self, dependent: str) -> list[FaultRule]:
         rules: list[FaultRule] = []
-        for dependent in dependents:
-            if self.abort_fraction > 0:
-                rules.append(
-                    abort(
-                        dependent,
-                        self.service,
-                        error=self.error,
-                        pattern=self.pattern,
-                        probability=self.abort_fraction,
-                    )
+        if self.abort_fraction > 0:
+            rules.append(
+                abort(
+                    dependent,
+                    self.service,
+                    error=self.error,
+                    pattern=self.pattern,
+                    probability=self.abort_fraction,
                 )
-            if self.abort_fraction < 1.0:
-                rules.append(
-                    delay(
-                        dependent,
-                        self.service,
-                        interval=self.interval,
-                        pattern=self.pattern,
-                        probability=1.0,
-                    )
+            )
+        if self.abort_fraction < 1.0:
+            rules.append(
+                delay(
+                    dependent,
+                    self.service,
+                    interval=self.interval,
+                    pattern=self.pattern,
+                    probability=1.0,
                 )
+            )
         return rules
 
     def describe(self) -> str:
@@ -357,7 +368,8 @@ class Overload(FailureScenario):
         )
 
 
-class Degrade(FailureScenario):
+@_scenario
+class Degrade(_ServiceScenario):
     """Pure slowdown of a service seen by all dependents.
 
     Models the Spotify 2013 incident class ("degradation of a core
@@ -366,27 +378,20 @@ class Degrade(FailureScenario):
 
     kind = "degrade"
 
-    def __init__(
-        self, service: str, interval: _t.Union[str, float] = "1s", pattern: str = "test-*"
-    ) -> None:
-        self.service = service
-        self.interval = parse_duration(interval)
-        self.pattern = pattern
+    interval: _t.Union[str, float] = "1s"
+    pattern: str = "test-*"
 
-    def decompose(self, graph: ApplicationGraph) -> list[FaultRule]:
-        graph.validate_services([self.service])
-        dependents = graph.dependents(self.service)
-        if not dependents:
-            raise RecipeError(f"Degrade({self.service!r}): service has no dependents")
-        return [
-            delay(dependent, self.service, interval=self.interval, pattern=self.pattern)
-            for dependent in dependents
-        ]
+    def __post_init__(self) -> None:
+        self.interval = parse_duration(self.interval)
+
+    def rules_from(self, dependent: str) -> list[FaultRule]:
+        return [delay(dependent, self.service, interval=self.interval, pattern=self.pattern)]
 
     def describe(self) -> str:
         return f"degrade({self.service}, {self.interval:g}s)"
 
 
+@_scenario
 class NetworkPartition(FailureScenario):
     """Paper Section 5: partition along a cut of the application graph.
 
@@ -398,15 +403,13 @@ class NetworkPartition(FailureScenario):
 
     kind = "partition"
 
-    def __init__(
-        self,
-        group_a: _t.Iterable[str],
-        group_b: _t.Iterable[str],
-        pattern: str = "test-*",
-    ) -> None:
-        self.group_a = list(group_a)
-        self.group_b = list(group_b)
-        self.pattern = pattern
+    group_a: _t.Iterable[str]
+    group_b: _t.Iterable[str]
+    pattern: str = "test-*"
+
+    def __post_init__(self) -> None:
+        self.group_a = list(self.group_a)
+        self.group_b = list(self.group_b)
 
     def decompose(self, graph: ApplicationGraph) -> list[FaultRule]:
         crossing = graph.edges_across(self.group_a, self.group_b)
@@ -424,7 +427,8 @@ class NetworkPartition(FailureScenario):
         return f"partition({self.group_a} | {self.group_b})"
 
 
-class FakeSuccess(FailureScenario):
+@_scenario
+class FakeSuccess(_ServiceScenario):
     """Paper Section 5's ``FakeSuccess``: corrupt successful replies.
 
     Rewrites the payload of responses from a service to all its
@@ -435,23 +439,11 @@ class FakeSuccess(FailureScenario):
 
     kind = "fake_success"
 
-    def __init__(
-        self,
-        service: str,
-        pattern: _t.Union[str, bytes] = "key",
-        replace_bytes: _t.Union[str, bytes] = "badkey",
-        id_pattern: _t.Optional[str] = "test-*",
-    ) -> None:
-        self.service = service
-        self.pattern = pattern
-        self.replace_bytes = replace_bytes
-        self.id_pattern = id_pattern
+    pattern: _t.Union[str, bytes] = "key"
+    replace_bytes: _t.Union[str, bytes] = "badkey"
+    id_pattern: _t.Optional[str] = "test-*"
 
-    def decompose(self, graph: ApplicationGraph) -> list[FaultRule]:
-        graph.validate_services([self.service])
-        dependents = graph.dependents(self.service)
-        if not dependents:
-            raise RecipeError(f"FakeSuccess({self.service!r}): service has no dependents")
+    def rules_from(self, dependent: str) -> list[FaultRule]:
         return [
             modify(
                 dependent,
@@ -460,14 +452,14 @@ class FakeSuccess(FailureScenario):
                 replace_bytes=self.replace_bytes,
                 id_pattern=self.id_pattern,
             )
-            for dependent in dependents
         ]
 
     def describe(self) -> str:
         return f"fake_success({self.service})"
 
 
-class RetryStorm(FailureScenario):
+@_scenario
+class RetryStorm(_ServiceScenario):
     """A service answers every caller with a retryable error.
 
     Inspired by SREGym's ``rpc_retry_storm`` problem class: unlike
@@ -480,25 +472,14 @@ class RetryStorm(FailureScenario):
 
     kind = "retry_storm"
 
-    def __init__(
-        self,
-        service: str,
-        error: int = 503,
-        pattern: str = "test-*",
-        probability: float = 1.0,
-    ) -> None:
-        self.service = service
-        self.error = error
-        self.pattern = pattern
-        self.probability = probability
+    error: int = 503
+    pattern: str = "test-*"
+    probability: float = 1.0
 
-    def decompose(self, graph: ApplicationGraph) -> list[FaultRule]:
-        graph.validate_services([self.service])
-        dependents = graph.dependents(self.service)
-        if not dependents:
-            raise RecipeError(
-                f"RetryStorm({self.service!r}): service has no dependents to provoke"
-            )
+    no_dependents = "service has no dependents to provoke"
+    draw_fields = ("probability",)
+
+    def rules_from(self, dependent: str) -> list[FaultRule]:
         return [
             abort(
                 dependent,
@@ -507,14 +488,14 @@ class RetryStorm(FailureScenario):
                 pattern=self.pattern,
                 probability=self.probability,
             )
-            for dependent in dependents
         ]
 
     def describe(self) -> str:
         return f"retry_storm({self.service}, error={self.error})"
 
 
-class GrayFailure(FailureScenario):
+@_scenario
+class GrayFailure(_ServiceScenario):
     """Slow-but-not-dead: a fraction of replies arrive late.
 
     The gray-failure class (SREGym's partial degradations): the
@@ -528,25 +509,18 @@ class GrayFailure(FailureScenario):
 
     kind = "gray_failure"
 
-    def __init__(
-        self,
-        service: str,
-        interval: _t.Union[str, float] = "250ms",
-        slow_fraction: float = 1.0,
-        pattern: str = "test-*",
-    ) -> None:
-        if not 0.0 <= slow_fraction <= 1.0:
-            raise RecipeError(f"slow_fraction must be in [0, 1], got {slow_fraction}")
-        self.service = service
-        self.interval = parse_duration(interval)
-        self.slow_fraction = slow_fraction
-        self.pattern = pattern
+    interval: _t.Union[str, float] = "250ms"
+    slow_fraction: float = 1.0
+    pattern: str = "test-*"
 
-    def decompose(self, graph: ApplicationGraph) -> list[FaultRule]:
-        graph.validate_services([self.service])
-        dependents = graph.dependents(self.service)
-        if not dependents:
-            raise RecipeError(f"GrayFailure({self.service!r}): service has no dependents")
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.slow_fraction <= 1.0:
+            raise RecipeError(f"slow_fraction must be in [0, 1], got {self.slow_fraction}")
+        self.interval = parse_duration(self.interval)
+
+    draw_fields = ("slow_fraction",)
+
+    def rules_from(self, dependent: str) -> list[FaultRule]:
         return [
             delay(
                 dependent,
@@ -556,7 +530,6 @@ class GrayFailure(FailureScenario):
                 on="response",
                 probability=self.slow_fraction,
             )
-            for dependent in dependents
         ]
 
     def describe(self) -> str:
@@ -566,7 +539,8 @@ class GrayFailure(FailureScenario):
         )
 
 
-class Misconfiguration(FailureScenario):
+@_scenario
+class Misconfiguration(_ServiceScenario):
     """A deploy-time config error: wrong endpoint or garbage replies.
 
     SREGym's misconfiguration problems (wrong port, bad image) as seen
@@ -580,40 +554,23 @@ class Misconfiguration(FailureScenario):
 
     kind = "misconfiguration"
 
-    _MODES = ("endpoint", "reply")
+    _MODES: _t.ClassVar[tuple[str, ...]] = ("endpoint", "reply")
 
-    def __init__(
-        self,
-        service: str,
-        mode: str = "endpoint",
-        error: int = 404,
-        reply_pattern: _t.Union[str, bytes] = "ok",
-        replace_bytes: _t.Union[str, bytes] = "<garbage>",
-        pattern: str = "test-*",
-    ) -> None:
-        if mode not in self._MODES:
-            raise RecipeError(
-                f"Misconfiguration mode must be one of {self._MODES}, got {mode!r}"
-            )
-        self.service = service
-        self.mode = mode
-        self.error = error
-        self.reply_pattern = reply_pattern
-        self.replace_bytes = replace_bytes
-        self.pattern = pattern
+    mode: str = "endpoint"
+    error: int = 404
+    reply_pattern: _t.Union[str, bytes] = "ok"
+    replace_bytes: _t.Union[str, bytes] = "<garbage>"
+    pattern: str = "test-*"
 
-    def decompose(self, graph: ApplicationGraph) -> list[FaultRule]:
-        graph.validate_services([self.service])
-        dependents = graph.dependents(self.service)
-        if not dependents:
+    def __post_init__(self) -> None:
+        if self.mode not in self._MODES:
             raise RecipeError(
-                f"Misconfiguration({self.service!r}): service has no dependents"
+                f"Misconfiguration mode must be one of {self._MODES}, got {self.mode!r}"
             )
+
+    def rules_from(self, dependent: str) -> list[FaultRule]:
         if self.mode == "endpoint":
-            return [
-                abort(dependent, self.service, error=self.error, pattern=self.pattern)
-                for dependent in dependents
-            ]
+            return [abort(dependent, self.service, error=self.error, pattern=self.pattern)]
         return [
             modify(
                 dependent,
@@ -622,7 +579,6 @@ class Misconfiguration(FailureScenario):
                 replace_bytes=self.replace_bytes,
                 id_pattern=self.pattern,
             )
-            for dependent in dependents
         ]
 
     def describe(self) -> str:
@@ -630,7 +586,8 @@ class Misconfiguration(FailureScenario):
         return f"misconfiguration({self.service}, {self.mode}: {detail})"
 
 
-class ResourceExhaustion(FailureScenario):
+@_scenario
+class ResourceExhaustion(_ServiceScenario):
     """Load-dependent degradation ending in load shedding.
 
     Models a service hitting a resource ceiling under arrival
@@ -645,50 +602,33 @@ class ResourceExhaustion(FailureScenario):
 
     kind = "resource_exhaustion"
 
-    def __init__(
-        self,
-        service: str,
-        interval: _t.Union[str, float] = "100ms",
-        shed_after: int = 4,
-        error: int = 429,
-        pattern: str = "test-*",
-    ) -> None:
-        if shed_after < 1:
-            raise RecipeError(f"shed_after must be >= 1, got {shed_after}")
-        self.service = service
-        self.interval = parse_duration(interval)
-        self.shed_after = shed_after
-        self.error = error
-        self.pattern = pattern
+    interval: _t.Union[str, float] = "100ms"
+    shed_after: int = 4
+    error: int = 429
+    pattern: str = "test-*"
 
-    def decompose(self, graph: ApplicationGraph) -> list[FaultRule]:
-        graph.validate_services([self.service])
-        dependents = graph.dependents(self.service)
-        if not dependents:
-            raise RecipeError(
-                f"ResourceExhaustion({self.service!r}): service has no dependents"
-            )
-        rules: list[FaultRule] = []
-        for dependent in dependents:
-            rules.append(
-                abort(
-                    dependent,
-                    self.service,
-                    error=self.error,
-                    pattern=self.pattern,
-                    skip_matches=self.shed_after,
-                )
-            )
-            rules.append(
-                delay(
-                    dependent,
-                    self.service,
-                    interval=self.interval,
-                    pattern=self.pattern,
-                    max_matches=self.shed_after,
-                )
-            )
-        return rules
+    def __post_init__(self) -> None:
+        if self.shed_after < 1:
+            raise RecipeError(f"shed_after must be >= 1, got {self.shed_after}")
+        self.interval = parse_duration(self.interval)
+
+    def rules_from(self, dependent: str) -> list[FaultRule]:
+        return [
+            abort(
+                dependent,
+                self.service,
+                error=self.error,
+                pattern=self.pattern,
+                skip_matches=self.shed_after,
+            ),
+            delay(
+                dependent,
+                self.service,
+                interval=self.interval,
+                pattern=self.pattern,
+                max_matches=self.shed_after,
+            ),
+        ]
 
     def describe(self) -> str:
         return (
@@ -697,7 +637,8 @@ class ResourceExhaustion(FailureScenario):
         )
 
 
-class NoOpControl(FailureScenario):
+@_scenario
+class NoOpControl(_ServiceScenario):
     """A control scenario that installs rules but never fires them.
 
     False-positive calibration (SREGym's no-op problems): the full
@@ -710,25 +651,35 @@ class NoOpControl(FailureScenario):
 
     kind = "noop_control"
 
-    def __init__(self, service: str, pattern: str = "test-*") -> None:
-        self.service = service
-        self.pattern = pattern
+    pattern: str = "test-*"
 
-    def decompose(self, graph: ApplicationGraph) -> list[FaultRule]:
-        graph.validate_services([self.service])
-        dependents = graph.dependents(self.service)
-        if not dependents:
-            raise RecipeError(f"NoOpControl({self.service!r}): service has no dependents")
+    def rules_from(self, dependent: str) -> list[FaultRule]:
         return [
-            abort(
-                dependent,
-                self.service,
-                error=503,
-                pattern=self.pattern,
-                probability=0.0,
-            )
-            for dependent in dependents
+            abort(dependent, self.service, error=503, pattern=self.pattern, probability=0.0)
         ]
 
     def describe(self) -> str:
         return f"noop_control({self.service})"
+
+
+#: Every scenario kind the spec codec can name, by :attr:`~FailureScenario.kind`.
+SCENARIO_KINDS: dict[str, type[FailureScenario]] = {
+    cls.kind: cls
+    for cls in (
+        AbortCalls,
+        DelayCalls,
+        ModifyReplies,
+        Disconnect,
+        Crash,
+        Hang,
+        Overload,
+        Degrade,
+        NetworkPartition,
+        FakeSuccess,
+        RetryStorm,
+        GrayFailure,
+        Misconfiguration,
+        ResourceExhaustion,
+        NoOpControl,
+    )
+}

@@ -28,7 +28,7 @@ from repro.util import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "compiler": ["compile_scenarios", "coordinate_recipe", "scenario_specs"],
+        "compiler": ["compile_scenarios", "coordinate_recipe"],
         "coords": [
             "FAULT_PRIMITIVES",
             "Coordinate",

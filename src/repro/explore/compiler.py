@@ -2,12 +2,10 @@
 
 A coordinate names an injection point; this module turns it into the
 exact data-plane programming that hits that point and nothing else,
-reusing the same scenario vocabulary (and JSON codec) as the rest of
-the stack:
+reusing the same scenario vocabulary as the rest of the stack:
 
-* :func:`scenario_specs` — the portable ``{"kind", "params"}`` dicts
-  (:mod:`repro.fuzz.spec` codec) that fleet workers rebuild in-process;
-* :func:`compile_scenarios` — live :class:`FailureScenario` objects;
+* :func:`compile_scenarios` — :class:`FailureScenario` objects, which
+  pickle as they are to fleet workers;
 * :func:`coordinate_recipe` — a full :class:`~repro.core.recipe.Recipe`
   pairing the fault with the app manifest's pattern checks, runnable
   by the :class:`~repro.core.gremlin.Gremlin` facade like any
@@ -29,50 +27,40 @@ import typing as _t
 
 from repro.apps.outages import SeededBugManifest
 from repro.core.recipe import Recipe
-from repro.core.scenarios import FailureScenario
+from repro.core.scenarios import AbortCalls, DelayCalls, FailureScenario
 from repro.errors import ExploreError
 from repro.explore.coords import Coordinate, fault_primitives
-from repro.fuzz.spec import build_scenario
 
-__all__ = ["compile_scenarios", "coordinate_recipe", "scenario_specs"]
-
-
-def scenario_specs(
-    coordinate: Coordinate, manifest: SeededBugManifest
-) -> _t.List[dict]:
-    """The coordinate's fault as portable scenario-spec dicts."""
-    if coordinate.app != manifest.name:
-        raise ExploreError(
-            f"coordinate {coordinate.key()!r} belongs to app"
-            f" {coordinate.app!r}, not {manifest.name!r}"
-        )
-    params_by_fault = dict(fault_primitives(manifest))
-    fault_params = params_by_fault[coordinate.fault]
-    kind = "delay" if "interval" in fault_params else "abort"
-    params: _t.Dict[str, _t.Any] = {
-        "src": coordinate.src,
-        "dst": coordinate.dst,
-        "pattern": coordinate.request_id,
-        "on": "request",
-        "probability": 1.0,
-    }
-    params.update(fault_params)
-    if coordinate.mode == "single":
-        # Exactly one injection: the ordinal-th call on this edge
-        # within the one named request.
-        params["max_matches"] = 1
-        params["skip_matches"] = coordinate.ordinal
-    else:
-        params["max_matches"] = None
-        params["skip_matches"] = 0
-    return [{"kind": kind, "params": params}]
+__all__ = ["compile_scenarios", "coordinate_recipe"]
 
 
 def compile_scenarios(
     coordinate: Coordinate, manifest: SeededBugManifest
 ) -> _t.List[FailureScenario]:
-    """Live scenario objects for one coordinate."""
-    return [build_scenario(spec) for spec in scenario_specs(coordinate, manifest)]
+    """The coordinate's fault as scenario objects."""
+    if coordinate.app != manifest.name:
+        raise ExploreError(
+            f"coordinate {coordinate.key()!r} belongs to app"
+            f" {coordinate.app!r}, not {manifest.name!r}"
+        )
+    fault_params = dict(fault_primitives(manifest))[coordinate.fault]
+    scenario = DelayCalls if "interval" in fault_params else AbortCalls
+    # A single coordinate injects exactly once: the ordinal-th call on
+    # this edge within the one named request.
+    budget = (
+        {"max_matches": 1, "skip_matches": coordinate.ordinal}
+        if coordinate.mode == "single"
+        else {}
+    )
+    return [
+        scenario(
+            coordinate.src,
+            coordinate.dst,
+            pattern=coordinate.request_id,
+            **fault_params,
+            **budget,
+        )
+    ]
 
 
 def coordinate_recipe(

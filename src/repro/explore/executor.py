@@ -4,8 +4,8 @@ Each task is one full simulated run
 (:func:`~repro.core.gremlin.run_faulted`): deploy the seeded app,
 install the coordinate's compiled rules, drive the manifest workload,
 evaluate the manifest's pattern checks — then distill the outcome into
-plain data.  Tasks are plain-data too (app *name* plus scenario-spec dicts),
-so the same task object runs on the thread fleet or pickles to a
+plain data.  A task is an app *name* plus scenario objects, so the same
+task object runs on the thread fleet or pickles to a
 spawn-isolated process worker — the outcome, including the strict
 store digest, is identical on either backend, on either scheduler
 lane, at any worker count.  That equality is load-bearing: the
@@ -32,8 +32,9 @@ from repro.core.gremlin import (
     strict_digest,
     strict_records,
 )
+from repro.core.scenarios import FailureScenario
 from repro.errors import ExploreError
-from repro.fuzz.spec import SOURCE_NAME, build_scenario
+from repro.fuzz.spec import SOURCE_NAME
 
 __all__ = [
     "ExploreOutcome",
@@ -52,9 +53,8 @@ class ExploreTask:
     seed: int
     #: Coordinate key (or ``"baseline"`` for the discovery run).
     key: str
-    #: Scenario-spec dicts (:mod:`repro.fuzz.spec` codec); empty for
-    #: the fault-free baseline.
-    scenarios: _t.Tuple[dict, ...] = ()
+    #: Compiled scenarios; empty for the fault-free baseline.
+    scenarios: _t.Tuple[FailureScenario, ...] = ()
 
 
 @dataclasses.dataclass
@@ -104,7 +104,7 @@ def execute_task(task: ExploreTask) -> ExploreOutcome:
     manifest = _manifest(task.app)
     run = run_faulted(
         manifest.builder().deploy(seed=task.seed),
-        [build_scenario(spec) for spec in task.scenarios],
+        list(task.scenarios),
         manifest.checks(),
         load=_manifest_load(manifest),
     )

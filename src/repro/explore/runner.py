@@ -34,7 +34,7 @@ import typing as _t
 from repro.apps.outages import SeededBugManifest
 from repro.core.gremlin import run_faulted, shape_digests_of
 from repro.errors import ExploreError
-from repro.explore.compiler import scenario_specs
+from repro.explore.compiler import compile_scenarios
 from repro.explore.coords import (
     Coordinate,
     ExplorationSpace,
@@ -229,7 +229,7 @@ def run_explore(
                     app=app,
                     seed=seed,
                     key=coordinate.key(),
-                    scenarios=tuple(scenario_specs(coordinate, manifest)),
+                    scenarios=tuple(compile_scenarios(coordinate, manifest)),
                 )
                 for coordinate in wave
             ]

@@ -29,6 +29,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "oracle": ["OracleError", "PredictedRecord", "Prediction", "predict"],
         "shrink": ["ShrinkResult", "shrink"],
         "spec": [
+            "CHECK_KINDS",
             "EdgeCountCheck",
             "EdgeStatusCheck",
             "FuzzCase",

@@ -20,24 +20,7 @@ from repro.core.assertions import CheckStatus, Combine
 from repro.core.patterns import CheckResult, PatternCheck
 from repro.core.queries import StoreLike, get_requests, observed_status
 from repro.core.recipe import Recipe
-from repro.core.scenarios import (
-    AbortCalls,
-    Crash,
-    Degrade,
-    DelayCalls,
-    Disconnect,
-    FailureScenario,
-    FakeSuccess,
-    GrayFailure,
-    Hang,
-    Misconfiguration,
-    ModifyReplies,
-    NetworkPartition,
-    NoOpControl,
-    Overload,
-    ResourceExhaustion,
-    RetryStorm,
-)
+from repro.core.scenarios import SCENARIO_KINDS, FailureScenario
 from repro.errors import RecipeError
 from repro.microservice.app import Application
 from repro.microservice.graph import ApplicationGraph
@@ -46,6 +29,7 @@ from repro.microservice.resilience.policy import PolicySpec
 from repro.microservice.service import ServiceDefinition
 
 __all__ = [
+    "CHECK_KINDS",
     "EdgeCountCheck",
     "EdgeStatusCheck",
     "FuzzCase",
@@ -75,26 +59,18 @@ SOURCE_NAME = "user"
 # machine, which is the layer under differential test.
 
 
+@dataclasses.dataclass(eq=False, repr=False)
 class EdgeStatusCheck(PatternCheck):
     """At least ``num_match`` requests on one edge saw ``status``."""
 
     name = "edge_status"
 
-    def __init__(
-        self,
-        src: str,
-        dst: str,
-        status: int,
-        num_match: int = 1,
-        with_rule: bool = True,
-        id_pattern: str = "test-*",
-    ) -> None:
-        self.src = src
-        self.dst = dst
-        self.status = status
-        self.num_match = num_match
-        self.with_rule = with_rule
-        self.id_pattern = id_pattern
+    src: str
+    dst: str
+    status: int
+    num_match: int = 1
+    with_rule: bool = True
+    id_pattern: str = "test-*"
 
     def run(
         self,
@@ -127,6 +103,7 @@ class EdgeStatusCheck(PatternCheck):
         )
 
 
+@dataclasses.dataclass(eq=False, repr=False)
 class EdgeCountCheck(PatternCheck):
     """The number of requests on one edge compares to ``count``.
 
@@ -137,26 +114,27 @@ class EdgeCountCheck(PatternCheck):
 
     name = "edge_count"
 
-    _OPS: dict[str, _t.Callable[[int, int], bool]] = {
+    _OPS: _t.ClassVar[dict[str, _t.Callable[[int, int], bool]]] = {
         "==": lambda have, want: have == want,
         ">=": lambda have, want: have >= want,
         "<=": lambda have, want: have <= want,
     }
 
+    src: str
+    dst: str
+    op: str
+    count: int
+    id_pattern: str = "test-*"
+
+    def __post_init__(self) -> None:
+        if self.op not in self._OPS:
+            raise RecipeError(
+                f"edge_count op must be one of {sorted(self._OPS)}, got {self.op!r}"
+            )
+
     def label(self) -> str:
         """The stable result name the oracle predicts against."""
         return f"edge_count({self.src}->{self.dst} {self.op} {self.count})"
-
-    def __init__(
-        self, src: str, dst: str, op: str, count: int, id_pattern: str = "test-*"
-    ) -> None:
-        if op not in self._OPS:
-            raise RecipeError(f"edge_count op must be one of {sorted(self._OPS)}, got {op!r}")
-        self.src = src
-        self.dst = dst
-        self.op = op
-        self.count = count
-        self.id_pattern = id_pattern
 
     def run(
         self,
@@ -177,40 +155,9 @@ class EdgeCountCheck(PatternCheck):
 
 # -- scenario / check codecs ---------------------------------------------------
 
-#: kind -> (class, ordered constructor parameter names).
-_SCENARIO_KINDS: dict[str, tuple[type, tuple[str, ...]]] = {
-    "abort": (
-        AbortCalls,
-        ("src", "dst", "error", "pattern", "on", "probability", "max_matches", "skip_matches"),
-    ),
-    "delay": (
-        DelayCalls,
-        ("src", "dst", "interval", "pattern", "on", "probability", "max_matches", "skip_matches"),
-    ),
-    "modify": (ModifyReplies, ("src", "dst", "pattern", "replace_bytes", "id_pattern")),
-    "disconnect": (Disconnect, ("service1", "service2", "error", "pattern")),
-    "crash": (Crash, ("service", "pattern", "probability")),
-    "hang": (Hang, ("service", "interval", "pattern")),
-    "overload": (Overload, ("service", "abort_fraction", "interval", "error", "pattern")),
-    "degrade": (Degrade, ("service", "interval", "pattern")),
-    "partition": (NetworkPartition, ("group_a", "group_b", "pattern")),
-    "fake_success": (FakeSuccess, ("service", "pattern", "replace_bytes", "id_pattern")),
-    "retry_storm": (RetryStorm, ("service", "error", "pattern", "probability")),
-    "gray_failure": (GrayFailure, ("service", "interval", "slow_fraction", "pattern")),
-    "misconfiguration": (
-        Misconfiguration,
-        ("service", "mode", "error", "reply_pattern", "replace_bytes", "pattern"),
-    ),
-    "resource_exhaustion": (
-        ResourceExhaustion,
-        ("service", "interval", "shed_after", "error", "pattern"),
-    ),
-    "noop_control": (NoOpControl, ("service", "pattern")),
-}
-
-_CHECK_KINDS: dict[str, tuple[type, tuple[str, ...]]] = {
-    "edge_status": (EdgeStatusCheck, ("src", "dst", "status", "num_match", "with_rule", "id_pattern")),
-    "edge_count": (EdgeCountCheck, ("src", "dst", "op", "count", "id_pattern")),
+#: Every fuzz check kind the spec codec can name, by its ``name``.
+CHECK_KINDS: dict[str, type[PatternCheck]] = {
+    cls.name: cls for cls in (EdgeStatusCheck, EdgeCountCheck)
 }
 
 ScenarioSpec = _t.Dict[str, _t.Any]
@@ -223,44 +170,47 @@ def _jsonable(value: _t.Any) -> _t.Any:
     return value
 
 
-def scenario_to_spec(scenario: FailureScenario) -> ScenarioSpec:
-    """Serialize one scenario to a ``{"kind", "params"}`` spec."""
-    for kind, (cls, params) in _SCENARIO_KINDS.items():
-        if type(scenario) is cls:
+def _to_spec(kinds: _t.Mapping[str, type], what: str, obj: _t.Any) -> dict:
+    """``{"kind", "params"}`` for a dataclass named in ``kinds``; the
+    params are its fields, in declaration order."""
+    for kind, cls in kinds.items():
+        if type(obj) is cls:
             return {
                 "kind": kind,
-                "params": {name: _jsonable(getattr(scenario, name)) for name in params},
+                "params": {
+                    field.name: _jsonable(getattr(obj, field.name))
+                    for field in dataclasses.fields(cls)
+                },
             }
-    raise RecipeError(f"unserializable scenario type {type(scenario).__name__}")
+    raise RecipeError(f"unserializable {what} type {type(obj).__name__}")
+
+
+def _from_spec(kinds: _t.Mapping[str, type], what: str, spec: dict) -> _t.Any:
+    try:
+        cls = kinds[spec["kind"]]
+    except KeyError:
+        raise RecipeError(f"unknown {what} kind {spec.get('kind')!r}") from None
+    return cls(**spec["params"])
+
+
+def scenario_to_spec(scenario: FailureScenario) -> ScenarioSpec:
+    """Serialize one scenario to a ``{"kind", "params"}`` spec."""
+    return _to_spec(SCENARIO_KINDS, "scenario", scenario)
 
 
 def build_scenario(spec: ScenarioSpec) -> FailureScenario:
     """Rebuild a scenario from its spec."""
-    try:
-        cls, _ = _SCENARIO_KINDS[spec["kind"]]
-    except KeyError:
-        raise RecipeError(f"unknown scenario kind {spec.get('kind')!r}") from None
-    return cls(**spec["params"])
+    return _from_spec(SCENARIO_KINDS, "scenario", spec)
 
 
 def check_to_spec(check: PatternCheck) -> CheckSpec:
     """Serialize one fuzz check to a ``{"kind", "params"}`` spec."""
-    for kind, (cls, params) in _CHECK_KINDS.items():
-        if type(check) is cls:
-            return {
-                "kind": kind,
-                "params": {name: getattr(check, name) for name in params},
-            }
-    raise RecipeError(f"unserializable check type {type(check).__name__}")
+    return _to_spec(CHECK_KINDS, "check", check)
 
 
 def build_check(spec: CheckSpec) -> PatternCheck:
     """Rebuild a check from its spec."""
-    try:
-        cls, _ = _CHECK_KINDS[spec["kind"]]
-    except KeyError:
-        raise RecipeError(f"unknown check kind {spec.get('kind')!r}") from None
-    return cls(**spec["params"])
+    return _from_spec(CHECK_KINDS, "check", spec)
 
 
 # -- topology -----------------------------------------------------------------
@@ -406,28 +356,11 @@ class FuzzCase:
 
     @property
     def deterministic(self) -> bool:
-        """True when no rule can take a fractional probability draw.
-
-        ``probability`` 0 and 1 keep execution fully deterministic
-        (p=1 draws nothing; p=0 draws but never applies), so exact
-        trace prediction and digest-comparison metamorphic checks are
-        only run on such cases.
+        """True when no rule can take a fractional probability draw
+        (:attr:`FailureScenario.draws`), so exact trace prediction and
+        digest-comparison metamorphic checks are only run on such cases.
         """
-        for spec in self.scenarios:
-            params = spec["params"]
-            if spec["kind"] == "overload":
-                fraction = params.get("abort_fraction", 0.25)
-                if 0.0 < fraction < 1.0:
-                    return False
-            elif spec["kind"] == "gray_failure":
-                fraction = params.get("slow_fraction", 1.0)
-                if 0.0 < fraction < 1.0:
-                    return False
-            else:
-                probability = params.get("probability", 1.0)
-                if 0.0 < probability < 1.0:
-                    return False
-        return True
+        return not any(build_scenario(spec).draws for spec in self.scenarios)
 
     @property
     def oracle_eligible(self) -> bool:

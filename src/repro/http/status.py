@@ -10,11 +10,7 @@ from __future__ import annotations
 __all__ = [
     "REASON_PHRASES",
     "reason_phrase",
-    "is_informational",
     "is_success",
-    "is_redirect",
-    "is_client_error",
-    "is_server_error",
     "is_error",
     "OK",
     "NO_CONTENT",
@@ -72,29 +68,9 @@ def reason_phrase(status: int) -> str:
     return REASON_PHRASES.get(status, "Unknown")
 
 
-def is_informational(status: int) -> bool:
-    """1xx."""
-    return 100 <= status < 200
-
-
 def is_success(status: int) -> bool:
     """2xx."""
     return 200 <= status < 300
-
-
-def is_redirect(status: int) -> bool:
-    """3xx."""
-    return 300 <= status < 400
-
-
-def is_client_error(status: int) -> bool:
-    """4xx."""
-    return 400 <= status < 500
-
-
-def is_server_error(status: int) -> bool:
-    """5xx."""
-    return 500 <= status < 600
 
 
 def is_error(status: int) -> bool:

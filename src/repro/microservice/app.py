@@ -55,12 +55,6 @@ class Application:
         self._definitions[definition.name] = definition
         return self
 
-    def add_services(self, definitions: _t.Iterable[ServiceDefinition]) -> "Application":
-        """Register several definitions (chainable)."""
-        for definition in definitions:
-            self.add_service(definition)
-        return self
-
     @property
     def definitions(self) -> dict[str, ServiceDefinition]:
         """Name -> definition map (copy)."""
@@ -332,10 +326,6 @@ class Deployment:
         if service not in self.instances and service not in self._traffic_sources:
             raise RecipeError(f"unknown service {service!r}")
         return [agent for agent in self.agents if agent.owner_service == service]
-
-    def client_of(self, service: str, dependency: str, replica: int = 0) -> DependencyClient:
-        """The dependency client of one replica, for white-box tests."""
-        return self.instances_of(service)[replica].clients[dependency]
 
     # -- traffic sources ---------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Unit tests for scenario decomposition (paper Section 5 recipes)."""
 
+import pathlib
+
 import pytest
 
 from repro.agent import FaultType, TCP_RESET
@@ -9,12 +11,20 @@ from repro.core import (
     Degrade,
     DelayCalls,
     Disconnect,
+    FailureScenario,
     FakeSuccess,
+    GrayFailure,
     Hang,
+    Misconfiguration,
     ModifyReplies,
     NetworkPartition,
+    NoOpControl,
     Overload,
+    ResourceExhaustion,
+    RetryStorm,
 )
+from repro.core import scenarios as scenarios_module
+from repro.core.scenarios import SCENARIO_KINDS
 from repro.errors import RecipeError
 from repro.microservice import ApplicationGraph
 
@@ -143,3 +153,61 @@ class TestFakeSuccess:
             FakeSuccess("cassandra"),
         ):
             assert scenario.kind in scenario.describe() or "(" in scenario.describe()
+
+
+class TestKindTable:
+    def test_every_scenario_class_has_a_kind_entry(self):
+        classes = {
+            obj
+            for obj in vars(scenarios_module).values()
+            if isinstance(obj, type)
+            and issubclass(obj, FailureScenario)
+            and not obj.__name__.startswith("_")
+            and obj is not FailureScenario
+        }
+        assert classes == set(SCENARIO_KINDS.values())
+        assert all(SCENARIO_KINDS[cls.kind] is cls for cls in classes)
+
+    def test_every_kind_is_in_the_recipes_table(self):
+        """docs/RECIPES.md section 2 lists every scenario kind."""
+        doc = (pathlib.Path(__file__).parents[2] / "docs" / "RECIPES.md").read_text()
+        section = doc.split("## 2.", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        named = {row[len("| `"):].split("(", 1)[0] for row in rows}
+        kinds = {cls.__name__ for cls in SCENARIO_KINDS.values()}
+        assert sorted(kinds - named) == []
+
+
+class TestDrawFields:
+    """``draws`` is True exactly when a decomposed rule takes a
+    fractional probability draw, for every kind."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            AbortCalls("messagebus", "cassandra", probability=0.5),
+            DelayCalls("messagebus", "cassandra", "1s", probability=0.5),
+            Crash("cassandra", probability=0.3),
+            Overload("cassandra", abort_fraction=0.5),
+            Overload("cassandra", abort_fraction=0.25),
+            RetryStorm("cassandra", probability=0.5),
+            GrayFailure("cassandra", slow_fraction=0.5),
+            AbortCalls("messagebus", "cassandra"),
+            Crash("cassandra", probability=0.0),
+            Overload("cassandra", abort_fraction=1.0),
+            Overload("cassandra", abort_fraction=0.0),
+            GrayFailure("cassandra"),
+            ModifyReplies("messagebus", "cassandra", "a", "b"),
+            Disconnect("messagebus", "cassandra"),
+            Hang("cassandra"),
+            Degrade("cassandra"),
+            NetworkPartition(["publisher"], ["messagebus"]),
+            FakeSuccess("cassandra"),
+            Misconfiguration("cassandra"),
+            ResourceExhaustion("cassandra"),
+            NoOpControl("cassandra"),
+        ],
+    )
+    def test_draws_matches_the_rules(self, graph, scenario):
+        rules = scenario.decompose(graph)
+        assert scenario.draws == any(0.0 < rule.probability < 1.0 for rule in rules)

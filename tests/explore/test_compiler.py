@@ -7,13 +7,8 @@ from repro.apps.outages import SEEDED_BUG_SUITE
 from repro.core.gremlin import Gremlin
 from repro.core.recipe import Recipe
 from repro.errors import ExploreError
-from repro.explore import (
-    compile_scenarios,
-    coordinate_recipe,
-    discover_space,
-    scenario_specs,
-)
-from repro.fuzz.spec import SOURCE_NAME, build_scenario
+from repro.explore import compile_scenarios, coordinate_recipe, discover_space
+from repro.fuzz.spec import SOURCE_NAME
 from repro.loadgen import ClosedLoopLoad
 
 
@@ -23,7 +18,7 @@ def run_with_coordinate(coordinate, manifest):
     deployment = manifest.builder().deploy(seed=0)
     source = deployment.add_traffic_source(manifest.entry, name=SOURCE_NAME)
     gremlin = Gremlin(deployment)
-    scenarios = [build_scenario(spec) for spec in scenario_specs(coordinate, manifest)]
+    scenarios = compile_scenarios(coordinate, manifest)
     with fresh_rule_ids():
         rules = gremlin.translator.translate(scenarios)
     gremlin.orchestrator.apply(rules)
@@ -57,11 +52,11 @@ class TestSingleTargeting:
         manifest = SEEDED_BUG_SUITE["deepfanout"]
         space = discover_space("deepfanout", seed=0)
         coordinate = space.singles[0]
-        (spec,) = scenario_specs(coordinate, manifest)
-        assert spec["params"]["max_matches"] == 1
-        assert spec["params"]["skip_matches"] == coordinate.ordinal
-        assert spec["params"]["pattern"] == "test-1"
-        assert spec["params"]["probability"] == 1.0
+        (scenario,) = compile_scenarios(coordinate, manifest)
+        assert scenario.max_matches == 1
+        assert scenario.skip_matches == coordinate.ordinal
+        assert scenario.pattern == "test-1"
+        assert scenario.probability == 1.0
 
 
 class TestSweepCompilation:
@@ -83,10 +78,10 @@ class TestSweepCompilation:
     def test_sweep_spec_is_persistent(self):
         manifest = SEEDED_BUG_SUITE["deepfanout"]
         space = discover_space("deepfanout", seed=0)
-        (spec,) = scenario_specs(space.sweeps[0], manifest)
-        assert spec["params"]["max_matches"] is None
-        assert spec["params"]["skip_matches"] == 0
-        assert spec["params"]["pattern"] == "test-*"
+        (scenario,) = compile_scenarios(space.sweeps[0], manifest)
+        assert scenario.max_matches is None
+        assert scenario.skip_matches == 0
+        assert scenario.pattern == "test-*"
 
 
 class TestRecipeAndErrors:
@@ -109,4 +104,4 @@ class TestRecipeAndErrors:
     def test_app_mismatch_raises(self):
         space = discover_space("deepfanout", seed=0)
         with pytest.raises(ExploreError):
-            scenario_specs(space.sweeps[0], SEEDED_BUG_SUITE["retrystorm"])
+            compile_scenarios(space.sweeps[0], SEEDED_BUG_SUITE["retrystorm"])

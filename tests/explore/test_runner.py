@@ -10,11 +10,11 @@ from repro.campaign.fleet import ProcessPool
 from repro.errors import CampaignError, ExploreError
 from repro.explore import (
     ExploreTask,
+    compile_scenarios,
     discover_space,
     execute_task,
     run_explore,
     run_wave,
-    scenario_specs,
     task_fleet,
 )
 from repro.simulation.kernel import SCHEDULERS
@@ -34,7 +34,7 @@ def task_for(app, coordinate):
         app=app,
         seed=0,
         key=coordinate.key(),
-        scenarios=tuple(scenario_specs(coordinate, manifest)),
+        scenarios=tuple(compile_scenarios(coordinate, manifest)),
     )
 
 

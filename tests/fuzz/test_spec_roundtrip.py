@@ -14,10 +14,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.agent.rules import fresh_rule_ids
 from repro.cli import APPS
 from repro.core.recipe import Recipe
-from repro.core.scenarios import AbortCalls, DelayCalls, ModifyReplies
+from repro.core.scenarios import (
+    SCENARIO_KINDS,
+    AbortCalls,
+    Crash,
+    Degrade,
+    DelayCalls,
+    Disconnect,
+    FakeSuccess,
+    GrayFailure,
+    Hang,
+    Misconfiguration,
+    ModifyReplies,
+    NetworkPartition,
+    NoOpControl,
+    Overload,
+    ResourceExhaustion,
+    RetryStorm,
+)
 from repro.fuzz import (
+    CHECK_KINDS,
     EdgeCountCheck,
     EdgeStatusCheck,
     FuzzCase,
@@ -55,23 +74,13 @@ def small_case():
     )
 
 
+def decomposed(scenario, graph):
+    with fresh_rule_ids():
+        return scenario.decompose(graph)
+
+
 class TestScenarioCodec:
     def test_round_trips_every_kind(self):
-        from repro.core.scenarios import (
-            Crash,
-            Degrade,
-            Disconnect,
-            FakeSuccess,
-            GrayFailure,
-            Hang,
-            Misconfiguration,
-            NetworkPartition,
-            NoOpControl,
-            Overload,
-            ResourceExhaustion,
-            RetryStorm,
-        )
-
         scenarios = [
             AbortCalls("a", "b", error=500, on="request", probability=0.5, max_matches=2),
             DelayCalls("a", "b", "250ms", pattern="test-1"),
@@ -90,10 +99,14 @@ class TestScenarioCodec:
             ResourceExhaustion("b", interval="75ms", shed_after=3, error=429),
             NoOpControl("b", pattern="test-2"),
         ]
+        assert {s.kind for s in scenarios} == set(SCENARIO_KINDS)
+        graph = small_case().topology.logical_graph()
         for scenario in scenarios:
             spec = scenario_to_spec(scenario)
             rebuilt = build_scenario(json.loads(json.dumps(spec)))
             assert rebuilt == scenario, spec["kind"]
+            assert rebuilt.describe() == scenario.describe(), spec["kind"]
+            assert decomposed(rebuilt, graph) == decomposed(scenario, graph), spec["kind"]
 
     def test_equality_is_type_strict(self):
         abort = AbortCalls("a", "b", error=503)
@@ -110,6 +123,7 @@ class TestCheckCodec:
             EdgeStatusCheck("a", "b", 503, num_match=2, with_rule=False),
             EdgeCountCheck("a", "b", "==", 0, id_pattern="test-1"),
         ]
+        assert {c.name for c in checks} == set(CHECK_KINDS)
         for check in checks:
             spec = check_to_spec(check)
             rebuilt = build_check(json.loads(json.dumps(spec)))
@@ -155,6 +169,22 @@ class TestEligibility:
         case.scenarios.append(
             scenario_to_spec(AbortCalls("a", "b", error=503, probability=0.5))
         )
+        assert not case.deterministic
+        assert not case.oracle_eligible
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            Crash("b", probability=0.5),
+            Overload("b", abort_fraction=0.5),
+            GrayFailure("b", slow_fraction=0.25),
+            RetryStorm("b", probability=0.9),
+        ],
+        ids=lambda scenario: scenario.kind,
+    )
+    def test_every_draw_field_reaches_eligibility(self, scenario):
+        case = small_case()
+        case.scenarios.append(scenario_to_spec(scenario))
         assert not case.deterministic
         assert not case.oracle_eligible
 

@@ -15,6 +15,7 @@ import json
 from repro.agent.rules import fresh_rule_ids
 from repro.apps import build_twotier
 from repro.campaign import CampaignRunner, plan_campaign
+from repro.cli import APPS
 from repro.core import (
     Gremlin,
     HasBoundedRetries,
@@ -23,8 +24,24 @@ from repro.core import (
     Recipe,
 )
 from repro.core.autogen import EdgeAnnotation
+from repro.core.scenarios import (
+    AbortCalls,
+    Crash,
+    Degrade,
+    DelayCalls,
+    Disconnect,
+    FakeSuccess,
+    GrayFailure,
+    Hang,
+    Misconfiguration,
+    ModifyReplies,
+    NetworkPartition,
+    NoOpControl,
+    ResourceExhaustion,
+    RetryStorm,
+)
 from repro.explore import run_explore
-from repro.fuzz import FuzzGenerator, run_case
+from repro.fuzz import FuzzGenerator, run_case, scenario_to_spec
 from repro.loadgen import ClosedLoopLoad
 
 
@@ -108,6 +125,48 @@ def test_run_recipe_window_and_verdicts():
     assert json.loads(json.dumps(seen)) == json.loads(json.dumps(GOLDEN_RUN_RECIPE))
 
 
+def sha256_json(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode("utf-8")).hexdigest()
+
+
+def test_scenario_spec_bytes():
+    """One instance per scenario kind: the spec codec's exact JSON,
+    parameter order and bytes-to-text decoding included."""
+    scenarios = [
+        AbortCalls(
+            "a", "b", error=500, on="response", probability=0.5,
+            max_matches=2, skip_matches=1,
+        ),
+        DelayCalls("a", "b", "250ms", pattern="test-1"),
+        ModifyReplies("a", "b", b"ok", b"KO", id_pattern="test-*"),
+        Disconnect("a", "b", error=502),
+        Crash("b", probability=0.0),
+        Hang("b", interval="2s"),
+        Overload("b", abort_fraction=0.5, interval="50ms"),
+        Degrade("b", interval="1s"),
+        NetworkPartition(("a",), ["b", "c"]),
+        FakeSuccess("b", pattern="ok", replace_bytes="bad"),
+        RetryStorm("b", error=502, probability=0.5),
+        GrayFailure("b", interval="300ms", slow_fraction=0.25),
+        Misconfiguration("b", mode="reply", replace_bytes="XX"),
+        ResourceExhaustion("b", interval="75ms", shed_after=3, error=429),
+        NoOpControl("b", pattern="test-2"),
+    ]
+    specs = [scenario_to_spec(scenario) for scenario in scenarios]
+    assert sha256_json(specs) == GOLDEN_SCENARIO_SPECS
+
+
+def test_generated_fuzz_corpus_bytes():
+    cases = FuzzGenerator(2026, app_registry=APPS).generate(60)
+    assert sha256_json([case.to_dict() for case in cases]) == GOLDEN_FUZZ_CORPUS
+
+
+GOLDEN_SCENARIO_SPECS = (
+    "d877ad1cead55180a2f9f1434356df027cf99d5dceb945f5c2416462f590565c"
+)
+GOLDEN_FUZZ_CORPUS = (
+    "05ba27940554f3da1be0bb0a26fe85e0ed2fd6a0e474870a9969ef28f07b3598"
+)
 GOLDEN_CAMPAIGN_STATUSES = ["fail", "inconclusive", "fail", "fail", "fail"]
 GOLDEN_CAMPAIGN_DIGEST = "802c156f3c6c8bc9"
 GOLDEN_EXPLORE_FIRST = (

@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import re
 import sys
 
 import pytest
@@ -12,11 +13,14 @@ from repro.cli import APPS, _per_app_path, main
 
 
 def refused(capsys, argv):
-    """Run ``argv``, which must be refused with exit 2; its stderr line."""
+    """Run ``argv``, which must be refused with exit 2; its stderr line.
+    What it printed to stdout stays readable from ``capsys``."""
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
-    lines = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    sys.stdout.write(captured.out)
+    lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("repro: error: "), lines
     return lines[0]
 
@@ -56,9 +60,12 @@ class TestGraph:
         assert "ServiceA -> ServiceB" in out
         assert "entry services: ServiceA" in out
 
-    def test_unknown_app_exits(self):
-        with pytest.raises(SystemExit):
-            main(["graph", "nope"])
+    def test_unknown_app_exits(self, capsys):
+        assert "unknown app 'nope'" in refused(capsys, ["graph", "nope"])
+
+    @pytest.mark.parametrize("command", ["recipes", "metrics"])
+    def test_other_commands_refuse_an_unknown_app(self, command, capsys):
+        assert "unknown app 'nope'" in refused(capsys, [command, "nope"])
 
 
 class TestRecipes:
@@ -108,9 +115,9 @@ class TestTest:
         assert code == 1
         assert "HasTimeouts(ServiceA" in out
 
-    def test_unknown_target_exits(self):
-        with pytest.raises(SystemExit, match="unknown target"):
-            main(["test", "twotier", "--target", "ghost"])
+    def test_unknown_target_exits(self, capsys):
+        line = refused(capsys, ["test", "twotier", "--target", "ghost"])
+        assert "unknown target" in line
 
     def test_json_output_keeps_exit_semantics(self, capsys):
         code = main(
@@ -197,8 +204,8 @@ class TestTrace:
         assert doc["attributions"] == []
 
     def test_unknown_request_id_exits(self, capsys):
-        with pytest.raises(SystemExit, match="no records for request ID"):
-            main(["trace", "tree3", "nope-99", "--requests", "2"])
+        line = refused(capsys, ["trace", "tree3", "nope-99", "--requests", "2"])
+        assert "no records for request ID" in line
 
 
 class TestMetrics:
@@ -309,9 +316,8 @@ class TestCampaignRun:
         # snapshot sums the per-recipe registries.
         assert doc["counters"]['gremlin_requests_total{dst="ServiceA",src="user"}'] == 10
 
-    def test_unknown_app_exits(self):
-        with pytest.raises(SystemExit, match="unknown app"):
-            main(["campaign", "run", "nope"])
+    def test_unknown_app_exits(self, capsys):
+        assert "unknown app" in refused(capsys, ["campaign", "run", "nope"])
 
     def test_removed_result_transport_flag_is_rejected(self, capsys):
         # The shm lane and its selector are gone; a stale invocation must
@@ -360,8 +366,8 @@ class TestCampaignDiff:
         baseline = self.dump(tmp_path, "baseline", seed=0)
         capsys.readouterr()
         monkeypatch.setitem(sys.modules, "scipy", None)  # import raises
-        with pytest.raises(SystemExit, match=r"analysis error: .*repro\[stats\]"):
-            main(["campaign", "diff", str(baseline), str(baseline)])
+        line = refused(capsys, ["campaign", "diff", str(baseline), str(baseline)])
+        assert re.search(r"analysis error: .*repro\[stats\]", line)
         out = capsys.readouterr().out
         assert "regressions: 0" in out
         assert "latency: not compared" in out
@@ -440,18 +446,14 @@ class TestFuzzExplore:
         assert doc["strategy"] == "prioritized"
         assert doc["apps"][0]["executed"] <= 40
 
-    def test_explore_unknown_app_exits_cleanly_listing_names(self):
-        with pytest.raises(SystemExit) as err:
-            main(["fuzz", "explore", "no-such-app"])
-        message = str(err.value)
+    def test_explore_unknown_app_exits_cleanly_listing_names(self, capsys):
+        message = refused(capsys, ["fuzz", "explore", "no-such-app"])
         assert "no-such-app" in message
         assert "socialnetwork" in message and "hotelreservation" in message
         assert "stuckbreaker" in message
 
-    def test_campaign_run_unknown_app_exits_cleanly_listing_names(self):
-        with pytest.raises(SystemExit) as err:
-            main(["campaign", "run", "no-such-app"])
-        message = str(err.value)
+    def test_campaign_run_unknown_app_exits_cleanly_listing_names(self, capsys):
+        message = refused(capsys, ["campaign", "run", "no-such-app"])
         assert "no-such-app" in message
         assert "socialnetwork" in message and "hotelreservation" in message
 
@@ -513,6 +515,7 @@ BAD_FLAGS = [
     (["campaign", "smoke", "twotier"], "--timeout", "0"),
     (["campaign", "run", "twotier"], "--pacing", "-1"),
     (["campaign", "run", "twotier"], "--requests", "0"),
+    (["campaign", "run", "twotier"], "--max-recipes", "0"),
     (["campaign", "smoke", "twotier"], "--requests", "0"),
     (["campaign", "run", "twotier"], "--think", "-0.5"),
     (["fuzz", "explore", "deepfanout"], "--budget", "0"),
@@ -543,17 +546,21 @@ class TestBadOperatorInput:
 
 
 class TestCleanCliErrors:
-    def test_trace_unknown_entry_exits_cleanly(self):
-        with pytest.raises(SystemExit, match="unknown entry"):
-            main(["trace", "tree3", "test-1", "--entry", "ghost", "--requests", "2"])
+    def test_trace_unknown_entry_exits_cleanly(self, capsys):
+        line = refused(
+            capsys, ["trace", "tree3", "test-1", "--entry", "ghost", "--requests", "2"]
+        )
+        assert "unknown entry" in line
 
-    def test_test_unknown_entry_exits_cleanly(self):
-        with pytest.raises(SystemExit, match="unknown entry 'bogus'"):
-            main(["test", "twotier", "--target", "ServiceB", "--entry", "bogus"])
+    def test_test_unknown_entry_exits_cleanly(self, capsys):
+        line = refused(
+            capsys, ["test", "twotier", "--target", "ServiceB", "--entry", "bogus"]
+        )
+        assert "unknown entry 'bogus'" in line
 
-    def test_test_unknown_target_exits_cleanly(self):
-        with pytest.raises(SystemExit, match="unknown target 'ghost'"):
-            main(["test", "twotier", "--target", "ghost"])
+    def test_test_unknown_target_exits_cleanly(self, capsys):
+        line = refused(capsys, ["test", "twotier", "--target", "ghost"])
+        assert "unknown target 'ghost'" in line
 
     def test_report_missing_dump_exits_cleanly(self, capsys, tmp_path):
         # A one-line operator message, not a traceback.
@@ -706,8 +713,8 @@ class TestExploreArtifacts:
             ]
         )
         capsys.readouterr()
-        with pytest.raises(SystemExit, match="targets app"):
-            main(["campaign", "run", "twotier", "--recipes", str(recipes)])
+        line = refused(capsys, ["campaign", "run", "twotier", "--recipes", str(recipes)])
+        assert "targets app" in line
 
 
 class TestRefusedFiles:
