@@ -85,9 +85,9 @@ class GremlinAgent:
         owner_instance: str,
         registry: ServiceRegistry,
         pipeline: LogPipeline,
+        metrics: "MetricsRegistry",
         matcher_strategy: str = "table",
         canary_pattern: str = "test-*",
-        metrics: "_t.Optional[MetricsRegistry]" = None,
     ) -> None:
         self.sim = sim
         self.host = host
@@ -292,10 +292,10 @@ class GremlinAgent:
             upstream.close()
             response = received_response(reply_payload)
         except Exception as exc:  # noqa: BLE001 - shadow failures never propagate
-            self._emit_reply_error(record, start, injected_delay, "shadow-error", False)
+            self._emit_reply(record, start, injected_delay, False, record.status, "shadow-error")
             return
         record.status = response.status
-        self._emit_reply(record, start, injected_delay, response.status, False)
+        self._emit_reply(record, start, injected_delay, False, response.status)
 
     # -- control-plane interface (paper Table 2) ---------------------------------
 
@@ -333,7 +333,6 @@ class GremlinAgent:
     def _count_request(self, dst_service: str) -> None:
         counter = self._edge_requests.get(dst_service)
         if counter is None:
-            assert self.metrics is not None
             counter = self._edge_requests[dst_service] = self.metrics.counter(
                 "gremlin_requests_total", src=self.owner_service, dst=dst_service
             )
@@ -343,7 +342,6 @@ class GremlinAgent:
         key = (dst_service, fault)
         counter = self._fault_counters.get(key)
         if counter is None:
-            assert self.metrics is not None
             counter = self._fault_counters[key] = self.metrics.counter(
                 "gremlin_faults_injected_total",
                 src=self.owner_service,
@@ -355,7 +353,6 @@ class GremlinAgent:
     def _observe_latency(self, dst_service: str, latency: float) -> None:
         histogram = self._edge_latency.get(dst_service)
         if histogram is None:
-            assert self.metrics is not None
             histogram = self._edge_latency[dst_service] = self.metrics.histogram(
                 "gremlin_request_latency_seconds",
                 src=self.owner_service,
@@ -409,8 +406,7 @@ class GremlinAgent:
         parent_span = request.headers.get(SPAN_ID_HEADER)
         span_id = self._span_ids.next_id()
         request.headers[SPAN_ID_HEADER] = span_id
-        if self.metrics is not None:
-            self._count_request(dst_service)
+        self._count_request(dst_service)
         record = ObservationRecord(
             timestamp=start,
             kind=ObservationKind.REQUEST,
@@ -434,8 +430,7 @@ class GremlinAgent:
             rule = hit.rule
             hit.consume()
             faults.append(rule.describe())
-            if self.metrics is not None:
-                self._count_fault(dst_service, rule.describe())
+            self._count_fault(dst_service, rule.describe())
             if rule.fault_type == FaultType.DELAY:
                 assert rule.interval is not None
                 injected_delay += rule.interval
@@ -445,16 +440,14 @@ class GremlinAgent:
                 if rule.is_reset:
                     record.error = "reset"
                     self.pipeline.emit(record)
-                    self._emit_reply_error(record, start, injected_delay, "reset", True)
+                    self._emit_reply(record, start, injected_delay, True, record.status, "reset")
                     conn.reset()
                     return True
                 response = synthesize_abort_response(rule, request)
                 record.status = response.status
                 record.injected_delay = injected_delay
                 self.pipeline.emit(record)
-                self._emit_reply(
-                    record, start, injected_delay, response.status, gremlin_generated=True
-                )
+                self._emit_reply(record, start, injected_delay, True, response.status)
                 self._safe_send(conn, response, as_bytes)
                 return False
             elif rule.fault_type == FaultType.MODIFY:
@@ -475,17 +468,17 @@ class GremlinAgent:
                 request_id=request_id,
             )
             record.status = response.status
-            self._emit_reply_error(record, start, injected_delay, "refused", False)
+            self._emit_reply(record, start, injected_delay, False, record.status, "refused")
             self._safe_send(conn, response, as_bytes)
             return False
         except ConnectionTimeoutError:
             record.error = "timeout"
-            self._emit_reply_error(record, start, injected_delay, "timeout", False)
+            self._emit_reply(record, start, injected_delay, False, record.status, "timeout")
             conn.reset()
             return True
         except (ConnectionResetError_, ChannelClosed):
             record.error = "reset"
-            self._emit_reply_error(record, start, injected_delay, "reset", False)
+            self._emit_reply(record, start, injected_delay, False, record.status, "reset")
             conn.reset()
             return True
 
@@ -498,8 +491,7 @@ class GremlinAgent:
             rule = hit.rule
             hit.consume()
             faults.append(rule.describe())
-            if self.metrics is not None:
-                self._count_fault(dst_service, rule.describe())
+            self._count_fault(dst_service, rule.describe())
             if rule.fault_type == FaultType.DELAY:
                 assert rule.interval is not None
                 injected_delay += rule.interval
@@ -508,7 +500,7 @@ class GremlinAgent:
                 if rule.is_reset:
                     record.fault_applied = "+".join(faults)
                     record.error = "reset"
-                    self._emit_reply_error(record, start, injected_delay, "reset", True)
+                    self._emit_reply(record, start, injected_delay, True, record.status, "reset")
                     conn.reset()
                     return True
                 response = synthesize_abort_response(rule, request)
@@ -519,7 +511,7 @@ class GremlinAgent:
         record.fault_applied = "+".join(faults) if faults else None
         record.status = response.status
         record.injected_delay = injected_delay
-        self._emit_reply(record, start, injected_delay, response.status, gremlin_generated)
+        self._emit_reply(record, start, injected_delay, gremlin_generated, response.status)
         self._safe_send(conn, response, as_bytes)
         return False
 
@@ -558,12 +550,12 @@ class GremlinAgent:
         request_record: ObservationRecord,
         start: float,
         injected_delay: float,
-        status: int,
         gremlin_generated: bool,
+        status: _t.Optional[int],
+        error: _t.Optional[str] = None,
     ) -> None:
         latency = self.sim.now - start
-        if self.metrics is not None:
-            self._observe_latency(request_record.dst, latency)
+        self._observe_latency(request_record.dst, latency)
         self.pipeline.emit(
             ObservationRecord(
                 timestamp=self.sim.now,
@@ -575,37 +567,6 @@ class GremlinAgent:
                 method=request_record.method,
                 uri=request_record.uri,
                 status=status,
-                latency=latency,
-                injected_delay=injected_delay,
-                fault_applied=request_record.fault_applied,
-                gremlin_generated=gremlin_generated,
-                span_id=request_record.span_id,
-                parent_span=request_record.parent_span,
-            )
-        )
-
-    def _emit_reply_error(
-        self,
-        request_record: ObservationRecord,
-        start: float,
-        injected_delay: float,
-        error: str,
-        gremlin_generated: bool,
-    ) -> None:
-        latency = self.sim.now - start
-        if self.metrics is not None:
-            self._observe_latency(request_record.dst, latency)
-        self.pipeline.emit(
-            ObservationRecord(
-                timestamp=self.sim.now,
-                kind=ObservationKind.REPLY,
-                src=request_record.src,
-                dst=request_record.dst,
-                src_instance=request_record.src_instance,
-                request_id=request_record.request_id,
-                method=request_record.method,
-                uri=request_record.uri,
-                status=request_record.status,
                 latency=latency,
                 injected_delay=injected_delay,
                 fault_applied=request_record.fault_applied,

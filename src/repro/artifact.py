@@ -20,7 +20,7 @@ import typing as _t
 
 from repro.errors import ArtifactError, GremlinError
 
-__all__ = ["KINDS", "decode", "dumps", "loads", "read", "write", "write_atomic"]
+__all__ = ["KINDS", "decode", "dumps", "loads", "makedirs", "read", "write", "write_atomic"]
 
 #: Kind -> the one version this build writes and reads; older files are
 #: refused, never migrated.
@@ -45,20 +45,36 @@ def dumps(kind: str, records: _t.Iterable[dict]) -> str:
     return "\n".join(lines)
 
 
+def _cannot_write(path: _t.Any, exc: OSError) -> ArtifactError:
+    return ArtifactError(os.fspath(path), None, f"cannot write: {exc.strerror or exc}")
+
+
 def write_atomic(path: _t.Any, text: str) -> None:
     """Replace ``path`` by ``text`` through a temp file in its directory,
-    fsynced first: a reader sees the old file or the new one, never torn."""
+    fsynced first: a reader sees the old file or the new one, never torn.
+    A path that cannot be written is refused, and no temp file is left."""
     temp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "wb") as handle:
-            handle.write(text.encode())
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, path)
-    except BaseException:
-        os.unlink(temp)
-        raise
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as handle:
+                handle.write(text.encode())
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temp, path)
+        except BaseException:
+            os.unlink(temp)
+            raise
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+
+
+def makedirs(path: _t.Any) -> None:
+    """``os.makedirs(path, exist_ok=True)``, refused like a failed write."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
 
 
 def write(path: _t.Any, kind: str, records: _t.Iterable[dict]) -> None:

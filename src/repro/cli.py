@@ -388,6 +388,18 @@ def _at_least(minimum: float, kind: type = int, *, strict: bool = False):
     return parse
 
 
+def _output_file(value: str) -> str:
+    """argparse type for a file a command writes: a directory, or a path
+    whose directory does not exist, is a usage error before anything is
+    planned or run."""
+    if os.path.isdir(value):
+        raise argparse.ArgumentTypeError(f"{value!r} is a directory, not a file")
+    parent = os.path.dirname(value) or os.curdir
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"no such directory: {parent!r}")
+    return value
+
+
 def cmd_campaign_run(args: argparse.Namespace) -> int:
     """Plan, execute, print the scorecard; exit 1 on any finding."""
     from repro.artifact import write_atomic
@@ -721,6 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--report-out",
+            type=_output_file,
             default=None,
             help="write the resilience report here (.json = deterministic"
             " JSON, anything else = standalone HTML)",
@@ -744,9 +757,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="reseeded reruns per failed recipe (flake detection; 0 disables)",
     )
     run_parser.add_argument("--fail-fast", action="store_true")
-    run_parser.add_argument("--out", default=None, help="dump result JSON-lines here")
+    run_parser.add_argument(
+        "--out", type=_output_file, default=None, help="dump result JSON-lines here"
+    )
     run_parser.add_argument(
         "--metrics-out",
+        type=_output_file,
         default=None,
         help="write the merged campaign metrics snapshot (JSON) here",
     )
@@ -814,7 +830,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_shrink.add_argument("artifact", help="path to a fuzz repro artifact (JSON)")
     fuzz_shrink.add_argument(
-        "--out", default=None, help="write the minimized artifact here instead"
+        "--out",
+        type=_output_file,
+        default=None,
+        help="write the minimized artifact here instead",
     )
     fuzz_shrink.set_defaults(func=cmd_fuzz_shrink)
 
@@ -839,16 +858,21 @@ def build_parser() -> argparse.ArgumentParser:
         " by graph what-if simulation)",
     )
     fuzz_explore.add_argument(
-        "--coverage-out", default=None, help="write the coverage report JSON here"
+        "--coverage-out",
+        type=_output_file,
+        default=None,
+        help="write the coverage report JSON here",
     )
     fuzz_explore.add_argument(
         "--report-out",
+        type=_output_file,
         default=None,
         help="write the resilience report here (.json = JSON, else HTML;"
         ' with app "all", one file per app)',
     )
     fuzz_explore.add_argument(
         "--recipes-out",
+        type=_output_file,
         default=None,
         help="export bug-finding coordinates as a campaign-loadable"
         ' recipe suite JSON (with app "all", one file per app)',
@@ -868,6 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_parser.add_argument(
         "--out",
+        type=_output_file,
         default=None,
         help="write here (.json = deterministic JSON, anything else ="
         " standalone HTML); omitted = print JSON to stdout",

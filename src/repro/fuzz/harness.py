@@ -190,7 +190,7 @@ def _handle_failure(
         "artifact": None,
     }
     if artifacts_dir is not None:
-        os.makedirs(artifacts_dir, exist_ok=True)
+        artifact.makedirs(artifacts_dir)
         path = os.path.join(
             artifacts_dir, f"{case_report.case.case_id}.json"
         )

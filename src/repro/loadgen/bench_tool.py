@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.http.message import HttpRequest
-from repro.loadgen.workload import LoadResult, Sample
+from repro.loadgen.workload import LoadResult, timed_request
 from repro.microservice.app import TrafficSource
 from repro.tracing.context import RequestIdGenerator
 
@@ -49,25 +48,6 @@ class ApacheBench:
         return self.result
 
     def _worker(self, source: TrafficSource) -> _t.Generator:
-        sim = source.sim
         while self._remaining > 0:
             self._remaining -= 1
-            request = HttpRequest("GET", self.uri)
-            request.request_id = self.ids.next_id()
-            start = sim.now
-            status: _t.Optional[int] = None
-            error: _t.Optional[str] = None
-            try:
-                response = yield from source.client.call(request)
-                status = response.status
-            except Exception as exc:  # noqa: BLE001 - record, keep loading
-                error = type(exc).__name__
-            self.result.add(
-                Sample(
-                    request_id=request.request_id or "",
-                    start=start,
-                    elapsed=sim.now - start,
-                    status=status,
-                    error=error,
-                )
-            )
+            yield from timed_request(source, self.uri, self.ids, self.result)

@@ -88,6 +88,33 @@ class LoadResult:
         )
 
 
+def timed_request(
+    source: TrafficSource, uri: str, ids: RequestIdGenerator, result: LoadResult
+) -> _t.Generator:
+    """Issue one ``GET uri`` tagged with the next ID through ``source``'s
+    client, and add what it returned (or raised) to ``result``."""
+    sim = source.sim
+    request = HttpRequest("GET", uri)
+    request.request_id = ids.next_id()
+    start = sim.now
+    status: _t.Optional[int] = None
+    error: _t.Optional[str] = None
+    try:
+        response = yield from source.client.call(request)
+        status = response.status
+    except Exception as exc:  # noqa: BLE001 - record, keep loading
+        error = type(exc).__name__
+    result.add(
+        Sample(
+            request_id=request.request_id or "",
+            start=start,
+            elapsed=sim.now - start,
+            status=status,
+            error=error,
+        )
+    )
+
+
 class ClosedLoopLoad:
     """Sequential requests from one logical user.
 
@@ -124,25 +151,7 @@ class ClosedLoopLoad:
         """The simulation process issuing the requests."""
         sim = source.sim
         for _ in range(self.num_requests):
-            request = HttpRequest("GET", self.uri)
-            request.request_id = self.ids.next_id()
-            start = sim.now
-            status: _t.Optional[int] = None
-            error: _t.Optional[str] = None
-            try:
-                response = yield from source.client.call(request)
-                status = response.status
-            except Exception as exc:  # noqa: BLE001 - record, keep loading
-                error = type(exc).__name__
-            self.result.add(
-                Sample(
-                    request_id=request.request_id or "",
-                    start=start,
-                    elapsed=sim.now - start,
-                    status=status,
-                    error=error,
-                )
-            )
+            yield from timed_request(source, self.uri, self.ids, self.result)
             if self.think_time > 0:
                 yield sim.timeout(self.think_time)
 
@@ -188,30 +197,11 @@ class OpenLoopLoad:
         rng = sim.rng(self.rng_stream)
         deadline = sim.now + self.duration
         while sim.now < deadline:
-            sim.process(self._one_request(source), name="open-loop-request")
-            yield sim.timeout(rng.expovariate(self.rate))
-
-    def _one_request(self, source: TrafficSource) -> _t.Generator:
-        sim = source.sim
-        request = HttpRequest("GET", self.uri)
-        request.request_id = self.ids.next_id()
-        start = sim.now
-        status: _t.Optional[int] = None
-        error: _t.Optional[str] = None
-        try:
-            response = yield from source.client.call(request)
-            status = response.status
-        except Exception as exc:  # noqa: BLE001 - record, keep loading
-            error = type(exc).__name__
-        self.result.add(
-            Sample(
-                request_id=request.request_id or "",
-                start=start,
-                elapsed=sim.now - start,
-                status=status,
-                error=error,
+            sim.process(
+                timed_request(source, self.uri, self.ids, self.result),
+                name="open-loop-request",
             )
-        )
+            yield sim.timeout(rng.expovariate(self.rate))
 
     def run(self, source: TrafficSource) -> LoadResult:
         """Convenience: start the arrival process and run to idle."""

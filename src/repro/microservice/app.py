@@ -194,17 +194,18 @@ class Deployment:
             replicas = []
             for index in range(definition.instances):
                 host = self.network.add_host(f"{definition.name.lower()}-{index}")
-                replicas.append(ServiceInstance(self.sim, definition, host, index))
+                replicas.append(
+                    ServiceInstance(self.sim, definition, host, index, self.metrics)
+                )
             for index in range(definition.canary_instances):
                 host = self.network.add_host(f"{definition.name.lower()}-canary-{index}")
                 replicas.append(
-                    ServiceInstance(self.sim, definition, host, index, canary=True)
+                    ServiceInstance(self.sim, definition, host, index, self.metrics, canary=True)
                 )
             self.instances[definition.name] = replicas
         # Wire sidecars + clients, register, and start.
         for definition in definitions.values():
             for instance in self.instances[definition.name]:
-                instance.enable_metrics(self.metrics)
                 agent = self._wire_instance(instance)
                 self.registry.register(
                     InstanceRecord(
@@ -232,8 +233,8 @@ class Deployment:
             owner_instance=instance.instance_id,
             registry=self.registry,
             pipeline=self.pipeline,
-            matcher_strategy=self.matcher_strategy,
             metrics=self.metrics,
+            matcher_strategy=self.matcher_strategy,
         )
         http = HttpClient(instance.host)
         for offset, dependency in enumerate(dependencies):
@@ -390,8 +391,8 @@ class TrafficSource:
                 owner_instance=f"{name.lower()}-src",
                 registry=deployment.registry,
                 pipeline=deployment.pipeline,
-                matcher_strategy=deployment.matcher_strategy,
                 metrics=deployment.metrics,
+                matcher_strategy=deployment.matcher_strategy,
             )
             self.agent.add_route(SIDECAR_BASE_PORT, target_service)
             self.agent.start()

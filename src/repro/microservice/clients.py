@@ -42,7 +42,7 @@ from repro.network.address import Address
 from repro.simulation.kernel import Simulator
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.observability.metrics import Counter, Gauge, MetricsRegistry
+    from repro.observability.metrics import Gauge, MetricsRegistry
 
 __all__ = ["DependencyClient", "CallStats"]
 
@@ -90,7 +90,7 @@ class DependencyClient:
         dependency: str,
         target: _t.Union[Address, _t.Callable[[], Address]],
         policy: ResiliencePolicy,
-        metrics: "_t.Optional[MetricsRegistry]" = None,
+        metrics: "MetricsRegistry",
     ) -> None:
         self.sim = sim
         self.http = http
@@ -103,20 +103,15 @@ class DependencyClient:
         self.policy = policy
         self.stats = CallStats()
         self._rng = sim.rng(f"client/{caller}->{dependency}")
-        self._retries_total: "_t.Optional[Counter]" = None
-        self._breaker_rejections_total: "_t.Optional[Counter]" = None
+        self._retries_total = metrics.counter("client_retries_total", src=caller, dst=dependency)
+        self._breaker_rejections_total = metrics.counter(
+            "client_breaker_rejections_total", src=caller, dst=dependency
+        )
         self._breaker_gauge: "_t.Optional[Gauge]" = None
-        if metrics is not None:
-            self._retries_total = metrics.counter(
-                "client_retries_total", src=caller, dst=dependency
+        if policy.breaker is not None:
+            self._breaker_gauge = metrics.gauge(
+                "client_breaker_state", src=caller, dst=dependency
             )
-            self._breaker_rejections_total = metrics.counter(
-                "client_breaker_rejections_total", src=caller, dst=dependency
-            )
-            if policy.breaker is not None:
-                self._breaker_gauge = metrics.gauge(
-                    "client_breaker_state", src=caller, dst=dependency
-                )
 
     def _resolve_target(self) -> Address:
         if callable(self.target):
@@ -186,8 +181,7 @@ class DependencyClient:
                         self._count_breaker_rejection()
                         break
                     self.stats.retries += 1
-                    if self._retries_total is not None:
-                        self._retries_total.inc()
+                    self._retries_total.inc()
                     assert policy.retry is not None
                     backoff = policy.retry.backoff(attempt - 1, rng=self._rng)
                     if backoff > 0:
@@ -237,8 +231,7 @@ class DependencyClient:
             self._update_breaker_gauge()
 
     def _count_breaker_rejection(self) -> None:
-        if self._breaker_rejections_total is not None:
-            self._breaker_rejections_total.inc()
+        self._breaker_rejections_total.inc()
         self._update_breaker_gauge()
 
     def _update_breaker_gauge(self) -> None:

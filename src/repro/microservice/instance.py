@@ -21,7 +21,7 @@ from repro.simulation.kernel import Simulator
 from repro.simulation.resources import Semaphore
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.observability.metrics import Counter, MetricsRegistry
+    from repro.observability.metrics import MetricsRegistry
 
 __all__ = ["ServiceInstance"]
 
@@ -35,6 +35,7 @@ class ServiceInstance:
         definition: ServiceDefinition,
         host: Host,
         index: int,
+        metrics: "MetricsRegistry",
         canary: bool = False,
     ) -> None:
         self.sim = sim
@@ -57,17 +58,9 @@ class ServiceInstance:
         )
         #: Requests that had to queue for a worker, for overload analysis.
         self.queued_requests = 0
-        # Metric handles, installed by the deployer via enable_metrics.
-        self._requests_total: "_t.Optional[Counter]" = None
-        self._queued_total: "_t.Optional[Counter]" = None
-
-    def enable_metrics(self, registry: "MetricsRegistry") -> None:
-        """Register this instance's per-service request counters."""
-        service = self.definition.name
-        self._requests_total = registry.counter("service_requests_total", service=service)
-        self._queued_total = registry.counter(
-            "service_queued_requests_total", service=service
-        )
+        service = definition.name
+        self._requests_total = metrics.counter("service_requests_total", service=service)
+        self._queued_total = metrics.counter("service_queued_requests_total", service=service)
 
     @property
     def address(self) -> Address:
@@ -97,16 +90,14 @@ class ServiceInstance:
     def _handle(
         self, request: HttpRequest
     ) -> _t.Generator[_t.Any, _t.Any, HttpResponse]:
-        if self._requests_total is not None:
-            self._requests_total.inc()
+        self._requests_total.inc()
         if self._workers is None:
             response = yield from self.definition.handler(self.ctx, request)
             return response
         acquire = self._workers.acquire()
         if not acquire.triggered:
             self.queued_requests += 1
-            if self._queued_total is not None:
-                self._queued_total.inc()
+            self._queued_total.inc()
         yield acquire
         try:
             response = yield from self.definition.handler(self.ctx, request)

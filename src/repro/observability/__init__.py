@@ -7,8 +7,8 @@ package provides in-process, on top of the agents' observation logs:
   request/reply exchange) assembled from observation records;
 * :mod:`~repro.observability.trace` — per-request causal trees with
   critical-path extraction and per-edge latency breakdowns;
-* :mod:`~repro.observability.metrics` — a registry of lock-free
-  per-thread counters, gauges, and mergeable fixed-bucket histograms;
+* :mod:`~repro.observability.metrics` — a single-writer registry of
+  counters, gauges, and mergeable fixed-bucket histograms;
 * :mod:`~repro.observability.exporters` — Prometheus-text and JSON
   renderings of metrics snapshots;
 * :mod:`~repro.observability.attribution` — joining reconstructed

@@ -6,18 +6,18 @@ retry volume, breaker state — without re-querying the event store.
 This module provides those as a pull-style registry in the spirit of
 Prometheus client libraries, built around two constraints:
 
-* **Lock-free hot path.**  Counters and histograms shard their state
-  per thread: each thread owns a private cell that only it writes, so
-  ``inc()``/``observe()`` never contend on a lock.  The only lock is
-  taken once per (thread, metric) pair, when the cell is registered.
+* **One writer per registry.**  A registry belongs to one deployment
+  (or one harness run) and only that owner's thread writes to it, so
+  counters and histograms are plain attributes: no lock, no per-thread
+  cell, nothing to fold on read.
 
 * **Mergeable snapshots.**  A snapshot is plain JSON-safe data, and
   snapshots from different registries combine associatively
   (:func:`merge_snapshots`): counters and histogram buckets add,
   gauges take the max.  Campaign workers each run a private registry
-  and the runner folds their snapshots together afterwards — no
-  cross-worker contention, same totals regardless of merge order or
-  grouping.
+  and the runner folds their snapshots together afterwards; that fold
+  is the only way totals cross a registry, so there is no cross-worker
+  contention and the totals do not depend on merge order or grouping.
 
 Histograms use *fixed* bucket boundaries chosen at registration.  That
 is what makes them mergeable: two histograms with identical boundaries
@@ -26,7 +26,7 @@ combine by summing bucket counts, with no re-binning error.
 
 from __future__ import annotations
 
-import threading
+import bisect
 import typing as _t
 
 from repro.errors import MetricsError
@@ -70,53 +70,37 @@ def format_series(name: str, labels: _t.Mapping[str, str]) -> str:
     return f"{name}{{{body}}}"
 
 
-class _CounterCell:
-    """One thread's private slice of a counter."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-
 class Counter:
-    """A monotonically increasing sum, sharded per thread.
+    """A monotonically increasing sum.
 
-    ``inc()`` touches only the calling thread's cell, so concurrent
-    writers never contend; ``value()`` folds the cells.  Reading while
-    writers are active yields a momentary (but internally consistent
-    per-cell) view — campaigns only read after workers quiesce.
+    ``inc()``'s default amount is a float, so a counter reads as a
+    float once touched; an untouched one reads as the int ``0`` that
+    snapshots have always carried for it.
     """
 
+    __slots__ = ("_value",)
+
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._cells: _t.List[_CounterCell] = []
-        self._local = threading.local()
+        self._value: float = 0
 
     def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (default 1) to the calling thread's cell."""
-        cell = getattr(self._local, "cell", None)
-        if cell is None:
-            cell = _CounterCell()
-            with self._lock:
-                self._cells.append(cell)
-            self._local.cell = cell
-        cell.value += amount
+        """Add ``amount`` (default 1)."""
+        self._value += amount
 
     def value(self) -> float:
-        """The sum across every thread's cell."""
-        with self._lock:
-            return sum(cell.value for cell in self._cells)
+        """The sum so far."""
+        return self._value
 
 
 class Gauge:
     """A point-in-time value (e.g. breaker state, queue depth).
 
-    Gauges are written by one deployment thread at a time, so a plain
-    attribute suffices; merging snapshots takes the max, which reads as
-    "worst observed state" for the breaker-state encoding (0=closed,
-    1=half-open, 2=open).
+    Merging snapshots takes the max, which reads as "worst observed
+    state" for the breaker-state encoding (0=closed, 1=half-open,
+    2=open).
     """
+
+    __slots__ = ("_value",)
 
     def __init__(self) -> None:
         self._value = 0.0
@@ -130,21 +114,8 @@ class Gauge:
         return self._value
 
 
-class _HistogramCell:
-    """One thread's private slice of a histogram."""
-
-    __slots__ = ("counts", "total", "sum", "min", "max")
-
-    def __init__(self, n_buckets: int) -> None:
-        self.counts = [0] * n_buckets
-        self.total = 0
-        self.sum = 0.0
-        self.min: _t.Optional[float] = None
-        self.max: _t.Optional[float] = None
-
-
 class Histogram:
-    """A fixed-bucket latency histogram, sharded per thread.
+    """A fixed-bucket latency histogram.
 
     ``buckets`` are the upper bounds of each bin; an implicit +Inf
     overflow bin is appended, so ``observe`` never drops a sample.
@@ -153,69 +124,39 @@ class Histogram:
     (:func:`merge_histogram_data`).
     """
 
+    __slots__ = ("buckets", "_counts", "_count", "_sum", "_min", "_max")
+
     def __init__(self, buckets: _t.Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> None:
         bounds = tuple(float(b) for b in buckets)
         if not bounds or any(nxt <= prev for prev, nxt in zip(bounds, bounds[1:])):
             raise MetricsError(f"histogram buckets must be strictly increasing, got {bounds}")
         self.buckets = bounds
-        self._lock = threading.Lock()
-        self._cells: _t.List[_HistogramCell] = []
-        self._local = threading.local()
+        self._counts = [0] * (len(bounds) + 1)
+        self._count = 0
+        self._sum = 0.0
+        self._min: _t.Optional[float] = None
+        self._max: _t.Optional[float] = None
 
     def observe(self, value: float) -> None:
-        """Record one sample into the calling thread's cell."""
-        cell = getattr(self._local, "cell", None)
-        if cell is None:
-            cell = _HistogramCell(len(self.buckets) + 1)
-            with self._lock:
-                self._cells.append(cell)
-            self._local.cell = cell
-        index = _bucket_index(self.buckets, value)
-        cell.counts[index] += 1
-        cell.total += 1
-        cell.sum += value
-        if cell.min is None or value < cell.min:
-            cell.min = value
-        if cell.max is None or value > cell.max:
-            cell.max = value
+        """Record one sample; a bin's upper bound is inclusive."""
+        self._counts[bisect.bisect_left(self.buckets, value)] += 1
+        self._count += 1
+        self._sum += value
+        if self._min is None or value < self._min:
+            self._min = value
+        if self._max is None or value > self._max:
+            self._max = value
 
     def data(self) -> dict:
-        """Fold the cells into one plain-data histogram snapshot."""
-        counts = [0] * (len(self.buckets) + 1)
-        total, total_sum = 0, 0.0
-        lo: _t.Optional[float] = None
-        hi: _t.Optional[float] = None
-        with self._lock:
-            cells = list(self._cells)
-        for cell in cells:
-            for i, c in enumerate(cell.counts):
-                counts[i] += c
-            total += cell.total
-            total_sum += cell.sum
-            if cell.min is not None and (lo is None or cell.min < lo):
-                lo = cell.min
-            if cell.max is not None and (hi is None or cell.max > hi):
-                hi = cell.max
+        """The histogram as plain data."""
         return {
             "buckets": list(self.buckets),
-            "counts": counts,
-            "count": total,
-            "sum": total_sum,
-            "min": lo,
-            "max": hi,
+            "counts": list(self._counts),
+            "count": self._count,
+            "sum": self._sum,
+            "min": self._min,
+            "max": self._max,
         }
-
-
-def _bucket_index(bounds: _t.Tuple[float, ...], value: float) -> int:
-    """Index of the first bound >= value (len(bounds) for overflow)."""
-    lo, hi = 0, len(bounds)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if value <= bounds[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 class MetricsRegistry:
@@ -228,7 +169,6 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._counters: _t.Dict[str, Counter] = {}
         self._gauges: _t.Dict[str, Gauge] = {}
         self._histograms: _t.Dict[str, Histogram] = {}
@@ -236,19 +176,17 @@ class MetricsRegistry:
     def counter(self, name: str, **labels: str) -> Counter:
         """The counter series ``name{labels}``, created on first use."""
         key = format_series(name, labels)
-        with self._lock:
-            metric = self._counters.get(key)
-            if metric is None:
-                metric = self._counters[key] = Counter()
+        metric = self._counters.get(key)
+        if metric is None:
+            metric = self._counters[key] = Counter()
         return metric
 
     def gauge(self, name: str, **labels: str) -> Gauge:
         """The gauge series ``name{labels}``, created on first use."""
         key = format_series(name, labels)
-        with self._lock:
-            metric = self._gauges.get(key)
-            if metric is None:
-                metric = self._gauges[key] = Gauge()
+        metric = self._gauges.get(key)
+        if metric is None:
+            metric = self._gauges[key] = Gauge()
         return metric
 
     def histogram(
@@ -264,27 +202,24 @@ class MetricsRegistry:
         would record into buckets the caller did not ask for.
         """
         key = format_series(name, labels)
-        with self._lock:
-            metric = self._histograms.get(key)
-            if metric is None:
-                metric = self._histograms[key] = Histogram(buckets)
-            elif metric.buckets != tuple(float(b) for b in buckets):
-                raise MetricsError(
-                    f"series {key!r} already registered with buckets "
-                    f"{metric.buckets}, cannot re-register with {tuple(buckets)}"
-                )
+        metric = self._histograms.get(key)
+        if metric is None:
+            metric = self._histograms[key] = Histogram(buckets)
+        elif metric.buckets != tuple(float(b) for b in buckets):
+            raise MetricsError(
+                f"series {key!r} already registered with buckets "
+                f"{metric.buckets}, cannot re-register with {tuple(buckets)}"
+            )
         return metric
 
     def snapshot(self) -> dict:
         """Plain-data view of every series, JSON-safe and mergeable."""
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
         return {
-            "counters": {key: metric.value() for key, metric in sorted(counters.items())},
-            "gauges": {key: metric.value() for key, metric in sorted(gauges.items())},
-            "histograms": {key: metric.data() for key, metric in sorted(histograms.items())},
+            "counters": {key: metric.value() for key, metric in sorted(self._counters.items())},
+            "gauges": {key: metric.value() for key, metric in sorted(self._gauges.items())},
+            "histograms": {
+                key: metric.data() for key, metric in sorted(self._histograms.items())
+            },
         }
 
 

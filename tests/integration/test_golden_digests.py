@@ -6,14 +6,15 @@ pin the bytes each one distills from it, so a refactor of that
 sequence that changes any record, timestamp, rule numbering, window or
 verdict fails here rather than only in the benchmark's cross-checks.
 The values were recorded before the drivers shared one run function
-and must never be re-pinned to make a change pass.
+(the metrics pins: while counters and histograms were still sharded
+per thread) and must never be re-pinned to make a change pass.
 """
 
 import hashlib
 import json
 
 from repro.agent.rules import fresh_rule_ids
-from repro.apps import build_twotier
+from repro.apps import build_socialnetwork_app, build_twotier
 from repro.campaign import CampaignRunner, plan_campaign
 from repro.cli import APPS
 from repro.core import (
@@ -43,6 +44,8 @@ from repro.core.scenarios import (
 from repro.explore import run_explore
 from repro.fuzz import FuzzGenerator, run_case, scenario_to_spec
 from repro.loadgen import ClosedLoopLoad
+from repro.microservice.resilience.policy import PolicySpec
+from repro.observability.exporters import to_json, to_prometheus
 
 
 def sha(value) -> str:
@@ -129,6 +132,10 @@ def sha256_json(value) -> str:
     return hashlib.sha256(json.dumps(value).encode("utf-8")).hexdigest()
 
 
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def test_scenario_spec_bytes():
     """One instance per scenario kind: the spec codec's exact JSON,
     parameter order and bytes-to-text decoding included."""
@@ -161,6 +168,37 @@ def test_generated_fuzz_corpus_bytes():
     assert sha256_json([case.to_dict() for case in cases]) == GOLDEN_FUZZ_CORPUS
 
 
+def test_campaign_merged_metrics_bytes():
+    """Every recipe's registry snapshot folded, in both export formats."""
+    plan = plan_campaign(build_socialnetwork_app, seed=11, requests=5, max_recipes=3)
+    merged = CampaignRunner(build_socialnetwork_app, workers=1).run(plan).merged_metrics()
+    assert merged["counters"] and merged["histograms"]
+    assert [sha256_text(to_json(merged)), sha256_text(to_prometheus(merged))] == (
+        GOLDEN_CAMPAIGN_METRICS
+    )
+
+
+def test_deployment_metrics_snapshot_bytes():
+    """One deployment's snapshot, unmerged: a counter nothing touched
+    reads as the int ``0`` and a touched one as a float, next to a
+    tripped breaker's gauge."""
+    deployment = build_twotier(policy=PolicySpec.hardened()).deploy(seed=3)
+    source = deployment.add_traffic_source("ServiceA")
+    Gremlin(deployment).inject(Overload("ServiceB", abort_fraction=1.0))
+    ClosedLoopLoad(num_requests=10, think_time=0.05).run(source)
+    snapshot = deployment.metrics_snapshot()
+    assert type(snapshot["counters"]['service_requests_total{service="ServiceB"}']) is int
+    assert snapshot["gauges"] == {'client_breaker_state{dst="ServiceB",src="ServiceA"}': 2.0}
+    assert sha256_text(json.dumps(snapshot, sort_keys=True)) == GOLDEN_DEPLOYMENT_METRICS
+
+
+GOLDEN_CAMPAIGN_METRICS = [
+    "e82f572418f071aadc318ea2be59a80430b66a7fafd3c79f2f5b1d3655f44984",
+    "aa3336603560dcaa4d04b833cb767b93be9a7e88652c3de7a7798ac07ac6de21",
+]
+GOLDEN_DEPLOYMENT_METRICS = (
+    "0a90bd5a66dc80880099275a45bfa139ed70dc10382ddccb44a1462f809d9f8b"
+)
 GOLDEN_SCENARIO_SPECS = (
     "d877ad1cead55180a2f9f1434356df027cf99d5dceb945f5c2416462f590565c"
 )

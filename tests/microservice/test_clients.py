@@ -15,6 +15,7 @@ from repro.http import HttpClient, HttpRequest, HttpResponse, HttpServer
 from repro.microservice import PolicySpec
 from repro.microservice.clients import DependencyClient
 from repro.network import Address, Network
+from repro.observability.metrics import MetricsRegistry
 
 from tests.conftest import run_to_completion, sim_on_lane as sim
 
@@ -53,6 +54,7 @@ def make_client(sim, net, spec, target=None, caller_host="caller"):
         dependency="Backend",
         target=target or Address("backend", 8080),
         policy=spec.build(sim),
+        metrics=MetricsRegistry(),
     )
 
 

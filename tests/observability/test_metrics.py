@@ -1,7 +1,5 @@
 """Unit tests for the metrics registry primitives."""
 
-import threading
-
 import pytest
 
 from repro.errors import MetricsError, ReproError
@@ -34,20 +32,6 @@ class TestCounter:
         counter.inc()
         counter.inc(2.5)
         assert counter.value() == 3.5
-
-    def test_threads_do_not_lose_increments(self):
-        counter = Counter()
-
-        def hammer():
-            for _ in range(1000):
-                counter.inc()
-
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert counter.value() == 8000
 
 
 class TestGauge:

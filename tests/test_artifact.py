@@ -182,10 +182,31 @@ class TestAtomicWriter:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(os, "fsync", full_disk)
-        with pytest.raises(OSError, match="No space"):
+        with pytest.raises(ArtifactError, match="cannot write: No space left on device"):
             artifact.write(path, "campaign", [{"new": True}])
         assert artifact.read(path, "campaign") == [{"old": True}]
         assert os.listdir(tmp_path) == ["a.jsonl"]
+
+    @pytest.mark.parametrize(
+        "name, why",
+        [("out", "Is a directory"), ("missing/a.jsonl", "No such file or directory")],
+    )
+    def test_unwritable_path_is_refused_without_a_temp(self, tmp_path, name, why):
+        (tmp_path / "out").mkdir()
+        path = tmp_path / name
+        with pytest.raises(ArtifactError) as err:
+            artifact.write(path, "campaign", [{"x": 1}])
+        assert str(err.value) == f"{path}: cannot write: {why}"
+        assert sorted(os.listdir(tmp_path)) == ["out"]
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_makedirs_over_a_file_is_refused(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text("")
+        with pytest.raises(ArtifactError, match="a.json: cannot write: File exists"):
+            artifact.makedirs(path)
+        artifact.makedirs(tmp_path / "d" / "e")
+        assert (tmp_path / "d" / "e").is_dir()
 
     def test_permissions_follow_the_umask(self, tmp_path):
         previous = os.umask(0o022)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import pickle
 import re
 import sys
@@ -543,6 +544,74 @@ class TestBadOperatorInput:
             main(command + [flag, value])
         assert err.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+
+#: Every flag naming a file a command writes, one case per flag.
+OUTPUT_FLAGS = [
+    (["campaign", "run", "twotier"], "--out"),
+    (["campaign", "run", "twotier"], "--metrics-out"),
+    (["campaign", "run", "twotier"], "--report-out"),
+    (["campaign", "smoke", "twotier"], "--report-out"),
+    (["fuzz", "explore", "deepfanout"], "--coverage-out"),
+    (["fuzz", "explore", "deepfanout"], "--report-out"),
+    (["fuzz", "explore", "deepfanout"], "--recipes-out"),
+    (["fuzz", "shrink", "case.json"], "--out"),
+    (["report", "dump.jsonl"], "--out"),
+]
+
+
+class TestUnwritableOutput:
+    """A path that cannot be written is a usage error (exit 2), never a
+    finding (exit 1) after the whole job ran, and never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, flag", OUTPUT_FLAGS, ids=[" ".join(c[:2] + [f]) for c, f in OUTPUT_FLAGS]
+    )
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_is_refused_before_anything_runs(self, command, flag, target, capsys, tmp_path):
+        path = tmp_path if target == "directory" else tmp_path / "missing" / "x.json"
+        with pytest.raises(SystemExit) as err:
+            main(command + [flag, str(path)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: " in captured.err
+
+    def test_directory_gone_by_write_time_is_one_line(self, capsys, tmp_path, monkeypatch):
+        from repro.campaign.runner import CampaignRunner
+
+        out = tmp_path / "out"
+        out.mkdir()
+        real_run = CampaignRunner.run
+
+        def run_then_vanish(self, plan):
+            result = real_run(self, plan)
+            out.rmdir()
+            return result
+
+        monkeypatch.setattr(CampaignRunner, "run", run_then_vanish)
+        dump = out / "c.jsonl"
+        argv = ["campaign", "run", "twotier", "--max-recipes", "2", "--out", str(dump)]
+        line = refused(capsys, argv)
+        assert line == f"repro: error: {dump}: cannot write: No such file or directory"
+        assert os.listdir(tmp_path) == []
+
+    def test_fuzz_artifacts_naming_a_file(self, capsys, tmp_path, monkeypatch):
+        import repro.fuzz.harness as harness_mod
+
+        real_run = harness_mod.run_case
+
+        def exploding(case, app_registry=None):
+            if case.case_id.endswith("-2"):
+                raise RuntimeError("boom")
+            return real_run(case, app_registry=app_registry)
+
+        monkeypatch.setattr(harness_mod, "run_case", exploding)
+        path = tmp_path / "artifacts"
+        path.write_text("")
+        argv = ["fuzz", "run", "--seed", "31", "--cases", "4", "--workers", "1"]
+        line = refused(capsys, argv + ["--no-shrink", "--artifacts", str(path)])
+        assert line == f"repro: error: {path}: cannot write: File exists"
 
 
 class TestCleanCliErrors:
