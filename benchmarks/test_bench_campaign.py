@@ -22,7 +22,7 @@ Numbers land in ``BENCH_campaign.json`` via the session-finish hook in
 import time
 
 from repro.campaign import CampaignRunner, plan_campaign
-from repro.cli import build_tree3_app
+from repro.apps import build_tree3_app
 
 FLEET_WORKERS = 4
 PACING = 0.3

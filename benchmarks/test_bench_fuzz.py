@@ -12,7 +12,6 @@ Numbers land in ``BENCH_fuzz.json`` via the session-finish hook in
 ``conftest.py``.
 """
 
-from repro.cli import APPS
 from repro.fuzz import run_fuzz
 
 SEED = 2026
@@ -20,7 +19,7 @@ CASES = 60
 
 
 def test_fuzz_battery_coverage(report, bench_file):
-    result = run_fuzz(SEED, CASES, workers=1, app_registry=APPS)
+    result = run_fuzz(SEED, CASES, workers=1)
     assert result.passed, result.summary()
 
     bench_file("BENCH_fuzz.json").update(

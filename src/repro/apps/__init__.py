@@ -10,6 +10,8 @@
   social network (production-scale benchmark app)
 * :mod:`repro.apps.hotelreservation` — a 20-service DeathStarBench-class
   hotel reservation app (production-scale benchmark app)
+
+:data:`APPS` (:mod:`repro.apps.catalog`) names each of them once.
 """
 
 from repro.util import lazy_exports
@@ -17,6 +19,7 @@ from repro.util import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
+        "catalog": ["APPS"],
         "enterprise": ["build_enterprise_app"],
         "hotelreservation": ["HOTELRESERVATION_SERVICES", "build_hotelreservation_app"],
         "outages": [

@@ -6,7 +6,7 @@ rate lookup), profile hydration, recommendations, reviews, a nearby
 attractions widget, and the reservation write path — each backed by
 memcached-style caches and mongodb-style datastores.
 
-``build_hotelreservation_app(resilient=True)`` is the hardened build:
+``build_hotelreservation_app(hardened=True)`` is the hardened build:
 timeouts everywhere, bounded retries plus a breaker with a cached-rate
 fallback on the rate store, queued-write fallback on the reservation
 store, and graceful degradation for decorative widgets.  The default
@@ -29,10 +29,15 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.errors import HttpError, NetworkError
 from repro.http.message import HttpRequest, HttpResponse
 from repro.microservice.app import Application
-from repro.microservice.handlers import fanout_handler
+from repro.microservice.handlers import (
+    ABSORBED,
+    cache_handler,
+    credential_handler,
+    fanout_handler,
+    store_handler,
+)
 from repro.microservice.resilience.policy import PolicySpec
 from repro.microservice.service import ServiceContext, ServiceDefinition
 
@@ -62,19 +67,6 @@ HOTELRESERVATION_SERVICES: _t.Tuple[str, ...] = (
     "review-store",
 )
 
-_ABSORBED = (NetworkError, HttpError)
-
-
-def _cache_handler(ctx: ServiceContext, request: HttpRequest):
-    """Memcached-style leaf: first read of a key misses and populates."""
-    yield from ctx.work()
-    keys = ctx.state.setdefault("keys", set())
-    key = request.path
-    if key in keys:
-        return HttpResponse(200, body=b"cache hit")
-    keys.add(key)
-    return HttpResponse(404, body=b"cache miss")
-
 
 def _frontend_handler(ctx: ServiceContext, request: HttpRequest):
     """Book a room: auth, search, profile, and the reservation write
@@ -86,7 +78,7 @@ def _frontend_handler(ctx: ServiceContext, request: HttpRequest):
             reply = yield from ctx.call(
                 mandatory, HttpRequest("GET", f"/api/{mandatory}"), parent=request
             )
-        except _ABSORBED:
+        except ABSORBED:
             return HttpResponse(503, body=f"dependency failure: {mandatory}".encode())
         if reply.status >= 500:
             return HttpResponse(502, body=f"dependency failure: {mandatory}".encode())
@@ -98,166 +90,21 @@ def _frontend_handler(ctx: ServiceContext, request: HttpRequest):
             )
             if reply.status >= 500:
                 degraded.append(widget)
-        except _ABSORBED:
+        except ABSORBED:
             degraded.append(widget)
     if degraded:
         return HttpResponse(200, body=("booking ok, degraded: " + ",".join(degraded)).encode())
     return HttpResponse(200, body=b"booking ok")
 
 
-def _geo_handler(ctx: ServiceContext, request: HttpRequest):
-    """Nearby-hotel lookup against the geo index."""
-    yield from ctx.work()
-    try:
-        reply = yield from ctx.call(
-            "geo-store", HttpRequest("GET", "/geo/nearby"), parent=request
-        )
-    except _ABSORBED:
-        return HttpResponse(503, body=b"geo index unavailable")
-    if reply.status >= 500:
-        return HttpResponse(503, body=b"geo index degraded")
-    return HttpResponse(200, body=b"hotels ok")
-
-
-def _rate_handler(ctx: ServiceContext, request: HttpRequest):
-    """Room rates: cache probe, then the authoritative rate plans."""
-    yield from ctx.work()
-    try:
-        yield from ctx.call("rate-cache", HttpRequest("GET", "/rate/plans"), parent=request)
-    except _ABSORBED:
-        pass
-    try:
-        reply = yield from ctx.call(
-            "rate-store", HttpRequest("GET", "/rate/plans/all"), parent=request
-        )
-    except _ABSORBED:
-        return HttpResponse(503, body=b"rate backend unavailable")
-    if reply.status >= 500:
-        return HttpResponse(503, body=b"rate backend degraded")
-    return HttpResponse(200, body=b"rates ok")
-
-
-def _profile_handler(ctx: ServiceContext, request: HttpRequest):
-    """Hotel profile hydration: cache probe, authoritative documents."""
-    yield from ctx.work()
-    try:
-        yield from ctx.call(
-            "profile-cache", HttpRequest("GET", "/profile/docs"), parent=request
-        )
-    except _ABSORBED:
-        pass
-    try:
-        reply = yield from ctx.call(
-            "profile-store", HttpRequest("GET", "/profile/docs/all"), parent=request
-        )
-    except _ABSORBED:
-        return HttpResponse(503, body=b"profile backend unavailable")
-    if reply.status >= 500:
-        return HttpResponse(503, body=b"profile backend degraded")
-    return HttpResponse(200, body=b"profiles ok")
-
-
-def _auth_handler(validate_status: bool):
-    """Credential check against the authoritative auth store.
-
-    The resilient variant treats an unexpected store status (renamed
-    endpoint, bad deploy — 404s) as "login defaulted to guest" and
-    answers degraded; the naive variant assumes any non-200 is
-    transient and re-asks in a tight loop — the planted
-    misconfiguration amplifier.
-    """
-
-    def handler(ctx: ServiceContext, request: HttpRequest):
-        yield from ctx.work()
-        if validate_status:
-            try:
-                creds = yield from ctx.call(
-                    "auth-store", HttpRequest("GET", "/auth/creds"), parent=request
-                )
-            except _ABSORBED:
-                return HttpResponse(503, body=b"auth backend unavailable")
-            if creds.status == 200:
-                return HttpResponse(200, body=b"auth ok")
-            return HttpResponse(200, body=b"auth defaulted")
-        for _attempt in range(8):
-            try:
-                creds = yield from ctx.call(
-                    "auth-store", HttpRequest("GET", "/auth/creds"), parent=request
-                )
-            except _ABSORBED:
-                continue
-            if creds.status == 200:
-                return HttpResponse(200, body=b"auth ok")
-            # Any other status is assumed transient and re-asked: the
-            # planted bug — a misconfigured endpoint answers 404 forever.
-        return HttpResponse(500, body=b"auth lookup failed")
-
-    return handler
-
-
-def _reservation_handler(ctx: ServiceContext, request: HttpRequest):
-    """The booking write path: availability probe, then the durable write."""
-    yield from ctx.work()
-    try:
-        yield from ctx.call(
-            "reservation-cache", HttpRequest("GET", "/reservation/avail"), parent=request
-        )
-    except _ABSORBED:
-        pass
-    try:
-        stored = yield from ctx.call(
-            "reservation-store", HttpRequest("POST", "/reservation/book"), parent=request
-        )
-    except _ABSORBED:
-        return HttpResponse(503, body=b"reservation backend unavailable")
-    if stored.status >= 500:
-        return HttpResponse(503, body=b"reservation backend degraded")
-    return HttpResponse(200, body=b"reservation ok")
-
-
-def _review_handler(ctx: ServiceContext, request: HttpRequest):
-    """Guest reviews widget."""
-    yield from ctx.work()
-    try:
-        reply = yield from ctx.call(
-            "review-store", HttpRequest("GET", "/review/recent"), parent=request
-        )
-    except _ABSORBED:
-        return HttpResponse(503, body=b"reviews unavailable")
-    if reply.status >= 500:
-        return HttpResponse(503, body=b"reviews degraded")
-    return HttpResponse(200, body=b"reviews ok")
-
-
-def _recommendation_handler(ctx: ServiceContext, request: HttpRequest):
-    """Personalised recommendations widget."""
-    yield from ctx.work()
-    try:
-        reply = yield from ctx.call(
-            "recommendation-store", HttpRequest("GET", "/recommend/top"), parent=request
-        )
-    except _ABSORBED:
-        return HttpResponse(503, body=b"recommendations unavailable")
-    if reply.status >= 500:
-        return HttpResponse(503, body=b"recommendations degraded")
-    return HttpResponse(200, body=b"recommendations ok")
-
-
-def build_hotelreservation_app(
-    resilient: bool = False, hardened: _t.Optional[bool] = None
-) -> Application:
-    """The 20-service hotel reservation app; ``resilient`` picks the
-    policies.  ``hardened`` is an alias for ``resilient`` so the app
-    plugs into the seeded-bug suite's ``builder(hardened=True)``
-    convention.
-    """
-    if hardened is not None:
-        resilient = hardened
+def build_hotelreservation_app(hardened: bool = False) -> Application:
+    """The 20-service hotel reservation app; ``hardened`` picks the
+    policies."""
 
     def edge(timeout: float, **kwargs) -> PolicySpec:
-        return PolicySpec(timeout=timeout, **kwargs) if resilient else PolicySpec.naive()
+        return PolicySpec(timeout=timeout, **kwargs) if hardened else PolicySpec.naive()
 
-    if resilient:
+    if hardened:
         rate_store_policy = PolicySpec(
             timeout=0.3,
             max_retries=1,
@@ -312,7 +159,14 @@ def build_hotelreservation_app(
     app.add_service(
         ServiceDefinition(
             "geo",
-            handler=_geo_handler,
+            handler=store_handler(
+                "geo-store",
+                "GET",
+                "/geo/nearby",
+                ok="hotels ok",
+                unavailable="geo index unavailable",
+                degraded="geo index degraded",
+            ),
             dependencies={"geo-store": edge(0.5)},
             service_time=0.001,
         )
@@ -320,7 +174,15 @@ def build_hotelreservation_app(
     app.add_service(
         ServiceDefinition(
             "rate",
-            handler=_rate_handler,
+            handler=store_handler(
+                "rate-store",
+                "GET",
+                "/rate/plans/all",
+                ok="rates ok",
+                unavailable="rate backend unavailable",
+                degraded="rate backend degraded",
+                cache=("rate-cache", "/rate/plans"),
+            ),
             dependencies={
                 "rate-cache": edge(0.2),
                 "rate-store": rate_store_policy,  # <-- planted: retry storm
@@ -331,7 +193,15 @@ def build_hotelreservation_app(
     app.add_service(
         ServiceDefinition(
             "profile",
-            handler=_profile_handler,
+            handler=store_handler(
+                "profile-store",
+                "GET",
+                "/profile/docs/all",
+                ok="profiles ok",
+                unavailable="profile backend unavailable",
+                degraded="profile backend degraded",
+                cache=("profile-cache", "/profile/docs"),
+            ),
             dependencies={
                 "profile-cache": edge(0.2),
                 "profile-store": profile_store_policy,  # <-- planted: no naive timeout
@@ -342,7 +212,14 @@ def build_hotelreservation_app(
     app.add_service(
         ServiceDefinition(
             "recommendation",
-            handler=_recommendation_handler,
+            handler=store_handler(
+                "recommendation-store",
+                "GET",
+                "/recommend/top",
+                ok="recommendations ok",
+                unavailable="recommendations unavailable",
+                degraded="recommendations degraded",
+            ),
             dependencies={"recommendation-store": edge(0.5)},
             service_time=0.001,
         )
@@ -350,7 +227,9 @@ def build_hotelreservation_app(
     app.add_service(
         ServiceDefinition(
             "auth",
-            handler=_auth_handler(validate_status=resilient),
+            handler=credential_handler(
+                "auth-store", "/auth/creds", "auth", validate_status=hardened
+            ),
             dependencies={"auth-store": edge(0.5)},
             service_time=0.001,
         )
@@ -358,7 +237,15 @@ def build_hotelreservation_app(
     app.add_service(
         ServiceDefinition(
             "reservation",
-            handler=_reservation_handler,
+            handler=store_handler(
+                "reservation-store",
+                "POST",
+                "/reservation/book",
+                ok="reservation ok",
+                unavailable="reservation backend unavailable",
+                degraded="reservation backend degraded",
+                cache=("reservation-cache", "/reservation/avail"),
+            ),
             dependencies={
                 "reservation-cache": edge(0.2),
                 "reservation-store": reservation_store_policy,  # <-- planted: no timeout
@@ -369,7 +256,14 @@ def build_hotelreservation_app(
     app.add_service(
         ServiceDefinition(
             "review",
-            handler=_review_handler,
+            handler=store_handler(
+                "review-store",
+                "GET",
+                "/review/recent",
+                ok="reviews ok",
+                unavailable="reviews unavailable",
+                degraded="reviews degraded",
+            ),
             dependencies={"review-store": edge(0.5)},
             service_time=0.001,
         )
@@ -377,7 +271,7 @@ def build_hotelreservation_app(
     app.add_service(ServiceDefinition("attractions", service_time=0.02))
     for cache in ("rate-cache", "profile-cache", "reservation-cache"):
         app.add_service(
-            ServiceDefinition(cache, handler=_cache_handler, service_time=0.0005)
+            ServiceDefinition(cache, handler=cache_handler, service_time=0.0005)
         )
     for store, service_time in (
         ("rate-store", 0.004),

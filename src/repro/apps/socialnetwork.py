@@ -15,11 +15,11 @@ giving the trace-shape coverage signal real variety.  Datastores that
 hold authoritative state (credentials, posts, the social graph, media
 objects) are consulted on every request regardless of cache state.
 
-``build_socialnetwork_app(resilient=True)`` builds the hardened
+``build_socialnetwork_app(hardened=True)`` builds the hardened
 deployment: timeouts on every dependency edge, bounded retries plus a
 circuit breaker with a stale-read fallback on the post store, and
 graceful degradation for decorative features (media, ranking,
-notifications).  The default ``resilient=False`` build is the naive
+notifications).  The default ``hardened=False`` build is the naive
 variant with four planted weaknesses:
 
 * ``post-storage -> post-store``: eight flat-backoff retries and no
@@ -40,10 +40,15 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.errors import HttpError, NetworkError
 from repro.http.message import HttpRequest, HttpResponse
 from repro.microservice.app import Application
-from repro.microservice.handlers import fanout_handler
+from repro.microservice.handlers import (
+    ABSORBED,
+    cache_handler,
+    credential_handler,
+    fanout_handler,
+    store_handler,
+)
 from repro.microservice.resilience.policy import PolicySpec
 from repro.microservice.service import ServiceContext, ServiceDefinition
 
@@ -81,19 +86,6 @@ SOCIALNETWORK_SERVICES: _t.Tuple[str, ...] = (
     "url-store",
 )
 
-_ABSORBED = (NetworkError, HttpError)
-
-
-def _cache_handler(ctx: ServiceContext, request: HttpRequest):
-    """Memcached-style leaf: first read of a key misses and populates."""
-    yield from ctx.work()
-    keys = ctx.state.setdefault("keys", set())
-    key = request.path
-    if key in keys:
-        return HttpResponse(200, body=b"cache hit")
-    keys.add(key)
-    return HttpResponse(404, body=b"cache miss")
-
 
 def _nginx_handler(ctx: ServiceContext, request: HttpRequest):
     """The user-facing page: compose a post, then read both timelines.
@@ -106,7 +98,7 @@ def _nginx_handler(ctx: ServiceContext, request: HttpRequest):
         compose = yield from ctx.call(
             "compose-post", HttpRequest("POST", "/wrk2-api/post/compose"), parent=request
         )
-    except _ABSORBED:
+    except ABSORBED:
         return HttpResponse(503, body=b"compose unavailable")
     if compose.status >= 500:
         return HttpResponse(502, body=b"compose degraded")
@@ -114,7 +106,7 @@ def _nginx_handler(ctx: ServiceContext, request: HttpRequest):
         home = yield from ctx.call(
             "home-timeline", HttpRequest("GET", "/wrk2-api/home-timeline/read"), parent=request
         )
-    except _ABSORBED:
+    except ABSORBED:
         return HttpResponse(503, body=b"home timeline unavailable")
     if home.status >= 500:
         return HttpResponse(502, body=b"home timeline degraded")
@@ -125,7 +117,7 @@ def _nginx_handler(ctx: ServiceContext, request: HttpRequest):
         )
         if user_tl.status >= 500:
             body = b"feed degraded: user-timeline"
-    except _ABSORBED:
+    except ABSORBED:
         body = b"feed degraded: user-timeline"
     return HttpResponse(200, body=body)
 
@@ -138,7 +130,7 @@ def _compose_handler(ctx: ServiceContext, request: HttpRequest):
             reply = yield from ctx.call(
                 mandatory, HttpRequest("GET", f"/internal/{mandatory}"), parent=request
             )
-        except _ABSORBED:
+        except ABSORBED:
             return HttpResponse(500, body=f"dependency failure: {mandatory}".encode())
         if reply.status >= 500:
             return HttpResponse(500, body=f"dependency failure: {mandatory}".encode())
@@ -149,20 +141,20 @@ def _compose_handler(ctx: ServiceContext, request: HttpRequest):
         )
         if media.status >= 500:
             media_note = b" (media degraded)"
-    except _ABSORBED:
+    except ABSORBED:
         media_note = b" (media degraded)"
     for write in ("post-storage", "write-home-timeline"):
         try:
             reply = yield from ctx.call(
                 write, HttpRequest("POST", f"/internal/{write}"), parent=request
             )
-        except _ABSORBED:
+        except ABSORBED:
             return HttpResponse(500, body=f"dependency failure: {write}".encode())
         if reply.status >= 500:
             return HttpResponse(500, body=f"dependency failure: {write}".encode())
     try:
         yield from ctx.call("notifier", HttpRequest("POST", "/internal/notify"), parent=request)
-    except _ABSORBED:
+    except ABSORBED:
         pass  # notifications are fire-and-forget
     return HttpResponse(200, body=b"post composed" + media_note)
 
@@ -178,99 +170,19 @@ def _cache_aside_handler(cache: str, store: str, label: str):
             )
             if cached.status == 200:
                 return HttpResponse(200, body=f"{label} ok (cache)".encode())
-        except _ABSORBED:
+        except ABSORBED:
             pass
         try:
             reply = yield from ctx.call(
                 store, HttpRequest("GET", f"/{label}/fetch"), parent=request
             )
-        except _ABSORBED:
+        except ABSORBED:
             return HttpResponse(503, body=f"{label} backend unavailable".encode())
         if reply.status >= 500:
             return HttpResponse(503, body=f"{label} backend degraded".encode())
         return HttpResponse(200, body=f"{label} ok".encode())
 
     return handler
-
-
-def _media_handler(ctx: ServiceContext, request: HttpRequest):
-    """Media upload: metadata cache probe, then the authoritative store."""
-    yield from ctx.work()
-    try:
-        yield from ctx.call("media-cache", HttpRequest("GET", "/media/meta"), parent=request)
-    except _ABSORBED:
-        pass
-    try:
-        stored = yield from ctx.call(
-            "media-store", HttpRequest("POST", "/media/object"), parent=request
-        )
-    except _ABSORBED:
-        return HttpResponse(503, body=b"media backend unavailable")
-    if stored.status >= 500:
-        return HttpResponse(503, body=b"media backend degraded")
-    return HttpResponse(200, body=b"media ok")
-
-
-def _user_handler(validate_status: bool):
-    """Credential check against the authoritative user store.
-
-    The resilient variant treats an unexpected store status (a renamed
-    endpoint after a bad deploy — 404s, 400s) as "account defaulted"
-    and answers degraded.  The naive variant assumes any non-200 is
-    transient and re-asks in a tight loop — the planted
-    misconfiguration amplifier.
-    """
-
-    def handler(ctx: ServiceContext, request: HttpRequest):
-        yield from ctx.work()
-        try:
-            yield from ctx.call(
-                "user-cache", HttpRequest("GET", "/user/profile"), parent=request
-            )
-        except _ABSORBED:
-            pass  # profile data is decorative; credentials are not
-        if validate_status:
-            try:
-                creds = yield from ctx.call(
-                    "user-store", HttpRequest("GET", "/user/creds"), parent=request
-                )
-            except _ABSORBED:
-                return HttpResponse(503, body=b"user backend unavailable")
-            if creds.status == 200:
-                return HttpResponse(200, body=b"user ok")
-            return HttpResponse(200, body=b"user defaulted")
-        for _attempt in range(8):
-            try:
-                creds = yield from ctx.call(
-                    "user-store", HttpRequest("GET", "/user/creds"), parent=request
-                )
-            except _ABSORBED:
-                continue
-            if creds.status == 200:
-                return HttpResponse(200, body=b"user ok")
-            # Any other status is assumed transient and re-asked: the
-            # planted bug — a misconfigured endpoint answers 404 forever.
-        return HttpResponse(500, body=b"user lookup failed")
-
-    return handler
-
-
-def _post_storage_handler(ctx: ServiceContext, request: HttpRequest):
-    """Post persistence: recent-post cache probe, authoritative store."""
-    yield from ctx.work()
-    try:
-        yield from ctx.call("post-cache", HttpRequest("GET", "/post/recent"), parent=request)
-    except _ABSORBED:
-        pass
-    try:
-        stored = yield from ctx.call(
-            "post-store", HttpRequest("POST", "/post/object"), parent=request
-        )
-    except _ABSORBED:
-        return HttpResponse(503, body=b"post backend unavailable")
-    if stored.status >= 500:
-        return HttpResponse(503, body=b"post backend degraded")
-    return HttpResponse(200, body=b"post ok")
 
 
 def _social_graph_handler(ctx: ServiceContext, request: HttpRequest):
@@ -280,13 +192,13 @@ def _social_graph_handler(ctx: ServiceContext, request: HttpRequest):
         cached = yield from ctx.call(
             "social-graph-cache", HttpRequest("GET", "/graph/followers"), parent=request
         )
-    except _ABSORBED:
+    except ABSORBED:
         cached = None
     try:
         reply = yield from ctx.call(
             "social-graph-store", HttpRequest("GET", "/graph/followers/all"), parent=request
         )
-    except _ABSORBED:
+    except ABSORBED:
         if cached is not None and cached.status == 200:
             return HttpResponse(200, body=b"followers ok (cache)")
         return HttpResponse(503, body=b"graph backend unavailable")
@@ -302,7 +214,7 @@ def _write_home_timeline_handler(ctx: ServiceContext, request: HttpRequest):
         followers = yield from ctx.call(
             "social-graph", HttpRequest("GET", "/graph/followers"), parent=request
         )
-    except _ABSORBED:
+    except ABSORBED:
         return HttpResponse(503, body=b"fanout failed: social-graph")
     if followers.status >= 500:
         return HttpResponse(503, body=b"fanout degraded: social-graph")
@@ -310,7 +222,7 @@ def _write_home_timeline_handler(ctx: ServiceContext, request: HttpRequest):
         yield from ctx.call(
             "home-timeline-cache", HttpRequest("POST", "/timeline/home/push"), parent=request
         )
-    except _ABSORBED:
+    except ABSORBED:
         pass  # cache push is best-effort; readers fall back to stores
     return HttpResponse(200, body=b"fanout ok")
 
@@ -322,13 +234,13 @@ def _home_timeline_handler(ctx: ServiceContext, request: HttpRequest):
         yield from ctx.call(
             "home-timeline-cache", HttpRequest("GET", "/timeline/home"), parent=request
         )
-    except _ABSORBED:
+    except ABSORBED:
         pass
     try:
         posts = yield from ctx.call(
             "post-storage", HttpRequest("GET", "/post/batch"), parent=request
         )
-    except _ABSORBED:
+    except ABSORBED:
         return HttpResponse(503, body=b"timeline backend unavailable")
     if posts.status >= 500:
         return HttpResponse(503, body=b"timeline backend degraded")
@@ -337,7 +249,7 @@ def _home_timeline_handler(ctx: ServiceContext, request: HttpRequest):
         ranked = yield from ctx.call("ranker", HttpRequest("GET", "/rank"), parent=request)
         if ranked.status >= 500:
             body = b"home timeline unranked"
-    except _ABSORBED:
+    except ABSORBED:
         body = b"home timeline unranked"
     return HttpResponse(200, body=body)
 
@@ -351,35 +263,27 @@ def _user_timeline_handler(ctx: ServiceContext, request: HttpRequest):
         )
         if cached.status == 200:
             return HttpResponse(200, body=b"user timeline ok (cache)")
-    except _ABSORBED:
+    except ABSORBED:
         pass
     for backend in ("user-timeline-store", "post-storage"):
         try:
             reply = yield from ctx.call(
                 backend, HttpRequest("GET", f"/timeline/user/{backend}"), parent=request
             )
-        except _ABSORBED:
+        except ABSORBED:
             return HttpResponse(503, body=b"user timeline unavailable")
         if reply.status >= 500:
             return HttpResponse(503, body=b"user timeline degraded")
     return HttpResponse(200, body=b"user timeline ok")
 
 
-def build_socialnetwork_app(
-    resilient: bool = False, hardened: _t.Optional[bool] = None
-) -> Application:
-    """The 28-service social network; ``resilient`` picks the policies.
-
-    ``hardened`` is an alias for ``resilient`` so the app plugs into
-    the seeded-bug suite's ``builder(hardened=True)`` convention.
-    """
-    if hardened is not None:
-        resilient = hardened
+def build_socialnetwork_app(hardened: bool = False) -> Application:
+    """The 28-service social network; ``hardened`` picks the policies."""
 
     def edge(timeout: float, **kwargs) -> PolicySpec:
-        return PolicySpec(timeout=timeout, **kwargs) if resilient else PolicySpec.naive()
+        return PolicySpec(timeout=timeout, **kwargs) if hardened else PolicySpec.naive()
 
-    if resilient:
+    if hardened:
         post_store_policy = PolicySpec(
             timeout=0.3,
             max_retries=1,
@@ -486,7 +390,15 @@ def build_socialnetwork_app(
     app.add_service(
         ServiceDefinition(
             "media-service",
-            handler=_media_handler,
+            handler=store_handler(
+                "media-store",
+                "POST",
+                "/media/object",
+                ok="media ok",
+                unavailable="media backend unavailable",
+                degraded="media backend degraded",
+                cache=("media-cache", "/media/meta"),
+            ),
             dependencies={
                 "media-cache": edge(0.2),
                 "media-store": media_store_policy,  # <-- planted: no naive timeout
@@ -497,7 +409,13 @@ def build_socialnetwork_app(
     app.add_service(
         ServiceDefinition(
             "user-service",
-            handler=_user_handler(validate_status=resilient),
+            handler=credential_handler(
+                "user-store",
+                "/user/creds",
+                "user",
+                validate_status=hardened,
+                cache=("user-cache", "/user/profile"),
+            ),
             dependencies={"user-cache": edge(0.2), "user-store": edge(0.5)},
             service_time=0.001,
         )
@@ -516,7 +434,15 @@ def build_socialnetwork_app(
     app.add_service(
         ServiceDefinition(
             "post-storage",
-            handler=_post_storage_handler,
+            handler=store_handler(
+                "post-store",
+                "POST",
+                "/post/object",
+                ok="post ok",
+                unavailable="post backend unavailable",
+                degraded="post backend degraded",
+                cache=("post-cache", "/post/recent"),
+            ),
             dependencies={
                 "post-cache": edge(0.2),
                 "post-store": post_store_policy,  # <-- planted: retry storm
@@ -548,7 +474,7 @@ def build_socialnetwork_app(
         "url-cache",
     ):
         app.add_service(
-            ServiceDefinition(cache, handler=_cache_handler, service_time=0.0005)
+            ServiceDefinition(cache, handler=cache_handler, service_time=0.0005)
         )
     for store, service_time in (
         ("post-store", 0.005),

@@ -16,7 +16,7 @@ import typing as _t
 
 from repro.analysis.compare import CdfComparison, compare_cdfs
 from repro.campaign.results import CONCLUSIVE_FAILURES, CampaignResult
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, CampaignError
 from repro.util import plain
 
 __all__ = ["StatusChange", "CampaignDiff", "diff_campaigns"]
@@ -126,7 +126,13 @@ class CampaignDiff:
 def diff_campaigns(
     baseline: CampaignResult, candidate: CampaignResult
 ) -> CampaignDiff:
-    """Compare two campaign results recipe by recipe."""
+    """Compare two campaign results of one app recipe by recipe; two
+    different apps are refused with :class:`CampaignError`."""
+    if baseline.app != candidate.app:
+        raise CampaignError(
+            f"cannot diff campaigns of different apps:"
+            f" baseline {baseline.app!r}, candidate {candidate.app!r}"
+        )
     base_by_name = {outcome.name: outcome for outcome in baseline.outcomes}
     cand_by_name = {outcome.name: outcome for outcome in candidate.outcomes}
 

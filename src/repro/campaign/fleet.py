@@ -125,8 +125,8 @@ class ProcessWorkerSpec:
     the ``processes`` backend it must be an *importable* (module-level)
     callable: worker processes re-import it by qualified name, so
     lambdas and closures are rejected by pickle.  ``context`` is handed
-    to every call — the place for the recipe executor or an app
-    registry; the thread lane passes the object itself, the process
+    to every call — the place for the campaign's recipe executor; the
+    thread lane passes the object itself, the process
     lane pickles it once per worker.  ``on_crash(job, detail)`` runs in
     the dispatching process when ``job`` produced no result (its target
     raised, its worker process died, its result could not be shipped

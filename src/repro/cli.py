@@ -47,69 +47,7 @@ from repro.errors import AnalysisError, ArtifactError, CampaignError, TraceError
 if _t.TYPE_CHECKING:
     from repro.microservice import Application
 
-__all__ = ["main", "APPS", "build_tree3_app"]
-
-
-class _AppRegistry(_t.Mapping[str, _t.Callable[[], "Application"]]):
-    """Name -> zero-argument builder, resolved on lookup: a builder's
-    module is imported when its name is first read, so a command pays
-    only for the apps it builds.  The registry pickles by reference (as
-    ``repro.cli.APPS``); each builder pickles by its own module."""
-
-    def __init__(self, builders: dict[str, str]) -> None:
-        self._builders = builders  # app name -> builder name in repro.apps
-
-    def __getitem__(self, name: str) -> _t.Callable[[], "Application"]:
-        import repro.apps
-
-        return getattr(repro.apps, self._builders[name])
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._builders
-
-    def __iter__(self) -> _t.Iterator[str]:
-        return iter(self._builders)
-
-    def __len__(self) -> int:
-        return len(self._builders)
-
-    def __reduce__(self) -> str:
-        return "APPS"
-
-
-#: Name -> zero-argument builder for every prebuilt application.  All
-#: builders are importable module-level callables, which is what lets
-#: ``--backend processes`` ship any of them to worker interpreters.
-APPS = _AppRegistry(
-    {
-        "twotier": "build_twotier",
-        "wordpress": "build_wordpress_app",
-        "enterprise": "build_enterprise_app",
-        "tree3": "build_tree3_app",
-        "messagebus": "build_messagebus_app",
-        "database": "build_database_app",
-        "coreservice": "build_coreservice_app",
-        "billing": "build_billing_app",
-        # Seeded-resilience-bug fixtures (ground truth for `fuzz explore`).
-        "deepfanout": "build_deepfanout_app",
-        "retrystorm": "build_retrystorm_app",
-        "stuckbreaker": "build_stuckbreaker_app",
-        # Production-scale benchmark apps (DeathStarBench-class; naive
-        # builds — pass resilient=True in code for the hardened variants).
-        "socialnetwork": "build_socialnetwork_app",
-        "hotelreservation": "build_hotelreservation_app",
-    }
-)
-
-
-def __getattr__(name: str) -> _t.Any:
-    # Re-exported for callers that import it from here, without loading
-    # the tree app on every CLI launch.
-    if name == "build_tree3_app":
-        from repro.apps.trees import build_tree3_app
-
-        return build_tree3_app
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["main"]
 
 
 #: ``--scenario`` choice -> (scenario class in repro.core, keyword arguments).
@@ -133,14 +71,19 @@ class _Refused(Exception):
     request ID, a suite for another app: exit 2 from :func:`main`."""
 
 
-def _build(name: str) -> "Application":
+def _builder(name: str) -> _t.Callable[[], "Application"]:
+    """The catalog's builder for app ``name``; an unknown app is refused."""
+    from repro.apps import APPS
+
     try:
-        return APPS[name]()
+        return APPS[name]
     except KeyError:
         raise _Refused(f"unknown app {name!r}; available: {', '.join(APPS)}") from None
 
 
 def cmd_apps(args: argparse.Namespace) -> int:
+    from repro.apps import APPS
+
     if getattr(args, "json", False):
         catalog = []
         for name, builder in APPS.items():
@@ -165,7 +108,7 @@ def cmd_apps(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    graph = _build(args.app).logical_graph()
+    graph = _builder(args.app)().logical_graph()
     print(f"logical application graph of {args.app!r}:")
     for caller, callee in sorted(graph.edges()):
         print(f"  {caller} -> {callee}")
@@ -177,7 +120,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
 def cmd_recipes(args: argparse.Namespace) -> int:
     from repro.core import generate_recipes
 
-    graph = _build(args.app).logical_graph()
+    graph = _builder(args.app)().logical_graph()
     recipes = generate_recipes(graph)
     if args.json:
         print(
@@ -210,7 +153,7 @@ def _faulted_run(args: argparse.Namespace, checks=None):
     checks ``checks(graph, load)`` builds; returns (run, load, scenarios)."""
     from repro.core import LoadSpec, run_faulted
 
-    deployment = _build(args.app).deploy(seed=args.seed)
+    deployment = _builder(args.app)().deploy(seed=args.seed)
     graph = deployment.graph
     services = graph.services()
     load = LoadSpec(
@@ -325,9 +268,7 @@ def _plan_from_args(args: argparse.Namespace):
     from repro.campaign import plan_campaign
     from repro.core import EdgeAnnotation
 
-    factory = APPS[args.app] if args.app in APPS else None
-    if factory is None:
-        raise _Refused(f"unknown app {args.app!r}; available: {', '.join(APPS)}")
+    factory = _builder(args.app)
     annotations = None
     if getattr(args, "criticality_high", False):
         services = factory().logical_graph().services()
@@ -456,7 +397,10 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
 def cmd_campaign_diff(args: argparse.Namespace) -> int:
     from repro.campaign import diff_campaigns, load_jsonl
 
-    diff = diff_campaigns(load_jsonl(args.baseline), load_jsonl(args.candidate))
+    try:
+        diff = diff_campaigns(load_jsonl(args.baseline), load_jsonl(args.candidate))
+    except CampaignError as exc:
+        raise _Refused(str(exc)) from None
     if args.json:
         print(json.dumps(diff.to_dict(), indent=2))
     else:
@@ -477,7 +421,6 @@ def cmd_fuzz_run(args: argparse.Namespace) -> int:
         args.cases,
         workers=args.workers,
         backend=args.backend,
-        app_registry=APPS,
         artifacts_dir=args.artifacts,
         shrink_failures=not args.no_shrink,
     )
@@ -491,7 +434,7 @@ def cmd_fuzz_run(args: argparse.Namespace) -> int:
 def cmd_fuzz_replay(args: argparse.Namespace) -> int:
     from repro.fuzz import replay_artifact
 
-    result = replay_artifact(args.artifact, app_registry=APPS)
+    result = replay_artifact(args.artifact)
     doc = {
         "case_id": result.report.case.case_id,
         "reproduced": result.reproduced,
@@ -516,11 +459,11 @@ def cmd_fuzz_shrink(args: argparse.Namespace) -> int:
     from repro.fuzz.spec import FuzzCase
 
     case = FuzzCase.from_dict(load_artifact(args.artifact)["case"])
-    report = run_case(case, app_registry=APPS)
+    report = run_case(case)
     if not report.failed:
         print(f"{case.case_id}: passes the battery; nothing to shrink")
         return 1
-    result = shrink(case, app_registry=APPS)
+    result = shrink(case)
     out = args.out or args.artifact
     write_artifact(out, result.report, shrink_steps=result.steps)
     print(f"{case.case_id}: shrunk in {result.evaluations} evaluations")

@@ -95,7 +95,6 @@ def execute_case(
     scheduler: str = "default",
     rule_transform: _t.Optional[_t.Callable[[list], list]] = None,
     extra_scenarios: _t.Sequence = (),
-    app_registry: _t.Optional[_t.Mapping] = None,
 ) -> Execution:
     """Run one case on the real stack and capture its full outcome.
 
@@ -108,7 +107,7 @@ def execute_case(
     scenarios = [build_scenario(spec) for spec in case.scenarios]
     scenarios.extend(extra_scenarios)
     run = run_faulted(
-        build_application(case.topology, app_registry=app_registry).deploy(
+        build_application(case.topology).deploy(
             sim=Simulator(seed=case.seed, scheduler=scheduler),
             matcher_strategy=matcher_strategy,
         ),
@@ -214,12 +213,10 @@ def _oracle_mismatches(prediction: Prediction, base: Execution) -> _t.List[dict]
     return mismatches
 
 
-def run_case(
-    case: FuzzCase, *, app_registry: _t.Optional[_t.Mapping] = None
-) -> CaseReport:
+def run_case(case: FuzzCase) -> CaseReport:
     """Run the full differential battery against one case."""
     started = time.perf_counter()
-    base = execute_case(case, app_registry=app_registry)
+    base = execute_case(case)
     report = CaseReport(case=case, digest=base.digest)
 
     # -- oracle diff ----------------------------------------------------------
@@ -241,9 +238,7 @@ def run_case(
     # default; "prefix" keeps the index path honest.
     report.metamorphic_run.append("matcher-strategy")
     for strategy in ("prefix", "table"):
-        other = execute_case(
-            case, matcher_strategy=strategy, app_registry=app_registry
-        )
+        other = execute_case(case, matcher_strategy=strategy)
         if other.digest != base.digest:
             report.mismatches.append(
                 {
@@ -258,7 +253,7 @@ def run_case(
     # byte-identical digest on both — timestamps, record order, RNG
     # draws, verdicts, everything.
     report.metamorphic_run.append("scheduler")
-    heap_run = execute_case(case, scheduler="heap", app_registry=app_registry)
+    heap_run = execute_case(case, scheduler="heap")
     if heap_run.digest != base.digest:
         report.mismatches.append(
             {
@@ -275,9 +270,7 @@ def run_case(
         noop = AbortCalls(
             SOURCE_NAME, case.topology.entry, probability=0.0
         )
-        ghosted = execute_case(
-            case, extra_scenarios=[noop], app_registry=app_registry
-        )
+        ghosted = execute_case(case, extra_scenarios=[noop])
         if ghosted.digest != base.digest:
             report.mismatches.append(
                 {
@@ -293,9 +286,7 @@ def run_case(
     if edges and len(set(edges)) == len(edges):
         report.metamorphic_run.append("rule-order")
         reordered = execute_case(
-            case,
-            rule_transform=lambda rules: list(reversed(rules)),
-            app_registry=app_registry,
+            case, rule_transform=lambda rules: list(reversed(rules))
         )
         if reordered.digest != base.digest:
             report.mismatches.append(

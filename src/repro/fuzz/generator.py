@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 import typing as _t
 
+from repro.apps.catalog import APPS
 from repro.campaign.plan import derive_seed
 from repro.fuzz.spec import (
     SOURCE_NAME,
@@ -26,7 +27,6 @@ from repro.fuzz.spec import (
     TopologySpec,
     WorkloadSpec,
 )
-from repro.microservice.app import Application
 
 __all__ = ["FuzzGenerator"]
 
@@ -42,18 +42,11 @@ _ID_PATTERNS = ("test-*", "test-1", "*")
 class FuzzGenerator:
     """Derives :class:`FuzzCase` instances from a master seed."""
 
-    def __init__(
-        self,
-        master_seed: int,
-        *,
-        app_registry: _t.Optional[
-            _t.Mapping[str, _t.Callable[[], Application]]
-        ] = None,
-        app_fraction: float = 0.2,
-    ) -> None:
+    def __init__(self, master_seed: int, *, app_fraction: float = 0.2) -> None:
         self.master_seed = master_seed
-        self.app_registry = dict(app_registry) if app_registry else {}
-        self.app_fraction = app_fraction if self.app_registry else 0.0
+        #: Share of cases drawn from the :data:`~repro.apps.APPS` catalog
+        #: (``0.0``: synthetic DAGs only).
+        self.app_fraction = app_fraction
         #: name -> (services, edges, entry), derived once per app.
         self._app_shapes: dict[str, tuple] = {}
 
@@ -132,7 +125,7 @@ class FuzzGenerator:
 
     def _app_topology(self, rng: random.Random) -> tuple:
         """A named prebuilt application (metamorphic battery only)."""
-        name = rng.choice(sorted(self.app_registry))
+        name = rng.choice(sorted(APPS))
         services, edges, entry = self._app_shape(name)
         topology = TopologySpec(kind="app", entry=entry, app=name)
         return topology, services, edges
@@ -140,7 +133,7 @@ class FuzzGenerator:
     def _app_shape(self, name: str) -> tuple:
         shape = self._app_shapes.get(name)
         if shape is None:
-            graph = self.app_registry[name]().logical_graph()
+            graph = APPS[name]().logical_graph()
             services = sorted(graph.services())
             edges = sorted(graph.edges())
             entry = graph.entry_services()[0]

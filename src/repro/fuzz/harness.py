@@ -26,11 +26,17 @@ import typing as _t
 
 from repro import artifact
 from repro.campaign.fleet import Fleet, ProcessWorkerSpec
-from repro.errors import ArtifactError
+from repro.errors import ArtifactError, RecipeError
 from repro.fuzz.differential import CaseReport, run_case
 from repro.fuzz.generator import FuzzGenerator
 from repro.fuzz.shrink import shrink
-from repro.fuzz.spec import FuzzCase
+from repro.fuzz.spec import (
+    SOURCE_NAME,
+    FuzzCase,
+    build_application,
+    build_check,
+    build_scenario,
+)
 
 __all__ = [
     "FuzzReport",
@@ -89,17 +95,14 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-def _process_case(
-    worker_id: int, case: FuzzCase, context: _t.Optional[_t.Mapping]
-) -> CaseReport:
+def _process_case(worker_id: int, case: FuzzCase, context: None) -> CaseReport:
     """Fleet entry point, on either backend: run one case.
 
-    ``context`` is the app registry (pickled, on the process lane); the
-    returned :class:`CaseReport` is plain data, so it ships back to the
-    parent unchanged — the fuzz verdict cannot depend on the backend.
+    The returned :class:`CaseReport` is plain data, so it ships back to
+    the parent unchanged — the fuzz verdict cannot depend on the backend.
     A case that raises reaches :func:`_crashed_case` through the fleet.
     """
-    return run_case(case, app_registry=context)
+    return run_case(case)
 
 
 def _crashed_case(case: FuzzCase, detail: str) -> CaseReport:
@@ -118,7 +121,6 @@ def run_fuzz(
     *,
     workers: _t.Union[int, str] = 1,
     backend: str = "threads",
-    app_registry: _t.Optional[_t.Mapping] = None,
     artifacts_dir: _t.Optional[str] = None,
     shrink_failures: bool = True,
 ) -> FuzzReport:
@@ -126,15 +128,11 @@ def run_fuzz(
 
     Case generation, execution, and shrinking are all derived from
     ``seed`` alone, so the report is identical across machines, worker
-    counts, and fleet backends.  ``backend="processes"`` requires a
-    picklable ``app_registry`` (module-level builders, not lambdas).
+    counts, and fleet backends.
     """
     started = time.perf_counter()
-    registry = dict(app_registry) if app_registry is not None else None
-    spec = ProcessWorkerSpec(
-        target=_process_case, context=registry, on_crash=_crashed_case
-    )
-    corpus = FuzzGenerator(seed, app_registry=app_registry).generate(cases)
+    spec = ProcessWorkerSpec(target=_process_case, on_crash=_crashed_case)
+    corpus = FuzzGenerator(seed).generate(cases)
     with Fleet(spec, workers=workers, backend=backend) as fleet:
         results = fleet.run(corpus)
     report = FuzzReport(seed=seed, cases=cases)
@@ -150,7 +148,6 @@ def run_fuzz(
             report.failures.append(
                 _handle_failure(
                     case_report,
-                    app_registry=app_registry,
                     artifacts_dir=artifacts_dir,
                     shrink_failures=shrink_failures,
                 )
@@ -162,7 +159,6 @@ def run_fuzz(
 def _handle_failure(
     case_report: CaseReport,
     *,
-    app_registry: _t.Optional[_t.Mapping],
     artifacts_dir: _t.Optional[str],
     shrink_failures: bool,
 ) -> dict:
@@ -177,7 +173,7 @@ def _handle_failure(
     )
     if shrink_failures and not harness_failure:
         try:
-            result = shrink(case_report.case, app_registry=app_registry)
+            result = shrink(case_report.case)
         except Exception:  # noqa: BLE001 - keep the unshrunk repro on any hiccup
             pass
         else:
@@ -223,9 +219,21 @@ def write_artifact(
 
 
 def _check_artifact(data: dict) -> dict:
-    verdict, _case = data["verdict"], FuzzCase.from_dict(data["case"])
+    """Refuse a record a run could not start from: a verdict of the wrong
+    shape, or a case whose app, scenarios, checks or entry do not build."""
+    verdict, case = data["verdict"], FuzzCase.from_dict(data["case"])
     if type(verdict["mismatch_kinds"]) is not list or type(verdict["digest"]) is not str:
         raise ValueError("verdict needs a mismatch_kinds list and a digest string")
+    application = build_application(case.topology)
+    application.validate()
+    graph = application.logical_graph()
+    if not graph.has_service(case.topology.entry):
+        raise RecipeError(f"unknown entry service {case.topology.entry!r}")
+    graph.add_dependency(SOURCE_NAME, case.topology.entry)
+    for spec in case.scenarios:
+        build_scenario(spec).decompose(graph)
+    for spec in case.checks:
+        build_check(spec)
     return data
 
 
@@ -256,10 +264,10 @@ class ReplayResult:
         )
 
 
-def replay_artifact(path: str, *, app_registry: _t.Optional[_t.Mapping] = None) -> ReplayResult:
+def replay_artifact(path: str) -> ReplayResult:
     """Re-run an artifact's case and compare against its recorded verdict."""
     data = load_artifact(path)
-    report = run_case(FuzzCase.from_dict(data["case"]), app_registry=app_registry)
+    report = run_case(FuzzCase.from_dict(data["case"]))
     verdict = data["verdict"]
     return ReplayResult(
         report=report,

@@ -45,7 +45,6 @@ class ShrinkResult:
 def shrink(
     case: FuzzCase,
     *,
-    app_registry: _t.Optional[_t.Mapping] = None,
     max_evaluations: int = MAX_EVALUATIONS,
 ) -> ShrinkResult:
     """Minimize ``case`` while preserving at least one mismatch.
@@ -53,7 +52,7 @@ def shrink(
     ``case`` must currently fail the battery; raises ``ValueError``
     otherwise (shrinking a passing case would loop pointlessly).
     """
-    report = run_case(case, app_registry=app_registry)
+    report = run_case(case)
     if not report.failed:
         raise ValueError(f"case {case.case_id} passes the battery; nothing to shrink")
     state = ShrinkResult(case=case, report=report, evaluations=1)
@@ -62,7 +61,7 @@ def shrink(
         if state.evaluations >= max_evaluations:
             return False
         state.evaluations += 1
-        candidate_report = run_case(candidate, app_registry=app_registry)
+        candidate_report = run_case(candidate)
         if candidate_report.failed:
             state.case = candidate
             state.report = candidate_report

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
+from repro.apps.catalog import APPS
 from repro.core.assertions import CheckStatus, Combine
 from repro.core.patterns import CheckResult, PatternCheck
 from repro.core.queries import StoreLike, get_requests, observed_status
@@ -228,8 +229,8 @@ class TopologySpec:
     deterministic DFS — the domain where the reference oracle predicts
     outcomes exactly.
 
-    Named apps (``kind="app"``, built via a registry the harness
-    provides) carry real resilience policies, so they are exercised by
+    Named apps (``kind="app"``, built from the :data:`~repro.apps.APPS`
+    catalog) carry real resilience policies, so they are exercised by
     the metamorphic checks only.
     """
 
@@ -242,7 +243,7 @@ class TopologySpec:
     entry: str = ""
     #: dag: services whose fanout degrades gracefully (partial_ok=True).
     partial_ok: _t.List[str] = dataclasses.field(default_factory=list)
-    #: app: registry name.
+    #: app: catalog name.
     app: str = ""
 
     def __post_init__(self) -> None:
@@ -296,15 +297,13 @@ class TopologySpec:
         )
 
 
-def build_application(
-    topology: TopologySpec,
-    app_registry: _t.Optional[_t.Mapping[str, _t.Callable[[], Application]]] = None,
-) -> Application:
-    """Materialize a topology spec into a deployable Application."""
+def build_application(topology: TopologySpec) -> Application:
+    """Materialize a topology spec into a deployable Application; a
+    named app is built from the :data:`~repro.apps.APPS` catalog."""
     if topology.kind == "app":
-        if app_registry is None or topology.app not in app_registry:
+        if topology.app not in APPS:
             raise RecipeError(f"unknown app topology {topology.app!r}")
-        return app_registry[topology.app]()
+        return APPS[topology.app]()
     application = Application(f"fuzz-dag-{len(topology.services)}")
     partial = set(topology.partial_ok)
     for service in topology.services:

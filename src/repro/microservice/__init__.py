@@ -15,10 +15,13 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "clients": ["CallStats", "DependencyClient"],
         "graph": ["ApplicationGraph"],
         "handlers": [
+            "cache_handler",
             "chain_handler",
+            "credential_handler",
             "fanout_handler",
             "proxy_handler",
             "static_handler",
+            "store_handler",
         ],
         "instance": ["ServiceInstance"],
         "resilience": [

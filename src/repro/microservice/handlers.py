@@ -9,15 +9,24 @@ from __future__ import annotations
 
 import typing as _t
 
+from repro.errors import HttpError, NetworkError
 from repro.http.message import HttpRequest, HttpResponse
 from repro.microservice.service import ServiceContext
 
 __all__ = [
+    "ABSORBED",
     "static_handler",
     "fanout_handler",
     "chain_handler",
     "proxy_handler",
+    "cache_handler",
+    "store_handler",
+    "credential_handler",
 ]
+
+#: The dependency-call failures a service handles itself: the network
+#: refused or reset the call, or the client's policy gave up on it.
+ABSORBED = (NetworkError, HttpError)
 
 
 def static_handler(status: int = 200, body: bytes = b"ok") -> _t.Callable:
@@ -96,5 +105,104 @@ def proxy_handler(backend: str) -> _t.Callable:
         downstream = HttpRequest(request.method, request.uri, body=request.body)
         response = yield from ctx.call(backend, downstream, parent=request)
         return response
+
+    return handler
+
+
+def cache_handler(ctx: ServiceContext, request: HttpRequest):
+    """Memcached-style leaf: first read of a key misses and populates."""
+    yield from ctx.work()
+    keys = ctx.state.setdefault("keys", set())
+    key = request.path
+    if key in keys:
+        return HttpResponse(200, body=b"cache hit")
+    keys.add(key)
+    return HttpResponse(404, body=b"cache miss")
+
+
+def store_handler(
+    store: str,
+    method: str,
+    path: str,
+    *,
+    ok: str,
+    unavailable: str,
+    degraded: str,
+    cache: _t.Optional[_t.Tuple[str, str]] = None,
+) -> _t.Callable:
+    """One ``method path`` call to an authoritative store, then answer.
+
+    ``cache`` is an optional ``(service, path)`` probed with a GET first;
+    its reply and its failure are both ignored.  The store answers the
+    request: a call that fails is 503 ``unavailable``, a 5xx reply is
+    503 ``degraded``, anything else is 200 ``ok``.
+    """
+    ok_body = ok.encode()
+    unavailable_body = unavailable.encode()
+    degraded_body = degraded.encode()
+
+    def handler(ctx: ServiceContext, request: HttpRequest):
+        yield from ctx.work()
+        if cache is not None:
+            try:
+                yield from ctx.call(cache[0], HttpRequest("GET", cache[1]), parent=request)
+            except ABSORBED:
+                pass
+        try:
+            reply = yield from ctx.call(store, HttpRequest(method, path), parent=request)
+        except ABSORBED:
+            return HttpResponse(503, body=unavailable_body)
+        if reply.status >= 500:
+            return HttpResponse(503, body=degraded_body)
+        return HttpResponse(200, body=ok_body)
+
+    return handler
+
+
+def credential_handler(
+    store: str,
+    path: str,
+    label: str,
+    validate_status: bool,
+    cache: _t.Optional[_t.Tuple[str, str]] = None,
+) -> _t.Callable:
+    """Credential check: a GET of ``path`` on the authoritative ``store``.
+
+    ``cache`` is an optional ``(service, path)`` probed with a GET first
+    and ignored: profile data is decorative, credentials are not.  With
+    ``validate_status`` an unexpected store status (a renamed endpoint
+    after a bad deploy — 404s, 400s) answers "<label> defaulted".
+    Without it any non-200 is assumed transient and re-asked, up to
+    eight times in a tight loop — the planted misconfiguration
+    amplifier: a misconfigured endpoint answers 404 forever.
+    """
+    ok_body = f"{label} ok".encode()
+    defaulted_body = f"{label} defaulted".encode()
+    unavailable_body = f"{label} backend unavailable".encode()
+    failed_body = f"{label} lookup failed".encode()
+
+    def handler(ctx: ServiceContext, request: HttpRequest):
+        yield from ctx.work()
+        if cache is not None:
+            try:
+                yield from ctx.call(cache[0], HttpRequest("GET", cache[1]), parent=request)
+            except ABSORBED:
+                pass
+        if validate_status:
+            try:
+                creds = yield from ctx.call(store, HttpRequest("GET", path), parent=request)
+            except ABSORBED:
+                return HttpResponse(503, body=unavailable_body)
+            if creds.status == 200:
+                return HttpResponse(200, body=ok_body)
+            return HttpResponse(200, body=defaulted_body)
+        for _attempt in range(8):
+            try:
+                creds = yield from ctx.call(store, HttpRequest("GET", path), parent=request)
+            except ABSORBED:
+                continue
+            if creds.status == 200:
+                return HttpResponse(200, body=ok_body)
+        return HttpResponse(500, body=failed_body)
 
     return handler

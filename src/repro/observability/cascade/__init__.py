@@ -33,7 +33,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "whatif": [
             "CascadePrediction",
             "order_candidates",
-            "order_plan",
             "predict_service_blast",
             "simulate_fault",
         ],

@@ -52,7 +52,6 @@ __all__ = [
     "simulate_fault",
     "predict_service_blast",
     "order_candidates",
-    "order_plan",
 ]
 
 #: Cap on the latency-damage term so one huge Delay interval cannot
@@ -248,25 +247,3 @@ def order_candidates(
         )
     scored.sort(key=lambda item: (-item[0], -item[1], -item[2], item[3]))
     return [item[4] for item in scored]
-
-
-def order_plan(plan_entries: _t.Sequence, graph: DependencyGraph) -> _t.List:
-    """Reorder campaign plan entries by predicted service blast.
-
-    ``plan_entries`` are
-    :class:`~repro.campaign.plan.PlannedRecipe`-shaped objects exposing
-    ``service``; entries faulting services with the larger predicted
-    blast (upstream cone × subtree weight) run first, original order
-    breaking ties.  Useful under fail-fast or tight time budgets: the
-    recipes most likely to surface a cascading failure execute before
-    the long tail.
-    """
-    def key(item: _t.Tuple[int, _t.Any]) -> tuple:
-        index, entry = item
-        service = getattr(entry, "service", "*")
-        if service == "*" or service not in set(graph.services()):
-            return (0, 0, index)
-        blast = len(graph.ancestors(service))
-        return (-blast, -_subtree_weight(graph, service), index)
-
-    return [entry for _, entry in sorted(enumerate(plan_entries), key=key)]

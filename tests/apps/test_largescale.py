@@ -3,7 +3,7 @@
 Every new scenario primitive (RetryStorm, GrayFailure,
 Misconfiguration, ResourceExhaustion) is proven by a pair: the check
 that encodes the expected resilience property **conclusively fails**
-on the naive build and **survives** on the resilient build of the same
+on the naive build and **survives** on the hardened build of the same
 topology under the same fault.  NoOpControl is the calibration pair:
 it must pass on *both* builds while still installing real rules —
 any check it trips is a false positive of the assertion suite.
@@ -11,6 +11,7 @@ any check it trips is a false positive of the assertion suite.
 
 import pytest
 
+from repro.apps import APPS, SEEDED_BUG_SUITE
 from repro.apps.hotelreservation import (
     HOTELRESERVATION_SERVICES,
     build_hotelreservation_app,
@@ -135,10 +136,10 @@ CONTROLS = {
 }
 
 
-def run_scenario(builder, resilient, entry, scenario, checks):
+def run_scenario(builder, hardened, entry, scenario, checks):
     """Deploy one build, stage the scenario, drive the workload, and
     return ([(name, passed, inconclusive)], installed rules)."""
-    deployment = builder(resilient=resilient).deploy(seed=0)
+    deployment = builder(hardened=hardened).deploy(seed=0)
     source = deployment.add_traffic_source(entry, name="user")
     gremlin = Gremlin(deployment)
     rules = gremlin.translator.translate([scenario])
@@ -175,16 +176,16 @@ class TestScenarioPairs:
 
 @pytest.mark.parametrize("app", sorted(CONTROLS))
 class TestNoOpControlCalibration:
-    @pytest.mark.parametrize("resilient", [False, True])
-    def test_control_passes_on_both_builds(self, app, resilient):
+    @pytest.mark.parametrize("hardened", [False, True])
+    def test_control_passes_on_both_builds(self, app, hardened):
         builder, entry, scenario, checks = CONTROLS[app]
-        verdicts, rules = run_scenario(builder, resilient, entry, scenario(), checks())
+        verdicts, rules = run_scenario(builder, hardened, entry, scenario(), checks())
         # The machinery ran for real: rules decomposed and installed...
         assert rules
         # ...but with probability 0 nothing fired, so every check is as
         # green as a fault-free run.
         for name, passed, inconclusive in verdicts:
-            assert passed or inconclusive, (app, resilient, verdicts)
+            assert passed or inconclusive, (app, hardened, verdicts)
 
 
 class TestCatalog:
@@ -197,10 +198,13 @@ class TestCatalog:
         assert len(hotel.definitions) == 20
 
     def test_apps_are_cli_reachable(self):
-        from repro.cli import APPS
-
         assert "socialnetwork" in APPS
         assert "hotelreservation" in APPS
+
+    def test_seeded_bug_apps_are_catalog_builders(self):
+        for name, manifest in SEEDED_BUG_SUITE.items():
+            assert name in APPS
+            assert APPS[name] is manifest.builder
 
     def test_every_service_is_reachable_from_the_entry(self):
         for builder, entry in (
@@ -219,9 +223,9 @@ class TestCatalog:
                 frontier.extend(graph.dependencies(service))
             assert seen == set(app.definitions)
 
-    def test_resilient_flag_changes_policies_not_topology(self):
+    def test_hardened_flag_changes_policies_not_topology(self):
         for builder in (build_socialnetwork_app, build_hotelreservation_app):
-            naive, hard = builder(resilient=False), builder(resilient=True)
+            naive, hard = builder(hardened=False), builder(hardened=True)
             assert {
                 (src, dst) for src, dst in naive.logical_graph().edges()
             } == {(src, dst) for src, dst in hard.logical_graph().edges()}

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from repro.campaign import CampaignResult, RecipeOutcome, diff_campaigns
+from repro.errors import CampaignError
 
 
 def outcome(name, status, classification=None, latencies=()):
@@ -20,8 +21,8 @@ def outcome(name, status, classification=None, latencies=()):
     )
 
 
-def result(name, outcomes):
-    return CampaignResult(name=name, app="app", seed=0, workers=1, outcomes=outcomes)
+def result(name, outcomes, app="app"):
+    return CampaignResult(name=name, app=app, seed=0, workers=1, outcomes=outcomes)
 
 
 class TestStatusChanges:
@@ -74,6 +75,12 @@ class TestStatusChanges:
         assert diff.clean
         assert not diff.has_regressions
         assert "no differences" in diff.text()
+
+    def test_campaigns_of_two_apps_are_refused(self):
+        baseline = result("base", [outcome("r", "pass")], app="twotier")
+        candidate = result("cand", [outcome("r", "pass")], app="tree3")
+        with pytest.raises(CampaignError, match="'twotier'.*'tree3'"):
+            diff_campaigns(baseline, candidate)
 
 
 class TestLatencyComparison:

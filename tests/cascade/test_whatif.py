@@ -12,7 +12,6 @@ from repro.observability.cascade.whatif import (
     RESET_DAMAGE,
     RETRY_AMPLIFICATION,
     order_candidates,
-    order_plan,
     predict_service_blast,
     simulate_fault,
 )
@@ -136,28 +135,3 @@ class TestOrderCandidates:
         assert order_candidates([first, second], graph, requests=1) == [
             first, second,
         ]
-
-
-@dataclasses.dataclass(frozen=True)
-class FakeEntry:
-    """PlannedRecipe-shaped stand-in for order_plan."""
-
-    name: str
-    service: str
-
-
-class TestOrderPlan:
-    def test_bigger_predicted_blast_runs_first(self):
-        graph = chain_graph()
-        entries = [
-            FakeEntry("shallow", "a"),
-            FakeEntry("deep", "c"),
-            FakeEntry("wildcard", "*"),
-        ]
-        ordered = order_plan(entries, graph)
-        assert [e.name for e in ordered] == ["deep", "shallow", "wildcard"]
-
-    def test_unknown_services_keep_original_order(self):
-        graph = chain_graph()
-        entries = [FakeEntry("x", "ghost1"), FakeEntry("y", "ghost2")]
-        assert order_plan(entries, graph) == entries

@@ -1,6 +1,5 @@
 """The differential runner: battery selection, digests, sensitivity."""
 
-from repro.cli import APPS
 from repro.core.scenarios import AbortCalls, DelayCalls
 from repro.fuzz import FuzzGenerator, TopologySpec, execute_case, run_case
 from tests.fuzz.test_oracle import chain_case
@@ -37,7 +36,7 @@ class TestBatterySelection:
     def test_app_case_runs_metamorphic_only(self):
         case = chain_case([AbortCalls("ServiceA", "ServiceB", error=503)])
         case.topology = TopologySpec(kind="app", entry="ServiceA", app="twotier")
-        report = run_case(case, app_registry=APPS)
+        report = run_case(case)
         assert not report.oracle_checked
         assert "matcher-strategy" in report.metamorphic_run
         assert "shuffle" in report.metamorphic_run
@@ -70,9 +69,9 @@ class TestDigestSensitivity:
 
 class TestCorpusSweep:
     def test_generated_corpus_is_clean(self):
-        cases = FuzzGenerator(21, app_registry=APPS).generate(25)
+        cases = FuzzGenerator(21).generate(25)
         for case in cases:
-            report = run_case(case, app_registry=APPS)
+            report = run_case(case)
             assert not report.failed, (
                 case.case_id,
                 report.mismatches,

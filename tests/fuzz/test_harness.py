@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro import artifact
-from repro.cli import APPS
 from repro.errors import ArtifactError
 from repro.fuzz import (
     FuzzGenerator,
@@ -23,7 +22,7 @@ CASES = 12
 
 class TestRunFuzz:
     def test_clean_corpus_passes(self):
-        report = run_fuzz(31, CASES, app_registry=APPS)
+        report = run_fuzz(31, CASES)
         assert report.passed
         assert report.cases == CASES
         assert report.oracle_checked > 0
@@ -31,15 +30,15 @@ class TestRunFuzz:
         assert report.metamorphic_counts["shuffle"] == CASES
 
     def test_worker_count_independence(self):
-        serial = run_fuzz(31, CASES, workers=1, app_registry=APPS)
-        fleet = run_fuzz(31, CASES, workers=4, app_registry=APPS)
+        serial = run_fuzz(31, CASES, workers=1)
+        fleet = run_fuzz(31, CASES, workers=4)
         assert serial.to_dict()["failures"] == fleet.to_dict()["failures"]
         assert serial.oracle_checked == fleet.oracle_checked
         assert serial.metamorphic_counts == fleet.metamorphic_counts
 
     def test_process_backend_matches_serial(self):
-        serial = run_fuzz(31, 6, workers=1, app_registry=APPS)
-        procs = run_fuzz(31, 6, workers=2, backend="processes", app_registry=APPS)
+        serial = run_fuzz(31, 6, workers=1)
+        procs = run_fuzz(31, 6, workers=2, backend="processes")
         assert serial.to_dict()["failures"] == procs.to_dict()["failures"]
         assert serial.oracle_checked == procs.oracle_checked
         assert serial.metamorphic_counts == procs.metamorphic_counts
@@ -48,13 +47,13 @@ class TestRunFuzz:
         # A raise reaches the fleet's on_crash, like a dead worker.
         real_run = harness_mod.run_case
 
-        def exploding(case, app_registry=None):
+        def exploding(case):
             if case.case_id.endswith("-2"):
                 raise RuntimeError("boom")
-            return real_run(case, app_registry=app_registry)
+            return real_run(case)
 
         monkeypatch.setattr(harness_mod, "run_case", exploding)
-        report = run_fuzz(31, 4, app_registry=APPS, artifacts_dir=str(tmp_path))
+        report = run_fuzz(31, 4, artifacts_dir=str(tmp_path))
         assert not report.passed
         (failure,) = report.failures
         assert failure["mismatch_kinds"] == ["harness/crash"]
@@ -68,8 +67,8 @@ class TestRunFuzz:
     def test_failures_are_shrunk_and_archived(self, monkeypatch, tmp_path):
         real_run = harness_mod.run_case
 
-        def buggy(case, app_registry=None):
-            report = real_run(case, app_registry=app_registry)
+        def buggy(case):
+            report = real_run(case)
             if any(s["kind"] == "delay" for s in case.scenarios):
                 report.mismatches.append(
                     {"kind": "oracle/trace", "detail": "synthetic"}
@@ -81,7 +80,7 @@ class TestRunFuzz:
 
         shrink_mod = importlib.import_module("repro.fuzz.shrink")
         monkeypatch.setattr(shrink_mod, "run_case", buggy)
-        report = run_fuzz(31, CASES, app_registry=APPS, artifacts_dir=str(tmp_path))
+        report = run_fuzz(31, CASES, artifacts_dir=str(tmp_path))
         assert not report.passed
         for failure in report.failures:
             assert failure["artifact"] is not None
@@ -93,8 +92,8 @@ class TestRunFuzz:
 
 class TestArtifacts:
     def artifact_for(self, tmp_path, seed=5, index=3):
-        case = FuzzGenerator(seed, app_registry=APPS).case(index)
-        report = run_case(case, app_registry=APPS)
+        case = FuzzGenerator(seed).case(index)
+        report = run_case(case)
         path = tmp_path / f"{case.case_id}.json"
         write_artifact(str(path), report, shrink_steps=["none"])
         return path, report
@@ -110,7 +109,7 @@ class TestArtifacts:
 
     def test_replay_reproduces_bit_for_bit(self, tmp_path):
         path, report = self.artifact_for(tmp_path)
-        result = replay_artifact(str(path), app_registry=APPS)
+        result = replay_artifact(str(path))
         assert result.reproduced
         assert result.report.digest == report.digest
 
@@ -119,7 +118,7 @@ class TestArtifacts:
         (data,) = artifact.read(path, "fuzz-artifact")
         data["verdict"]["digest"] = "0" * 64
         artifact.write(path, "fuzz-artifact", [data])
-        result = replay_artifact(str(path), app_registry=APPS)
+        result = replay_artifact(str(path))
         assert not result.reproduced
 
     def test_version_gate(self, tmp_path):

@@ -19,7 +19,7 @@ shrink_mod = importlib.import_module("repro.fuzz.shrink")
 def fake_battery(monkeypatch, fails_when):
     """Replace the shrinker's battery with a feature predicate."""
 
-    def run(case, app_registry=None):
+    def run(case):
         report = CaseReport(case=case, digest="synthetic")
         if fails_when(case):
             report.mismatches.append(
@@ -32,7 +32,7 @@ def fake_battery(monkeypatch, fails_when):
 
 def corpus_case(predicate, *, seed=7, want_extra=True):
     """First generated case matching ``predicate`` (plus some bulk)."""
-    for case in FuzzGenerator(seed).generate(200):
+    for case in FuzzGenerator(seed, app_fraction=0.0).generate(200):
         if not predicate(case):
             continue
         if want_extra and (len(case.scenarios) < 2 or len(case.checks) < 2):
@@ -72,7 +72,7 @@ class TestShrink:
 
     def test_passing_case_is_rejected(self, monkeypatch):
         fake_battery(monkeypatch, lambda case: False)
-        case = FuzzGenerator(7).case(0)
+        case = FuzzGenerator(7, app_fraction=0.0).case(0)
         with pytest.raises(ValueError):
             shrink_mod.shrink(case)
 

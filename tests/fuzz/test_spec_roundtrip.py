@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agent.rules import fresh_rule_ids
-from repro.cli import APPS
 from repro.core.recipe import Recipe
 from repro.core.scenarios import (
     SCENARIO_KINDS,
@@ -156,7 +155,7 @@ class TestCaseRoundTrip:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**16), index=st.integers(0, 40))
     def test_generated_cases_round_trip(self, seed, index):
-        case = FuzzGenerator(seed, app_registry=APPS).case(index)
+        case = FuzzGenerator(seed).case(index)
         rebuilt = FuzzCase.from_dict(json.loads(json.dumps(case.to_dict())))
         assert rebuilt == case
         assert rebuilt.recipe() == case.recipe()

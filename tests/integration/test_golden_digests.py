@@ -16,7 +16,6 @@ import json
 from repro.agent.rules import fresh_rule_ids
 from repro.apps import build_socialnetwork_app, build_twotier
 from repro.campaign import CampaignRunner, plan_campaign
-from repro.cli import APPS
 from repro.core import (
     Gremlin,
     HasBoundedRetries,
@@ -89,7 +88,7 @@ def test_explore_executed_digests():
 
 
 def test_fuzz_case_digests():
-    generator = FuzzGenerator(0)
+    generator = FuzzGenerator(0, app_fraction=0.0)
     assert [run_case(generator.case(index)).digest for index in range(5)] == (
         GOLDEN_FUZZ_DIGESTS
     )
@@ -164,7 +163,7 @@ def test_scenario_spec_bytes():
 
 
 def test_generated_fuzz_corpus_bytes():
-    cases = FuzzGenerator(2026, app_registry=APPS).generate(60)
+    cases = FuzzGenerator(2026).generate(60)
     assert sha256_json([case.to_dict() for case in cases]) == GOLDEN_FUZZ_CORPUS
 
 

@@ -25,7 +25,6 @@ import re
 
 import pytest
 
-from repro.cli import APPS
 from repro.errors import ProcessKilled
 from repro.fuzz import FuzzGenerator, execute_case
 from repro.simulation import Simulator
@@ -437,10 +436,10 @@ class TestFuzzCorpusEquivalence:
 
     @pytest.mark.parametrize("master_seed", CORPUS_SEEDS)
     def test_corpus_digests_match_across_schedulers(self, master_seed):
-        cases = FuzzGenerator(master_seed, app_registry=APPS).generate(CASES_PER_SEED)
+        cases = FuzzGenerator(master_seed).generate(CASES_PER_SEED)
         for case in cases:
-            default = execute_case(case, scheduler="default", app_registry=APPS)
-            heap = execute_case(case, scheduler="heap", app_registry=APPS)
+            default = execute_case(case, scheduler="default")
+            heap = execute_case(case, scheduler="heap")
             assert default.records == heap.records, case.case_id
             assert default.samples == heap.samples, case.case_id
             assert default.verdicts == heap.verdicts, case.case_id

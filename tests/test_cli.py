@@ -10,7 +10,8 @@ import pytest
 
 from repro import artifact
 from repro.campaign import load_jsonl
-from repro.cli import APPS, _per_app_path, main
+from repro.apps import APPS
+from repro.cli import _per_app_path, main
 
 
 def refused(capsys, argv):
@@ -392,9 +393,9 @@ class TestFuzz:
     def test_replay_round_trip(self, capsys, tmp_path):
         from repro.fuzz import FuzzGenerator, run_case, write_artifact
 
-        case = FuzzGenerator(5, app_registry=APPS).case(1)
+        case = FuzzGenerator(5).case(1)
         artifact = tmp_path / "case.json"
-        write_artifact(str(artifact), run_case(case, app_registry=APPS))
+        write_artifact(str(artifact), run_case(case))
         code = main(["fuzz", "replay", str(artifact)])
         out = capsys.readouterr().out
         assert code == 0
@@ -412,9 +413,9 @@ class TestFuzz:
     def test_shrink_passing_artifact_reports_nothing_to_do(self, capsys, tmp_path):
         from repro.fuzz import FuzzGenerator, run_case, write_artifact
 
-        case = FuzzGenerator(5, app_registry=APPS).case(2)
+        case = FuzzGenerator(5).case(2)
         artifact = tmp_path / "case.json"
-        write_artifact(str(artifact), run_case(case, app_registry=APPS))
+        write_artifact(str(artifact), run_case(case))
         code = main(["fuzz", "shrink", str(artifact)])
         out = capsys.readouterr().out
         assert code == 1
@@ -601,10 +602,10 @@ class TestUnwritableOutput:
 
         real_run = harness_mod.run_case
 
-        def exploding(case, app_registry=None):
+        def exploding(case):
             if case.case_id.endswith("-2"):
                 raise RuntimeError("boom")
-            return real_run(case, app_registry=app_registry)
+            return real_run(case)
 
         monkeypatch.setattr(harness_mod, "run_case", exploding)
         path = tmp_path / "artifacts"
@@ -630,6 +631,16 @@ class TestCleanCliErrors:
     def test_test_unknown_target_exits_cleanly(self, capsys):
         line = refused(capsys, ["test", "twotier", "--target", "ghost"])
         assert "unknown target 'ghost'" in line
+
+    def test_campaign_diff_of_two_apps_exits_cleanly(self, capsys, tmp_path):
+        from repro.campaign import CampaignResult, dump_jsonl
+
+        paths = []
+        for app in ("twotier", "tree3"):
+            paths.append(str(tmp_path / f"{app}.jsonl"))
+            dump_jsonl(CampaignResult("c", app, 0, 1, outcomes=[]), paths[-1])
+        line = refused(capsys, ["campaign", "diff", *paths])
+        assert "different apps" in line and "'twotier'" in line and "'tree3'" in line
 
     def test_report_missing_dump_exits_cleanly(self, capsys, tmp_path):
         # A one-line operator message, not a traceback.
@@ -815,6 +826,38 @@ class TestRefusedFiles:
         path.write_text("[1,2]\n")
         line = refused(capsys, ["fuzz", verb, str(path)])
         assert f"{path}: line 1: expected a JSON object, got list" in line
+
+    @pytest.mark.parametrize("verb", ["replay", "shrink"])
+    @pytest.mark.parametrize(
+        "unbuild, why",
+        [
+            (
+                lambda case: case["topology"].update(kind="app", app="nosuch"),
+                "unknown app topology 'nosuch'",
+            ),
+            (
+                lambda case: case["scenarios"][0].update(kind="nosuchkind"),
+                "unknown scenario kind 'nosuchkind'",
+            ),
+            (
+                lambda case: case["topology"].update(entry="nosuchsvc"),
+                "unknown entry service 'nosuchsvc'",
+            ),
+        ],
+        ids=["app", "scenario-kind", "entry"],
+    )
+    def test_fuzz_artifact_whose_case_does_not_build_is_refused(
+        self, capsys, tmp_path, verb, unbuild, why
+    ):
+        from repro.fuzz import FuzzGenerator
+
+        case = FuzzGenerator(5, app_fraction=0.0).case(1).to_dict()
+        unbuild(case)
+        verdict = {"mismatch_kinds": [], "mismatches": [], "digest": ""}
+        path = tmp_path / "case.json"
+        artifact.write(path, "fuzz-artifact", [{"case": case, "verdict": verdict}])
+        line = refused(capsys, ["fuzz", verb, str(path)])
+        assert line == f"repro: error: {path}: line 2: {why}"
 
     @pytest.mark.parametrize(
         "entry",
