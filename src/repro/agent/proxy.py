@@ -9,12 +9,16 @@ physical instances through the service registry, round-robins across
 them, and forwards traffic — intercepting, logging, and manipulating
 messages according to the installed fault rules.
 
-A route's listener arms each accepted connection with
-:meth:`~repro.network.transport.ConnectionEnd.on_receive`; a proxy
-process exists per exchange in progress — started by the request's
-arrival, gone with the answer — so a connection whose caller gave up or
-hung up holds no process, and a caller that pipelines requests on one
-connection has them proxied strictly one after the other.
+A proxy process exists per exchange in progress — started by the
+request's arrival, gone with the answer.  The owner's
+:class:`~repro.http.client.HttpClient` opens a one-shot exchange, and
+the route's exchange hook starts :meth:`GremlinAgent._proxy_one` on it
+directly; the agent forwards over a one-shot exchange too.  A raw peer
+that connects instead has each connection armed with
+:meth:`~repro.network.transport.ConnectionEnd.on_receive`, so a
+connection whose caller gave up or hung up holds no process, and a
+caller that pipelines requests on one connection has them proxied
+strictly one after the other.
 
 Per proxied call the agent:
 
@@ -62,7 +66,7 @@ from repro.logstore.pipeline import LogPipeline
 from repro.logstore.query import compile_id_pattern
 from repro.logstore.record import ObservationKind, ObservationRecord
 from repro.network.address import Address
-from repro.network.transport import ConnectionEnd, Host, Listener
+from repro.network.transport import ConnectionEnd, ExchangeEnd, Host, Listener
 from repro.registry.registry import ServiceRegistry
 from repro.simulation.kernel import Simulator
 from repro.simulation.resources import ChannelClosed
@@ -180,12 +184,18 @@ class GremlinAgent:
         listener = self.host.listen(port)
         name = f"{self.owner_instance}/proxy->{dst_service}"
 
-        def spawn(conn: ConnectionEnd, payload: object) -> None:
+        def answer(end: ExchangeEnd, payload: object) -> None:
             # A proxy process lives for one exchange: it starts when the
-            # caller's request arrives, and an open connection nobody
-            # speaks on (or whose caller gave up) has none.
+            # caller's request arrives and ends with the answer.
+            self.sim.process(self._proxy_one(end, dst_service, payload), name=name)
+
+        def spawn(conn: ConnectionEnd, payload: object) -> None:
+            # The same for a raw peer's connection, which an open
+            # connection nobody speaks on (or whose caller gave up)
+            # holds none of.
             self.sim.process(self._serve(conn, dst_service, payload, spawn), name=name)
 
+        listener.on_exchange(answer)
         listener.on_connect(lambda conn: conn.on_receive(spawn))
         self._listeners[port] = listener
 
@@ -285,8 +295,9 @@ class GremlinAgent:
         index = self._round_robin.get(key, 0)
         self._round_robin[key] = index + 1
         target = targets[index % len(targets)]
+        host = self.host
         try:
-            upstream: ConnectionEnd = yield self.host.connect(target)
+            upstream = yield host.network.exchange(host, target)
             send_message(upstream, request)
             reply_payload = yield upstream.recv()
             upstream.close()
@@ -376,7 +387,7 @@ class GremlinAgent:
             conn.on_receive(spawn)
 
     def _proxy_one(
-        self, conn: ConnectionEnd, dst_service: str, payload: object
+        self, conn: ExchangeEnd | ConnectionEnd, dst_service: str, payload: object
     ) -> _t.Generator[_t.Any, _t.Any, bool]:
         """Proxy one request/response exchange; True if conn was closed."""
         self.proxied += 1
@@ -534,7 +545,8 @@ class GremlinAgent:
         index = self._round_robin.get(key, 0)
         self._round_robin[key] = index + 1
         target = addresses[index % len(addresses)]
-        upstream: ConnectionEnd = yield self.host.connect(target)
+        host = self.host
+        upstream: ExchangeEnd | ConnectionEnd = yield host.network.exchange(host, target)
         try:
             send_message(upstream, request)
             reply_payload = yield upstream.recv()
@@ -577,7 +589,9 @@ class GremlinAgent:
             )
         )
 
-    def _safe_send(self, conn: ConnectionEnd, response: HttpResponse, as_bytes: bool) -> None:
+    def _safe_send(
+        self, conn: ExchangeEnd | ConnectionEnd, response: HttpResponse, as_bytes: bool
+    ) -> None:
         """Send a response unless the caller already went away."""
         if conn.closed:
             return

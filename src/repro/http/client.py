@@ -2,8 +2,9 @@
 
 :meth:`HttpClient.call` is a *generator subroutine*: service handler
 code running inside a simulation process invokes it with
-``yield from``.  It opens a connection, sends the request in its wire
-form (:mod:`repro.http.wire`), awaits the response, and surfaces every
+``yield from``.  It opens a one-shot exchange (a raw peer's listener
+gets a connection instead), sends the request in its wire form
+(:mod:`repro.http.wire`), awaits the response, and surfaces every
 fault-model observable as an exception (network errors, per-call
 timeout, unparseable response).
 
@@ -22,7 +23,7 @@ from repro.errors import RequestTimeoutError
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.wire import received_response, send_message
 from repro.network.address import Address
-from repro.network.transport import ConnectionEnd, Host
+from repro.network.transport import ConnectionEnd, ExchangeEnd, Host
 from repro.simulation.events import AnyOf, SimEvent
 from repro.simulation.kernel import Simulator
 
@@ -58,7 +59,7 @@ def await_with_deadline(
 
 
 class HttpClient:
-    """One-connection-per-request HTTP client for a simulated host."""
+    """One-exchange-per-request HTTP client for a simulated host."""
 
     def __init__(self, host: Host, default_timeout: float | None = None) -> None:
         self.host = host
@@ -94,13 +95,16 @@ class HttpClient:
         budget = self.default_timeout if timeout is None else timeout
         deadline = None if budget is None else sim.now + budget
 
-        conn: ConnectionEnd | None = None
+        host = self.host
+        conn: ExchangeEnd | ConnectionEnd | None = None
         try:
-            conn = yield from await_with_deadline(sim, self.host.connect(dst), deadline)
+            conn = yield from await_with_deadline(
+                sim, host.network.exchange(host, dst), deadline
+            )
             send_message(conn, request)
             payload = yield from await_with_deadline(sim, conn.recv(), deadline)
         finally:
-            # Abandon the connection whether we succeeded, timed out or
+            # Abandon the exchange whether we succeeded, timed out or
             # hit a transport error; late server responses are dropped.
             if conn is not None and not conn.closed:
                 conn.close()

@@ -1,13 +1,17 @@
 """HTTP server over the simulated transport.
 
 A server binds a port and spawns one simulation process per *exchange in
-progress*: a connection that is only open costs nothing, the process
-starts when a request arrives (request -> handler -> response) and ends
-with the response, and only then is the connection's next request taken.
-So a single connection carries sequential requests (keep-alive,
-pipelined ones answered strictly in order) while concurrent connections
-are served in parallel — and a connection whose peer went away, or never
-spoke, leaves no process behind.
+progress*: the process starts when a request arrives (request -> handler
+-> response) and ends with the response.  A one-shot exchange
+(:meth:`~repro.network.transport.Network.exchange`, what
+:class:`~repro.http.client.HttpClient` opens) reaches the listener's
+exchange hook with its request and is done after one reply.  A raw peer
+reaches it by connection: a connection that is only open costs nothing,
+and only after a response is the connection's next request taken, so it
+carries sequential requests (keep-alive, pipelined ones answered
+strictly in order) while concurrent connections are served in parallel
+— and a connection whose peer went away, or never spoke, leaves no
+process behind.
 
 Handlers are generator functions ``handler(request) -> HttpResponse``
 that may ``yield`` events (e.g. make downstream calls via
@@ -24,7 +28,7 @@ from repro.http import status as http_status
 from repro.http.headers import REQUEST_ID_HEADER
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.wire import received_request, send_message
-from repro.network.transport import ConnectionEnd, Host, Listener
+from repro.network.transport import ConnectionEnd, ExchangeEnd, Host, Listener
 from repro.simulation.kernel import Simulator
 
 __all__ = ["HttpServer", "Handler"]
@@ -56,6 +60,7 @@ class HttpServer:
         """Bind the port and begin accepting connections."""
         listener = self.host.listen(self.port)
         listener.on_connect(lambda conn: conn.on_receive(self._spawn))
+        listener.on_exchange(self._answer)
         self._listener = listener
         return self
 
@@ -68,10 +73,16 @@ class HttpServer:
     # -- internals --------------------------------------------------------------
 
     def _spawn(self, conn: ConnectionEnd, payload: object) -> None:
-        self.sim.process(self._serve(conn, payload), name=f"{self.name}/serve")
+        self.sim.process(self._serve(conn, payload, True), name=f"{self.name}/serve")
 
-    def _serve(self, conn: ConnectionEnd, payload: object) -> _t.Generator:
-        """One exchange; the connection's next request is taken after it.
+    def _answer(self, end: ExchangeEnd, payload: object) -> None:
+        self.sim.process(self._serve(end, payload, False), name=f"{self.name}/serve")
+
+    def _serve(
+        self, conn: ConnectionEnd | ExchangeEnd, payload: object, keep_alive: bool
+    ) -> _t.Generator:
+        """One exchange; a connection's next request is taken after it
+        (``keep_alive``), a one-shot exchange is done.
 
         Parse, handler and reply share this one generator frame: every
         resume of a handler passes through each frame above it.
@@ -106,7 +117,8 @@ class HttpServer:
         except Exception:  # noqa: BLE001 - peer vanished mid-response
             return
         self.requests_served += 1
-        conn.on_receive(self._spawn)
+        if keep_alive:
+            conn.on_receive(self._spawn)
 
     def __repr__(self) -> str:
         state = "running" if self.running else "stopped"

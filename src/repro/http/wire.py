@@ -33,7 +33,7 @@ from repro.http.codec import (
 )
 from repro.http.headers import Headers
 from repro.http.message import _METHODS, HttpRequest, HttpResponse, Message
-from repro.network.transport import ConnectionEnd
+from repro.network.transport import ConnectionEnd, ExchangeEnd
 
 __all__ = ["wire_form", "send_message", "received_request", "received_response"]
 
@@ -101,8 +101,11 @@ def wire_form(message: Message) -> Message | bytes:
     return snapshot
 
 
-def send_message(conn: ConnectionEnd, message: Message, as_bytes: bool = False) -> None:
-    """Send ``message`` over ``conn`` in its wire form.
+def send_message(
+    conn: ConnectionEnd | ExchangeEnd, message: Message, as_bytes: bool = False
+) -> None:
+    """Send ``message`` over ``conn`` — a connection's end or an
+    exchange's — in its wire form.
 
     ``as_bytes`` forces serialisation: the answer to an exchange that
     arrived as ``bytes`` (a raw peer reads bytes back).

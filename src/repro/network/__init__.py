@@ -19,6 +19,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "UniformLatency",
             "as_latency",
         ],
-        "transport": ["Connection", "ConnectionEnd", "Host", "Listener", "Network"],
+        "transport": ["Connection", "ConnectionEnd", "ExchangeEnd", "Host", "Listener", "Network"],
     },
 )

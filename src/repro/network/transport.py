@@ -32,6 +32,18 @@ the next data unit — one event each.  A server is pushed to:
 back from inside the handshake or the delivery, schedule nothing and
 park nothing, so an open connection nobody speaks on costs its server
 no process and no event.
+
+Most traffic is one request and one reply.  :meth:`Network.exchange`
+opens a *one-shot exchange* for it: two :class:`ExchangeEnd` objects
+with the calling half of a connection's API (``send``/``send_parsed``,
+``recv``, ``close``) and the serving half (``send``/``send_parsed``,
+``reset``), but no :class:`Connection`, no mailbox and no push
+callback to re-arm — the listener's exchange hook
+(:meth:`Listener.on_exchange`) is called once, with the serving end and
+the request.  Every queue entry, latency sample, drop, refusal, reset
+and close happens where a connection's would.  A listener without a
+hook (a raw peer that calls ``accept()``) is reached by a connection
+instead, and :meth:`Network.connect` always builds one.
 """
 
 from __future__ import annotations
@@ -46,13 +58,15 @@ from repro.errors import (
     HostUnreachableError,
     NetworkError,
 )
-from repro.network.address import Address
-from repro.network.latency import LatencyModel, as_latency
+from repro.network.address import LOOPBACK, Address
+from repro.network.latency import FixedLatency, LatencyModel, as_latency
 from repro.simulation.events import SimEvent
 from repro.simulation.kernel import Simulator
 from repro.simulation.resources import Channel, ChannelClosed
 
-__all__ = ["Network", "Host", "Listener", "Connection", "ConnectionEnd"]
+__all__ = ["Network", "Host", "Listener", "Connection", "ConnectionEnd", "ExchangeEnd"]
+
+_new = object.__new__
 
 #: Default one-way link latency: 0.5 ms (same-datacenter RTT ~1 ms).
 DEFAULT_LINK_LATENCY = 0.0005
@@ -131,17 +145,24 @@ class Network:
         self._pair_latency[frozenset((host_a, host_b))] = as_latency(latency)
 
     def latency_between(self, host_a: str, host_b: str) -> float:
-        """Sample a one-way delay for a message between two hosts."""
+        """Sample a one-way delay for a message between two hosts.
+
+        A :class:`FixedLatency` is read, not called: its ``delay`` is what
+        ``sample()`` would return.  Any other model samples once per
+        message.
+        """
         if host_a == host_b:
-            return self.loopback_latency.sample(self.sim)
-        # The per-pair table is empty unless somebody installed a model:
-        # no key is built to look into nothing.
-        pairs = self._pair_latency
-        if pairs:
-            model = pairs.get(frozenset((host_a, host_b)))
-            if model is not None:
-                return model.sample(self.sim)
-        return self.default_latency.sample(self.sim)
+            model = self.loopback_latency
+        else:
+            model = self.default_latency
+            # The per-pair table is empty unless somebody installed a
+            # model: no key is built to look into nothing.
+            pairs = self._pair_latency
+            if pairs:
+                model = pairs.get(frozenset((host_a, host_b)), model)
+        if type(model) is FixedLatency:
+            return model.delay
+        return model.sample(self.sim)
 
     # -- partitions -------------------------------------------------------------
 
@@ -177,9 +198,32 @@ class Network:
         Refusal is signalled after one RTT; partition/blackhole after
         ``timeout`` (default: the network's connect timeout).
         """
+        return self._open(src, dst, timeout, False)
+
+    def exchange(
+        self,
+        src: "Host",
+        dst: Address,
+        timeout: float | None = None,
+    ) -> SimEvent:
+        """Open a one-shot exchange from ``src`` to ``dst``: one request,
+        one reply.
+
+        Exactly :meth:`connect` — same handshake, errors and timing —
+        except that when the listener at ``dst`` has an exchange hook
+        (:meth:`Listener.on_exchange`) the event succeeds with the calling
+        :class:`ExchangeEnd` instead of a :class:`ConnectionEnd`, and the
+        hook, not ``on_connect``, hears of it: once, when the request
+        arrives.  A listener without a hook gets a connection.
+        """
+        return self._open(src, dst, timeout, True)
+
+    def _open(
+        self, src: "Host", dst: Address, timeout: float | None, one_shot: bool
+    ) -> SimEvent:
         budget = self.connect_timeout if timeout is None else timeout
 
-        if dst.is_loopback:
+        if dst.host == LOOPBACK:
             dst_host: Host | None = src
         else:
             dst_host = self._hosts.get(dst.host)
@@ -209,7 +253,28 @@ class Network:
             )
 
         ev = self.sim.event()
-        conn = Connection(self, next(self._conn_ids), src, dst_host, dst.port)
+        hook = listener._on_exchange
+        if one_shot and hook is not None:
+            caller = ExchangeEnd._pair(self, next(self._conn_ids), src, dst_host, dst.port, hook)
+
+            def _complete(_: SimEvent) -> None:
+                if listener.closed:
+                    caller.peer = None  # nobody will ever speak on it
+                    ev.fail(ConnectionRefusedError_(f"connection refused: {dst}"))
+                else:
+                    # The hook hears of the exchange when its request arrives.
+                    ev.succeed(caller)
+
+        else:
+            conn = Connection(self, next(self._conn_ids), src, dst_host, dst.port)
+
+            def _complete(_: SimEvent) -> None:
+                if listener.closed:
+                    ev.fail(ConnectionRefusedError_(f"connection refused: {dst}"))
+                    return
+                listener._deliver(conn.server_end)
+                ev.succeed(conn.client_end)
+
         # Handshake completes after one RTT; then both sides learn of it.
         # The caller is told by an event of its own, queued behind what
         # is already due at that instant: answering on the handshake
@@ -218,13 +283,6 @@ class Network:
         # (tests/integration/test_tie_order.py; docs/INTERNALS.md
         # "Per-hop ledger").
         done = self.sim.timeout(rtt)
-
-        def _complete(_: SimEvent) -> None:
-            if listener.closed:
-                ev.fail(ConnectionRefusedError_(f"connection refused: {dst}"))
-                return
-            listener._deliver(conn.server_end)
-            ev.succeed(conn.client_end)
 
         # A fresh timeout's callback list is empty and unprocessed by
         # construction: append to it, as the kernel's own waiters do.
@@ -273,6 +331,7 @@ class Listener:
         self.closed = False
         self._accept_queue: Channel = Channel(host.sim, name=f"{host.name}:{port}/accept")
         self._on_connect: _t.Callable[["ConnectionEnd"], None] | None = None
+        self._on_exchange: _t.Callable[["ExchangeEnd", object], None] | None = None
 
     @property
     def address(self) -> Address:
@@ -293,6 +352,14 @@ class Listener:
             ev = self._accept_queue.get()
             callback(ev.value)
 
+    def on_exchange(self, hook: _t.Callable[["ExchangeEnd", object], None]) -> None:
+        """Serve one-shot exchanges (:meth:`Network.exchange`) with
+        ``hook(end, unit)``: called once per exchange, from inside the
+        delivery of its request, with the serving :class:`ExchangeEnd`
+        and the request unit.  Connections (:meth:`Network.connect`)
+        still go to ``on_connect`` or the accept queue."""
+        self._on_exchange = hook
+
     def _deliver(self, server_end: "ConnectionEnd") -> None:
         if self._on_connect is not None:
             self._on_connect(server_end)
@@ -300,9 +367,12 @@ class Listener:
             self._accept_queue.put(server_end)
 
     def close(self) -> None:
-        """Unbind: subsequent connects are refused."""
+        """Unbind: subsequent connects are refused.  A listener that was
+        already replaced on its port leaves the newer one bound."""
         self.closed = True
-        self.host._listeners.pop(self.port, None)
+        listeners = self.host._listeners
+        if listeners.get(self.port) is self:
+            del listeners[self.port]
         self._accept_queue.close()
 
     def __repr__(self) -> str:
@@ -343,7 +413,41 @@ class Connection:
         return f"<Connection #{self.id} {self.client_host.name}->{self.server_host.name}:{self.port}>"
 
 
-class ConnectionEnd:
+class _End:
+    """What an end says and refuses, whether a connection or an exchange
+    carries it: its ``send`` of bytes, the error a ``recv()`` on a closed
+    end fails with, its ``repr``.  Each kind has its own ``label``,
+    ``closed``, ``send_parsed`` and ``_reset_error``."""
+
+    __slots__ = ()
+
+    def _closed_error(self) -> Exception:
+        """What a ``recv()`` finds on a closed end with nothing buffered,
+        in the words the mailbox would have used."""
+        if self._reset_error is not None:
+            return ConnectionResetError_(self._reset_error)
+        return ChannelClosed(f"channel {self.label + '/inbox'!r} closed")
+
+    def send(self, payload: bytes) -> None:
+        """Transmit the bytes ``payload`` to the peer after one link latency.
+
+        Sends on a closed end raise ``ConnectionResetError_``; messages
+        crossing a link that is partitioned *at delivery time* are
+        dropped silently (the real-world behaviour that makes client
+        timeouts necessary).
+        """
+        if self.closed:
+            raise ConnectionResetError_(f"{self.label}: send on closed connection")
+        if not isinstance(payload, (bytes, bytearray)):
+            raise TypeError(f"payload must be bytes, got {type(payload).__name__}")
+        self.send_parsed(bytes(payload))
+
+    def __repr__(self) -> str:
+        state = "closed" if self.closed else "open"
+        return f"<{type(self).__name__} {self.label} {state}>"
+
+
+class ConnectionEnd(_End):
     """One endpoint of a connection: send to the peer, recv from it.
 
     An end allocates what it uses.  A serving end is only ever pushed to
@@ -402,27 +506,6 @@ class ConnectionEnd:
         if inbox is None:
             inbox = self._inbox = Channel(self.sim, name=f"{self.label}/inbox")
         return inbox
-
-    def _closed_error(self) -> Exception:
-        """What a ``recv()`` finds on a closed end with nothing buffered,
-        in the words the mailbox would have used."""
-        if self._reset_error is not None:
-            return ConnectionResetError_(self._reset_error)
-        return ChannelClosed(f"channel {self.label + '/inbox'!r} closed")
-
-    def send(self, payload: bytes) -> None:
-        """Transmit the bytes ``payload`` to the peer after one link latency.
-
-        Sends on a closed end raise ``ConnectionResetError_``; messages
-        crossing a link that is partitioned *at delivery time* are
-        dropped silently (the real-world behaviour that makes client
-        timeouts necessary).
-        """
-        if self.closed:
-            raise ConnectionResetError_(f"{self.label}: send on closed connection")
-        if not isinstance(payload, (bytes, bytearray)):
-            raise TypeError(f"payload must be bytes, got {type(payload).__name__}")
-        self.send_parsed(bytes(payload))
 
     def send_parsed(self, unit: object) -> None:
         """Transmit an already-parsed data unit; same timing as :meth:`send`.
@@ -552,9 +635,192 @@ class ConnectionEnd:
                 None if reset_error is None else ConnectionResetError_(reset_error)
             )
 
-    def __repr__(self) -> str:
-        state = "closed" if self.closed else "open"
-        return f"<ConnectionEnd {self.label} {state}>"
+
+class ExchangeEnd(_End):
+    """One end of a one-shot exchange: one request out, one reply back.
+
+    The calling end is what :meth:`Network.exchange` yields; the serving
+    end is what the listener's exchange hook is called with, together
+    with the request.  Each end speaks the part of :class:`ConnectionEnd`'s
+    API its side uses — ``send``/``send_parsed``, ``recv`` and ``close``
+    for the caller; ``closed``, ``send``/``send_parsed`` and ``reset`` for
+    the server — with a connection's timing, drops, errors and
+    ``conn<id>:…`` texts, so code written for a connection end runs on
+    either.
+
+    What one request never uses is not there: no :class:`Connection`, no
+    mailbox (a unit that arrives before its ``recv()`` waits in a slot),
+    no push callback to re-arm — the hook is called once — and a unit
+    rides its own link-latency timeout as that event's value.  Each end
+    sends at most one unit.  The two ends link to each other while either
+    direction is up; when the second goes down the links are cut, so a
+    finished exchange is freed by reference count.  As with a connection,
+    an exchange whose caller abandoned the handshake (its deadline passed
+    first) is never closed and waits for the cycle collector.
+    """
+
+    __slots__ = (
+        "network",
+        "id",
+        "local",
+        "remote",
+        "port",
+        "side",
+        "peer",
+        "closed",
+        "_sent",
+        "_reset_error",
+        "_waiter",
+        "_unit",
+        "_hook",
+    )
+
+    @staticmethod
+    def _pair(
+        network: Network,
+        conn_id: int,
+        client: Host,
+        server: Host,
+        port: int,
+        hook: _t.Callable[["ExchangeEnd", object], None],
+    ) -> "ExchangeEnd":
+        """Both ends of a new exchange, built in one frame; returns the
+        calling one."""
+        caller = _new(ExchangeEnd)
+        callee = _new(ExchangeEnd)
+        caller.network = callee.network = network
+        caller.id = callee.id = conn_id
+        caller.port = callee.port = port
+        caller.local = callee.remote = client
+        caller.remote = callee.local = server
+        caller.side = "client"
+        callee.side = "server"
+        caller.peer = callee
+        callee.peer = caller
+        caller.closed = callee.closed = caller._sent = callee._sent = False
+        caller._reset_error = callee._reset_error = None
+        caller._waiter = callee._waiter = caller._unit = callee._unit = None
+        caller._hook = None
+        #: The listener's hook, until the request has been handed to it.
+        callee._hook = hook
+        return caller
+
+    @property
+    def label(self) -> str:
+        """``conn<id>:<client>-><server>:<port>/<side>``, for messages."""
+        if self.side == "client":
+            client, server = self.local, self.remote
+        else:
+            client, server = self.remote, self.local
+        return f"conn{self.id}:{client.name}->{server.name}:{self.port}/{self.side}"
+
+    def send_parsed(self, unit: object) -> None:
+        """Transmit this end's one data unit after one link latency; see
+        :meth:`ConnectionEnd.send_parsed`."""
+        if self.closed:
+            raise ConnectionResetError_(f"{self.label}: send on closed connection")
+        if self._sent:
+            raise NetworkError(f"{self.label}: an exchange carries one unit each way")
+        self._sent = True
+        network = self.network
+        delay = network.latency_between(self.local.name, self.remote.name)
+        network.sim.timeout(delay, unit).callbacks.append(self.peer._arrive)
+
+    def _arrive(self, carrier: SimEvent) -> None:
+        """The peer's unit lands here, one link latency after it was sent."""
+        if self.closed:
+            return  # gone already; dropped like a RST race
+        network = self.network
+        if (
+            network._partitions
+            and self.local.name != self.remote.name
+            and network.is_partitioned(self.remote.name, self.local.name)
+        ):
+            return  # dropped on the floor by the partition
+        unit = carrier._value
+        hook = self._hook
+        if hook is not None:
+            self._hook = None
+            hook(self, unit)
+            return
+        waiter = self._waiter
+        if waiter is not None:
+            self._waiter = None
+            waiter.succeed(unit)
+        else:
+            self._unit = unit
+
+    def recv(self) -> SimEvent:
+        """Event yielding the peer's unit; see :meth:`ConnectionEnd.recv`.
+        One ``recv()`` may wait at a time."""
+        ev = self.network.sim.event()
+        unit = self._unit
+        if unit is not None:
+            self._unit = None
+            return ev.succeed(unit)
+        if self.closed:
+            return ev.fail(self._closed_error())
+        if self._waiter is not None:
+            raise NetworkError(f"{self.label}: an exchange carries one reply")
+        self._waiter = ev
+        return ev
+
+    def close(self) -> None:
+        """Orderly close of both directions (delivered after latency)."""
+        if self.closed:
+            return
+        self.closed = True
+        network = self.network
+        delay = network.latency_between(self.local.name, self.remote.name)
+        network.sim.timeout(delay).callbacks.append(self.peer._closed_by_peer)
+        # A caller whose deadline passed is still parked in recv().
+        waiter = self._waiter
+        if waiter is not None:
+            self._waiter = None
+            waiter.fail(self._closed_error())
+
+    def reset(self) -> None:
+        """Abortive close: the peer's pending/future ``recv()`` fails with
+        ``ConnectionResetError_`` (Abort's ``Error=-1``)."""
+        if self.closed:
+            return
+        self.closed = True
+        network = self.network
+        delay = network.latency_between(self.local.name, self.remote.name)
+        network.sim.timeout(delay).callbacks.append(self.peer._reset_by_peer)
+        self._hang_up(f"{self.label}: connection reset")
+
+    def _closed_by_peer(self, _: SimEvent) -> None:
+        if not self.closed:
+            self.closed = True
+            self._hook = None
+            waiter = self._waiter
+            if waiter is not None:
+                self._waiter = None
+                waiter.fail(self._closed_error())
+        self._cut()
+
+    def _reset_by_peer(self, _: SimEvent) -> None:
+        if not self.closed:
+            self.closed = True
+            self._hang_up(f"{self.label}: connection reset by peer")
+        self._cut()
+
+    def _hang_up(self, reset_error: str | None) -> None:
+        """Fail the parked ``recv()`` and drop the hook (a path from a dead
+        exchange to a live server)."""
+        self._reset_error = reset_error
+        self._hook = None
+        waiter = self._waiter
+        if waiter is not None:
+            self._waiter = None
+            waiter.fail(self._closed_error())
+
+    def _cut(self) -> None:
+        """Both directions are down: unlink the two ends."""
+        peer = self.peer
+        if peer is not None:
+            peer.peer = self.peer = None
 
 
 # Re-export ChannelClosed so transport users need not import resources.

@@ -37,18 +37,21 @@ from tests.conftest import CallCount, SpiedKey
 #: figure: the call ledger's).  ``logstore`` and ``total`` were re-pinned
 #: when a record stopped passing through ``LogPipeline._deliver`` on its
 #: way to ``EventStore.append`` (two records per call; last figure).
+#: ``total`` and ``network`` on both lanes were re-pinned when a proxied
+#: call's two legs became one-shot exchanges instead of connections (the
+#: measurement first, then the ceiling each replaced).
 CEILINGS = {
     ("fault-free", "default"): {
-        "total": 197.7,  # 195.78, 202.13, was 242.79; 193.78
-        "network": 57.5,  # 56.41, was 67.50
+        "total": 166.8,  # 163.50; was 197.7
+        "network": 33.2,  # 32.50; was 57.5
         "http": 42.2,  # 41.34, was 49.88
         "simulation": 33.2,  # 32.57, 38.93, was 58.04
         "logstore": 8.4,  # 10.26, 8.26
         "registry": 4.2,  # 4.11, was 6.04
     },
     ("reset", "default"): {
-        "total": 196.2,  # 194.36, 200.30, was 239.17; 192.35
-        "network": 56.2,  # 55.14, was 65.85
+        "total": 166.4,  # 163.11; was 196.2
+        "network": 32.9,  # 32.26; was 56.2
         "http": 40.9,  # 40.14, was 48.14
         "simulation": 31.5,  # 30.84, 36.79, was 55.14
         "logstore": 8.5,  # 10.36, 8.36
@@ -57,11 +60,13 @@ CEILINGS = {
     # The reference lane builds every timeout through its constructor and
     # queues the present on its one heap; the other layers read the same.
     ("fault-free", "heap"): {
-        "total": 218.4,  # 216.98, was 248.53; 214.16
+        "total": 187.6,  # 183.88; was 218.4
+        "network": 33.2,  # 32.50
         "simulation": 54.8,  # 53.77, was 63.77
     },
     ("reset", "heap"): {
-        "total": 215.9,  # 214.73, was 244.89; 211.71
+        "total": 186.1,  # 182.47; was 215.9
+        "network": 32.9,  # 32.26
         "simulation": 52.2,  # 51.21, was 60.86
     },
 }

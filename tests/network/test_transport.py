@@ -1,5 +1,7 @@
 """Unit tests for the simulated transport: connect, send/recv, faults."""
 
+import gc
+
 import pytest
 
 from repro.errors import (
@@ -10,9 +12,10 @@ from repro.errors import (
     NetworkError,
 )
 from repro.network import Address, Network
+from repro.network.transport import ConnectionEnd, ExchangeEnd
 from repro.simulation import ChannelClosed, Simulator
 
-from tests.conftest import EventCount, run_to_completion, sim_on_lane as sim
+from tests.conftest import EventCount, collector_off, run_to_completion, sim_on_lane as sim
 
 
 @pytest.fixture
@@ -51,6 +54,17 @@ class TestTopology:
         listener = host.listen(80)
         listener.close()
         host.listen(80)  # must not raise
+
+    def test_closing_a_replaced_listener_again_leaves_the_new_one_bound(self, sim, net):
+        host, client = net.add_host("x"), net.add_host("c")
+        old = host.listen(80)
+        old.close()
+        new = host.listen(80)
+        old.close()
+        assert old.closed and not new.closed
+        assert host._listeners[80] is new
+        end = run_to_completion(sim, _dial(client, Address("x", 80)))
+        assert isinstance(end, ConnectionEnd)
 
 
 class TestConnect:
@@ -431,6 +445,10 @@ def _connect(host):
     return (yield host.connect(Address("beta", 80)))
 
 
+def _dial(host, dst):
+    return (yield host.connect(dst))
+
+
 def _recv(end):
     return (yield end.recv())
 
@@ -526,3 +544,148 @@ class TestLatencyOverrides:
         sim.process(client(sim))
         sim.run()
         assert got == [b"lands", b"lands again"]
+
+
+class TestExchange:
+    """``Network.exchange``: one request and one reply to a listener's hook."""
+
+    @pytest.fixture
+    def served(self, net, two_hosts):
+        """beta:80 answers every exchange's request with ``("re", unit)``;
+        returns what its hook was called with."""
+        _, beta = two_hosts
+        heard = []
+
+        def hook(end, unit):
+            heard.append((end, unit))
+            end.send_parsed(("re", unit))
+
+        beta.listen(80).on_exchange(hook)
+        return heard
+
+    def call(self, net, alpha, unit, dst=Address("beta", 80)):
+        end = yield net.exchange(alpha, dst)
+        end.send_parsed(unit)
+        reply = yield end.recv()
+        end.close()
+        return end, reply
+
+    def test_the_hook_hears_the_request_once_and_the_caller_gets_the_reply(
+        self, sim, net, two_hosts, served
+    ):
+        alpha, _ = two_hosts
+        request = object()
+        end, reply = run_to_completion(sim, self.call(net, alpha, request))
+        assert type(end) is ExchangeEnd and reply == ("re", request)
+        ((server_end, unit),) = served
+        assert unit is request and server_end.side == "server"
+        assert end.closed and server_end.closed  # the close landed
+        assert end.peer is None and server_end.peer is None  # and the ends are unlinked
+        assert repr(end) == "<ExchangeEnd conn1:alpha->beta:80/client closed>"
+        assert server_end.label == "conn1:alpha->beta:80/server"
+
+    def test_it_schedules_a_connections_seven_events(self):
+        sim = Simulator(seed=1, scheduler="heap")
+        net = Network(sim, default_latency=0.001)
+        alpha, beta = net.add_host("alpha"), net.add_host("beta")
+        beta.listen(80).on_exchange(lambda end, unit: sim.process(self.answer(end, unit)))
+        scheduled = EventCount(sim)
+        run_to_completion(sim, self.call(net, alpha, b"ping"))
+        # The caller's bootstrap, handshake, connect event, request, the
+        # answering process's bootstrap, reply, the caller's recv(), close.
+        assert scheduled() == 8
+        assert sim.now == pytest.approx(0.001 * 5)
+
+    @staticmethod
+    def answer(end, unit):
+        end.send_parsed(unit)
+        yield from ()
+
+    def test_a_listener_without_a_hook_gets_a_connection(self, sim, net, two_hosts):
+        alpha, beta = two_hosts
+        listener = beta.listen(80)
+
+        def echo(sim):
+            conn = yield listener.accept()
+            conn.send((yield conn.recv()))
+
+        sim.process(echo(sim))
+        end, reply = run_to_completion(sim, self.call(net, alpha, b"raw"))
+        assert type(end) is ConnectionEnd and reply == b"raw"
+
+    def test_connect_builds_a_connection_whatever_the_hook(self, sim, net, two_hosts, served):
+        alpha, _ = two_hosts
+        end = run_to_completion(sim, _connect(alpha))
+        assert type(end) is ConnectionEnd and served == []
+
+    def test_a_listener_closed_during_the_handshake_refuses_it(self, sim, net, two_hosts):
+        alpha, beta = two_hosts
+        listener = beta.listen(80)
+        listener.on_exchange(lambda end, unit: None)
+        pending = net.exchange(alpha, Address("beta", 80))
+        sim.run(until=0.001)  # half of the round trip
+        listener.close()
+        with pytest.raises(ConnectionRefusedError_, match="connection refused: beta:80"):
+            run_to_completion(sim, _wait(pending))
+        assert sim.now == pytest.approx(0.002)
+
+    def test_a_reset_fails_the_callers_recv(self, sim, net, two_hosts):
+        alpha, beta = two_hosts
+        beta.listen(80).on_exchange(lambda end, unit: end.reset())
+        with pytest.raises(ConnectionResetError_) as caught:
+            run_to_completion(sim, self.call(net, alpha, b"x"))
+        assert str(caught.value) == "conn1:alpha->beta:80/client: connection reset by peer"
+
+    def test_a_closed_end_refuses_with_the_connection_texts(self, sim, net, two_hosts, served):
+        alpha, _ = two_hosts
+        end, _ = run_to_completion(sim, self.call(net, alpha, b"x"))
+        with pytest.raises(ConnectionResetError_, match="conn1:alpha->beta:80/client: send on closed"):
+            end.send(b"late")
+        with pytest.raises(ChannelClosed, match="'conn1:alpha->beta:80/client/inbox' closed"):
+            run_to_completion(sim, _recv(end))
+
+    def test_a_reply_that_lands_before_recv_waits_for_it(self, sim, net, two_hosts, served):
+        alpha, _ = two_hosts
+
+        def late_reader(sim):
+            end = yield net.exchange(alpha, Address("beta", 80))
+            end.send_parsed(b"ping")
+            yield sim.timeout(1.0)  # the reply lands meanwhile
+            return (yield end.recv())
+
+        assert run_to_completion(sim, late_reader(sim)) == ("re", b"ping")
+
+    def test_one_unit_each_way(self, sim, net, two_hosts, served):
+        alpha, _ = two_hosts
+
+        def twice(sim):
+            end = yield net.exchange(alpha, Address("beta", 80))
+            end.send_parsed(b"one")
+            end.send_parsed(b"two")
+
+        with pytest.raises(NetworkError, match="an exchange carries one unit each way"):
+            run_to_completion(sim, twice(sim))
+
+    def test_a_finished_or_reset_exchange_is_not_a_cycle(self, sim, net, two_hosts, served):
+        alpha, beta = two_hosts
+        beta.listen(81).on_exchange(lambda end, unit: end.reset())
+
+        def outcome(port):
+            try:
+                yield from self.call(net, alpha, b"x", Address("beta", port))
+            except Exception as exc:  # noqa: BLE001 - the outcome under test
+                return type(exc)
+
+        def both():
+            outcomes = [run_to_completion(sim, outcome(port)) for port in (80, 81)]
+            assert outcomes == [None, ConnectionResetError_]
+            served.clear()
+
+        both()  # warm: pytest's assertion rewriting
+        with collector_off():
+            both()
+            assert gc.collect() == 0
+
+
+def _wait(event):
+    return (yield event)
