@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.core.queries import RList, observed_latency, observed_status
+from repro.core.queries import RList, observed_latency, observed_statuses
 from repro.util import parse_duration
 
 __all__ = [
@@ -123,11 +123,18 @@ def _count_in_window(rlist: RList, start: int, end: int, with_rule: bool) -> int
     """Request count of ``rlist[start:end]`` under the accounting view."""
     if with_rule:
         return end - start
+    return len([record for record in rlist[start:end] if not record.gremlin_generated])
+
+
+def _nth_match(items: list, value: _t.Any, num_match: int) -> tuple[int, int]:
+    """``(index, count)`` at the item equal to ``value`` that brings the
+    count of such items to ``num_match``; the caller has counted enough."""
+    index = -1
     count = 0
-    for index in range(start, end):
-        if not rlist[index].gremlin_generated:
-            count += 1
-    return count
+    while count < num_match:
+        index = items.index(value, index + 1)
+        count += 1
+    return index, count
 
 
 # -- assertion classes -----------------------------------------------------------
@@ -201,18 +208,17 @@ class CheckStatus(BaseAssertion):
     def evaluate_from(
         self, rlist: RList, start: int, anchor: _t.Optional[float]
     ) -> StepOutcome:
-        matches = 0
-        for index in range(start, len(rlist)):
-            record = rlist[index]
-            if observed_status(record, self.with_rule) == self.status:
-                matches += 1
-                if matches >= self.num_match:
-                    return StepOutcome(
-                        passed=True,
-                        consumed=index - start + 1,
-                        detail=f"found {matches} replies with status {self.status}",
-                        anchor=record.timestamp,
-                    )
+        scope = rlist[start:] if start else rlist
+        statuses = observed_statuses(scope, self.with_rule)
+        matches = statuses.count(self.status)
+        if matches >= self.num_match:
+            index, matches = _nth_match(statuses, self.status, self.num_match)
+            return StepOutcome(
+                passed=True,
+                consumed=index + 1,
+                detail=f"found {matches} replies with status {self.status}",
+                anchor=scope[index].timestamp,
+            )
         return StepOutcome(
             passed=False,
             consumed=len(rlist) - start,

@@ -21,6 +21,7 @@ loop the paper argues makes systematic testing valuable.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing as _t
 
 from repro.core.assertions import (
@@ -30,9 +31,10 @@ from repro.core.assertions import (
     CheckStatus,
     Combine,
     StepOutcome,
+    _nth_match,
     request_rate,
 )
-from repro.core.queries import StoreLike, get_requests, observed_status
+from repro.core.queries import StoreLike, dependents_scope, get_requests, observed_statuses
 from repro.logstore.query import Query
 from repro.logstore.record import ObservationKind
 from repro.util import parse_duration
@@ -155,20 +157,20 @@ class CheckFailures(BaseAssertion):
         self.with_rule = with_rule
 
     def evaluate_from(self, rlist, start, anchor):
-        matches = 0
-        for index in range(start, len(rlist)):
-            record = rlist[index]
-            status = observed_status(record, self.with_rule)
-            failed = (status is not None and status >= 500) or record.error is not None
-            if failed:
-                matches += 1
-                if matches >= self.num_match:
-                    return StepOutcome(
-                        passed=True,
-                        consumed=index - start + 1,
-                        detail=f"found {matches} failed calls",
-                        anchor=record.timestamp,
-                    )
+        scope = rlist[start:] if start else rlist
+        failed = [
+            (status is not None and status >= 500) or record.error is not None
+            for status, record in zip(observed_statuses(scope, self.with_rule), scope)
+        ]
+        matches = failed.count(True)
+        if matches >= self.num_match:
+            index, matches = _nth_match(failed, True, self.num_match)
+            return StepOutcome(
+                passed=True,
+                consumed=index + 1,
+                detail=f"found {matches} failed calls",
+                anchor=scope[index].timestamp,
+            )
         return StepOutcome(
             passed=False,
             consumed=len(rlist) - start,
@@ -209,22 +211,25 @@ class HasTimeouts(PatternCheck):
         requests = store.search(request_scope)
         if not requests:
             return self._no_data(f"no upstream calls to {self.src!r} observed")
-        slow = [r for r in replies if r.latency is not None and r.latency > self.max_latency]
-        unanswered = [r for r in requests if r.status is None and r.error is None]
-        passed = not slow and not unanswered
+        limit = self.max_latency
+        latencies = [r.latency for r in replies if r.latency is not None]
+        max_observed = max(latencies, default=0.0)
+        # Only a scope whose slowest reply is over the limit has any to count.
+        slow = len([x for x in latencies if x > limit]) if max_observed > limit else 0
+        unanswered = len([r for r in requests if r.status is None and r.error is None])
         detail = (
-            f"{len(replies)} replies from {self.src!r}: {len(slow)} exceeded"
-            f" {self.max_latency:g}s, {len(unanswered)} calls never completed"
+            f"{len(replies)} replies from {self.src!r}: {slow} exceeded"
+            f" {limit:g}s, {unanswered} calls never completed"
         )
         return CheckResult(
             self.name,
-            passed,
+            not slow and not unanswered,
             detail,
             data={
                 "replies": len(replies),
-                "slow": len(slow),
-                "unanswered": len(unanswered),
-                "max_observed": max((r.latency for r in replies if r.latency is not None), default=0.0),
+                "slow": slow,
+                "unanswered": unanswered,
+                "max_observed": max_observed,
             },
         )
 
@@ -272,18 +277,10 @@ class HasBoundedRetries(PatternCheck):
         rlist = get_requests(store, self.src, self.dst, self.id_pattern, since, until)
         if not rlist:
             return self._no_data(f"no requests {self.src!r} -> {self.dst!r} observed")
-        if self.failure_status is None:
-            trigger: BaseAssertion = CheckFailures(self.num_failures, with_rule=True)
-            trigger_text = f"{self.num_failures} failed calls"
-        else:
-            trigger = CheckStatus(self.failure_status, self.num_failures, True)
-            trigger_text = (
-                f"{self.num_failures} failures with status {self.failure_status}"
-            )
-        result = Combine(
-            trigger,
-            (AtMostRequests, self.window, False, self.max_tries),
-        ).evaluate(rlist)
+        chain, trigger_text = _bounded_retries(
+            self.failure_status, self.num_failures, self.window, self.max_tries
+        )
+        result = chain.evaluate(rlist)
         if not result.steps[0].passed:
             return self._no_data(
                 f"fewer than {trigger_text} observed — fault not exercised"
@@ -294,6 +291,48 @@ class HasBoundedRetries(PatternCheck):
             result.steps[-1].detail,
             data={"requests": len(rlist), "trace": result.explain()},
         )
+
+
+# What a check's parameters fix is built once per parameter set, not on
+# every run; a check keeps no built state itself, because its __dict__
+# is its identity (``PatternCheck.__eq__``/``__hash__``, the spec codec).
+# ``typed=True`` keeps ``503`` and ``503.0`` apart: they render differently.
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _bounded_retries(
+    failure_status: _t.Optional[int],
+    num_failures: int,
+    window: _t.Union[str, float],
+    max_tries: int,
+) -> tuple[Combine, str]:
+    """:class:`HasBoundedRetries`' chain and its trigger's description."""
+    if failure_status is None:
+        trigger: BaseAssertion = CheckFailures(num_failures, with_rule=True)
+        trigger_text = f"{num_failures} failed calls"
+    else:
+        trigger = CheckStatus(failure_status, num_failures, True)
+        trigger_text = f"{num_failures} failures with status {failure_status}"
+    return Combine(trigger, (AtMostRequests, window, False, max_tries)), trigger_text
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _circuit_breaker(
+    threshold: int,
+    tdelta: float,
+    half_open_allowance: int,
+    check_recovery: bool,
+    recovery_window: float,
+    success_threshold: int,
+) -> Combine:
+    """:class:`HasCircuitBreaker`'s chain."""
+    steps: list = [
+        CheckFailures(threshold, with_rule=True),
+        AtMostRequests(tdelta, True, half_open_allowance),
+    ]
+    if check_recovery:
+        steps.append(AtLeastRequests(recovery_window, True, success_threshold))
+    return Combine(*steps)
 
 
 class HasCircuitBreaker(PatternCheck):
@@ -346,13 +385,14 @@ class HasCircuitBreaker(PatternCheck):
         rlist = get_requests(store, self.src, self.dst, self.id_pattern, since, until)
         if not rlist:
             return self._no_data(f"no requests {self.src!r} -> {self.dst!r} observed")
-        steps: list = [
-            CheckFailures(self.threshold, with_rule=True),
-            AtMostRequests(self.tdelta, True, self.half_open_allowance),
-        ]
-        if self.check_recovery:
-            steps.append(AtLeastRequests(self.recovery_window, True, self.success_threshold))
-        result = Combine(*steps).evaluate(rlist)
+        result = _circuit_breaker(
+            self.threshold,
+            self.tdelta,
+            self.half_open_allowance,
+            self.check_recovery,
+            self.recovery_window,
+            self.success_threshold,
+        ).evaluate(rlist)
         if not result.steps[0].passed:
             return self._no_data(
                 f"fewer than {self.threshold} failures observed — fault not exercised"
@@ -397,8 +437,8 @@ class HasBulkhead(PatternCheck):
     def scopes(self, since=None, until=None):
         if self.other_dsts is None:
             # Dependents are discovered from the trace; only the
-            # discovery scan is statically known.
-            return [Query(kind=ObservationKind.REQUEST, src=self.src, since=since, until=until)]
+            # discovery scope is statically known.
+            return [dependents_scope(self.src, since, until)]
         return [
             _requests_scope(self.src, dst, self.id_pattern, since, until)
             for dst in self.other_dsts
@@ -407,13 +447,9 @@ class HasBulkhead(PatternCheck):
     def run(self, store, since=None, until=None):
         others = self.other_dsts
         if others is None:
-            observed = {
-                record.dst
-                for record in store.search(
-                    Query(kind=ObservationKind.REQUEST, src=self.src, since=since, until=until)
-                )
-            }
-            others = sorted(observed - {self.slow_dst})
+            others = [
+                dst for dst in store.dependents(self.src, since, until) if dst != self.slow_dst
+            ]
         if not others:
             return self._no_data(
                 f"{self.src!r} has no observed dependents other than {self.slow_dst!r}"

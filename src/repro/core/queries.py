@@ -23,9 +23,11 @@ __all__ = [
     "RList",
     "StoreLike",
     "QueryCache",
+    "dependents_scope",
     "get_requests",
     "get_replies",
     "observed_status",
+    "observed_statuses",
     "observed_latency",
 ]
 
@@ -57,6 +59,7 @@ class QueryCache:
     def __init__(self, store: EventStore) -> None:
         self.store = store
         self._results: dict[Query, RList] = {}
+        self._dependents: dict[Query, list[str]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -64,8 +67,8 @@ class QueryCache:
         """Matching records, fetched once per distinct query."""
         cached = self._results.get(query)
         if cached is None:
+            self._account(query)
             cached = self._results[query] = self.store.search(query)
-            self.misses += 1
         else:
             self.hits += 1
         return cached
@@ -74,12 +77,42 @@ class QueryCache:
         """Number of matching records (cached alongside search)."""
         return len(self.search(query))
 
+    def dependents(
+        self, src: str, since: _t.Optional[float] = None, until: _t.Optional[float] = None
+    ) -> list[str]:
+        """:meth:`EventStore.dependents`, accounted as a fetch of the
+        scope it reads: the ``src`` requests in the window."""
+        scope = dependents_scope(src, since, until)
+        found = self._dependents.get(scope)
+        if found is None:
+            self._account(scope)
+            found = self._dependents[scope] = self.store.dependents(src, since, until)
+        else:
+            self.hits += 1
+        return found
+
+    def _account(self, scope: Query) -> None:
+        """A scope counts as fetched once: the first read of it, by
+        either method, is the miss."""
+        if scope in self._results or scope in self._dependents:
+            self.hits += 1
+        else:
+            self.misses += 1
+
     def __repr__(self) -> str:
         return f"<QueryCache scopes={self.misses} hits={self.hits}>"
 
 
 #: Anything the assertion layer can query: a raw store or a cache.
 StoreLike = _t.Union[EventStore, QueryCache]
+
+
+def dependents_scope(
+    src: str, since: _t.Optional[float] = None, until: _t.Optional[float] = None
+) -> Query:
+    """The requests ``src`` sent inside the window: the scope whose
+    destinations are ``src``'s dependents."""
+    return Query(kind=ObservationKind.REQUEST, src=src, since=since, until=until)
 
 
 def get_requests(
@@ -147,6 +180,25 @@ def observed_status(record: ObservationRecord, with_rule: bool) -> _t.Optional[i
     if not with_rule and _gremlin_synthesized(record):
         return None
     return record.status
+
+
+def observed_statuses(rlist: RList, with_rule: bool) -> list[_t.Optional[int]]:
+    """:func:`observed_status` of every record of ``rlist``, in order.
+
+    One comprehension over the scope, so an assertion can count and
+    find statuses with ``list.count``/``list.index`` instead of one
+    Python call per record.
+    """
+    if with_rule:
+        return [record.status for record in rlist]
+    # _gremlin_synthesized, inlined: a call per record is what this avoids.
+    return [
+        None
+        if record.gremlin_generated
+        or (record.fault_applied is not None and "abort" in record.fault_applied)
+        else record.status
+        for record in rlist
+    ]
 
 
 def observed_latency(record: ObservationRecord, with_rule: bool) -> _t.Optional[float]:

@@ -57,7 +57,7 @@ def compile_id_pattern(pattern: str | None) -> _t.Optional[re.Pattern]:
     return re.compile(fnmatch.translate(pattern))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class Query:
     """An immutable filter over observation records.
 
@@ -76,17 +76,40 @@ class Query:
     status: _t.Optional[int] = None
     with_faults_only: bool = False
 
-    def __post_init__(self) -> None:
-        if self.kind is not None and self.kind not in ObservationKind.ALL:
+    def __init__(
+        self,
+        kind: _t.Optional[str] = None,
+        src: _t.Optional[str] = None,
+        dst: _t.Optional[str] = None,
+        id_pattern: _t.Optional[str] = None,
+        since: _t.Optional[float] = None,
+        until: _t.Optional[float] = None,
+        status: _t.Optional[int] = None,
+        with_faults_only: bool = False,
+    ) -> None:
+        # Written out so a Query is built in this one frame: the frozen
+        # dataclass __init__ pays an object.__setattr__ call per field
+        # and a __post_init__, and every check builds two or three.
+        if kind is not None and kind not in ObservationKind.ALL:
             raise AssertionQueryError(
-                f"kind must be one of {ObservationKind.ALL}, got {self.kind!r}"
+                f"kind must be one of {ObservationKind.ALL}, got {kind!r}"
             )
-        if self.since is not None and self.until is not None and self.since > self.until:
-            raise AssertionQueryError(f"empty time range: since={self.since} > until={self.until}")
+        if since is not None and until is not None and since > until:
+            raise AssertionQueryError(f"empty time range: since={since} > until={until}")
         # Fail fast on a malformed regex (globs cannot be malformed);
         # everything else about the predicate is built on first use.
-        if self.id_pattern is not None and self.id_pattern.startswith("re:"):
-            compile_id_pattern(self.id_pattern)
+        if id_pattern is not None and id_pattern.startswith("re:"):
+            compile_id_pattern(id_pattern)
+        self.__dict__.update(
+            kind=kind,
+            src=src,
+            dst=dst,
+            id_pattern=id_pattern,
+            since=since,
+            until=until,
+            status=status,
+            with_faults_only=with_faults_only,
+        )
 
     @functools.cached_property
     def predicate(self) -> _t.Callable[[ObservationRecord], bool]:

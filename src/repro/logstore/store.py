@@ -21,6 +21,13 @@ record's current value.
 oracle (mirroring ``make_matcher`` in :mod:`repro.agent.matcher`);
 both strategies return byte-identical results.
 
+Ingest keeps every list in time order as it goes: a record that lands
+with an older timestamp than the newest stored one (a shipping delay
+overtaken by later traffic) is inserted with ``bisect_right`` into the
+primary array and each of its slices, after every record of the same
+instant — the order a stable sort by timestamp would give, so ties keep
+their ingest order and no read ever re-sorts.
+
 Records are mutable (the agent updates ``status``/``fault_applied`` in
 place once a call's outcome is known — the in-process analogue of an
 Elasticsearch document update).  Only identity fields (``kind``,
@@ -31,6 +38,7 @@ no index can go stale.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import dataclasses
 import operator
@@ -88,13 +96,17 @@ class EventStore:
             )
         self._strategy = strategy
         self._primary = RecordSlice()
-        self._sorted = True
         # Secondary indexes (maintained only under the indexed strategy).
         #: (kind, src, dst) / (kind, src, None) / (kind, None, dst) -> slice.
         self._slices: _t.DefaultDict[tuple, RecordSlice] = collections.defaultdict(RecordSlice)
         #: Ingest memo: (kind, src, dst) -> the three slices of
         #: ``_slices`` a record with that identity lands in.
         self._slices_of: dict[tuple, tuple[RecordSlice, RecordSlice, RecordSlice]] = {}
+        #: src -> (dst, (request, src, dst) slice) for every edge ``src``
+        #: was seen calling: the dependents :meth:`dependents` reads.
+        self._callees: _t.DefaultDict[str, list[tuple[str, RecordSlice]]] = (
+            collections.defaultdict(list)
+        )
         #: Exact request-ID index: trace reconstruction pulls one
         #: request's records without scanning the run.
         self._rid_ix: _t.DefaultDict[str, RecordSlice] = collections.defaultdict(RecordSlice)
@@ -110,34 +122,23 @@ class EventStore:
         """Ingest one record (agents go through the pipeline instead)."""
         primary = self._primary
         ts = record.timestamp
-        if primary.timestamps and ts < primary.timestamps[-1]:
-            self._sorted = False
+        late = primary.timestamps and ts < primary.timestamps[-1]
         primary.records.append(record)
         primary.timestamps.append(ts)
         if self._strategy == "indexed":
             self._index_record(record, ts)
+        if late:
+            self._sink(record, ts)
 
     def extend(self, records: _t.Iterable[ObservationRecord]) -> None:
-        """Ingest many records (a re-sort, a replayed or shuffled log).
+        """Ingest many records (a replayed or shuffled log).
 
-        Equivalent to repeated :meth:`append`, with the attribute
-        lookups hoisted out of the loop.
+        Equivalent to repeated :meth:`append`.  The batch is stably
+        sorted by timestamp first, so a shuffled log costs one sort, and
+        only its records older than the store's newest are inserted.
         """
-        primary = self._primary
-        records_append = primary.records.append
-        ts_append = primary.timestamps.append
-        index_record = self._index_record if self._strategy == "indexed" else None
-        last_ts = primary.timestamps[-1] if primary.timestamps else float("-inf")
-        for record in records:
-            ts = record.timestamp
-            if ts < last_ts:
-                self._sorted = False
-            else:
-                last_ts = ts
-            records_append(record)
-            ts_append(ts)
-            if index_record is not None:
-                index_record(record, ts)
+        for record in sorted(records, key=operator.attrgetter("timestamp")):
+            self.append(record)
 
     def __len__(self) -> int:
         return len(self._primary)
@@ -146,16 +147,15 @@ class EventStore:
         """Drop everything — used between chained recipe steps when the
         operator wants a clean observation window."""
         self._primary = RecordSlice()
-        self._sorted = True
         self._slices.clear()
         self._slices_of.clear()
+        self._callees.clear()
         self._rid_ix.clear()
 
     # -- queries -----------------------------------------------------------------
 
     def all_records(self) -> list[ObservationRecord]:
         """Every record, sorted by timestamp."""
-        self._ensure_sorted()
         return list(self._primary.records)
 
     def search(self, query: Query) -> list[ObservationRecord]:
@@ -189,6 +189,25 @@ class EventStore:
         predicate = query.predicate
         return sum(1 for record in records[lo:hi] if predicate(record))
 
+    def dependents(
+        self, src: str, since: _t.Optional[float] = None, until: _t.Optional[float] = None
+    ) -> list[str]:
+        """The services ``src`` sent a request to inside the window, sorted.
+
+        Indexed, each edge ``src`` was ever seen calling is one
+        ``(request, src, dst)`` slice: a dependent is a key whose window
+        holds a record, two bisects per edge and no per-record work.
+        """
+        if self._strategy == "linear":
+            scope = Query(kind=ObservationKind.REQUEST, src=src, since=since, until=until)
+            return sorted({record.dst for record in self.search(scope)})
+        found = []
+        for dst, edge in self._callees.get(src, ()):
+            lo, hi = edge.window(since, until)
+            if lo < hi:
+                found.append(dst)
+        return sorted(found)
+
     def plan(self, query: Query) -> QueryPlan:
         """Explain how ``query`` would be evaluated (for tests/tuning)."""
         driver, _, lo, hi, exact = self._plan(query)
@@ -206,7 +225,6 @@ class EventStore:
         that range is exactly the answer (else the caller filters it
         with ``query.predicate``, which re-reads every field).
         """
-        self._ensure_sorted()
         kind, src, dst = query.kind, query.src, query.dst
         exact = False
         if self._strategy == "linear":
@@ -248,6 +266,8 @@ class EventStore:
             landing = self._slices_of[key] = (
                 slices[key], slices[kind, src, None], slices[kind, None, dst]
             )
+            if kind == ObservationKind.REQUEST:
+                self._callees[src].append((dst, landing[0]))
         for bucket in landing:
             bucket.records.append(record)
             bucket.timestamps.append(ts)
@@ -256,12 +276,21 @@ class EventStore:
             bucket.records.append(record)
             bucket.timestamps.append(ts)
 
-    def _ensure_sorted(self) -> None:
-        if self._sorted:
-            return
-        ordered = sorted(self._primary.records, key=operator.attrgetter("timestamp"))
-        self.clear()
-        self.extend(ordered)
+    def _sink(self, record: ObservationRecord, ts: float) -> None:
+        """Move a late ``record`` from the end of every list it was just
+        appended to back to where a stable sort by timestamp puts it:
+        after each record of the same instant."""
+        buckets = [self._primary]
+        if self._strategy == "indexed":
+            buckets += self._slices_of[record.kind, record.src, record.dst]
+            if record.request_id is not None:
+                buckets.append(self._rid_ix[record.request_id])
+        for bucket in buckets:
+            records, timestamps = bucket.records, bucket.timestamps
+            position = bisect.bisect_right(timestamps, ts, 0, len(timestamps) - 1)
+            del records[-1], timestamps[-1]
+            records.insert(position, record)
+            timestamps.insert(position, ts)
 
     def __repr__(self) -> str:
         return (

@@ -1,5 +1,7 @@
 """Tests for the Gremlin facade: declarative recipes and chained use."""
 
+import time
+
 import pytest
 
 from repro.apps import build_twotier
@@ -16,11 +18,13 @@ from repro.core import (
     Overload,
     Recipe,
 )
-from repro.errors import RecipeError
+from repro.core.gremlin import SLICE_VIRTUAL, _drain
+from repro.errors import CampaignTimeoutError, RecipeError
 from repro.http import HttpResponse
 from repro.loadgen import ClosedLoopLoad
 from repro.logstore.store import EventStore
 from repro.microservice import PolicySpec
+from repro.simulation import Simulator
 
 
 def make(policy=None, seed=3):
@@ -221,3 +225,67 @@ class TestChainedFailures:
         assert len(gremlin.get_requests("ServiceA", "ServiceB")) == 2
         assert len(gremlin.get_replies("ServiceA", "ServiceB")) == 2
         assert gremlin.get_requests("ServiceA", "ServiceB", id_pattern="user-*") == []
+
+
+class _CountingRuns:
+    """The simulator surface ``_drain`` uses, counting ``run`` calls."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.runs = 0
+
+    @property
+    def now(self):
+        return self.sim.now
+
+    def peek(self):
+        return self.sim.peek()
+
+    def run(self, until=None):
+        self.runs += 1
+        self.sim.run(until=until)
+
+
+class TestDeadlineDrain:
+    """A drain against a wall-clock deadline steps over virtual slices
+    that hold no event: the clock ends where slice-by-slice draining
+    left it, and only busy slices cost a ``run``."""
+
+    @staticmethod
+    def _hang_then_recover(lane):
+        """Busy for a minute and a half, idle for about 20 h (a hang's
+        window), then busy again: the shape a hang recipe leaves."""
+        sim = Simulator(seed=5, scheduler=lane)
+        sim.run(until=12.345)  # slice boundaries off the round numbers
+
+        def work():
+            for _ in range(9):
+                yield sim.timeout(10.0)
+            yield sim.timeout(72_000.0)
+            for _ in range(4):
+                yield sim.timeout(25.0)
+
+        sim.process(work())
+        return sim
+
+    def test_an_idle_gap_ends_on_the_same_clock_in_few_runs(self, lane):
+        reference = self._hang_then_recover(lane)
+        slices = 0
+        while reference.peek() != float("inf"):  # the slice-by-slice loop
+            reference.run(until=reference.now + SLICE_VIRTUAL)
+            slices += 1
+        counted = _CountingRuns(self._hang_then_recover(lane))
+        _drain(counted, deadline=float("inf"))
+        assert counted.now == reference.now  # bit-identical, not approximately
+        assert slices > 1_200
+        assert counted.runs <= 5  # two busy slices each side of the gap
+
+    def test_a_passed_deadline_still_raises(self, lane):
+        for idle_first in (False, True):
+            sim = self._hang_then_recover(lane)
+            if idle_first:
+                sim.run(until=sim.now + 95.0)  # the next event is ~20 h away
+            before = sim.now
+            with pytest.raises(CampaignTimeoutError):
+                _drain(sim, deadline=time.monotonic() - 1.0)
+            assert sim.now == before

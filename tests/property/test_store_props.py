@@ -52,6 +52,17 @@ def records(draw):
     )
 
 
+def _lists(store: EventStore) -> dict:
+    """Every list the store keeps, as record identities and timestamps."""
+    buckets = {"primary": store._primary}
+    buckets.update((("slice",) + key, bucket) for key, bucket in store._slices.items())
+    buckets.update((("rid", key), bucket) for key, bucket in store._rid_ix.items())
+    return {
+        name: ([id(record) for record in bucket.records], bucket.timestamps)
+        for name, bucket in buckets.items()
+    }
+
+
 class TestStoreInvariants:
     @given(batch=st.lists(records(), max_size=60))
     @settings(max_examples=100, deadline=None)
@@ -111,6 +122,11 @@ class TestStoreInvariants:
         assert indexed.count(query) == linear.count(query) == len(expected)
         plan = indexed.plan(query)
         assert plan.candidates == len(expected) if plan.exact else plan.candidates >= len(expected)
+        # The dependents lookup reads identity slices; linear scans.
+        src = query.src or "A"
+        assert indexed.dependents(src, query.since, query.until) == linear.dependents(
+            src, query.since, query.until
+        )
 
     @given(
         batch=st.lists(records(), min_size=1, max_size=40),
@@ -138,8 +154,8 @@ class TestStoreInvariants:
     @given(batch=st.lists(records(), max_size=50))
     @settings(max_examples=100, deadline=None)
     def test_out_of_order_ingest_keeps_pair_index_consistent(self, batch):
-        """_ensure_sorted re-sorts the primary array; every index must
-        be remapped so pair queries agree with a fresh store built from
+        """Late records are inserted in place into the primary array and
+        every index, so pair queries agree with a fresh store built from
         the already-sorted records."""
         store = EventStore()
         store.extend(batch)
@@ -150,6 +166,29 @@ class TestStoreInvariants:
             for dst in ("A", "B", "C"):
                 query = Query(src=src, dst=dst)
                 assert store.search(query) == fresh.search(query)
+
+    @given(batch=st.lists(records(), max_size=60), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_shuffled_ingest_equals_a_stable_sort(self, batch, data):
+        """Any ingest order, one append at a time or one extend, leaves
+        every list of the store — the primary array, each identity
+        slice and each request-ID bucket — as a store fed the records
+        already stably sorted by timestamp holds it: ties in ingest
+        order."""
+        order = data.draw(st.permutations(batch))
+        for strategy in ("indexed", "linear"):
+            expected = EventStore(strategy=strategy)
+            for record in sorted(order, key=lambda record: record.timestamp):
+                expected.append(record)
+            one_by_one = EventStore(strategy=strategy)
+            for record in order:
+                one_by_one.append(record)
+            batched = EventStore(strategy=strategy)
+            split = len(order) // 2
+            batched.extend(order[:split])
+            batched.extend(order[split:])
+            for store in (one_by_one, batched):
+                assert _lists(store) == _lists(expected)
 
     @given(
         ops=st.lists(
@@ -185,6 +224,8 @@ class TestStoreInvariants:
             elif op == "search":
                 assert indexed.search(payload) == linear.search(payload)
                 assert indexed.count(payload) == linear.count(payload)
+                window = (payload.since, payload.until)
+                assert indexed.dependents("A", *window) == linear.dependents("A", *window)
             else:
                 indexed.clear()
                 linear.clear()
