@@ -16,7 +16,6 @@ session on the 28-service app, on both store strategies and through a
 from __future__ import annotations
 
 import itertools
-import typing as _t
 
 import pytest
 
@@ -476,7 +475,7 @@ def test_gremlin_synthesized_statuses_vanish_only_without_rule():
 
 def test_empty_scopes():
     store = EventStore()
-    checks: list[_t.Any] = [
+    checks = [
         HasTimeouts("A", "1s"),
         HasBoundedRetries("A", "B", 3),
         HasCircuitBreaker("A", "B"),
