@@ -18,7 +18,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "LinearMatcher",
             "PrefixIndexMatcher",
             "RuleMatcher",
-            "TableMatcher",
             "make_matcher",
         ],
         "proxy": ["GremlinAgent"],

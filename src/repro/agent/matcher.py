@@ -7,20 +7,17 @@ against all rules without matching any).
 
 Two interchangeable strategies are provided:
 
-* :class:`LinearMatcher` — the paper's baseline: compiled-regex scan
-  over all rules in installation order, first match wins.
+* :class:`LinearMatcher` — the paper's baseline and the test oracle:
+  compiled-regex scan over all rules in installation order, first
+  match wins.
 * :class:`PrefixIndexMatcher` — the optimization the paper suggests
-  ("structured (e.g., prefix-based ...) request IDs"): rules are
-  bucketed by ``(dst, direction)`` and by the literal prefix of their
-  ID glob, so non-matching traffic usually touches zero regexes.
-* :class:`TableMatcher` — a precompiled ``(dst, direction)`` dispatch
-  table rebuilt on every install/remove.  Rule changes are rare (a
-  recipe installs its rules once) while proxied messages are constant,
-  so the per-message cost collapses to a single dict probe — and for
-  the overwhelmingly common agent with zero or irrelevant rules, that
-  probe misses and the message proceeds untouched.
+  ("structured (e.g., prefix-based ...) request IDs") and what every
+  sidecar runs: rules are bucketed by ``(dst, direction)`` and by the
+  literal prefix of their ID glob.  A message on a slot without rules
+  costs one dict probe, and non-matching traffic usually touches zero
+  regexes.
 
-All strategies share runtime state handling: a per-rule match *budget*
+Both strategies share runtime state handling: a per-rule match *budget*
 (``max_matches``) and probabilistic application, drawn from the
 simulator's seeded RNG when one is attached (falling back to a local
 PRNG for standalone wall-clock benchmarks).  The scan-and-draw loop
@@ -43,7 +40,6 @@ __all__ = [
     "RuleMatcher",
     "LinearMatcher",
     "PrefixIndexMatcher",
-    "TableMatcher",
 ]
 
 
@@ -166,26 +162,16 @@ class RuleMatcher:
         does not consume budget — mirroring the paper's Overload recipe
         where 25%/75% splits act on disjoint subsets of one stream.
 
-        This method is the ONLY place a probability draw happens, and
-        every strategy routes through it: a draw is taken iff a rule
-        survives the structural checks and has ``probability < 1``, in
-        strict installation order.  Two matchers seeded with the same
-        RNG therefore consume draws identically regardless of strategy
-        — the invariant the differential fuzzer's strategy-equivalence
-        check relies on (pinned by tests/property/test_matcher_props).
+        A strategy only picks the candidates, in installation order, and
+        hands them to :meth:`_scan`, the ONLY place a probability draw
+        happens: a draw is taken iff a rule survives the structural
+        checks and has ``probability < 1``, in strict installation
+        order.  Two matchers seeded with the same RNG therefore consume
+        draws identically regardless of strategy — the invariant the
+        differential fuzzer's strategy-equivalence check relies on
+        (pinned by tests/property/test_matcher_props).
         """
-        if not self._installed:
-            # Draw-neutral fast path: no rules means no candidates and
-            # no probability draws, so skipping the scan machinery is
-            # invisible to the strategy-equivalence invariant.  Most
-            # agents in a recipe carry zero rules, and this check sits
-            # on every proxied message.
-            return None
-        return self._scan(
-            self._structural_candidates(dst, direction, request_id),
-            request_id,
-            body,
-        )
+        raise NotImplementedError
 
     def _scan(
         self,
@@ -220,18 +206,6 @@ class RuleMatcher:
 
     # -- strategy hooks ----------------------------------------------------------
 
-    def _structural_candidates(
-        self, dst: str, direction: str, request_id: str | None
-    ) -> _t.Iterable[InstalledRule]:
-        """Rules that could structurally match, in installation order.
-
-        ``request_id`` is a pre-filter hint only: a strategy may use it
-        to skip rules that cannot match (prefix bucketing), but must
-        never return candidates out of install order, because order
-        determines first-match-wins *and* RNG-draw sequence.
-        """
-        raise NotImplementedError
-
     def _index(self, installed: InstalledRule) -> None:
         raise NotImplementedError
 
@@ -249,13 +223,21 @@ class LinearMatcher(RuleMatcher):
     curve Figure 8 plots for 1/5/10 installed rules.
     """
 
-    def _structural_candidates(
-        self, dst: str, direction: str, request_id: str | None
-    ) -> _t.Iterable[InstalledRule]:
-        return (
-            installed
-            for installed in self._installed
-            if installed.rule.dst == dst and installed.rule.on == direction
+    def match(
+        self,
+        dst: str,
+        direction: str,
+        request_id: str | None,
+        body: bytes | None = None,
+    ) -> InstalledRule | None:
+        return self._scan(
+            (
+                installed
+                for installed in self._installed
+                if installed.rule.dst == dst and installed.rule.on == direction
+            ),
+            request_id,
+            body,
         )
 
     def _index(self, installed: InstalledRule) -> None:  # no index to maintain
@@ -276,6 +258,11 @@ class _PrefixBucket:
         self.prefix_lengths: set[int] = set()
         #: Rules whose glob starts with a wildcard (no usable prefix).
         self.unprefixed: list[InstalledRule] = []
+        #: The prefix length when every rule here has a prefix of that
+        #: one length (the usual shape: one recipe's ``test-*`` rules).
+        #: At most one group can then match a request ID, and it is
+        #: already in install order.
+        self.only_length: int | None = None
 
     def add(self, installed: InstalledRule) -> None:
         prefix = _literal_prefix(installed.rule.flow_pattern)
@@ -284,6 +271,7 @@ class _PrefixBucket:
             self.prefix_lengths.add(len(prefix))
         else:
             self.unprefixed.append(installed)
+        self._reshape()
 
     def discard(self, installed: InstalledRule) -> None:
         """Drop one rule's entry, pruning emptied prefix groups.
@@ -295,35 +283,41 @@ class _PrefixBucket:
         if not prefix:
             if installed in self.unprefixed:
                 self.unprefixed.remove(installed)
-            return
-        group = self.by_prefix.get(prefix)
-        if group is None or installed not in group:
-            return
-        group.remove(installed)
-        if not group:
-            del self.by_prefix[prefix]
-            # Another prefix of the same length may still exist.
-            self.prefix_lengths = {len(p) for p in self.by_prefix}
+        else:
+            group = self.by_prefix.get(prefix)
+            if group is None or installed not in group:
+                return
+            group.remove(installed)
+            if not group:
+                del self.by_prefix[prefix]
+                # Another prefix of the same length may still exist.
+                self.prefix_lengths = {len(p) for p in self.by_prefix}
+        self._reshape()
+
+    def _reshape(self) -> None:
+        lengths = self.prefix_lengths
+        self.only_length = (
+            next(iter(lengths)) if len(lengths) == 1 and not self.unprefixed else None
+        )
 
     @property
     def empty(self) -> bool:
         """True once no rule is indexed here."""
         return not self.by_prefix and not self.unprefixed
 
-    def candidates(self, request_id: str | None) -> list[InstalledRule]:
+    def candidates(self, request_id: str | None) -> _t.Sequence[InstalledRule]:
         """Rules that could match ``request_id``, in install order."""
         if request_id is None:
             return self.unprefixed
-        found: list[InstalledRule] = []
-        for length in self.prefix_lengths:
-            bucket = self.by_prefix.get(request_id[:length])
-            if bucket:
-                found.extend(bucket)
-        if self.unprefixed:
-            found.extend(self.unprefixed)
-            found.sort(key=lambda installed: installed.order)
-        elif len(self.prefix_lengths) > 1:
-            found.sort(key=lambda installed: installed.order)
+        if self.only_length is not None:
+            return self.by_prefix.get(request_id[: self.only_length], ())
+        found = [
+            installed
+            for length in self.prefix_lengths
+            for installed in self.by_prefix.get(request_id[:length], ())
+        ]
+        found.extend(self.unprefixed)
+        found.sort(key=lambda installed: installed.order)
         return found
 
 
@@ -344,17 +338,21 @@ class PrefixIndexMatcher(RuleMatcher):
         self._buckets: dict[tuple[str, str], _PrefixBucket] = {}
         super().__init__(rng)
 
-    def _structural_candidates(
-        self, dst: str, direction: str, request_id: str | None
-    ) -> _t.Iterable[InstalledRule]:
-        # The bucket pre-filters by literal ID prefix; the shared
-        # match() loop in the base class still runs the full structural
-        # checks and owns the probability draw, so both strategies
-        # consume RNG draws identically by construction.
+    def match(
+        self,
+        dst: str,
+        direction: str,
+        request_id: str | None,
+        body: bytes | None = None,
+    ) -> InstalledRule | None:
+        # One dict probe; a slot without rules (most messages) ends
+        # here.  The bucket pre-filters by literal ID prefix, and the
+        # shared _scan still runs the full structural checks and owns
+        # the probability draw.
         bucket = self._buckets.get((dst, direction))
         if bucket is None:
-            return ()
-        return bucket.candidates(request_id)
+            return None
+        return self._scan(bucket.candidates(request_id), request_id, body)
 
     def _index(self, installed: InstalledRule) -> None:
         key = (installed.rule.dst, installed.rule.on)
@@ -373,58 +371,6 @@ class PrefixIndexMatcher(RuleMatcher):
         self._buckets.clear()
 
 
-class TableMatcher(RuleMatcher):
-    """Precompiled per-deployment dispatch table.
-
-    The full candidate list for every ``(dst, direction)`` slot is
-    recomputed whenever the rule set changes — installs and removes are
-    control-plane events, orders of magnitude rarer than proxied
-    messages — so the per-message structural pre-filter is one dict
-    probe returning a ready-made tuple in installation order.  The
-    common no-relevant-rules case is a dict miss: nothing is scanned,
-    no regex runs, no draw is taken.
-    """
-
-    def __init__(self, rng: _t.Optional[_random.Random] = None) -> None:
-        self._table: dict[tuple[str, str], tuple[InstalledRule, ...]] = {}
-        super().__init__(rng)
-
-    def match(
-        self,
-        dst: str,
-        direction: str,
-        request_id: str | None,
-        body: bytes | None = None,
-    ) -> InstalledRule | None:
-        # Single dict hit; the shared _scan keeps draw discipline
-        # identical to the other strategies (see RuleMatcher.match).
-        candidates = self._table.get((dst, direction))
-        if candidates is None:
-            return None
-        return self._scan(candidates, request_id, body)
-
-    def _structural_candidates(
-        self, dst: str, direction: str, request_id: str | None
-    ) -> _t.Iterable[InstalledRule]:
-        return self._table.get((dst, direction), ())
-
-    def _recompile(self) -> None:
-        table: dict[tuple[str, str], list[InstalledRule]] = {}
-        for installed in self._installed:
-            key = (installed.rule.dst, installed.rule.on)
-            table.setdefault(key, []).append(installed)
-        self._table = {key: tuple(group) for key, group in table.items()}
-
-    def _index(self, installed: InstalledRule) -> None:
-        self._recompile()
-
-    def _unindex(self, installed: InstalledRule) -> None:
-        self._recompile()
-
-    def _clear_index(self) -> None:
-        self._table.clear()
-
-
 def _literal_prefix(pattern: str) -> str:
     """Longest wildcard-free prefix of a glob (``"test-*"`` -> ``"test-"``)."""
     for index, char in enumerate(pattern):
@@ -434,13 +380,11 @@ def _literal_prefix(pattern: str) -> str:
 
 
 def make_matcher(strategy: str, rng: _t.Optional[_random.Random] = None) -> RuleMatcher:
-    """Factory: ``"linear"``, ``"prefix"``, or ``"table"``."""
+    """Factory: ``"linear"`` (the oracle) or ``"prefix"`` (production)."""
     if strategy == "linear":
         return LinearMatcher(rng)
     if strategy == "prefix":
         return PrefixIndexMatcher(rng)
-    if strategy == "table":
-        return TableMatcher(rng)
     raise RuleValidationError(f"unknown matcher strategy {strategy!r}")
 
 

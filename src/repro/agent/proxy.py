@@ -90,7 +90,7 @@ class GremlinAgent:
         registry: ServiceRegistry,
         pipeline: LogPipeline,
         metrics: "MetricsRegistry",
-        matcher_strategy: str = "table",
+        matcher_strategy: str = "prefix",
         canary_pattern: str = "test-*",
     ) -> None:
         self.sim = sim

@@ -10,9 +10,9 @@ One :func:`run_case` call runs a battery against a single
   prediction (:mod:`repro.fuzz.oracle`).
 * **Metamorphic checks** (domain chosen per case):
 
-  - *matcher-strategy*: re-running with the prefix-index and compiled
-    dispatch-table matchers must produce byte-identical trace digests
-    — every strategy consumes probability draws identically given the
+  - *matcher-strategy*: re-running with the prefix-index matcher (the
+    production one) must produce the linear scan's trace digest byte
+    for byte — both consume probability draws identically given the
     same seeded RNG.
   - *scheduler*: re-running on the reference heap scheduler must
     produce a byte-identical digest — the default lane (a heap for the
@@ -232,20 +232,19 @@ def run_case(case: FuzzCase) -> CaseReport:
             report.mismatches.extend(_oracle_mismatches(prediction, base))
 
     # -- metamorphic: matcher strategy ---------------------------------------
-    # Applies to every case: all strategies consume probability draws
+    # Applies to every case: both strategies consume probability draws
     # identically by construction, so even fractional-probability cases
-    # must produce identical digests.  "table" is the production
-    # default; "prefix" keeps the index path honest.
+    # must produce identical digests.  The base run scans linearly (the
+    # oracle); "prefix" is the production matcher.
     report.metamorphic_run.append("matcher-strategy")
-    for strategy in ("prefix", "table"):
-        other = execute_case(case, matcher_strategy=strategy)
-        if other.digest != base.digest:
-            report.mismatches.append(
-                {
-                    "kind": "metamorphic/matcher-strategy",
-                    "detail": f"[{strategy}] {_strategy_detail(base, other)}",
-                }
-            )
+    other = execute_case(case, matcher_strategy="prefix")
+    if other.digest != base.digest:
+        report.mismatches.append(
+            {
+                "kind": "metamorphic/matcher-strategy",
+                "detail": f"[prefix] {_strategy_detail(base, other)}",
+            }
+        )
 
     # -- metamorphic: kernel scheduler ---------------------------------------
     # The default (heap + due FIFO) and heap schedulers implement the

@@ -122,9 +122,10 @@ class EventStore:
         """Ingest one record (agents go through the pipeline instead)."""
         primary = self._primary
         ts = record.timestamp
-        late = primary.timestamps and ts < primary.timestamps[-1]
+        timestamps = primary.timestamps
+        late = ts < timestamps[-1] if timestamps else False
         primary.records.append(record)
-        primary.timestamps.append(ts)
+        timestamps.append(ts)
         if self._strategy == "indexed":
             self._index_record(record, ts)
         if late:

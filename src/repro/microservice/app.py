@@ -82,7 +82,7 @@ class Application:
         self,
         sim: _t.Optional[Simulator] = None,
         seed: int = 0,
-        matcher_strategy: str = "table",
+        matcher_strategy: str = "prefix",
         log_shipping_delay: float = 0.0,
         log_loss_probability: float = 0.0,
         default_link_latency: _t.Union[float, LatencyModel, None] = 0.0005,
@@ -154,7 +154,7 @@ class Deployment:
         self,
         application: Application,
         sim: Simulator,
-        matcher_strategy: str = "table",
+        matcher_strategy: str = "prefix",
         log_shipping_delay: float = 0.0,
         log_loss_probability: float = 0.0,
         default_link_latency: _t.Union[float, LatencyModel, None] = 0.0005,

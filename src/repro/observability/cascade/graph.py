@@ -34,6 +34,7 @@ import re
 import typing as _t
 
 from repro.errors import AnalysisError
+from repro.microservice.graph import ApplicationGraph
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.campaign.results import CampaignResult
@@ -199,15 +200,19 @@ class DependencyGraph:
 
     Nodes are service names (including the synthetic traffic source,
     which shows up as the only caller of the entry service); edges are
-    :class:`EdgeStats`.  All traversals are deterministic: neighbors
-    are kept sorted, and cycles (possible in principle with mutually
-    calling services) terminate via visited-set walks.
+    :class:`EdgeStats`.  The topology — services, entry services,
+    callers, callees and transitive closures — is the declared graph's
+    own vocabulary: :attr:`topology` is an
+    :class:`~repro.microservice.graph.ApplicationGraph` over the same
+    edges, kept in step as edges are first touched.  It lists in first
+    touch order; every consumer here that iterates sorts.
     """
 
     def __init__(self, edges: _t.Iterable[EdgeStats] = ()) -> None:
         self.edges: _t.Dict[_t.Tuple[str, str], EdgeStats] = {}
+        self.topology = ApplicationGraph()
         for stats in edges:
-            self.edges[(stats.src, stats.dst)] = stats
+            self._add(stats)
 
     # -- construction --------------------------------------------------------
 
@@ -215,7 +220,12 @@ class DependencyGraph:
         """The stats cell for ``src -> dst``, created on first touch."""
         stats = self.edges.get((src, dst))
         if stats is None:
-            stats = self.edges[(src, dst)] = EdgeStats(src=src, dst=dst)
+            stats = self._add(EdgeStats(src=src, dst=dst))
+        return stats
+
+    def _add(self, stats: EdgeStats) -> EdgeStats:
+        self.topology.add_dependency(stats.src, stats.dst)
+        self.edges[(stats.src, stats.dst)] = stats
         return stats
 
     def finalize(self) -> "DependencyGraph":
@@ -224,52 +234,7 @@ class DependencyGraph:
             stats.finalize()
         return self
 
-    # -- topology ------------------------------------------------------------
-
-    def services(self) -> _t.List[str]:
-        """Every node, sorted."""
-        names: _t.Set[str] = set()
-        for src, dst in self.edges:
-            names.add(src)
-            names.add(dst)
-        return sorted(names)
-
-    def sources(self) -> _t.List[str]:
-        """Nodes nothing calls — the traffic sources, sorted."""
-        callees = {dst for _, dst in self.edges}
-        return sorted({src for src, _ in self.edges} - callees)
-
-    def callers_of(self, service: str) -> _t.List[str]:
-        """Direct upstream callers, sorted."""
-        return sorted({src for src, dst in self.edges if dst == service})
-
-    def callees_of(self, service: str) -> _t.List[str]:
-        """Direct downstream dependencies, sorted."""
-        return sorted({dst for src, dst in self.edges if src == service})
-
-    def ancestors(self, service: str) -> _t.Set[str]:
-        """Every transitive upstream caller (cycle-safe)."""
-        seen: _t.Set[str] = set()
-        frontier = [service]
-        while frontier:
-            current = frontier.pop()
-            for caller in self.callers_of(current):
-                if caller not in seen:
-                    seen.add(caller)
-                    frontier.append(caller)
-        return seen
-
-    def descendants(self, service: str) -> _t.Set[str]:
-        """Every transitive downstream dependency (cycle-safe)."""
-        seen: _t.Set[str] = set()
-        frontier = [service]
-        while frontier:
-            current = frontier.pop()
-            for callee in self.callees_of(current):
-                if callee not in seen:
-                    seen.add(callee)
-                    frontier.append(callee)
-        return seen
+    # -- layout --------------------------------------------------------------
 
     def depth_of(self, service: str) -> int:
         """Longest hop distance from any source (sources are depth 0).
@@ -277,22 +242,22 @@ class DependencyGraph:
         Nodes unreachable from a source (cycle islands) report the
         number of services — they sort after everything reachable.
         """
-        return self._depths().get(service, len(self.services()))
+        return self._depths().get(service, len(self.topology))
 
     def layers(self) -> _t.List[_t.List[str]]:
         """Services grouped by :meth:`depth_of` — the diagram's columns."""
         depths = self._depths()
-        fallback = len(self.services())
+        fallback = len(self.topology)
         grouped: _t.Dict[int, _t.List[str]] = {}
-        for service in self.services():
+        for service in self.topology.services():
             grouped.setdefault(depths.get(service, fallback), []).append(service)
         return [sorted(grouped[depth]) for depth in sorted(grouped)]
 
     def _depths(self) -> _t.Dict[str, int]:
-        depths = {source: 0 for source in self.sources()}
+        depths = {source: 0 for source in self.topology.entry_services()}
         # Bounded relaxation: longest path from a source, cycle-safe
         # because a node's depth can rise at most |services| times.
-        for _ in range(max(1, len(self.services()))):
+        for _ in range(max(1, len(self.topology))):
             changed = False
             for src, dst in sorted(self.edges):
                 if src in depths and depths[src] + 1 > depths.get(dst, -1):
@@ -306,8 +271,8 @@ class DependencyGraph:
 
     def to_dict(self) -> dict:
         return {
-            "services": self.services(),
-            "sources": self.sources(),
+            "services": sorted(self.topology.services()),
+            "sources": sorted(self.topology.entry_services()),
             "edges": {
                 f"{src} -> {dst}": self.edges[(src, dst)].to_dict()
                 for src, dst in sorted(self.edges)
@@ -323,7 +288,7 @@ class DependencyGraph:
 
     def __repr__(self) -> str:
         return (
-            f"<DependencyGraph services={len(self.services())}"
+            f"<DependencyGraph services={len(self.topology)}"
             f" edges={len(self.edges)}>"
         )
 

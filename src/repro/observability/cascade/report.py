@@ -280,20 +280,23 @@ def _recipe_rows(result: "CampaignResult") -> _t.List[dict]:
     return rows
 
 
+def _tested_services(graph: DependencyGraph) -> _t.List[str]:
+    """Every service of ``graph`` a fault can be staged against: all but
+    the traffic sources, sorted."""
+    topology = graph.topology
+    sources = set(topology.entry_services())
+    return sorted(service for service in topology.services() if service not in sources)
+
+
 def build_report(result: "CampaignResult") -> "ResilienceReport":
     """Fold one campaign result into the operator resilience report."""
     graph = graph_from_campaign(result)
     card = result.scorecard()
     verdicts = card.service_verdicts()
-    sources = set(graph.sources())
-    for service in graph.services():
-        if service not in verdicts and service not in sources:
-            verdicts[service] = "untested"
-    predictions = [
-        predict_service_blast(graph, service)
-        for service in graph.services()
-        if service not in sources
-    ]
+    services = _tested_services(graph)
+    for service in services:
+        verdicts.setdefault(service, "untested")
+    predictions = [predict_service_blast(graph, service) for service in services]
     return ResilienceReport(
         name=result.name,
         app=result.app,
@@ -337,21 +340,13 @@ def build_explore_report(
     the caller provides it.
     """
     graph = graph if graph is not None else DependencyGraph()
-    sources = set(graph.sources())
-    verdicts: _t.Dict[str, str] = {
-        service: "untested"
-        for service in graph.services()
-        if service not in sources
-    }
+    services = _tested_services(graph)
+    verdicts: _t.Dict[str, str] = {service: "untested" for service in services}
     for finding in coverage.findings:
         culprit = _coordinate_src(finding.coordinate)
         if culprit:
             verdicts[culprit] = "vulnerable"
-    predictions = [
-        predict_service_blast(graph, service)
-        for service in graph.services()
-        if service not in sources
-    ]
+    predictions = [predict_service_blast(graph, service) for service in services]
     counts = {
         "executed": coverage.executed,
         "pruned": coverage.pruned,

@@ -140,7 +140,7 @@ def simulate_fault(
     ``fault`` is a primitive name (``abort``/``reset``/``delay``/
     ``delay_short``); delay-class primitives take ``interval`` seconds.
     """
-    impacted = tuple(sorted(graph.ancestors(src) | {src}))
+    impacted = tuple(sorted(graph.topology.upstream_closure(src) | {src}))
     calls = _edge_calls(graph, src, dst)
     if fault in ("delay", "delay_short"):
         if interval < 0:
@@ -184,10 +184,11 @@ def predict_service_blast(
     upstream cone degrades, call volume on the incoming edges amplifies
     by the modeled retry factor.
     """
-    impacted = tuple(sorted(graph.ancestors(service)))
+    topology = graph.topology
+    impacted = tuple(sorted(topology.upstream_closure(service)))
     amplified = sum(
         _edge_calls(graph, caller, service) * _retry_multiplier(graph, caller, service)
-        for caller in graph.callers_of(service)
+        for caller in sorted(topology.dependents(service))
     )
     return {
         "service": service,
@@ -198,7 +199,7 @@ def predict_service_blast(
 
 
 def _subtree_weight(graph: DependencyGraph, service: str) -> int:
-    return len(graph.descendants(service)) + 1
+    return len(graph.topology.downstream_closure(service)) + 1
 
 
 def order_candidates(

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.agent import LinearMatcher, PrefixIndexMatcher, abort, delay, make_matcher, modify
+from repro.apps import build_twotier
 from repro.errors import RuleValidationError
 
 STRATEGIES = ["linear", "prefix"]
@@ -35,8 +36,36 @@ class TestInstallRemove:
         assert matcher.match("B", "request", "test-1") is None
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(RuleValidationError):
-            make_matcher("quantum")
+        for strategy in ("quantum", "table"):
+            with pytest.raises(RuleValidationError):
+                make_matcher(strategy)
+
+    def test_sidecars_run_the_prefix_index(self):
+        deployment = build_twotier().deploy(seed=1)
+        assert {type(agent.matcher) for agent in deployment.agents} == {PrefixIndexMatcher}
+
+    def test_prefix_groups_of_mixed_lengths_keep_install_order(self):
+        """One prefix length hands back its single group; a second
+        length or an unprefixed rule merges groups by install order."""
+        matcher = PrefixIndexMatcher(random.Random(0))
+
+        def hit(request_id):
+            found = matcher.match("B", "request", request_id)
+            if found is not None:
+                found.consume()
+            return found
+
+        first = matcher.install(abort("A", "B", pattern="test-*", max_matches=1))
+        assert hit("test-1") is first
+        anywhere = matcher.install(abort("A", "B", pattern="*", max_matches=1))
+        longer = matcher.install(abort("A", "B", pattern="test-1*"))
+        assert hit("test-1") is anywhere
+        assert hit("test-1") is longer
+        matcher.remove(anywhere.rule.rule_id)
+        matcher.remove(longer.rule.rule_id)
+        second = matcher.install(abort("A", "B", pattern="user-*"))
+        assert hit("user-2") is second
+        assert hit("test-2") is None
 
     def test_removal_preserves_first_match_wins_order(self, matcher):
         """Surgical unindexing must not disturb surviving rules' order."""

@@ -102,31 +102,48 @@ def diamond_graph():
 
 
 class TestTopology:
+    """The discovered graph's topology is an ApplicationGraph over the
+    same edges, so it answers in the declared graph's vocabulary."""
+
     def test_services_and_sources_sorted(self):
         graph = diamond_graph()
-        assert graph.services() == ["a", "b", "c", "d", "source"]
-        assert graph.sources() == ["source"]
+        assert sorted(graph.topology.services()) == ["a", "b", "c", "d", "source"]
+        assert graph.topology.entry_services() == ["source"]
+        assert graph.to_dict()["services"] == ["a", "b", "c", "d", "source"]
+        assert graph.to_dict()["sources"] == ["source"]
 
     def test_callers_and_callees(self):
         graph = diamond_graph()
-        assert graph.callers_of("d") == ["b", "c"]
-        assert graph.callees_of("a") == ["b", "c"]
+        assert graph.topology.dependents("d") == ["b", "c"]
+        assert graph.topology.dependencies("a") == ["b", "c"]
 
     def test_ancestors_and_descendants(self):
         graph = diamond_graph()
-        assert graph.ancestors("d") == {"a", "b", "c", "source"}
-        assert graph.descendants("a") == {"b", "c", "d"}
-        assert graph.ancestors("source") == set()
+        assert graph.topology.upstream_closure("d") == {"a", "b", "c", "source"}
+        assert graph.topology.downstream_closure("a") == {"b", "c", "d"}
+        assert graph.topology.upstream_closure("source") == set()
 
     def test_cycles_terminate(self):
         graph = DependencyGraph()
         graph.edge("s", "a")
         graph.edge("a", "b")
         graph.edge("b", "a")  # mutual recursion
-        # Through the cycle, a is its own transitive caller and callee.
-        assert graph.ancestors("a") == {"s", "b", "a"}
-        assert graph.descendants("a") == {"a", "b"}
+        # A closure never holds its start, even through a cycle (as in
+        # networkx's ancestors/descendants).
+        assert graph.topology.upstream_closure("a") == {"s", "b"}
+        assert graph.topology.downstream_closure("a") == {"b"}
         assert graph.depth_of("b") >= 1
+
+    def test_topology_tracks_every_way_in(self):
+        """Edges touched one by one, passed to the constructor and read
+        back from JSON give the same topology, in first-touch order."""
+        graph = diamond_graph()
+        edges = [("source", "a"), ("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+        assert graph.topology.edges() == edges
+        rebuilt = DependencyGraph(graph.edges.values())
+        assert rebuilt.topology.edges() == edges
+        reloaded = DependencyGraph.from_dict(json.loads(json.dumps(graph.to_dict())))
+        assert reloaded.topology.edges() == sorted(edges)
 
     def test_layers_are_depth_columns(self):
         graph = diamond_graph()
@@ -181,7 +198,7 @@ class TestDiscoverGraph:
     def test_empty_input_gives_empty_graph(self):
         graph = discover_graph([])
         assert len(graph) == 0
-        assert graph.services() == []
+        assert graph.topology.services() == []
         assert graph.layers() == []
 
 

@@ -85,6 +85,20 @@ class TestPredictServiceBlast:
         assert doc["blast_size"] == 2
         assert doc["amplified_calls"] == 10 * RETRY_AMPLIFICATION
 
+    def test_cycle_leaves_the_service_out_of_its_own_blast(self):
+        """source -> a <-> b: b calls a back, so both reach each other,
+        but a service is never in its own upstream cone."""
+        graph = DependencyGraph()
+        for src, dst, calls in [("source", "a", 10), ("a", "b", 4), ("b", "a", 3)]:
+            graph.edge(src, dst).calls = calls
+        graph.edges[("b", "a")].retries = 3.0  # 1 + 3/3 = 2x
+        doc = predict_service_blast(graph, "a")
+        assert doc["impacted"] == ["b", "source"]
+        assert doc["blast_size"] == 2
+        # Callers b then source: 3 * 2.0 + 10 * RETRY_AMPLIFICATION.
+        assert doc["amplified_calls"] == 3 * 2.0 + 10 * RETRY_AMPLIFICATION
+        assert predict_service_blast(graph, "b")["impacted"] == ["a", "source"]
+
 
 class TestOrderCandidates:
     def test_deeper_injection_ranks_first(self):

@@ -44,6 +44,7 @@ from repro.explore import run_explore
 from repro.fuzz import FuzzGenerator, run_case, scenario_to_spec
 from repro.loadgen import ClosedLoopLoad
 from repro.microservice.resilience.policy import PolicySpec
+from repro.observability.cascade import build_explore_report
 from repro.observability.exporters import to_json, to_prometheus
 
 
@@ -191,6 +192,62 @@ def test_deployment_metrics_snapshot_bytes():
     assert sha256_text(json.dumps(snapshot, sort_keys=True)) == GOLDEN_DEPLOYMENT_METRICS
 
 
+def test_resilience_report_bytes():
+    """The operator report of two seed-fixed campaigns, as JSON and as
+    HTML: the 28-service app's discovered graph and blast predictions,
+    and a twotier run whose failures carry attributions, so the blast
+    and root-cause sections are filled."""
+    annotations = {
+        service: EdgeAnnotation(criticality="high")
+        for service in build_twotier().logical_graph().services()
+    }
+    campaigns = [
+        (
+            build_socialnetwork_app,
+            plan_campaign(build_socialnetwork_app, seed=11, requests=20, max_recipes=12),
+        ),
+        (
+            build_twotier,
+            plan_campaign(
+                build_twotier, seed=5, annotations=annotations, requests=5, max_recipes=6
+            ),
+        ),
+    ]
+    reports = [
+        CampaignRunner(factory, workers=1).run(plan).resilience_report()
+        for factory, plan in campaigns
+    ]
+    assert len(reports[0].graph.edges) > 20
+    assert reports[1].root_causes and reports[1].blast
+    assert [
+        [sha256_text(report.to_json()), sha256_text(report.to_html())]
+        for report in reports
+    ] == GOLDEN_RESILIENCE_REPORTS
+
+
+def test_explore_report_bytes():
+    """An exploration's report over its discovery run's graph."""
+    result = run_explore("deepfanout", budget=16, seed=0)
+    report = build_explore_report(result.report, result.space.graph)
+    assert [sha256_text(report.to_json()), sha256_text(report.to_html())] == (
+        GOLDEN_EXPLORE_REPORT
+    )
+
+
+GOLDEN_RESILIENCE_REPORTS = [
+    [
+        "91a487b6c74c26f6f42938c24507e20fa711ea8fe4d2320f449554353568c812",
+        "ba1de85c1e68d5a23694bb318a27f2623ff84e0cdd575f76c5b17f285c6b8954",
+    ],
+    [
+        "7e65006f60be4ebc9bbff72ffdc899a26110ec8f2caafa2fdd4f7dacb4a73b3a",
+        "4405d90750a8ece608ce273fc4d37c3bd046342b53823cf322fc6fb9dd9398b4",
+    ],
+]
+GOLDEN_EXPLORE_REPORT = [
+    "69032d8e3cfd1af0b832d382659f241fac09df0047f81483be816180c67b25ce",
+    "90b4d5d7d375debf07830cb3ce4dd2b893d47260982f17658c826e6c469b0ced",
+]
 GOLDEN_CAMPAIGN_METRICS = [
     "e82f572418f071aadc318ea2be59a80430b66a7fafd3c79f2f5b1d3655f44984",
     "aa3336603560dcaa4d04b833cb767b93be9a7e88652c3de7a7798ac07ac6de21",

@@ -60,6 +60,19 @@ class TestEventStore:
         assert len(store) == 0
         assert store.search(Query()) == []
 
+    def test_first_record_is_never_moved(self, store, monkeypatch):
+        """Only a record older than the newest stored one is moved; the
+        first into an empty or cleared store lands where it is."""
+        sunk = []
+        monkeypatch.setattr(store, "_sink", lambda record, ts: sunk.append(ts))
+        store.append(make_record(timestamp=3e-05))
+        store.append(make_record(timestamp=1.0))
+        store.clear()
+        store.append(make_record(timestamp=2.0))
+        assert sunk == []
+        store.append(make_record(timestamp=0.5))
+        assert sunk == [0.5]
+
     def test_mutated_record_visible_in_search(self, store):
         record = make_record()
         store.append(record)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import RecipeError
 from repro.microservice import ApplicationGraph
+from repro.observability.cascade import DependencyGraph
 
 nx = pytest.importorskip("networkx")
 
@@ -95,6 +96,23 @@ class TestAgainstNetworkx:
         with pytest.raises(RecipeError, match="ghost"):
             graph.validate_services([*graph.services(), "ghost"])
         graph.validate_services(graph.services())
+
+    @given(operations=_operations)
+    def test_discovered_graph_topology(self, operations):
+        """A discovered graph touched edge by edge answers as the
+        oracle over the services those edges name."""
+        _, oracle = build_both(operations)
+        discovered = DependencyGraph()
+        for caller, callee in oracle.edges:
+            discovered.edge(caller, callee).calls += 1
+        topology = discovered.topology
+        assert sorted(topology.edges()) == sorted(oracle.edges)
+        assert sorted(topology.services()) == sorted(n for n in oracle.nodes if oracle.degree(n))
+        for name in topology.services():
+            assert sorted(topology.dependents(name)) == sorted(oracle.predecessors(name))
+            assert sorted(topology.dependencies(name)) == sorted(oracle.successors(name))
+            assert topology.upstream_closure(name) == nx.ancestors(oracle, name)
+            assert topology.downstream_closure(name) == nx.descendants(oracle, name)
 
     @given(operations=_operations)
     def test_to_networkx_is_an_equal_independent_copy(self, operations):

@@ -1,6 +1,6 @@
 """Property-based tests: the matcher strategies are equivalent.
 
-Three strategies (linear scan, prefix index, compiled dispatch table)
+Both strategies (the linear scan oracle and the production prefix index)
 must be observationally identical: same match for every probe, same
 budget accounting, and — the load-bearing part — the same RNG draw
 sequence, because the differential fuzzer's strategy-equivalence check
@@ -12,7 +12,7 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.agent import LinearMatcher, PrefixIndexMatcher, TableMatcher, abort, delay
+from repro.agent import LinearMatcher, PrefixIndexMatcher, abort, delay
 
 _service = st.sampled_from(["B", "C", "D"])
 _direction = st.sampled_from(["request", "response"])
@@ -29,7 +29,6 @@ def _fresh_matchers(seed):
     return (
         LinearMatcher(random.Random(seed)),
         PrefixIndexMatcher(random.Random(seed)),
-        TableMatcher(random.Random(seed)),
     )
 
 
@@ -136,8 +135,8 @@ class TestStrategyEquivalence:
     @settings(max_examples=100, deadline=None)
     def test_equivalence_survives_removal(self, rules, remove_at, queries):
         """Removing a rule mid-stream (recipe teardown) must leave every
-        strategy's index consistent — the compiled table recompiles, the
-        prefix buckets prune — and the strategies still in lockstep."""
+        strategy's index consistent — the prefix buckets prune — and the
+        strategies still in lockstep."""
         matchers = _fresh_matchers(99)
         installed_ids = []
         for rule in rules:
