@@ -102,18 +102,25 @@ def resolve_workers(workers: _t.Union[int, str]) -> int:
     ``"auto"`` (the CLI default) gives one worker per CPU the process
     may run on — not per CPU of the machine, which would oversubscribe
     an affinity-limited container.  Integers (or integer strings, as
-    argparse delivers them) pass through validated.
+    argparse delivers them) pass through validated; a bool or a number
+    with a fractional part is refused, never truncated.
     """
     if workers == "auto":
         return _usable_cpus()
     try:
         value = int(workers)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if (
+        value is None
+        or isinstance(workers, bool)
+        or (not isinstance(workers, str) and value != workers)
+    ):
         raise CampaignError(
             f"workers must be a positive integer or 'auto', got {workers!r}"
-        ) from None
+        )
     if value < 1:
-        raise CampaignError(f"workers must be >= 1, got {value}")
+        raise CampaignError(f"workers must be >= 1, got {workers!r}")
     return value
 
 
@@ -278,17 +285,84 @@ class Fleet:
 
 #: What a worker interpreter runs (``python -c``).  The connection's file
 #: descriptor is its first argument; the first message on it carries the
-#: parent's ``sys.path``, a reference to the parent's main module and the
-#: pickled ``(target, context, worker_id)``.  Nothing outside the standard
-#: library is imported before that ``sys.path`` is in place.
-_BOOTSTRAP = (
-    "import sys\n"
-    "from multiprocessing.connection import Connection\n"
-    "conn = Connection(int(sys.argv[1]))\n"
-    "sys.path[:], main, spec = conn.recv()\n"
-    "from repro.campaign.fleet import _serve\n"
-    "_serve(conn, main, spec)\n"
-)
+#: parent's ``sys.path``, a reference to the parent's main module, the
+#: pickled ``(target, context, worker_id)`` and the index of the code
+#: bundle (:func:`_code_bundle`).  One raw message per indexed module
+#: follows, and a path hook placed first makes each of those modules load
+#: its bundled code while the file's mtime and size still match.  Nothing
+#: outside the standard library is imported before all of that is in place.
+_BOOTSTRAP = """\
+import sys
+from multiprocessing.connection import Connection
+conn = Connection(int(sys.argv[1]))
+sys.path[:], main, spec, bundle = conn.recv()
+if bundle:
+    import marshal, os, zlib
+    from importlib import machinery
+    code = {path: conn.recv_bytes() for path in bundle}
+    class BundleLoader(machinery.SourceFileLoader):
+        def get_code(self, fullname):
+            stamp = bundle.get(self.path)
+            if stamp is not None:
+                stat = os.stat(self.path)
+                if (stat.st_mtime_ns, stat.st_size) == stamp:
+                    return marshal.loads(zlib.decompress(code[self.path]))
+            return super().get_code(fullname)
+    sys.path_hooks.insert(0, machinery.FileFinder.path_hook(
+        (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
+        (BundleLoader, machinery.SOURCE_SUFFIXES),
+        (machinery.SourcelessFileLoader, machinery.BYTECODE_SUFFIXES),
+    ))
+    sys.path_importer_cache.clear()
+from repro.campaign.fleet import _serve
+_serve(conn, main, spec)
+"""
+
+#: ``(index, code)`` once :func:`_code_bundle` has run: kept for the
+#: life of the process, so every worker of every fleet gets the same.
+_bundle: _t.Optional[tuple[dict[str, tuple[int, int]], list[bytes]]] = None
+
+
+def _code_bundle() -> tuple[dict[str, tuple[int, int]], list[bytes]]:
+    """Compiled code of the source modules this process has imported
+    that have no bytecode cache on disk, which a worker importing them
+    would otherwise compile from source.
+
+    ``index`` maps a source path to the ``(st_mtime_ns, st_size)`` of
+    the file that was compiled; ``code`` holds each module's code
+    object, marshalled and deflated, in the index's order.  Where
+    ``.pyc`` files exist both are empty.  Each module is compiled as its
+    loader would compile it: ``dont_inherit=True``, so this module's own
+    ``__future__`` imports stay out of its code.
+    """
+    global _bundle
+    if _bundle is None:
+        import importlib.machinery
+        import importlib.util
+        import marshal
+        import zlib
+
+        index: dict[str, tuple[int, int]] = {}
+        code: list[bytes] = []
+        for module in list(sys.modules.values()):
+            spec = getattr(module, "__spec__", None)
+            if not isinstance(
+                getattr(spec, "loader", None), importlib.machinery.SourceFileLoader
+            ):
+                continue
+            path = spec.origin
+            if path in index or os.path.exists(importlib.util.cache_from_source(path)):
+                continue
+            try:
+                stat = os.stat(path)
+                with open(path, "rb") as source:
+                    compiled = compile(source.read(), path, "exec", dont_inherit=True)
+            except (OSError, SyntaxError, ValueError):
+                continue  # the worker meets the same error importing it
+            index[path] = (stat.st_mtime_ns, stat.st_size)
+            code.append(zlib.compress(marshal.dumps(compiled), 1))
+        _bundle = (index, code)
+    return _bundle
 
 
 def _main_reference() -> _t.Optional[tuple[str, str]]:
@@ -386,19 +460,25 @@ def _serve(conn, main: _t.Optional[tuple[str, str]], spec: bytes) -> None:
 
 class _ProcessWorker:
     """Parent-side handle of one worker interpreter, a ``Popen`` child
-    speaking over one end of a socket pair."""
+    speaking over one end of a socket pair.  The child boots from the
+    moment the handle is made; it learns what to run with its first job."""
 
-    __slots__ = ("worker_id", "process", "conn", "held")
+    __slots__ = ("worker_id", "process", "conn", "held", "greeting")
 
     def __init__(self, spec: ProcessWorkerSpec, worker_id: int) -> None:
         import subprocess
         from multiprocessing.connection import Pipe
 
         self.worker_id = worker_id
-        payload = pickle.dumps(
-            (spec.target, spec.context, worker_id), pickle.HIGHEST_PROTOCOL
+        # Pickled before the child exists: a spec that cannot be pickled
+        # starts nothing.
+        self.greeting = (
+            [entry or os.getcwd() for entry in sys.path],
+            _main_reference(),
+            pickle.dumps(
+                (spec.target, spec.context, worker_id), pickle.HIGHEST_PROTOCOL
+            ),
         )
-        path = [entry or os.getcwd() for entry in sys.path]
         parent_conn, child_conn = Pipe()
         fd = child_conn.fileno()
         try:
@@ -419,12 +499,20 @@ class _ProcessWorker:
         finally:
             child_conn.close()
         self.conn = parent_conn
-        self.conn.send((path, _main_reference(), payload))
         #: ``(key, job)`` of the dispatched-but-unanswered job, or None
         #: when idle: one job per message, so a crash costs exactly it.
         self.held: _t.Optional[tuple[int, _t.Any]] = None
 
     def send(self, key: int, job: _t.Any) -> None:
+        # The launch goes out with the first job, not at start-up: the
+        # bundle outgrows the socket's buffer, so this waits for the
+        # child to read it, and meanwhile the pool's other children boot.
+        if self.greeting is not None:
+            index, code = _code_bundle()
+            self.conn.send((*self.greeting, index))
+            self.greeting = None
+            for module in code:
+                self.conn.send_bytes(module)
         # ``Connection.send`` pickles the whole message before it writes
         # a byte, so a job that fails to pickle never reached the
         # worker: recording it first would leave an idle worker marked
@@ -433,6 +521,9 @@ class _ProcessWorker:
         self.held = (key, job)
 
     def shut_down(self) -> None:
+        if self.greeting is not None:  # never launched: nothing to tell it
+            self.process.terminate()
+            return
         try:
             self.conn.send(None)
         except (OSError, BrokenPipeError, ValueError):

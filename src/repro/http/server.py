@@ -48,6 +48,8 @@ class HttpServer:
         self.handler = handler
         self.name = name or f"{host.name}:{port}"
         self._listener: Listener | None = None
+        #: Name of every serve process, set by :meth:`start`.
+        self._serve_name = ""
         #: Count of requests served, for tests and capacity checks.
         self.requests_served = 0
 
@@ -59,6 +61,7 @@ class HttpServer:
     def start(self) -> "HttpServer":
         """Bind the port and begin accepting connections."""
         listener = self.host.listen(self.port)
+        self._serve_name = f"{self.name}/serve"
         listener.on_connect(lambda conn: conn.on_receive(self._spawn))
         listener.on_exchange(self._answer)
         self._listener = listener
@@ -73,10 +76,10 @@ class HttpServer:
     # -- internals --------------------------------------------------------------
 
     def _spawn(self, conn: ConnectionEnd, payload: object) -> None:
-        self.sim.process(self._serve(conn, payload, True), name=f"{self.name}/serve")
+        self.sim.process(self._serve(conn, payload, True), name=self._serve_name)
 
     def _answer(self, end: ExchangeEnd, payload: object) -> None:
-        self.sim.process(self._serve(end, payload, False), name=f"{self.name}/serve")
+        self.sim.process(self._serve(end, payload, False), name=self._serve_name)
 
     def _serve(
         self, conn: ConnectionEnd | ExchangeEnd, payload: object, keep_alive: bool

@@ -24,6 +24,7 @@ puts on callers (lambdas and closures are rejected by pickle).
 
 import os
 import pickle
+import re
 import signal
 import threading
 import time
@@ -155,6 +156,17 @@ class TestResolveWorkers:
     def test_invalid_counts_rejected(self, bad):
         with pytest.raises(CampaignError):
             resolve_workers(bad)
+
+    @pytest.mark.parametrize(
+        "bad", [2.7, 0.5, True, False, "2.7", float("nan"), float("inf")]
+    )
+    def test_non_integers_rejected_by_the_value_given(self, bad):
+        # Never truncated: 2.7 is not 2, True is not 1, 0.5 is not 0.
+        with pytest.raises(CampaignError, match=f"got {re.escape(repr(bad))}$"):
+            resolve_workers(bad)
+
+    def test_an_integral_number_passes(self):
+        assert resolve_workers(2.0) == 2
 
 
 class TestRunFleetValidation:
