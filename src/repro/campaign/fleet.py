@@ -286,28 +286,39 @@ class Fleet:
 #: What a worker interpreter runs (``python -c``).  The connection's file
 #: descriptor is its first argument; the first message on it carries the
 #: parent's ``sys.path``, a reference to the parent's main module, the
-#: pickled ``(target, context, worker_id)`` and the index of the code
-#: bundle (:func:`_code_bundle`).  One raw message per indexed module
-#: follows, and a path hook placed first makes each of those modules load
-#: its bundled code while the file's mtime and size still match.  Nothing
-#: outside the standard library is imported before all of that is in place.
+#: pickled ``(target, context, worker_id)``, the parent's code bundle
+#: (:class:`_CodeBundle`) as ``(fd, index)`` or None, and whether this
+#: worker reports the code it compiles.  For either of the last two a
+#: path hook placed first loads each indexed module from the bundle while
+#: its file's mtime and size still match, and otherwise compiles it from
+#: source, keeping the code to report when asked to.  Nothing outside the
+#: standard library is imported before that is in place.
 _BOOTSTRAP = """\
 import sys
 from multiprocessing.connection import Connection
 conn = Connection(int(sys.argv[1]))
-sys.path[:], main, spec, bundle = conn.recv()
-if bundle:
-    import marshal, os, zlib
+sys.path[:], main, spec, bundle, report = conn.recv()
+compiled = [] if report else None
+if bundle or report:
+    import marshal, os
     from importlib import machinery
-    code = {path: conn.recv_bytes() for path in bundle}
+    fd, index = bundle or (None, {})
+    stamps = {}
     class BundleLoader(machinery.SourceFileLoader):
         def get_code(self, fullname):
-            stamp = bundle.get(self.path)
-            if stamp is not None:
-                stat = os.stat(self.path)
-                if (stat.st_mtime_ns, stat.st_size) == stamp:
-                    return marshal.loads(zlib.decompress(code[self.path]))
+            stat = os.stat(self.path)
+            stamp = (stat.st_mtime_ns, stat.st_size)
+            entry = index.get(self.path)
+            if entry is not None and entry[:2] == stamp:
+                return marshal.loads(os.pread(fd, entry[3], entry[2]))
+            stamps[self.path] = stamp
             return super().get_code(fullname)
+        def source_to_code(self, data, path, *, _optimize=-1):
+            code = super().source_to_code(data, path, _optimize=_optimize)
+            stamp = stamps.pop(path, None)
+            if compiled is not None and stamp is not None:
+                compiled.append((path, *stamp, marshal.dumps(code)))
+            return code
     sys.path_hooks.insert(0, machinery.FileFinder.path_hook(
         (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
         (BundleLoader, machinery.SOURCE_SUFFIXES),
@@ -315,54 +326,65 @@ if bundle:
     ))
     sys.path_importer_cache.clear()
 from repro.campaign.fleet import _serve
-_serve(conn, main, spec)
+_serve(conn, main, spec, compiled)
 """
 
-#: ``(index, code)`` once :func:`_code_bundle` has run: kept for the
-#: life of the process, so every worker of every fleet gets the same.
-_bundle: _t.Optional[tuple[dict[str, tuple[int, int]], list[bytes]]] = None
 
+class _CodeBundle:
+    """Compiled code of the modules process workers compiled from source,
+    kept for the life of the process so that later workers load it
+    instead of compiling again.
 
-def _code_bundle() -> tuple[dict[str, tuple[int, int]], list[bytes]]:
-    """Compiled code of the source modules this process has imported
-    that have no bytecode cache on disk, which a worker importing them
-    would otherwise compile from source.
+    No worker of a process's first pool waits on it: that pool's first
+    worker compiles what it imports as it would anyway, keeps each code
+    object the loader built from source, and ships them home with its
+    answers (:func:`_serve`); :meth:`add` stores them.  Every worker
+    spawned after that gets the bundle, and each pool's first worker
+    reports only what the bundle lacked, so a fleet with other imports
+    grows it.  Where ``.pyc`` files exist nothing is compiled, so the
+    bundle stays empty.
 
-    ``index`` maps a source path to the ``(st_mtime_ns, st_size)`` of
-    the file that was compiled; ``code`` holds each module's code
-    object, marshalled and deflated, in the index's order.  Where
-    ``.pyc`` files exist both are empty.  Each module is compiled as its
-    loader would compile it: ``dont_inherit=True``, so this module's own
-    ``__future__`` imports stay out of its code.
+    The code lives in one anonymous in-memory file (``memfd_create``),
+    appended to and never rewritten; a worker inherits its descriptor
+    and reads a module's bytes only when it imports that module.  So
+    launching a worker writes nothing but its small first message, and
+    the parent keeps no copy.  ``index`` maps a source path to the
+    ``(st_mtime_ns, st_size)`` taken before the file was read, then the
+    code's offset and length in the file.  Where the platform has no
+    ``memfd_create``, no worker reports and the bundle stays empty.
     """
-    global _bundle
-    if _bundle is None:
-        import importlib.machinery
-        import importlib.util
-        import marshal
-        import zlib
 
-        index: dict[str, tuple[int, int]] = {}
-        code: list[bytes] = []
-        for module in list(sys.modules.values()):
-            spec = getattr(module, "__spec__", None)
-            if not isinstance(
-                getattr(spec, "loader", None), importlib.machinery.SourceFileLoader
-            ):
-                continue
-            path = spec.origin
-            if path in index or os.path.exists(importlib.util.cache_from_source(path)):
-                continue
-            try:
-                stat = os.stat(path)
-                with open(path, "rb") as source:
-                    compiled = compile(source.read(), path, "exec", dont_inherit=True)
-            except (OSError, SyntaxError, ValueError):
-                continue  # the worker meets the same error importing it
-            index[path] = (stat.st_mtime_ns, stat.st_size)
-            code.append(zlib.compress(marshal.dumps(compiled), 1))
-        _bundle = (index, code)
-    return _bundle
+    def __init__(self) -> None:
+        self.file: _t.Optional[_t.BinaryIO] = None
+        #: Replaced, never mutated, so a worker's first message can carry
+        #: it while another thread adds to the bundle.
+        self.index: dict[str, tuple[int, int, int, int]] = {}
+        self._lock = threading.Lock()
+
+    def handoff(self) -> _t.Optional[tuple[int, dict[str, tuple[int, int, int, int]]]]:
+        """``(fd, index)`` for a worker's first message; None while empty."""
+        index = self.index
+        return (self.file.fileno(), index) if index else None
+
+    def add(self, modules: list[tuple[str, int, int, bytes]]) -> None:
+        """Append each ``(path, st_mtime_ns, st_size, marshalled code)``
+        and index it, replacing an older entry of the same path."""
+        with self._lock:
+            if self.file is None:
+                self.file = open(os.memfd_create("repro-code"), "w+b")
+            index = dict(self.index)
+            for path, mtime_ns, size, code in modules:
+                offset = self.file.seek(0, os.SEEK_END)
+                self.file.write(code)
+                index[path] = (mtime_ns, size, offset, len(code))
+            self.file.flush()
+            self.index = index
+
+
+#: The process's code bundle; None where workers cannot share one.
+_bundle: _t.Optional[_CodeBundle] = (
+    _CodeBundle() if hasattr(os, "memfd_create") else None
+)
 
 
 def _main_reference() -> _t.Optional[tuple[str, str]]:
@@ -413,12 +435,19 @@ class _WorkerUnpickler(pickle.Unpickler):
         return super().find_class(module, name)
 
 
-def _serve(conn, main: _t.Optional[tuple[str, str]], spec: bytes) -> None:
+def _serve(
+    conn,
+    main: _t.Optional[tuple[str, str]],
+    spec: bytes,
+    compiled: _t.Optional[list],
+) -> None:
     """Loop of one worker process: recv a job, run it, send its result.
 
     Runs in the child.  Each message from the parent is one ``(job,)``
     tuple and ``None`` is the shutdown signal; each answer is one
-    ``(kind, payload)`` tuple.  A raising target, a job that cannot be
+    ``(kind, payload)`` tuple, followed, when the worker reports code
+    and has compiled modules since its last answer, by the list of them
+    (:class:`_CodeBundle`).  A raising target, a job that cannot be
     unpickled or a result that cannot be pickled is reported as an error
     message rather than killing the worker, so one odd payload cannot
     eat the rest of the queue.  So is a spec that cannot be loaded: every
@@ -444,10 +473,14 @@ def _serve(conn, main: _t.Optional[tuple[str, str]], spec: bytes) -> None:
                     answer = ("ok", target(worker_id, message[0], context))
             except BaseException as exc:  # noqa: BLE001 - ship, don't die
                 answer = ("error", f"{type(exc).__name__}: {exc}")
+            code = ()
+            if compiled:
+                code = (compiled[:],)
+                del compiled[:]
             try:
-                conn.send(answer)
+                conn.send((*answer, *code))
             except Exception as exc:  # noqa: BLE001 - e.g. unpicklable result
-                conn.send(("error", f"result not serializable: {exc}"))
+                conn.send(("error", f"result not serializable: {exc}", *code))
     except (EOFError, OSError, KeyboardInterrupt):  # parent went away
         conn.close()
         return
@@ -460,25 +493,22 @@ def _serve(conn, main: _t.Optional[tuple[str, str]], spec: bytes) -> None:
 
 class _ProcessWorker:
     """Parent-side handle of one worker interpreter, a ``Popen`` child
-    speaking over one end of a socket pair.  The child boots from the
-    moment the handle is made; it learns what to run with its first job."""
+    speaking over one end of a socket pair.  A pool's first worker
+    (``worker_id`` 0) reports the code it compiles (:class:`_CodeBundle`)."""
 
-    __slots__ = ("worker_id", "process", "conn", "held", "greeting")
+    __slots__ = ("worker_id", "process", "conn", "held")
 
     def __init__(self, spec: ProcessWorkerSpec, worker_id: int) -> None:
         import subprocess
         from multiprocessing.connection import Pipe
 
         self.worker_id = worker_id
-        # Pickled before the child exists: a spec that cannot be pickled
-        # starts nothing.
-        self.greeting = (
-            [entry or os.getcwd() for entry in sys.path],
-            _main_reference(),
-            pickle.dumps(
-                (spec.target, spec.context, worker_id), pickle.HIGHEST_PROTOCOL
-            ),
+        payload = pickle.dumps(
+            (spec.target, spec.context, worker_id), pickle.HIGHEST_PROTOCOL
         )
+        path = [entry or os.getcwd() for entry in sys.path]
+        bundle = _bundle.handoff() if _bundle is not None else None
+        report = _bundle is not None and worker_id == 0
         parent_conn, child_conn = Pipe()
         fd = child_conn.fileno()
         try:
@@ -490,7 +520,7 @@ class _ProcessWorker:
                     _BOOTSTRAP,
                     str(fd),
                 ],
-                pass_fds=(fd,),
+                pass_fds=(fd,) if bundle is None else (fd, bundle[0]),
                 stdin=subprocess.DEVNULL,
             )
         except BaseException:
@@ -499,31 +529,28 @@ class _ProcessWorker:
         finally:
             child_conn.close()
         self.conn = parent_conn
+        self._post((path, _main_reference(), payload, bundle, report))
         #: ``(key, job)`` of the dispatched-but-unanswered job, or None
         #: when idle: one job per message, so a crash costs exactly it.
         self.held: _t.Optional[tuple[int, _t.Any]] = None
 
+    def _post(self, message: _t.Any) -> None:
+        # A child that is already gone refuses the write; it reads as
+        # EOF in ``ProcessPool.run``, which fails the job it holds.
+        try:
+            self.conn.send(message)
+        except (BrokenPipeError, ConnectionResetError):
+            pass
+
     def send(self, key: int, job: _t.Any) -> None:
-        # The launch goes out with the first job, not at start-up: the
-        # bundle outgrows the socket's buffer, so this waits for the
-        # child to read it, and meanwhile the pool's other children boot.
-        if self.greeting is not None:
-            index, code = _code_bundle()
-            self.conn.send((*self.greeting, index))
-            self.greeting = None
-            for module in code:
-                self.conn.send_bytes(module)
         # ``Connection.send`` pickles the whole message before it writes
         # a byte, so a job that fails to pickle never reached the
         # worker: recording it first would leave an idle worker marked
         # busy, and the next ``run`` waiting on it forever.
-        self.conn.send((job,))
+        self._post((job,))
         self.held = (key, job)
 
     def shut_down(self) -> None:
-        if self.greeting is not None:  # never launched: nothing to tell it
-            self.process.terminate()
-            return
         try:
             self.conn.send(None)
         except (OSError, BrokenPipeError, ValueError):
@@ -651,7 +678,7 @@ class ProcessPool:
                 key, job = worker.held
                 worker.held = None
                 try:
-                    kind, payload = worker.conn.recv()
+                    kind, payload, *code = worker.conn.recv()
                 except (EOFError, OSError):
                     # The child died holding this job: fail it, replace
                     # the worker while there is still work left to do.
@@ -666,6 +693,8 @@ class ProcessPool:
                     if queue and not stopping:
                         self._spawn().send(*queue.popleft())
                     continue
+                if code:
+                    _bundle.add(code[0])
                 if kind == "ok":
                     results[key] = payload
                 else:

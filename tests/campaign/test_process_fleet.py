@@ -423,6 +423,29 @@ class TestProcessPool:
             # The replacement worker survives into the next wave.
             assert pool.run([5]) == {0: 10}
 
+    def test_a_child_killed_before_its_first_job_is_a_crash_result(
+        self, monkeypatch
+    ):
+        """A child can be gone before its first job is written to it
+        (killed while its interpreter boots): the refused write must not
+        escape ``run``.  Each job is a crash result, its replacement is
+        spawned while work remains, and the pool closes cleanly."""
+        spawn = ProcessPool._spawn
+
+        def spawn_killed(pool):
+            worker = spawn(pool)
+            worker.process.kill()
+            worker.process.wait()
+            return worker
+
+        monkeypatch.setattr(ProcessPool, "_spawn", spawn_killed)
+        spec = ProcessWorkerSpec(target=double_target, on_crash=on_crash)
+        with ProcessPool(spec, size=2) as pool:
+            results = pool.run([1, 2, 3])
+        killed = f"worker process exited with code {-signal.SIGKILL}"
+        assert results == {key: ("crashed", key + 1, killed) for key in range(3)}
+        assert not live_fleet_workers()
+
     def test_failed_send_leaves_the_pool_usable(self):
         """A job that cannot be pickled fails ``run`` before anything
         reaches its worker.  The pool must stay usable: that worker is
