@@ -182,7 +182,7 @@ def test_bundled_code_is_what_a_worker_runs(tmp_path):
     ) == ["old", "old", "new"]
 
 
-def test_a_pool_s_first_worker_reports_only_what_the_bundle_lacks(tmp_path):
+def test_later_imports_are_reported_and_a_covered_pool_adds_nothing(tmp_path):
     """A module first imported by a later job still gets reported, and
     a second pool whose first worker compiles nothing adds nothing."""
     report = run_fresh(
