@@ -20,9 +20,10 @@ an experiment occupies a test slot for real time — fault windows, log
 settling) and, in real-world embeddings, operator-supplied I/O — but
 the simulated control/data plane is pure CPU, so under the GIL threads
 cannot speed up compute-bound suites.  ``processes`` runs each recipe
-in an isolated fresh interpreter: the executor is pickled to
-each worker once, each planned entry (+ seed) is pickled out and its
-outcome pickled back, which is what lets a CPU-bound campaign scale
+in an isolated worker process, forked from the fleet's fork server:
+the executor is pickled to each worker once, each planned entry
+(+ seed) is pickled out and its outcome (a flake rerun's status)
+pickled back, which is what lets a CPU-bound campaign scale
 across cores and lets a crashed worker be replaced without losing more
 than the one job it held.  Both lanes run the same job function on the
 same executor; outcomes are bit-for-bit identical across backends and
@@ -111,6 +112,13 @@ class RecipeExecutor:
         """Run one planned recipe; never raises — failures become
         ``error``/``timeout`` outcomes so one bad recipe cannot take
         down the fleet."""
+        return self._execute(planned, seed, explain=True)
+
+    def _execute(
+        self, planned: PlannedRecipe, seed: _t.Optional[int], explain: bool
+    ) -> RecipeOutcome:
+        # Without ``explain`` the outcome carries no metrics snapshot and
+        # no attributions: a flake rerun's caller reads its status only.
         started = time.monotonic()
         deadline = started + (self.timeout if self.timeout is not None else math.inf)
         outcome = _outcome(planned, seed, "error")
@@ -131,8 +139,9 @@ class RecipeExecutor:
             outcome.checks = [CheckOutcome.from_result(result) for result in run.checks]
             outcome.assertion_time = run.assertion_time
             outcome.status = _classify(outcome.checks)
-            outcome.metrics = run.deployment.metrics_snapshot()
-            if outcome.status == "fail":
+            if explain:
+                outcome.metrics = run.deployment.metrics_snapshot()
+            if explain and outcome.status == "fail":
                 # Explain the failure: join the traces of faulted
                 # requests against the rules this recipe installed.
                 outcome.attributions = [
@@ -167,26 +176,26 @@ class RecipeExecutor:
 
 
 def _execute_job(
-    worker_id: int,
-    job: tuple[PlannedRecipe, _t.Optional[int]],
-    executor: RecipeExecutor,
-) -> RecipeOutcome:
+    worker_id: int, job: tuple, executor: RecipeExecutor
+) -> _t.Union[RecipeOutcome, str]:
     """Fleet entry point, on either backend: run one planned recipe
-    (module-level, so it pickles to worker processes by reference)."""
-    entry, seed = job
+    (module-level, so it pickles to worker processes by reference).  A
+    rerun job (``(entry, seed, True)``) answers with the status only."""
+    entry, seed, *rerun = job
+    if rerun:
+        return executor._execute(entry, seed, explain=False).status
     outcome = executor.execute(entry, seed=seed)
     outcome.worker = worker_id
     return outcome
 
 
-def _crashed_outcome(
-    job: tuple[PlannedRecipe, _t.Optional[int]], detail: str
-) -> RecipeOutcome:
+def _crashed_outcome(job: tuple, detail: str) -> _t.Union[RecipeOutcome, str]:
     """Conversion of a job whose worker died (or whose execution
     raised) into a failed outcome, so a crash is a reported result —
     never a hang and never a silently missing plan entry."""
-    entry, seed = job
-    return _outcome(entry, seed, "error", error=f"fleet job crashed: {detail}")
+    entry, seed, *rerun = job
+    outcome = _outcome(entry, seed, "error", error=f"fleet job crashed: {detail}")
+    return outcome.status if rerun else outcome
 
 
 def _outcome(
@@ -218,8 +227,8 @@ class CampaignRunner:
         run on (affinity- and cpuset-aware).  ``1`` executes serially.
     backend:
         ``"threads"`` (default; zero serialization, overlaps paced /
-        I/O-bound recipes) or ``"processes"`` (spawn-isolated
-        interpreters that parallelize CPU-bound suites and contain
+        I/O-bound recipes) or ``"processes"`` (isolated worker
+        processes that parallelize CPU-bound suites and contain
         worker crashes).  Outcomes are identical either way.
     timeout:
         Per-recipe wall-clock budget in seconds (None disables).
@@ -318,12 +327,13 @@ class CampaignRunner:
     @staticmethod
     def _run_fleet(
         fleet: Fleet,
-        jobs: _t.Sequence[tuple[PlannedRecipe, _t.Optional[int]]],
+        jobs: _t.Sequence[tuple],
         fail_fast: bool = False,
-    ) -> dict[int, RecipeOutcome]:
+    ) -> dict[int, _t.Any]:
         """Drain ``(entry, seed_override)`` jobs through the fleet;
-        returns outcomes keyed by job *position* (not plan index — flake
-        reruns submit the same entry several times)."""
+        returns outcomes (statuses, for rerun jobs) keyed by job
+        *position* (not plan index — flake reruns submit the same entry
+        several times)."""
         try:
             return fleet.run(
                 jobs,
@@ -347,19 +357,18 @@ class CampaignRunner:
         failed = [outcome for outcome in outcomes if outcome.status == "fail"]
         if not failed:
             return
-        jobs: list[tuple[PlannedRecipe, _t.Optional[int]]] = []
+        jobs: list[tuple] = []
         owners: list[RecipeOutcome] = []
         for outcome in failed:
             entry = entries[outcome.index]
             for attempt in range(1, self.rerun_failures + 1):
-                jobs.append((entry, derive_seed(plan.seed, entry.name, attempt)))
+                jobs.append((entry, derive_seed(plan.seed, entry.name, attempt), True))
                 owners.append(outcome)
-        rerun = self._run_fleet(fleet, jobs)
+        # Rerun jobs answer with a status alone: no metrics snapshot, no
+        # attribution, and no outcome pickled home, since none is kept.
+        statuses = self._run_fleet(fleet, jobs)
         for position, owner in enumerate(owners):
-            attempt_outcome = rerun.get(position)
-            owner.attempts.append(
-                attempt_outcome.status if attempt_outcome is not None else "skipped"
-            )
+            owner.attempts.append(statuses.get(position, "skipped"))
         for outcome in failed:
             reruns = outcome.attempts[1:]
             outcome.classification = (

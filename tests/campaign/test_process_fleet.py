@@ -434,8 +434,8 @@ class TestProcessPool:
 
         def spawn_killed(pool):
             worker = spawn(pool)
-            worker.process.kill()
-            worker.process.wait()
+            worker.kill()
+            worker.exit_code(None)
             return worker
 
         monkeypatch.setattr(ProcessPool, "_spawn", spawn_killed)
@@ -468,7 +468,7 @@ class TestProcessPool:
                 # Fail the stuck run through the crash path so its
                 # thread does not outlive the test.
                 for worker in pool._workers:
-                    worker.process.kill()
+                    worker.kill()
                 second.join(timeout=10.0)
             assert not hung, "second run() blocked on an idle worker"
             assert answer == {0: 6}
@@ -503,7 +503,7 @@ class TestProcessPool:
         started = time.monotonic()
         pool.close(timeout=1.0)
         elapsed = time.monotonic() - started
-        assert worker.process.poll() is not None
+        assert worker.poll() is not None
         assert elapsed < 10.0
 
     def test_unloadable_spec_answers_every_job_without_respawning(self):
@@ -533,5 +533,5 @@ class TestProcessPool:
         assert pool.run(["hello"]) == {0: "hello"}
         worker = pool._workers[0]
         pool.close()
-        assert worker.process.returncode == 0
+        assert worker.returncode == 0
         assert "worker 0 says hello" in capfd.readouterr().out

@@ -132,6 +132,10 @@ class _StubExecutor:
             status=status,
         )
 
+    def _execute(self, planned, seed, explain):
+        # What a flake rerun calls: the same script.
+        return self.execute(planned, seed)
+
 
 class _StubRunner(CampaignRunner):
     def __init__(self, stub, **kwargs):
@@ -178,6 +182,18 @@ class TestFlakeDetection:
             derive_seed(plan.seed, name, attempt) for attempt in (1, 2)
         ]
         assert all(seed != derive_seed(plan.seed, name) for seed in rerun_seeds)
+
+    def test_a_rerun_job_answers_with_the_status_alone(self):
+        """A flake rerun's caller keeps only the status: the job skips
+        the metrics snapshot and the attributions and ships a string."""
+        plan = twotier_plan(requests=5)
+        executor = RecipeExecutor(build_twotier)
+        for entry in plan.entries[:4]:
+            seed = derive_seed(plan.seed, entry.name, 1)
+            full = executor.execute(entry, seed=seed)
+            job = (entry, seed, True)
+            assert runner_module._execute_job(0, job, executor) == full.status
+        assert runner_module._crashed_outcome(job, "worker died") == "error"
 
     def test_passing_campaign_skips_reruns(self):
         plan = twotier_plan()

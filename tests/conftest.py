@@ -17,7 +17,7 @@ import pytest
 
 import repro
 import repro.microservice.app as app_module
-from repro.campaign.fleet import _BOOTSTRAP
+from repro.campaign.fleet import _BOOTSTRAP, _shut_down_fork_servers
 from repro.simulation import Simulator
 
 
@@ -200,40 +200,61 @@ def collector_off():
             gc.enable()
 
 
-def live_fleet_workers() -> list[int]:
-    """Fleet worker processes not yet reaped (none may outlive its fleet).
+def _fleet_processes() -> list[tuple[int, bool]]:
+    """Every descendant of this process that is a fleet process, as
+    ``(pid, is a worker)``.
 
-    Children of this process as the kernel lists them, as
-    ``bench/run.py``'s ``child_pids`` reads them, that either run the
-    fleet's bootstrap or have exited without being waited for: a
-    zombie's command line reads empty, and nothing else in the suite
-    leaves a child unwaited.
+    The tree is walked as the kernel lists children
+    (``/proc/<pid>/task/*/children``, which is how ``bench/run.py``'s
+    ``child_pids`` reads them), all the way down: workers are forked by
+    a fork server, so they are grandchildren of the process that runs
+    the fleet.  A fleet process runs the fleet's bootstrap; the fork
+    server is one whose parent does not, a worker one whose parent does.
+    A descendant that exited without being waited for counts as a
+    worker too: a zombie's command line reads empty, and nothing else
+    in the suite leaves a child unwaited.
     """
-    children = []
-    for listing in glob.glob("/proc/self/task/*/children"):
-        try:
-            with open(listing) as handle:
-                children += [int(pid) for pid in handle.read().split()]
-        except OSError:  # a thread that ended meanwhile
-            pass
-    workers = []
-    for pid in children:
-        try:
-            with open(f"/proc/{pid}/cmdline", "rb") as handle:
-                argv = handle.read().split(b"\0")
-            with open(f"/proc/{pid}/stat") as handle:
-                state = handle.read().rpartition(")")[2].split()[0]
-        except (OSError, IndexError):  # reaped meanwhile
-            continue
-        if _BOOTSTRAP.encode() in argv or state == "Z":
-            workers.append(pid)
-    return workers
+    found = []
+    pending = [("self", False)]
+    while pending:
+        pid, parent_is_fleet = pending.pop()
+        children = []
+        for listing in glob.glob(f"/proc/{pid}/task/*/children"):
+            try:
+                with open(listing) as handle:
+                    children += [int(child) for child in handle.read().split()]
+            except OSError:  # a thread or process that ended meanwhile
+                pass
+        for child in children:
+            try:
+                with open(f"/proc/{child}/cmdline", "rb") as handle:
+                    argv = handle.read().split(b"\0")
+                with open(f"/proc/{child}/stat") as handle:
+                    state = handle.read().rpartition(")")[2].split()[0]
+            except (OSError, IndexError):  # reaped meanwhile
+                continue
+            fleet = _BOOTSTRAP.encode() in argv
+            if fleet or state == "Z":
+                found.append((child, parent_is_fleet or state == "Z"))
+            pending.append((child, fleet))
+    return found
+
+
+def live_fleet_workers() -> list[int]:
+    """Fleet worker processes not yet reaped (none may outlive its pool):
+    forked workers and unwaited zombies among this process's descendants,
+    the fork server itself aside."""
+    return [pid for pid, worker in _fleet_processes() if worker]
 
 
 @pytest.fixture(scope="session", autouse=True)
 def no_fleet_worker_outlives_the_session():
     yield
     assert not live_fleet_workers()
+    # What interpreter exit does: the fork server is told to go, and
+    # goes, since no worker is left to wait for.
+    _shut_down_fork_servers()
+    assert not _fleet_processes()
 
 
 def sealed(header: dict, lines: _t.Sequence[str]) -> str:
