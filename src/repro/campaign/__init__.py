@@ -4,10 +4,10 @@ The layer above the single-recipe control plane: a **planner** expands
 :func:`~repro.core.autogen.generate_recipes` (plus operator recipes)
 into a deduplicated, prioritized, per-recipe-seeded
 :class:`CampaignPlan`; a **runner** executes the plan on a
-:class:`Fleet` of N parallel workers — threads or spawn-isolated
-processes (``backend="processes"``, the multi-core path); the same
-fleet, with the same calling convention, runs exploration waves and
-fuzz corpora — each recipe on its own freshly-built deployment so
+:class:`Fleet` of N parallel workers — threads or processes forked
+from one fork server (``backend="processes"``, the multi-core path);
+the same fleet, with the same calling convention, runs exploration
+waves and fuzz corpora — each recipe on its own freshly-built deployment so
 outcomes are deterministic, worker-count-independent, and
 backend-independent; the **results layer**
 folds outcomes into a per-service/per-pattern :class:`Scorecard`,
@@ -34,7 +34,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "fleet": [
             "BACKENDS",
             "Fleet",
-            "ProcessPool",
             "ProcessWorkerSpec",
             "resolve_workers",
         ],
@@ -48,6 +47,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "recipe_signature",
             "scenario_target",
         ],
+        "processes": ["ProcessPool"],
         "results": ["CampaignResult", "CheckOutcome", "RecipeOutcome"],
         "runner": ["CampaignRunner", "RecipeExecutor"],
         "scorecard": ["PatternScore", "Scorecard"],

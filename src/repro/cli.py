@@ -659,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=BACKENDS,
             default="threads",
             help="worker backend: threads (no serialization, overlaps paced"
-            " jobs) or processes (spawn-isolated interpreters;"
+            " jobs) or processes (forked from one fork server;"
             " parallelizes CPU-bound suites across cores)",
         )
 
@@ -849,8 +849,9 @@ def main(argv: _t.Optional[list[str]] = None) -> int:
 
     Exit code 0 is ok, 1 a finding, 2 a usage error: a bad flag, a
     refused file (:class:`ArtifactError`), refused operator input or an
-    analysis-layer failure.  Each of these is one stderr line, not a
-    traceback.
+    analysis-layer failure; 130 an interrupt (Ctrl-C), after the
+    command's ``with`` blocks have closed its fleet.  Each of these is
+    one stderr line, not a traceback.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -859,6 +860,9 @@ def main(argv: _t.Optional[list[str]] = None) -> int:
         why = str(exc)
     except AnalysisError as exc:
         why = f"analysis error: {exc}"
+    except KeyboardInterrupt:
+        print("repro: interrupted", file=sys.stderr)
+        raise SystemExit(130) from None
     print(f"repro: error: {why}", file=sys.stderr)
     raise SystemExit(2)
 

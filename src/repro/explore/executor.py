@@ -6,7 +6,7 @@ install the coordinate's compiled rules, drive the manifest workload,
 evaluate the manifest's pattern checks — then distill the outcome into
 plain data.  A task is an app *name* plus scenario objects, so the same
 task object runs on the thread fleet or pickles to a
-spawn-isolated process worker — the outcome, including the strict
+forked process worker — the outcome, including the strict
 store digest, is identical on either backend, on either scheduler
 lane, at any worker count.  That equality is load-bearing: the
 exploration loop's decisions (pruning, coverage boosts, bug tallies)
@@ -122,7 +122,7 @@ def execute_task(task: ExploreTask) -> ExploreOutcome:
 
 
 def _run_task(worker_id: int, task: ExploreTask, context: None) -> ExploreOutcome:
-    """Fleet entry point (module-level: pickles to spawn workers)."""
+    """Fleet entry point (module-level: pickles to forked workers)."""
     return execute_task(task)
 
 

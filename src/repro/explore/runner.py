@@ -12,9 +12,9 @@
    :class:`~repro.explore.frontier.Frontier` heuristic (or by a seeded
    shuffle for the ``random`` baseline strategy).
 3. **Execute in waves** — fixed-size waves go through one campaign
-   fleet held open for the whole run (threads, or spawn-isolated
-   processes that stay warm from wave to wave); outcomes are consumed
-   in dispatch order, so the loop's decisions are identical at any
+   fleet held open for the whole run (threads, or processes forked
+   from one fork server, warm from wave to wave); outcomes are
+   consumed in dispatch order, so the loop's decisions are identical at any
    worker count on either backend.
 4. **Learn** — new trace shapes boost their neighborhood, no-effect
    executions defer their edge, and a conclusively failed manifest

@@ -7,7 +7,7 @@ failing case to its minimal form, and writes one repro artifact (a
 ``fuzz-artifact`` file, :mod:`repro.artifact`) per failure.  Both fleet
 backends are supported: ``threads`` (default) runs cases in-process;
 ``processes`` pickles each :class:`~repro.fuzz.spec.FuzzCase` to a
-spawn-isolated worker interpreter and ships the
+worker process forked from the fleet's fork server and ships the
 :class:`~repro.fuzz.differential.CaseReport` back, which parallelizes
 the CPU-bound battery across cores.  The report is identical across
 backends and worker counts.  An artifact is self-contained: it embeds

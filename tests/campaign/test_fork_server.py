@@ -1,7 +1,7 @@
 """The fork server: every process-lane worker is forked from one
 pre-imported server per process.
 
-The first spawn of a process starts the server (``fleet._server``), a
+The first spawn of a process starts the server (``processes._server``), a
 ``python -c _BOOTSTRAP`` child.  For each spawn request it imports the
 modules the pool's pickled spec names, then forks the worker; so a
 process's later pools, and every replacement, pay a fork instead of an
@@ -35,8 +35,9 @@ import time
 
 import pytest
 
-from repro.campaign import fleet
-from repro.campaign.fleet import Fleet, ProcessPool, ProcessWorkerSpec
+from repro.campaign import processes
+from repro.campaign.fleet import Fleet, ProcessWorkerSpec
+from repro.campaign.processes import ProcessPool
 from tests.conftest import live_fleet_workers
 
 SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
@@ -111,7 +112,7 @@ LATE = 'VALUE = "late"\n'
 #: or crash, and the pid of the process's fork server.
 PRELUDE = '''\
 import json, os, sys
-from repro.campaign import fleet
+from repro.campaign import fleet, processes
 import probe_module
 
 PROBE = probe_module.__file__
@@ -139,7 +140,7 @@ def run(target, jobs, workers=1, backend="processes", context=None):
 
 
 def server():
-    return fleet._server.process.pid
+    return processes._server.process.pid
 '''
 
 
@@ -264,11 +265,11 @@ def test_a_later_pool_reuses_the_server_and_its_imports(tmp_path):
         tmp_path,
         """
         answers = run(probe_module.value, ["x", "late"])
-        started, stamps = server(), dict(fleet._server.stamps)
+        started, stamps = server(), dict(processes._server.stamps)
         answers += run(probe_module.value, ["has late", "late", "x"])
         print(json.dumps([
             answers, PROBE in stamps, server() == started,
-            fleet._server.stamps == stamps,
+            processes._server.stamps == stamps,
         ]))
         """,
     )
@@ -444,10 +445,10 @@ def test_importing_repro_starts_no_server(tmp_path):
             sys.executable,
             "-c",
             "import glob, json, repro, repro.cli\n"
-            "from repro.campaign import fleet\n"
+            "from repro.campaign import processes\n"
             "children = [open(p).read().split() for p in"
             " glob.glob('/proc/self/task/*/children')]\n"
-            "print(json.dumps([fleet._server is None, sum(children, [])]))\n",
+            "print(json.dumps([processes._server is None, sum(children, [])]))\n",
         ],
         env=probe_environment(tmp_path),
         capture_output=True,
@@ -466,7 +467,7 @@ def test_the_server_is_single_threaded_and_exits_with_its_parent(tmp_path):
     script = PRELUDE + textwrap.dedent(
         """
         spec = fleet.ProcessWorkerSpec(target=probe_module.value)
-        pool = fleet.ProcessPool(spec, size=2)
+        pool = processes.ProcessPool(spec, size=2)
         pool.run(["where", "where"])
         with open(f"/proc/{server()}/status") as status:
             threads = [line.split()[1] for line in status if line.startswith("Threads:")]
@@ -524,7 +525,7 @@ def on_crash(job, detail):
 
 
 def server_pid():
-    return fleet._server.process.pid
+    return processes._server.process.pid
 
 
 def test_a_server_killed_between_two_pools_is_replaced():
@@ -541,8 +542,8 @@ def test_a_server_killed_between_two_pools_is_replaced():
     with ProcessPool(spec, size=1) as pool:
         pool.run(["x"])
     killed = server_pid()
-    fleet._server.process.kill()
-    fleet._server.process.wait()
+    processes._server.process.kill()
+    processes._server.process.wait()
     result = CampaignRunner(
         build_twotier, workers=2, backend="processes", timeout=None, rerun_failures=1
     ).run(plan)
@@ -559,7 +560,7 @@ def test_a_killed_parent_takes_its_server_and_workers_with_it(tmp_path):
     script = PRELUDE + textwrap.dedent(
         """
         spec = fleet.ProcessWorkerSpec(target=probe_module.value)
-        pool = fleet.ProcessPool(spec, size=2)
+        pool = processes.ProcessPool(spec, size=2)
         pool.run(["x", "y", "z"])
         print(json.dumps([server(), [worker.pid for worker in pool._workers]]), flush=True)
         import time
@@ -595,8 +596,8 @@ def test_close_is_bounded_for_a_worker_ignoring_sigterm_with_the_server_dead():
     worker = pool._workers[0]
     worker.send(0, "wedge")
     time.sleep(0.5)  # let the child install its SIGTERM ignore
-    fleet._server.process.kill()
-    fleet._server.process.wait()
+    processes._server.process.kill()
+    processes._server.process.wait()
     started = time.monotonic()
     pool.close(timeout=1.0)
     assert time.monotonic() - started < 10.0
@@ -626,7 +627,7 @@ def test_serve_leaves_by_exit_on_eof_and_never_returns(monkeypatch):
         else:
             ours.close()
         with pytest.raises(Exited) as exited:
-            fleet._serve(theirs, None, spec)
+            processes._serve(theirs, None, spec)
         assert exited.value.args == (0,)
         if last == "shutdown":
             assert ours.recv() == ("ok", 6)

@@ -34,10 +34,10 @@ import pytest
 from repro.campaign.fleet import (
     BACKENDS,
     Fleet,
-    ProcessPool,
     ProcessWorkerSpec,
     resolve_workers,
 )
+from repro.campaign.processes import ProcessPool
 from repro.errors import CampaignError
 from tests.conftest import live_fleet_workers
 

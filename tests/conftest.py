@@ -17,7 +17,7 @@ import pytest
 
 import repro
 import repro.microservice.app as app_module
-from repro.campaign.fleet import _BOOTSTRAP, _shut_down_fork_servers
+from repro.campaign.processes import _BOOTSTRAP, _shut_down_fork_servers
 from repro.simulation import Simulator
 
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.apps.outages import SEEDED_BUG_SUITE
-from repro.campaign.fleet import ProcessPool
+from repro.campaign.processes import ProcessPool
 from repro.errors import CampaignError, ExploreError
 from repro.explore import (
     ExploreTask,

@@ -58,6 +58,32 @@ def test_importing_the_cli_loads_no_command_module():
     assert [name for name in modules_after("import repro.cli") if heavy.match(name)] == []
 
 
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import repro.cli",
+        "import repro.campaign.runner, repro.explore.executor, repro.fuzz.harness",
+        "from repro.campaign import Fleet, ProcessWorkerSpec\n"
+        "spec = ProcessWorkerSpec(target=lambda worker_id, job, context: job * 2)\n"
+        "with Fleet(spec, workers=2) as fleet:\n"
+        "    assert fleet.run([1, 2, 3]) == {0: 2, 1: 4, 2: 6}",
+    ],
+    ids=["cli", "drivers", "thread-fleet"],
+)
+def test_only_the_processes_backend_loads_the_process_lane(statement):
+    """A process-lane module is ``repro.campaign.processes`` or any
+    other module that defines the fork server's loop, wherever the lane
+    lives."""
+    lane = fresh_interpreter(
+        "-c",
+        f"import json, sys\n{statement}\n"
+        "print(json.dumps(sorted(name for name, module in list(sys.modules.items())"
+        " if name == 'repro.campaign.processes'"
+        " or '_fork_server' in getattr(module, '__dict__', {}))))",
+    )
+    assert json.loads(lane) == []
+
+
 def test_the_kernel_imports_nothing_else_of_the_package():
     modules = modules_after("from repro.simulation import Simulator")
     outside = [
