@@ -33,9 +33,10 @@ from repro.core.scenarios import FailureScenario
 from repro.core.translator import RecipeTranslator
 from repro.errors import CampaignTimeoutError
 from repro.loadgen.workload import ClosedLoopLoad, LoadResult
+from repro.logstore.record import ObservationKind
 from repro.logstore.store import EventStore
 from repro.microservice.app import Deployment
-from repro.observability.trace import reconstruct_from_records, trace_shape_digest
+from repro.observability.trace import shape_digests
 
 __all__ = [
     "FaultedRun", "Gremlin", "LoadSpec", "SLICE_VIRTUAL",
@@ -331,15 +332,42 @@ def strict_records(store: EventStore) -> list[tuple]:
 
 
 def shape_digests_of(store: EventStore) -> dict[str, str]:
-    """Per-request causal-tree shape digests for a whole store."""
-    by_request: dict[str, list] = {}
+    """Per-request causal-tree shape digests for a whole store.
+
+    One walk over the records groups each request's spans as
+    :func:`~repro.observability.trace.shape_digests` takes them, by
+    :func:`~repro.observability.spans.assemble_spans`' rules: a record
+    without a span ID or request ID joins no span (a request ID whose
+    records are all untraced digests as an empty tree); a span's first
+    record gives its edge and parent; a later request record for it is
+    a duplicate and ignored; a reply sets its outcome.  Equal to
+    ``trace_shape_digest(reconstruct_from_records(...))`` per request,
+    without building a span or a tree.
+    """
+    requests: dict[str, dict[str, list]] = {}
     for record in store.all_records():
-        if record.request_id is not None:
-            by_request.setdefault(record.request_id, []).append(record)
-    return {
-        request_id: trace_shape_digest(reconstruct_from_records(request_id, group))
-        for request_id, group in by_request.items()
-    }
+        request_id = record.request_id
+        if request_id is None:
+            continue
+        spans = requests.get(request_id)
+        if spans is None:
+            spans = requests[request_id] = {}
+        span_id = record.span_id
+        if span_id is None:
+            continue
+        span = spans.get(span_id)
+        if span is None:
+            spans[span_id] = [
+                record.src,
+                record.dst,
+                record.status,
+                record.error,
+                record.fault_applied,
+                record.parent_span,
+            ]
+        elif record.kind == ObservationKind.REPLY:
+            span[2:5] = record.status, record.error, record.fault_applied
+    return shape_digests(requests)
 
 
 def strict_digest(**parts: _t.Any) -> str:

@@ -46,7 +46,7 @@ import typing as _t
 from repro.apps.outages import SeededBugManifest
 from repro.errors import ExploreError
 from repro.observability.spans import Span
-from repro.observability.trace import Trace, trace_shape_digest
+from repro.observability.trace import Trace
 from repro.tracing.context import TEST_ID_PREFIX
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only

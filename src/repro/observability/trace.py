@@ -33,6 +33,7 @@ __all__ = [
     "TraceNode",
     "reconstruct",
     "reconstruct_from_records",
+    "shape_digests",
     "trace_shape_digest",
 ]
 
@@ -241,30 +242,89 @@ class Trace:
             )
 
 
-def _shape_text(node: TraceNode) -> str:
-    """Canonical JSON text of one subtree, independent of span IDs.
+def shape_digests(
+    requests: _t.Mapping[str, _t.Mapping[str, _t.Sequence[_t.Any]]],
+) -> _t.Dict[str, str]:
+    """Stable hash of each request's causal-tree *shape*.
 
-    Each node contributes what the call *was* and how it *ended* —
-    ``[src, dst, status, error?, fault applied, [children...]]`` — never
-    the identifiers minted along the way (span IDs, timestamps, instance
-    names), so two runs of the same behaviour canonicalize identically
-    even when IDs are renumbered.  Children are ordered by their own
-    text, making the result insensitive to sibling enumeration order
-    too.  Each subtree is encoded once: a parent splices its children's
-    texts instead of re-encoding them.
+    ``requests`` maps a request ID to its spans, each given by span ID as
+    ``(src, dst, status, error, fault_applied, parent_span)``.  The tree
+    is :class:`Trace`'s: a span is a root when it has no parent or its
+    parent is not among the request's spans, so a span in a parent
+    cycle (its own parent included) is reachable from no root and left
+    out.
+
+    The canonical text of a subtree is the compact JSON list ``[src,
+    dst, status, errored?, fault applied, [children...]]``, children
+    ordered by their own text: what each call *was* and how it *ended*,
+    never the identifiers minted along the way (span IDs, timestamps,
+    instance names).  A request's digest is the sha256 of its sorted
+    root texts as one JSON list.  Texts are built bottom-up, each
+    subtree once, splicing its children's texts into the parent's.
+
+    A run's requests mostly repeat a handful of node heads and one or
+    two shapes, so both are memoised for this call only: the sha256 by
+    payload, and the head JSON by a key that carries the class of the
+    status and of the fault (``1``, ``True`` and ``1.0`` are one dict
+    key but three texts; a float is keyed by its ``hex()``, which tells
+    ``-0.0`` from ``0.0``).
     """
-    span = node.span
-    head = json.dumps(
-        [span.src, span.dst, span.status, bool(span.error), span.fault_applied],
-        separators=(",", ":"),
-    )
-    children = sorted([_shape_text(child) for child in node.children])
-    # The head list reopened: its closing bracket becomes ",[children]]".
-    return head[:-1] + ",[" + ",".join(children) + "]]"
+    heads: _t.Dict[tuple, str] = {}
+    hashes: _t.Dict[str, str] = {}
+    digests: _t.Dict[str, str] = {}
+    for request_id, spans in requests.items():
+        # Roots first, then every reachable span after its parent.
+        order: _t.List[str] = []
+        children: _t.Dict[str, _t.List[str]] = {}
+        for span_id, span in spans.items():
+            parent = span[5]
+            if parent is None or parent not in spans:
+                order.append(span_id)
+            elif parent in children:
+                children[parent].append(span_id)
+            else:
+                children[parent] = [span_id]
+        roots = len(order)
+        for span_id in order:  # grows while it is read: breadth first
+            below = children.get(span_id)
+            if below is not None:
+                order.extend(below)
+        texts: _t.Dict[str, str] = {}
+        for span_id in reversed(order):  # children before their parent
+            src, dst, status, error, fault, _ = spans[span_id]
+            key = (
+                src,
+                dst,
+                status.__class__,
+                status.hex() if status.__class__ is float else status,
+                not error,
+                fault.__class__,
+                fault.hex() if fault.__class__ is float else fault,
+            )
+            head = heads.get(key)
+            if head is None:
+                # The head list reopened: its closing bracket becomes
+                # ",[children]]" below.
+                head = heads[key] = json.dumps(
+                    [src, dst, status, bool(error), fault], separators=(",", ":")
+                )[:-1]
+            below = children.get(span_id)
+            if below is None:
+                texts[span_id] = head + ",[]]"
+            else:
+                texts[span_id] = (
+                    head + ",[" + ",".join(sorted(map(texts.__getitem__, below))) + "]]"
+                )
+        payload = "[" + ",".join(sorted(map(texts.__getitem__, order[:roots]))) + "]"
+        digest = hashes.get(payload)
+        if digest is None:
+            digest = hashes[payload] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        digests[request_id] = digest
+    return digests
 
 
 def trace_shape_digest(trace: Trace) -> str:
-    """Stable hash of a causal tree's *shape*.
+    """Stable hash of a causal tree's *shape* (see :func:`shape_digests`).
 
     Two traces digest equally iff their trees have the same structure
     of (src, dst, status, errored?, fault-applied) nodes — regardless
@@ -273,10 +333,16 @@ def trace_shape_digest(trace: Trace) -> str:
     its coverage signal ("new shape ⇒ interesting input") and the fuzz
     metamorphic battery uses it to compare executions whose absolute
     digests legitimately differ (e.g. after rule-ID reassignment).
+    The trace's spans have distinct IDs, as :func:`assemble_spans`
+    builds them.
     """
-    texts = sorted([_shape_text(root) for root in trace.roots])
-    payload = ("[" + ",".join(texts) + "]").encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    spans = {
+        span.span_id: (
+            span.src, span.dst, span.status, span.error, span.fault_applied, span.parent_span
+        )
+        for span in trace.spans
+    }
+    return shape_digests({trace.request_id: spans})[trace.request_id]
 
 
 def reconstruct_from_records(

@@ -1,11 +1,12 @@
-"""Interrupting a process-lane ``repro campaign run`` while jobs are in flight.
+"""Interrupting a process-lane CLI run while jobs are in flight.
 
-An operator stops a campaign with Ctrl-C (SIGINT to the CLI, or to its
-whole process group as a terminal sends it) or a supervisor stops it
-with SIGTERM.  Either way the CLI ends promptly, writes no dump — not
-even a half-written ``*.tmp`` beside ``--out`` — and leaves neither its
-fork server nor a worker running.  Ctrl-C reads as one stderr line and
-exit code 130; SIGTERM keeps Python's default, death by the signal.
+An operator stops a ``repro campaign run`` or a ``repro fuzz explore``
+with Ctrl-C (SIGINT to the CLI, or to its whole process group as a
+terminal sends it) or a supervisor stops it with SIGTERM.  Either way
+the CLI ends promptly, writes no output file — not even a half-written
+``*.tmp`` beside it — and leaves neither its fork server nor a worker
+running.  Ctrl-C reads as one stderr line and exit code 130; SIGTERM
+keeps Python's default, death by the signal.
 """
 
 import os
@@ -29,16 +30,16 @@ def fleet_of(cli, before, seconds=120.0):
     process's descendants that were not there ``before``."""
     deadline = time.monotonic() + seconds
     while time.monotonic() < deadline:
-        assert cli.poll() is None, "the campaign ended before it was interrupted"
+        assert cli.poll() is None, "the CLI ended before it was interrupted"
         found = [(pid, worker) for pid, worker in _fleet_processes() if pid not in before]
         workers = [pid for pid, worker in found if worker]
         if len(workers) == 2:
             return [pid for pid, worker in found if not worker], workers
         time.sleep(0.02)
-    raise AssertionError("the campaign's workers never came up")
+    raise AssertionError("the CLI's workers never came up")
 
 
-@pytest.mark.parametrize(
+SIGNALS = pytest.mark.parametrize(
     "signum, group, code",
     [
         (signal.SIGINT, False, 130),
@@ -47,18 +48,18 @@ def fleet_of(cli, before, seconds=120.0):
     ],
     ids=["sigint-pid", "sigint-group", "sigterm-pid"],
 )
-def test_an_interrupted_campaign_ends_leaving_no_dump_and_no_process(
-    tmp_path, signum, group, code
-):
+
+
+def interrupt(tmp_path, argv, signum, group, code):
+    """Run ``repro *argv`` from ``tmp_path``, signal it once both of its
+    workers hold a job, and check how it ended.  Its output files go
+    under ``tmp_path / "out"``, which must be left empty."""
     out = tmp_path / "out"
     out.mkdir()
     before = {pid for pid, _ in _fleet_processes()}
     with open(tmp_path / "stderr.txt", "w") as stderr:
         cli = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "campaign", "run", "socialnetwork",
-                "--backend", "processes", "--workers", "2", "--out", str(out / "d.jsonl"),
-            ],
+            [sys.executable, "-m", "repro", *argv],
             cwd=tmp_path,
             env=dict(os.environ, PYTHONPATH=SRC),
             stdout=subprocess.DEVNULL,
@@ -88,3 +89,33 @@ def test_an_interrupted_campaign_ends_leaving_no_dump_and_no_process(
         assert stderr.splitlines() == ["repro: interrupted"]
     else:
         assert stderr == ""
+
+
+@SIGNALS
+def test_an_interrupted_campaign_ends_leaving_no_dump_and_no_process(
+    tmp_path, signum, group, code
+):
+    interrupt(
+        tmp_path,
+        [
+            "campaign", "run", "socialnetwork",
+            "--backend", "processes", "--workers", "2", "--out", "out/d.jsonl",
+        ],
+        signum, group, code,
+    )
+
+
+@SIGNALS
+def test_an_interrupted_exploration_ends_leaving_no_report_and_no_process(
+    tmp_path, signum, group, code
+):
+    # All three seeded apps at the default budget run for seconds, so
+    # the signal lands inside the first app's waves.
+    interrupt(
+        tmp_path,
+        [
+            "fuzz", "explore", "all", "--budget", "150",
+            "--backend", "processes", "--workers", "2", "--coverage-out", "out/c.json",
+        ],
+        signum, group, code,
+    )
