@@ -64,11 +64,19 @@ __all__ = [
     "BACKENDS",
     "Fleet",
     "ProcessWorkerSpec",
+    "check_backend",
     "resolve_workers",
 ]
 
 #: The execution backends every fleet-driven harness accepts.
 BACKENDS = ("threads", "processes")
+
+
+def check_backend(backend: str) -> None:
+    """Refuse a backend the fleet does not have."""
+    if backend not in BACKENDS:
+        raise CampaignError(f"unknown fleet backend {backend!r}; expected one of {BACKENDS}")
+
 
 R = _t.TypeVar("R")
 J = _t.TypeVar("J")
@@ -164,10 +172,7 @@ class Fleet:
         backend: str = "threads",
         stop_event: _t.Optional[threading.Event] = None,
     ) -> None:
-        if backend not in BACKENDS:
-            raise CampaignError(
-                f"unknown fleet backend {backend!r}; expected one of {BACKENDS}"
-            )
+        check_backend(backend)
         self.spec = spec
         self.workers = resolve_workers(workers)
         self.stop_event = stop_event if stop_event is not None else threading.Event()

@@ -45,7 +45,7 @@ import threading
 import time
 import typing as _t
 
-from repro.campaign.fleet import Fleet, ProcessWorkerSpec, resolve_workers
+from repro.campaign.fleet import Fleet, ProcessWorkerSpec, check_backend, resolve_workers
 from repro.campaign.plan import CampaignPlan, DeploymentFactory, PlannedRecipe, derive_seed
 from repro.campaign.results import CampaignResult, CheckOutcome, RecipeOutcome
 from repro.core.gremlin import run_faulted
@@ -70,6 +70,15 @@ def _classify(checks: _t.Sequence[CheckOutcome]) -> str:
     return "inconclusive"
 
 
+def _check_budget(timeout: _t.Optional[float], pacing: float) -> None:
+    """Refuse a per-recipe wall-clock budget or pacing floor: checked by
+    the executor and, before anything runs, by the campaign runner."""
+    if timeout is not None and timeout <= 0:
+        raise CampaignError(f"timeout must be > 0 or None, got {timeout}")
+    if pacing < 0:
+        raise CampaignError(f"pacing must be >= 0, got {pacing}")
+
+
 class RecipeExecutor:
     """Executes one planned recipe on a fresh, isolated deployment.
 
@@ -88,10 +97,7 @@ class RecipeExecutor:
         pacing: float = 0.0,
         stop_event: _t.Optional[threading.Event] = None,
     ) -> None:
-        if timeout is not None and timeout <= 0:
-            raise CampaignError(f"timeout must be > 0 or None, got {timeout}")
-        if pacing < 0:
-            raise CampaignError(f"pacing must be >= 0, got {pacing}")
+        _check_budget(timeout, pacing)
         self.factory = factory
         self.timeout = timeout
         self.pacing = pacing
@@ -259,6 +265,8 @@ class CampaignRunner:
     ) -> None:
         if rerun_failures < 0:
             raise CampaignError(f"rerun_failures must be >= 0, got {rerun_failures}")
+        check_backend(backend)
+        _check_budget(timeout, pacing)
         self.factory = factory
         self.workers = resolve_workers(workers)
         self.backend = backend

@@ -26,12 +26,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "instance": ["ServiceInstance"],
         "resilience": [
             "BreakerState",
-            "Bulkhead",
             "CircuitBreaker",
             "PolicySpec",
-            "ResiliencePolicy",
-            "RetryPolicy",
-            "TimeoutPolicy",
         ],
         "service": [
             "DEFAULT_SERVICE_PORT",

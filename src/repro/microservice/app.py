@@ -240,10 +240,6 @@ class Deployment:
         for offset, dependency in enumerate(dependencies):
             port = SIDECAR_BASE_PORT + offset
             agent.add_route(port, dependency)
-            policy_spec = definition.dependencies[dependency]
-            policy = policy_spec.build(
-                self.sim, name=f"{instance.instance_id}->{dependency}"
-            )
             instance.add_client(
                 DependencyClient(
                     self.sim,
@@ -251,8 +247,9 @@ class Deployment:
                     caller=definition.name,
                     dependency=dependency,
                     target=agent.route_address(dependency),
-                    policy=policy,
+                    policy=definition.dependencies[dependency],
                     metrics=self.metrics,
+                    name=f"{instance.instance_id}->{dependency}",
                 )
             )
         agent.start()
@@ -274,9 +271,6 @@ class Deployment:
                 counters["next"] = index + 1
                 return addresses[index % len(addresses)]
 
-            policy = definition.dependencies[dependency].build(
-                self.sim, name=f"{instance.instance_id}->{dependency}"
-            )
             instance.add_client(
                 DependencyClient(
                     self.sim,
@@ -284,8 +278,9 @@ class Deployment:
                     caller=definition.name,
                     dependency=dependency,
                     target=resolver,
-                    policy=policy,
+                    policy=definition.dependencies[dependency],
                     metrics=self.metrics,
+                    name=f"{instance.instance_id}->{dependency}",
                 )
             )
 
@@ -413,7 +408,7 @@ class TrafficSource:
             caller=name,
             dependency=target_service,
             target=target,
-            policy=policy_spec.build(sim, name=f"{name}->{target_service}"),
+            policy=policy_spec,
             metrics=deployment.metrics,
         )
 

@@ -1,14 +1,14 @@
-"""Per-dependency clients applying the resilience policy.
+"""Per-dependency clients running the resilience policy.
 
 A :class:`DependencyClient` is what a microservice's code path to one
 downstream service looks like: it sends HTTP requests (through the
-sidecar agent when one is deployed) and wraps them in whatever subset
-of the resilience patterns the service adopted.  The control flow per
-logical call::
+sidecar agent when one is deployed) and runs whatever subset of the
+resilience patterns its :class:`PolicySpec` declares.  The control flow
+per logical call::
 
     fallback/raise <- breaker open?
-    fallback/raise <- bulkhead full?
-    loop attempts:
+    fallback/raise <- bulkhead full?  (reject, never queue)
+    loop max_retries + 1 attempts:
         per-attempt timeout -> HTTP call
         success (status < 500)  -> breaker.record_success, return
         failure (5xx / network / timeout / codec):
@@ -36,15 +36,19 @@ from repro.errors import (
 )
 from repro.http.client import HttpClient
 from repro.http.message import HttpRequest, HttpResponse
-from repro.microservice.resilience.circuit_breaker import BreakerState
-from repro.microservice.resilience.policy import ResiliencePolicy
+from repro.microservice.resilience.circuit_breaker import BreakerState, CircuitBreaker
+from repro.microservice.resilience.policy import PolicySpec
 from repro.network.address import Address
 from repro.simulation.kernel import Simulator
+from repro.simulation.resources import Semaphore
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observability.metrics import Gauge, MetricsRegistry
 
-__all__ = ["DependencyClient", "CallStats"]
+__all__ = ["DependencyClient", "CallStats", "MAX_BACKOFF"]
+
+#: Upper clamp on any single retry backoff sleep, in virtual seconds.
+MAX_BACKOFF = 10.0
 
 #: Gauge encoding of breaker state: merge-by-max reads as "worst
 #: observed state" across workers and replicas.
@@ -89,8 +93,9 @@ class DependencyClient:
         caller: str,
         dependency: str,
         target: _t.Union[Address, _t.Callable[[], Address]],
-        policy: ResiliencePolicy,
+        policy: PolicySpec,
         metrics: "MetricsRegistry",
+        name: str | None = None,
     ) -> None:
         self.sim = sim
         self.http = http
@@ -102,13 +107,30 @@ class DependencyClient:
         self.target = target
         self.policy = policy
         self.stats = CallStats()
-        self._rng = sim.rng(f"client/{caller}->{dependency}")
+        self._attempts = 1 if policy.max_retries is None else policy.max_retries + 1
+        self.breaker: CircuitBreaker | None = None
+        if policy.breaker_failure_threshold is not None:
+            self.breaker = CircuitBreaker(
+                sim,
+                failure_threshold=policy.breaker_failure_threshold,
+                recovery_timeout=policy.breaker_recovery_timeout,
+                success_threshold=policy.breaker_success_threshold,
+            )
+        #: The bulkhead: one slot per call in flight to this dependency.
+        #: When full it reports ``name`` (a deployment passes the calling
+        #: instance's ``instance->dependency``), else ``caller->dependency``.
+        self.bulkhead: Semaphore | None = None
+        if policy.bulkhead_max_concurrent is not None:
+            label = name or f"{caller}->{dependency}"
+            self.bulkhead = Semaphore(
+                sim, policy.bulkhead_max_concurrent, name=f"{label}/bulkhead"
+            )
         self._retries_total = metrics.counter("client_retries_total", src=caller, dst=dependency)
         self._breaker_rejections_total = metrics.counter(
             "client_breaker_rejections_total", src=caller, dst=dependency
         )
         self._breaker_gauge: "_t.Optional[Gauge]" = None
-        if policy.breaker is not None:
+        if self.breaker is not None:
             self._breaker_gauge = metrics.gauge(
                 "client_breaker_state", src=caller, dst=dependency
             )
@@ -130,10 +152,10 @@ class DependencyClient:
         to substitute (:class:`CircuitOpenError`,
         :class:`BulkheadFullError`, or the last network error).
         """
-        policy = self.policy
+        breaker, bulkhead = self.breaker, self.bulkhead
         self.stats.calls += 1
 
-        if policy.breaker is not None and not policy.breaker.allow_request():
+        if breaker is not None and not breaker.allow_request():
             self.stats.breaker_rejections += 1
             self._count_breaker_rejection()
             fallback = self._try_fallback(request)
@@ -143,21 +165,22 @@ class DependencyClient:
                 f"{self.caller} -> {self.dependency}: circuit breaker open"
             )
 
-        if policy.bulkhead is not None:
-            try:
-                policy.bulkhead.acquire()
-            except BulkheadFullError:
-                self.stats.bulkhead_rejections += 1
-                fallback = self._try_fallback(request)
-                if fallback is not None:
-                    return fallback
-                raise
+        if bulkhead is not None and not bulkhead.try_acquire():
+            # Rejecting rather than queueing is the point of the pattern:
+            # queued callers would tie up the caller's own resources.
+            self.stats.bulkhead_rejections += 1
+            fallback = self._try_fallback(request)
+            if fallback is not None:
+                return fallback
+            raise BulkheadFullError(
+                f"bulkhead {bulkhead.name!r} full ({bulkhead.capacity} in flight)"
+            )
 
         try:
             response = yield from self._attempt_loop(request)
         finally:
-            if policy.bulkhead is not None:
-                policy.bulkhead.release()
+            if bulkhead is not None:
+                bulkhead.release()
         return response
 
     # -- internals ------------------------------------------------------------
@@ -165,25 +188,28 @@ class DependencyClient:
     def _attempt_loop(
         self, request: HttpRequest
     ) -> _t.Generator[_t.Any, _t.Any, HttpResponse]:
-        policy = self.policy
+        policy, breaker = self.policy, self.breaker
         last_error: Exception | None = None
         last_response: HttpResponse | None = None
 
         try:
-            for attempt in range(policy.max_attempts):
+            for attempt in range(self._attempts):
                 if attempt > 0:
                     # The breaker gates *every* attempt: if the failures of
                     # this very call tripped it, remaining retries must not
                     # reach the wire (Hystrix semantics — and what the
                     # HasCircuitBreaker check observes as silence).
-                    if policy.breaker is not None and not policy.breaker.allow_request():
+                    if breaker is not None and not breaker.allow_request():
                         self.stats.breaker_rejections += 1
                         self._count_breaker_rejection()
                         break
                     self.stats.retries += 1
                     self._retries_total.inc()
-                    assert policy.retry is not None
-                    backoff = policy.retry.backoff(attempt - 1, rng=self._rng)
+                    backoff = min(
+                        MAX_BACKOFF,
+                        policy.retry_backoff_base
+                        * (policy.retry_backoff_factor ** (attempt - 1)),
+                    )
                     if backoff > 0:
                         yield self.sim.timeout(backoff)
                 self.stats.attempts += 1
@@ -191,7 +217,7 @@ class DependencyClient:
                     # One object serves every attempt: what goes on the wire
                     # is a snapshot, so no hop can touch ``request``.
                     response = yield from self.http.call(
-                        self._resolve_target(), request, timeout=policy.attempt_timeout
+                        self._resolve_target(), request, timeout=policy.timeout
                     )
                 except FAILURE_EXCEPTIONS as exc:
                     last_error, last_response = exc, None
@@ -204,8 +230,8 @@ class DependencyClient:
                 # 2xx/3xx/4xx: the call reached the service and came back;
                 # 4xx is the caller's problem, not an availability failure.
                 self.stats.successes += 1
-                if policy.breaker is not None:
-                    policy.breaker.record_success()
+                if breaker is not None:
+                    breaker.record_success()
                     self._update_breaker_gauge()
                 return response
 
@@ -226,8 +252,8 @@ class DependencyClient:
 
     def _record_failure(self) -> None:
         self.stats.failures += 1
-        if self.policy.breaker is not None:
-            self.policy.breaker.record_failure()
+        if self.breaker is not None:
+            self.breaker.record_failure()
             self._update_breaker_gauge()
 
     def _count_breaker_rejection(self) -> None:
@@ -236,8 +262,8 @@ class DependencyClient:
 
     def _update_breaker_gauge(self) -> None:
         if self._breaker_gauge is not None:
-            assert self.policy.breaker is not None
-            self._breaker_gauge.set(_BREAKER_STATE_CODE[self.policy.breaker.state])
+            assert self.breaker is not None
+            self._breaker_gauge.set(_BREAKER_STATE_CODE[self.breaker.state])
 
     def _try_fallback(self, request: HttpRequest) -> HttpResponse | None:
         if self.policy.fallback is None:

@@ -1,13 +1,19 @@
-"""Composition of resilience patterns into a per-dependency policy.
+"""The per-dependency resilience policy (paper Section 2.1).
 
-A :class:`ResiliencePolicy` bundles the four patterns of paper Section
-2.1 — any subset may be present, and the *absence* of each one is a
-bug class Gremlin's pattern checks are designed to expose:
+A :class:`PolicySpec` declares which of the four patterns a caller's
+client to one dependency adopts — any subset may be present, and the
+*absence* of each one is a bug class Gremlin's pattern checks are
+designed to expose:
 
 * no timeout      -> Fig 5's delay-offset response times
 * no bounded retry-> unbounded hammering of a degraded callee
 * no breaker      -> Fig 6's fully-delayed request train, cascading load
 * no bulkhead     -> caller resource exhaustion from one slow callee
+
+The spec is the one declaration of a policy:
+:class:`~repro.microservice.clients.DependencyClient` runs it directly
+(per-attempt deadline, attempt loop with exponential backoff, bulkhead
+semaphore, its own :class:`CircuitBreaker`).
 
 ``fallback`` is the "cached (or default) response" of the breaker
 description: a callable producing an :class:`HttpResponse` when the
@@ -22,13 +28,8 @@ import dataclasses
 import typing as _t
 
 from repro.http.message import HttpRequest, HttpResponse
-from repro.microservice.resilience.bulkhead import Bulkhead
-from repro.microservice.resilience.circuit_breaker import CircuitBreaker
-from repro.microservice.resilience.retry import RetryPolicy
-from repro.microservice.resilience.timeout import TimeoutPolicy
-from repro.simulation.kernel import Simulator
 
-__all__ = ["ResiliencePolicy", "PolicySpec"]
+__all__ = ["PolicySpec"]
 
 #: A fallback takes the failed request and returns a substitute response.
 Fallback = _t.Callable[[HttpRequest], HttpResponse]
@@ -39,10 +40,15 @@ class PolicySpec:
     """Declarative description of a policy, used in service definitions.
 
     Service definitions are built before the simulator exists, so the
-    spec holds plain parameters; :meth:`build` instantiates the
-    stateful pattern objects against a concrete simulator.  A spec with
-    every field ``None`` describes the *naive* client the case studies
-    (ElasticPress, pre-fix Unirest users) exhibit.
+    spec holds plain parameters, checked when it is declared.  A spec
+    with every field ``None`` describes the *naive* client the case
+    studies (ElasticPress, pre-fix Unirest users) exhibit.
+
+    ``timeout`` bounds each *attempt* (a retry restarts the budget, as
+    in requests, Finagle and Hystrix).  ``max_retries`` counts attempts
+    after the first; retry ``i`` (0-based) sleeps
+    ``retry_backoff_base * retry_backoff_factor ** i`` virtual seconds
+    first, clamped to :data:`~repro.microservice.clients.MAX_BACKOFF`.
     """
 
     timeout: _t.Optional[float] = None
@@ -54,6 +60,20 @@ class PolicySpec:
     breaker_success_threshold: int = 1
     bulkhead_max_concurrent: _t.Optional[int] = None
     fallback: _t.Optional[Fallback] = None
+
+    def __post_init__(self) -> None:
+        if self.timeout is not None and self.timeout <= 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if self.max_retries is not None and self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.retry_backoff_base < 0:
+            raise ValueError("backoff durations must be >= 0")
+        if self.retry_backoff_factor < 1.0:
+            raise ValueError(f"backoff_factor must be >= 1, got {self.retry_backoff_factor}")
+        if self.bulkhead_max_concurrent is not None and self.bulkhead_max_concurrent < 1:
+            raise ValueError(
+                f"max_concurrent must be >= 1, got {self.bulkhead_max_concurrent}"
+            )
 
     @classmethod
     def naive(cls) -> "PolicySpec":
@@ -80,73 +100,17 @@ class PolicySpec:
             fallback=fallback,
         )
 
-    def build(self, sim: Simulator, name: str = "policy") -> "ResiliencePolicy":
-        """Instantiate the stateful policy for a concrete simulator."""
-        timeout = TimeoutPolicy(self.timeout) if self.timeout is not None else None
-        retry = (
-            RetryPolicy(
-                self.max_retries,
-                backoff_base=self.retry_backoff_base,
-                backoff_factor=self.retry_backoff_factor,
-            )
-            if self.max_retries is not None
-            else None
-        )
-        breaker = (
-            CircuitBreaker(
-                sim,
-                failure_threshold=self.breaker_failure_threshold,
-                recovery_timeout=self.breaker_recovery_timeout,
-                success_threshold=self.breaker_success_threshold,
-            )
-            if self.breaker_failure_threshold is not None
-            else None
-        )
-        bulkhead = (
-            Bulkhead(sim, self.bulkhead_max_concurrent, name=f"{name}/bulkhead")
-            if self.bulkhead_max_concurrent is not None
-            else None
-        )
-        return ResiliencePolicy(
-            timeout=timeout,
-            retry=retry,
-            breaker=breaker,
-            bulkhead=bulkhead,
-            fallback=self.fallback,
-        )
-
-
-@dataclasses.dataclass
-class ResiliencePolicy:
-    """The stateful, per-(caller-instance, dependency) policy bundle."""
-
-    timeout: _t.Optional[TimeoutPolicy] = None
-    retry: _t.Optional[RetryPolicy] = None
-    breaker: _t.Optional[CircuitBreaker] = None
-    bulkhead: _t.Optional[Bulkhead] = None
-    fallback: _t.Optional[Fallback] = None
-
-    @property
-    def attempt_timeout(self) -> _t.Optional[float]:
-        """Per-attempt deadline in virtual seconds, or None (unbounded)."""
-        return self.timeout.timeout if self.timeout is not None else None
-
-    @property
-    def max_attempts(self) -> int:
-        """Total request attempts the policy allows per logical call."""
-        return self.retry.max_attempts if self.retry is not None else 1
-
     def describe(self) -> str:
         """Compact human-readable summary of enabled patterns."""
         parts = []
         if self.timeout is not None:
-            parts.append(f"timeout={self.timeout.timeout}")
-        if self.retry is not None:
-            parts.append(f"retries={self.retry.max_retries}")
-        if self.breaker is not None:
-            parts.append(f"breaker={self.breaker.failure_threshold}")
-        if self.bulkhead is not None:
-            parts.append(f"bulkhead={self.bulkhead.max_concurrent}")
+            parts.append(f"timeout={self.timeout}")
+        if self.max_retries is not None:
+            parts.append(f"retries={self.max_retries}")
+        if self.breaker_failure_threshold is not None:
+            parts.append(f"breaker={self.breaker_failure_threshold}")
+        if self.bulkhead_max_concurrent is not None:
+            parts.append(f"bulkhead={self.bulkhead_max_concurrent}")
         if self.fallback is not None:
             parts.append("fallback")
         return "+".join(parts) if parts else "naive"

@@ -327,6 +327,21 @@ class TestValidation:
         with pytest.raises(CampaignError, match="unknown fleet backend"):
             CampaignRunner(build_twotier, backend="greenlets").run(twotier_plan())
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(backend="bogus"), "unknown fleet backend 'bogus'"),
+            (dict(timeout=-1), "timeout must be > 0 or None, got -1"),
+            (dict(timeout=0), "timeout must be > 0 or None, got 0"),
+            (dict(pacing=-2), "pacing must be >= 0, got -2"),
+        ],
+    )
+    def test_refused_when_built_not_when_run(self, kwargs, message):
+        # The same refusals Fleet and RecipeExecutor make, raised by the
+        # constructor: nothing is planned, deployed or spawned first.
+        with pytest.raises(CampaignError, match=f"^{message}"):
+            CampaignRunner(build_twotier, **kwargs)
+
     def test_unpicklable_factory_on_the_process_lane(self):
         runner = CampaignRunner(lambda: build_twotier(), backend="processes")
         with pytest.raises(CampaignError, match="module-level factory"):

@@ -53,7 +53,7 @@ def make_client(sim, net, spec, target=None, caller_host="caller"):
         caller="Caller",
         dependency="Backend",
         target=target or Address("backend", 8080),
-        policy=spec.build(sim),
+        policy=spec,
         metrics=MetricsRegistry(),
     )
 
@@ -245,7 +245,7 @@ class TestBulkheadIntegration:
         for _ in range(3):
             with pytest.raises(ConnectionRefusedError_):
                 call(sim, client)
-        assert client.policy.bulkhead.in_use == 0
+        assert client.bulkhead.in_use == 0
 
 
 class TestStats:

@@ -1,75 +1,131 @@
-"""Unit tests for the four resilience patterns."""
+"""Unit tests for the four resilience patterns: the declared
+:class:`PolicySpec` and the :class:`DependencyClient` that runs it."""
+
+import dataclasses
 
 import pytest
 
-from repro.errors import BulkheadFullError
-from repro.microservice import (
-    BreakerState,
-    Bulkhead,
-    CircuitBreaker,
-    PolicySpec,
-    RetryPolicy,
-    TimeoutPolicy,
-)
+from repro.errors import BulkheadFullError, RequestTimeoutError
+from repro.http import HttpClient, HttpRequest, HttpResponse, HttpServer
+from repro.microservice import BreakerState, CircuitBreaker, PolicySpec
+from repro.microservice.clients import MAX_BACKOFF, DependencyClient
+from repro.network import Address, Network
+from repro.observability.metrics import MetricsRegistry
+
+from tests.conftest import run_to_completion
+
+LATENCY = 0.001
+
+
+@pytest.fixture
+def net(sim):
+    return Network(sim, default_latency=LATENCY)
+
+
+class Backend:
+    """Answers every request with ``status`` after ``service_time``,
+    noting when each attempt arrived."""
+
+    def __init__(self, sim, net, status=503, service_time=0.0):
+        self.arrivals = []
+
+        def handler(request):
+            self.arrivals.append(sim.now)
+            if service_time:
+                yield sim.timeout(service_time)
+            return HttpResponse(status, body=b"up" if status < 500 else b"down")
+
+        HttpServer(net.add_host("backend"), 8080, handler).start()
+
+    def sleeps(self):
+        """The backoff slept before each retry: the gap between two
+        arrivals less one attempt's round trip, which is the first
+        arrival plus the reply's link latency (zero service time)."""
+        round_trip = self.arrivals[0] + LATENCY
+        pairs = zip(self.arrivals, self.arrivals[1:])
+        return [later - earlier - round_trip for earlier, later in pairs]
+
+
+def make_client(sim, net, spec):
+    return DependencyClient(
+        sim,
+        HttpClient(net.add_host("caller")),
+        caller="Caller",
+        dependency="Backend",
+        target=Address("backend", 8080),
+        policy=spec,
+        metrics=MetricsRegistry(),
+    )
+
+
+def call(sim, client):
+    return run_to_completion(sim, client.call(HttpRequest("GET", "/x")))
 
 
 class TestTimeoutPolicy:
-    def test_holds_value(self):
-        assert TimeoutPolicy(1.5).timeout == 1.5
+    def test_holds_value(self, sim, net):
+        Backend(sim, net, status=200, service_time=5.0)
+        client = make_client(sim, net, PolicySpec(timeout=1.5))
+
+        def gave_up_at():
+            try:
+                yield from client.call(HttpRequest("GET", "/x"))
+            except RequestTimeoutError:
+                return sim.now
+
+        assert run_to_completion(sim, gave_up_at()) == pytest.approx(1.5)
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_rejects_non_positive(self, bad):
-        with pytest.raises(ValueError):
-            TimeoutPolicy(bad)
+        with pytest.raises(ValueError, match=f"^timeout must be > 0, got {bad}$"):
+            PolicySpec(timeout=bad)
 
 
 class TestRetryPolicy:
-    def test_attempt_accounting(self):
-        policy = RetryPolicy(max_retries=5)
-        assert policy.max_attempts == 6
+    def test_attempt_accounting(self, sim, net):
+        backend = Backend(sim, net)
+        client = make_client(sim, net, PolicySpec(max_retries=5))
+        assert call(sim, client).status == 503
+        assert len(backend.arrivals) == 6
+        assert client.stats.attempts == 6
 
-    def test_exponential_backoff(self):
-        policy = RetryPolicy(3, backoff_base=0.1, backoff_factor=2.0)
-        assert policy.backoff(0) == pytest.approx(0.1)
-        assert policy.backoff(1) == pytest.approx(0.2)
-        assert policy.backoff(2) == pytest.approx(0.4)
+    def test_exponential_backoff(self, sim, net):
+        backend = Backend(sim, net)
+        spec = PolicySpec(max_retries=3, retry_backoff_base=0.1, retry_backoff_factor=2.0)
+        call(sim, make_client(sim, net, spec))
+        assert backend.sleeps() == pytest.approx([0.1, 0.2, 0.4])
 
-    def test_backoff_clamped(self):
-        policy = RetryPolicy(10, backoff_base=1.0, backoff_factor=10.0, max_backoff=5.0)
-        assert policy.backoff(5) == 5.0
+    def test_flat_backoff(self, sim, net):
+        backend = Backend(sim, net)
+        spec = PolicySpec(max_retries=3, retry_backoff_base=0.05, retry_backoff_factor=1.0)
+        call(sim, make_client(sim, net, spec))
+        assert backend.sleeps() == pytest.approx([0.05, 0.05, 0.05])
 
-    def test_zero_retries_allowed(self):
-        assert RetryPolicy(0).max_attempts == 1
+    def test_backoff_clamped(self, sim, net):
+        backend = Backend(sim, net)
+        spec = PolicySpec(max_retries=4, retry_backoff_base=1.0, retry_backoff_factor=10.0)
+        call(sim, make_client(sim, net, spec))
+        assert MAX_BACKOFF == 10.0
+        assert backend.sleeps() == pytest.approx([1.0, 10.0, 10.0, 10.0])
 
-    def test_jitter_adds_bounded_noise(self):
-        import random
-
-        policy = RetryPolicy(1, backoff_base=1.0, jitter=0.5)
-        rng = random.Random(0)
-        for _ in range(20):
-            value = policy.backoff(0, rng=rng)
-            assert 1.0 <= value <= 1.5
-
-    def test_no_jitter_is_deterministic_without_rng(self):
-        policy = RetryPolicy(1, backoff_base=1.0)
-        assert policy.backoff(0) == policy.backoff(0)
+    def test_zero_retries_allowed(self, sim, net):
+        backend = Backend(sim, net)
+        client = make_client(sim, net, PolicySpec(max_retries=0))
+        call(sim, client)
+        assert len(backend.arrivals) == 1
+        assert client.stats.retries == 0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(max_retries=-1),
-            dict(max_retries=1, backoff_base=-1),
-            dict(max_retries=1, backoff_factor=0.5),
-            dict(max_retries=1, jitter=2.0),
+            dict(retry_backoff_base=-1),
+            dict(retry_backoff_factor=0.5),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
-
-    def test_negative_retry_index_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(1).backoff(-1)
+            PolicySpec(**kwargs)
 
 
 class TestCircuitBreaker:
@@ -172,52 +228,87 @@ class TestCircuitBreaker:
 
 
 class TestBulkhead:
-    def test_acquire_release(self, sim):
-        bulkhead = Bulkhead(sim, 2)
-        bulkhead.acquire()
-        bulkhead.acquire()
-        assert bulkhead.in_use == 2
-        bulkhead.release()
-        assert bulkhead.available == 1
+    def test_acquire_release(self, sim, net):
+        Backend(sim, net, status=200, service_time=1.0)
+        client = make_client(sim, net, PolicySpec(bulkhead_max_concurrent=2))
 
-    def test_rejects_when_full(self, sim):
-        bulkhead = Bulkhead(sim, 1)
-        bulkhead.acquire()
-        with pytest.raises(BulkheadFullError):
-            bulkhead.acquire()
-        assert bulkhead.rejected == 1
+        def call_at(delay):
+            yield sim.timeout(delay)
+            yield from client.call(HttpRequest("GET", "/x"))
 
-    def test_capacity_validation(self, sim):
-        with pytest.raises(ValueError):
-            Bulkhead(sim, 0)
+        sim.process(call_at(0.0))
+        sim.process(call_at(0.5))
+        sim.run(until=0.75)
+        assert client.bulkhead.in_use == 2
+        sim.run(until=1.25)  # the first call is back, the second in flight
+        assert client.bulkhead.available == 1
+        sim.run()
+        assert client.bulkhead.in_use == 0
+
+    def test_rejects_when_full(self, sim, net):
+        Backend(sim, net, status=200, service_time=1.0)
+        client = make_client(sim, net, PolicySpec(bulkhead_max_concurrent=1))
+        errors = []
+
+        def one_call():
+            try:
+                yield from client.call(HttpRequest("GET", "/x"))
+            except BulkheadFullError as exc:
+                errors.append(str(exc))
+
+        sim.process(one_call())
+        sim.process(one_call())
+        sim.run()
+        assert errors == ["bulkhead 'Caller->Backend/bulkhead' full (1 in flight)"]
+        assert client.stats.bulkhead_rejections == 1
+        assert client.bulkhead.in_use == 0
+
+    def test_capacity_validation(self):
+        with pytest.raises(ValueError, match="^max_concurrent must be >= 1, got 0$"):
+            PolicySpec(bulkhead_max_concurrent=0)
 
 
 class TestPolicySpec:
-    def test_naive_builds_empty_policy(self, sim):
-        policy = PolicySpec.naive().build(sim)
-        assert policy.timeout is None
-        assert policy.retry is None
-        assert policy.breaker is None
-        assert policy.bulkhead is None
-        assert policy.max_attempts == 1
-        assert policy.attempt_timeout is None
-        assert policy.describe() == "naive"
+    def test_naive_builds_empty_policy(self, sim, net):
+        client = make_client(sim, net, PolicySpec.naive())
+        assert client.breaker is None
+        assert client.bulkhead is None
+        assert client.policy.describe() == "naive"
+        assert "[naive]" in repr(client)
 
-    def test_hardened_builds_all_patterns(self, sim):
-        policy = PolicySpec.hardened().build(sim)
-        assert policy.timeout is not None
-        assert policy.retry is not None
-        assert policy.breaker is not None
-        assert policy.bulkhead is not None
-        assert "timeout" in policy.describe()
+    def test_hardened_builds_all_patterns(self, sim, net):
+        client = make_client(sim, net, PolicySpec.hardened())
+        assert client.breaker.failure_threshold == 5
+        assert client.breaker.recovery_timeout == 30.0
+        assert client.bulkhead.capacity == 10
+        assert client.policy.describe() == "timeout=1.0+retries=3+breaker=5+bulkhead=10"
 
-    def test_partial_spec(self, sim):
-        policy = PolicySpec(timeout=2.0, max_retries=3).build(sim)
-        assert policy.attempt_timeout == 2.0
-        assert policy.max_attempts == 4
-        assert policy.breaker is None
+    def test_partial_spec(self, sim, net):
+        client = make_client(sim, net, PolicySpec(timeout=2.0, max_retries=3))
+        assert client.breaker is None
+        assert client.bulkhead is None
+        assert client.policy.describe() == "timeout=2.0+retries=3"
 
-    def test_fallback_carried(self, sim):
-        fallback = lambda request: None  # noqa: E731
-        policy = PolicySpec(fallback=fallback).build(sim)
-        assert policy.fallback is fallback
+    def test_fallback_carried(self, sim, net):
+        Backend(sim, net)
+        substitute = HttpResponse(200, body=b"cached")
+        client = make_client(sim, net, PolicySpec(fallback=lambda request: substitute))
+        assert call(sim, client) is substitute
+        assert client.stats.fallbacks == 1
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(timeout=0), "timeout must be > 0, got 0"),
+            (dict(max_retries=-1), "max_retries must be >= 0, got -1"),
+            (dict(retry_backoff_base=-0.5), "backoff durations must be >= 0"),
+            (dict(retry_backoff_factor=0.5), "backoff_factor must be >= 1, got 0.5"),
+            (dict(bulkhead_max_concurrent=0), "max_concurrent must be >= 1, got 0"),
+        ],
+    )
+    def test_refused_when_declared(self, kwargs, message):
+        with pytest.raises(ValueError) as excinfo:
+            PolicySpec(**kwargs)
+        assert str(excinfo.value) == message
+        with pytest.raises(ValueError):
+            dataclasses.replace(PolicySpec.hardened(), **kwargs)
