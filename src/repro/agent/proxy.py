@@ -302,7 +302,9 @@ class GremlinAgent:
             reply_payload = yield upstream.recv()
             upstream.close()
             response = received_response(reply_payload)
-        except Exception as exc:  # noqa: BLE001 - shadow failures never propagate
+        except Exception:  # noqa: BLE001 - shadow failures never propagate
+            # A failed copy is a completed call, as a refused or reset one is.
+            record.error = "shadow-error"
             self._emit_reply(record, start, injected_delay, False, record.status, "shadow-error")
             return
         record.status = response.status

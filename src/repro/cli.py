@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import typing as _t
 
@@ -844,6 +845,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit code when the reader of stdout went away: 128 + SIGPIPE, what a
+#: shell reports for a writer the closed pipe killed.
+EXIT_STDOUT_CLOSED = 141
+
+
+class _Terminated(BaseException):
+    """SIGTERM, raised where the main thread is, so that the command's
+    ``with`` and ``finally`` blocks run as they do for Ctrl-C."""
+
+
+def _terminate(signum: int, frame: _t.Any) -> None:
+    raise _Terminated
+
+
+def _stdout_closed() -> bool:
+    """True when stdout is a pipe whose reader has closed it."""
+    import select
+
+    try:
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+        return any(events & select.POLLERR for _, events in poller.poll(0))
+    except (OSError, ValueError):  # not a file descriptor: a test's capture
+        return False
+
+
 def main(argv: _t.Optional[list[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
@@ -851,11 +878,23 @@ def main(argv: _t.Optional[list[str]] = None) -> int:
     refused file (:class:`ArtifactError`), refused operator input or an
     analysis-layer failure; 130 an interrupt (Ctrl-C), after the
     command's ``with`` blocks have closed its fleet.  Each of these is
-    one stderr line, not a traceback.
+    one stderr line, not a traceback.  SIGTERM unwinds the same blocks
+    (a half-written file's temp file is removed) and then ends the
+    process by the signal, as an unhandled SIGTERM would.  A reader
+    that closes stdout early (``| head``) ends the command quietly with
+    :data:`EXIT_STDOUT_CLOSED`; files it already wrote stay complete.
     """
     args = build_parser().parse_args(argv)
+    previous = None
+    if signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:
+        try:
+            previous = signal.signal(signal.SIGTERM, _terminate)
+        except ValueError:  # not the main thread: leave signals alone
+            pass
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ArtifactError, _Refused) as exc:
         why = str(exc)
     except AnalysisError as exc:
@@ -863,6 +902,19 @@ def main(argv: _t.Optional[list[str]] = None) -> int:
     except KeyboardInterrupt:
         print("repro: interrupted", file=sys.stderr)
         raise SystemExit(130) from None
+    except _Terminated:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGTERM)
+        raise SystemExit(128 + signal.SIGTERM) from None  # SIGTERM is blocked
+    except BrokenPipeError:
+        if not _stdout_closed():
+            raise
+        # The interpreter flushes stdout again at exit: let that land nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(EXIT_STDOUT_CLOSED) from None
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
     print(f"repro: error: {why}", file=sys.stderr)
     raise SystemExit(2)
 

@@ -21,7 +21,9 @@ Two API styles are provided, matching how the paper presents them:
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import functools
 import typing as _t
 
 from repro.core.queries import RList, observed_latency, observed_statuses
@@ -33,6 +35,7 @@ __all__ = [
     "request_rate",
     "StepOutcome",
     "BaseAssertion",
+    "CountingStep",
     "CheckStatus",
     "AtMostRequests",
     "AtLeastRequests",
@@ -126,17 +129,6 @@ def _count_in_window(rlist: RList, start: int, end: int, with_rule: bool) -> int
     return len([record for record in rlist[start:end] if not record.gremlin_generated])
 
 
-def _nth_match(items: list, value: _t.Any, num_match: int) -> tuple[int, int]:
-    """``(index, count)`` at the item equal to ``value`` that brings the
-    count of such items to ``num_match``; the caller has counted enough."""
-    index = -1
-    count = 0
-    while count < num_match:
-        index = items.index(value, index + 1)
-        count += 1
-    return index, count
-
-
 # -- assertion classes -----------------------------------------------------------
 
 
@@ -190,7 +182,100 @@ class BaseAssertion:
         return self.evaluate(rlist, None).passed
 
 
-class CheckStatus(BaseAssertion):
+#: A counting step's progress through an RList: how many records it has
+#: read, the positions of its first hits (at most ``num_match``, in
+#: order), and the positions before the last of those whose record was
+#: still pending.
+Tally = _t.Tuple[int, _t.List[int], _t.List[int]]
+
+
+class CountingStep(BaseAssertion):
+    """A step that passes at the record bringing its hits to ``num_match``.
+
+    It consumes the prefix through that record and anchors the next step
+    at its time.  A subclass names a hit: ``marks(scope)`` gives one
+    value per record, equal to ``hit`` for a hit and ``None`` wherever
+    the record may still be pending (no status and no error yet), and
+    ``found``/``short`` word the outcome.
+
+    :meth:`fold` is the one evaluation.  Handed the tally it returned
+    for a prefix of the same RList, it reads only the records past that
+    prefix and re-reads the ones that were pending then: an outcome is
+    written once, from pending to final, so only those can have become
+    hits, possibly before the hits already found.  Once ``num_match``
+    hits are found, later records cannot move the step.
+    """
+
+    #: The mark of a hit.
+    hit: _t.Any = True
+    num_match: int
+    #: The outcome's detail, fixed when the step is built: ``found``
+    #: when it passed, ``"only {matches}" + short`` when it did not.
+    found: str
+    short: str
+    #: One mark per record of the scope it is given, in order; bound
+    #: to its view in ``__init__``, so a scan costs no method frame.
+    marks: _t.Callable[[RList], list]
+
+    def fold(
+        self, rlist: RList, tally: _t.Optional[Tally] = None
+    ) -> tuple[StepOutcome, Tally]:
+        """The step over all of ``rlist``, and the tally to resume from
+        once records are appended to it."""
+        hit, num_match = self.hit, self.num_match
+        if tally is None:
+            scanned, hits, pending = 0, [], []
+        else:
+            scanned, hits, pending = tally
+            hits = hits[:]
+            if pending:
+                still = []
+                for position in pending:
+                    record = rlist[position]
+                    if record.status is None and record.error is None:
+                        still.append(position)
+                    elif self.marks([record])[0] == hit:
+                        bisect.insort(hits, position)
+                pending = still
+        if len(hits) < num_match and scanned < len(rlist):
+            scope = rlist[scanned:] if scanned else rlist
+            marks = self.marks(scope)
+            index = -1
+            for _ in range(min(marks.count(hit), num_match - len(hits))):
+                index = marks.index(hit, index + 1)
+                hits.append(scanned + index)
+            if None in marks:
+                pending = pending + [
+                    scanned + index
+                    for index, mark in enumerate(marks)
+                    if mark is None and scope[index].status is None and scope[index].error is None
+                ]
+        if len(hits) >= num_match:
+            del hits[num_match:]
+            index = hits[-1]
+            if pending:
+                pending = [position for position in pending if position < index]
+            outcome = StepOutcome(
+                passed=True,
+                consumed=index + 1,
+                detail=self.found,
+                anchor=rlist[index].timestamp,
+            )
+        else:
+            outcome = StepOutcome(
+                passed=False,
+                consumed=len(rlist),
+                detail=f"only {len(hits)}{self.short}",
+            )
+        return outcome, (len(rlist), hits, pending)
+
+    def evaluate_from(
+        self, rlist: RList, start: int, anchor: _t.Optional[float]
+    ) -> StepOutcome:
+        return self.fold(rlist[start:] if start else rlist)[0]
+
+
+class CheckStatus(CountingStep):
     """Table 3's ``CheckStatus(RList, Status, NumMatch, withRule)``.
 
     Passes when at least ``num_match`` records returned ``status``.
@@ -201,32 +286,12 @@ class CheckStatus(BaseAssertion):
     def __init__(self, status: int, num_match: int, with_rule: bool = True) -> None:
         if num_match < 1:
             raise ValueError(f"num_match must be >= 1, got {num_match}")
-        self.status = status
+        self.status = self.hit = status
         self.num_match = num_match
         self.with_rule = with_rule
-
-    def evaluate_from(
-        self, rlist: RList, start: int, anchor: _t.Optional[float]
-    ) -> StepOutcome:
-        scope = rlist[start:] if start else rlist
-        statuses = observed_statuses(scope, self.with_rule)
-        matches = statuses.count(self.status)
-        if matches >= self.num_match:
-            index, matches = _nth_match(statuses, self.status, self.num_match)
-            return StepOutcome(
-                passed=True,
-                consumed=index + 1,
-                detail=f"found {matches} replies with status {self.status}",
-                anchor=scope[index].timestamp,
-            )
-        return StepOutcome(
-            passed=False,
-            consumed=len(rlist) - start,
-            detail=(
-                f"only {matches}/{self.num_match} records returned status"
-                f" {self.status} (withRule={self.with_rule})"
-            ),
-        )
+        self.marks = functools.partial(observed_statuses, with_rule=with_rule)
+        self.found = f"found {num_match} replies with status {status}"
+        self.short = f"/{num_match} records returned status {status} (withRule={with_rule})"
 
     def __repr__(self) -> str:
         return f"CheckStatus({self.status}, {self.num_match}, withRule={self.with_rule})"
@@ -376,18 +441,35 @@ class Combine:
         offset instead of re-slicing the RList per step, so an
         N-step chain over K records costs O(K + steps), not O(K·steps).
         """
+        return self.resume(rlist)[0]
+
+    def resume(
+        self, rlist: RList, tally: _t.Optional[Tally] = None
+    ) -> tuple[CombineResult, _t.Optional[Tally]]:
+        """:meth:`evaluate`, and the first step's tally to resume from.
+
+        When the first step is a :class:`CountingStep`, ``tally`` is
+        what an earlier call returned for a prefix of ``rlist``, and the
+        trigger reads only what was appended since (see
+        :meth:`CountingStep.fold`).  The later steps are windows bisected
+        from the trigger's anchor, evaluated afresh.
+        """
         offset = 0
         anchor: _t.Optional[float] = None
         outcomes: list[StepOutcome] = []
         for assertion in self.steps:
-            outcome = assertion.evaluate_from(rlist, offset, anchor)
+            if not outcomes and isinstance(assertion, CountingStep):
+                outcome, tally = assertion.fold(rlist, tally)
+            else:
+                outcome = assertion.evaluate_from(rlist, offset, anchor)
             outcomes.append(outcome)
             if not outcome.passed:
-                return CombineResult(passed=False, steps=outcomes, remainder=rlist[offset:])
+                result = CombineResult(passed=False, steps=outcomes, remainder=rlist[offset:])
+                return result, tally
             offset += outcome.consumed
             if outcome.anchor is not None:
                 anchor = outcome.anchor
-        return CombineResult(passed=True, steps=outcomes, remainder=rlist[offset:])
+        return CombineResult(passed=True, steps=outcomes, remainder=rlist[offset:]), tally
 
     def __call__(self, rlist: RList) -> bool:
         return self.evaluate(rlist).passed

@@ -19,10 +19,12 @@ pipeline through :func:`run_faulted` and keep only their bookkeeping.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import time
 import typing as _t
+import weakref
 
 from repro.agent.rules import FaultRule, fresh_rule_ids
 from repro.core.orchestrator import FailureOrchestrator, InstallationReport
@@ -46,6 +48,10 @@ __all__ = [
 #: Virtual seconds a deadline-checked drain advances between two looks
 #: at the wall clock.
 SLICE_VIRTUAL = 60.0
+
+#: Windows (``since`` values) a standing check keeps state for: the
+#: current stage and the whole history, in the paper's chained mode.
+_WINDOWS_PER_CHECK = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,6 +92,9 @@ class Gremlin:
         self.deployment = deployment
         self.translator = RecipeTranslator(deployment.graph)
         self.orchestrator = FailureOrchestrator(deployment.agents)
+        #: id(check) -> (weak reference to it, {since: its state dict}).
+        #: An entry goes when its check is collected.
+        self._standing: dict[int, tuple[weakref.ref, dict]] = {}
 
     @property
     def sim(self):
@@ -116,8 +125,32 @@ class Gremlin:
         since: _t.Optional[float] = None,
         until: _t.Optional[float] = None,
     ) -> CheckResult:
-        """Evaluate one pattern check against the current logs."""
-        return pattern_check.run(self.store, since=since, until=until)
+        """Evaluate one pattern check against the current logs.
+
+        An open-ended check (``until=None``) is a standing check: the
+        facade keeps the ``state`` dict its ``run`` folds into for each
+        check object and ``since``, so a log that grew between two calls
+        is read only for what it gained (plus the requests that were
+        still pending).  It keeps the last two windows of each live
+        check.  The result is ``pattern_check.run(store, since)``'s,
+        field for field.
+        """
+        if until is not None:
+            return pattern_check.run(self.store, since=since, until=until)
+        key = id(pattern_check)
+        entry = self._standing.get(key)
+        if entry is None:
+            entry = self._standing[key] = (
+                weakref.ref(pattern_check, functools.partial(_forget, weakref.ref(self), key)),
+                {},
+            )
+        windows = entry[1]
+        state = windows.pop(since, None) or {}
+        result = pattern_check.run(self.store, since, None, state)
+        windows[since] = state
+        if len(windows) > _WINDOWS_PER_CHECK:
+            del windows[next(iter(windows))]
+        return result
 
     def get_requests(self, src: str, dst: str, id_pattern: str = "*", **kwargs) -> RList:
         """Table 3's ``GetRequests`` bound to this deployment's store."""
@@ -194,6 +227,15 @@ class Gremlin:
 
     def __repr__(self) -> str:
         return f"<Gremlin deployment={self.deployment.application.name!r}>"
+
+
+def _forget(gremlin: weakref.ref, key: int, _: weakref.ref) -> None:
+    """Drop the state of a collected check.  The facade is reached
+    weakly: a strong reference would make it, its saved states and the
+    records they hold a cycle that only the collector frees."""
+    owner = gremlin()
+    if owner is not None:
+        owner._standing.pop(key, None)
 
 
 def run_faulted(

@@ -30,11 +30,10 @@ from repro.core.assertions import (
     BaseAssertion,
     CheckStatus,
     Combine,
-    StepOutcome,
-    _nth_match,
+    CountingStep,
     request_rate,
 )
-from repro.core.queries import StoreLike, dependents_scope, get_requests, observed_statuses
+from repro.core.queries import RList, StoreLike, dependents_scope, get_requests, observed_statuses
 from repro.logstore.query import Query
 from repro.logstore.record import ObservationKind
 from repro.util import parse_duration
@@ -50,21 +49,14 @@ __all__ = [
 ]
 
 
-def _requests_scope(src, dst, id_pattern, since, until) -> Query:
-    """The ``GetRequests`` query a (src, dst)-scoped check evaluates over.
-
-    Kept in one place so every check's :meth:`PatternCheck.scopes`
-    builds exactly the Query that :func:`~repro.core.queries.get_requests`
-    issues — equality is what lets the QueryCache share the fetch.
-    """
-    return Query(
-        kind=ObservationKind.REQUEST,
-        src=src,
-        dst=dst,
-        id_pattern=id_pattern,
-        since=since,
-        until=until,
-    )
+#: ``_requests_scope(src, dst, id_pattern, since, until)``: the
+#: ``GetRequests`` query a (src, dst)-scoped check evaluates over.  Kept
+#: in one place so every check's :meth:`PatternCheck.scopes` builds
+#: exactly the Query that :func:`~repro.core.queries.get_requests`
+#: issues — equality is what lets the QueryCache share the fetch.  A
+#: partial of ``Query``, whose fields lead with these, so building a
+#: scope costs no frame of its own.
+_requests_scope = functools.partial(Query, ObservationKind.REQUEST)
 
 
 @dataclasses.dataclass
@@ -96,6 +88,13 @@ class PatternCheck:
     passes a cache shared across a recipe's whole check suite so
     assertion steps scoped to the same ``(src, dst, kind)`` slice fetch
     it once.
+
+    ``state``, when given, is a dict the caller keeps for this check,
+    window and store, empty at first: a check that folds its scopes
+    keeps its fold there and, called again with the same dict, reads
+    only what the store gained since (``follow``).  Without it, ``run``
+    is that fold from an empty state.  A check that keeps nothing
+    ignores it.
     """
 
     #: Human-readable check name, set by subclasses.
@@ -106,6 +105,7 @@ class PatternCheck:
         store: StoreLike,
         since: _t.Optional[float] = None,
         until: _t.Optional[float] = None,
+        state: _t.Optional[dict] = None,
     ) -> CheckResult:
         """Evaluate against the event store, optionally time-scoped."""
         raise NotImplementedError
@@ -141,7 +141,7 @@ class PatternCheck:
         ))))
 
 
-class CheckFailures(BaseAssertion):
+class CheckFailures(CountingStep):
     """Base assertion: at least ``num_match`` *failed* outcomes.
 
     A failure is a 5xx status or a transport error (reset / timeout /
@@ -155,30 +155,23 @@ class CheckFailures(BaseAssertion):
             raise ValueError(f"num_match must be >= 1, got {num_match}")
         self.num_match = num_match
         self.with_rule = with_rule
-
-    def evaluate_from(self, rlist, start, anchor):
-        scope = rlist[start:] if start else rlist
-        failed = [
-            (status is not None and status >= 500) or record.error is not None
-            for status, record in zip(observed_statuses(scope, self.with_rule), scope)
-        ]
-        matches = failed.count(True)
-        if matches >= self.num_match:
-            index, matches = _nth_match(failed, True, self.num_match)
-            return StepOutcome(
-                passed=True,
-                consumed=index + 1,
-                detail=f"found {matches} failed calls",
-                anchor=scope[index].timestamp,
-            )
-        return StepOutcome(
-            passed=False,
-            consumed=len(rlist) - start,
-            detail=f"only {matches}/{self.num_match} failed calls observed",
-        )
+        self.marks = functools.partial(_failure_marks, with_rule=with_rule)
+        self.found = f"found {num_match} failed calls"
+        self.short = f"/{num_match} failed calls observed"
 
     def __repr__(self) -> str:
         return f"CheckFailures({self.num_match}, withRule={self.with_rule})"
+
+
+def _failure_marks(scope: RList, with_rule: bool) -> list:
+    """:class:`CheckFailures`' marks: True for a failed call, None for
+    one still pending, False for any other outcome."""
+    return [
+        None
+        if record.status is None and record.error is None
+        else (status is not None and status >= 500) or record.error is not None
+        for status, record in zip(observed_statuses(scope, with_rule), scope)
+    ]
 
 
 class HasTimeouts(PatternCheck):
@@ -205,20 +198,41 @@ class HasTimeouts(PatternCheck):
             Query(kind=ObservationKind.REQUEST, **shared),
         ]
 
-    def run(self, store, since=None, until=None):
-        reply_scope, request_scope = self.scopes(since, until)
-        replies = store.search(reply_scope)
-        requests = store.search(request_scope)
-        if not requests:
-            return self._no_data(f"no upstream calls to {self.src!r} observed")
+    def run(self, store, since=None, until=None, state=None):
+        # The fold: the two scopes, the cursor after each, the replies
+        # read, how many were slow and the slowest; the requests read
+        # and those still pending.
+        fold = {} if state is None else state
+        if not fold:
+            fold.update(scopes=self.scopes(since, until), replies=None, requests=None)
+        reply_scope, request_scope = fold["scopes"]
+        fresh, replies, fold["replies"] = store.follow(reply_scope, fold["replies"])
+        if fresh:
+            fold.update(replied=0, slow=0, max_observed=None)
         limit = self.max_latency
         latencies = [r.latency for r in replies if r.latency is not None]
-        max_observed = max(latencies, default=0.0)
-        # Only a scope whose slowest reply is over the limit has any to count.
-        slow = len([x for x in latencies if x > limit]) if max_observed > limit else 0
-        unanswered = len([r for r in requests if r.status is None and r.error is None])
+        if latencies:
+            slowest = max(latencies)
+            # Only replies whose slowest is over the limit have any to count.
+            if slowest > limit:
+                fold["slow"] += len([x for x in latencies if x > limit])
+            if fold["max_observed"] is None or slowest > fold["max_observed"]:
+                fold["max_observed"] = slowest
+        fold["replied"] += len(replies)
+        fresh, requests, fold["requests"] = store.follow(request_scope, fold["requests"])
+        if fresh:
+            fold.update(called=0, pending=[])
+        elif fold["pending"]:
+            # Its outcome may have been written since the last read.
+            fold["pending"] = [r for r in fold["pending"] if r.status is None and r.error is None]
+        fold["called"] += len(requests)
+        fold["pending"] += [r for r in requests if r.status is None and r.error is None]
+        if not fold["called"]:
+            return self._no_data(f"no upstream calls to {self.src!r} observed")
+        replied, slow, unanswered = fold["replied"], fold["slow"], len(fold["pending"])
+        max_observed = fold["max_observed"]
         detail = (
-            f"{len(replies)} replies from {self.src!r}: {slow} exceeded"
+            f"{replied} replies from {self.src!r}: {slow} exceeded"
             f" {limit:g}s, {unanswered} calls never completed"
         )
         return CheckResult(
@@ -226,10 +240,10 @@ class HasTimeouts(PatternCheck):
             not slow and not unanswered,
             detail,
             data={
-                "replies": len(replies),
+                "replies": replied,
                 "slow": slow,
                 "unanswered": unanswered,
-                "max_observed": max_observed,
+                "max_observed": 0.0 if max_observed is None else max_observed,
             },
         )
 
@@ -273,14 +287,16 @@ class HasBoundedRetries(PatternCheck):
     def scopes(self, since=None, until=None):
         return [_requests_scope(self.src, self.dst, self.id_pattern, since, until)]
 
-    def run(self, store, since=None, until=None):
-        rlist = get_requests(store, self.src, self.dst, self.id_pattern, since, until)
+    def run(self, store, since=None, until=None, state=None):
+        rlist, tally = _edge_requests(self, store, since, until, state)
         if not rlist:
             return self._no_data(f"no requests {self.src!r} -> {self.dst!r} observed")
         chain, trigger_text = _bounded_retries(
             self.failure_status, self.num_failures, self.window, self.max_tries
         )
-        result = chain.evaluate(rlist)
+        result, tally = chain.resume(rlist, tally)
+        if state is not None:
+            state["tally"] = tally
         if not result.steps[0].passed:
             return self._no_data(
                 f"fewer than {trigger_text} observed — fault not exercised"
@@ -291,6 +307,27 @@ class HasBoundedRetries(PatternCheck):
             result.steps[-1].detail,
             data={"requests": len(rlist), "trace": result.explain()},
         )
+
+
+def _edge_requests(check, store, since, until, state) -> tuple[RList, _t.Any]:
+    """The RList of ``check``'s edge and its trigger's saved tally.
+
+    ``state`` keeps the scope, the cursor after the last read, the RList
+    (the state's own list, extended by what arrived since) and the
+    tally; a fresh read replaces the RList and drops the tally.
+    """
+    if not state:
+        scope = _requests_scope(check.src, check.dst, check.id_pattern, since, until)
+        _, rlist, cursor = store.follow(scope)
+        if state is not None:
+            state.update(scope=scope, cursor=cursor, rlist=rlist, tally=None)
+        return rlist, None
+    fresh, records, state["cursor"] = store.follow(state["scope"], state["cursor"])
+    if fresh:
+        state.update(rlist=records, tally=None)
+    else:
+        state["rlist"].extend(records)
+    return state["rlist"], state["tally"]
 
 
 # What a check's parameters fix is built once per parameter set, not on
@@ -381,18 +418,21 @@ class HasCircuitBreaker(PatternCheck):
     def scopes(self, since=None, until=None):
         return [_requests_scope(self.src, self.dst, self.id_pattern, since, until)]
 
-    def run(self, store, since=None, until=None):
-        rlist = get_requests(store, self.src, self.dst, self.id_pattern, since, until)
+    def run(self, store, since=None, until=None, state=None):
+        rlist, tally = _edge_requests(self, store, since, until, state)
         if not rlist:
             return self._no_data(f"no requests {self.src!r} -> {self.dst!r} observed")
-        result = _circuit_breaker(
+        chain = _circuit_breaker(
             self.threshold,
             self.tdelta,
             self.half_open_allowance,
             self.check_recovery,
             self.recovery_window,
             self.success_threshold,
-        ).evaluate(rlist)
+        )
+        result, tally = chain.resume(rlist, tally)
+        if state is not None:
+            state["tally"] = tally
         if not result.steps[0].passed:
             return self._no_data(
                 f"fewer than {self.threshold} failures observed — fault not exercised"
@@ -444,7 +484,7 @@ class HasBulkhead(PatternCheck):
             for dst in self.other_dsts
         ]
 
-    def run(self, store, since=None, until=None):
+    def run(self, store, since=None, until=None, state=None):
         others = self.other_dsts
         if others is None:
             others = [

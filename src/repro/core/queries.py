@@ -17,7 +17,7 @@ import typing as _t
 
 from repro.logstore.query import Query
 from repro.logstore.record import ObservationKind, ObservationRecord
-from repro.logstore.store import EventStore
+from repro.logstore.store import Cursor, EventStore
 
 __all__ = [
     "RList",
@@ -76,6 +76,20 @@ class QueryCache:
     def count(self, query: Query) -> int:
         """Number of matching records (cached alongside search)."""
         return len(self.search(query))
+
+    def follow(
+        self, query: Query, cursor: _t.Optional[Cursor] = None
+    ) -> tuple[bool, RList, _t.Optional[Cursor]]:
+        """:meth:`EventStore.follow` over a quiescent store: every read is
+        the whole scope, fetched once per distinct query as by
+        :meth:`search` (written out: a check reads through this)."""
+        cached = self._results.get(query)
+        if cached is None:
+            self._account(query)
+            cached = self._results[query] = self.store.search(query)
+        else:
+            self.hits += 1
+        return True, cached, None
 
     def dependents(
         self, src: str, since: _t.Optional[float] = None, until: _t.Optional[float] = None

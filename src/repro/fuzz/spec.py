@@ -78,6 +78,7 @@ class EdgeStatusCheck(PatternCheck):
         store: StoreLike,
         since: _t.Optional[float] = None,
         until: _t.Optional[float] = None,
+        state: _t.Optional[dict] = None,
     ) -> CheckResult:
         rlist = get_requests(store, self.src, self.dst, self.id_pattern, since, until)
         if not rlist:
@@ -142,6 +143,7 @@ class EdgeCountCheck(PatternCheck):
         store: StoreLike,
         since: _t.Optional[float] = None,
         until: _t.Optional[float] = None,
+        state: _t.Optional[dict] = None,
     ) -> CheckResult:
         rlist = get_requests(store, self.src, self.dst, self.id_pattern, since, until)
         have = len(rlist)

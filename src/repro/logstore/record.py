@@ -41,6 +41,17 @@ class ObservationRecord:
     (``timestamp``, ``kind``, ``src``, ``dst``, ``request_id``) are
     fixed once a record is stored.
 
+    The outcome fields (``status``, ``error``, ``latency``,
+    ``injected_delay``, ``fault_applied``, ``gremlin_generated``) of a
+    stored record are written at most once more, in one synchronous
+    step: from *pending* (``status is None and error is None``) to
+    final, and never again.  A record stored final never changes.  So a
+    reader that saw a record final may keep what it read; only the
+    pending ones can have changed since, which is what
+    :meth:`~repro.core.gremlin.Gremlin.check` relies on to resume a
+    standing check.  ``tests/integration/test_outcome_invariant.py``
+    pins it over both large apps with every scenario kind.
+
     Fields
     ------
     timestamp:

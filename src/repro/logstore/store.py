@@ -34,6 +34,11 @@ Elasticsearch document update).  Only identity fields (``kind``,
 ``src``, ``dst``, ``timestamp``, ``request_id``), which are fixed once
 a record is stored, are indexed, so such an update needs no hook and
 no index can go stale.
+
+:meth:`EventStore.follow` reads a scope as it grows: given the cursor
+of its last read, it returns only the records that arrived since, or
+the whole scope again when a late record landed before the cursor or
+the store was cleared.
 """
 
 from __future__ import annotations
@@ -48,13 +53,18 @@ from repro.logstore.index import RecordSlice, merge_slices
 from repro.logstore.query import Query, exact_id_pattern
 from repro.logstore.record import ObservationKind, ObservationRecord
 
-__all__ = ["EventStore", "QueryPlan", "STORE_STRATEGIES"]
+__all__ = ["Cursor", "EventStore", "QueryPlan", "STORE_STRATEGIES"]
 
 #: Valid values for ``EventStore(strategy=...)``.
 STORE_STRATEGIES = ("indexed", "linear")
 
 #: Stands in for an identity key or request ID no record carries.
 _EMPTY = RecordSlice()
+
+#: Where a read of a scope stopped (:meth:`EventStore.follow` returns
+#: one and takes it back): the slice read, how many of its records, and
+#: the last of those.
+Cursor = _t.Tuple[RecordSlice, int, _t.Optional[ObservationRecord]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -161,8 +171,9 @@ class EventStore:
 
     def search(self, query: Query) -> list[ObservationRecord]:
         """Records matching ``query``, sorted by timestamp (a fresh list)."""
-        _, records, lo, hi, exact = self._plan(query)
-        candidates = records[lo:hi]
+        _, source, exact = self._plan(query)
+        lo, hi = source.window(query.since, query.until)
+        candidates = source.records[lo:hi]
         if exact:
             return candidates
         predicate = query.predicate
@@ -175,7 +186,9 @@ class EventStore:
         list is materialized, so early-exiting consumers pay only for
         the candidates they pull.
         """
-        _, records, lo, hi, exact = self._plan(query)
+        _, source, exact = self._plan(query)
+        lo, hi = source.window(query.since, query.until)
+        records = source.records
         predicate = None if exact else query.predicate
         for position in range(lo, hi):
             record = records[position]
@@ -184,11 +197,12 @@ class EventStore:
 
     def count(self, query: Query) -> int:
         """Number of records matching ``query``."""
-        _, records, lo, hi, exact = self._plan(query)
+        _, source, exact = self._plan(query)
+        lo, hi = source.window(query.since, query.until)
         if exact:
             return hi - lo
         predicate = query.predicate
-        return sum(1 for record in records[lo:hi] if predicate(record))
+        return sum(1 for record in source.records[lo:hi] if predicate(record))
 
     def dependents(
         self, src: str, since: _t.Optional[float] = None, until: _t.Optional[float] = None
@@ -209,22 +223,56 @@ class EventStore:
                 found.append(dst)
         return sorted(found)
 
+    def follow(
+        self, query: Query, cursor: _t.Optional[Cursor] = None
+    ) -> tuple[bool, list[ObservationRecord], Cursor]:
+        """Read ``query``'s scope as it grows: ``(fresh, records, cursor)``.
+
+        ``records`` are the matching records that arrived after
+        ``cursor``, in scope order, and the returned cursor marks the end
+        of this read.  ``fresh`` is True when they are the whole scope
+        instead (what :meth:`search` returns): no cursor was given, it no
+        longer holds (a late record landed before it, or the store was
+        cleared), or the plan's candidates are not one stored slice.  A
+        scope filtered on an outcome field (``status``,
+        ``with_faults_only``) is always read afresh, since an outcome
+        written after a read can change what matched.
+        """
+        _, source, exact = self._plan(query)
+        records, timestamps = source.records, source.timestamps
+        fresh, start = True, 0
+        if cursor is not None and query.status is None and not query.with_faults_only:
+            read, position, last = cursor
+            # Records only ever enter a slice, so the ones before the
+            # cursor stay put unless a late record is inserted among
+            # them, which moves the last one read off its index.
+            if read is source and (not position or records[position - 1] is last):
+                fresh, start = False, position
+        since, until = query.since, query.until
+        lo = start if since is None else bisect.bisect_left(timestamps, since, start)
+        hi = len(timestamps) if until is None else bisect.bisect_right(timestamps, until, lo)
+        found = records[lo:hi]
+        if not exact:
+            predicate = query.predicate
+            found = [record for record in found if predicate(record)]
+        return fresh, found, (source, hi, records[hi - 1] if hi else None)
+
     def plan(self, query: Query) -> QueryPlan:
         """Explain how ``query`` would be evaluated (for tests/tuning)."""
-        driver, _, lo, hi, exact = self._plan(query)
+        driver, source, exact = self._plan(query)
+        lo, hi = source.window(query.since, query.until)
         return QueryPlan(self._strategy, driver, hi - lo, len(self._primary), exact)
 
     # -- planner -----------------------------------------------------------------
 
-    def _plan(
-        self, query: Query
-    ) -> tuple[str, list[ObservationRecord], int, int, bool]:
-        """The one planner behind search/search_iter/count/plan.
+    def _plan(self, query: Query) -> tuple[str, RecordSlice, bool]:
+        """The one planner behind search/search_iter/count/plan/follow.
 
-        Returns the driver's name, its record list, the ``[lo, hi)``
-        candidate range the time bounds bisect out of it, and whether
-        that range is exactly the answer (else the caller filters it
-        with ``query.predicate``, which re-reads every field).
+        Returns the driver's name, the slice that supplies its
+        candidates (the time bounds bisect a ``[lo, hi)`` range out of
+        it), and whether that range is exactly the answer (else the
+        caller filters it with ``query.predicate``, which re-reads every
+        field).
         """
         kind, src, dst = query.kind, query.src, query.dst
         exact = False
@@ -251,8 +299,7 @@ class EventStore:
                     by_rid = self._rid_ix.get(exact_id, _EMPTY)
                     if len(by_rid) < len(source):
                         driver, source = "rid", by_rid
-        lo, hi = source.window(query.since, query.until)
-        return driver, source.records, lo, hi, exact
+        return driver, source, exact
 
     # -- index maintenance -------------------------------------------------------
 

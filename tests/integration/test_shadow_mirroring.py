@@ -10,6 +10,7 @@ exercise real traffic shapes without users noticing.
 import pytest
 
 from repro.agent import abort, delay
+from repro.core import HasTimeouts
 from repro.errors import OrchestrationError
 from repro.loadgen import ClosedLoopLoad
 from repro.logstore import Query
@@ -124,3 +125,18 @@ class TestMirroring:
         assert result.success_rate == 1.0
         errors = deployment.store.search(Query(id_pattern="shadow-*", kind="reply"))
         assert all(record.error == "shadow-error" for record in errors)
+
+    def test_a_failed_shadow_copy_is_a_completed_call_not_a_hang(self):
+        deployment, source, _agent = build()
+        for shadow in deployment.canaries_of("ServiceB"):
+            shadow.stop()
+        production_load(source)
+        requests = deployment.store.search(
+            Query(kind="request", id_pattern="shadow-*", src="ServiceA", dst="ServiceB")
+        )
+        assert len(requests) == 5
+        assert all(record.error == "shadow-error" for record in requests)
+        assert all(record.status is None for record in requests)
+        result = HasTimeouts("ServiceB", "10s").run(deployment.store)
+        assert result.passed, result.detail
+        assert result.data["unanswered"] == 0

@@ -53,6 +53,27 @@ def test_dropping_the_deployment_frees_every_record_without_a_collection():
     assert live_records() == before
 
 
+def test_standing_checks_hold_no_record_past_their_facade():
+    """``Gremlin.check`` keeps each open-ended check's state (cursors,
+    RLists, pending requests) for checks that outlive it, as a session
+    reuses its checks; dropping the facade frees them all, with no cycle
+    left for the collector."""
+    from repro.core import HasBoundedRetries, HasTimeouts
+
+    checks = [HasTimeouts("nginx", "1s"), HasBoundedRetries("nginx", "compose-post", 3)]
+    before = live_records()
+    deployment, source = driven_deployment()
+    gremlin = Gremlin(deployment)
+    for check in checks:
+        for since in (None, 0.0):
+            gremlin.check(check, since=since)
+    assert not gremlin.check(checks[0]).inconclusive
+
+    del deployment, source, gremlin
+
+    assert live_records() == before
+
+
 def test_a_store_somebody_holds_is_left_alone():
     before = live_records()
     deployment, source = driven_deployment()

@@ -166,3 +166,114 @@ def test_an_interrupted_fuzz_run_ends_leaving_no_artifact_and_no_process(
         ],
         signum, group, code,
     )
+
+
+#: Run ``repro.cli.main`` on ``sys.argv[1:]`` with a test-only seam in
+#: ``repro.artifact.write_atomic``: the temp file's handle writes half
+#: of the text, flushes it, prints ``held`` and blocks there.
+HELD_WRITE = """
+import sys, time
+import repro.artifact as artifact
+
+class Held:
+    def __init__(self, handle):
+        self.handle = handle
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        self.handle.close()
+    def fileno(self):
+        return self.handle.fileno()
+    def flush(self):
+        self.handle.flush()
+    def write(self, data):
+        self.handle.write(data[: len(data) // 2])
+        self.handle.flush()
+        print("held", flush=True)
+        while True:
+            time.sleep(1)
+
+artifact.open = lambda fd, mode: Held(open(fd, mode))
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@SIGNALS
+def test_a_signal_during_the_dump_write_leaves_no_torn_dump_and_no_temp_file(
+    tmp_path, signum, group, code
+):
+    """The signal lands while ``write_atomic`` holds a temp file with half
+    of the dump in it: the dump is absent (or complete), and no ``*.tmp``
+    is left beside it."""
+    out = tmp_path / "out"
+    out.mkdir()
+    with open(tmp_path / "stderr.txt", "w") as stderr:
+        cli = subprocess.Popen(
+            [
+                sys.executable, "-c", HELD_WRITE,
+                "campaign", "run", "twotier", "--max-recipes", "2",
+                "--backend", "threads", "--workers", "1", "--out", "out/d.jsonl",
+            ],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1"),
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            start_new_session=True,
+            text=True,
+        )
+    try:
+        assert "held\n" in iter(cli.stdout.readline, ""), "the dump write never started"
+        assert [path.name for path in out.iterdir() if path.suffix == ".tmp"]
+        if group:
+            os.killpg(cli.pid, signum)
+        else:
+            cli.send_signal(signum)
+        assert cli.wait(timeout=10.0) == code
+    finally:
+        cli.kill()
+        cli.wait()
+        cli.stdout.close()
+    left = sorted(path.name for path in out.iterdir())
+    assert left in ([], ["d.jsonl"])
+    if left:
+        from repro.campaign.io import load_jsonl
+
+        assert load_jsonl(out / "d.jsonl").outcomes
+    stderr = (tmp_path / "stderr.txt").read_text()
+    if signum == signal.SIGINT:
+        assert stderr.splitlines() == ["repro: interrupted"]
+    else:
+        assert stderr == ""
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_cli_quietly(tmp_path):
+    """``repro campaign run ... | head -1``: the reader takes the plan
+    line and goes.  The campaign still runs and writes its dump; printing
+    the scorecard into the closed pipe then ends the CLI with exit code
+    141, no traceback, and the dump complete."""
+    from repro.campaign.io import load_jsonl
+    from repro.cli import EXIT_STDOUT_CLOSED
+
+    with open(tmp_path / "stderr.txt", "w") as stderr:
+        cli = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "campaign", "run", "socialnetwork",
+                "--max-recipes", "6", "--workers", "1", "--out", "d.jsonl",
+            ],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1"),
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            text=True,
+        )
+    try:
+        assert cli.stdout.readline().startswith("campaign ")
+        cli.stdout.close()
+        assert cli.wait(timeout=120.0) == EXIT_STDOUT_CLOSED
+    finally:
+        cli.kill()
+        cli.wait()
+    assert (tmp_path / "stderr.txt").read_text() == ""
+    assert len(load_jsonl(tmp_path / "d.jsonl").outcomes) == 6
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["d.jsonl", "stderr.txt"]
