@@ -33,6 +33,7 @@ __all__ = [
     "num_requests",
     "reply_latency",
     "request_rate",
+    "span_rate",
     "StepOutcome",
     "BaseAssertion",
     "CountingStep",
@@ -96,12 +97,22 @@ def request_rate(rlist: RList) -> float:
     A single record (or an empty list) has no measurable span; the
     rate is defined as 0.0 in that case.
     """
-    if len(rlist) < 2:
+    if not rlist:
         return 0.0
-    span = rlist[-1].timestamp - rlist[0].timestamp
+    return span_rate(len(rlist), rlist[0].timestamp, rlist[-1].timestamp)
+
+
+def span_rate(count: int, first: _t.Optional[float], last: _t.Optional[float]) -> float:
+    """Rate of ``count`` requests stamped from ``first`` to ``last``:
+    ``count - 1`` gaps over the span, 0.0 below two requests or over a
+    span of no length (:func:`request_rate` of such a list, from the
+    three numbers an index keeps)."""
+    if count < 2:
+        return 0.0
+    span = last - first
     if span <= 0:
         return 0.0
-    return (len(rlist) - 1) / span
+    return (count - 1) / span
 
 
 def _window_end(rlist: RList, start: int, horizon: float) -> int:

@@ -31,9 +31,9 @@ from repro.core.assertions import (
     CheckStatus,
     Combine,
     CountingStep,
-    request_rate,
+    span_rate,
 )
-from repro.core.queries import RList, StoreLike, dependents_scope, get_requests, observed_statuses
+from repro.core.queries import RList, StoreLike, dependents_scope, observed_statuses
 from repro.logstore.query import Query
 from repro.logstore.record import ObservationKind
 from repro.util import parse_duration
@@ -192,10 +192,10 @@ class HasTimeouts(PatternCheck):
         self.name = f"HasTimeouts({src}, {self.max_latency:g}s)"
 
     def scopes(self, since=None, until=None):
-        shared = dict(dst=self.src, id_pattern=self.id_pattern, since=since, until=until)
+        # Positional: the upstream replies and requests of ``src``.
         return [
-            Query(kind=ObservationKind.REPLY, **shared),
-            Query(kind=ObservationKind.REQUEST, **shared),
+            Query(ObservationKind.REPLY, None, self.src, self.id_pattern, since, until),
+            Query(ObservationKind.REQUEST, None, self.src, self.id_pattern, since, until),
         ]
 
     def run(self, store, since=None, until=None, state=None):
@@ -485,19 +485,17 @@ class HasBulkhead(PatternCheck):
         ]
 
     def run(self, store, since=None, until=None, state=None):
-        others = self.other_dsts
-        if others is None:
-            others = [
-                dst for dst in store.dependents(self.src, since, until) if dst != self.slow_dst
-            ]
-        if not others:
+        # One read: each other dependent's request count and end stamps.
+        # Given dependents are read as given, slow_dst included.
+        given = self.other_dsts
+        spans = store.request_spans(
+            self.src, since, until, given, self.slow_dst if given is None else None, self.id_pattern
+        )
+        if not spans:
             return self._no_data(
                 f"{self.src!r} has no observed dependents other than {self.slow_dst!r}"
             )
-        rates = {}
-        for dst in others:
-            rlist = get_requests(store, self.src, dst, self.id_pattern, since, until)
-            rates[dst] = request_rate(rlist)
+        rates = {dst: span_rate(count, first, last) for dst, count, first, last in spans}
         starved = {dst: r for dst, r in rates.items() if r < self.rate}
         passed = not starved
         detail = (

@@ -17,7 +17,7 @@ import typing as _t
 
 from repro.logstore.query import Query
 from repro.logstore.record import ObservationKind, ObservationRecord
-from repro.logstore.store import Cursor, EventStore
+from repro.logstore.store import Cursor, EventStore, RequestSpan, request_spans_by_search
 
 __all__ = [
     "RList",
@@ -104,6 +104,20 @@ class QueryCache:
         else:
             self.hits += 1
         return found
+
+    def request_spans(
+        self,
+        src: str,
+        since: _t.Optional[float] = None,
+        until: _t.Optional[float] = None,
+        dsts: _t.Optional[_t.Sequence[str]] = None,
+        exclude: _t.Optional[str] = None,
+        id_pattern: _t.Optional[str] = "*",
+    ) -> list[RequestSpan]:
+        """:meth:`EventStore.request_spans` through this cache's own
+        :meth:`dependents` and :meth:`search`, so it fetches and counts
+        the scopes a discovery and one ``GetRequests`` per callee do."""
+        return request_spans_by_search(self, src, since, until, dsts, exclude, id_pattern)
 
     def _account(self, scope: Query) -> None:
         """A scope counts as fetched once: the first read of it, by

@@ -35,6 +35,11 @@ Elasticsearch document update).  Only identity fields (``kind``,
 a record is stored, are indexed, so such an update needs no hook and
 no index can go stale.
 
+:meth:`EventStore.request_spans` answers an aggregate without
+returning records: for each callee of one caller, the count of requests
+in a window and their first and last timestamps, from the edge slices'
+timestamp lists alone (``HasBulkhead``'s request rates).
+
 :meth:`EventStore.follow` reads a scope as it grows: given the cursor
 of its last read, it returns only the records that arrived since, or
 the whole scope again when a late record landed before the cursor or
@@ -50,10 +55,17 @@ import operator
 import typing as _t
 
 from repro.logstore.index import RecordSlice, merge_slices
-from repro.logstore.query import Query, exact_id_pattern
+from repro.logstore.query import Query, compile_id_pattern, exact_id_pattern
 from repro.logstore.record import ObservationKind, ObservationRecord
 
-__all__ = ["Cursor", "EventStore", "QueryPlan", "STORE_STRATEGIES"]
+__all__ = [
+    "Cursor",
+    "EventStore",
+    "QueryPlan",
+    "RequestSpan",
+    "STORE_STRATEGIES",
+    "request_spans_by_search",
+]
 
 #: Valid values for ``EventStore(strategy=...)``.
 STORE_STRATEGIES = ("indexed", "linear")
@@ -66,6 +78,11 @@ _EMPTY = RecordSlice()
 #: the last of those.
 Cursor = _t.Tuple[RecordSlice, int, _t.Optional[ObservationRecord]]
 
+#: One callee of an :meth:`EventStore.request_spans` read: its name, how
+#: many requests the caller sent it, and the first and last of their
+#: timestamps (``None`` when there are none).
+RequestSpan = _t.Tuple[str, int, _t.Optional[float], _t.Optional[float]]
+
 
 @dataclasses.dataclass(frozen=True)
 class QueryPlan:
@@ -74,7 +91,8 @@ class QueryPlan:
     ``driver`` names what supplies candidates: ``"slice"`` (one
     identity slice: ``kind`` plus ``src`` and/or ``dst``), ``"merge"``
     (``src``/``dst`` without ``kind``: the request and reply slices
-    interleaved), ``"rid"`` (exact request-ID lookup), ``"time"`` (no
+    interleaved), ``"rid"`` (exact request-ID lookup: exact when the
+    ID is all the query binds besides time), ``"time"`` (no
     service bound: the primary array's time range), or ``"scan"`` (the
     linear strategy).  ``candidates`` counts the records in the
     candidate range — the cost of the query.  ``exact`` means the range
@@ -209,19 +227,68 @@ class EventStore:
     ) -> list[str]:
         """The services ``src`` sent a request to inside the window, sorted.
 
-        Indexed, each edge ``src`` was ever seen calling is one
-        ``(request, src, dst)`` slice: a dependent is a key whose window
-        holds a record, two bisects per edge and no per-record work.
+        Indexed, they are the callees of :meth:`request_spans`: each
+        edge ``src`` was ever seen calling is one ``(request, src, dst)``
+        slice, and a dependent is a key whose window holds a record, two
+        bisects per edge and no per-record work.
         """
         if self._strategy == "linear":
             scope = Query(kind=ObservationKind.REQUEST, src=src, since=since, until=until)
             return sorted({record.dst for record in self.search(scope)})
-        found = []
-        for dst, edge in self._callees.get(src, ()):
-            lo, hi = edge.window(since, until)
+        return [span[0] for span in self.request_spans(src, since, until)]
+
+    def request_spans(
+        self,
+        src: str,
+        since: _t.Optional[float] = None,
+        until: _t.Optional[float] = None,
+        dsts: _t.Optional[_t.Sequence[str]] = None,
+        exclude: _t.Optional[str] = None,
+        id_pattern: _t.Optional[str] = "*",
+    ) -> list[RequestSpan]:
+        """The requests ``src`` sent each callee inside the window, as a
+        :data:`RequestSpan` per callee: what a request rate needs.
+
+        ``dsts`` names the callees, in its order, whether called or not;
+        without it they are :meth:`dependents`.  ``exclude`` is left out
+        either way.  A request-ID glob other than ``*`` is a residual
+        filter: only the matching requests are counted.  Indexed, each
+        callee is its ``(request, src, dst)`` slice, whose window is two
+        bisects; with no glob no record is read and no list is copied.
+        """
+        if self._strategy == "linear":
+            return request_spans_by_search(self, src, since, until, dsts, exclude, id_pattern)
+        if dsts is None:
+            # One entry per callee, so the sort never compares two slices.
+            edges = sorted(self._callees.get(src, ()))
+        else:
+            slices = self._slices
+            edges = [(dst, slices.get((ObservationKind.REQUEST, src, dst), _EMPTY)) for dst in dsts]
+        glob = id_pattern is not None and id_pattern != "*"
+        regex = None
+        spans = []
+        for dst, edge in edges:
+            if dst == exclude:
+                continue
+            timestamps = edge.timestamps
+            lo = 0 if since is None else bisect.bisect_left(timestamps, since)
+            hi = len(timestamps) if until is None else bisect.bisect_right(timestamps, until, lo)
+            if lo == hi and dsts is None:
+                continue  # not called in the window: not a dependent
+            if glob:
+                if regex is None:
+                    regex = compile_id_pattern(id_pattern)
+                timestamps = [
+                    record.timestamp
+                    for record in edge.records[lo:hi]
+                    if record.request_id is not None and regex.match(record.request_id)
+                ]
+                lo, hi = 0, len(timestamps)
             if lo < hi:
-                found.append(dst)
-        return sorted(found)
+                spans.append((dst, hi - lo, timestamps[lo], timestamps[hi - 1]))
+            else:
+                spans.append((dst, 0, None, None))
+        return spans
 
     def follow(
         self, query: Query, cursor: _t.Optional[Cursor] = None
@@ -290,13 +357,17 @@ class EventStore:
                     self._slices.get((ObservationKind.REPLY, src, dst), _EMPTY),
                     self._primary,
                 )
-            if query.status is not None or query.with_faults_only:
+            residual = query.status is not None or query.with_faults_only
+            if residual:
                 exact = False
             if query.id_pattern is not None and query.id_pattern != "*":
                 exact = False
                 exact_id = exact_id_pattern(query.id_pattern)
                 if exact_id is not None:
                     by_rid = self._rid_ix.get(exact_id, _EMPTY)
+                    if kind is None and src is None and dst is None and not residual:
+                        # The request's slice holds exactly its records.
+                        return "rid", by_rid, True
                     if len(by_rid) < len(source):
                         driver, source = "rid", by_rid
         return driver, source, exact
@@ -345,3 +416,32 @@ class EventStore:
             f"<EventStore strategy={self._strategy} records={len(self._primary)}"
             f" slices={len(self._slices)}>"
         )
+
+
+def request_spans_by_search(
+    reader: _t.Any,
+    src: str,
+    since: _t.Optional[float] = None,
+    until: _t.Optional[float] = None,
+    dsts: _t.Optional[_t.Sequence[str]] = None,
+    exclude: _t.Optional[str] = None,
+    id_pattern: _t.Optional[str] = "*",
+) -> list[RequestSpan]:
+    """:meth:`EventStore.request_spans` answered through ``reader``'s
+    ``dependents`` and one ``search`` per callee: the linear strategy's
+    answer (the oracle), and a ``QueryCache``'s, which accounts each
+    read as the fetch of its scope."""
+    if dsts is None:
+        dsts = reader.dependents(src, since, until)
+    spans = []
+    for dst in dsts:
+        if dst == exclude:
+            continue
+        found = reader.search(
+            Query(ObservationKind.REQUEST, src, dst, id_pattern, since, until)
+        )
+        if found:
+            spans.append((dst, len(found), found[0].timestamp, found[-1].timestamp))
+        else:
+            spans.append((dst, 0, None, None))
+    return spans

@@ -21,6 +21,7 @@ from repro.core import (
 )
 from repro.http import HttpRequest, HttpResponse
 from repro.loadgen import ClosedLoopLoad
+from repro.logstore import Query
 from repro.microservice import (
     Application,
     PolicySpec,
@@ -142,6 +143,18 @@ class TestHasTimeouts:
         gremlin = Gremlin(deployment)
         result = gremlin.check(HasTimeouts("ServiceA", "1s"))
         assert result.inconclusive
+
+    @pytest.mark.parametrize("window", [(None, None), (1.5, None), (1.5, 9.0)])
+    def test_scopes_are_the_keyword_built_queries(self, window):
+        """The scopes are built positionally; they must equal, and hash
+        like, the queries named field by field, or a QueryCache would
+        stop sharing them."""
+        since, until = window
+        shared = dict(dst="ServiceB", id_pattern="test-*", since=since, until=until)
+        want = [Query(kind="reply", **shared), Query(kind="request", **shared)]
+        got = HasTimeouts("ServiceB", "1s", id_pattern="test-*").scopes(since, until)
+        assert got == want
+        assert [hash(query) for query in got] == [hash(query) for query in want]
 
 
 class TestHasBulkhead:

@@ -160,6 +160,46 @@ class TestQueryPlanner:
         plan = store.plan(Query(kind="request", src="ServiceA", since=40.0, id_pattern="test-1"))
         assert (plan.driver, plan.candidates) == ("slice", 5)
 
+    def test_an_exact_request_id_read_is_exact(self):
+        """A literal ID bound alone is answered by that request's slice,
+        windowed, with no predicate run: as the linear scan answers it,
+        a late record included.  Binding anything else leaves it a
+        candidate range to filter."""
+        stores = [EventStore(), EventStore(strategy="linear")]
+        records = [
+            make_record(
+                timestamp=float(index // 2),
+                kind="request" if index % 2 else "reply",
+                request_id=f"test-{index % 5}",
+                src="ServiceA" if index % 3 else "X",
+            )
+            for index in range(60)
+        ]
+        records.append(make_record(timestamp=7.0, request_id="test-2"))  # late: sunk
+        for store in stores:
+            for record in records:
+                store.append(record)
+        for window in (dict(), dict(since=7.0), dict(until=7.0), dict(since=4.0, until=21.0)):
+            query = Query(id_pattern="test-2", **window)
+            plan = stores[0].plan(query)
+            found = stores[0].search(query)
+            assert (plan.driver, plan.exact) == ("rid", True)
+            assert plan.candidates == len(found) == stores[0].count(query) > 0
+            assert found == stores[1].search(query)
+            assert list(stores[0].search_iter(query)) == found
+        assert 7.0 in [r.timestamp for r in stores[0].search(Query(id_pattern="test-2"))]
+        for bound in (
+            dict(kind="request"),
+            dict(src="ServiceA"),
+            dict(dst="ServiceB"),
+            dict(status=200),
+            dict(with_faults_only=True),
+        ):
+            query = Query(id_pattern="test-2", **bound)
+            plan = stores[0].plan(query)
+            assert not plan.exact, bound
+            assert stores[0].search(query) == stores[1].search(query)
+
     def test_unbound_query_scans_time_range(self):
         store = EventStore()
         for ts in range(20):
