@@ -240,7 +240,7 @@ class GremlinAgent:
             return  # never mirror a mirror
         if fraction < 1.0 and self.sim.rng(f"mirror/{self.owner_instance}").random() >= fraction:
             return
-        targets = self.registry.canary_addresses(dst_service)
+        targets = self.registry.canary_pool(dst_service)
         if not targets:
             self.mirror_skipped += 1
             return
@@ -254,7 +254,7 @@ class GremlinAgent:
         )
 
     def _mirror_one(
-        self, dst_service: str, request: HttpRequest, targets: list[Address]
+        self, dst_service: str, request: HttpRequest, targets: _t.Sequence[Address]
     ) -> _t.Generator:
         """Deliver one mirrored copy: matched, logged, fire-and-forget."""
         start = self.sim.now
@@ -538,7 +538,7 @@ class GremlinAgent:
             and request_id is not None
             and self._canary_regex.match(request_id)
         ):
-            addresses = self.registry.canary_addresses(dst_service)
+            addresses = self.registry.canary_pool(dst_service)
             pool = "canary"
         if not addresses:
             pool = "main"

@@ -22,6 +22,28 @@ REQUEST_ID_HEADER = "X-Gremlin-Request-Id"
 SPAN_ID_HEADER = "X-Gremlin-Span-Id"
 
 
+#: How many keys :data:`_KEY_PROOFS` holds before it starts over.
+_KEY_PROOFS_MAX = 256
+
+#: The key half of the header proof, per plain ``str`` key: ``(lowered
+#: key, clean)``, where ``clean`` is whether the key has no colon or
+#: space and is printable ASCII, and ``None`` for ``Content-Length``,
+#: which is exempt.  A run sets a handful of distinct keys millions of
+#: times; the dict is emptied when it reaches :data:`_KEY_PROOFS_MAX`.
+#: Shared by every thread: an entry is a pure function of its key, so a
+#: race between two writers costs at most a second test of a key.
+_KEY_PROOFS: dict[str, tuple[str, _t.Optional[bool]]] = {}
+
+
+def _key_proof(key: str) -> tuple[str, _t.Optional[bool]]:
+    """``(lowered, clean)`` for ``key``: see :data:`_KEY_PROOFS`."""
+    lowered = key.lower()
+    if lowered == "content-length":
+        return lowered, None
+    # ``str.`` methods: what the old whole-pair test read off ``key + value``.
+    return lowered, not (":" in key or " " in key) and str.isascii(key) and str.isprintable(key)
+
+
 class Headers:
     """An ordered, case-insensitive single-value header map.
 
@@ -33,9 +55,11 @@ class Headers:
     ``encode -> split -> strip`` round trip preserves (key without colon
     or space, value without edge space, both printable ASCII), so
     :func:`repro.http.wire.wire_form` re-walks the entries only of a map
-    that ever stored a pair failing it.  ``Content-Length`` is exempt:
-    the wire form re-derives it from the body, so the stored value never
-    reaches the peer.
+    that ever stored a pair failing it.  The key half of that test is
+    made once per key (:data:`_KEY_PROOFS`), the value half per set.
+    ``Content-Length`` is exempt: the wire form re-derives it from the
+    body, so the stored value never reaches the peer.  Constructed from
+    another ``Headers``, a map is its copy, proof and all.
     """
 
     #: True once a stored pair failed the predicate; ``wire_form`` clears
@@ -43,25 +67,44 @@ class Headers:
     #: overwritten).  A class-level default, so ``Headers.__new__`` works.
     _unproven = False
 
-    def __init__(self, items: _t.Union[dict, _t.Iterable[tuple[str, str]], None] = None) -> None:
-        self._entries: dict[str, tuple[str, str]] = {}
+    def __init__(
+        self, items: _t.Union["Headers", dict, _t.Iterable[tuple[str, str]], None] = None
+    ) -> None:
+        if isinstance(items, Headers):
+            # A copy, proof included: its pairs were tested when stored.
+            self._entries: dict[str, tuple[str, str]] = items._entries.copy()
+            if items._unproven:
+                self._unproven = True
+            return
+        self._entries = {}
         if items:
             pairs = items.items() if isinstance(items, dict) else items
             for key, value in pairs:
                 self[key] = value
 
     def __setitem__(self, key: str, value: str) -> None:
-        lowered = key.lower()
+        # The key half of the proof depends on the key alone: memoised
+        # for a plain ``str`` (a subclass may redefine what it tests).
+        if key.__class__ is str:
+            proof = _KEY_PROOFS.get(key)
+            if proof is None:
+                if len(_KEY_PROOFS) >= _KEY_PROOFS_MAX:
+                    _KEY_PROOFS.clear()
+                proof = _KEY_PROOFS[key] = _key_proof(key)
+        else:
+            proof = _key_proof(key)
+        lowered, key_clean = proof
         value = str(value)
         self._entries[lowered] = (key, value)
-        text = key + value
-        if (
-            ":" in key
-            or " " in key
-            or value[:1] == " "
-            or value[-1:] == " "
-            or not (text.isascii() and text.isprintable())
-        ) and lowered != "content-length":
+        if key_clean is None:
+            return  # Content-Length: its stored value never reaches the wire
+        if not (
+            key_clean
+            and value[:1] != " "
+            and value[-1:] != " "
+            and value.isascii()
+            and value.isprintable()
+        ):
             self._unproven = True
 
     def __getitem__(self, key: str) -> str:
@@ -101,11 +144,7 @@ class Headers:
         Entries were normalised and tested when they were set, so the
         copy is one dict copy and carries the proof mark along.
         """
-        clone = Headers()
-        clone._entries = self._entries.copy()
-        if self._unproven:
-            clone._unproven = True
-        return clone
+        return Headers(self)
 
     def to_dict(self) -> dict[str, str]:
         """Plain dict snapshot (original-case keys)."""

@@ -22,6 +22,7 @@ import typing as _t
 
 from repro.agent.rules import FaultRule
 from repro.logstore.query import Query
+from repro.logstore.record import ObservationKind, ObservationRecord
 from repro.observability.spans import Span
 from repro.observability.trace import Trace, reconstruct_from_records
 from repro.util import plain
@@ -125,6 +126,36 @@ def attribute_trace(
     return attributions
 
 
+def _trace_failed(records: _t.Iterable[ObservationRecord]) -> bool:
+    """:attr:`Trace.failed` of the trace ``records`` would build, in one
+    pass and without building it.
+
+    Per span ID, as :func:`~repro.observability.spans.assemble_spans`
+    folds them: the first record fixes the parent and the outcome, a
+    later request record is a duplicate and ignored, and every reply
+    overrides the outcome; records without a span ID are skipped.  A
+    root is a span with no parent or whose parent is not among the
+    request's spans (an orphan), and the trace failed when a root did
+    not end ok (:attr:`Span.ok`).
+    """
+    spans: _t.Dict[str, tuple] = {}
+    for record in records:
+        span_id = record.span_id
+        if span_id is None:
+            continue
+        known = spans.get(span_id)
+        if known is None:
+            spans[span_id] = (record.parent_span, record.status, record.error)
+        elif record.kind == ObservationKind.REPLY:
+            spans[span_id] = (known[0], record.status, record.error)
+    for parent, status, error in spans.values():
+        if (parent is None or parent not in spans) and not (
+            error is None and status is not None and status < 500
+        ):
+            return True
+    return False
+
+
 def attribute_run(
     store: "EventStore",
     rules: _t.Sequence[FaultRule],
@@ -139,8 +170,10 @@ def attribute_run(
     ``only_failed`` (the default) traces whose entry edge still
     succeeded — the resilience pattern absorbed the fault — are
     skipped, leaving exactly the failures an operator must explain.
-    ``limit`` caps the number of traces attributed, for scorecards
-    that only need examples.
+    That is decided from the records (:func:`_trace_failed`) before any
+    trace is built, so an absorbed fault costs one pass over its
+    request's records.  ``limit`` caps the number of traces attributed,
+    for scorecards that only need examples.
     """
     faulted_ids: _t.List[str] = []
     seen: _t.Set[str] = set()
@@ -155,10 +188,9 @@ def attribute_run(
         if limit is not None and len(attributions) >= limit:
             break
         records = store.search(Query(id_pattern=rid))
-        trace = reconstruct_from_records(rid, records)
-        if only_failed and not trace.failed:
+        if only_failed and not _trace_failed(records):
             continue
-        attributions.extend(attribute_trace(trace, rules))
+        attributions.extend(attribute_trace(reconstruct_from_records(rid, records), rules))
     if limit is not None:
         attributions = attributions[:limit]
     return attributions

@@ -49,9 +49,11 @@ class ServiceRegistry:
     def __init__(self) -> None:
         self._instances: dict[str, dict[str, InstanceRecord]] = {}
         #: service -> its production addresses, as :meth:`addresses`
-        #: derives them; dropped per service by the two mutators
-        #: (records themselves are frozen).
+        #: derives them, and its canary addresses, as
+        #: :meth:`canary_addresses` does; both dropped per service by the
+        #: two mutators (records themselves are frozen).
         self._production: dict[str, tuple[Address, ...]] = {}
+        self._canaries: dict[str, tuple[Address, ...]] = {}
 
     def register(self, record: InstanceRecord) -> None:
         """Add an instance; duplicate IDs within a service are rejected."""
@@ -62,6 +64,7 @@ class ServiceRegistry:
             )
         by_id[record.instance_id] = record
         self._production.pop(record.service, None)
+        self._canaries.pop(record.service, None)
 
     def deregister(self, service: str, instance_id: str) -> None:
         """Remove an instance (no-op if absent)."""
@@ -69,6 +72,7 @@ class ServiceRegistry:
         if by_id is not None:
             by_id.pop(instance_id, None)
             self._production.pop(service, None)
+            self._canaries.pop(service, None)
             if not by_id:
                 del self._instances[service]
 
@@ -107,11 +111,17 @@ class ServiceRegistry:
     def canary_addresses(self, service: str) -> list[Address]:
         """Serving addresses of the canary instances of ``service``
         (empty when none are deployed)."""
-        return [
-            record.address
-            for record in self.try_instances(service)
-            if record.canary
-        ]
+        return list(self.canary_pool(service))
+
+    def canary_pool(self, service: str) -> tuple[Address, ...]:
+        """What :meth:`canary_addresses` answers, as the registry's own
+        immutable memo — for the per-message path, which only indexes it."""
+        known = self._canaries.get(service)
+        if known is None:
+            known = self._canaries[service] = tuple(
+                record.address for record in self.try_instances(service) if record.canary
+            )
+        return known
 
     def services(self) -> list[str]:
         """All registered logical service names (registration order)."""

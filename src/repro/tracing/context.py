@@ -26,6 +26,9 @@ __all__ = [
 #: next hop's sidecar records it as the parent span).
 TRACE_HEADERS = (REQUEST_ID_HEADER, SPAN_ID_HEADER)
 
+#: ``TRACE_HEADERS`` beside the keys a ``Headers`` map files them under.
+_TRACE_ENTRIES = tuple((header, header.lower()) for header in TRACE_HEADERS)
+
 #: Prefix used for synthetic test traffic, matching the paper's
 #: ``Pattern='test-*'`` rule examples.
 TEST_ID_PREFIX = "test-"
@@ -87,9 +90,24 @@ def propagate(incoming: HttpRequest, outgoing: HttpRequest) -> HttpRequest:
     the next hop's sidecar knows its parent span, turning per-edge
     observations into a causal tree.  Returns ``outgoing`` for
     chaining.
+
+    A proven incoming map (:class:`~repro.http.headers.Headers`) holds
+    only pairs that passed the header proof, so its trace values are
+    copied as entries under the canonical header, which is what a set
+    would store: the outgoing map's proof is unchanged.  An unproven one
+    goes through ``get`` and the set, header by header.
     """
-    for header in TRACE_HEADERS:
-        value = incoming.headers.get(header)
-        if value is not None:
-            outgoing.headers[header] = value
+    source = incoming.headers
+    target = outgoing.headers
+    if source._unproven:  # noqa: SLF001 - the map's proof mark
+        for header in TRACE_HEADERS:
+            value = source.get(header)
+            if value is not None:
+                target[header] = value
+        return outgoing
+    entries = source._entries  # noqa: SLF001 - proven pairs, read as stored
+    for header, lowered in _TRACE_ENTRIES:
+        entry = entries.get(lowered)
+        if entry is not None:
+            target._entries[lowered] = (header, entry[1])  # noqa: SLF001
     return outgoing

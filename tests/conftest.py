@@ -138,6 +138,8 @@ class CallCount:
 
     def __init__(self) -> None:
         self.by_package: _t.Counter[str] = collections.Counter()
+        #: The same calls by code object, for :meth:`calls_of`.
+        self.by_code: _t.Counter[_t.Any] = collections.Counter()
         self._package_of: dict = {}
 
     @property
@@ -158,6 +160,12 @@ class CallCount:
             self._package_of[code] = package
         if package is not None:
             self.by_package[package] += 1
+            self.by_code[code] += 1
+
+    def calls_of(self, function: _t.Callable) -> int:
+        """Calls into ``function`` (a plain function or one defined in a
+        class body) while the block ran."""
+        return self.by_code[function.__code__]
 
     def __enter__(self) -> "CallCount":
         sys.setprofile(self._hook)
