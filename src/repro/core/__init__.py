@@ -41,8 +41,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "PatternCheck",
         ],
         "queries": [
-            "QueryCache",
-            "StoreLike",
             "get_replies",
             "get_requests",
             "observed_latency",

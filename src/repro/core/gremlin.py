@@ -29,7 +29,7 @@ import weakref
 from repro.agent.rules import FaultRule, fresh_rule_ids
 from repro.core.orchestrator import FailureOrchestrator, InstallationReport
 from repro.core.patterns import CheckResult, PatternCheck
-from repro.core.queries import QueryCache, RList, get_replies, get_requests
+from repro.core.queries import RList, get_replies, get_requests
 from repro.core.recipe import LoadFactory, Recipe, RecipeResult
 from repro.core.scenarios import FailureScenario
 from repro.core.translator import RecipeTranslator
@@ -80,9 +80,6 @@ class FaultedRun:
     #: Wall-clock seconds: translate + install, and check evaluation.
     orchestration_time: float
     assertion_time: float
-    #: The shared QueryCache's misses (distinct scopes) and hits.
-    distinct_scopes: int
-    shared_fetches: int
 
 
 class Gremlin:
@@ -187,8 +184,6 @@ class Gremlin:
             orchestration_time=run.orchestration_time,
             assertion_time=run.assertion_time,
             window=run.window,
-            distinct_scopes=run.distinct_scopes,
-            shared_fetches=run.shared_fetches,
         )
 
     def run_recipes(
@@ -256,7 +251,7 @@ def run_faulted(
     under scoped rule numbering (``rule_transform`` may edit them
     first); start the closed-loop driver and ``extra_load``; drain;
     idle ``settle``; drain until the log pipeline has landed; evaluate
-    ``checks`` through one shared QueryCache scoped to the window; clear.
+    ``checks`` on the store, scoped to the window; clear.
 
     ``deadline=None`` drains to idle.  A ``time.monotonic()`` deadline
     (``inf`` for none) drains in :data:`SLICE_VIRTUAL` virtual slices
@@ -301,14 +296,8 @@ def run_faulted(
     window_end = sim.now
 
     assert_start = time.perf_counter()
-    # One fetch per distinct (src, dst, kind) scope the checks declare.
-    cache = QueryCache(deployment.store)
-    for check in checks:
-        for scope in check.scopes(since=window_start, until=window_end):
-            cache.search(scope)
-    results = [
-        check.run(cache, since=window_start, until=window_end) for check in checks
-    ]
+    store = deployment.store
+    results = [check.run(store, since=window_start, until=window_end) for check in checks]
     assertion_time = time.perf_counter() - assert_start
 
     gremlin.clear()
@@ -320,8 +309,6 @@ def run_faulted(
         checks=results,
         orchestration_time=orchestration_time,
         assertion_time=assertion_time,
-        distinct_scopes=cache.misses,
-        shared_fetches=cache.hits,
     )
 
 

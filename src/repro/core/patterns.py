@@ -33,9 +33,10 @@ from repro.core.assertions import (
     CountingStep,
     span_rate,
 )
-from repro.core.queries import RList, StoreLike, dependents_scope, observed_statuses
+from repro.core.queries import RList, dependents_scope, observed_statuses
 from repro.logstore.query import Query
 from repro.logstore.record import ObservationKind
+from repro.logstore.store import EventStore
 from repro.util import parse_duration
 
 __all__ = [
@@ -51,11 +52,11 @@ __all__ = [
 
 #: ``_requests_scope(src, dst, id_pattern, since, until)``: the
 #: ``GetRequests`` query a (src, dst)-scoped check evaluates over.  Kept
-#: in one place so every check's :meth:`PatternCheck.scopes` builds
-#: exactly the Query that :func:`~repro.core.queries.get_requests`
-#: issues — equality is what lets the QueryCache share the fetch.  A
-#: partial of ``Query``, whose fields lead with these, so building a
-#: scope costs no frame of its own.
+#: in one place so a check's :meth:`PatternCheck.scopes` and its
+#: ``run`` build exactly the Query that
+#: :func:`~repro.core.queries.get_requests` issues.  A partial of
+#: ``Query``, whose fields lead with these, so building a scope costs no
+#: frame of its own.
 _requests_scope = functools.partial(Query, ObservationKind.REQUEST)
 
 
@@ -83,11 +84,7 @@ class CheckResult:
 class PatternCheck:
     """Base class: a named, store-evaluable resiliency-pattern check.
 
-    ``run`` accepts either a raw :class:`~repro.logstore.store.EventStore`
-    or a :class:`~repro.core.queries.QueryCache`; the Gremlin facade
-    passes a cache shared across a recipe's whole check suite so
-    assertion steps scoped to the same ``(src, dst, kind)`` slice fetch
-    it once.
+    ``run`` reads an :class:`~repro.logstore.store.EventStore`.
 
     ``state``, when given, is a dict the caller keeps for this check,
     window and store, empty at first: a check that folds its scopes
@@ -102,7 +99,7 @@ class PatternCheck:
 
     def run(
         self,
-        store: StoreLike,
+        store: EventStore,
         since: _t.Optional[float] = None,
         until: _t.Optional[float] = None,
         state: _t.Optional[dict] = None,
@@ -115,10 +112,9 @@ class PatternCheck:
     ) -> list[Query]:
         """The store queries this check will issue, when statically known.
 
-        The facade groups the suite's scopes through a shared
-        :class:`~repro.core.queries.QueryCache` so overlapping checks
-        share one fetch.  Checks whose queries depend on prior results
-        (e.g. dependency discovery) may return a partial list.
+        :class:`HasTimeouts` folds over its own two; the benchmark's
+        store probes search them.  Checks whose queries depend on prior
+        results (e.g. dependency discovery) may return a partial list.
         """
         return []
 

@@ -17,12 +17,10 @@ import typing as _t
 
 from repro.logstore.query import Query
 from repro.logstore.record import ObservationKind, ObservationRecord
-from repro.logstore.store import Cursor, EventStore, RequestSpan, request_spans_by_search
+from repro.logstore.store import EventStore
 
 __all__ = [
     "RList",
-    "StoreLike",
-    "QueryCache",
     "dependents_scope",
     "get_requests",
     "get_replies",
@@ -31,108 +29,16 @@ __all__ = [
     "observed_latency",
 ]
 
-#: An RList is a time-sorted list of observation records.  RLists are
-#: read-only by convention: assertion code never mutates one, which is
-#: what lets :class:`QueryCache` hand the same list to every consumer.
+#: An RList is a time-sorted list of observation records.
 RList = _t.List[ObservationRecord]
 
 
-class QueryCache:
-    """Memoizing read-through façade over an event store.
-
-    The paper's checker issues one Elasticsearch query per assertion
-    step; a recipe's checks typically scope to the same few
-    ``(src, dst, kind)`` slices, so the checker used to re-fetch the
-    same records once per step.  Wrapping the store in a ``QueryCache``
-    for the duration of one evaluation batch fetches each distinct
-    :class:`~repro.logstore.query.Query` exactly once (``Query`` is a
-    frozen dataclass, hence hashable) and evaluates every step against
-    the shared slice.
-
-    A cache is only valid while the underlying store is quiescent:
-    create one after the log pipeline has drained, run the checks, and
-    drop it.  ``hits``/``misses`` expose the sharing for reports and
-    tests — ``misses`` is the number of distinct scopes actually
-    fetched.
-    """
-
-    def __init__(self, store: EventStore) -> None:
-        self.store = store
-        self._results: dict[Query, RList] = {}
-        self._dependents: dict[Query, list[str]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def search(self, query: Query) -> RList:
-        """Matching records, fetched once per distinct query."""
-        cached = self._results.get(query)
-        if cached is None:
-            self._account(query)
-            cached = self._results[query] = self.store.search(query)
-        else:
-            self.hits += 1
-        return cached
-
-    def count(self, query: Query) -> int:
-        """Number of matching records (cached alongside search)."""
-        return len(self.search(query))
-
-    def follow(
-        self, query: Query, cursor: _t.Optional[Cursor] = None
-    ) -> tuple[bool, RList, _t.Optional[Cursor]]:
-        """:meth:`EventStore.follow` over a quiescent store: every read is
-        the whole scope, fetched once per distinct query as by
-        :meth:`search` (written out: a check reads through this)."""
-        cached = self._results.get(query)
-        if cached is None:
-            self._account(query)
-            cached = self._results[query] = self.store.search(query)
-        else:
-            self.hits += 1
-        return True, cached, None
-
-    def dependents(
-        self, src: str, since: _t.Optional[float] = None, until: _t.Optional[float] = None
-    ) -> list[str]:
-        """:meth:`EventStore.dependents`, accounted as a fetch of the
-        scope it reads: the ``src`` requests in the window."""
-        scope = dependents_scope(src, since, until)
-        found = self._dependents.get(scope)
-        if found is None:
-            self._account(scope)
-            found = self._dependents[scope] = self.store.dependents(src, since, until)
-        else:
-            self.hits += 1
-        return found
-
-    def request_spans(
-        self,
-        src: str,
-        since: _t.Optional[float] = None,
-        until: _t.Optional[float] = None,
-        dsts: _t.Optional[_t.Sequence[str]] = None,
-        exclude: _t.Optional[str] = None,
-        id_pattern: _t.Optional[str] = "*",
-    ) -> list[RequestSpan]:
-        """:meth:`EventStore.request_spans` through this cache's own
-        :meth:`dependents` and :meth:`search`, so it fetches and counts
-        the scopes a discovery and one ``GetRequests`` per callee do."""
-        return request_spans_by_search(self, src, since, until, dsts, exclude, id_pattern)
-
-    def _account(self, scope: Query) -> None:
-        """A scope counts as fetched once: the first read of it, by
-        either method, is the miss."""
-        if scope in self._results or scope in self._dependents:
-            self.hits += 1
-        else:
-            self.misses += 1
-
-    def __repr__(self) -> str:
-        return f"<QueryCache scopes={self.misses} hits={self.hits}>"
-
-
-#: Anything the assertion layer can query: a raw store or a cache.
-StoreLike = _t.Union[EventStore, QueryCache]
+def QueryCache(store: EventStore) -> EventStore:
+    """``store`` itself.  ``bench/layers.py``, which changes only with
+    the benchmark, still imports this name and runs its check phase
+    through what it returns; the benchmark change that re-points that
+    phase deletes it."""
+    return store
 
 
 def dependents_scope(
@@ -144,7 +50,7 @@ def dependents_scope(
 
 
 def get_requests(
-    store: StoreLike,
+    store: EventStore,
     src: str,
     dst: str,
     id_pattern: str = "*",
@@ -169,7 +75,7 @@ def get_requests(
 
 
 def get_replies(
-    store: StoreLike,
+    store: EventStore,
     src: str,
     dst: str,
     id_pattern: str = "*",

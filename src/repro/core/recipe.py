@@ -91,10 +91,6 @@ class RecipeResult:
     assertion_time: float
     #: Virtual time span [start, end] of the failure window.
     window: tuple[float, float]
-    #: Distinct store scopes fetched while evaluating the check suite.
-    distinct_scopes: int = 0
-    #: Query evaluations answered from the shared per-recipe cache.
-    shared_fetches: int = 0
 
     @property
     def passed(self) -> bool:
@@ -114,9 +110,7 @@ class RecipeResult:
             f"  orchestration: {self.orchestration_time * 1e3:.2f} ms"
             f" ({sum(len(v) for v in self.installed.values())} rule installs"
             f" on {len(self.installed)} agents)",
-            f"  assertions:   {self.assertion_time * 1e3:.2f} ms"
-            f" ({self.distinct_scopes} scopes fetched,"
-            f" {self.shared_fetches} shared)",
+            f"  assertions:   {self.assertion_time * 1e3:.2f} ms",
         ]
         for check in self.checks:
             lines.append(f"  {check}")

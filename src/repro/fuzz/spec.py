@@ -19,10 +19,11 @@ import typing as _t
 from repro.apps.catalog import APPS
 from repro.core.assertions import CheckStatus, Combine
 from repro.core.patterns import CheckResult, PatternCheck
-from repro.core.queries import StoreLike, get_requests, observed_status
+from repro.core.queries import get_requests, observed_status
 from repro.core.recipe import Recipe
 from repro.core.scenarios import SCENARIO_KINDS, FailureScenario
 from repro.errors import RecipeError
+from repro.logstore.store import EventStore
 from repro.microservice.app import Application
 from repro.microservice.graph import ApplicationGraph
 from repro.microservice.handlers import fanout_handler
@@ -75,7 +76,7 @@ class EdgeStatusCheck(PatternCheck):
 
     def run(
         self,
-        store: StoreLike,
+        store: EventStore,
         since: _t.Optional[float] = None,
         until: _t.Optional[float] = None,
         state: _t.Optional[dict] = None,
@@ -140,7 +141,7 @@ class EdgeCountCheck(PatternCheck):
 
     def run(
         self,
-        store: StoreLike,
+        store: EventStore,
         since: _t.Optional[float] = None,
         until: _t.Optional[float] = None,
         state: _t.Optional[dict] = None,

@@ -36,7 +36,7 @@ class HttpRequest:
             raise ValueError(f"unsupported HTTP method {self.method!r}")
         if not self.uri.startswith("/"):
             raise ValueError(f"request URI must start with '/', got {self.uri!r}")
-        if isinstance(self.headers, dict):
+        if not isinstance(self.headers, Headers):
             self.headers = Headers(self.headers)
         if isinstance(self.body, str):
             self.body = self.body.encode("utf-8")
@@ -71,7 +71,7 @@ class HttpResponse:
     def __post_init__(self) -> None:
         if not 100 <= self.status <= 599:
             raise ValueError(f"status must be a 3-digit HTTP code, got {self.status}")
-        if isinstance(self.headers, dict):
+        if not isinstance(self.headers, Headers):
             self.headers = Headers(self.headers)
         if isinstance(self.body, str):
             self.body = self.body.encode("utf-8")

@@ -64,7 +64,6 @@ __all__ = [
     "QueryPlan",
     "RequestSpan",
     "STORE_STRATEGIES",
-    "request_spans_by_search",
 ]
 
 #: Valid values for ``EventStore(strategy=...)``.
@@ -257,7 +256,19 @@ class EventStore:
         bisects; with no glob no record is read and no list is copied.
         """
         if self._strategy == "linear":
-            return request_spans_by_search(self, src, since, until, dsts, exclude, id_pattern)
+            # The oracle: the dependents, then one GetRequests per callee.
+            spans = []
+            for dst in self.dependents(src, since, until) if dsts is None else dsts:
+                if dst == exclude:
+                    continue
+                found = self.search(
+                    Query(ObservationKind.REQUEST, src, dst, id_pattern, since, until)
+                )
+                if found:
+                    spans.append((dst, len(found), found[0].timestamp, found[-1].timestamp))
+                else:
+                    spans.append((dst, 0, None, None))
+            return spans
         if dsts is None:
             # One entry per callee, so the sort never compares two slices.
             edges = sorted(self._callees.get(src, ()))
@@ -417,31 +428,3 @@ class EventStore:
             f" slices={len(self._slices)}>"
         )
 
-
-def request_spans_by_search(
-    reader: _t.Any,
-    src: str,
-    since: _t.Optional[float] = None,
-    until: _t.Optional[float] = None,
-    dsts: _t.Optional[_t.Sequence[str]] = None,
-    exclude: _t.Optional[str] = None,
-    id_pattern: _t.Optional[str] = "*",
-) -> list[RequestSpan]:
-    """:meth:`EventStore.request_spans` answered through ``reader``'s
-    ``dependents`` and one ``search`` per callee: the linear strategy's
-    answer (the oracle), and a ``QueryCache``'s, which accounts each
-    read as the fetch of its scope."""
-    if dsts is None:
-        dsts = reader.dependents(src, since, until)
-    spans = []
-    for dst in dsts:
-        if dst == exclude:
-            continue
-        found = reader.search(
-            Query(ObservationKind.REQUEST, src, dst, id_pattern, since, until)
-        )
-        if found:
-            spans.append((dst, len(found), found[0].timestamp, found[-1].timestamp))
-        else:
-            spans.append((dst, 0, None, None))
-    return spans

@@ -5,15 +5,14 @@ sent the callee in the window, and the first and last of their
 timestamps.  ``EventStore.request_spans`` answers them for all of
 ``src``'s callees in one read: indexed, two bisects per
 ``(request, src, dst)`` slice and no record touched; linear (the
-oracle), and through a ``QueryCache``, by ``dependents`` and ``search``.
+oracle), by ``dependents`` and ``search``.
 
 Every ``HasBulkhead`` result must equal, field for field and type-exact,
 a reference that filters the whole log with per-record loops and keeps
-its own copy of the rate formula — on the indexed store, the linear
-store and a ``QueryCache`` (whose hits and misses must equal those of
-the reads the check made before it had this one) — over hand-built edge
-cases and over the stage windows of a chained session on the 28-service
-app.  ``request_spans`` itself must agree between the two strategies.
+its own copy of the rate formula — on the indexed store and the linear
+store — over hand-built edge cases and over the stage windows of a
+chained session on the 28-service app.  ``request_spans`` itself must
+agree between the two strategies.
 """
 
 from __future__ import annotations
@@ -26,10 +25,10 @@ import pytest
 
 from repro.apps import build_socialnetwork_app
 from repro.campaign import plan_campaign
-from repro.core import Gremlin, HasBulkhead, QueryCache
+from repro.core import Gremlin, HasBulkhead
 from repro.core.patterns import CheckResult
 from repro.loadgen import ClosedLoopLoad
-from repro.logstore import EventStore, ObservationKind, ObservationRecord, Query
+from repro.logstore import EventStore, ObservationKind, ObservationRecord
 
 from tests.conftest import CallCount
 
@@ -79,26 +78,6 @@ def _reference(check, records, since=None, until=None) -> CheckResult:
     return CheckResult(check.name, not starved, detail, data={"rates": rates})
 
 
-def _old_reads(check, cache, since=None, until=None) -> None:
-    """The reads ``HasBulkhead`` made through a cache before it had one
-    read for its dependents: discovery, then one ``GetRequests`` per
-    other dependent."""
-    others = check.other_dsts
-    if others is None:
-        others = [dst for dst in cache.dependents(check.src, since, until) if dst != check.slow_dst]
-    for dst in others:
-        cache.search(
-            Query(
-                kind=ObservationKind.REQUEST,
-                src=check.src,
-                dst=dst,
-                id_pattern=check.id_pattern,
-                since=since,
-                until=until,
-            )
-        )
-
-
 def _as_tuple(result: CheckResult) -> tuple:
     # Type-exact, so an int where a float was is a difference too.
     return (
@@ -120,10 +99,8 @@ def _stores(records) -> dict:
 
 
 def _assert_every_lane_equals_the_reference(store, checks, windows) -> int:
-    """``store``'s log in a store of each strategy, each check run on
-    the store itself, on a fresh cache over it (with and without the
-    scopes prefetched, as ``run_faulted`` does): every result equals the
-    reference, and every cache counts as the old reads did."""
+    """``store``'s log in a store of each strategy; each check run on
+    those and on ``store`` itself: every result equals the reference."""
     records = store.all_records()
     lanes = _stores(records)
     lanes["given"] = store
@@ -133,19 +110,6 @@ def _assert_every_lane_equals_the_reference(store, checks, windows) -> int:
             want = _as_tuple(_reference(check, records, since, until))
             for name, lane in lanes.items():
                 assert _as_tuple(check.run(lane, since, until)) == want, (name, check.name)
-                for prefetch in (False, True):
-                    caches = [QueryCache(lane), QueryCache(lane)]
-                    if prefetch:
-                        for cache in caches:
-                            for scope in check.scopes(since, until):
-                                cache.search(scope)
-                    got = _as_tuple(check.run(caches[0], since, until))
-                    _old_reads(check, caches[1], since, until)
-                    assert got == want, (name, prefetch, check.name)
-                    assert (caches[0].misses, caches[0].hits) == (
-                        caches[1].misses,
-                        caches[1].hits,
-                    )
             compared += 1
     return compared
 

@@ -9,8 +9,7 @@ replaced — one ``observed_status`` call per record, a rebuilt ``Combine``
 per run, dependents collected from every request the caller sent — and
 every ``CheckResult`` (name, verdict, detail, data with the step trace)
 and every ``StepOutcome`` must come out equal, over a 60-stage chained
-session on the 28-service app, on both store strategies and through a
-``QueryCache`` whose hit and miss counts must match too.
+session on the 28-service app, on both store strategies.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.core import (
     HasBulkhead,
     HasCircuitBreaker,
     HasTimeouts,
-    QueryCache,
 )
 from repro.core.assertions import BaseAssertion, StepOutcome, request_rate
 from repro.core.patterns import CheckResult
@@ -356,43 +354,16 @@ def test_the_session_is_not_vacuous(session):
 
 
 @pytest.mark.parametrize("strategy", ["indexed", "linear"])
-def test_both_store_strategies_through_a_query_cache(session, strategy):
+def test_both_store_strategies(session, strategy):
     """The finished session's log in a store of each strategy, every
-    check run through a QueryCache the way ``run_faulted`` does it
-    (scopes prefetched, then the runs) for five stage windows and
-    the whole history: equal results and equal cache accounting."""
+    check run on it for five stage windows and the whole history:
+    equal results."""
     deployment, checks, starts, _, _ = session
     store = EventStore(strategy=strategy)
     store.extend(deployment.store.all_records())
     for since in starts[::12] + [None]:
-        caches = []
-        outcomes = []
-        for run in (lambda c, s: c.run(s, since=since), lambda c, s: reference_run(c, s, since)):
-            cache = QueryCache(store)
-            for check in checks:
-                for scope in check.scopes(since=since):
-                    cache.search(scope)
-            outcomes.append([_as_tuple(run(check, cache)) for check in checks])
-            caches.append((cache.misses, cache.hits))
-        assert outcomes[0] == outcomes[1]
-        assert caches[0] == caches[1]
-
-
-def test_a_cache_counts_a_dependents_read_as_a_fetch_of_its_scope(session):
-    """Without the prefetch, the discovery read is the miss and a later
-    search of the same scope the hit — as when discovery searched it."""
-    deployment, checks, _, _, _ = session
-    bulkheads = [c for c in checks if isinstance(c, HasBulkhead) and c.other_dsts is None]
-    assert bulkheads
-    counts = []
-    for run in (lambda c, s: c.run(s), lambda c, s: reference_run(c, s)):
-        cache = QueryCache(deployment.store)
-        for check in bulkheads:
-            run(check, cache)
-            for scope in check.scopes():
-                cache.search(scope)
-        counts.append((cache.misses, cache.hits))
-    assert counts[0] == counts[1]
+        got = [_as_tuple(check.run(store, since=since)) for check in checks]
+        assert got == [_as_tuple(reference_run(check, store, since)) for check in checks]
 
 
 # -- the base assertions, both accounting views -------------------------------------

@@ -21,7 +21,7 @@ from repro.core import (
 )
 from repro.http import HttpRequest, HttpResponse
 from repro.loadgen import ClosedLoopLoad
-from repro.logstore import Query
+from repro.logstore import EventStore, ObservationRecord, Query
 from repro.microservice import (
     Application,
     PolicySpec,
@@ -147,14 +147,62 @@ class TestHasTimeouts:
     @pytest.mark.parametrize("window", [(None, None), (1.5, None), (1.5, 9.0)])
     def test_scopes_are_the_keyword_built_queries(self, window):
         """The scopes are built positionally; they must equal, and hash
-        like, the queries named field by field, or a QueryCache would
-        stop sharing them."""
+        like, the queries named field by field, which are the reads
+        ``get_requests``/``get_replies`` make."""
         since, until = window
         shared = dict(dst="ServiceB", id_pattern="test-*", since=since, until=until)
         want = [Query(kind="reply", **shared), Query(kind="request", **shared)]
         got = HasTimeouts("ServiceB", "1s", id_pattern="test-*").scopes(since, until)
         assert got == want
         assert [hash(query) for query in got] == [hash(query) for query in want]
+
+
+class _RecordingStore(EventStore):
+    """An EventStore that records the Query each read receives."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = []
+
+    def search(self, query):
+        self.read.append(query)
+        return super().search(query)
+
+    def follow(self, query, cursor=None):
+        self.read.append(query)
+        return super().follow(query, cursor)
+
+
+def _edge_log() -> _RecordingStore:
+    """A -> B: five 503s, then three 200s, each answered to A."""
+    store = _RecordingStore()
+    for index in range(8):
+        status = 503 if index < 5 else 200
+        fields = dict(src="A", dst="B", request_id=f"test-{index}", status=status)
+        store.append(ObservationRecord(timestamp=float(index), kind="request", **fields))
+        store.append(ObservationRecord(timestamp=index + 0.5, kind="reply", latency=0.5, **fields))
+    return store
+
+
+def test_scopes_are_the_queries_run_reads():
+    """Each check's ``scopes()`` are exactly the queries its ``run``
+    reads, with and without a kept state, and on a resumed read."""
+    checks = [
+        HasBoundedRetries("A", "B", max_tries=10, window="10s"),
+        HasCircuitBreaker("A", "B", tdelta="1s", check_recovery=False),
+        HasTimeouts("B", "1s"),
+    ]
+    for check in checks:
+        for since, until in [(None, None), (1.5, None), (1.5, 6.0)]:
+            scopes = set(check.scopes(since, until))
+            for state in (None, {}):
+                store = _edge_log()
+                check.run(store, since, until, state)
+                assert set(store.read) == scopes, (check.name, since, until)
+                if state is not None:
+                    store.read.clear()
+                    check.run(store, since, until, state)
+                    assert set(store.read) == scopes, (check.name, since, until)
 
 
 class TestHasBulkhead:

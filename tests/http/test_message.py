@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.http import HttpRequest, HttpResponse, REQUEST_ID_HEADER
+from repro.http import Headers, HttpRequest, HttpResponse, REQUEST_ID_HEADER
 
 
 class TestHttpRequest:
@@ -79,3 +79,20 @@ class TestHttpResponse:
         duplicate = response.copy()
         duplicate.body = b"changed"
         assert response.body == b"abc"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda headers: HttpRequest("GET", "/x", headers),
+        lambda headers: HttpResponse(200, headers),
+    ],
+    ids=["request", "response"],
+)
+def test_pairs_headers_coerced(build):
+    """A list of pairs, which ``Headers`` accepts, becomes ``Headers``
+    like a dict does, so the message reads it as a header map."""
+    message = build([("A", "1"), (REQUEST_ID_HEADER, "test-3")])
+    assert type(message.headers) is Headers
+    assert message.headers["a"] == "1"
+    assert message.request_id == "test-3"

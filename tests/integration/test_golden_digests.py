@@ -121,8 +121,6 @@ def test_run_recipe_window_and_verdicts():
             (
                 result.window,
                 [(c.name, c.passed, c.inconclusive, c.detail) for c in result.checks],
-                result.distinct_scopes,
-                result.shared_fetches,
             )
         )
     assert json.loads(json.dumps(seen)) == json.loads(json.dumps(GOLDEN_RUN_RECIPE))
@@ -290,6 +288,6 @@ _RECIPE_CHECKS = [
     ),
 ]
 GOLDEN_RUN_RECIPE = [
-    ((0.0, 12.569129999999983), _RECIPE_CHECKS, 3, 3),
-    ((12.569129999999983, 25.138259999999928), _RECIPE_CHECKS, 3, 3),
+    ((0.0, 12.569129999999983), _RECIPE_CHECKS),
+    ((12.569129999999983, 25.138259999999928), _RECIPE_CHECKS),
 ]
