@@ -35,23 +35,17 @@ from repro.core.scenarios import FailureScenario
 from repro.core.translator import RecipeTranslator
 from repro.errors import CampaignTimeoutError
 from repro.loadgen.workload import ClosedLoopLoad, LoadResult
-from repro.logstore.record import ObservationKind
 from repro.logstore.store import EventStore
 from repro.microservice.app import Deployment
-from repro.observability.trace import shape_digests
 
 __all__ = [
     "FaultedRun", "Gremlin", "LoadSpec", "SLICE_VIRTUAL",
-    "run_faulted", "shape_digests_of", "strict_digest", "strict_records",
+    "run_faulted", "strict_digest", "strict_records",
 ]
 
 #: Virtual seconds a deadline-checked drain advances between two looks
 #: at the wall clock.
 SLICE_VIRTUAL = 60.0
-
-#: Windows (``since`` values) a standing check keeps state for: the
-#: current stage and the whole history, in the paper's chained mode.
-_WINDOWS_PER_CHECK = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,8 +83,8 @@ class Gremlin:
         self.deployment = deployment
         self.translator = RecipeTranslator(deployment.graph)
         self.orchestrator = FailureOrchestrator(deployment.agents)
-        #: id(check) -> (weak reference to it, {since: its state dict}).
-        #: An entry goes when its check is collected.
+        #: id(check) -> (weak reference to it, its whole-history state
+        #: dict).  An entry goes when its check is collected.
         self._standing: dict[int, tuple[weakref.ref, dict]] = {}
 
     @property
@@ -124,29 +118,24 @@ class Gremlin:
     ) -> CheckResult:
         """Evaluate one pattern check against the current logs.
 
-        An open-ended check (``until=None``) is a standing check: the
-        facade keeps the ``state`` dict its ``run`` folds into for each
-        check object and ``since``, so a log that grew between two calls
-        is read only for what it gained (plus the requests that were
-        still pending).  It keeps the last two windows of each live
-        check.  The result is ``pattern_check.run(store, since)``'s,
-        field for field.
+        A check over the whole history (no ``since``, no ``until``) is a
+        standing check: the facade keeps the ``state`` dict its ``run``
+        folds into for each live check object, so a log that grew
+        between two calls is read only for what it gained (plus the
+        requests that were still pending).  Any other window is a fresh
+        ``pattern_check.run(store, since, until)``; the result is that
+        call's, field for field, either way.
         """
-        if until is not None:
+        if since is not None or until is not None:
             return pattern_check.run(self.store, since=since, until=until)
         key = id(pattern_check)
-        entry = self._standing.get(key)
-        if entry is None:
-            entry = self._standing[key] = (
-                weakref.ref(pattern_check, functools.partial(_forget, weakref.ref(self), key)),
-                {},
-            )
-        windows = entry[1]
-        state = windows.pop(since, None) or {}
-        result = pattern_check.run(self.store, since, None, state)
-        windows[since] = state
-        if len(windows) > _WINDOWS_PER_CHECK:
-            del windows[next(iter(windows))]
+        # Out of the table while it folds: a run that raises keeps none.
+        ref, state = self._standing.pop(key, None) or (
+            weakref.ref(pattern_check, functools.partial(_forget, weakref.ref(self), key)),
+            {},
+        )
+        result = pattern_check.run(self.store, None, None, state)
+        self._standing[key] = ref, state
         return result
 
     def get_requests(self, src: str, dst: str, id_pattern: str = "*", **kwargs) -> RList:
@@ -358,45 +347,6 @@ def strict_records(store: EventStore) -> list[tuple]:
         )
         for record in store.all_records()
     ]
-
-
-def shape_digests_of(store: EventStore) -> dict[str, str]:
-    """Per-request causal-tree shape digests for a whole store.
-
-    One walk over the records groups each request's spans as
-    :func:`~repro.observability.trace.shape_digests` takes them, by
-    :func:`~repro.observability.spans.assemble_spans`' rules: a record
-    without a span ID or request ID joins no span (a request ID whose
-    records are all untraced digests as an empty tree); a span's first
-    record gives its edge and parent; a later request record for it is
-    a duplicate and ignored; a reply sets its outcome.  Equal to
-    ``trace_shape_digest(reconstruct_from_records(...))`` per request,
-    without building a span or a tree.
-    """
-    requests: dict[str, dict[str, list]] = {}
-    for record in store.all_records():
-        request_id = record.request_id
-        if request_id is None:
-            continue
-        spans = requests.get(request_id)
-        if spans is None:
-            spans = requests[request_id] = {}
-        span_id = record.span_id
-        if span_id is None:
-            continue
-        span = spans.get(span_id)
-        if span is None:
-            spans[span_id] = [
-                record.src,
-                record.dst,
-                record.status,
-                record.error,
-                record.fault_applied,
-                record.parent_span,
-            ]
-        elif record.kind == ObservationKind.REPLY:
-            span[2:5] = record.status, record.error, record.fault_applied
-    return shape_digests(requests)
 
 
 def strict_digest(**parts: _t.Any) -> str:

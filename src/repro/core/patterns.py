@@ -271,6 +271,8 @@ class HasBoundedRetries(PatternCheck):
         window: _t.Union[str, float] = "1min",
         id_pattern: str = "*",
     ) -> None:
+        # Refuses bad parameters now, not at the first run with requests.
+        _bounded_retries(failure_status, num_failures, window, max_tries)
         self.src = src
         self.dst = dst
         self.max_tries = max_tries
@@ -410,6 +412,17 @@ class HasCircuitBreaker(PatternCheck):
         )
         self.id_pattern = id_pattern
         self.name = f"HasCircuitBreaker({src}, {dst}, {threshold}, {self.tdelta:g}s)"
+        self._chain()  # refuses bad parameters now, as HasBoundedRetries does
+
+    def _chain(self) -> Combine:
+        return _circuit_breaker(
+            self.threshold,
+            self.tdelta,
+            self.half_open_allowance,
+            self.check_recovery,
+            self.recovery_window,
+            self.success_threshold,
+        )
 
     def scopes(self, since=None, until=None):
         return [_requests_scope(self.src, self.dst, self.id_pattern, since, until)]
@@ -418,14 +431,7 @@ class HasCircuitBreaker(PatternCheck):
         rlist, tally = _edge_requests(self, store, since, until, state)
         if not rlist:
             return self._no_data(f"no requests {self.src!r} -> {self.dst!r} observed")
-        chain = _circuit_breaker(
-            self.threshold,
-            self.tdelta,
-            self.half_open_allowance,
-            self.check_recovery,
-            self.recovery_window,
-            self.success_threshold,
-        )
+        chain = self._chain()
         result, tally = chain.resume(rlist, tally)
         if state is not None:
             state["tally"] = tally

@@ -28,13 +28,13 @@ from repro.campaign.fleet import Fleet, ProcessWorkerSpec
 from repro.core.gremlin import (
     LoadSpec,
     run_faulted,
-    shape_digests_of,
     strict_digest,
     strict_records,
 )
 from repro.core.scenarios import FailureScenario
 from repro.errors import ExploreError
 from repro.fuzz.spec import SOURCE_NAME
+from repro.observability.trace import shape_digests_of
 
 __all__ = [
     "ExploreOutcome",

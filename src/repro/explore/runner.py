@@ -32,7 +32,7 @@ import random as _random
 import typing as _t
 
 from repro.apps.outages import SeededBugManifest
-from repro.core.gremlin import run_faulted, shape_digests_of
+from repro.core.gremlin import run_faulted
 from repro.errors import ExploreError
 from repro.explore.compiler import compile_scenarios
 from repro.explore.coords import (
@@ -52,7 +52,7 @@ from repro.explore.frontier import Frontier
 from repro.explore.coverage import BugFinding, CoverageReport
 from repro.observability.cascade.graph import discover_graph
 from repro.observability.cascade.whatif import order_candidates
-from repro.observability.trace import reconstruct
+from repro.observability.trace import reconstruct, shape_digests_of
 from repro.tracing.context import TEST_ID_PREFIX
 
 __all__ = ["ExploreResult", "STRATEGIES", "discover_space", "run_explore"]

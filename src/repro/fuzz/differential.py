@@ -43,7 +43,6 @@ import typing as _t
 from repro.core.gremlin import (
     LoadSpec,
     run_faulted,
-    shape_digests_of,
     strict_digest,
     strict_records,
 )
@@ -57,6 +56,7 @@ from repro.fuzz.spec import (
     build_scenario,
 )
 from repro.logstore.store import EventStore
+from repro.observability.trace import shape_digests_of
 from repro.simulation.kernel import Simulator
 
 __all__ = ["CaseReport", "Execution", "execute_case", "run_case"]

@@ -16,6 +16,8 @@ injected via a Gremlin agent").
 
 from __future__ import annotations
 
+import functools
+import itertools
 import typing as _t
 import weakref
 
@@ -29,8 +31,9 @@ from repro.microservice.graph import ApplicationGraph
 from repro.microservice.instance import ServiceInstance
 from repro.microservice.resilience.policy import PolicySpec
 from repro.microservice.service import ServiceDefinition
+from repro.network.address import Address
 from repro.network.latency import LatencyModel
-from repro.network.transport import Network
+from repro.network.transport import Host, Network
 from repro.observability.metrics import MetricsRegistry
 from repro.registry.registry import InstanceRecord, ServiceRegistry
 from repro.simulation.kernel import Simulator
@@ -39,6 +42,13 @@ __all__ = ["Application", "Deployment", "TrafficSource"]
 
 #: First loopback port assigned to sidecar routes on each host.
 SIDECAR_BASE_PORT = 9000
+
+
+def _round_robin(registry: ServiceRegistry, dependency: str, turn: _t.Iterator[int]) -> Address:
+    """The ``next(turn)``-th of ``dependency``'s registered addresses, in
+    turn: a sidecar-less client's resolver, bound per client."""
+    addresses = registry.addresses(dependency)
+    return addresses[next(turn) % len(addresses)]
 
 
 class Application:
@@ -206,7 +216,15 @@ class Deployment:
         # Wire sidecars + clients, register, and start.
         for definition in definitions.values():
             for instance in self.instances[definition.name]:
-                agent = self._wire_instance(instance)
+                agent, clients = self._wire(
+                    instance.host,
+                    definition.name,
+                    instance.instance_id,
+                    definition.dependencies,
+                    named_clients=True,
+                )
+                for client in clients:
+                    instance.add_client(client)
                 self.registry.register(
                     InstanceRecord(
                         service=definition.name,
@@ -218,71 +236,62 @@ class Deployment:
                 )
                 instance.start()
 
-    def _wire_instance(self, instance: ServiceInstance) -> GremlinAgent | None:
-        definition = instance.definition
-        dependencies = definition.dependency_names()
-        if not dependencies:
-            return None
-        if not self.sidecars:
-            self._wire_direct_clients(instance)
-            return None
-        agent = GremlinAgent(
-            self.sim,
-            instance.host,
-            owner_service=definition.name,
-            owner_instance=instance.instance_id,
-            registry=self.registry,
-            pipeline=self.pipeline,
-            metrics=self.metrics,
-            matcher_strategy=self.matcher_strategy,
-        )
-        http = HttpClient(instance.host)
-        for offset, dependency in enumerate(dependencies):
-            port = SIDECAR_BASE_PORT + offset
-            agent.add_route(port, dependency)
-            instance.add_client(
+    def _wire(
+        self,
+        host: Host,
+        owner_service: str,
+        owner_instance: str,
+        policies: _t.Mapping[str, PolicySpec],
+        named_clients: bool,
+    ) -> tuple[GremlinAgent | None, list[DependencyClient]]:
+        """A host's sidecar and one client per ``dependency -> policy``
+        (a named one is ``owner_instance->dependency``), for instances and
+        traffic sources alike.  With sidecars the agent routes
+        ``SIDECAR_BASE_PORT + i`` to the i-th dependency, is started and
+        joins ``self.agents``; without, each client round-robins over the
+        destination's instances: the unobserved, uninjectable baseline of
+        the proxy overhead.  Nothing here refers back to the deployment.
+        """
+        if not policies:
+            return None, []
+        agent: GremlinAgent | None = None
+        if self.sidecars:
+            agent = GremlinAgent(
+                self.sim,
+                host,
+                owner_service=owner_service,
+                owner_instance=owner_instance,
+                registry=self.registry,
+                pipeline=self.pipeline,
+                metrics=self.metrics,
+                matcher_strategy=self.matcher_strategy,
+            )
+        http = HttpClient(host)
+        clients = []
+        for offset, (dependency, policy) in enumerate(policies.items()):
+            if agent is None:
+                target: _t.Any = functools.partial(
+                    _round_robin, self.registry, dependency, itertools.count()
+                )
+            else:
+                agent.add_route(SIDECAR_BASE_PORT + offset, dependency)
+                target = agent.route_address(dependency)
+            clients.append(
                 DependencyClient(
                     self.sim,
                     http,
-                    caller=definition.name,
+                    caller=owner_service,
                     dependency=dependency,
-                    target=agent.route_address(dependency),
-                    policy=definition.dependencies[dependency],
+                    target=target,
+                    policy=policy,
                     metrics=self.metrics,
-                    name=f"{instance.instance_id}->{dependency}",
+                    name=f"{owner_instance}->{dependency}" if named_clients else None,
                 )
             )
-        agent.start()
-        self.agents.append(agent)
-        return agent
-
-    def _wire_direct_clients(self, instance: ServiceInstance) -> None:
-        """Sidecar-less wiring: clients dial destination instances
-        directly with client-side round-robin.  Baseline for the proxy
-        overhead ablation — no observation, no injection."""
-        definition = instance.definition
-        http = HttpClient(instance.host)
-        for dependency in definition.dependency_names():
-            counters = {"next": 0}
-
-            def resolver(dep=dependency, counters=counters, registry=self.registry):
-                addresses = registry.addresses(dep)
-                index = counters["next"]
-                counters["next"] = index + 1
-                return addresses[index % len(addresses)]
-
-            instance.add_client(
-                DependencyClient(
-                    self.sim,
-                    http,
-                    caller=definition.name,
-                    dependency=dependency,
-                    target=resolver,
-                    policy=definition.dependencies[dependency],
-                    metrics=self.metrics,
-                    name=f"{instance.instance_id}->{dependency}",
-                )
-            )
+        if agent is not None:
+            agent.start()
+            self.agents.append(agent)
+        return agent, clients
 
     # -- observability -----------------------------------------------------------
 
@@ -373,43 +382,16 @@ class TrafficSource:
         #: The simulator this source runs on.  (Not the deployment: it
         #: holds its sources, and a source holding it back would make
         #: every deployment a reference cycle.)
-        self.sim = sim = deployment.sim
+        self.sim = deployment.sim
         self.name = name
         self.target_service = target_service
         self.host = deployment.network.add_host(f"{name.lower()}-src")
-        self.agent: GremlinAgent | None = None
-        if deployment.sidecars:
-            self.agent = GremlinAgent(
-                sim,
-                self.host,
-                owner_service=name,
-                owner_instance=f"{name.lower()}-src",
-                registry=deployment.registry,
-                pipeline=deployment.pipeline,
-                metrics=deployment.metrics,
-                matcher_strategy=deployment.matcher_strategy,
-            )
-            self.agent.add_route(SIDECAR_BASE_PORT, target_service)
-            self.agent.start()
-            deployment.agents.append(self.agent)
-            target: _t.Any = self.agent.route_address(target_service)
-        else:
-            counters = {"next": 0}
-
-            def target(dep=target_service, counters=counters, registry=deployment.registry):
-                addresses = registry.addresses(dep)
-                index = counters["next"]
-                counters["next"] = index + 1
-                return addresses[index % len(addresses)]
-
-        self.client = DependencyClient(
-            sim,
-            HttpClient(self.host),
-            caller=name,
-            dependency=target_service,
-            target=target,
-            policy=policy_spec,
-            metrics=deployment.metrics,
+        self.agent, (self.client,) = deployment._wire(
+            self.host,
+            name,
+            f"{name.lower()}-src",
+            {target_service: policy_spec},
+            named_clients=False,
         )
 
     def __repr__(self) -> str:

@@ -22,8 +22,8 @@ import typing as _t
 
 from repro.agent.rules import FaultRule
 from repro.logstore.query import Query
-from repro.logstore.record import ObservationKind, ObservationRecord
-from repro.observability.spans import Span
+from repro.logstore.record import ObservationRecord
+from repro.observability.spans import Span, span_rows
 from repro.observability.trace import Trace, reconstruct_from_records
 from repro.util import plain
 
@@ -127,32 +127,20 @@ def attribute_trace(
 
 
 def _trace_failed(records: _t.Iterable[ObservationRecord]) -> bool:
-    """:attr:`Trace.failed` of the trace ``records`` would build, in one
-    pass and without building it.
+    """:attr:`Trace.failed` of the trace ``records`` would build, without
+    building it.
 
-    Per span ID, as :func:`~repro.observability.spans.assemble_spans`
-    folds them: the first record fixes the parent and the outcome, a
-    later request record is a duplicate and ignored, and every reply
-    overrides the outcome; records without a span ID are skipped.  A
-    root is a span with no parent or whose parent is not among the
-    request's spans (an orphan), and the trace failed when a root did
-    not end ok (:attr:`Span.ok`).
+    The spans are :func:`~repro.observability.spans.span_rows`'.  A root
+    is a span with no parent or whose parent is not among the request's
+    spans (an orphan), and the trace failed when a root did not end ok
+    (:attr:`Span.ok`).
     """
-    spans: _t.Dict[str, tuple] = {}
-    for record in records:
-        span_id = record.span_id
-        if span_id is None:
-            continue
-        known = spans.get(span_id)
-        if known is None:
-            spans[span_id] = (record.parent_span, record.status, record.error)
-        elif record.kind == ObservationKind.REPLY:
-            spans[span_id] = (known[0], record.status, record.error)
-    for parent, status, error in spans.values():
-        if (parent is None or parent not in spans) and not (
-            error is None and status is not None and status < 500
-        ):
-            return True
+    for spans in span_rows(records).values():
+        for _, _, status, error, _, parent in spans.values():
+            if (parent is None or parent not in spans) and not (
+                error is None and status is not None and status < 500
+            ):
+                return True
     return False
 
 

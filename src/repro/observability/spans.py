@@ -19,10 +19,10 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.logstore.record import ObservationRecord
+from repro.logstore.record import ObservationKind, ObservationRecord
 from repro.util import plain
 
-__all__ = ["Span", "assemble_spans"]
+__all__ = ["Span", "assemble_spans", "span_rows"]
 
 
 @dataclasses.dataclass
@@ -108,6 +108,7 @@ def assemble_spans(
     one message per anomaly observed.  Records without a ``span_id``
     (from deployments with tracing disabled, or mirror copies) are
     counted but excluded — they cannot participate in a causal tree.
+    Edge, parent and outcome follow :func:`span_rows`' rule.
     """
     by_id: _t.Dict[str, Span] = {}
     order: _t.List[Span] = []
@@ -191,3 +192,43 @@ def assemble_spans(
 
     order.sort(key=lambda span: (span.start, span.span_id))
     return order, diagnostics
+
+
+def span_rows(
+    records: _t.Iterable[ObservationRecord],
+) -> _t.Dict[str, _t.Dict[str, list]]:
+    """The light fold of :func:`assemble_spans`: each request's spans as
+    rows, without building a :class:`Span` or a diagnostic.
+
+    Returns ``{request_id: {span_id: [src, dst, status, error,
+    fault_applied, parent_span]}}``, spans in first-record order.  A
+    span's first record fixes its edge and parent; a later request
+    record for it is a duplicate and ignored; a reply overwrites the
+    outcome.  A record without a span ID joins no span (a request ID
+    whose records are all untraced gets no spans), and one without a
+    request ID is skipped.
+    """
+    requests: _t.Dict[str, _t.Dict[str, list]] = {}
+    for record in records:
+        request_id = record.request_id
+        if request_id is None:
+            continue
+        spans = requests.get(request_id)
+        if spans is None:
+            spans = requests[request_id] = {}
+        span_id = record.span_id
+        if span_id is None:
+            continue
+        span = spans.get(span_id)
+        if span is None:
+            spans[span_id] = [
+                record.src,
+                record.dst,
+                record.status,
+                record.error,
+                record.fault_applied,
+                record.parent_span,
+            ]
+        elif record.kind == ObservationKind.REPLY:
+            span[2:5] = record.status, record.error, record.fault_applied
+    return requests

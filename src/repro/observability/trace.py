@@ -23,7 +23,7 @@ import typing as _t
 from repro.errors import TraceError
 from repro.logstore.query import Query
 from repro.logstore.record import ObservationRecord
-from repro.observability.spans import Span, assemble_spans
+from repro.observability.spans import Span, assemble_spans, span_rows
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.logstore.store import EventStore
@@ -34,6 +34,7 @@ __all__ = [
     "reconstruct",
     "reconstruct_from_records",
     "shape_digests",
+    "shape_digests_of",
     "trace_shape_digest",
 ]
 
@@ -321,6 +322,16 @@ def shape_digests(
             digest = hashes[payload] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
         digests[request_id] = digest
     return digests
+
+
+def shape_digests_of(store: "EventStore") -> _t.Dict[str, str]:
+    """Per-request causal-tree shape digests for a whole store, from one
+    walk over its records (:func:`span_rows`).  A request ID whose
+    records are all untraced digests as an empty tree.  Equal to
+    ``trace_shape_digest(reconstruct_from_records(...))`` per request,
+    without building a span or a tree.
+    """
+    return shape_digests(span_rows(store.all_records()))
 
 
 def trace_shape_digest(trace: Trace) -> str:

@@ -187,74 +187,46 @@ class Timeout(SimEvent):
 class Condition(SimEvent):
     """Base for composite events over a list of child events.
 
-    A condition evaluates a predicate over how many children have
-    triggered successfully.  If any child *fails* before the condition
-    triggers, the condition fails with that child's exception (and the
-    child is marked ``defused`` so the kernel does not also report an
-    unhandled failure).
+    If any child *fails* before the condition triggers, the condition
+    fails with that child's exception (and the child is marked
+    ``defused`` so the kernel does not also report an unhandled
+    failure).  On success the value maps each already-*processed*
+    successful child to its value: ``processed`` (not merely
+    ``triggered``) is the right test, because Timeout events carry their
+    value from construction but have not *occurred* until the kernel
+    runs their callbacks.  Subclasses supply ``_check``, the callback
+    each child runs, which decides when enough children have succeeded.
     """
 
-    __slots__ = ("events", "_evaluate", "_count")
+    __slots__ = ("events", "_count")
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        events: _t.Sequence[SimEvent],
-        evaluate: _t.Callable[[int, int], bool],
-    ) -> None:
-        super().__init__(sim)
-        self.events = list(events)
-        self._evaluate = evaluate
+    def __init__(self, sim: "Simulator", events: _t.Sequence[SimEvent]) -> None:
+        # Flattened SimEvent init: conditions are built on the request
+        # hot path (every timeout race makes one), and a super() chain
+        # showed up in profiles.
+        self.sim = sim
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self.defused = False
+        self.events = evs = list(events)
         self._count = 0
-        if not self.events:
+        if not evs:
             # Degenerate condition triggers immediately.
             self._ok = True
             self._value = {}
             sim._schedule_at(sim.now, self)
             return
         check = self._check
-        for ev in self.events:
+        for ev in evs:
             if ev.sim is not sim:
                 raise ValueError("all events of a condition must share one Simulator")
-            # Inlined add_callback: conditions are built on the request
-            # hot path (every timeout race makes one).
+            # Inlined add_callback.
             callbacks = ev.callbacks
             if callbacks is None:
                 check(ev)
             else:
                 callbacks.append(check)
-
-    def _check(self, ev: SimEvent) -> None:
-        if self._value is not PENDING:
-            if not ev._ok:
-                # Condition already resolved; swallow late failures of
-                # the losing branches (e.g. a timeout raced and lost).
-                ev.defused = True
-            return
-        if not ev._ok:
-            ev.defused = True
-            self.fail(ev._value)
-            return
-        self._count += 1
-        if self._evaluate(len(self.events), self._count):
-            self.succeed(self._collect_values())
-
-    def _collect_values(self) -> dict[SimEvent, _t.Any]:
-        """Map each already-*processed* successful child to its value.
-
-        ``processed`` (not merely ``triggered``) is the right test:
-        Timeout events carry their value from construction, but they
-        have not *occurred* until the kernel runs their callbacks.
-        """
-        return {ev: ev.value for ev in self.events if ev.processed and ev.ok}
-
-
-def _any_done(total: int, done: int) -> bool:
-    return done >= 1
-
-
-def _all_done(total: int, done: int) -> bool:
-    return done >= total
 
 
 class AnyOf(Condition):
@@ -271,37 +243,12 @@ class AnyOf(Condition):
 
     __slots__ = ()
 
-    def __init__(self, sim: "Simulator", events: _t.Sequence[SimEvent]) -> None:
-        # Flattened Condition/SimEvent init: conditions are built on the
-        # request hot path (every timeout race makes one), and the
-        # three-deep super() chain showed up in profiles.
-        self.sim = sim
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = None
-        self.defused = False
-        self.events = evs = list(events)
-        self._evaluate = _any_done
-        self._count = 0
-        if not evs:
-            self._ok = True
-            self._value = {}
-            sim._schedule_at(sim.now, self)
-            return
-        check = self._check
-        for ev in evs:
-            if ev.sim is not sim:
-                raise ValueError("all events of a condition must share one Simulator")
-            callbacks = ev.callbacks
-            if callbacks is None:
-                check(ev)
-            else:
-                callbacks.append(check)
-
     def _check(self, ev: SimEvent) -> None:
-        # Specialized: triggers on the first success, collecting values
-        # with direct slot access (``callbacks is None`` == processed).
+        # Collects values with direct slot access (``callbacks is None``
+        # == processed).
         if self._value is not PENDING:
+            # Condition already resolved; swallow late failures of the
+            # losing branches (e.g. a timeout raced and lost).
             if not ev._ok:
                 ev.defused = True
             return
@@ -309,7 +256,6 @@ class AnyOf(Condition):
             ev.defused = True
             self.fail(ev._value)
             return
-        self._count += 1
         self.succeed(
             {e: e._value for e in self.events if e.callbacks is None and e._ok}
         )
@@ -324,33 +270,8 @@ class AllOf(Condition):
 
     __slots__ = ()
 
-    def __init__(self, sim: "Simulator", events: _t.Sequence[SimEvent]) -> None:
-        # Flattened like AnyOf.__init__; see the comment there.
-        self.sim = sim
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = None
-        self.defused = False
-        self.events = evs = list(events)
-        self._evaluate = _all_done
-        self._count = 0
-        if not evs:
-            self._ok = True
-            self._value = {}
-            sim._schedule_at(sim.now, self)
-            return
-        check = self._check
-        for ev in evs:
-            if ev.sim is not sim:
-                raise ValueError("all events of a condition must share one Simulator")
-            callbacks = ev.callbacks
-            if callbacks is None:
-                check(ev)
-            else:
-                callbacks.append(check)
-
     def _check(self, ev: SimEvent) -> None:
-        # Specialized mirror of AnyOf._check for the join-on-all case.
+        # The join-on-all mirror of AnyOf._check.
         if self._value is not PENDING:
             if not ev._ok:
                 ev.defused = True

@@ -269,3 +269,31 @@ class TestHasBulkhead:
     def test_rate_validated(self):
         with pytest.raises(ValueError):
             HasBulkhead("a", "b", rate=0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HasBoundedRetries("a", "b", max_tries=-1),
+        lambda: HasBoundedRetries("a", "b", 5, num_failures=0),
+        lambda: HasBoundedRetries("a", "b", 5, failure_status=None, num_failures=0),
+        lambda: HasBoundedRetries("a", "b", 5, window=-1),
+        lambda: HasCircuitBreaker("a", "b", threshold=0),
+        lambda: HasCircuitBreaker("a", "b", half_open_allowance=-1),
+        lambda: HasCircuitBreaker("a", "b", success_threshold=-1),
+    ],
+    ids=[
+        "retries-max-tries",
+        "retries-num-failures",
+        "retries-num-failed-calls",
+        "retries-window",
+        "breaker-threshold",
+        "breaker-half-open-allowance",
+        "breaker-success-threshold",
+    ],
+)
+def test_retry_and_breaker_parameters_validated(build):
+    """Refused when the check is built, not at the first run that sees
+    requests (an empty store would leave them inconclusive)."""
+    with pytest.raises(ValueError):
+        build()

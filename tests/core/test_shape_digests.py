@@ -28,17 +28,18 @@ import types
 import pytest
 
 from repro.apps.outages import SEEDED_BUG_SUITE
-from repro.core.gremlin import run_faulted, shape_digests_of
+from repro.core.gremlin import run_faulted
 from repro.explore.compiler import compile_scenarios
 from repro.explore.executor import _manifest_load
 from repro.explore.runner import discover_space
 from repro.logstore import EventStore, ObservationKind, ObservationRecord
 from repro.observability import trace as trace_module
-from repro.observability.spans import Span
+from repro.observability.spans import Span, span_rows
 from repro.observability.trace import (
     Trace,
     TraceNode,
     reconstruct_from_records,
+    shape_digests_of,
     trace_shape_digest,
 )
 
@@ -84,8 +85,25 @@ def assert_matches_reference(store):
     expected = reference_digests(store)
     assert list(got.items()) == list(expected.items())
     # The Trace entry point shares the one canonical-text definition.
-    for request_id, trace in reference_traces(store).items():
+    traces = reference_traces(store)
+    for request_id, trace in traces.items():
         assert trace_shape_digest(trace) == expected[request_id]
+    # The record -> span rule's two writers, the light fold and the full
+    # one, agree on every span of every request.
+    rows = span_rows(store.all_records())
+    assert list(rows) == list(traces)
+    for request_id, trace in traces.items():
+        assert rows[request_id] == {
+            span.span_id: [
+                span.src,
+                span.dst,
+                span.status,
+                span.error,
+                span.fault_applied,
+                span.parent_span,
+            ]
+            for span in trace.spans
+        }
     return got
 
 

@@ -191,15 +191,19 @@ def test_each_restart_and_re_read_is_needed(deployment, steps):
     assert _replay(deployment, steps) == []
 
 
-def test_state_is_kept_per_live_check_and_two_windows(deployment):
-    """A standing check keeps state for its last two windows, and none
+def test_state_is_kept_per_live_check_for_its_whole_history(deployment):
+    """A standing check keeps one state, its whole history's, resumed
+    across windowed calls; a windowed call keeps none; and none is kept
     once the check object is gone."""
     deployment.store = EventStore()
     gremlin = Gremlin(deployment)
     check = HasTimeouts("B", "1s")
-    for since in (None, 1.0, 2.0, 3.0, None):
+    gremlin.check(check)
+    state = gremlin._standing[id(check)][1]
+    for since in (1.0, 2.0, 3.0, None):
         gremlin.check(check, since=since)
-    assert list(gremlin._standing[id(check)][1]) == [3.0, None]
+    assert list(gremlin._standing) == [id(check)]
+    assert gremlin._standing[id(check)][1] is state
     for _ in range(50):
         gremlin.check(HasTimeouts("B", "1s"))
     gc.collect()

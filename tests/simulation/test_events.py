@@ -120,7 +120,54 @@ class TestTimeout:
             timeout.succeed()
 
 
-class TestAnyOf:
+class _ConditionCases:
+    """What every condition shares: failures, the empty list and the
+    one-simulator rule live in ``Condition``'s constructor and in each
+    ``_check``'s failure branch, so both conditions run these."""
+
+    condition = AnyOf
+
+    def test_failure_of_child_fails_condition(self, sim):
+        def proc(sim):
+            ev = sim.event()
+            sim.timeout(0.5).add_callback(lambda _e: ev.fail(RuntimeError("child died")))
+            try:
+                yield self.condition(sim, [ev, sim.timeout(10)])
+            except RuntimeError as exc:
+                return str(exc)
+
+        assert run_to_completion(sim, proc(sim)) == "child died"
+
+    def test_late_failure_after_a_failure_is_defused(self, sim):
+        def proc(sim):
+            first, late = sim.event(), sim.event()
+            sim.timeout(1).add_callback(lambda _e: first.fail(RuntimeError("first")))
+            sim.timeout(5).add_callback(lambda _e: late.fail(RuntimeError("late")))
+            try:
+                yield self.condition(sim, [first, late])
+            except RuntimeError as exc:
+                return str(exc)
+
+        assert run_to_completion(sim, proc(sim)) == "first"
+        sim.run()  # strict mode: no unhandled failure may remain
+
+    def test_empty_condition_triggers_immediately(self, sim):
+        def proc(sim):
+            result = yield self.condition(sim, [])
+            return result
+
+        assert run_to_completion(sim, proc(sim)) == {}
+
+    def test_mixed_simulators_rejected(self):
+        sim_a = Simulator()
+        sim_b = Simulator()
+        with pytest.raises(ValueError):
+            self.condition(sim_a, [sim_a.event(), sim_b.event()])
+
+
+class TestAnyOf(_ConditionCases):
+    condition = AnyOf
+
     def test_first_event_wins(self, sim):
         def proc(sim):
             fast = sim.timeout(1, value="fast")
@@ -132,17 +179,6 @@ class TestAnyOf:
         assert has_fast and not has_slow
         assert now == 1
 
-    def test_failure_of_child_fails_condition(self, sim):
-        def proc(sim):
-            ev = sim.event()
-            sim.timeout(0.5).add_callback(lambda _e: ev.fail(RuntimeError("child died")))
-            try:
-                yield AnyOf(sim, [ev, sim.timeout(10)])
-            except RuntimeError as exc:
-                return str(exc)
-
-        assert run_to_completion(sim, proc(sim)) == "child died"
-
     def test_late_failure_after_win_is_defused(self, sim):
         def proc(sim):
             ev = sim.event()
@@ -153,21 +189,10 @@ class TestAnyOf:
         assert run_to_completion(sim, proc(sim)) == 1
         sim.run()  # strict mode: no unhandled failure may remain
 
-    def test_empty_condition_triggers_immediately(self, sim):
-        def proc(sim):
-            result = yield AnyOf(sim, [])
-            return result
 
-        assert run_to_completion(sim, proc(sim)) == {}
+class TestAllOf(_ConditionCases):
+    condition = AllOf
 
-    def test_mixed_simulators_rejected(self):
-        sim_a = Simulator()
-        sim_b = Simulator()
-        with pytest.raises(ValueError):
-            AnyOf(sim_a, [sim_a.event(), sim_b.event()])
-
-
-class TestAllOf:
     def test_waits_for_all(self, sim):
         def proc(sim):
             first = sim.timeout(1, value="a")
