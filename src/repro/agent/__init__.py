@@ -12,7 +12,12 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "control_api": ["AgentControlChannel", "rule_from_wire", "rule_to_wire"],
-        "faults": ["modify_request", "modify_response", "synthesize_abort_response"],
+        "faults": [
+            "abort_response",
+            "modify_request",
+            "modify_response",
+            "synthesize_abort_response",
+        ],
         "matcher": [
             "InstalledRule",
             "LinearMatcher",

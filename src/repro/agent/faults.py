@@ -13,7 +13,7 @@ from repro.agent.rules import FaultRule, FaultType
 from repro.errors import RuleValidationError
 from repro.http.message import HttpRequest, HttpResponse
 
-__all__ = ["synthesize_abort_response", "modify_request", "modify_response"]
+__all__ = ["synthesize_abort_response", "abort_response", "modify_request", "modify_response"]
 
 
 def synthesize_abort_response(rule: FaultRule, request: HttpRequest) -> HttpResponse:
@@ -24,13 +24,19 @@ def synthesize_abort_response(rule: FaultRule, request: HttpRequest) -> HttpResp
     reaching the destination service (paper O2: an overloaded server is
     emulated by intercepting the request and responding with 503).
     """
+    return abort_response(rule, request.request_id)
+
+
+def abort_response(rule: FaultRule, request_id: str | None) -> HttpResponse:
+    """:func:`synthesize_abort_response` for the request ID alone: what
+    the proxy uses, since a request it forwarded is no longer its own."""
     if rule.fault_type != FaultType.ABORT or rule.is_reset:
         raise RuleValidationError(f"rule {rule} does not synthesize an HTTP response")
     assert rule.error is not None
     return HttpResponse.error(
         rule.error,
         f"injected by gremlin rule #{rule.rule_id}",
-        request_id=request.request_id,
+        request_id=request_id,
     )
 
 

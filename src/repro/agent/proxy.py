@@ -30,11 +30,15 @@ Per proxied call the agent:
    reset the caller's connection without ever contacting the callee;
    Modify: rewrite body bytes);
 3. emits a request observation record;
-4. forwards to a callee instance and awaits the reply;
+4. forwards to a callee instance and awaits the reply.  The request is
+   handed over, not copied (:func:`repro.http.wire.hand_on`): everything
+   the agent holds came off the wire or was built by it, and after
+   forwarding it reads only the request ID it took in step 1;
 5. consults the matcher for a response-direction rule and applies it;
-6. updates the request record with the outcome and emits a reply
-   record carrying caller-observed latency, the Gremlin-injected delay
-   (for ``withRule`` accounting), and the fault action applied.
+6. updates the request record with the outcome, emits a reply record
+   carrying caller-observed latency, the Gremlin-injected delay (for
+   ``withRule`` accounting) and the fault action applied, and hands the
+   response to the caller.
 
 Upstream transport failures are translated the way real sidecar
 proxies (Envoy) translate them: connection refused/unreachable becomes
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.agent.faults import modify_request, modify_response, synthesize_abort_response
+from repro.agent.faults import abort_response, modify_request, modify_response
 from repro.agent.matcher import InstalledRule, RuleMatcher, make_matcher
 from repro.agent.rules import FaultRule, FaultType
 from repro.errors import (
@@ -61,7 +65,7 @@ from repro.errors import (
 from repro.http import status as http_status
 from repro.http.headers import SPAN_ID_HEADER
 from repro.http.message import HttpRequest, HttpResponse
-from repro.http.wire import received_request, received_response, send_message
+from repro.http.wire import hand_on, received_request, received_response
 from repro.logstore.pipeline import LogPipeline
 from repro.logstore.query import compile_id_pattern
 from repro.logstore.record import ObservationKind, ObservationRecord
@@ -285,7 +289,11 @@ class GremlinAgent:
                     record.status = rule.error
                 record.injected_delay = injected_delay
                 self.pipeline.emit(record)
-                return  # aborted before reaching the shadow
+                # Aborted before reaching the shadow: answered by the agent.
+                self._emit_reply(
+                    record, start, injected_delay, True, record.status, record.error
+                )
+                return
             elif rule.fault_type == FaultType.MODIFY:
                 request = modify_request(rule, request)
         record.injected_delay = injected_delay
@@ -298,7 +306,7 @@ class GremlinAgent:
         host = self.host
         try:
             upstream = yield host.network.exchange(host, target)
-            send_message(upstream, request)
+            hand_on(upstream, request)
             reply_payload = yield upstream.recv()
             upstream.close()
             response = received_response(reply_payload)
@@ -456,7 +464,7 @@ class GremlinAgent:
                     self._emit_reply(record, start, injected_delay, True, record.status, "reset")
                     conn.reset()
                     return True
-                response = synthesize_abort_response(rule, request)
+                response = abort_response(rule, request_id)
                 record.status = response.status
                 record.injected_delay = injected_delay
                 self.pipeline.emit(record)
@@ -516,7 +524,9 @@ class GremlinAgent:
                     self._emit_reply(record, start, injected_delay, True, record.status, "reset")
                     conn.reset()
                     return True
-                response = synthesize_abort_response(rule, request)
+                # ``request`` was handed to the callee, which may have
+                # rewritten it: the ID is the one read on arrival.
+                response = abort_response(rule, request_id)
                 gremlin_generated = True
             elif rule.fault_type == FaultType.MODIFY:
                 response = modify_response(rule, response)
@@ -531,18 +541,22 @@ class GremlinAgent:
     def _forward(
         self, dst_service: str, request: HttpRequest, request_id: _t.Optional[str]
     ) -> _t.Generator[_t.Any, _t.Any, HttpResponse]:
-        pool = "main"
-        addresses: _t.Sequence = ()
+        registry = self.registry
+        # The pool first: no shipped app has canaries, and a memo read is
+        # cheaper than matching the ID against the canary pattern.
+        addresses = registry._canaries.get(dst_service)  # noqa: SLF001 - the registry's memo
+        if addresses is None:
+            addresses = registry.canary_pool(dst_service)
         if (
-            self._canary_regex is not None
+            addresses
+            and self._canary_regex is not None
             and request_id is not None
             and self._canary_regex.match(request_id)
         ):
-            addresses = self.registry.canary_pool(dst_service)
             pool = "canary"
-        if not addresses:
+        else:
             pool = "main"
-            addresses = self.registry.production_addresses(dst_service)
+            addresses = registry.production_addresses(dst_service)
         key = (dst_service, pool)
         index = self._round_robin.get(key, 0)
         self._round_robin[key] = index + 1
@@ -550,7 +564,7 @@ class GremlinAgent:
         host = self.host
         upstream: ExchangeEnd | ConnectionEnd = yield host.network.exchange(host, target)
         try:
-            send_message(upstream, request)
+            hand_on(upstream, request)
             reply_payload = yield upstream.recv()
         finally:
             if not upstream.closed:
@@ -594,11 +608,11 @@ class GremlinAgent:
     def _safe_send(
         self, conn: ExchangeEnd | ConnectionEnd, response: HttpResponse, as_bytes: bool
     ) -> None:
-        """Send a response unless the caller already went away."""
+        """Hand a response to the caller unless it already went away."""
         if conn.closed:
             return
         try:
-            send_message(conn, response, as_bytes)
+            hand_on(conn, response, as_bytes)
         except ConnectionResetError_:
             pass
 

@@ -3,10 +3,10 @@
 :meth:`HttpClient.call` is a *generator subroutine*: service handler
 code running inside a simulation process invokes it with
 ``yield from``.  It opens a one-shot exchange (a raw peer's listener
-gets a connection instead), sends the request in its wire form
-(:mod:`repro.http.wire`), awaits the response, and surfaces every
-fault-model observable as an exception (network errors, per-call
-timeout, unparseable response).
+gets a connection instead), sends a wire snapshot of the request
+(:mod:`repro.http.wire`; the caller keeps its request), awaits the
+response, and surfaces every fault-model observable as an exception
+(network errors, per-call timeout, unparseable response).
 
 This client is deliberately *naive* — no retries, no breaker, no
 default timeout.  The resilience patterns live one layer up, in
@@ -98,11 +98,19 @@ class HttpClient:
         host = self.host
         conn: ExchangeEnd | ConnectionEnd | None = None
         try:
-            conn = yield from await_with_deadline(
-                sim, host.network.exchange(host, dst), deadline
-            )
-            send_message(conn, request)
-            payload = yield from await_with_deadline(sim, conn.recv(), deadline)
+            # A snapshot, not a hand-over: the caller keeps ``request``
+            # (a retrying client sends it again).
+            if deadline is None:
+                # Nothing to race: wait on the events themselves.
+                conn = yield host.network.exchange(host, dst)
+                send_message(conn, request)
+                payload = yield conn.recv()
+            else:
+                conn = yield from await_with_deadline(
+                    sim, host.network.exchange(host, dst), deadline
+                )
+                send_message(conn, request)
+                payload = yield from await_with_deadline(sim, conn.recv(), deadline)
         finally:
             # Abandon the exchange whether we succeeded, timed out or
             # hit a transport error; late server responses are dropped.

@@ -17,6 +17,12 @@ Handlers are generator functions ``handler(request) -> HttpResponse``
 that may ``yield`` events (e.g. make downstream calls via
 :class:`~repro.http.client.HttpClient`).  Handler exceptions become
 ``500`` responses; an unparseable request becomes ``400``.
+
+The request a handler gets is its own to rewrite.  The response it
+returns becomes the server's: the server echoes the request ID into it
+and hands the object itself to the caller
+(:func:`~repro.http.wire.hand_on`), so a handler that returns one
+response for every request shares that object with its callers.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from repro.errors import CodecError
 from repro.http import status as http_status
 from repro.http.headers import REQUEST_ID_HEADER
 from repro.http.message import HttpRequest, HttpResponse
-from repro.http.wire import received_request, send_message
+from repro.http.wire import hand_on, received_request
 from repro.network.transport import ConnectionEnd, ExchangeEnd, Host, Listener
 from repro.simulation.kernel import Simulator
 
@@ -115,8 +121,9 @@ class HttpServer:
             return
         try:
             # Answered in the form it was addressed: a raw peer that
-            # sent bytes reads bytes back.
-            send_message(conn, response, as_bytes=isinstance(payload, bytes))
+            # sent bytes reads bytes back.  The response is handed over,
+            # not copied: it is the server's, and not read again.
+            hand_on(conn, response, as_bytes=isinstance(payload, bytes))
         except Exception:  # noqa: BLE001 - peer vanished mid-response
             return
         self.requests_served += 1

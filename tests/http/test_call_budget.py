@@ -15,13 +15,15 @@ Calls are counted the benchmark ledger's way (``tests.conftest.CallCount``).
 
 import collections
 import dataclasses
+import os
 
 import pytest
 
+from repro.agent import proxy
 from repro.apps import build_socialnetwork_app
 from repro.campaign import RecipeExecutor, plan_campaign
 from repro.core import Crash, Misconfiguration, Recipe
-from repro.http import Headers, HttpRequest, wire
+from repro.http import Headers, HttpRequest, client, wire
 from repro.http.headers import REQUEST_ID_HEADER, SPAN_ID_HEADER
 from repro.logstore.query import Query
 from repro.network import Network
@@ -48,39 +50,44 @@ from tests.conftest import CallCount, SpiedKey
 #: ``http`` and ``registry`` on both lanes were re-pinned when a proven
 #: map's trace headers started travelling as entries, a header key's
 #: half of the proof was memoised and the canary pool with it (the
-#: measurement first, then the ceiling each replaced).
+#: measurement first, then the ceiling each replaced).  ``total``,
+#: ``http`` and ``registry`` on both lanes were re-pinned again when
+#: owned messages started being handed over instead of copied, a call
+#: without a deadline stopped going through ``await_with_deadline`` and
+#: the canary pool was read before the canary pattern (the measurement
+#: first, then the ceiling each replaced).
 CEILINGS = {
     ("fault-free", "default"): {
-        "total": 158.6,  # 155.46; was 166.8
+        "total": 154.8,  # 151.77; was 158.6
         "network": 33.2,  # 32.50; was 57.5
-        "http": 37.2,  # 36.45; was 42.2
+        "http": 34.4,  # 33.77; was 37.2
         "simulation": 33.2,  # 32.57, 38.93, was 58.04
         "logstore": 8.4,  # 10.26, 8.26
-        "registry": 2.23,  # 2.19; was 4.2
+        "registry": 1.25,  # 1.23; was 2.23
     },
     ("reset", "default"): {
-        "total": 158.6,  # 155.46; was 166.4
+        "total": 154.5,  # 151.46; was 158.6
         "network": 32.9,  # 32.26; was 56.2
-        "http": 36.1,  # 35.44; was 40.9
+        "http": 33.1,  # 32.44; was 36.1
         "simulation": 31.5,  # 30.84, 36.79, was 55.14
         "logstore": 8.5,  # 10.36, 8.36
-        "registry": 2.17,  # 2.13; was 4.0
+        "registry": 1.25,  # 1.23; was 2.17
     },
     # The reference lane builds every timeout through its constructor and
     # queues the present on its one heap; the other layers read the same.
     ("fault-free", "heap"): {
-        "total": 179.3,  # 175.83; was 187.6
+        "total": 175.6,  # 172.15; was 179.3
         "network": 33.2,  # 32.50
-        "http": 37.2,  # 36.44
+        "http": 34.4,  # 33.77; was 37.2
         "simulation": 54.8,  # 53.77, was 63.77
-        "registry": 2.23,  # 2.19
+        "registry": 1.25,  # 1.23; was 2.23
     },
     ("reset", "heap"): {
-        "total": 178.3,  # 174.82; was 186.1
+        "total": 174.2,  # 170.82; was 178.3
         "network": 32.9,  # 32.26
-        "http": 36.1,  # 35.44
+        "http": 33.1,  # 32.44; was 36.1
         "simulation": 52.2,  # 51.21, was 60.86
-        "registry": 2.17,  # 2.13
+        "registry": 1.25,  # 1.23; was 2.17
     },
 }
 
@@ -114,6 +121,44 @@ class CountingSlices(collections.defaultdict):
     def __getitem__(self, key):
         self.lookups += 1
         return super().__getitem__(key)
+
+
+class Ledger(CallCount):
+    """``CallCount`` plus three things a proxied call must not do more
+    often than pinned: copy a header dict (``dict.copy`` called from
+    ``repro.http``), match a request ID against a sidecar's canary
+    pattern, and wait through ``await_with_deadline`` (the deadlines it
+    was given)."""
+
+    _HTTP = os.path.join(CallCount._ROOT, "http") + os.sep
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.header_copies = 0
+        self.canary_matches = 0
+        self.deadlines: list = []
+
+    def _hook(self, frame, event, arg) -> None:
+        if event == "c_call":
+            if (
+                arg.__name__ == "copy"
+                and type(getattr(arg, "__self__", None)) is dict
+                and os.path.abspath(frame.f_code.co_filename).startswith(self._HTTP)
+            ):
+                self.header_copies += 1
+            return
+        super()._hook(frame, event, arg)
+
+
+class CountingPattern:
+    """A sidecar's compiled canary pattern that counts its matches."""
+
+    def __init__(self, pattern, ledger: Ledger) -> None:
+        self.pattern, self.ledger = pattern, ledger
+
+    def match(self, text):
+        self.ledger.canary_matches += 1
+        return self.pattern.match(text)
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +195,20 @@ def drive(template, name, scheduler):
             deployments.append(deployment)
             return deployment
 
-    with CallCount() as calls:
+    ledger = Ledger()
+    compile_pattern, wait = proxy.compile_id_pattern, client.await_with_deadline
+
+    def counted_pattern(pattern):
+        regex = compile_pattern(pattern)
+        return None if regex is None else CountingPattern(regex, ledger)
+
+    def noted_wait(sim, event, deadline):
+        ledger.deadlines.append(deadline)
+        return wait(sim, event, deadline)
+
+    with pytest.MonkeyPatch.context() as patch, ledger as calls:
+        patch.setattr(proxy, "compile_id_pattern", counted_pattern)
+        patch.setattr(client, "await_with_deadline", noted_wait)
         outcome = RecipeExecutor(Instrumented, timeout=None).execute(planned)
     assert outcome.status not in ("error", "timeout"), outcome.error
     assert len(outcome.latencies) == template.load.requests  # it really drove the app
@@ -184,9 +242,19 @@ def test_a_verdict_stays_inside_its_per_call_budget(template, name, scheduler):
     assert len(store) > 2 * proxied - 10 and len(identities) < len(store) / 5
     assert store._slices.lookups == 3 * len(identities)
 
-    # A destination's canary pool is asked of the registry once.
+    # A destination's canary pool is asked of the registry once, and no
+    # destination has one: no request ID is matched against the pattern.
     asked = calls.calls_of(ServiceRegistry.try_instances)
     assert 0 < asked <= len(deployment.registry.services())
+    assert calls.canary_matches == 0
+
+    # Owned messages change hands: only the client's send is a wire
+    # snapshot, and that snapshot is the one header-dict copy of a call.
+    assert calls.calls_of(wire.wire_form) == proxied
+    assert calls.header_copies == proxied
+
+    # A call on an edge without a timeout waits on its events directly.
+    assert None not in calls.deadlines
 
 
 def test_propagate_copies_a_proven_map_without_testing_it_again():

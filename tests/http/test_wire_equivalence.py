@@ -1,8 +1,9 @@
 """The lazy wire form changes nothing anyone can observe.
 
-Production sends wire snapshots (:func:`repro.http.wire.wire_form`); the
+Production sends wire snapshots (:func:`repro.http.wire.wire_form`) and
+hands owned messages over (:func:`repro.http.wire.handed_form`); the
 eager codec is the oracle.  Each scenario here runs twice on identical
-seeds — once as shipped, once with ``wire_form`` swapped for the codec —
+seeds — once as shipped, once with both swapped for the codec —
 and every observation record, span tree, latency and the recipe outcome
 must be equal element by element.  Two oracles: ``roundtrip`` hands the
 receiver ``decode(encode(m))`` (the snapshot's definition); ``bytes``
@@ -51,7 +52,9 @@ def eager_codec(request, monkeypatch):
     @contextlib.contextmanager
     def switched():
         with monkeypatch.context() as patch:
+            # Snapshots and hand-offs alike: every hop's send.
             patch.setattr(wire, "wire_form", ORACLES[request.param])
+            patch.setattr(wire, "handed_form", ORACLES[request.param])
             yield
 
     return switched
@@ -266,10 +269,10 @@ def test_mirrored_flow(eager_codec):
     shadow = [
         record for record in lazy.records if (record["request_id"] or "").startswith("shadow-")
     ]
-    # Five mirror copies: two aborted at the sidecar (a request record
-    # each), three delivered to the shadow (request and reply).
-    assert len(shadow) == 2 + 3 * 2
-    assert sum(1 for record in shadow if record["fault_applied"]) == 2
+    # Five mirror copies: two aborted at the sidecar, three delivered to
+    # the shadow; each logs a request and a reply.
+    assert len(shadow) == 2 * 2 + 3 * 2
+    assert sum(1 for record in shadow if record["fault_applied"]) == 2 * 2
 
 
 def test_retry_resends_the_one_request_object(eager_codec):

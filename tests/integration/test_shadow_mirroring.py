@@ -9,7 +9,7 @@ exercise real traffic shapes without users noticing.
 
 import pytest
 
-from repro.agent import abort, delay
+from repro.agent import TCP_RESET, abort, delay
 from repro.core import HasTimeouts
 from repro.errors import OrchestrationError
 from repro.loadgen import ClosedLoopLoad
@@ -80,6 +80,24 @@ class TestMirroring:
             Query(kind="request", id_pattern="shadow-*", with_faults_only=True)
         )
         assert len(aborted) == 5
+
+    @pytest.mark.parametrize("error", [503, TCP_RESET])
+    def test_an_aborted_shadow_copy_logs_its_reply(self, error):
+        deployment, source, agent = build()
+        agent.install_rule(abort("ServiceA", "ServiceB", error=error, pattern="shadow-*"))
+        production_load(source)
+        replies = deployment.store.search(
+            Query(kind="reply", src="ServiceA", dst="ServiceB", id_pattern="shadow-*")
+        )
+        # Answered by the agent, as an aborted production call is.
+        assert len(replies) == 5
+        if error == TCP_RESET:
+            expected = (None, "reset", True, "abort(reset)")
+        else:
+            expected = (error, None, True, f"abort({error})")
+        assert [(r.status, r.error, r.gremlin_generated, r.fault_applied) for r in replies] == [
+            expected
+        ] * 5
 
     def test_shadow_delay_does_not_slow_users(self):
         deployment, source, agent = build()

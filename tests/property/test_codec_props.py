@@ -307,6 +307,26 @@ def _sent(message):
     return unit
 
 
+def _handed_on(message):
+    """``handed_form(message)`` checked against ``decode(encode(message))``
+    taken just before, field for field and in header order, and against
+    the old walk; returns the unit."""
+    expected = _outcome(_through_codec, message)
+    in_place = _old_walk_passes(message)
+    try:
+        unit = wire.handed_form(message)
+    except Exception as exc:  # noqa: BLE001 - must be what encode raises
+        assert not in_place
+        assert expected == type(exc)
+        return None
+    if in_place:
+        assert unit is message
+    else:
+        assert type(unit) is bytes and unit == encode(message)
+    assert _outcome(lambda m: m if unit is m else decode(unit), message) == expected
+    return unit
+
+
 class TestHeaderProofIsTheOldWalk:
     @given(
         start=st.one_of(_headers, st.dictionaries(_proof_key, _proof_value, max_size=3)),
@@ -338,6 +358,48 @@ class TestHeaderProofIsTheOldWalk:
             else:
                 _sent(message)  # a send in between may clear the mark, never set it wrong
         _sent(message)
+
+    @given(
+        start=st.one_of(_headers, st.dictionaries(_proof_key, _proof_value, max_size=3)),
+        ops=st.lists(_proof_op, max_size=8),
+        as_request=st.booleans(),
+    )
+    @example(
+        start={"X-A": "1"},
+        ops=[("set", "Content-Length", "9"), ("set", "X-Gremlin-Span-Id", "a#1")],
+        as_request=True,
+    )
+    @example(start={}, ops=[("set", "X-A", " v"), ("send",), ("del", "x-a")], as_request=False)
+    @example(
+        start={"X-A": "1"},
+        ops=[("send",), ("set", "X-Gremlin-Span-Id", "b#2"), ("setdefault", "X-B", "2")],
+        as_request=True,
+    )
+    @settings(max_examples=400)
+    def test_a_handed_on_message_is_the_round_trip_taken_just_before(
+        self, start, ops, as_request
+    ):
+        message = (
+            HttpRequest("POST", "/x", start, b"ab") if as_request else HttpResponse(200, start, b"ab")
+        )
+        for op, *args in ops:
+            headers = message.headers
+            if op == "set":
+                headers[args[0]] = args[1]
+            elif op == "setdefault":
+                headers.setdefault(*args)
+            elif op == "del":
+                if args[0] in headers:
+                    del headers[args[0]]
+            elif op == "copy":
+                message.headers = headers.copy()
+            elif op == "from-dict":
+                message.headers = Headers(headers.to_dict())
+            else:
+                # A hop: the receiver holds the message itself and goes
+                # on writing into it, as a sidecar stamps its span.
+                _handed_on(message)
+        _handed_on(message)
 
     @given(key=_proof_key, value=_proof_value, clean=_headers)
     @settings(max_examples=100)
