@@ -81,6 +81,24 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["GremlinAgent"]
 
+#: Request IDs a sidecar routes to a destination's canary pool when it
+#: has one (paper Section 9's state-cleanup proposal): ``test-*`` flows
+#: and mirrored ``shadow-*`` copies.  Neither is ever mirrored.
+_CANARY_IDS = compile_id_pattern("re:(?:test|shadow)-")
+
+
+class _GoneCaller:
+    """The caller of a mirrored copy, gone before the copy is sent: its
+    answer is dropped and a reset reaches no one (fire-and-forget)."""
+
+    closed = True
+
+    def reset(self) -> None:
+        pass
+
+
+_GONE = _GoneCaller()
+
 
 class GremlinAgent:
     """One sidecar proxy instance, colocated with one service instance."""
@@ -95,7 +113,6 @@ class GremlinAgent:
         pipeline: LogPipeline,
         metrics: "MetricsRegistry",
         matcher_strategy: str = "prefix",
-        canary_pattern: str = "test-*",
     ) -> None:
         self.sim = sim
         self.host = host
@@ -116,17 +133,14 @@ class GremlinAgent:
         self.matcher: RuleMatcher = make_matcher(
             matcher_strategy, rng=sim.rng(f"agent/{owner_instance}")
         )
-        #: Request-ID glob selecting flows routed to canary instances of
-        #: a destination when any are registered (paper Section 9's
-        #: state-cleanup proposal).  ``None`` disables canary routing.
-        self.canary_pattern = canary_pattern
-        self._canary_regex = compile_id_pattern(canary_pattern)
         self._routes: dict[int, str] = {}
         self._listeners: dict[int, Listener] = {}
         self._round_robin: dict[tuple[str, str], int] = {}
         #: dst service -> mirror fraction; production requests to that
         #: destination are duplicated onto its shadow (canary) pool.
-        self._mirrors: dict[str, float] = {}
+        #: ``None`` once removed: copies still in flight toward it must
+        #: not fall back to production.
+        self._mirrors: dict[str, float | None] = {}
         self._mirror_seq = 0
         self.started = False
         #: Total messages proxied, for benchmarks and sanity checks.
@@ -210,12 +224,14 @@ class GremlinAgent:
         shadow pool.
 
         Each mirrored copy gets a fresh ``shadow-*`` request ID and is
-        sent, fire-and-forget, to the destination's canary instances;
-        the response is consumed and discarded, so users never see the
-        shadow path.  Because the copy flows through this agent's
-        matcher like any other message, faults scoped to ``shadow-*``
-        IDs apply to mirrored traffic only — resilience testing against
-        real production request shapes with zero user impact.
+        proxied, fire-and-forget, to the destination's canary instances
+        (never to production: with no canary left, the copy is refused);
+        the response is discarded, so users never see the shadow path.
+        The copy takes the path every call takes — request and response
+        rules, its own span and trace, metrics, failure translation — so
+        faults scoped to ``shadow-*`` IDs apply to mirrored traffic only:
+        resilience testing against real production request shapes with
+        zero user impact.
 
         ``fraction`` samples that share of production requests
         (deterministically, from the simulator's seeded RNG).
@@ -230,93 +246,33 @@ class GremlinAgent:
 
     def remove_mirror(self, dst_service: str) -> None:
         """Stop mirroring traffic toward ``dst_service``."""
-        self._mirrors.pop(dst_service, None)
+        if dst_service in self._mirrors:
+            self._mirrors[dst_service] = None
 
     def _maybe_mirror(self, dst_service: str, request: HttpRequest) -> None:
         fraction = self._mirrors.get(dst_service)
         if fraction is None:
             return
         request_id = request.request_id
-        if request_id is not None and self._canary_regex is not None:
-            if self._canary_regex.match(request_id):
-                return  # never mirror test traffic (it may be faulted already)
-        if request_id is not None and request_id.startswith("shadow-"):
-            return  # never mirror a mirror
+        if request_id is not None and _CANARY_IDS.match(request_id):
+            return  # never mirror test traffic (it may be faulted already) or a mirror
         if fraction < 1.0 and self.sim.rng(f"mirror/{self.owner_instance}").random() >= fraction:
             return
-        targets = self.registry.canary_pool(dst_service)
-        if not targets:
+        if not self.registry.canary_pool(dst_service):
             self.mirror_skipped += 1
             return
         self._mirror_seq += 1
         copy = request.copy()
         copy.request_id = f"shadow-{request_id or 'untagged'}-{self._mirror_seq}"
+        # The inbound span header names the production call's parent:
+        # without it the copy roots a trace of its own.
+        if SPAN_ID_HEADER in copy.headers:
+            del copy.headers[SPAN_ID_HEADER]
         self.mirrored += 1
         self.sim.process(
-            self._mirror_one(dst_service, copy, targets),
+            self._proxy_one(_GONE, dst_service, copy),
             name=f"{self.owner_instance}/mirror->{dst_service}",
         )
-
-    def _mirror_one(
-        self, dst_service: str, request: HttpRequest, targets: _t.Sequence[Address]
-    ) -> _t.Generator:
-        """Deliver one mirrored copy: matched, logged, fire-and-forget."""
-        start = self.sim.now
-        request_id = request.request_id
-        record = ObservationRecord(
-            timestamp=start,
-            kind=ObservationKind.REQUEST,
-            src=self.owner_service,
-            dst=dst_service,
-            src_instance=self.owner_instance,
-            request_id=request_id,
-            method=request.method,
-            uri=request.uri,
-        )
-        injected_delay = 0.0
-        hit = self.matcher.match(dst_service, FaultType_REQUEST, request_id, body=request.body)
-        if hit is not None:
-            rule = hit.rule
-            hit.consume()
-            record.fault_applied = rule.describe()
-            if rule.fault_type == FaultType.DELAY:
-                assert rule.interval is not None
-                injected_delay = rule.interval
-                yield self.sim.timeout(rule.interval)
-            elif rule.fault_type == FaultType.ABORT:
-                record.error = None if not rule.is_reset else "reset"
-                if not rule.is_reset:
-                    record.status = rule.error
-                record.injected_delay = injected_delay
-                self.pipeline.emit(record)
-                # Aborted before reaching the shadow: answered by the agent.
-                self._emit_reply(
-                    record, start, injected_delay, True, record.status, record.error
-                )
-                return
-            elif rule.fault_type == FaultType.MODIFY:
-                request = modify_request(rule, request)
-        record.injected_delay = injected_delay
-        self.pipeline.emit(record)
-
-        key = (dst_service, "shadow")
-        index = self._round_robin.get(key, 0)
-        self._round_robin[key] = index + 1
-        target = targets[index % len(targets)]
-        host = self.host
-        try:
-            upstream = yield host.network.exchange(host, target)
-            hand_on(upstream, request)
-            reply_payload = yield upstream.recv()
-            upstream.close()
-            response = received_response(reply_payload)
-        except Exception:  # noqa: BLE001 - shadow failures never propagate
-            # A failed copy is a completed call, as a refused or reset one is.
-            record.error = "shadow-error"
-            self._emit_reply(record, start, injected_delay, False, record.status, "shadow-error")
-            return
-        record.status = response.status
-        self._emit_reply(record, start, injected_delay, False, response.status)
 
     # -- control-plane interface (paper Table 2) ---------------------------------
 
@@ -397,7 +353,10 @@ class GremlinAgent:
             conn.on_receive(spawn)
 
     def _proxy_one(
-        self, conn: ExchangeEnd | ConnectionEnd, dst_service: str, payload: object
+        self,
+        conn: ExchangeEnd | ConnectionEnd | _GoneCaller,
+        dst_service: str,
+        payload: object,
     ) -> _t.Generator[_t.Any, _t.Any, bool]:
         """Proxy one request/response exchange; True if conn was closed."""
         self.proxied += 1
@@ -413,11 +372,10 @@ class GremlinAgent:
             )
             return False
         request_id = request.request_id
-        # Shadow mirroring happens before fault matching (and before
-        # span minting, so mirror copies stay outside the causal tree):
-        # the copy runs its own matcher pass under its shadow-* identity.
-        # Guarded so the no-mirror common case pays one dict check, not
-        # a method call per proxied message.
+        # Shadow mirroring copies the request as it arrived, before any
+        # fault rewrites it; the copy is proxied under its shadow-*
+        # identity.  Guarded so the no-mirror common case pays one dict
+        # check, not a method call per proxied message.
         if self._mirrors:
             self._maybe_mirror(dst_service, request)
         # The inbound span header names the *enclosing* call (set by the
@@ -547,13 +505,12 @@ class GremlinAgent:
         addresses = registry._canaries.get(dst_service)  # noqa: SLF001 - the registry's memo
         if addresses is None:
             addresses = registry.canary_pool(dst_service)
-        if (
-            addresses
-            and self._canary_regex is not None
-            and request_id is not None
-            and self._canary_regex.match(request_id)
-        ):
+        if addresses and request_id is not None and _CANARY_IDS.match(request_id):
             pool = "canary"
+        elif dst_service in self._mirrors and request_id and request_id.startswith("shadow-"):
+            # A copy whose shadow pool went away while it was held is
+            # refused: mirrored traffic never reaches production.
+            raise ServiceNotFoundError(f"no shadow instance of {dst_service!r} left")
         else:
             pool = "main"
             addresses = registry.production_addresses(dst_service)
@@ -606,7 +563,10 @@ class GremlinAgent:
         )
 
     def _safe_send(
-        self, conn: ExchangeEnd | ConnectionEnd, response: HttpResponse, as_bytes: bool
+        self,
+        conn: ExchangeEnd | ConnectionEnd | _GoneCaller,
+        response: HttpResponse,
+        as_bytes: bool,
     ) -> None:
         """Hand a response to the caller unless it already went away."""
         if conn.closed:

@@ -93,8 +93,8 @@ class ObservationRecord:
     span_id:
         Identity of the proxied call this record belongs to, minted by
         the observing agent (one span per request/reply exchange —
-        each retry attempt is its own span).  ``None`` for records from
-        deployments with tracing disabled.
+        each retry attempt is its own span).  ``None`` only for records
+        from dumps written before spans existed.
     parent_span:
         Span ID of the enclosing call, read from the propagated span
         header; ``None`` for root spans (the trace's entry edge) and

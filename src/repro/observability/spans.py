@@ -106,8 +106,8 @@ def assemble_spans(
 
     Returns ``(spans, diagnostics)``: spans sorted by start time, and
     one message per anomaly observed.  Records without a ``span_id``
-    (from deployments with tracing disabled, or mirror copies) are
-    counted but excluded — they cannot participate in a causal tree.
+    (from dumps written before spans existed) are counted but excluded
+    — they cannot participate in a causal tree.
     Edge, parent and outcome follow :func:`span_rows`' rule.
     """
     by_id: _t.Dict[str, Span] = {}
@@ -187,7 +187,7 @@ def assemble_spans(
     if untraced:
         diagnostics.append(
             f"{untraced} record(s) carry no span ID and were excluded"
-            " (untraced deployment or mirrored shadow traffic)"
+            " (a dump written before spans existed)"
         )
 
     order.sort(key=lambda span: (span.start, span.span_id))

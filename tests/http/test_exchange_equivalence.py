@@ -1,6 +1,6 @@
 """One-shot exchanges change nothing anyone can observe.
 
-``HttpClient.call`` and the sidecar's ``_forward``/``_mirror_one`` open
+``HttpClient.call`` and the sidecar's ``_forward`` open
 one-shot exchanges (``Network.exchange``): a listener with an exchange
 hook — every ``HttpServer`` and every sidecar route — is answered by
 two ``ExchangeEnd`` objects instead of a ``Connection``.  A listener

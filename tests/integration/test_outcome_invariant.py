@@ -120,5 +120,5 @@ def test_outcomes_are_written_once_from_pending_to_final(build, monkeypatch):
     # reached their shadow and ones that did not, faults of every kind.
     assert later > 100
     shadows = [r for r in requests if r.request_id and r.request_id.startswith("shadow-")]
-    assert {r.error for r in shadows} >= {None, "shadow-error"}
+    assert {r.error for r in shadows} >= {None, "refused"}
     assert any(r.fault_applied for r in records)
